@@ -50,6 +50,8 @@ __all__ = [
 
 GRID_SIZE = 64
 VANISHING_TOL = 1e-8
+# Halvings of a grid cell that bracket a minimum of |f|: 2/63 / 2**40 ~ 3e-14.
+_BISECTIONS = 40
 
 
 @dataclass(frozen=True)
@@ -238,31 +240,55 @@ def validation_grid(t_max):
     return np.linspace(0.0, float(t_max), GRID_SIZE)
 
 
-def _require_nonvanishing(fam, t_max, what):
+def _value_and_slope(fam, t):
+    """(f(t), f'(t)) on an array of points, in one jet evaluation."""
+    out = fam(ad.Jet(t, np.ones(t.shape + (1,))))
+    return (np.broadcast_to(ad.val(out), t.shape),
+            ad.partials(out, 1)[..., 0] + np.zeros(t.shape))
+
+
+def _sampled_values(fam, t_max):
+    """Points and values of ``fam``: the validation grid, then the minima of |f|.
+
+    |f| has an interior minimum where f f' changes sign from - to +; each
+    such bracket between grid points is refined by bisection.
+    """
     grid = validation_grid(t_max)
-    values = [float(fam(t)) for t in grid]
-    for t, v in zip(grid, values):
+    f, fp = _value_and_slope(fam, grid)
+    slope = f * fp  # d|f|/dt has the sign of f f'
+    left = np.flatnonzero((slope[:-1] < 0.0) & (slope[1:] > 0.0))
+    lo, hi = grid[left], grid[left + 1]
+    for _ in range(_BISECTIONS if left.size else 0):
+        mid = 0.5 * (lo + hi)
+        falling = np.prod(_value_and_slope(fam, mid), axis=0) < 0.0
+        lo, hi = np.where(falling, mid, lo), np.where(falling, hi, mid)
+    minima = 0.5 * (lo + hi)
+    return (np.concatenate([grid, minima]),
+            np.concatenate([f, _value_and_slope(fam, minima)[0]]))
+
+
+def _require_nonvanishing(fam, t_max, what):
+    ts, values = _sampled_values(fam, t_max)
+    for t, v in zip(ts, values):
         if abs(v) < VANISHING_TOL:
             raise DegenerateCoefficient(
                 f"{what} vanishes near t = {t:.6g} on [0, {t_max:g}]")
-    for i in range(len(grid) - 1):
+    for i in range(GRID_SIZE - 1):
         if values[i] * values[i + 1] < 0.0:
             raise DegenerateCoefficient(
-                f"{what} changes sign between t = {grid[i]:.6g} "
-                f"and t = {grid[i + 1]:.6g}")
+                f"{what} changes sign between t = {ts[i]:.6g} "
+                f"and t = {ts[i + 1]:.6g}")
 
 
 def _require_positive(fam, t_max, what):
-    grid = validation_grid(t_max)
-    for t in grid:
-        v = float(fam(t))
+    for t, v in zip(*_sampled_values(fam, t_max)):
         if v < VANISHING_TOL:
             raise DegenerateCoefficient(
                 f"{what} must stay positive; value {v:.6g} at t = {t:.6g}")
 
 
 def _is_positive(fam, t_max):
-    return all(float(fam(t)) >= VANISHING_TOL for t in validation_grid(t_max))
+    return bool(np.all(_sampled_values(fam, t_max)[1] >= VANISHING_TOL))
 
 
 def complete_almost_product(a1, b1, *, t_max=2.0):

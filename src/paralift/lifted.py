@@ -14,8 +14,8 @@ P1 maps horizontal to vertical slots and sits in the lower-left block; P2
 maps vertical to horizontal and sits in the upper-right block.
 
 Coordinate-frame components come from conjugating with the frame matrices,
-and the evaluators accept Jet scalars so every entry stays differentiable in
-all 2n phase-space variables.
+and the evaluators accept a Jet z = (q, p), so every entry stays
+differentiable in all 2n phase-space variables.
 """
 
 from __future__ import annotations
@@ -89,31 +89,16 @@ def _check_range(ls, t, *, slack):
             f"{ls.spec.t_max:g}")
 
 
-def _p_blocks(ls, q, p, *, slack):
-    """(P1, P2) blocks at (q, p); generic over the scalar type."""
-    g = metric_at(ls.m, q)
-    ginv = inverse_metric_at(ls.m, q)
-    if ls.kind is StructureKind.CRUCEANU_Q:
-        return g, ginv
-    t = energy_density(ls.m, q, p)
-    _check_range(ls, t, slack=slack)
-    g0 = ginv @ p
-    spec = ls.spec
-    p1 = spec.a1(t) * g + spec.b1(t) * np.outer(p, p)
-    p2 = spec.a2(t) * ginv + spec.b2(t) * np.outer(g0, g0)
-    return p1, p2
-
-
-def _g_blocks(ls, q, p, *, slack):
-    spec = _require_metric(ls)
+def _blocks(ls, q, p, coeffs, *, slack):
+    """(k1 g + l1 p(x)p, k2 g^-1 + l2 g0(x)g0) for coeffs = (k1, l1, k2, l2)."""
     g = metric_at(ls.m, q)
     ginv = inverse_metric_at(ls.m, q)
     t = energy_density(ls.m, q, p)
     _check_range(ls, t, slack=slack)
-    g0 = ginv @ p
-    g1 = spec.c1(t) * g + spec.d1(t) * np.outer(p, p)
-    g2 = spec.c2(t) * ginv + spec.d2(t) * np.outer(g0, g0)
-    return g1, g2
+    g0 = ad.matmul(ginv, p)
+    k1, l1, k2, l2 = coeffs
+    return (k1(t) * g + l1(t) * ad.outer(p, p),
+            k2(t) * ginv + l2(t) * ad.outer(g0, g0))
 
 
 def _require_metric(ls):
@@ -130,22 +115,23 @@ def _require_para_hermitian(ls):
     return spec
 
 
-def _sign_split(n):
-    return np.diag([-1.0] * n + [1.0] * n)
-
-
-def _antidiag(p1, p2, n):
+def _p_matrix(ls, q, p, *, slack):
+    """Adapted-frame matrix of P at (q, p), for plain or Jet coordinates."""
+    n = ls.m.n
+    if ls.kind is StructureKind.CRUCEANU_P:
+        return np.diag([-1.0] * n + [1.0] * n)
+    if ls.kind is StructureKind.CRUCEANU_Q:
+        p1, p2 = metric_at(ls.m, q), inverse_metric_at(ls.m, q)
+    else:
+        s = ls.spec
+        p1, p2 = _blocks(ls, q, p, (s.a1, s.b1, s.a2, s.b2), slack=slack)
     zero = np.zeros((n, n))
-    return np.block([[zero, p2], [p1, zero]])
+    return ad.block([[zero, p2], [p1, zero]])
 
 
 def P_adapted(ls, pt):
     """Adapted-frame matrix of P at ``pt``; block antidiagonal (see module doc)."""
-    n = ls.m.n
-    if ls.kind is StructureKind.CRUCEANU_P:
-        return _sign_split(n)
-    p1, p2 = _p_blocks(ls, pt.q, pt.p, slack=False)
-    return _antidiag(p1, p2, n)
+    return _p_matrix(ls, pt.q, pt.p, slack=False)
 
 
 def P_coordinate_function(ls):
@@ -154,13 +140,9 @@ def P_coordinate_function(ls):
 
     def fn(z):
         q, p = z[:n], z[n:]
-        if ls.kind is StructureKind.CRUCEANU_P:
-            p_ad = _sign_split(n)
-        else:
-            p1, p2 = _p_blocks(ls, q, p, slack=True)
-            p_ad = _antidiag(p1, p2, n)
+        p_ad = _p_matrix(ls, q, p, slack=True)
         b, binv = frame_matrices(gamma0_at(ls.m, q, p))
-        return _mat3(b, p_ad, binv)
+        return ad.matmul(ad.matmul(b, p_ad), binv)
 
     return fn
 
@@ -172,7 +154,8 @@ def P_coordinate(ls, pt):
 
 def G_adapted(ls, pt):
     """Adapted-frame matrix of G at ``pt``; symmetric block diagonal."""
-    g1, g2 = _g_blocks(ls, pt.q, pt.p, slack=False)
+    s = _require_metric(ls)
+    g1, g2 = _blocks(ls, pt.q, pt.p, (s.c1, s.d1, s.c2, s.d2), slack=False)
     n = ls.m.n
     zero = np.zeros((n, n))
     return np.block([[g1, zero], [zero, g2]])
@@ -181,7 +164,7 @@ def G_adapted(ls, pt):
 def G_coordinate(ls, pt):
     """Coordinate components of G: Binv^T . G_adapted . Binv (covariant law)."""
     _, binv = frame_matrices(pt.Gamma0)
-    return _mat3(binv.T, G_adapted(ls, pt), binv)
+    return binv.T @ G_adapted(ls, pt) @ binv
 
 
 def Omega_adapted(ls, pt):
@@ -208,12 +191,12 @@ def Omega_coordinate(ls):
         ginv = inverse_metric_at(ls.m, q)
         t = energy_density(ls.m, q, p)
         _check_range(ls, t, slack=True)
-        g0 = ginv @ p
-        mixed = spec.lam(t) * np.eye(n) + spec.mu(t) * np.outer(p, g0)
+        g0 = ad.matmul(ginv, p)
+        mixed = spec.lam(t) * np.eye(n) + spec.mu(t) * ad.outer(p, g0)
         gamma0 = gamma0_at(ls.m, q, p)
-        qq = _mat2(gamma0, mixed.T) - _mat2(mixed, gamma0)
+        qq = ad.matmul(gamma0, mixed.transpose()) - ad.matmul(mixed, gamma0)
         zero = np.zeros((n, n))
-        return np.block([[qq, mixed], [-mixed.T, zero]])
+        return ad.block([[qq, mixed], [-mixed.transpose(), zero]])
 
     return fn
 
@@ -222,20 +205,3 @@ def Omega_coordinate_at(ls, pt):
     """Coordinate components of Omega evaluated at one point."""
     return Omega_coordinate(ls)(pt.z())
 
-
-def _mat2(a, b):
-    a, b = _common(a, b)
-    return a @ b
-
-
-def _mat3(a, b, c):
-    return _mat2(_mat2(a, b), c)
-
-
-def _common(a, b):
-    # np.matmul refuses mixed float/object operands; promote when needed.
-    if a.dtype == object and b.dtype != object:
-        b = b.astype(object)
-    elif b.dtype == object and a.dtype != object:
-        a = a.astype(object)
-    return a, b

@@ -19,6 +19,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import ad
 from .spaceform import christoffel_at, inverse_metric_at, metric_at
 
 __all__ = [
@@ -83,21 +84,12 @@ def make_point(m, q, p):
 def energy_density(m, q, p):
     """(1/2) g^{ik}(q) p_i p_k, evaluable on Jets in all 2n variables."""
     ginv = inverse_metric_at(m, q)
-    return 0.5 * np.dot(p, np.dot(ginv, p))
+    return 0.5 * ad.matmul(p, ad.matmul(ginv, p))
 
 
 def gamma0_at(m, q, p):
     """Contraction Gamma0[i, h] = p_k Gamma^k_ih(q); symmetric in (i, h)."""
-    gamma = christoffel_at(m, q)
-    n = m.n
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for h in range(n):
-            acc = 0.0
-            for k in range(n):
-                acc = acc + p[k] * gamma[k, i, h]
-            out[i, h] = acc
-    return _tighten(out)
+    return ad.einsum("k,kih->ih", p, christoffel_at(m, q))
 
 
 @dataclass(frozen=True)
@@ -115,12 +107,12 @@ class FrameBasis:
 
 
 def frame_matrices(gamma0):
-    """(B, Binv) from the contraction Gamma0; works on Jet entries too."""
+    """(B, Binv) from the contraction Gamma0; works on a Jet Gamma0 too."""
     n = gamma0.shape[0]
     eye = np.eye(n)
     zero = np.zeros((n, n))
-    b = np.block([[eye, zero], [gamma0, eye]])
-    binv = np.block([[eye, zero], [-gamma0, eye]])
+    b = ad.block([[eye, zero], [gamma0, eye]])
+    binv = ad.block([[eye, zero], [-gamma0, eye]])
     return b, binv
 
 
@@ -192,9 +184,3 @@ def spray(pt):
     """The geodesic spray g^{0i} delta_i at ``pt`` (horizontal lift of p-sharp)."""
     return horizontal_lift(pt.g0)
 
-
-def _tighten(a):
-    try:
-        return a.astype(float)
-    except (TypeError, ValueError):
-        return a

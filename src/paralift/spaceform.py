@@ -95,11 +95,12 @@ def perturbed_conformal(n, c, strength=0.1, chart_radius=1.0):
 def conformal_factor(m, x):
     """Scalar ``phi`` with ``g = phi * I`` at the chart point ``x``.
 
-    Accepts Jet entries; domain guards compare the underlying values.
+    Accepts a Jet ``x``; domain guards compare the underlying values.
     Raises :class:`ChartDomainError` off the chart or where the conformal
     denominator fails to be positive.
     """
-    r2 = sum(xi * xi for xi in x)
+    x = x if isinstance(x, ad.Jet) else np.asarray(x, dtype=float)
+    r2 = (x * x).sum()
     if m.model is ChartModel.FLAT:
         return 1.0
     _require_in_chart(m, x, r2)
@@ -129,14 +130,12 @@ def _require_in_chart(m, x, r2):
 
 def metric_at(m, x):
     """Metric components g_ij(x), a symmetric positive definite matrix."""
-    phi = conformal_factor(m, x)
-    return np.diag([phi] * m.n)
+    return conformal_factor(m, x) * np.eye(m.n)
 
 
 def inverse_metric_at(m, x):
     """Inverse metric g^ij(x); exact since the models are conformally flat."""
-    phi = conformal_factor(m, x)
-    return np.diag([1.0 / phi] * m.n)
+    return (1.0 / conformal_factor(m, x)) * np.eye(m.n)
 
 
 def christoffel_at(m, x):
@@ -146,25 +145,11 @@ def christoffel_at(m, x):
     derivatives taken by forward-mode seeding, so the result is exact and
     remains differentiable when ``x`` itself carries Jets.
     """
-    n = m.n
-    xs = ad.seed(x)
-    g = metric_at(m, xs)
+    # dg[i, j, l] = d_i g_jl
+    dg = ad.partials(metric_at(m, ad.seed(x)), m.n).transpose((2, 0, 1))
     ginv = inverse_metric_at(m, x)
-    dg = np.empty((n, n, n), dtype=object)  # dg[i, j, l] = d_i g_jl
-    for j in range(n):
-        for l in range(n):
-            grad = ad.partials(g[j, l], n)
-            for i in range(n):
-                dg[i, j, l] = grad[i]
-    gamma = np.empty((n, n, n), dtype=object)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                acc = 0.0
-                for l in range(n):
-                    acc = acc + ginv[k, l] * (dg[i, j, l] + dg[j, i, l] - dg[l, i, j])
-                gamma[k, i, j] = 0.5 * acc
-    return _tighten(gamma)
+    return 0.5 * ad.einsum("kl,ijl->kij", ginv,
+                           dg + dg.transpose((1, 0, 2)) - dg.transpose((1, 2, 0)))
 
 
 def curvature_at(m, x):
@@ -175,29 +160,13 @@ def curvature_at(m, x):
     antisymmetric in (i, j) by construction.  The Gamma derivatives come from
     a second, nested level of forward-mode seeding.
     """
-    n = m.n
-    xs = ad.seed(x)
-    gs = christoffel_at(m, xs)
-    gamma = np.empty((n, n, n), dtype=object)
-    dgamma = np.empty((n, n, n, n), dtype=object)  # dgamma[a, k, i, j] = d_a Gamma^k_ij
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                gamma[k, i, j] = ad.val(gs[k, i, j])
-                grad = ad.partials(gs[k, i, j], n)
-                for a in range(n):
-                    dgamma[a, k, i, j] = grad[a]
-    riem = np.empty((n, n, n, n), dtype=object)
-    for h in range(n):
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    acc = dgamma[i, h, j, k] - dgamma[j, h, i, k]
-                    for l in range(n):
-                        acc = acc + (gamma[h, i, l] * gamma[l, j, k]
-                                     - gamma[h, j, l] * gamma[l, i, k])
-                    riem[h, k, i, j] = acc
-    return _tighten(riem)
+    gs = christoffel_at(m, ad.seed(x))
+    gamma = ad.val(gs)
+    dgamma = ad.partials(gs, m.n)  # dgamma[k, i, j, a] = d_a Gamma^k_ij
+    quad = ad.einsum("hil,ljk->hkij", gamma, gamma)
+    # grouped so that swapping (i, j) negates each parenthesis bitwise
+    return ((dgamma.transpose((0, 2, 3, 1)) - dgamma.transpose((0, 2, 1, 3)))
+            + (quad - quad.transpose((0, 1, 3, 2))))
 
 
 def space_form_residual(m, x):
@@ -222,9 +191,3 @@ def check_space_form(m, sample, tol=1e-9, *, seed=None):
     residuals = [space_form_residual(m, q) for q in points]
     return make_report("space_form", residuals, points, tol, seed=seed)
 
-
-def _tighten(a):
-    try:
-        return a.astype(float)
-    except (TypeError, ValueError):
-        return a

@@ -165,12 +165,6 @@ def exterior_derivative_2form(omega, pt):
             + jac)
 
 
-_PERMS3 = (
-    ((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
-    ((0, 2, 1), -1.0), ((2, 1, 0), -1.0), ((1, 0, 2), -1.0),
-)
-
-
 def analytic_dOmega(ls, pt):
     """Closed-form d Omega in coordinate components at ``pt``.
 
@@ -188,27 +182,18 @@ def analytic_dOmega(ls, pt):
     if spec is None or not spec.is_para_hermitian:
         raise ContractError("analytic d Omega needs a para-Hermitian spec")
     n = ls.m.n
-    two_n = 2 * n
     t = pt.t
     factor = 0.5 * (float(spec.mu(t)) - float(spec.lam.deriv(t)))
     g0 = pt.g0  # p_k g^{kh} = g0[h]
-    mixed = np.zeros((two_n, two_n, two_n))
-    for h in range(n):
-        for j in range(n):
-            for i in range(n):
-                coeff = factor * (g0[h] * (1.0 if i == j else 0.0)
-                                  - g0[j] * (1.0 if i == h else 0.0))
-                if coeff == 0.0:
-                    continue
-                _add_wedge(mixed, n + h, n + j, i, coeff)
+    eye = np.eye(n)
+    w = np.zeros((2 * n, 2 * n, 2 * n))  # w[n + h, n + j, i] of Dp_h Dp_j dq^i
+    w[n:, n:, :n] = factor * (g0[:, None, None] * eye - g0[None, :, None] * eye[:, None])
+    # antisymmetrized over the basis wedges: signed sum over the slot permutations
+    mixed = (w + w.transpose(1, 2, 0) + w.transpose(2, 0, 1)
+             - w.transpose(0, 2, 1) - w.transpose(2, 1, 0) - w.transpose(1, 0, 2))
     _, binv = frame_matrices(pt.Gamma0)
-    return np.einsum("abc,aA,bB,cC->ABC", mixed, binv, binv, binv)
-
-
-def _add_wedge(tensor, a, b, c, coeff):
-    idx = (a, b, c)
-    for perm, sign in _PERMS3:
-        tensor[idx[perm[0]], idx[perm[1]], idx[perm[2]]] += sign * coeff
+    return np.einsum("abc,aA,bB,cC->ABC", mixed, binv, binv, binv,
+                     optimize=True)
 
 
 def check_almost_product(ls, sample, tol=None):

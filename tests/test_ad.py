@@ -42,6 +42,24 @@ def test_nested_jets_give_second_derivatives():
         assert np.isclose(ad.strip(second), 6.0 * t0, rtol=1e-13, atol=1e-13)
 
 
+def test_nested_einsum_gives_hessian():
+    # f = (x^T A x)(b^T x): gradient by an inner seeding, Hessian by the outer
+    a = np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 3.0], [0.0, 1.5, 2.0]])
+    b = np.array([0.3, -0.7, 1.1])
+
+    def grad_f(x):
+        xs = ad.seed(x)
+        f = ad.einsum("i,i->", ad.matmul(a, xs), xs) * ad.einsum("i,i->", b, xs)
+        return ad.partials(f, 3)
+
+    x0 = np.array([0.4, -1.2, 0.9])
+    grad, hess = ad.jacobian(grad_f, x0)
+    s, quad, lin = a + a.T, x0 @ a @ x0, b @ x0
+    assert np.allclose(grad, s @ x0 * lin + quad * b, rtol=1e-14, atol=1e-14)
+    assert np.allclose(hess, s * lin + np.outer(s @ x0, b) + np.outer(b, s @ x0),
+                       rtol=1e-14, atol=1e-14)
+
+
 def test_exp_nests():
     def ep(t):
         return ad.derivative(ad.exp, t)
@@ -84,10 +102,12 @@ def test_seed_strip_partials():
 
 
 def test_array_scalar_mixing():
+    # ndarray operators defer to the jet: the product is one array jet
     j = ad.Jet(2.0, np.array([1.0]))
     arr = np.eye(2) * j
-    assert arr.dtype == object
-    assert arr[0, 0].val == 2.0 and arr[0, 1].val == 0.0
+    assert isinstance(arr, ad.Jet)
+    assert np.array_equal(arr.val, 2.0 * np.eye(2))
+    assert np.array_equal(arr.grad, np.eye(2)[..., None])
 
 
 def test_derivative_of_constant_function():

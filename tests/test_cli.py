@@ -13,7 +13,7 @@ from paralift.config import (
     build_structure,
     parse_config,
 )
-from paralift.errors import ConfigError
+from paralift.errors import ConfigError, DegenerateCoefficient
 
 MINIMAL = {
     "manifold": {"model": "conformal_ball", "n": 3, "c": 1.0},
@@ -234,6 +234,22 @@ def test_main_domain_error_exit_2(tmp_path, capsys):
         "checks": ["integrability"],
         "sampling": {"count": 5, "seed": 1},
     }
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    assert "DegenerateCoefficient" in capsys.readouterr().err
+
+
+def test_double_root_coefficient_exit_2(tmp_path, capsys):
+    # a1 = (t - 0.5)^2 touches zero between two validation grid points
+    doc = small(checks=["almost_product"])
+    doc["coefficients"] = {
+        "a1": {"preset": "polynomial", "params": {"coeffs": [0.25, -1.0, 1.0]}},
+        "b1": {"preset": "constant", "params": {"value": 0.0}},
+        "derive": {"integrability": False, "metric_proportionality": False},
+    }
+    with pytest.raises(DegenerateCoefficient, match="a1 vanishes near t = 0.5"):
+        build_structure(parse_config(doc))
+    path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path)]) == 2
     assert "DegenerateCoefficient" in capsys.readouterr().err

@@ -131,6 +131,15 @@ def test_integrable_negative_curvature_ok_on_short_range():
     assert np.isclose(float(b1(0.2)), -1.0, atol=1e-14)
 
 
+def test_positivity_sees_a_minimum_between_grid_points():
+    # lambda = (t - 0.5)^2 is positive at every grid point of [0, 2]
+    lam = polynomial([0.25, -1.0, 1.0])
+    assert min(float(lam(t)) for t in validation_grid(2.0)) > 1e-5
+    spec = integrable_spec(constant(1.0), curvature=1.0)
+    with pytest.raises(DegenerateCoefficient, match="lambda must stay positive"):
+        compatible_metric_coeffs(spec, lam, constant(0.0), -1)
+
+
 def test_compatible_unit_proportionality_negative_epsilon():
     # lambda = 1, mu = 0, eps = -1 flips the sign of the vertical coefficients
     spec = rational_spec(1.0, 2.0, polynomial([0.0, 1.0]), curvature=1.0)

@@ -18,8 +18,11 @@ from paralift import (
     check_integrability,
     check_metric_signature,
     check_para_kahler,
+    christoffel_at,
     conformal_ball,
     constant,
+    curvature_at,
+    energy_density,
     exterior_derivative_2form,
     fd_oracle,
     flat_space,
@@ -33,6 +36,7 @@ from paralift import (
     with_metric,
 )
 from paralift import P_coordinate_function, Omega_coordinate, ad
+from paralift.phase import gamma0_at
 from paralift.report import make_report
 
 N = StructureKind.NATURAL_DIAGONAL
@@ -278,6 +282,35 @@ def test_numeric_and_analytic_d_omega_agree():
         assert not rep.passed
 
 
+def wedge_loop_dOmega(ls, pt):
+    """Reference for analytic_dOmega: the per-index wedge accumulation."""
+    perms = (((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
+             ((0, 2, 1), -1.0), ((2, 1, 0), -1.0), ((1, 0, 2), -1.0))
+    n = ls.m.n
+    factor = 0.5 * (float(ls.spec.mu(pt.t)) - float(ls.spec.lam.deriv(pt.t)))
+    mixed = np.zeros((2 * n, 2 * n, 2 * n))
+    for h in range(n):
+        for j in range(n):
+            for i in range(n):
+                coeff = factor * (pt.g0[h] * (i == j) - pt.g0[j] * (i == h))
+                idx = (n + h, n + j, i)
+                for perm, sign in perms:
+                    mixed[idx[perm[0]], idx[perm[1]], idx[perm[2]]] += sign * coeff
+    binv = np.block([[np.eye(n), np.zeros((n, n))], [-pt.Gamma0, np.eye(n)]])
+    return np.einsum("abc,aA,bB,cC->ABC", mixed, binv, binv, binv)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_analytic_d_omega_matches_wedge_loop(n):
+    m = conformal_ball(n, 1.0)
+    ls = rational_ls(m, lam=affine(1.0, 1.0), mu=constant(0.0))  # d Omega != 0
+    for pt in sample_points(m, 4, 31).points[1:]:  # the first has p = 0
+        ref = wedge_loop_dOmega(ls, pt)
+        assert np.max(np.abs(ref)) > 0.1
+        assert np.max(np.abs(analytic_dOmega(ls, pt) - ref)) < 1e-14 * max(
+            1.0, np.max(np.abs(ref)))
+
+
 # ---------------------------------------------------------------- composite
 
 
@@ -351,6 +384,50 @@ def test_omega_entries_ad_vs_fd(rng):
         fd = fd_oracle(fn, z)
         scale = max(1.0, float(np.max(np.abs(jac))))
         assert np.max(np.abs(jac - fd)) < 1e-6 * scale
+
+
+def test_kernels_ad_vs_fd_at_n8():
+    m = conformal_ball(8, 1.0)
+    ls = para_kahler_ls(m)
+
+    def rel(jac, fd):
+        return np.max(np.abs(jac - fd)) / max(1.0, np.max(np.abs(fd)))
+
+    for pt in sample_points(m, 3, 53).points[1:]:
+        q, z = pt.q, pt.z()
+        _, dgam = ad.jacobian(lambda y: christoffel_at(m, y), q)
+        fd_dgam = fd_oracle(lambda y: christoffel_at(m, y), q)  # [k, i, j, a]
+        assert rel(dgam, fd_dgam) < 1e-6
+        gam = christoffel_at(m, q)
+        quad = np.einsum("hil,ljk->hkij", gam, gam)
+        fd_riem = (np.einsum("hjki->hkij", fd_dgam) - np.einsum("hikj->hkij", fd_dgam)
+                   + quad - np.einsum("hkji->hkij", quad))
+        assert rel(curvature_at(m, q), fd_riem) < 1e-6
+        for fn in (P_coordinate_function(ls), Omega_coordinate(ls)):
+            _, jac = ad.jacobian(fn, z)
+            assert rel(jac, fd_oracle(fn, z)) < 1e-6
+
+
+def jet_leaves(x):
+    if isinstance(x, ad.Jet):
+        yield from jet_leaves(x.val)
+        yield from jet_leaves(x.grad)
+    else:
+        yield x
+
+
+def test_evaluators_return_float_array_jets():
+    m = conformal_ball(3, 1.0)
+    ls = para_kahler_ls(m)
+    pt = sample_points(m, 2, 59).points[1]
+    qs, zs = ad.seed(pt.q), ad.seed(pt.z())
+    outputs = [christoffel_at(m, qs), curvature_at(m, qs),
+               gamma0_at(m, qs, pt.p), energy_density(m, qs, pt.p),
+               P_coordinate_function(ls)(zs), Omega_coordinate(ls)(zs)]
+    for out in outputs:
+        assert isinstance(out, ad.Jet)
+        for leaf in jet_leaves(out):
+            assert np.asarray(leaf).dtype == np.float64
 
 
 # ---------------------------------------------------- biconditional battery
