@@ -35,22 +35,15 @@ from .errors import (
 )
 from .lifted import (
     G_adapted,
-    G_coordinate,
     LiftedStructure,
     Omega_adapted,
     Omega_coordinate,
-    Omega_coordinate_at,
     P_adapted,
-    P_coordinate,
     P_coordinate_function,
     StructureKind,
 )
 from .phase import (
     CotangentPoint,
-    Frame,
-    FrameBasis,
-    FrameVector,
-    adapted_basis,
     energy_density,
     make_point,
 )

@@ -23,7 +23,6 @@ __all__ = [
     "val",
     "partials",
     "strip",
-    "strip_array",
     "jacobian",
     "derivative",
     "exp",
@@ -54,9 +53,6 @@ class Jet:
     @property
     def ndim(self):
         return len(self.shape)
-
-    def __len__(self):  # numpy functions unaware of jets see a sequence of them
-        return len(self.val)
 
     def __getitem__(self, key):
         key = key if isinstance(key, tuple) else (key,)
@@ -191,9 +187,6 @@ def strip(x):
     return np.asarray(x, dtype=float)
 
 
-strip_array = strip
-
-
 def jacobian(f, x):
     """Evaluate ``f`` once on seeded inputs; return ``(value, jacobian)``.
 
@@ -204,10 +197,6 @@ def jacobian(f, x):
     x = np.asarray(x, dtype=float)
     m = x.size
     out = f(seed(x))
-    if isinstance(out, np.ndarray) and out.dtype == object:
-        # an array a caller built by hand from scalar jets
-        return (np.vectorize(strip, otypes=[float])(out),
-                np.array([partials(e, m) for e in out.flat]).reshape(out.shape + (m,)))
     return strip(out), np.asarray(partials(out, m), dtype=float)
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "affine",
     "exponential",
     "polynomial",
-    "identity_t",
     "rational_family",
     "complete_almost_product",
     "integrable_b_coeffs",
@@ -62,9 +61,6 @@ class ScalarFamily:
     description: str = ""
 
     def __call__(self, t):
-        return self.fn(t)
-
-    def eval(self, t):
         return self.fn(t)
 
     def deriv(self, t):
@@ -165,10 +161,6 @@ def polynomial(coeffs):
     return ScalarFamily(fn, "poly" + repr(list(coeffs)))
 
 
-def identity_t():
-    return polynomial((0.0, 1.0))
-
-
 # Handy symbol for building expressions in t.
 _t = ScalarFamily(lambda t: t, "t")
 
@@ -267,8 +259,17 @@ def _sampled_values(fam, t_max):
             np.concatenate([f, _value_and_slope(fam, minima)[0]]))
 
 
+def _require_finite(ts, values, what):
+    # NaN fails every comparison, so the guards below would let it through.
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise DegenerateCoefficient(
+            f"{what} is not finite at t = {ts[bad[0]]:.6g}")
+
+
 def _require_nonvanishing(fam, t_max, what):
     ts, values = _sampled_values(fam, t_max)
+    _require_finite(ts, values, what)
     for t, v in zip(ts, values):
         if abs(v) < VANISHING_TOL:
             raise DegenerateCoefficient(
@@ -281,7 +282,9 @@ def _require_nonvanishing(fam, t_max, what):
 
 
 def _require_positive(fam, t_max, what):
-    for t, v in zip(*_sampled_values(fam, t_max)):
+    ts, values = _sampled_values(fam, t_max)
+    _require_finite(ts, values, what)
+    for t, v in zip(ts, values):
         if v < VANISHING_TOL:
             raise DegenerateCoefficient(
                 f"{what} must stay positive; value {v:.6g} at t = {t:.6g}")

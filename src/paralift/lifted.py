@@ -35,13 +35,10 @@ __all__ = [
     "StructureKind",
     "LiftedStructure",
     "P_adapted",
-    "P_coordinate",
     "P_coordinate_function",
     "G_adapted",
-    "G_coordinate",
     "Omega_adapted",
     "Omega_coordinate",
-    "Omega_coordinate_at",
 ]
 
 # Coordinate-frame evaluators tolerate a small overshoot of t past t_max so
@@ -147,11 +144,6 @@ def P_coordinate_function(ls):
     return fn
 
 
-def P_coordinate(ls, pt):
-    """Coordinate-frame matrix of P at ``pt``: B . P_adapted . B^{-1}."""
-    return P_coordinate_function(ls)(pt.z())
-
-
 def G_adapted(ls, pt):
     """Adapted-frame matrix of G at ``pt``; symmetric block diagonal."""
     s = _require_metric(ls)
@@ -159,12 +151,6 @@ def G_adapted(ls, pt):
     n = ls.m.n
     zero = np.zeros((n, n))
     return np.block([[g1, zero], [zero, g2]])
-
-
-def G_coordinate(ls, pt):
-    """Coordinate components of G: Binv^T . G_adapted . Binv (covariant law)."""
-    _, binv = frame_matrices(pt.Gamma0)
-    return binv.T @ G_adapted(ls, pt) @ binv
 
 
 def Omega_adapted(ls, pt):
@@ -199,9 +185,4 @@ def Omega_coordinate(ls):
         return ad.block([[qq, mixed], [-mixed.transpose(), zero]])
 
     return fn
-
-
-def Omega_coordinate_at(ls, pt):
-    """Coordinate components of Omega evaluated at one point."""
-    return Omega_coordinate(ls)(pt.z())
 

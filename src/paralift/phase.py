@@ -1,4 +1,4 @@
-"""Points of the cotangent bundle, the adapted frame, and the classical lifts.
+"""Points of the cotangent bundle, the frame matrices, spray and Liouville field.
 
 A chart point of T*M is a pair (q, p): base coordinates q and covector
 components p.  The Levi-Civita connection splits each tangent space of T*M
@@ -8,36 +8,27 @@ splitting via
 
     delta_i = d/dq^i + Gamma0_ih d/dp_h,      Gamma0_ih = p_k Gamma^k_ih.
 
-Axis convention for all 2n-component objects: slots 0..n-1 are horizontal
-(q-directions), slots n..2n-1 vertical (p-directions).
+Components refer to the adapted frame unless a name says otherwise;
+:func:`frame_matrices` converts to coordinate components.  Axis convention
+for all 2n-component objects: slots 0..n-1 are horizontal (q-directions),
+slots n..2n-1 vertical (p-directions).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from . import ad
-from .spaceform import christoffel_at, inverse_metric_at, metric_at
+from .spaceform import christoffel_at, inverse_metric_at
 
 __all__ = [
     "CotangentPoint",
-    "FrameBasis",
-    "Frame",
-    "FrameVector",
     "make_point",
     "energy_density",
     "gamma0_at",
     "frame_matrices",
-    "adapted_basis",
-    "to_coordinate",
-    "to_adapted",
-    "horizontal_lift",
-    "vertical_lift",
-    "flat",
-    "sharp",
     "liouville",
     "spray",
 ]
@@ -92,22 +83,14 @@ def gamma0_at(m, q, p):
     return ad.einsum("k,kih->ih", p, christoffel_at(m, q))
 
 
-@dataclass(frozen=True)
-class FrameBasis:
-    """Change of basis between the coordinate and adapted frames.
+def frame_matrices(gamma0):
+    """(B, Binv) from the contraction Gamma0; works on a Jet Gamma0 too.
 
     Columns of B express the adapted frame vectors in coordinates; Binv is
     its closed-form inverse.  Both are block triangular:
 
         B = [[I, 0], [Gamma0, I]],   Binv = [[I, 0], [-Gamma0, I]].
     """
-
-    B: np.ndarray
-    Binv: np.ndarray
-
-
-def frame_matrices(gamma0):
-    """(B, Binv) from the contraction Gamma0; works on a Jet Gamma0 too."""
     n = gamma0.shape[0]
     eye = np.eye(n)
     zero = np.zeros((n, n))
@@ -116,71 +99,11 @@ def frame_matrices(gamma0):
     return b, binv
 
 
-def adapted_basis(m, pt):
-    """The :class:`FrameBasis` at ``pt``."""
-    b, binv = frame_matrices(pt.Gamma0)
-    return FrameBasis(B=b, Binv=binv)
-
-
-class Frame(Enum):
-    ADAPTED = "adapted"
-    COORDINATE = "coordinate"
-
-
-@dataclass(frozen=True)
-class FrameVector:
-    """A 2n-component vector tagged with the frame its components refer to.
-
-    Tagging makes accidental frame mixing detectable: conversions go through
-    :func:`to_coordinate` / :func:`to_adapted`, and consumers assert the tag.
-    """
-
-    components: np.ndarray
-    frame: Frame
-
-
-def to_coordinate(v, basis):
-    assert isinstance(v, FrameVector), "expected a frame-tagged vector"
-    if v.frame is Frame.COORDINATE:
-        return v
-    return FrameVector(basis.B @ v.components, Frame.COORDINATE)
-
-
-def to_adapted(v, basis):
-    assert isinstance(v, FrameVector), "expected a frame-tagged vector"
-    if v.frame is Frame.ADAPTED:
-        return v
-    return FrameVector(basis.Binv @ v.components, Frame.ADAPTED)
-
-
-def horizontal_lift(x):
-    """Horizontal lift of a base tangent vector: adapted components (x, 0)."""
-    x = np.asarray(x, dtype=float)
-    return FrameVector(np.concatenate([x, np.zeros_like(x)]), Frame.ADAPTED)
-
-
-def vertical_lift(alpha):
-    """Vertical lift of a base covector: adapted components (0, alpha)."""
-    alpha = np.asarray(alpha, dtype=float)
-    return FrameVector(np.concatenate([np.zeros_like(alpha), alpha]), Frame.ADAPTED)
-
-
-def flat(m, pt, x):
-    """Musical isomorphism lowering an index: X -> g(X, .)."""
-    return metric_at(m, pt.q) @ np.asarray(x, dtype=float)
-
-
-def sharp(m, pt, alpha):
-    """Musical isomorphism raising an index: alpha -> g^{-1}(alpha, .)."""
-    return inverse_metric_at(m, pt.q) @ np.asarray(alpha, dtype=float)
-
-
 def liouville(pt):
-    """The tautological vertical field p_i dp-dual^i at ``pt``."""
-    return vertical_lift(pt.p)
+    """Adapted components (0, p) of the tautological vertical field at ``pt``."""
+    return np.concatenate([np.zeros_like(pt.p), pt.p])
 
 
 def spray(pt):
-    """The geodesic spray g^{0i} delta_i at ``pt`` (horizontal lift of p-sharp)."""
-    return horizontal_lift(pt.g0)
-
+    """Adapted components (g0, 0) of the geodesic spray g^{0i} delta_i at ``pt``."""
+    return np.concatenate([pt.g0, np.zeros_like(pt.g0)])

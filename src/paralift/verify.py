@@ -14,13 +14,19 @@ for comparisons against central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import ad
-from .errors import ContractError
-from .lifted import G_adapted, Omega_coordinate, P_adapted, P_coordinate_function
+from .lifted import (
+    G_adapted,
+    Omega_coordinate,
+    P_adapted,
+    P_coordinate_function,
+    _require_metric,
+    _require_para_hermitian,
+)
 from .phase import CotangentPoint, frame_matrices, make_point
 from .report import CheckReport, make_report
 from .spaceform import check_space_form
@@ -178,9 +184,7 @@ def analytic_dOmega(ls, pt):
     antisymmetrized over the basis wedges and then converted to coordinate
     components through Dp_j = dp_j - Gamma0_jh dq^h.
     """
-    spec = ls.spec
-    if spec is None or not spec.is_para_hermitian:
-        raise ContractError("analytic d Omega needs a para-Hermitian spec")
+    spec = _require_para_hermitian(ls)
     n = ls.m.n
     t = pt.t
     factor = 0.5 * (float(spec.mu(t)) - float(spec.lam.deriv(t)))
@@ -226,10 +230,7 @@ def check_compatibility(ls, sample, tol=None):
     """max over the sample of |P^T G P - eps G|_inf in the adapted frame."""
     tol = DEFAULT_TOLERANCES["compatibility"] if tol is None else tol
     points, seed = _points_and_seed(sample)
-    if ls.spec is None:
-        raise ContractError("compatibility check needs a coefficient spec "
-                            "with a metric part")
-    eps = float(ls.spec.epsilon)
+    eps = float(_require_metric(ls).epsilon)
     residuals = []
     for pt in points:
         pmat = P_adapted(ls, pt)
@@ -248,10 +249,7 @@ def check_metric_signature(ls, sample, tol=None):
     tol = DEFAULT_TOLERANCES["metric_signature"] if tol is None else tol
     points, seed = _points_and_seed(sample)
     n = ls.m.n
-    spec = ls.spec
-    if spec is None:
-        raise ContractError("signature check needs a coefficient spec with "
-                            "a metric part")
+    spec = _require_metric(ls)
     if spec.epsilon == -1:
         expected = (n, n)
     elif "positive" in spec.flags:
@@ -322,17 +320,8 @@ def check_para_kahler(ls, sample, tol=None):
                          [{"sub_check": name} for name in subs],
                          tol, seed=seed, details=details)
     # Witnesses of the dominating sub-check are the informative ones.
-    return CheckReport(
-        check_name=report.check_name,
-        points_sampled=len(points),
-        max_residual=report.max_residual,
-        tolerance=report.tolerance,
-        passed=report.passed,
-        witnesses=subs[worst].witnesses,
-        seed=seed,
-        details=report.details,
-        notes=subs[worst].notes,
-    )
+    return replace(report, points_sampled=len(points),
+                   witnesses=subs[worst].witnesses, notes=subs[worst].notes)
 
 
 def _space_form_adapter(ls, sample, tol):

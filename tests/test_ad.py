@@ -23,7 +23,8 @@ def test_jacobian_matches_finite_differences(rng):
 
 def test_array_valued_jacobian(rng):
     def g(z):
-        return np.array([[z[0] * z[1], z[1] ** 3], [ad.exp(z[0]), 1.0 / z[1]]])
+        entries = [[z[0] * z[1], z[1] ** 3], [ad.exp(z[0]), 1.0 / z[1]]]
+        return ad.block([[e[None, None] for e in row] for row in entries])
 
     x = np.array([0.4, 1.3])
     val, jac = ad.jacobian(g, x)

@@ -255,6 +255,23 @@ def test_double_root_coefficient_exit_2(tmp_path, capsys):
     assert "DegenerateCoefficient" in capsys.readouterr().err
 
 
+def test_infinite_coefficient_exit_2(tmp_path, capsys):
+    # a1 = exp(400 t) overflows for t >= 1.78; samples with |p| <= 1 stay
+    # below that, so only the grid guard can see it
+    doc = small(checks=["almost_product"])
+    doc["sampling"]["p_max"] = 1.0
+    doc["coefficients"] = {
+        "a1": {"preset": "exponential",
+               "params": {"amplitude": 1.0, "rate": 400.0}},
+        "b1": {"preset": "constant", "params": {"value": 0.0}},
+        "derive": {"integrability": False, "metric_proportionality": False},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    assert "a1 is not finite at t = 1.77778" in capsys.readouterr().err
+
+
 def test_main_missing_file_exit_2(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "nope.json")]) == 2
     assert main(["verify", __file__]) == 2  # not JSON

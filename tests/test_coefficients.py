@@ -82,6 +82,21 @@ def test_complete_detects_vanishing_trace():
         complete_almost_product(constant(1.0), constant(-0.5))  # 1 - t crosses 0
 
 
+def test_nonvanishing_guard_rejects_nan():
+    # (t + 1) t / t is 0/0 at t = 0, and NaN passes no comparison
+    t = polynomial([0.0, 1.0])
+    with pytest.raises(DegenerateCoefficient, match="a1 is not finite at t = 0"):
+        almost_product_spec((t + 1.0) * t / t)
+
+
+def test_positivity_guard_rejects_nan():
+    t = polynomial([0.0, 1.0])
+    spec = almost_product_spec(constant(1.0))
+    with pytest.raises(DegenerateCoefficient,
+                       match="lambda is not finite at t = 0"):
+        with_metric(spec, lam=(t + 1.0) * t / t, require_positive=True)
+
+
 def test_integrable_flat_base_constant_coefficients():
     b1, b2 = integrable_b_coeffs(constant(1.0), 0.0)
     for t in TGRID:

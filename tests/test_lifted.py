@@ -7,18 +7,18 @@ from dataclasses import replace
 from paralift import (
     ContractError,
     G_adapted,
-    G_coordinate,
     LiftedStructure,
     Omega_adapted,
     Omega_coordinate,
-    Omega_coordinate_at,
     P_adapted,
-    P_coordinate,
+    P_coordinate_function,
     RangeError,
     StructureKind,
-    adapted_basis,
     affine,
     almost_product_spec,
+    analytic_dOmega,
+    check_compatibility,
+    check_metric_signature,
     conformal_ball,
     constant,
     flat_space,
@@ -29,6 +29,7 @@ from paralift import (
     sample_points,
     with_metric,
 )
+from paralift.phase import frame_matrices, liouville, spray
 
 N = StructureKind.NATURAL_DIAGONAL
 
@@ -91,11 +92,13 @@ def test_p_coordinate_equals_adapted_where_connection_vanishes():
     spec = almost_product_spec(constant(1.0), constant(0.5), curvature=0.0)
     ls = LiftedStructure(m=m, kind=N, spec=spec)
     pt = make_point(m, [0.4, -0.2], [0.5, 0.5])
-    assert np.allclose(P_coordinate(ls, pt), P_adapted(ls, pt), atol=1e-15)
+    assert np.allclose(P_coordinate_function(ls)(pt.z()), P_adapted(ls, pt),
+                       atol=1e-15)
     mc = conformal_ball(2, 1.0)
     lsc = rational_structure(mc, with_g=False)
     pt0 = make_point(mc, [0.0, 0.0], [0.5, 0.5])
-    assert np.allclose(P_coordinate(lsc, pt0), P_adapted(lsc, pt0), atol=1e-14)
+    assert np.allclose(P_coordinate_function(lsc)(pt0.z()), P_adapted(lsc, pt0),
+                       atol=1e-14)
 
 
 def test_p_coordinate_is_the_conjugation():
@@ -104,10 +107,10 @@ def test_p_coordinate_is_the_conjugation():
                          t_max=4.0)  # the sample point sits at t ~ 2.6
     ls = LiftedStructure(m=m, kind=N, spec=spec)
     pt = make_point(m, [0.3, 0.1], [1.0, 2.0])
-    basis = adapted_basis(m, pt)
-    expected = basis.B @ P_adapted(ls, pt) @ basis.Binv
-    assert np.max(np.abs(P_coordinate(ls, pt) - expected)) < 1e-12
-    pc = P_coordinate(ls, pt)
+    b, binv = frame_matrices(pt.Gamma0)
+    expected = b @ P_adapted(ls, pt) @ binv
+    pc = P_coordinate_function(ls)(pt.z())
+    assert np.max(np.abs(pc - expected)) < 1e-12
     assert np.max(np.abs(pc @ pc - np.eye(4))) < 1e-11
 
 
@@ -180,7 +183,7 @@ def test_omega_antisymmetric(rng):
     for pt in sample_points(m, 20, 13).points:
         om = Omega_adapted(ls, pt)
         assert np.max(np.abs(om + om.T)) < 1e-11
-        omc = Omega_coordinate_at(ls, pt)
+        omc = Omega_coordinate(ls)(pt.z())
         assert np.max(np.abs(omc + omc.T)) < 1e-11
 
 
@@ -191,12 +194,12 @@ def test_omega_coordinate_matches_adapted_where_connection_vanishes():
         affine(1.0, 1.0))
     ls = LiftedStructure(m=m, kind=N, spec=spec)
     pt = make_point(m, [0.2, -0.1], [0.5, 1.0])
-    assert np.allclose(Omega_coordinate_at(ls, pt), Omega_adapted(ls, pt),
+    assert np.allclose(Omega_coordinate(ls)(pt.z()), Omega_adapted(ls, pt),
                        atol=1e-15)
     mc = conformal_ball(2, 1.0)
     lsc = rational_structure(mc, lam=affine(1.0, 1.0))
     pt0 = make_point(mc, [0.0, 0.0], [0.5, 1.0])
-    assert np.allclose(Omega_coordinate_at(lsc, pt0), Omega_adapted(lsc, pt0),
+    assert np.allclose(Omega_coordinate(lsc)(pt0.z()), Omega_adapted(lsc, pt0),
                        atol=1e-14)
 
 
@@ -204,36 +207,34 @@ def test_omega_coordinate_is_the_cotensor_transform(rng):
     m = conformal_ball(2, 1.0)
     ls = rational_structure(m, lam=affine(1.0, 1.0), mu=constant(1.0))
     pt = make_point(m, [0.3, 0.1], [1.0, 0.5])
-    basis = adapted_basis(m, pt)
-    expected = basis.Binv.T @ Omega_adapted(ls, pt) @ basis.Binv
-    assert np.max(np.abs(Omega_coordinate_at(ls, pt) - expected)) < 1e-12
+    _, binv = frame_matrices(pt.Gamma0)
+    expected = binv.T @ Omega_adapted(ls, pt) @ binv
+    assert np.max(np.abs(Omega_coordinate(ls)(pt.z()) - expected)) < 1e-12
 
 
-def test_frame_covariance_of_all_three_tensors(rng):
+def test_frame_covariance_of_p_and_omega(rng):
     m = conformal_ball(3, -1.0)
     ls = rational_structure(m, lam=affine(1.0, 0.25))
     for pt in sample_points(m, 5, 17).points:
-        basis = adapted_basis(m, pt)
-        p_expected = basis.B @ P_adapted(ls, pt) @ basis.Binv
-        assert np.max(np.abs(P_coordinate(ls, pt) - p_expected)) < 1e-11
-        g_expected = basis.Binv.T @ G_adapted(ls, pt) @ basis.Binv
-        assert np.max(np.abs(G_coordinate(ls, pt) - g_expected)) < 1e-11
-        o_expected = basis.Binv.T @ Omega_adapted(ls, pt) @ basis.Binv
-        assert np.max(np.abs(Omega_coordinate_at(ls, pt) - o_expected)) < 1e-11
+        b, binv = frame_matrices(pt.Gamma0)
+        p_expected = b @ P_adapted(ls, pt) @ binv
+        pc = P_coordinate_function(ls)(pt.z())
+        assert np.max(np.abs(pc - p_expected)) < 1e-11
+        o_expected = binv.T @ Omega_adapted(ls, pt) @ binv
+        omc = Omega_coordinate(ls)(pt.z())
+        assert np.max(np.abs(omc - o_expected)) < 1e-11
 
 
 def test_p_maps_spray_onto_scaled_liouville(rng):
     # P sends the geodesic spray to (a1 + 2t b1) times the tautological
     # vertical field; with unit coefficients they swap exactly
-    from paralift.phase import liouville, spray
-
     m = conformal_ball(3, 1.0)
     ls = rational_structure(m, with_g=False)
     for pt in sample_points(m, 10, 21).points:
         a1 = float(ls.spec.a1(pt.t))
         b1 = float(ls.spec.b1(pt.t))
-        image = P_adapted(ls, pt) @ spray(pt).components
-        expected = (a1 + 2.0 * pt.t * b1) * liouville(pt).components
+        image = P_adapted(ls, pt) @ spray(pt)
+        expected = (a1 + 2.0 * pt.t * b1) * liouville(pt)
         assert np.max(np.abs(image - expected)) < 1e-12
 
 
@@ -251,12 +252,19 @@ def test_contract_errors():
     m = flat_space(2)
     pt = make_point(m, [0.0, 0.0], [1.0, 0.0])
     bare = LiftedStructure(m=m, kind=StructureKind.CRUCEANU_P)
-    with pytest.raises(ContractError):
-        G_adapted(bare, pt)
     spec = almost_product_spec(constant(1.0), constant(0.0), curvature=0.0)
     ls_p_only = LiftedStructure(m=m, kind=N, spec=spec)
-    with pytest.raises(ContractError):
-        Omega_adapted(ls_p_only, pt)
+    for no_metric in (bare, ls_p_only):
+        with pytest.raises(ContractError):
+            G_adapted(no_metric, pt)
+        with pytest.raises(ContractError):
+            Omega_adapted(no_metric, pt)
+        with pytest.raises(ContractError):
+            analytic_dOmega(no_metric, pt)
+        with pytest.raises(ContractError):
+            check_compatibility(no_metric, [pt])
+        with pytest.raises(ContractError):
+            check_metric_signature(no_metric, [pt])
     spec_plus = with_metric(
         almost_product_spec(constant(1.0), constant(0.0), curvature=0.0,
                             epsilon=1),

@@ -208,7 +208,7 @@ def test_exterior_derivative_of_constant_form_is_zero():
     const[2, 0] = -1.0
 
     def omega(z):
-        return const + 0.0 * np.outer(z, z)  # constant but z-typed
+        return const + 0.0 * ad.outer(z, z)  # constant but z-typed
 
     m = flat_space(2)
     pt = make_point(m, [0.1, 0.2], [0.5, -0.5])
