@@ -243,20 +243,22 @@ def _sampled_values(fam, t_max):
     """Points and values of ``fam``: the validation grid, then the minima of |f|.
 
     |f| has an interior minimum where f f' changes sign from - to +; each
-    such bracket between grid points is refined by bisection.
+    such bracket between grid points is refined by bisection.  Overflow and
+    0/0 are silent here: the guards name a non-finite value themselves.
     """
-    grid = validation_grid(t_max)
-    f, fp = _value_and_slope(fam, grid)
-    slope = f * fp  # d|f|/dt has the sign of f f'
-    left = np.flatnonzero((slope[:-1] < 0.0) & (slope[1:] > 0.0))
-    lo, hi = grid[left], grid[left + 1]
-    for _ in range(_BISECTIONS if left.size else 0):
-        mid = 0.5 * (lo + hi)
-        falling = np.prod(_value_and_slope(fam, mid), axis=0) < 0.0
-        lo, hi = np.where(falling, mid, lo), np.where(falling, hi, mid)
-    minima = 0.5 * (lo + hi)
-    return (np.concatenate([grid, minima]),
-            np.concatenate([f, _value_and_slope(fam, minima)[0]]))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        grid = validation_grid(t_max)
+        f, fp = _value_and_slope(fam, grid)
+        slope = f * fp  # d|f|/dt has the sign of f f'
+        left = np.flatnonzero((slope[:-1] < 0.0) & (slope[1:] > 0.0))
+        lo, hi = grid[left], grid[left + 1]
+        for _ in range(_BISECTIONS if left.size else 0):
+            mid = 0.5 * (lo + hi)
+            falling = np.prod(_value_and_slope(fam, mid), axis=0) < 0.0
+            lo, hi = np.where(falling, mid, lo), np.where(falling, hi, mid)
+        minima = 0.5 * (lo + hi)
+        return (np.concatenate([grid, minima]),
+                np.concatenate([f, _value_and_slope(fam, minima)[0]]))
 
 
 def _require_finite(ts, values, what):
@@ -270,24 +272,27 @@ def _require_finite(ts, values, what):
 def _require_nonvanishing(fam, t_max, what):
     ts, values = _sampled_values(fam, t_max)
     _require_finite(ts, values, what)
-    for t, v in zip(ts, values):
-        if abs(v) < VANISHING_TOL:
-            raise DegenerateCoefficient(
-                f"{what} vanishes near t = {t:.6g} on [0, {t_max:g}]")
-    for i in range(GRID_SIZE - 1):
-        if values[i] * values[i + 1] < 0.0:
-            raise DegenerateCoefficient(
-                f"{what} changes sign between t = {ts[i]:.6g} "
-                f"and t = {ts[i + 1]:.6g}")
+    small = np.flatnonzero(np.abs(values) < VANISHING_TOL)
+    if small.size:
+        raise DegenerateCoefficient(
+            f"{what} vanishes near t = {ts[small[0]]:.6g} on [0, {t_max:g}]")
+    grid = values[:GRID_SIZE]
+    flips = np.flatnonzero(grid[:-1] * grid[1:] < 0.0)
+    if flips.size:
+        i = flips[0]
+        raise DegenerateCoefficient(
+            f"{what} changes sign between t = {ts[i]:.6g} "
+            f"and t = {ts[i + 1]:.6g}")
 
 
 def _require_positive(fam, t_max, what):
     ts, values = _sampled_values(fam, t_max)
     _require_finite(ts, values, what)
-    for t, v in zip(ts, values):
-        if v < VANISHING_TOL:
-            raise DegenerateCoefficient(
-                f"{what} must stay positive; value {v:.6g} at t = {t:.6g}")
+    low = np.flatnonzero(values < VANISHING_TOL)
+    if low.size:
+        i = low[0]
+        raise DegenerateCoefficient(
+            f"{what} must stay positive; value {values[i]:.6g} at t = {ts[i]:.6g}")
 
 
 def _is_positive(fam, t_max):

@@ -15,7 +15,9 @@ maps vertical to horizontal and sits in the upper-right block.
 
 Coordinate-frame components come from conjugating with the frame matrices,
 and the evaluators accept a Jet z = (q, p), so every entry stays
-differentiable in all 2n phase-space variables.
+differentiable in all 2n phase-space variables.  Points and z may carry
+leading batch axes (see :mod:`paralift.ad`); coefficients are then evaluated
+on the array of energy densities at once.
 """
 
 from __future__ import annotations
@@ -80,10 +82,18 @@ def _check_range(ls, t, *, slack):
         return
     bound = ls.spec.t_max + (_T_SLACK if slack else 0.0)
     tv = ad.strip(t)
-    if tv > bound:
+    over = tv > bound
+    if over.any():
+        first = tv[np.unravel_index(np.argmax(over), over.shape)]
         raise RangeError(
-            f"energy density t = {tv:.6g} exceeds validated t_max = "
+            f"energy density t = {first:.6g} exceeds validated t_max = "
             f"{ls.spec.t_max:g}")
+
+
+def _scalar(c):
+    """A coefficient value per point, broadcast against n x n blocks."""
+    c = c if isinstance(c, ad.Jet) else np.asarray(c)
+    return c[..., None, None]
 
 
 def _blocks(ls, q, p, coeffs, *, slack):
@@ -92,10 +102,10 @@ def _blocks(ls, q, p, coeffs, *, slack):
     ginv = inverse_metric_at(ls.m, q)
     t = energy_density(ls.m, q, p)
     _check_range(ls, t, slack=slack)
-    g0 = ad.matmul(ginv, p)
-    k1, l1, k2, l2 = coeffs
-    return (k1(t) * g + l1(t) * ad.outer(p, p),
-            k2(t) * ginv + l2(t) * ad.outer(g0, g0))
+    g0 = ad.matvec(ginv, p)
+    k1, l1, k2, l2 = (_scalar(c(t)) for c in coeffs)
+    return (k1 * g + l1 * ad.outer(p, p),
+            k2 * ginv + l2 * ad.outer(g0, g0))
 
 
 def _require_metric(ls):
@@ -116,7 +126,8 @@ def _p_matrix(ls, q, p, *, slack):
     """Adapted-frame matrix of P at (q, p), for plain or Jet coordinates."""
     n = ls.m.n
     if ls.kind is StructureKind.CRUCEANU_P:
-        return np.diag([-1.0] * n + [1.0] * n)
+        return np.broadcast_to(np.diag([-1.0] * n + [1.0] * n),
+                               np.shape(q)[:-1] + (2 * n, 2 * n))
     if ls.kind is StructureKind.CRUCEANU_Q:
         p1, p2 = metric_at(ls.m, q), inverse_metric_at(ls.m, q)
     else:
@@ -136,7 +147,7 @@ def P_coordinate_function(ls):
     n = ls.m.n
 
     def fn(z):
-        q, p = z[:n], z[n:]
+        q, p = z[..., :n], z[..., n:]
         p_ad = _p_matrix(ls, q, p, slack=True)
         b, binv = frame_matrices(gamma0_at(ls.m, q, p))
         return ad.matmul(ad.matmul(b, p_ad), binv)
@@ -150,7 +161,7 @@ def G_adapted(ls, pt):
     g1, g2 = _blocks(ls, pt.q, pt.p, (s.c1, s.d1, s.c2, s.d2), slack=False)
     n = ls.m.n
     zero = np.zeros((n, n))
-    return np.block([[g1, zero], [zero, g2]])
+    return ad.block([[g1, zero], [zero, g2]])
 
 
 def Omega_adapted(ls, pt):
@@ -173,16 +184,18 @@ def Omega_coordinate(ls):
     n = ls.m.n
 
     def fn(z):
-        q, p = z[:n], z[n:]
+        q, p = z[..., :n], z[..., n:]
         ginv = inverse_metric_at(ls.m, q)
         t = energy_density(ls.m, q, p)
         _check_range(ls, t, slack=True)
-        g0 = ad.matmul(ginv, p)
-        mixed = spec.lam(t) * np.eye(n) + spec.mu(t) * ad.outer(p, g0)
+        g0 = ad.matvec(ginv, p)
+        mixed = (_scalar(spec.lam(t)) * np.eye(n)
+                 + _scalar(spec.mu(t)) * ad.outer(p, g0))
+        mixed_t = ad.transpose(mixed, (1, 0))
         gamma0 = gamma0_at(ls.m, q, p)
-        qq = ad.matmul(gamma0, mixed.transpose()) - ad.matmul(mixed, gamma0)
+        qq = ad.matmul(gamma0, mixed_t) - ad.matmul(mixed, gamma0)
         zero = np.zeros((n, n))
-        return ad.block([[qq, mixed], [-mixed.transpose(), zero]])
+        return ad.block([[qq, mixed], [-mixed_t, zero]])
 
     return fn
 

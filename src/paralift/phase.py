@@ -12,11 +12,16 @@ Components refer to the adapted frame unless a name says otherwise;
 :func:`frame_matrices` converts to coordinate components.  Axis convention
 for all 2n-component objects: slots 0..n-1 are horizontal (q-directions),
 slots n..2n-1 vertical (p-directions).
+
+Every function here also takes leading batch axes (see :mod:`paralift.ad`):
+a :class:`CotangentPoint` whose arrays carry one leading axis stands for a
+whole sample, and :func:`stack_points` builds one from a sequence of points,
+so a ``PhaseSample`` is evaluated as one batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,6 +31,8 @@ from .spaceform import christoffel_at, inverse_metric_at
 __all__ = [
     "CotangentPoint",
     "make_point",
+    "stack_points",
+    "unstack_point",
     "energy_density",
     "gamma0_at",
     "frame_matrices",
@@ -39,7 +46,8 @@ class CotangentPoint:
     """A point (q, p) of T*M with its cached contractions.
 
     t is the energy density (1/2) g^{ik} p_i p_k, g0 the raised covector
-    g^{0i} = p_h g^{hi}, and Gamma0 the matrix p_k Gamma^k_ih.
+    g^{0i} = p_h g^{hi}, and Gamma0 the matrix p_k Gamma^k_ih.  With a
+    leading batch axis on every field (t then an array) it holds a sample.
     """
 
     q: np.ndarray
@@ -50,37 +58,59 @@ class CotangentPoint:
 
     @property
     def n(self):
-        return len(self.q)
+        return self.q.shape[-1]
 
     def z(self):
         """Raw coordinates (q, p) concatenated into one 2n vector."""
-        return np.concatenate([self.q, self.p])
+        return np.concatenate([self.q, self.p], axis=-1)
+
+
+_FIELDS = tuple(f.name for f in fields(CotangentPoint))
 
 
 def make_point(m, q, p):
-    """Build a :class:`CotangentPoint`, evaluating and caching t, g0, Gamma0."""
+    """Build a :class:`CotangentPoint`, evaluating and caching t, g0, Gamma0.
+
+    ``q`` and ``p`` may carry the same leading batch axes.
+    """
     q = np.array(q, dtype=float)
     p = np.array(p, dtype=float)
-    if q.shape != (m.n,) or p.shape != (m.n,):
+    if q.shape[-1:] != (m.n,) or p.shape != q.shape:
         raise ValueError(f"expected {m.n} components for q and p")
-    ginv = inverse_metric_at(m, q)
-    g0 = ginv @ p
-    t = 0.5 * float(p @ g0)
+    g0 = ad.matvec(inverse_metric_at(m, q), p)
+    t = 0.5 * ad.vecdot(p, g0)
     gamma0 = gamma0_at(m, q, p)
     for arr in (q, p, g0, gamma0):
         arr.setflags(write=False)
-    return CotangentPoint(q=q, p=p, t=t, g0=g0, Gamma0=gamma0)
+    return CotangentPoint(q=q, p=p, t=float(t) if np.ndim(t) == 0 else t,
+                          g0=g0, Gamma0=gamma0)
+
+
+def stack_points(points):
+    """One point with a leading batch axis holding ``points`` in order."""
+    return CotangentPoint(*(np.array([getattr(pt, name) for pt in points])
+                            for name in _FIELDS))
+
+
+def unstack_point(batch):
+    """The single points of a batched point, in order."""
+    return tuple(CotangentPoint(q=batch.q[i], p=batch.p[i], t=float(batch.t[i]),
+                                g0=batch.g0[i], Gamma0=batch.Gamma0[i])
+                 for i in range(len(batch.t)))
 
 
 def energy_density(m, q, p):
-    """(1/2) g^{ik}(q) p_i p_k, evaluable on Jets in all 2n variables."""
+    """(1/2) g^{ik}(q) p_i p_k, evaluable on Jets in all 2n variables.
+
+    On plain coordinates it rounds exactly as the t of :func:`make_point`.
+    """
     ginv = inverse_metric_at(m, q)
-    return 0.5 * ad.matmul(p, ad.matmul(ginv, p))
+    return 0.5 * ad.vecdot(p, ad.matvec(ginv, p))
 
 
 def gamma0_at(m, q, p):
-    """Contraction Gamma0[i, h] = p_k Gamma^k_ih(q); symmetric in (i, h)."""
-    return ad.einsum("k,kih->ih", p, christoffel_at(m, q))
+    """Contraction Gamma0[..., i, h] = p_k Gamma^k_ih(q); symmetric in (i, h)."""
+    return ad.einsum("...k,...kih->...ih", p, christoffel_at(m, q))
 
 
 def frame_matrices(gamma0):
@@ -91,7 +121,7 @@ def frame_matrices(gamma0):
 
         B = [[I, 0], [Gamma0, I]],   Binv = [[I, 0], [-Gamma0, I]].
     """
-    n = gamma0.shape[0]
+    n = gamma0.shape[-1]
     eye = np.eye(n)
     zero = np.zeros((n, n))
     b = ad.block([[eye, zero], [gamma0, eye]])
@@ -101,9 +131,9 @@ def frame_matrices(gamma0):
 
 def liouville(pt):
     """Adapted components (0, p) of the tautological vertical field at ``pt``."""
-    return np.concatenate([np.zeros_like(pt.p), pt.p])
+    return np.concatenate([np.zeros_like(pt.p), pt.p], axis=-1)
 
 
 def spray(pt):
     """Adapted components (g0, 0) of the geodesic spray g^{0i} delta_i at ``pt``."""
-    return np.concatenate([pt.g0, np.zeros_like(pt.g0)])
+    return np.concatenate([pt.g0, np.zeros_like(pt.g0)], axis=-1)

@@ -93,67 +93,76 @@ def perturbed_conformal(n, c, strength=0.1, chart_radius=1.0):
 
 
 def conformal_factor(m, x):
-    """Scalar ``phi`` with ``g = phi * I`` at the chart point ``x``.
+    """Scalar ``phi`` with ``g = phi * I`` at the chart points ``x`` (..., n).
 
     Accepts a Jet ``x``; domain guards compare the underlying values.
     Raises :class:`ChartDomainError` off the chart or where the conformal
-    denominator fails to be positive.
+    denominator fails to be positive, naming the first such point.
     """
     x = x if isinstance(x, ad.Jet) else np.asarray(x, dtype=float)
-    r2 = (x * x).sum()
+    r2 = (x * x).sum(-1)
     if m.model is ChartModel.FLAT:
-        return 1.0
+        return np.ones(np.shape(r2))
     _require_in_chart(m, x, r2)
     s = 1.0 / (1.0 + 0.25 * m.c * r2)
     phi = s * s
     if m.model is ChartModel.PERTURBED_CONFORMAL:
-        phi = phi * (1.0 + m.strength * x[0])
+        phi = phi * (1.0 + m.strength * x[..., 0])
     return phi
 
 
 def _require_in_chart(m, x, r2):
     r2v = ad.strip(r2)
     bound = m.chart_radius ** 2
-    if r2v > bound * (1.0 + _DOMAIN_SLACK):
-        raise ChartDomainError(
-            f"|x|^2 = {r2v:.6g} exceeds chart bound {bound:.6g}"
-        )
-    if 1.0 + 0.25 * m.c * r2v <= 0.0:
-        raise ChartDomainError(
-            f"conformal denominator not positive at |x|^2 = {r2v:.6g}"
-        )
+    outside = r2v > bound * (1.0 + _DOMAIN_SLACK)
+    singular = 1.0 + 0.25 * m.c * r2v <= 0.0
+    bad = outside | singular
     if m.model is ChartModel.PERTURBED_CONFORMAL:
-        extra = 1.0 + m.strength * ad.strip(x[0])
-        if extra <= 0.0:
-            raise ChartDomainError("perturbation factor not positive")
+        bad = bad | (1.0 + m.strength * ad.strip(x)[..., 0] <= 0.0)
+    if not bad.any():
+        return
+    i = np.unravel_index(np.argmax(bad), bad.shape)  # the first bad point
+    if outside[i]:
+        raise ChartDomainError(
+            f"|x|^2 = {r2v[i]:.6g} exceeds chart bound {bound:.6g}"
+        )
+    if singular[i]:
+        raise ChartDomainError(
+            f"conformal denominator not positive at |x|^2 = {r2v[i]:.6g}"
+        )
+    raise ChartDomainError("perturbation factor not positive")
 
 
 def metric_at(m, x):
     """Metric components g_ij(x), a symmetric positive definite matrix."""
-    return conformal_factor(m, x) * np.eye(m.n)
+    return conformal_factor(m, x)[..., None, None] * np.eye(m.n)
 
 
 def inverse_metric_at(m, x):
     """Inverse metric g^ij(x); exact since the models are conformally flat."""
-    return (1.0 / conformal_factor(m, x)) * np.eye(m.n)
+    return (1.0 / conformal_factor(m, x))[..., None, None] * np.eye(m.n)
 
 
 def christoffel_at(m, x):
-    """Christoffel symbols Gamma[k, i, j] = Gamma^k_ij(x).
+    """Christoffel symbols Gamma[..., k, i, j] = Gamma^k_ij(x).
 
-    Built as (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) with the metric
-    derivatives taken by forward-mode seeding, so the result is exact and
-    remains differentiable when ``x`` itself carries Jets.
+    (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) for the conformal metric
+    g = phi I is delta^k_i h_j + delta^k_j h_i - delta_ij h_k with
+    h = d phi / (2 phi), the derivatives of phi taken by forward-mode
+    seeding.  Every entry is a single +-h_a (h_k + h_k - h_k where all three
+    deltas hold), so the result is bitwise that of the full contraction, and
+    it remains differentiable when ``x`` itself carries Jets.
     """
-    # dg[i, j, l] = d_i g_jl
-    dg = ad.partials(metric_at(m, ad.seed(x)), m.n).transpose((2, 0, 1))
-    ginv = inverse_metric_at(m, x)
-    return 0.5 * ad.einsum("kl,ijl->kij", ginv,
-                           dg + dg.transpose((1, 0, 2)) - dg.transpose((1, 2, 0)))
+    dphi = ad.partials(conformal_factor(m, ad.seed(x)), m.n)
+    h = (0.5 / conformal_factor(m, x))[..., None] * dphi
+    eye = np.eye(m.n)
+    return ((eye[:, :, None] * h[..., None, None, :]
+             + eye[:, None, :] * h[..., None, :, None])
+            - eye * h[..., :, None, None])
 
 
 def curvature_at(m, x):
-    """Curvature components R[h, k, i, j] = R^h_kij(x).
+    """Curvature components R[..., h, k, i, j] = R^h_kij(x).
 
     R^h_kij = d_i Gamma^h_jk - d_j Gamma^h_ik
               + Gamma^h_il Gamma^l_jk - Gamma^h_jl Gamma^l_ik,
@@ -162,15 +171,16 @@ def curvature_at(m, x):
     """
     gs = christoffel_at(m, ad.seed(x))
     gamma = ad.val(gs)
-    dgamma = ad.partials(gs, m.n)  # dgamma[k, i, j, a] = d_a Gamma^k_ij
-    quad = ad.einsum("hil,ljk->hkij", gamma, gamma)
+    dgamma = ad.partials(gs, m.n)  # dgamma[..., k, i, j, a] = d_a Gamma^k_ij
+    quad = ad.einsum("...hil,...ljk->...hkij", gamma, gamma)
     # grouped so that swapping (i, j) negates each parenthesis bitwise
-    return ((dgamma.transpose((0, 2, 3, 1)) - dgamma.transpose((0, 2, 1, 3)))
-            + (quad - quad.transpose((0, 1, 3, 2))))
+    return ((ad.transpose(dgamma, (0, 2, 3, 1))
+             - ad.transpose(dgamma, (0, 2, 1, 3)))
+            + (quad - ad.transpose(quad, (0, 1, 3, 2))))
 
 
 def space_form_residual(m, x):
-    """Max-abs deviation of R from the constant-curvature shape.
+    """Max-abs deviation of R from the constant-curvature shape, per point.
 
     The target is R^h_kij = c (delta^h_i g_kj - delta^h_j g_ki); any genuine
     space form drives this to rounding level, the perturbed model does not.
@@ -178,9 +188,9 @@ def space_form_residual(m, x):
     riem = curvature_at(m, x)
     g = metric_at(m, x)
     eye = np.eye(m.n)
-    target = m.c * (np.einsum("hi,kj->hkij", eye, g)
-                    - np.einsum("hj,ki->hkij", eye, g))
-    return float(np.max(np.abs(riem - target)))
+    target = m.c * (np.einsum("hi,...kj->...hkij", eye, g)
+                    - np.einsum("hj,...ki->...hkij", eye, g))
+    return np.max(np.abs(riem - target), axis=(-4, -3, -2, -1))
 
 
 def check_space_form(m, sample, tol=1e-9, *, seed=None):
@@ -188,6 +198,7 @@ def check_space_form(m, sample, tol=1e-9, *, seed=None):
     points = list(sample)
     if not points:
         raise ValueError("sample must be nonempty")
-    residuals = [space_form_residual(m, q) for q in points]
+    residuals = ad.map_blocks(lambda qs: space_form_residual(m, np.stack(qs)),
+                              points, m.n)
     return make_report("space_form", residuals, points, tol, seed=seed)
 

@@ -1,7 +1,10 @@
 """Property checkers for the lifted structures.
 
 Each check evaluates a residual at sampled phase points and reduces by max,
-so verdicts do not depend on evaluation order.  Derivative-based residuals
+so verdicts do not depend on evaluation order.  The points of a sample are
+stacked along a leading batch axis and evaluated in one pass per block of
+:data:`paralift.ad.BLOCK_ELEMENTS`; the residuals are those of the points
+evaluated one by one, bit for bit.  Derivative-based residuals
 (Nijenhuis tensor, exterior derivative) use forward-mode differentiation of
 the coordinate-frame evaluators; :func:`fd_oracle` provides the independent
 finite-difference cross check used by the test suite.
@@ -27,7 +30,14 @@ from .lifted import (
     _require_metric,
     _require_para_hermitian,
 )
-from .phase import CotangentPoint, frame_matrices, make_point
+from .phase import (
+    CotangentPoint,
+    energy_density,
+    frame_matrices,
+    make_point,
+    stack_points,
+    unstack_point,
+)
 from .report import CheckReport, make_report
 from .spaceform import check_space_form
 
@@ -82,26 +92,29 @@ def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0, chart_fraction=0.8):
     q is uniform in the ball |q| <= chart_fraction * chart_radius, p uniform
     in |p| <= p_max; draws with energy density above t_max are rejected and
     redrawn.  The first point always carries p = 0, since several coefficient
-    formulas have removable behavior at t = 0 that deserves coverage.
+    formulas have removable behavior at t = 0 that deserves coverage.  Each
+    draw is tested in float arithmetic; the accepted ones are built as one
+    batch.
     """
     rng = np.random.default_rng(seed)
     radius = chart_fraction * m.chart_radius
-    points = []
+    qs, ps = [], []
     attempts = 0
     limit = max(1000, 400 * count)
-    while len(points) < count:
+    while len(qs) < count:
         attempts += 1
         if attempts > limit:
             raise RuntimeError(
-                f"sampler starved: {len(points)} of {count} points after "
+                f"sampler starved: {len(qs)} of {count} points after "
                 f"{attempts} draws (t_max = {t_max:g} too tight?)")
         q = _ball(rng, m.n, radius)
-        p = np.zeros(m.n) if not points else _ball(rng, m.n, p_max)
-        pt = make_point(m, q, p)
-        if pt.t > t_max:
+        p = np.zeros(m.n) if not qs else _ball(rng, m.n, p_max)
+        if energy_density(m, q, p) > t_max:
             continue
-        points.append(pt)
-    return PhaseSample(points=tuple(points), seed=seed)
+        qs.append(q)
+        ps.append(p)
+    points = unstack_point(make_point(m, qs, ps)) if qs else ()
+    return PhaseSample(points=points, seed=seed)
 
 
 def _ball(rng, n, radius):
@@ -119,6 +132,16 @@ def _points_and_seed(sample):
     if isinstance(sample, PhaseSample):
         return list(sample.points), sample.seed
     return list(sample), None
+
+
+def _residuals(fn, points, n):
+    """``fn`` of the stacked points, block by block: one residual per point."""
+    return ad.map_blocks(lambda block: fn(stack_points(block)), points, n)
+
+
+def _max_abs(a, core):
+    """max |a| over the last ``core`` axes."""
+    return np.max(np.abs(a), axis=tuple(range(-core, 0)))
 
 
 def fd_oracle(f, x, step=1e-5):
@@ -149,11 +172,11 @@ def nijenhuis_at(ls, pt):
     result is antisymmetric in (a, b) exactly.
     """
     fn = P_coordinate_function(ls)
-    pmat, dp = ad.jacobian(fn, pt.z())  # dp[c, b, a] = d_a P^c_b
-    t1 = np.einsum("da,cbd->cab", pmat, dp)
-    t2 = np.einsum("db,cad->cab", pmat, dp)
-    t3 = np.einsum("cd,dba->cab", pmat, dp)
-    t4 = np.einsum("cd,dab->cab", pmat, dp)
+    pmat, dp = ad.jacobian(fn, pt.z())  # dp[..., c, b, a] = d_a P^c_b
+    t1 = np.einsum("...da,...cbd->...cab", pmat, dp)
+    t2 = np.einsum("...db,...cad->...cab", pmat, dp)
+    t3 = np.einsum("...cd,...dba->...cab", pmat, dp)
+    t4 = np.einsum("...cd,...dab->...cab", pmat, dp)
     # grouped so that swapping (a, b) negates each parenthesis bitwise
     return (t1 - t2) - (t3 - t4)
 
@@ -165,9 +188,9 @@ def exterior_derivative_2form(omega, pt):
     Jet-evaluable near ``pt``; the result is fully antisymmetric.
     """
     z = pt.z() if isinstance(pt, CotangentPoint) else np.asarray(pt, float)
-    _, jac = ad.jacobian(omega, z)  # jac[b, c, a] = d_a omega_bc
-    return (np.einsum("bca->abc", jac)
-            + np.einsum("cab->abc", jac)
+    _, jac = ad.jacobian(omega, z)  # jac[..., b, c, a] = d_a omega_bc
+    return (ad.transpose(jac, (2, 0, 1))
+            + ad.transpose(jac, (1, 2, 0))
             + jac)
 
 
@@ -187,17 +210,26 @@ def analytic_dOmega(ls, pt):
     spec = _require_para_hermitian(ls)
     n = ls.m.n
     t = pt.t
-    factor = 0.5 * (float(spec.mu(t)) - float(spec.lam.deriv(t)))
-    g0 = pt.g0  # p_k g^{kh} = g0[h]
+    factor = 0.5 * (np.asarray(spec.mu(t)) - spec.lam.deriv(t))
+    g0 = pt.g0  # p_k g^{kh} = g0[..., h]
     eye = np.eye(n)
-    w = np.zeros((2 * n, 2 * n, 2 * n))  # w[n + h, n + j, i] of Dp_h Dp_j dq^i
-    w[n:, n:, :n] = factor * (g0[:, None, None] * eye - g0[None, :, None] * eye[:, None])
+    # w[..., n + h, n + j, i] of Dp_h Dp_j dq^i
+    w = np.zeros(np.shape(g0)[:-1] + (2 * n, 2 * n, 2 * n))
+    w[..., n:, n:, :n] = factor[..., None, None, None] * (
+        g0[..., :, None, None] * eye - g0[..., None, :, None] * eye[:, None])
     # antisymmetrized over the basis wedges: signed sum over the slot permutations
-    mixed = (w + w.transpose(1, 2, 0) + w.transpose(2, 0, 1)
-             - w.transpose(0, 2, 1) - w.transpose(2, 1, 0) - w.transpose(1, 0, 2))
+    mixed = (w + ad.transpose(w, (1, 2, 0)) + ad.transpose(w, (2, 0, 1))
+             - ad.transpose(w, (0, 2, 1)) - ad.transpose(w, (2, 1, 0))
+             - ad.transpose(w, (1, 0, 2)))
     _, binv = frame_matrices(pt.Gamma0)
-    return np.einsum("abc,aA,bB,cC->ABC", mixed, binv, binv, binv,
-                     optimize=True)
+    # Binv^a_A Binv^b_B Binv^c_C mixed_abc, one slot at a time as stacked
+    # matrix products over the last axis, rotating the slots (abc -> bcA ->
+    # cAB -> ABC)
+    lead, k = np.shape(mixed)[:-3], 2 * n
+    for _ in range(3):
+        rotated = ad.transpose(mixed, (1, 2, 0)).reshape(lead + (k * k, k))
+        mixed = (rotated @ binv).reshape(lead + (k, k, k))
+    return mixed
 
 
 def check_almost_product(ls, sample, tol=None):
@@ -205,10 +237,12 @@ def check_almost_product(ls, sample, tol=None):
     tol = DEFAULT_TOLERANCES["almost_product"] if tol is None else tol
     points, seed = _points_and_seed(sample)
     eye = np.eye(2 * ls.m.n)
-    residuals = []
-    for pt in points:
+
+    def residual(pt):
         pmat = P_adapted(ls, pt)
-        residuals.append(float(np.max(np.abs(pmat @ pmat - eye))))
+        return _max_abs(pmat @ pmat - eye, 2)
+
+    residuals = _residuals(residual, points, ls.m.n)
     return make_report("almost_product", residuals, points, tol, seed=seed)
 
 
@@ -216,7 +250,8 @@ def check_integrability(ls, sample, tol=None):
     """max over the sample of |N_P|_inf in coordinate components."""
     tol = DEFAULT_TOLERANCES["integrability"] if tol is None else tol
     points, seed = _points_and_seed(sample)
-    residuals = [float(np.max(np.abs(nijenhuis_at(ls, pt)))) for pt in points]
+    residuals = _residuals(lambda pt: _max_abs(nijenhuis_at(ls, pt), 3),
+                           points, ls.m.n)
     notes = ()
     if ls.m.n == 2:
         notes = ("base dimension 2 is outside the guaranteed range (n > 2) "
@@ -231,11 +266,13 @@ def check_compatibility(ls, sample, tol=None):
     tol = DEFAULT_TOLERANCES["compatibility"] if tol is None else tol
     points, seed = _points_and_seed(sample)
     eps = float(_require_metric(ls).epsilon)
-    residuals = []
-    for pt in points:
+
+    def residual(pt):
         pmat = P_adapted(ls, pt)
         gmat = G_adapted(ls, pt)
-        residuals.append(float(np.max(np.abs(pmat.T @ gmat @ pmat - eps * gmat))))
+        return _max_abs(np.swapaxes(pmat, -1, -2) @ gmat @ pmat - eps * gmat, 2)
+
+    residuals = _residuals(residual, points, ls.m.n)
     return make_report("compatibility", residuals, points, tol, seed=seed)
 
 
@@ -256,15 +293,16 @@ def check_metric_signature(ls, sample, tol=None):
         expected = (2 * n, 0)
     else:
         expected = None
-    residuals = []
-    for pt in points:
+
+    def residual(pt):
         eigs = np.linalg.eigvalsh(G_adapted(ls, pt))
-        pos = int(np.sum(eigs > _EIGENVALUE_TOL))
-        neg = int(np.sum(eigs < -_EIGENVALUE_TOL))
         if expected is None:
-            residuals.append(0.0)
-        else:
-            residuals.append(0.0 if (pos, neg) == expected else 1.0)
+            return np.zeros(eigs.shape[:-1])
+        pos = np.sum(eigs > _EIGENVALUE_TOL, axis=-1)
+        neg = np.sum(eigs < -_EIGENVALUE_TOL, axis=-1)
+        return ((pos != expected[0]) | (neg != expected[1])).astype(float)
+
+    residuals = _residuals(residual, points, n)
     notes = ()
     if expected is None:
         notes = ("no expected signature for a non-positive eps = +1 spec; "
@@ -280,10 +318,9 @@ def check_closure(ls, sample, tol=None):
     tol = DEFAULT_TOLERANCES["closure"] if tol is None else tol
     points, seed = _points_and_seed(sample)
     omega = Omega_coordinate(ls)
-    residuals = [
-        float(np.max(np.abs(exterior_derivative_2form(omega, pt))))
-        for pt in points
-    ]
+    residuals = _residuals(
+        lambda pt: _max_abs(exterior_derivative_2form(omega, pt), 3),
+        points, ls.m.n)
     return make_report("closure", residuals, points, tol, seed=seed)
 
 
@@ -292,11 +329,10 @@ def check_closure_agreement(ls, sample, tol=None):
     tol = DEFAULT_TOLERANCES["closure_agreement"] if tol is None else tol
     points, seed = _points_and_seed(sample)
     omega = Omega_coordinate(ls)
-    residuals = []
-    for pt in points:
-        numeric = exterior_derivative_2form(omega, pt)
-        analytic = analytic_dOmega(ls, pt)
-        residuals.append(float(np.max(np.abs(numeric - analytic))))
+    residuals = _residuals(
+        lambda pt: _max_abs(exterior_derivative_2form(omega, pt)
+                            - analytic_dOmega(ls, pt), 3),
+        points, ls.m.n)
     return make_report("closure_agreement", residuals, points, tol, seed=seed)
 
 

@@ -1,0 +1,216 @@
+"""Batch evaluation: a stacked sample equals its points evaluated one by one.
+
+Every kernel takes leading batch axes; a check stacks its sample and
+evaluates it block by block.  These tests pin that batching is invisible:
+kernels on a stacked input are bitwise the stack of their per-point values,
+a check over a whole sample reports exactly what the merge of its chunk
+reports gives, and a failing check names the first offending point in sample
+order.
+"""
+
+import numpy as np
+import pytest
+
+from paralift import (
+    LiftedStructure,
+    RangeError,
+    StructureKind,
+    affine,
+    analytic_dOmega,
+    christoffel_at,
+    conformal_ball,
+    constant,
+    curvature_at,
+    energy_density,
+    exterior_derivative_2form,
+    flat_space,
+    integrable_spec,
+    make_point,
+    nijenhuis_at,
+    perturbed_conformal,
+    sample_points,
+    with_metric,
+)
+from paralift import ChartDomainError, Omega_coordinate, P_coordinate_function, ad
+from paralift.lifted import G_adapted, Omega_adapted, P_adapted
+from paralift.phase import frame_matrices, gamma0_at, stack_points
+from paralift.spaceform import (
+    conformal_factor,
+    inverse_metric_at,
+    metric_at,
+    space_form_residual,
+)
+from paralift.verify import CHECK_NAMES, PhaseSample, run_check
+
+DIMS = (2, 3, 4, 8)
+MODELS = ("flat", "ball+1", "ball-1", "perturbed")
+
+
+def _structure(model, n):
+    """An integrable para-Kaehler candidate on the named chart model."""
+    if model == "flat":
+        m, c, a1 = flat_space(n), 0.0, affine(1.0, 0.1)
+    elif model == "perturbed":
+        m, c, a1 = perturbed_conformal(n, 1.0, strength=0.1), 1.0, affine(1.0, 0.1)
+    elif model == "ball+1":
+        m, c, a1 = conformal_ball(n, 1.0), 1.0, constant(1.0)
+    else:  # a1 = 1 would make a1 + 2c t a2 vanish at t = 1/2
+        m, c, a1 = conformal_ball(n, -1.0), -1.0, constant(3.0)
+    spec = with_metric(integrable_spec(a1, curvature=c), affine(1.0, 1.0))
+    return LiftedStructure(m=m, kind=StructureKind.NATURAL_DIAGONAL, spec=spec)
+
+
+def _sample(ls, n):
+    return sample_points(ls.m, 5 if n == 8 else 7, seed=100 + n)
+
+
+def _same(a, b):
+    """Bitwise equality of two float arrays (or floats)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and (np.ascontiguousarray(a).tobytes()
+                                   == np.ascontiguousarray(b).tobytes())
+
+
+def _stacked(fn, items):
+    return np.stack([fn(x) for x in items])
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("n", DIMS)
+def test_batched_kernels_equal_stacked_points(model, n):
+    ls = _structure(model, n)
+    m = ls.m
+    points = _sample(ls, n).points
+    batch = stack_points(points)
+    qs, zs = batch.q, batch.z()
+
+    rebuilt = make_point(m, batch.q, batch.p)
+    for field in ("q", "p", "t", "g0", "Gamma0"):
+        assert _same(getattr(rebuilt, field), getattr(batch, field)), field
+    for pt in points:
+        single = make_point(m, pt.q, pt.p)
+        assert isinstance(single.t, float)
+        for field in ("t", "g0", "Gamma0"):
+            assert _same(getattr(single, field), getattr(pt, field)), field
+
+    for kernel in (conformal_factor, metric_at, inverse_metric_at, christoffel_at,
+                   curvature_at, space_form_residual):
+        assert _same(kernel(m, qs), _stacked(lambda q: kernel(m, q), batch.q)), \
+            kernel.__name__
+    assert _same(energy_density(m, batch.q, batch.p),
+                 [energy_density(m, pt.q, pt.p) for pt in points])
+    assert _same(gamma0_at(m, batch.q, batch.p),
+                 _stacked(lambda pt: gamma0_at(m, pt.q, pt.p), points))
+    for got, want in zip(frame_matrices(batch.Gamma0),
+                         zip(*(frame_matrices(pt.Gamma0) for pt in points))):
+        assert _same(got, np.stack(want))
+
+    for kernel in (P_adapted, G_adapted, Omega_adapted, nijenhuis_at,
+                   analytic_dOmega):
+        assert _same(kernel(ls, batch), _stacked(lambda pt: kernel(ls, pt), points)), \
+            kernel.__name__
+    omega = Omega_coordinate(ls)
+    assert _same(exterior_derivative_2form(omega, batch),
+                 _stacked(lambda pt: exterior_derivative_2form(omega, pt), points))
+    for fn in (P_coordinate_function(ls), omega):
+        value, jac = ad.jacobian(fn, zs)
+        singles = [ad.jacobian(fn, z) for z in zs]
+        assert _same(value, np.stack([v for v, _ in singles]))
+        assert _same(jac, np.stack([j for _, j in singles]))
+
+
+def _merge(reports):
+    """What the reports of consecutive chunks say about their union."""
+    witnesses = sorted((w for r in reports for w in r.witnesses),
+                       key=lambda w: -w.residual)[:3]
+    return (max(r.max_residual for r in reports),
+            all(r.passed for r in reports), tuple(witnesses))
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("n", DIMS)
+def test_check_reports_do_not_depend_on_the_split(model, n):
+    ls = _structure(model, n)
+    sample = _sample(ls, n)
+    points = sample.points
+    for name in CHECK_NAMES:
+        full = run_check(name, ls, sample)
+        for size in (1, 2):
+            chunks = [run_check(name, ls, PhaseSample(points=points[i:i + size],
+                                                      seed=sample.seed))
+                      for i in range(0, len(points), size)]
+            top, passed, witnesses = _merge(chunks)
+            assert _same(full.max_residual, top), (name, size)
+            assert full.passed == passed, (name, size)
+            if name == "para_kahler":
+                # its witnesses come from whichever sub-check dominates a
+                # chunk; the sub-check maxima merge instead
+                for key, value in full.details.items():
+                    assert _same(value, max(r.details[key] for r in chunks))
+            else:
+                assert full.witnesses == witnesses, (name, size)
+
+
+def test_block_budget_does_not_change_reports(monkeypatch):
+    ls = _structure("ball+1", 3)
+    sample = _sample(ls, 3)
+    reports = [run_check(name, ls, sample) for name in CHECK_NAMES]
+    monkeypatch.setattr(ad, "BLOCK_ELEMENTS", 1)  # one point per block
+    assert [run_check(name, ls, sample) for name in CHECK_NAMES] == reports
+
+
+@pytest.mark.parametrize("kind", [StructureKind.CRUCEANU_P, StructureKind.CRUCEANU_Q])
+def test_cruceanu_structures_batch(kind):
+    m = conformal_ball(3, 1.0)
+    ls = LiftedStructure(m=m, kind=kind)
+    sample = sample_points(m, 6, seed=5)
+    batch = stack_points(sample.points)
+    assert _same(P_adapted(ls, batch),
+                 _stacked(lambda pt: P_adapted(ls, pt), sample.points))
+    for name in ("almost_product", "integrability"):
+        full = run_check(name, ls, sample)
+        singles = [run_check(name, ls, [pt]) for pt in sample.points]
+        assert _same(full.max_residual, max(r.max_residual for r in singles))
+
+
+def _message(exc_type, name, ls, points):
+    with pytest.raises(exc_type) as info:
+        run_check(name, ls, PhaseSample(points=tuple(points)))
+    return str(info.value)
+
+
+def _with_outliers(points, replace):
+    points = list(points)
+    for i, pt in replace.items():
+        points[i] = pt
+    return points
+
+
+def test_range_error_names_the_first_point_out_of_range():
+    m = conformal_ball(3, 1.0)
+    ls = _structure("ball+1", 3)
+    base = sample_points(m, 9, seed=11, p_max=1.0).points
+    # t scales with |p|^2: points 3 and 7 get t = 3 and t = 5 > t_max = 2
+    far = {i: make_point(m, base[i].q, base[i].p * np.sqrt(t / base[i].t))
+           for i, t in ((3, 3.0), (7, 5.0))}
+    points = _with_outliers(base, far)
+    for name in CHECK_NAMES:
+        if name == "space_form":
+            continue
+        first = _message(RangeError, name, ls, [points[3]])
+        assert _message(RangeError, name, ls, points) == first, name
+        assert first != _message(RangeError, name, ls, [points[7]])
+
+
+def test_chart_error_names_the_first_point_off_the_chart():
+    ls = _structure("ball+1", 3)
+    wide = conformal_ball(3, 1.0, chart_radius=2.0)
+    base = sample_points(wide, 9, seed=12, p_max=0.5, chart_fraction=0.4).points
+    off = {i: make_point(wide, base[i].q * (r / np.linalg.norm(base[i].q)),
+                         base[i].p)
+           for i, r in ((3, 1.5), (7, 1.8))}
+    points = _with_outliers(base, off)
+    for name in CHECK_NAMES:
+        first = _message(ChartDomainError, name, ls, [points[3]])
+        assert _message(ChartDomainError, name, ls, points) == first, name
+        assert first != _message(ChartDomainError, name, ls, [points[7]])

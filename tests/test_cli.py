@@ -269,7 +269,10 @@ def test_infinite_coefficient_exit_2(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path)]) == 2
-    assert "a1 is not finite at t = 1.77778" in capsys.readouterr().err
+    # the one-line error and nothing else: no numpy overflow warning ahead
+    # of it (tier-1 also turns any RuntimeWarning into an error)
+    assert capsys.readouterr().err == (
+        "error: DegenerateCoefficient: a1 is not finite at t = 1.77778\n")
 
 
 def test_main_missing_file_exit_2(tmp_path, capsys):
