@@ -56,7 +56,6 @@ from .spaceform import (
     conformal_ball,
     curvature_at,
     flat_space,
-    inverse_metric_at,
     metric_at,
     perturbed_conformal,
 )

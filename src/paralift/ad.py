@@ -37,7 +37,6 @@ __all__ = [
     "exp",
     "einsum",
     "matmul",
-    "matvec",
     "vecdot",
     "outer",
     "transpose",
@@ -69,10 +68,6 @@ class Jet:
     @property
     def shape(self):
         return np.shape(self.val)
-
-    @property
-    def ndim(self):
-        return len(self.shape)
 
     def __getitem__(self, key):
         key = key if isinstance(key, tuple) else (key,)
@@ -267,13 +262,6 @@ def matmul(a, b):
     if _depth(a) == _depth(b) == 0:
         return a @ b
     return einsum("...ij,...jk->...ik", a, b)
-
-
-def matvec(a, x):
-    """Stacked product of matrices ``a`` (..., i, j) and vectors ``x`` (..., j)."""
-    if _depth(a) == _depth(x) == 0:
-        return (a @ x[..., None])[..., 0]
-    return einsum("...ij,...j->...i", a, x)
 
 
 def vecdot(x, y):

@@ -28,6 +28,7 @@ from .config import (
     build_space_form,
     build_structure,
     parse_config,
+    parse_tolerance,
 )
 from .coefficients import SCALAR_PRESETS
 from .errors import (
@@ -174,14 +175,14 @@ def _parse_tol_overrides(entries):
         name, sep, value = entry.partition("=")
         if not sep:
             problems.append(f"--tol-override {entry!r}: expected NAME=VALUE")
-            continue
-        if name not in DEFAULT_TOLERANCES:
+        elif name not in DEFAULT_TOLERANCES:
             problems.append(f"--tol-override {name!r}: unknown check name")
-            continue
-        try:
-            out[name] = float(value)
-        except ValueError:
-            problems.append(f"--tol-override {entry!r}: bad number")
+        else:
+            try:
+                value = float(value)
+            except ValueError:
+                pass  # the tolerance rule reports it as not a number
+            out[name] = parse_tolerance(value, f"--tol-override {name}", problems)
     if problems:
         raise ConfigError(problems)
     return out

@@ -8,6 +8,8 @@ config into the space form, coefficient spec and lifted structure.
 
 from __future__ import annotations
 
+import copy
+import sys
 from dataclasses import dataclass, replace
 
 from . import coefficients as co
@@ -42,20 +44,12 @@ class RunConfig:
         """JSON-ready copy of the normalized config, for the report."""
         return {
             "manifold": dict(self.manifold),
-            "coefficients": _deep_copy(self.coefficients),
+            "coefficients": copy.deepcopy(self.coefficients),
             "sampling": dict(self.sampling),
             "checks": list(self.checks),
             "tolerances": dict(self.tolerances),
             "output": self.output,
         }
-
-
-def _deep_copy(obj):
-    if isinstance(obj, dict):
-        return {k: _deep_copy(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_deep_copy(v) for v in obj]
-    return obj
 
 
 def parse_config(document):
@@ -223,7 +217,7 @@ def _parse_coefficients(section, manifold, problems):
             f"{manifold['c']:g}; set allow_mismatched_c for negative tests")
 
     epsilon = section.get("epsilon", -1)
-    if epsilon not in (-1, 1):
+    if isinstance(epsilon, bool) or epsilon not in (-1, 1):
         problems.append("coefficients.epsilon: must be -1 or +1")
         epsilon = -1
     out["epsilon"] = int(epsilon)
@@ -336,9 +330,6 @@ def _parse_sampling(section, problems):
 
 
 def _parse_checks(raw, coefficients, problems):
-    if raw is None:
-        problems.append("checks: required nonempty list of check names")
-        return ()
     if not isinstance(raw, list) or not raw:
         problems.append("checks: required nonempty list of check names")
         return ()
@@ -374,13 +365,18 @@ def _parse_tolerances(raw, problems):
     for key, value in raw.items():
         if key not in CHECK_NAMES:
             problems.append(f"tolerances.{key}: unknown check name")
-            continue
-        if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                or value < 0:
-            problems.append(f"tolerances.{key}: expected a nonnegative number")
-            continue
-        out[key] = float(value)
+        else:
+            out[key] = parse_tolerance(value, f"tolerances.{key}", problems)
     return out
+
+
+def parse_tolerance(value, path, problems):
+    """A check tolerance, a finite number >= 0; else None, noted in ``problems``."""
+    value = _number(value, path, problems)
+    if value is None or value >= 0:
+        return value
+    problems.append(f"{path}: expected a nonnegative number")
+    return None
 
 
 def _int_field(section, key, path, problems, *, default, minimum=None):
@@ -396,11 +392,9 @@ def _int_field(section, key, path, problems, *, default, minimum=None):
 
 def _num_field(section, key, path, problems, *, default, positive=False,
                nonzero=False):
-    value = section.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        problems.append(f"{path}: expected a number")
+    value = _number(section.get(key, default), path, problems)
+    if value is None:
         return default
-    value = float(value)
     if positive and value <= 0:
         problems.append(f"{path}: must be positive")
         return default
@@ -408,6 +402,18 @@ def _num_field(section, key, path, problems, *, default, positive=False,
         problems.append(f"{path}: must be nonzero")
         return default
     return value
+
+
+def _number(value, path, problems):
+    """``value`` as a finite float (``json.loads`` passes NaN and Infinity);
+    else None, noted in ``problems``."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        problems.append(f"{path}: expected a number")
+    elif not abs(value) <= sys.float_info.max:  # NaN, +-inf, huge integers
+        problems.append(f"{path}: must be finite")
+    else:
+        return float(value)
+    return None
 
 
 # ---------------------------------------------------------------------------

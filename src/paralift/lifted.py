@@ -11,7 +11,8 @@ Index layout follows the axis convention of :mod:`paralift.phase`
     Omega = G . P (as Omega(X, Y) = G(X, PY))
 
 P1 maps horizontal to vertical slots and sits in the lower-left block; P2
-maps vertical to horizontal and sits in the upper-right block.
+maps vertical to horizontal and sits in the upper-right block.  The blocks
+read one :func:`paralift.phase.chart_point`, with g = phi I, g^-1 = (1/phi) I.
 
 Coordinate-frame components come from conjugating with the frame matrices,
 and the evaluators accept a Jet z = (q, p), so every entry stays
@@ -30,8 +31,8 @@ import numpy as np
 from . import ad
 from .coefficients import StructureSpec
 from .errors import ContractError, RangeError
-from .phase import energy_density, frame_matrices, gamma0_at
-from .spaceform import SpaceForm, inverse_metric_at, metric_at
+from .phase import chart_point, frame_matrices
+from .spaceform import SpaceForm
 
 __all__ = [
     "StructureKind",
@@ -96,16 +97,19 @@ def _scalar(c):
     return c[..., None, None]
 
 
-def _blocks(ls, q, p, coeffs, *, slack):
+def _metrics(pt):
+    """(g, g^-1) = (phi I, (1/phi) I) at the chart point ``pt``."""
+    eye = np.eye(pt.n)
+    return _scalar(pt.phi) * eye, _scalar(1.0 / pt.phi) * eye
+
+
+def _blocks(ls, pt, coeffs, *, slack):
     """(k1 g + l1 p(x)p, k2 g^-1 + l2 g0(x)g0) for coeffs = (k1, l1, k2, l2)."""
-    g = metric_at(ls.m, q)
-    ginv = inverse_metric_at(ls.m, q)
-    t = energy_density(ls.m, q, p)
-    _check_range(ls, t, slack=slack)
-    g0 = ad.matvec(ginv, p)
-    k1, l1, k2, l2 = (_scalar(c(t)) for c in coeffs)
-    return (k1 * g + l1 * ad.outer(p, p),
-            k2 * ginv + l2 * ad.outer(g0, g0))
+    _check_range(ls, pt.t, slack=slack)
+    g, ginv = _metrics(pt)
+    k1, l1, k2, l2 = (_scalar(c(pt.t)) for c in coeffs)
+    return (k1 * g + l1 * ad.outer(pt.p, pt.p),
+            k2 * ginv + l2 * ad.outer(pt.g0, pt.g0))
 
 
 def _require_metric(ls):
@@ -122,24 +126,24 @@ def _require_para_hermitian(ls):
     return spec
 
 
-def _p_matrix(ls, q, p, *, slack):
-    """Adapted-frame matrix of P at (q, p), for plain or Jet coordinates."""
+def _p_matrix(ls, pt, *, slack):
+    """Adapted-frame matrix of P at the plain or Jet chart point ``pt``."""
     n = ls.m.n
     if ls.kind is StructureKind.CRUCEANU_P:
         return np.broadcast_to(np.diag([-1.0] * n + [1.0] * n),
-                               np.shape(q)[:-1] + (2 * n, 2 * n))
+                               np.shape(pt.q)[:-1] + (2 * n, 2 * n))
     if ls.kind is StructureKind.CRUCEANU_Q:
-        p1, p2 = metric_at(ls.m, q), inverse_metric_at(ls.m, q)
+        p1, p2 = _metrics(pt)
     else:
         s = ls.spec
-        p1, p2 = _blocks(ls, q, p, (s.a1, s.b1, s.a2, s.b2), slack=slack)
+        p1, p2 = _blocks(ls, pt, (s.a1, s.b1, s.a2, s.b2), slack=slack)
     zero = np.zeros((n, n))
     return ad.block([[zero, p2], [p1, zero]])
 
 
 def P_adapted(ls, pt):
     """Adapted-frame matrix of P at ``pt``; block antidiagonal (see module doc)."""
-    return _p_matrix(ls, pt.q, pt.p, slack=False)
+    return _p_matrix(ls, chart_point(ls.m, pt.q, pt.p), slack=False)
 
 
 def P_coordinate_function(ls):
@@ -147,9 +151,9 @@ def P_coordinate_function(ls):
     n = ls.m.n
 
     def fn(z):
-        q, p = z[..., :n], z[..., n:]
-        p_ad = _p_matrix(ls, q, p, slack=True)
-        b, binv = frame_matrices(gamma0_at(ls.m, q, p))
+        pt = chart_point(ls.m, z[..., :n], z[..., n:])
+        p_ad = _p_matrix(ls, pt, slack=True)
+        b, binv = frame_matrices(pt.Gamma0)
         return ad.matmul(ad.matmul(b, p_ad), binv)
 
     return fn
@@ -158,7 +162,8 @@ def P_coordinate_function(ls):
 def G_adapted(ls, pt):
     """Adapted-frame matrix of G at ``pt``; symmetric block diagonal."""
     s = _require_metric(ls)
-    g1, g2 = _blocks(ls, pt.q, pt.p, (s.c1, s.d1, s.c2, s.d2), slack=False)
+    here = chart_point(ls.m, pt.q, pt.p)  # a point of another chart raises
+    g1, g2 = _blocks(ls, here, (s.c1, s.d1, s.c2, s.d2), slack=False)
     n = ls.m.n
     zero = np.zeros((n, n))
     return ad.block([[g1, zero], [zero, g2]])
@@ -184,16 +189,12 @@ def Omega_coordinate(ls):
     n = ls.m.n
 
     def fn(z):
-        q, p = z[..., :n], z[..., n:]
-        ginv = inverse_metric_at(ls.m, q)
-        t = energy_density(ls.m, q, p)
-        _check_range(ls, t, slack=True)
-        g0 = ad.matvec(ginv, p)
-        mixed = (_scalar(spec.lam(t)) * np.eye(n)
-                 + _scalar(spec.mu(t)) * ad.outer(p, g0))
+        pt = chart_point(ls.m, z[..., :n], z[..., n:])
+        _check_range(ls, pt.t, slack=True)
+        mixed = (_scalar(spec.lam(pt.t)) * np.eye(n)
+                 + _scalar(spec.mu(pt.t)) * ad.outer(pt.p, pt.g0))
         mixed_t = ad.transpose(mixed, (1, 0))
-        gamma0 = gamma0_at(ls.m, q, p)
-        qq = ad.matmul(gamma0, mixed_t) - ad.matmul(mixed, gamma0)
+        qq = ad.matmul(pt.Gamma0, mixed_t) - ad.matmul(mixed, pt.Gamma0)
         zero = np.zeros((n, n))
         return ad.block([[qq, mixed], [-mixed_t, zero]])
 

@@ -16,7 +16,8 @@ slots n..2n-1 vertical (p-directions).
 Every function here also takes leading batch axes (see :mod:`paralift.ad`):
 a :class:`CotangentPoint` whose arrays carry one leading axis stands for a
 whole sample, and :func:`stack_points` builds one from a sequence of points,
-so a ``PhaseSample`` is evaluated as one batch.
+so a ``PhaseSample`` is evaluated as one batch.  Since g = phi I, a point
+carries the scalar phi, not metric matrices.
 """
 
 from __future__ import annotations
@@ -26,15 +27,15 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import ad
-from .spaceform import christoffel_at, inverse_metric_at
+from .spaceform import conformal_factor, conformal_fields
 
 __all__ = [
     "CotangentPoint",
+    "chart_point",
     "make_point",
     "stack_points",
     "unstack_point",
     "energy_density",
-    "gamma0_at",
     "frame_matrices",
     "liouville",
     "spray",
@@ -43,15 +44,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CotangentPoint:
-    """A point (q, p) of T*M with its cached contractions.
+    """A point (q, p) of T*M with its cached chart fields.
 
-    t is the energy density (1/2) g^{ik} p_i p_k, g0 the raised covector
-    g^{0i} = p_h g^{hi}, and Gamma0 the matrix p_k Gamma^k_ih.  With a
-    leading batch axis on every field (t then an array) it holds a sample.
+    phi is the conformal factor of g = phi I at q, t the energy density
+    (1/2) g^{ik} p_i p_k, g0 the raised covector g^{0i} = p_h g^{hi}, and
+    Gamma0 the matrix p_k Gamma^k_ih.  With a leading batch axis on every
+    field (phi and t then arrays) it holds a sample.
     """
 
     q: np.ndarray
     p: np.ndarray
+    phi: float
     t: float
     g0: np.ndarray
     Gamma0: np.ndarray
@@ -68,8 +71,16 @@ class CotangentPoint:
 _FIELDS = tuple(f.name for f in fields(CotangentPoint))
 
 
+def chart_point(m, q, p):
+    """Unvalidated, unfrozen point at plain or Jet (q, p), from one seeded phi."""
+    phi, gamma = conformal_fields(m, q)
+    g0 = (1.0 / phi)[..., None] * p
+    return CotangentPoint(q=q, p=p, phi=phi, t=0.5 * ad.vecdot(p, g0), g0=g0,
+                          Gamma0=ad.einsum("...k,...kih->...ih", p, gamma))
+
+
 def make_point(m, q, p):
-    """Build a :class:`CotangentPoint`, evaluating and caching t, g0, Gamma0.
+    """Build a :class:`CotangentPoint`, evaluating and caching its chart fields.
 
     ``q`` and ``p`` may carry the same leading batch axes.
     """
@@ -77,13 +88,17 @@ def make_point(m, q, p):
     p = np.array(p, dtype=float)
     if q.shape[-1:] != (m.n,) or p.shape != q.shape:
         raise ValueError(f"expected {m.n} components for q and p")
-    g0 = ad.matvec(inverse_metric_at(m, q), p)
-    t = 0.5 * ad.vecdot(p, g0)
-    gamma0 = gamma0_at(m, q, p)
-    for arr in (q, p, g0, gamma0):
-        arr.setflags(write=False)
-    return CotangentPoint(q=q, p=p, t=float(t) if np.ndim(t) == 0 else t,
-                          g0=g0, Gamma0=gamma0)
+    pt = chart_point(m, q, p)
+    return _frozen(*(getattr(pt, name) for name in _FIELDS))
+
+
+def _frozen(*values):
+    """A point of read-only arrays; phi and t of a single point are floats."""
+    values = [float(v) if np.ndim(v) == 0 else v for v in values]
+    for v in values:
+        if isinstance(v, np.ndarray):
+            v.setflags(write=False)
+    return CotangentPoint(*values)
 
 
 def stack_points(points):
@@ -94,23 +109,18 @@ def stack_points(points):
 
 def unstack_point(batch):
     """The single points of a batched point, in order."""
-    return tuple(CotangentPoint(q=batch.q[i], p=batch.p[i], t=float(batch.t[i]),
-                                g0=batch.g0[i], Gamma0=batch.Gamma0[i])
+    return tuple(_frozen(*(getattr(batch, name)[i] for name in _FIELDS))
                  for i in range(len(batch.t)))
 
 
 def energy_density(m, q, p):
     """(1/2) g^{ik}(q) p_i p_k, evaluable on Jets in all 2n variables.
 
-    On plain coordinates it rounds exactly as the t of :func:`make_point`.
+    One unseeded evaluation of phi, no matrix; on plain coordinates it rounds
+    exactly as the t of :func:`make_point`.
     """
-    ginv = inverse_metric_at(m, q)
-    return 0.5 * ad.vecdot(p, ad.matvec(ginv, p))
-
-
-def gamma0_at(m, q, p):
-    """Contraction Gamma0[..., i, h] = p_k Gamma^k_ih(q); symmetric in (i, h)."""
-    return ad.einsum("...k,...kih->...ih", p, christoffel_at(m, q))
+    g0 = (1.0 / conformal_factor(m, q))[..., None] * p
+    return 0.5 * ad.vecdot(p, g0)
 
 
 def frame_matrices(gamma0):

@@ -11,8 +11,8 @@ therefore covers every sign of the curvature.  A deliberately perturbed
 variant breaks constant curvature and exists purely to drive negative tests.
 
 Christoffel symbols and the curvature tensor are obtained by forward-mode
-differentiation of the metric (see :mod:`paralift.ad`); finite differences
-appear only in the independent test oracles.
+differentiation of phi (see :mod:`paralift.ad`); finite differences appear
+only in the independent test oracles.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ __all__ = [
     "conformal_ball",
     "perturbed_conformal",
     "conformal_factor",
+    "conformal_fields",
     "metric_at",
-    "inverse_metric_at",
     "christoffel_at",
     "curvature_at",
     "space_form_residual",
@@ -138,27 +138,26 @@ def metric_at(m, x):
     return conformal_factor(m, x)[..., None, None] * np.eye(m.n)
 
 
-def inverse_metric_at(m, x):
-    """Inverse metric g^ij(x); exact since the models are conformally flat."""
-    return (1.0 / conformal_factor(m, x))[..., None, None] * np.eye(m.n)
+def conformal_fields(m, x):
+    """phi and Gamma[..., k, i, j] = Gamma^k_ij at ``x``, from one seeded phi.
+
+    For g = phi I, Gamma^k_ij = delta^k_i h_j + delta^k_j h_i - delta_ij h_k
+    with h = d phi / (2 phi), each entry one +-h_a (h_k + h_k - h_k where all
+    deltas hold): bitwise the (1/2) g^{kl}(...) contraction.  x may be a Jet.
+    """
+    seeded = conformal_factor(m, ad.seed(x))
+    phi = ad.val(seeded)
+    h = (0.5 / phi)[..., None] * ad.partials(seeded, m.n)
+    eye = np.eye(m.n)
+    gamma = ((eye[:, :, None] * h[..., None, None, :]
+              + eye[:, None, :] * h[..., None, :, None])
+             - eye * h[..., :, None, None])
+    return phi, gamma
 
 
 def christoffel_at(m, x):
-    """Christoffel symbols Gamma[..., k, i, j] = Gamma^k_ij(x).
-
-    (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) for the conformal metric
-    g = phi I is delta^k_i h_j + delta^k_j h_i - delta_ij h_k with
-    h = d phi / (2 phi), the derivatives of phi taken by forward-mode
-    seeding.  Every entry is a single +-h_a (h_k + h_k - h_k where all three
-    deltas hold), so the result is bitwise that of the full contraction, and
-    it remains differentiable when ``x`` itself carries Jets.
-    """
-    dphi = ad.partials(conformal_factor(m, ad.seed(x)), m.n)
-    h = (0.5 / conformal_factor(m, x))[..., None] * dphi
-    eye = np.eye(m.n)
-    return ((eye[:, :, None] * h[..., None, None, :]
-             + eye[:, None, :] * h[..., None, :, None])
-            - eye * h[..., :, None, None])
+    """Christoffel symbols Gamma^k_ij(x), the Gamma of :func:`conformal_fields`."""
+    return conformal_fields(m, x)[1]
 
 
 def curvature_at(m, x):
@@ -182,14 +181,15 @@ def curvature_at(m, x):
 def space_form_residual(m, x):
     """Max-abs deviation of R from the constant-curvature shape, per point.
 
-    The target is R^h_kij = c (delta^h_i g_kj - delta^h_j g_ki); any genuine
-    space form drives this to rounding level, the perturbed model does not.
+    The target is R^h_kij = c (delta^h_i g_kj - delta^h_j g_ki)
+    = c phi (delta^h_i delta_kj - delta^h_j delta_ki); any genuine space form
+    drives this to rounding level, the perturbed model does not.
     """
     riem = curvature_at(m, x)
-    g = metric_at(m, x)
     eye = np.eye(m.n)
-    target = m.c * (np.einsum("hi,...kj->...hkij", eye, g)
-                    - np.einsum("hj,...ki->...hkij", eye, g))
+    shape = (np.einsum("hi,kj->hkij", eye, eye)
+             - np.einsum("hj,ki->hkij", eye, eye))
+    target = (m.c * conformal_factor(m, x))[..., None, None, None, None] * shape
     return np.max(np.abs(riem - target), axis=(-4, -3, -2, -1))
 
 

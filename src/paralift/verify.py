@@ -128,10 +128,12 @@ def _ball(rng, n, radius):
     return (r / norm) * v
 
 
-def _points_and_seed(sample):
+def _inputs(name, sample, tol):
+    """(points, seed, tolerance) of check ``name``; tol None takes the default."""
+    tol = DEFAULT_TOLERANCES[name] if tol is None else tol
     if isinstance(sample, PhaseSample):
-        return list(sample.points), sample.seed
-    return list(sample), None
+        return list(sample.points), sample.seed, tol
+    return list(sample), None, tol
 
 
 def _residuals(fn, points, n):
@@ -234,8 +236,7 @@ def analytic_dOmega(ls, pt):
 
 def check_almost_product(ls, sample, tol=None):
     """max over the sample of |P_adapted^2 - I|_inf."""
-    tol = DEFAULT_TOLERANCES["almost_product"] if tol is None else tol
-    points, seed = _points_and_seed(sample)
+    points, seed, tol = _inputs("almost_product", sample, tol)
     eye = np.eye(2 * ls.m.n)
 
     def residual(pt):
@@ -248,8 +249,7 @@ def check_almost_product(ls, sample, tol=None):
 
 def check_integrability(ls, sample, tol=None):
     """max over the sample of |N_P|_inf in coordinate components."""
-    tol = DEFAULT_TOLERANCES["integrability"] if tol is None else tol
-    points, seed = _points_and_seed(sample)
+    points, seed, tol = _inputs("integrability", sample, tol)
     residuals = _residuals(lambda pt: _max_abs(nijenhuis_at(ls, pt), 3),
                            points, ls.m.n)
     notes = ()
@@ -263,8 +263,7 @@ def check_integrability(ls, sample, tol=None):
 
 def check_compatibility(ls, sample, tol=None):
     """max over the sample of |P^T G P - eps G|_inf in the adapted frame."""
-    tol = DEFAULT_TOLERANCES["compatibility"] if tol is None else tol
-    points, seed = _points_and_seed(sample)
+    points, seed, tol = _inputs("compatibility", sample, tol)
     eps = float(_require_metric(ls).epsilon)
 
     def residual(pt):
@@ -283,8 +282,7 @@ def check_metric_signature(ls, sample, tol=None):
     spec.  The residual counts misclassified points, so any nonzero value
     fails at the default tolerance 0.
     """
-    tol = DEFAULT_TOLERANCES["metric_signature"] if tol is None else tol
-    points, seed = _points_and_seed(sample)
+    points, seed, tol = _inputs("metric_signature", sample, tol)
     n = ls.m.n
     spec = _require_metric(ls)
     if spec.epsilon == -1:
@@ -315,8 +313,7 @@ def check_metric_signature(ls, sample, tol=None):
 
 def check_closure(ls, sample, tol=None):
     """max over the sample of |d Omega|_inf by forward-mode differentiation."""
-    tol = DEFAULT_TOLERANCES["closure"] if tol is None else tol
-    points, seed = _points_and_seed(sample)
+    points, seed, tol = _inputs("closure", sample, tol)
     omega = Omega_coordinate(ls)
     residuals = _residuals(
         lambda pt: _max_abs(exterior_derivative_2form(omega, pt), 3),
@@ -326,8 +323,7 @@ def check_closure(ls, sample, tol=None):
 
 def check_closure_agreement(ls, sample, tol=None):
     """max over the sample of |d Omega (forward mode) - d Omega (closed form)|."""
-    tol = DEFAULT_TOLERANCES["closure_agreement"] if tol is None else tol
-    points, seed = _points_and_seed(sample)
+    points, seed, tol = _inputs("closure_agreement", sample, tol)
     omega = Omega_coordinate(ls)
     residuals = _residuals(
         lambda pt: _max_abs(exterior_derivative_2form(omega, pt)
@@ -342,8 +338,7 @@ def check_para_kahler(ls, sample, tol=None):
     Passes iff all three sub-checks pass; the report records each
     sub-residual and inherits the witnesses of the worst sub-check.
     """
-    tol = DEFAULT_TOLERANCES["para_kahler"] if tol is None else tol
-    points, seed = _points_and_seed(sample)
+    points, seed, tol = _inputs("para_kahler", sample, tol)
     subs = {
         "compatibility": check_compatibility(ls, points, tol),
         "integrability": check_integrability(ls, points, tol),
@@ -361,10 +356,8 @@ def check_para_kahler(ls, sample, tol=None):
 
 
 def _space_form_adapter(ls, sample, tol):
-    points, seed = _points_and_seed(sample)
-    tol = DEFAULT_TOLERANCES["space_form"] if tol is None else tol
-    base = [pt.q for pt in points]
-    return check_space_form(ls.m, base, tol, seed=seed)
+    points, seed, tol = _inputs("space_form", sample, tol)
+    return check_space_form(ls.m, [pt.q for pt in points], tol, seed=seed)
 
 
 _CHECKS = {

@@ -33,10 +33,9 @@ from paralift import (
 )
 from paralift import ChartDomainError, Omega_coordinate, P_coordinate_function, ad
 from paralift.lifted import G_adapted, Omega_adapted, P_adapted
-from paralift.phase import frame_matrices, gamma0_at, stack_points
+from paralift.phase import frame_matrices, stack_points
 from paralift.spaceform import (
     conformal_factor,
-    inverse_metric_at,
     metric_at,
     space_form_residual,
 )
@@ -85,22 +84,20 @@ def test_batched_kernels_equal_stacked_points(model, n):
     qs, zs = batch.q, batch.z()
 
     rebuilt = make_point(m, batch.q, batch.p)
-    for field in ("q", "p", "t", "g0", "Gamma0"):
+    for field in ("q", "p", "phi", "t", "g0", "Gamma0"):
         assert _same(getattr(rebuilt, field), getattr(batch, field)), field
     for pt in points:
         single = make_point(m, pt.q, pt.p)
-        assert isinstance(single.t, float)
-        for field in ("t", "g0", "Gamma0"):
+        assert isinstance(single.t, float) and isinstance(single.phi, float)
+        for field in ("phi", "t", "g0", "Gamma0"):
             assert _same(getattr(single, field), getattr(pt, field)), field
 
-    for kernel in (conformal_factor, metric_at, inverse_metric_at, christoffel_at,
-                   curvature_at, space_form_residual):
+    for kernel in (conformal_factor, metric_at, christoffel_at, curvature_at,
+                   space_form_residual):
         assert _same(kernel(m, qs), _stacked(lambda q: kernel(m, q), batch.q)), \
             kernel.__name__
     assert _same(energy_density(m, batch.q, batch.p),
                  [energy_density(m, pt.q, pt.p) for pt in points])
-    assert _same(gamma0_at(m, batch.q, batch.p),
-                 _stacked(lambda pt: gamma0_at(m, pt.q, pt.p), points))
     for got, want in zip(frame_matrices(batch.Gamma0),
                          zip(*(frame_matrices(pt.Gamma0) for pt in points))):
         assert _same(got, np.stack(want))

@@ -287,6 +287,98 @@ def test_main_bad_tol_override(tmp_path, capsys):
     assert main(["verify", str(path), "--tol-override", "nope=1"]) == 2
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("sampling", "p_max", math.nan),
+    ("tolerances", "almost_product", math.nan),
+    ("manifold", "chart_radius", math.inf),
+    ("coefficients", "t_max", math.inf),
+    ("manifold", "c", -10 ** 400),  # an integer no float can hold
+], ids=["p_max_nan", "tolerance_nan", "chart_radius_inf", "t_max_inf",
+        "c_huge_integer"])
+def test_non_finite_config_number_exit_2(tmp_path, capsys, section, key, value):
+    # json.loads reads NaN and Infinity; the parser must refuse them before
+    # any check runs (a NaN once reached the report writer and crashed it)
+    doc = small(checks=["almost_product"])
+    doc.setdefault(section, {})[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["verify", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {section}.{key}: must be finite\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,problem", [
+    ("-1", "expected a nonnegative number"),
+    ("nan", "must be finite"),
+    ("inf", "must be finite"),
+    ("1e-x", "expected a number"),
+], ids=["negative", "nan", "inf", "not_a_number"])
+def test_tolerance_rule_is_shared_by_file_and_override(tmp_path, capsys, text,
+                                                       problem):
+    path = tmp_path / "cfg.json"
+    out = tmp_path / "r.json"
+    path.write_text(json.dumps(small(checks=["almost_product"])))
+    argv = ["verify", str(path), "--out", str(out)]
+    assert main(argv + ["--tol-override", f"almost_product={text}"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: --tol-override almost_product: {problem}\n")
+    doc = small(checks=["almost_product"])
+    try:
+        doc["tolerances"] = {"almost_product": float(text)}
+    except ValueError:
+        doc["tolerances"] = {"almost_product": text}
+    path.write_text(json.dumps(doc))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"config error: tolerances.almost_product: {problem}\n")
+    assert not out.exists()
+
+
+def test_boolean_epsilon_exit_2(tmp_path, capsys):
+    # True == 1 in Python, but a JSON boolean is not the number +1
+    doc = small(checks=["almost_product"])
+    doc["coefficients"]["epsilon"] = True
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    assert "coefficients.epsilon: must be -1 or +1" in capsys.readouterr().err
+
+
+def _drop_manifold_defaults(doc):
+    doc["manifold"] = {}
+
+
+@pytest.mark.parametrize("edit,accepted", [
+    (lambda doc: None, True),
+    (lambda doc: doc["coefficients"].update(epsilon=True), False),
+    (lambda doc: doc["coefficients"].update(epsilon=1), True),
+    (_drop_manifold_defaults, True),
+    (lambda doc: doc["manifold"].pop("c"), True),
+    (lambda doc: doc.update(tolerances={"almost_product": 1e-9}), True),
+    (lambda doc: doc.update(tolerances={"nope": 1e-9}), False),
+    (lambda doc: doc.update(tolerances={"closure": -1}), False),
+], ids=["as_is", "epsilon_true", "epsilon_one", "manifold_defaults",
+        "manifold_without_c", "tolerance", "tolerance_unknown_check",
+        "tolerance_negative"])
+def test_parser_and_schema_agree(edit, accepted):
+    import jsonschema
+
+    schema = json.loads(
+        (Path(__file__).resolve().parent.parent / "schemas"
+         / "config.schema.json").read_text())
+    doc = small(checks=["almost_product"])
+    edit(doc)
+    try:
+        parse_config(doc)
+        parsed = True
+    except ConfigError:
+        parsed = False
+    assert parsed is accepted
+    assert jsonschema.Draft202012Validator(schema).is_valid(doc) is accepted
+
+
 def test_presets_subcommand(capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out

@@ -29,7 +29,8 @@ from paralift import (
     sample_points,
     with_metric,
 )
-from paralift.phase import frame_matrices, liouville, spray
+from paralift import ad
+from paralift.phase import frame_matrices, liouville, spray, stack_points
 
 N = StructureKind.NATURAL_DIAGONAL
 
@@ -277,3 +278,33 @@ def test_contract_errors():
     unvalidated = replace(spec, flags=frozenset())
     with pytest.raises(ContractError):
         LiftedStructure(m=m, kind=N, spec=unvalidated)
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_one_conformal_factor_evaluation_per_call(monkeypatch, batch):
+    """Each evaluator derives its chart fields from one evaluation of phi."""
+    from paralift import spaceform
+
+    m = conformal_ball(3, 1.0)
+    ls = rational_structure(m)
+    points = sample_points(m, 3, 11).points
+    pt = stack_points(points) if batch else points[1]
+    calls = []
+    factor = spaceform.conformal_factor
+
+    def counting(*args):
+        calls.append(args)
+        return factor(*args)
+
+    monkeypatch.setattr(spaceform, "conformal_factor", counting)
+    evaluators = {
+        "make_point": lambda: make_point(m, pt.q, pt.p),
+        "P_adapted": lambda: P_adapted(ls, pt),
+        "G_adapted": lambda: G_adapted(ls, pt),
+        "P_coordinate_function": lambda: P_coordinate_function(ls)(ad.seed(pt.z())),
+        "Omega_coordinate": lambda: Omega_coordinate(ls)(ad.seed(pt.z())),
+    }
+    for name, call in evaluators.items():
+        calls.clear()
+        call()
+        assert len(calls) == 1, name

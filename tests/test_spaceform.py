@@ -12,12 +12,12 @@ from paralift import (
     conformal_ball,
     curvature_at,
     flat_space,
-    inverse_metric_at,
+    make_point,
     metric_at,
     perturbed_conformal,
 )
 from paralift.verify import fd_oracle
-from conftest import random_chart_points
+from chart_sampling import random_chart_points
 
 ALL_MODELS = [
     flat_space(3),
@@ -52,7 +52,8 @@ def test_flat_metric_is_identity_anywhere():
 def test_conformal_ball_identity_at_origin():
     m = conformal_ball(3, 1.0)
     assert np.allclose(metric_at(m, np.zeros(3)), np.eye(3))
-    assert np.allclose(inverse_metric_at(m, np.zeros(3)), np.eye(3))
+    assert np.allclose(np.linalg.inv(metric_at(m, np.zeros(3))), np.eye(3))
+    assert make_point(m, np.zeros(3), np.ones(3)).phi == 1.0
 
 
 def test_chart_domain_error_at_singularity():
@@ -88,9 +89,12 @@ def test_inverse_metric_against_direct_inversion(rng):
     for m in ALL_MODELS:
         for x in random_chart_points(rng, m, 5):
             g = metric_at(m, x)
-            gi = inverse_metric_at(m, x)
-            assert np.max(np.abs(gi - np.linalg.inv(g))) < 1e-13
-            assert np.max(np.abs(gi @ g - np.eye(m.n))) < 1e-12
+            p = np.linspace(-1.0, 1.5, m.n)
+            pt = make_point(m, x, p)
+            gi = np.linalg.inv(g)
+            assert np.array_equal(g, pt.phi * np.eye(m.n))
+            assert np.max(np.abs(pt.g0 - gi @ p)) < 1e-13
+            assert abs(pt.t - 0.5 * p @ gi @ p) < 1e-13
             assert np.array_equal(g, g.T)
 
 
@@ -118,7 +122,7 @@ def test_christoffel_against_fd_oracle(rng):
     x = np.array([0.3, 0.1])
     gam = christoffel_at(m, x)
     dg = fd_oracle(lambda y: metric_at(m, y), x)  # dg[j, l, i] = d_i g_jl
-    gi = inverse_metric_at(m, x)
+    gi = np.linalg.inv(metric_at(m, x))
     oracle = np.zeros_like(gam)
     for k in range(2):
         for i in range(2):

@@ -36,7 +36,7 @@ from paralift import (
     with_metric,
 )
 from paralift import P_coordinate_function, Omega_coordinate, ad
-from paralift.phase import gamma0_at
+from paralift.phase import chart_point
 from paralift.report import make_report
 
 N = StructureKind.NATURAL_DIAGONAL
@@ -422,7 +422,7 @@ def test_evaluators_return_float_array_jets():
     pt = sample_points(m, 2, 59).points[1]
     qs, zs = ad.seed(pt.q), ad.seed(pt.z())
     outputs = [christoffel_at(m, qs), curvature_at(m, qs),
-               gamma0_at(m, qs, pt.p), energy_density(m, qs, pt.p),
+               chart_point(m, qs, pt.p).Gamma0, energy_density(m, qs, pt.p),
                P_coordinate_function(ls)(zs), Omega_coordinate(ls)(zs)]
     for out in outputs:
         assert isinstance(out, ad.Jet)
