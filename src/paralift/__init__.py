@@ -56,7 +56,6 @@ from .spaceform import (
     conformal_ball,
     curvature_at,
     flat_space,
-    metric_at,
     perturbed_conformal,
 )
 from .verify import (

@@ -33,7 +33,6 @@ __all__ = [
     "partials",
     "strip",
     "jacobian",
-    "derivative",
     "exp",
     "einsum",
     "matmul",
@@ -133,31 +132,8 @@ class Jet:
         inv = 1.0 / (self.val * self.val)
         return Jet(other / self.val, -_seed_axis(other * inv) * self.grad)
 
-    def __pow__(self, power):
-        if isinstance(power, Jet):
-            raise TypeError("jet exponents are not supported")
-        if power == 0:
-            return Jet(self.val ** 0, 0.0 * self.grad)
-        return Jet(self.val ** power,
-                   _seed_axis(power * self.val ** (power - 1)) * self.grad)
-
     def __neg__(self):
         return Jet(-self.val, -self.grad)
-
-    # Comparisons act on the underlying value, which is what domain and
-    # positivity guards need while evaluating on Jets.
-
-    def __lt__(self, other):
-        return strip(self) < strip(other)
-
-    def __le__(self, other):
-        return strip(self) <= strip(other)
-
-    def __gt__(self, other):
-        return strip(self) > strip(other)
-
-    def __ge__(self, other):
-        return strip(self) >= strip(other)
 
     def __repr__(self):
         return f"Jet({self.val!r}, {self.grad!r})"
@@ -215,16 +191,6 @@ def jacobian(f, x):
     m = x.shape[-1]
     out = f(seed(x))
     return strip(out), np.asarray(partials(out, m), dtype=float)
-
-
-def derivative(f, t):
-    """First derivative of the scalar function ``f`` at ``t``, elementwise.
-
-    ``t`` may be an array of points, and may itself be a Jet, in which case
-    the result carries the outer derivatives of the (inner) derivative.
-    """
-    out = f(Jet(t, np.ones(np.shape(t) + (1,))))
-    return out.grad[..., 0] if _depth(out) > _depth(t) else 0.0 * t
 
 
 def exp(x):

@@ -1,9 +1,10 @@
 """Scalar coefficient families of the energy density and their derivation rules.
 
 All lifted structures here are governed by smooth functions of the energy
-density t.  A :class:`ScalarFamily` packages one such function; its exact
-first derivative comes from forward-mode differentiation of the same
-expression, so families stay closed under the arithmetic needed to express
+density t.  A :class:`ScalarFamily` is a small expression tree over nine
+nodes: constant, t, +, -, *, /, negation, exp and polynomial.  Its
+derivative d/dt is a rewrite of the tree in closed form, closed under the
+same nodes, so families stay closed under the arithmetic needed to express
 
   * the product completion: a2 = 1/a1 and (a1 + 2t b1)(a2 + 2t b2) = 1,
   * the integrability rule: b1 = (a1 a1' + c) / (a1 - 2t a1'),
@@ -12,15 +13,17 @@ expression, so families stay closed under the arithmetic needed to express
     (c1 + 2t d1)/(a1 + 2t b1) = eps (c2 + 2t d2)/(a2 + 2t b2) = lambda + 2t mu,
   * the closure rule mu = lambda'.
 
-Families built from the presets below have closed-form values everywhere and
-evaluate on Jets, so structure components built from them remain
-differentiable in all phase-space variables.
+A family evaluates its tree on a plain t.  On a phase-space Jet t it takes
+one chain-rule step, c(t(z)) -> (c(t), c'(t) dt), with c and c' from one
+evaluation on a one-seed jet of the plain t; the phase seeds never enter
+the tree, and structure components stay differentiable in all of them.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
-from typing import Callable
+from functools import cached_property, partialmethod
 
 import numpy as np
 
@@ -52,98 +55,131 @@ VANISHING_TOL = 1e-8
 # Halvings of a grid cell that bracket a minimum of |f|: 2/63 / 2**40 ~ 3e-14.
 _BISECTIONS = 40
 
+# The inner nodes: operation on their children's values, and print format.
+_INNER = {"+": (operator.add, "({} + {})"), "-": (operator.sub, "({} - {})"),
+          "*": (operator.mul, "({})*({})"), "/": (operator.truediv, "({})/({})"),
+          "neg": (operator.neg, "-({})")}
+
+
+def _node(left, op, right, reflected=False):
+    """The family ``left op right``, or ``right op left`` if reflected."""
+    if isinstance(right, (int, float)):
+        right = constant(right)
+    if not isinstance(right, ScalarFamily):
+        return NotImplemented
+    return ScalarFamily(op, (right, left) if reflected else (left, right))
+
 
 @dataclass(frozen=True)
 class ScalarFamily:
-    """A smooth function of the energy density with an exact first derivative."""
+    """A smooth function of the energy density, as an expression tree.
 
-    fn: Callable
-    description: str = ""
+    ``op`` names the node.  The leaves "const", "t", "exp" and "poly" hold
+    numbers in ``args``: the value; nothing; amplitude and rate; coefficients
+    lowest degree first.  The inner nodes "+", "-", "*", "/" and "neg" hold
+    their child families.
+    """
+
+    op: str
+    args: tuple = ()
 
     def __call__(self, t):
-        return self.fn(t)
+        """f(t); on a phase Jet t, the chain-rule Jet (f(t0), f'(t0) dt)."""
+        if not isinstance(t, ad.Jet):
+            return self._eval(t)
+        f, slope = _value_and_slope(self, t.val)
+        return ad.Jet(f, slope[..., None] * t.grad)
 
-    def deriv(self, t):
-        """First derivative at t, by forward-mode differentiation of ``fn``."""
-        return ad.derivative(self.fn, t)
+    def _eval(self, t):
+        """The tree on t, node by node; t may be a jet of one seed."""
+        op, a = self.op, self.args
+        if op in _INNER:
+            return _INNER[op][0](*(f._eval(t) for f in a))
+        if op == "exp":
+            return a[0] * ad.exp(a[1] * t)
+        if op == "t":
+            return t
+        acc = a[-1] + 0.0 * t  # "const" and "poly", by Horner's rule
+        for c in reversed(a[:-1]):
+            acc = acc * t + c
+        return acc
 
     def derivative(self):
-        """The derivative as a family of its own (again exactly differentiable)."""
-        return ScalarFamily(self.deriv, f"d/dt[{self.description}]")
+        """d/dt as a family of its own, rewritten in closed form once."""
+        return self._derivative
+
+    @cached_property
+    def _derivative(self):
+        # Terms multiplied by, or added to, the exact constant 0 are dropped
+        # here only, so value trees keep every node and evaluation order.
+        op, a = self.op, self.args
+        if op == "exp":
+            return exponential(a[0] * a[1], a[1])
+        if op == "t":
+            return constant(1.0)
+        if op not in _INNER:  # "const" and "poly"
+            return polynomial([k * c for k, c in enumerate(a)][1:] or [0.0])
+        d = [f.derivative() for f in a]
+        if op == "neg":
+            return _minus(_ZERO, d[0])
+        if op == "+":
+            return _plus(*d)
+        if op == "-":
+            return _minus(*d)
+        if op == "*":
+            return _plus(_times(d[0], a[1]), _times(a[0], d[1]))
+        numerator = _minus(_times(d[0], a[1]), _times(a[0], d[1]))
+        return _ZERO if _is_zero(numerator) else numerator / (a[1] * a[1])
+
+    @property
+    def description(self):
+        """The tree printed as a formula in t."""
+        op, a = self.op, self.args
+        if op in _INNER:
+            return _INNER[op][1].format(*(f.description for f in a))
+        if op == "exp":
+            return f"{a[0]:g} exp({a[1]:g} t)"
+        terms = (f"{c:g}" + (f" t^{k}" if k else "") for k, c in enumerate(a))
+        return "t" if op == "t" else " + ".join(terms)
 
     # Families form an algebra; numbers coerce to constant families.
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return ScalarFamily(lambda t: self.fn(t) + other.fn(t),
-                            f"({self.description} + {other.description})")
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return ScalarFamily(lambda t: self.fn(t) - other.fn(t),
-                            f"({self.description} - {other.description})")
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return ScalarFamily(lambda t: self.fn(t) * other.fn(t),
-                            f"({self.description})*({other.description})")
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return ScalarFamily(lambda t: self.fn(t) / other.fn(t),
-                            f"({self.description})/({other.description})")
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
+    __add__ = __radd__ = partialmethod(_node, "+")
+    __sub__ = partialmethod(_node, "-")
+    __rsub__ = partialmethod(_node, "-", reflected=True)
+    __mul__ = __rmul__ = partialmethod(_node, "*")
+    __truediv__ = partialmethod(_node, "/")
+    __rtruediv__ = partialmethod(_node, "/", reflected=True)
 
     def __neg__(self):
-        return ScalarFamily(lambda t: -self.fn(t), f"-({self.description})")
+        return ScalarFamily("neg", (self,))
 
 
-def _coerce(x):
-    if isinstance(x, ScalarFamily):
-        return x
-    if isinstance(x, (int, float)):
-        return constant(float(x))
-    return None
+def _is_zero(f):
+    return f.op == "const" and f.args[0] == 0.0
+
+
+def _plus(f, g):
+    return g if _is_zero(f) else f if _is_zero(g) else f + g
+
+
+def _minus(f, g):
+    return f if _is_zero(g) else -g if _is_zero(f) else f - g
+
+
+def _times(f, g):
+    return _ZERO if _is_zero(f) or _is_zero(g) else f * g
 
 
 def constant(value):
-    value = float(value)
-    return ScalarFamily(lambda t: value + 0.0 * t, f"{value:g}")
+    return ScalarFamily("const", (float(value),))
 
 
 def affine(intercept, slope):
-    intercept, slope = float(intercept), float(slope)
-    return ScalarFamily(lambda t: intercept + slope * t,
-                        f"{intercept:g} + {slope:g} t")
+    return polynomial([intercept, slope])
 
 
 def exponential(amplitude=1.0, rate=1.0):
-    amplitude, rate = float(amplitude), float(rate)
-    return ScalarFamily(lambda t: amplitude * ad.exp(rate * t),
-                        f"{amplitude:g} exp({rate:g} t)")
+    return ScalarFamily("exp", (float(amplitude), float(rate)))
 
 
 def polynomial(coeffs):
@@ -151,18 +187,12 @@ def polynomial(coeffs):
     coeffs = tuple(float(c) for c in coeffs)
     if not coeffs:
         raise ValueError("polynomial needs at least one coefficient")
-
-    def fn(t):
-        acc = coeffs[-1] + 0.0 * t
-        for c in reversed(coeffs[:-1]):
-            acc = acc * t + c
-        return acc
-
-    return ScalarFamily(fn, "poly" + repr(list(coeffs)))
+    return constant(coeffs[0]) if len(coeffs) == 1 else ScalarFamily("poly", coeffs)
 
 
-# Handy symbol for building expressions in t.
-_t = ScalarFamily(lambda t: t, "t")
+# Handy symbols for building expressions in t.
+_t = ScalarFamily("t")
+_ZERO = constant(0.0)
 
 SCALAR_PRESETS = {
     "constant": (constant, ("value",)),
@@ -233,10 +263,9 @@ def validation_grid(t_max):
 
 
 def _value_and_slope(fam, t):
-    """(f(t), f'(t)) on an array of points, in one jet evaluation."""
-    out = fam(ad.Jet(t, np.ones(t.shape + (1,))))
-    return (np.broadcast_to(ad.val(out), t.shape),
-            ad.partials(out, 1)[..., 0] + np.zeros(t.shape))
+    """(f(t), f'(t)) on plain points t, from one evaluation on a one-seed jet."""
+    out = fam._eval(ad.Jet(t, np.ones(np.shape(t) + (1,))))
+    return out.val, out.grad[..., 0]
 
 
 def _sampled_values(fam, t_max):

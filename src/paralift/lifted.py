@@ -159,14 +159,23 @@ def P_coordinate_function(ls):
     return fn
 
 
+def _g_matrix(ls, pt):
+    """Adapted-frame matrix of G at the plain chart point ``pt``."""
+    s = _require_metric(ls)
+    g1, g2 = _blocks(ls, pt, (s.c1, s.d1, s.c2, s.d2), slack=False)
+    zero = np.zeros((ls.m.n, ls.m.n))
+    return ad.block([[g1, zero], [zero, g2]])
+
+
 def G_adapted(ls, pt):
     """Adapted-frame matrix of G at ``pt``; symmetric block diagonal."""
-    s = _require_metric(ls)
+    return _g_matrix(ls, chart_point(ls.m, pt.q, pt.p))
+
+
+def _adapted_pg(ls, pt):
+    """(P_adapted, G_adapted) at ``pt``, both read from one chart point."""
     here = chart_point(ls.m, pt.q, pt.p)  # a point of another chart raises
-    g1, g2 = _blocks(ls, here, (s.c1, s.d1, s.c2, s.d2), slack=False)
-    n = ls.m.n
-    zero = np.zeros((n, n))
-    return ad.block([[g1, zero], [zero, g2]])
+    return _p_matrix(ls, here, slack=False), _g_matrix(ls, here)
 
 
 def Omega_adapted(ls, pt):
@@ -175,7 +184,8 @@ def Omega_adapted(ls, pt):
     The diagonal blocks vanish and the mixed block is lambda I + mu p (x) g0.
     """
     _require_para_hermitian(ls)
-    return G_adapted(ls, pt) @ P_adapted(ls, pt)
+    pmat, gmat = _adapted_pg(ls, pt)
+    return gmat @ pmat
 
 
 def Omega_coordinate(ls):

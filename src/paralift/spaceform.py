@@ -34,7 +34,6 @@ __all__ = [
     "perturbed_conformal",
     "conformal_factor",
     "conformal_fields",
-    "metric_at",
     "christoffel_at",
     "curvature_at",
     "space_form_residual",
@@ -131,11 +130,6 @@ def _require_in_chart(m, x, r2):
             f"conformal denominator not positive at |x|^2 = {r2v[i]:.6g}"
         )
     raise ChartDomainError("perturbation factor not positive")
-
-
-def metric_at(m, x):
-    """Metric components g_ij(x), a symmetric positive definite matrix."""
-    return conformal_factor(m, x)[..., None, None] * np.eye(m.n)
 
 
 def conformal_fields(m, x):

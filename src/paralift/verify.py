@@ -27,6 +27,7 @@ from .lifted import (
     Omega_coordinate,
     P_adapted,
     P_coordinate_function,
+    _adapted_pg,
     _require_metric,
     _require_para_hermitian,
 )
@@ -212,7 +213,7 @@ def analytic_dOmega(ls, pt):
     spec = _require_para_hermitian(ls)
     n = ls.m.n
     t = pt.t
-    factor = 0.5 * (np.asarray(spec.mu(t)) - spec.lam.deriv(t))
+    factor = 0.5 * (np.asarray(spec.mu(t)) - spec.lam.derivative()(t))
     g0 = pt.g0  # p_k g^{kh} = g0[..., h]
     eye = np.eye(n)
     # w[..., n + h, n + j, i] of Dp_h Dp_j dq^i
@@ -267,8 +268,7 @@ def check_compatibility(ls, sample, tol=None):
     eps = float(_require_metric(ls).epsilon)
 
     def residual(pt):
-        pmat = P_adapted(ls, pt)
-        gmat = G_adapted(ls, pt)
+        pmat, gmat = _adapted_pg(ls, pt)
         return _max_abs(np.swapaxes(pmat, -1, -2) @ gmat @ pmat - eps * gmat, 2)
 
     residuals = _residuals(residual, points, ls.m.n)

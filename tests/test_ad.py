@@ -1,15 +1,15 @@
 """Forward-mode jets against finite differences and closed forms."""
 
 import numpy as np
-import pytest
 
 from paralift import ad
 from paralift.verify import fd_oracle
 
 
 def f_scalar(x):
-    # mixes every arithmetic path: add, sub, mul, div, pow, rsub, rtruediv
-    return (x[0] * x[1] - x[2]) / (1.0 + x[0] ** 2) + 2.0 / (3.0 - x[1]) + ad.exp(0.3 * x[2])
+    # mixes every arithmetic path: add, sub, mul, div, rsub, rtruediv
+    return ((x[0] * x[1] - x[2]) / (1.0 + x[0] * x[0]) + 2.0 / (3.0 - x[1])
+            + ad.exp(0.3 * x[2]))
 
 
 def test_jacobian_matches_finite_differences(rng):
@@ -23,7 +23,7 @@ def test_jacobian_matches_finite_differences(rng):
 
 def test_array_valued_jacobian(rng):
     def g(z):
-        entries = [[z[0] * z[1], z[1] ** 3], [ad.exp(z[0]), 1.0 / z[1]]]
+        entries = [[z[0] * z[1], z[1] * z[1] * z[1]], [ad.exp(z[0]), 1.0 / z[1]]]
         return ad.block([[e[None, None] for e in row] for row in entries])
 
     x = np.array([0.4, 1.3])
@@ -33,14 +33,19 @@ def test_array_valued_jacobian(rng):
     assert np.allclose(jac, fd, rtol=1e-6, atol=1e-9)
 
 
-def test_nested_jets_give_second_derivatives():
-    # d/dt of (t -> d/dt t^3) is 6t
-    def cube_prime(t):
-        return ad.derivative(lambda s: s * s * s, t)
+def _nested(t0):
+    """t0 seeded twice: the inner jet's value, with one seed at each level."""
+    return ad.Jet(ad.Jet(t0, np.ones(1)), np.ones(1))
 
+
+def test_nested_jets_give_second_derivatives():
+    # t^3 on a twice-seeded t: the inner gradient of the outer one is 6t
     for t0 in (0.0, 0.5, 2.0):
-        second = ad.derivative(cube_prime, t0)
-        assert np.isclose(ad.strip(second), 6.0 * t0, rtol=1e-13, atol=1e-13)
+        t = _nested(t0)
+        cube = t * t * t
+        assert np.isclose(ad.strip(cube.grad[..., 0]), 3.0 * t0 * t0, rtol=1e-13)
+        second = cube.grad.grad[..., 0, 0]
+        assert np.isclose(second, 6.0 * t0, rtol=1e-13, atol=1e-13)
 
 
 def test_nested_einsum_gives_hessian():
@@ -62,33 +67,14 @@ def test_nested_einsum_gives_hessian():
 
 
 def test_exp_nests():
-    def ep(t):
-        return ad.derivative(ad.exp, t)
-
-    second = ad.derivative(ep, 0.7)
-    assert np.isclose(ad.strip(second), np.exp(0.7), rtol=1e-13)
+    second = ad.exp(_nested(0.7)).grad.grad[..., 0, 0]
+    assert np.isclose(second, np.exp(0.7), rtol=1e-13)
 
 
-def test_pow_and_neg():
+def test_neg():
     x = ad.Jet(2.0, np.array([1.0]))
-    y = x ** 3
-    assert y.val == 8.0 and y.grad[0] == 12.0
     z = -x
     assert z.val == -2.0 and z.grad[0] == -1.0
-    one = x ** 0
-    assert one.val == 1.0 and one.grad[0] == 0.0
-
-
-def test_jet_exponent_rejected():
-    x = ad.Jet(2.0, np.array([1.0]))
-    with pytest.raises(TypeError):
-        x ** x
-
-
-def test_comparisons_use_values():
-    x = ad.Jet(2.0, np.array([5.0]))
-    assert x > 1.0 and x >= 2.0 and x < 3.0 and x <= 2.0
-    assert x > ad.Jet(1.5, np.array([100.0]))
 
 
 def test_seed_strip_partials():
@@ -109,7 +95,3 @@ def test_array_scalar_mixing():
     assert isinstance(arr, ad.Jet)
     assert np.array_equal(arr.val, 2.0 * np.eye(2))
     assert np.array_equal(arr.grad, np.eye(2)[..., None])
-
-
-def test_derivative_of_constant_function():
-    assert ad.derivative(lambda t: 4.0, 1.0) == 0.0

@@ -19,7 +19,9 @@ from paralift import (
     rational_spec,
     with_metric,
 )
+from paralift import ad
 from paralift.coefficients import ScalarFamily, validation_grid
+from paralift.verify import fd_oracle
 
 TGRID = np.linspace(0.0, 2.0, 50)
 
@@ -36,7 +38,7 @@ def fd_deriv(fam, t, h=1e-6):
 ])
 def test_preset_derivatives_match_finite_differences(fam):
     for t in np.linspace(0.05, 2.0, 20):
-        ad_d = fam.deriv(t)
+        ad_d = fam.derivative()(t)
         fd_d = fd_deriv(fam, t)
         assert abs(ad_d - fd_d) < 1e-6 * max(1.0, abs(ad_d))
 
@@ -44,7 +46,8 @@ def test_preset_derivatives_match_finite_differences(fam):
 def test_family_algebra_derivatives():
     f = (affine(1.0, 2.0) * exponential()) / (1.0 + polynomial([0.0, 0.0, 1.0]))
     for t in np.linspace(0.1, 1.5, 10):
-        assert abs(f.deriv(t) - fd_deriv(f, t)) < 1e-6 * max(1.0, abs(f.deriv(t)))
+        d = f.derivative()(t)
+        assert abs(d - fd_deriv(f, t)) < 1e-6 * max(1.0, abs(d))
 
 
 def test_complete_identity_coefficients():
@@ -214,7 +217,7 @@ def test_para_kahler_mu_presets():
     mu = para_kahler_mu(exponential())
     for t in np.linspace(0.1, 1.5, 20):
         assert abs(float(mu(t)) - np.exp(t)) < 1e-12
-        assert abs(float(mu.deriv(t)) - fd_deriv(mu, t)) < 1e-6 * np.exp(t)
+        assert abs(float(mu.derivative()(t)) - fd_deriv(mu, t)) < 1e-6 * np.exp(t)
 
 
 def test_with_metric_flags():
@@ -239,3 +242,68 @@ def test_scalar_family_description_strings():
     f = affine(1.0, 2.0) * constant(3.0)
     assert isinstance(f, ScalarFamily)
     assert "*" in f.description
+
+
+def test_node_derivatives_in_closed_form():
+    t = TGRID
+    assert np.array_equal(polynomial([1.0, -2.0, 0.5, 0.25]).derivative()(t),
+                          polynomial([-2.0, 1.0, 0.75])(t))
+    assert np.array_equal(exponential(2.0, 0.7).derivative()(t),
+                          exponential(2.0 * 0.7, 0.7)(t))
+    assert np.array_equal(affine(1.0, -0.4).derivative()(t), np.full(t.shape, -0.4))
+    x = polynomial([0.0, 1.0])
+    f, g = exponential(2.0, 0.7), affine(1.0, -0.4)
+    rules = {
+        "x": (x, 1.0),
+        "f + g": (f + g, f.derivative()(t) + g.derivative()(t)),
+        "f - g": (f - g, f.derivative()(t) - g.derivative()(t)),
+        "f * g": (f * g, f.derivative()(t) * g(t) + f(t) * g.derivative()(t)),
+        "f / g": (f / g, (f.derivative()(t) * g(t) - f(t) * g.derivative()(t))
+                  / (g(t) * g(t))),
+        "-f": (-f, -f.derivative()(t)),
+    }
+    for name, (fam, expected) in rules.items():
+        assert np.allclose(fam.derivative()(t), expected, rtol=1e-15, atol=0), name
+
+
+def test_constant_derivative_is_zero():
+    assert constant(4.0).derivative()(1.0) == 0.0
+    assert np.array_equal(constant(4.0).derivative()(TGRID), np.zeros(TGRID.shape))
+
+
+def test_derivative_rewrite_drops_exact_zeros_only():
+    # d/dt of 1/a1 for constant a1 collapses to the constant 0; values keep
+    # every node, so (a1 * 0) still evaluates through a1
+    a1 = constant(2.0)
+    assert (1.0 / a1).derivative() == constant(0.0)
+    value = a1 * (1.0 / a1).derivative()
+    assert value.op == "*" and np.array_equal(value(TGRID), np.zeros(TGRID.shape))
+
+
+@pytest.mark.parametrize("a1", [exponential(1.5, 0.3), affine(1.0, 0.25)])
+def test_composite_derivatives_match_finite_differences(a1):
+    spec = with_metric(integrable_spec(a1, curvature=1.0, t_max=1.0),
+                       affine(1.0, 1.0))
+    ts = np.linspace(0.05, 0.95, 7)
+    families = {name: getattr(spec, name) for name in
+                ("b1", "a2", "b2", "c1", "d1", "c2", "d2", "mu")}
+    families["b1'"] = spec.b1.derivative()  # reaches a1'' through the rule
+    for name, fam in families.items():
+        fd = np.diagonal(fd_oracle(fam, ts, step=1e-5))
+        exact = fam.derivative()(ts)
+        assert np.allclose(exact, fd, rtol=1e-6, atol=1e-9), name
+
+
+def test_phase_jet_takes_one_chain_rule_step(rng):
+    # t on a 16-seed phase jet (n = 8): the family is a depth-1 jet whose
+    # value is the plain evaluation and whose gradient is f'(t0) dt
+    spec = with_metric(integrable_spec(constant(1.0), curvature=1.0),
+                       affine(1.0, 1.0))
+    t0 = rng.uniform(0.0, 2.0, size=(3,))
+    dt = rng.standard_normal((3, 16))
+    for fam in (spec.b1, spec.d2):
+        out = fam(ad.Jet(t0, dt))
+        assert isinstance(out, ad.Jet) and out.depth == 1
+        assert np.array_equal(out.val, fam(t0))
+        assert np.allclose(out.grad, fam.derivative()(t0)[:, None] * dt,
+                           rtol=1e-13, atol=1e-15)

@@ -280,15 +280,11 @@ def test_contract_errors():
         LiftedStructure(m=m, kind=N, spec=unvalidated)
 
 
-@pytest.mark.parametrize("batch", [False, True])
-def test_one_conformal_factor_evaluation_per_call(monkeypatch, batch):
-    """Each evaluator derives its chart fields from one evaluation of phi."""
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """The arguments of every conformal_factor evaluation from here on."""
     from paralift import spaceform
 
-    m = conformal_ball(3, 1.0)
-    ls = rational_structure(m)
-    points = sample_points(m, 3, 11).points
-    pt = stack_points(points) if batch else points[1]
     calls = []
     factor = spaceform.conformal_factor
 
@@ -297,14 +293,35 @@ def test_one_conformal_factor_evaluation_per_call(monkeypatch, batch):
         return factor(*args)
 
     monkeypatch.setattr(spaceform, "conformal_factor", counting)
+    return calls
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_one_conformal_factor_evaluation_per_call(factor_calls, batch):
+    """Each evaluator derives its chart fields from one evaluation of phi."""
+    m = conformal_ball(3, 1.0)
+    ls = rational_structure(m)
+    points = sample_points(m, 3, 11).points
+    pt = stack_points(points) if batch else points[1]
     evaluators = {
         "make_point": lambda: make_point(m, pt.q, pt.p),
         "P_adapted": lambda: P_adapted(ls, pt),
         "G_adapted": lambda: G_adapted(ls, pt),
+        "Omega_adapted": lambda: Omega_adapted(ls, pt),
         "P_coordinate_function": lambda: P_coordinate_function(ls)(ad.seed(pt.z())),
         "Omega_coordinate": lambda: Omega_coordinate(ls)(ad.seed(pt.z())),
     }
     for name, call in evaluators.items():
-        calls.clear()
+        factor_calls.clear()
         call()
-        assert len(calls) == 1, name
+        assert len(factor_calls) == 1, name
+
+
+def test_compatibility_reads_one_chart_point_per_block(factor_calls):
+    """P and G of a block share one chart point: 3 blocks of 2 points at n = 8."""
+    m = conformal_ball(8, 1.0)
+    ls = rational_structure(m)
+    sample = sample_points(m, 6, 11)
+    factor_calls.clear()
+    assert check_compatibility(ls, sample).passed
+    assert len(factor_calls) == 3

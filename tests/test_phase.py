@@ -9,9 +9,9 @@ from paralift import (
     energy_density,
     flat_space,
     make_point,
-    metric_at,
 )
 from paralift.phase import frame_matrices, liouville, spray
+from dense_metric import metric_at
 
 
 def test_zero_covector_gives_zero_energy():

@@ -13,11 +13,11 @@ from paralift import (
     curvature_at,
     flat_space,
     make_point,
-    metric_at,
     perturbed_conformal,
 )
 from paralift.verify import fd_oracle
 from chart_sampling import random_chart_points
+from dense_metric import metric_at
 
 ALL_MODELS = [
     flat_space(3),

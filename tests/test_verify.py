@@ -287,7 +287,7 @@ def wedge_loop_dOmega(ls, pt):
     perms = (((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
              ((0, 2, 1), -1.0), ((2, 1, 0), -1.0), ((1, 0, 2), -1.0))
     n = ls.m.n
-    factor = 0.5 * (float(ls.spec.mu(pt.t)) - float(ls.spec.lam.deriv(pt.t)))
+    factor = 0.5 * (float(ls.spec.mu(pt.t)) - float(ls.spec.lam.derivative()(pt.t)))
     mixed = np.zeros((2 * n, 2 * n, 2 * n))
     for h in range(n):
         for j in range(n):
