@@ -24,6 +24,8 @@ bit.  :func:`map_blocks` bounds the batch size by :data:`BLOCK_ELEMENTS`.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -44,10 +46,10 @@ __all__ = [
     "BLOCK_ELEMENTS",
 ]
 
-# Size of one block of points, counted in (2n)^3 per point of an
-# n-dimensional base: the size of a phase-space jacobian of P.  A block's
-# jet intermediates peak at about nine float64 values per counted element,
-# so at about 0.6 MB here: 2 points per block at n = 8, 37 at n = 3.
+# Size of one block of points, in footprint elements per point: (2n)^3 for a
+# phase-space jacobian over an n-dimensional base, (2n)^2 for a matrix.  A
+# block's intermediates peak at about nine float64 values per element, so at
+# about 0.6 MB: a jacobian check holds 2 points at n = 8, 37 at n = 3.
 BLOCK_ELEMENTS = 1 << 13
 
 
@@ -210,17 +212,22 @@ def einsum(subscripts, a, b):
     da, db = _depth(a), _depth(b)
     if da == db == 0:
         return np.einsum(subscripts, a, b)
-    inputs, out = subscripts.split("->")
-    sa, sb = inputs.split(",")
-    s = next(c for c in "zyxwvutsrqponmlkjihgfedcba" if c not in subscripts)
-    left = f"{sa}{s},{sb}->{out}{s}"   # seed axis on a
-    right = f"{sa},{sb}{s}->{out}{s}"  # seed axis on b
+    left, right = _seeded(subscripts)
     if da == db:
         return Jet(einsum(subscripts, a.val, b.val),
                    einsum(left, a.grad, b.val) + einsum(right, a.val, b.grad))
     if da > db:
         return Jet(einsum(subscripts, a.val, b), einsum(left, a.grad, b))
     return Jet(einsum(subscripts, a, b.val), einsum(right, a, b.grad))
+
+
+@functools.cache
+def _seeded(subscripts):
+    """Subscripts with the seed axis on a, and on b, under a free letter."""
+    inputs, out = subscripts.split("->")
+    sa, sb = inputs.split(",")
+    s = next(c for c in "zyxwvutsrqponmlkjihgfedcba" if c not in subscripts)
+    return f"{sa}{s},{sb}->{out}{s}", f"{sa},{sb}{s}->{out}{s}"
 
 
 def matmul(a, b):
@@ -284,14 +291,14 @@ def _concatenate(parts, axis):
     return Jet(_concatenate(vals, axis), _concatenate(grads, axis - 1))
 
 
-def map_blocks(fn, points, n):
+def map_blocks(fn, points, footprint):
     """``fn`` over consecutive blocks of ``points``, results concatenated.
 
-    ``points`` lie over an n-dimensional base, and ``fn`` maps a block of
-    them to one value per point.  A block holds as many points as
-    :data:`BLOCK_ELEMENTS` allows, at least one.  The result does not depend
-    on the block size, since batch slices never mix.
+    ``fn`` maps a block of points to one value (or row) per point, and its
+    largest intermediate holds ``footprint`` elements per point.  A block
+    holds as many points as :data:`BLOCK_ELEMENTS` allows, at least one.  The
+    result does not depend on the block size, since batch slices never mix.
     """
-    size = max(1, BLOCK_ELEMENTS // (2 * n) ** 3)
+    size = max(1, BLOCK_ELEMENTS // footprint)
     parts = [fn(points[i:i + size]) for i in range(0, len(points), size)]
     return np.concatenate(parts) if parts else np.zeros(0)

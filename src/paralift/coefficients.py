@@ -13,10 +13,13 @@ same nodes, so families stay closed under the arithmetic needed to express
     (c1 + 2t d1)/(a1 + 2t b1) = eps (c2 + 2t d2)/(a2 + 2t b2) = lambda + 2t mu,
   * the closure rule mu = lambda'.
 
-A family evaluates its tree on a plain t.  On a phase-space Jet t it takes
-one chain-rule step, c(t(z)) -> (c(t), c'(t) dt), with c and c' from one
-evaluation on a one-seed jet of the plain t; the phase seeds never enter
-the tree, and structure components stay differentiable in all of them.
+A :class:`Program` compiles a tuple of families once into a flat list of
+their unique nodes, children first, so a subtree that several families share
+(b1 inside d1 and d2) is computed once per pass.  It runs on a plain t, or on
+(value, slope) arrays that repeat a one-seed jet's operations in order, so f
+and f' are bitwise those of forward mode (Griewank & Walther, *Evaluating
+Derivatives*, ch. 3).  A phase-space Jet t then takes one chain-rule step,
+c(t(z)) -> (c(t), c'(t) dt): the phase seeds never enter the tree.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .errors import DegenerateCoefficient
 
 __all__ = [
     "ScalarFamily",
+    "Program",
     "StructureSpec",
     "constant",
     "affine",
@@ -55,10 +59,16 @@ VANISHING_TOL = 1e-8
 # Halvings of a grid cell that bracket a minimum of |f|: 2/63 / 2**40 ~ 3e-14.
 _BISECTIONS = 40
 
-# The inner nodes: operation on their children's values, and print format.
-_INNER = {"+": (operator.add, "({} + {})"), "-": (operator.sub, "({} - {})"),
-          "*": (operator.mul, "({})*({})"), "/": (operator.truediv, "({})/({})"),
-          "neg": (operator.neg, "-({})")}
+# The inner nodes: value of the children's values, slope of their (value,
+# slope) pairs in the operation order of a one-seed ad.Jet, print format.
+_INNER = {
+    "+": (operator.add, lambda f, g: f[1] + g[1], "({} + {})"),
+    "-": (operator.sub, lambda f, g: f[1] - g[1], "({} - {})"),
+    "*": (operator.mul, lambda f, g: f[0] * g[1] + g[0] * f[1], "({})*({})"),
+    "/": (operator.truediv, lambda f, g: (f[1] * g[0] - f[0] * g[1])
+          * (1.0 / (g[0] * g[0])), "({})/({})"),
+    "neg": (operator.neg, lambda f: -f[1], "-({})"),
+}
 
 
 def _node(left, op, right, reflected=False):
@@ -85,24 +95,12 @@ class ScalarFamily:
 
     def __call__(self, t):
         """f(t); on a phase Jet t, the chain-rule Jet (f(t0), f'(t0) dt)."""
-        if not isinstance(t, ad.Jet):
-            return self._eval(t)
-        f, slope = _value_and_slope(self, t.val)
-        return ad.Jet(f, slope[..., None] * t.grad)
+        return self.program(t)[0]
 
-    def _eval(self, t):
-        """The tree on t, node by node; t may be a jet of one seed."""
-        op, a = self.op, self.args
-        if op in _INNER:
-            return _INNER[op][0](*(f._eval(t) for f in a))
-        if op == "exp":
-            return a[0] * ad.exp(a[1] * t)
-        if op == "t":
-            return t
-        acc = a[-1] + 0.0 * t  # "const" and "poly", by Horner's rule
-        for c in reversed(a[:-1]):
-            acc = acc * t + c
-        return acc
+    @cached_property
+    def program(self):
+        """This family alone, compiled once."""
+        return Program((self,))
 
     def derivative(self):
         """d/dt as a family of its own, rewritten in closed form once."""
@@ -136,7 +134,7 @@ class ScalarFamily:
         """The tree printed as a formula in t."""
         op, a = self.op, self.args
         if op in _INNER:
-            return _INNER[op][1].format(*(f.description for f in a))
+            return _INNER[op][2].format(*(f.description for f in a))
         if op == "exp":
             return f"{a[0]:g} exp({a[1]:g} t)"
         terms = (f"{c:g}" + (f" t^{k}" if k else "") for k, c in enumerate(a))
@@ -168,6 +166,62 @@ def _minus(f, g):
 
 def _times(f, g):
     return _ZERO if _is_zero(f) or _is_zero(g) else f * g
+
+
+class Program:
+    """Families compiled into steps (op, args): the leaf numbers, or the
+    numbers of the children's earlier steps.  A node equal in op and args to
+    an earlier one (a shared subtree, say) computes the same bits: one step."""
+
+    def __init__(self, families):
+        self.steps, index = [], {}
+
+        def visit(f):
+            args = tuple(map(visit, f.args)) if f.op in _INNER else f.args
+            key = (f.op, repr(args))  # repr tells -0.0 from 0.0
+            if key not in index:
+                index[key] = len(self.steps)
+                self.steps.append((f.op, args))
+            return index[key]
+
+        self.outputs = tuple(map(visit, families))
+
+    def __call__(self, t):
+        """The families at t; on a phase Jet t, the Jets (f(t0), f'(t0) dt)."""
+        if not isinstance(t, ad.Jet):
+            return tuple(f for f, _ in self._run(t, None))
+        return tuple(ad.Jet(f, s[..., None] * t.grad)
+                     for f, s in self.values_and_slopes(t.val))
+
+    def values_and_slopes(self, t):
+        """(f(t), f'(t)) of each family at a plain t."""
+        return self._run(t, np.ones(np.shape(t)))
+
+    def _run(self, t, dt):
+        """(value, slope) of each output; slopes None unless dt is given.
+
+        A slope repeats the operations of a one-seed jet in their order,
+        the seed axis dropped, so both parts are bitwise the jet's.
+        """
+        out, slope = [], dt is not None
+        zero, dzero = 0.0 * t, dt * 0.0 if slope else None
+        for op, a in self.steps:
+            if op in _INNER:
+                kids = [out[i] for i in a]
+                out.append((_INNER[op][0](*(k[0] for k in kids)),
+                            _INNER[op][1](*kids) if slope else None))
+            elif op == "t":
+                out.append((t, dt))
+            elif op == "exp":
+                e = ad.exp(a[1] * t)
+                out.append((a[0] * e, (e * (dt * a[1])) * a[0] if slope else None))
+            else:  # "const" and "poly", by Horner's rule from 0 t and 0 dt
+                x, ds = a[-1] + zero, dzero
+                for c in reversed(a[:-1]):
+                    ds = x * dt + t * ds if slope else None
+                    x = x * t + c
+                out.append((x, ds))
+        return [out[i] for i in self.outputs]
 
 
 def constant(value):
@@ -220,6 +274,10 @@ def rational_family(alpha, beta, u):
     return a1, b1, a2, b2
 
 
+_PROGRAMS = {"P": "a1 b1 a2 b2", "G": "c1 d1 c2 d2",
+             "PG": "a1 b1 a2 b2 c1 d1 c2 d2", "form": "lam mu"}
+
+
 @dataclass(frozen=True)
 class StructureSpec:
     """Coefficient bundle for one lifted structure.
@@ -257,15 +315,19 @@ class StructureSpec:
     def is_para_hermitian(self):
         return self.epsilon == -1 and "compatible" in self.flags
 
+    def program(self, name):
+        """The :class:`Program` of the family tuple ``name``, compiled once:
+        "P" is a1, b1, a2, b2; "G" c1, d1, c2, d2; "PG" the eight; "form"
+        lam, mu."""
+        programs = self.__dict__.setdefault("_programs", {})  # beside the fields
+        if name not in programs:
+            programs[name] = Program([getattr(self, f)
+                                      for f in _PROGRAMS[name].split()])
+        return programs[name]
+
 
 def validation_grid(t_max):
     return np.linspace(0.0, float(t_max), GRID_SIZE)
-
-
-def _value_and_slope(fam, t):
-    """(f(t), f'(t)) on plain points t, from one evaluation on a one-seed jet."""
-    out = fam._eval(ad.Jet(t, np.ones(np.shape(t) + (1,))))
-    return out.val, out.grad[..., 0]
 
 
 def _sampled_values(fam, t_max):
@@ -275,19 +337,20 @@ def _sampled_values(fam, t_max):
     such bracket between grid points is refined by bisection.  Overflow and
     0/0 are silent here: the guards name a non-finite value themselves.
     """
+    pair = fam.program.values_and_slopes  # [(f(t), f'(t))]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         grid = validation_grid(t_max)
-        f, fp = _value_and_slope(fam, grid)
+        f, fp = pair(grid)[0]
         slope = f * fp  # d|f|/dt has the sign of f f'
         left = np.flatnonzero((slope[:-1] < 0.0) & (slope[1:] > 0.0))
         lo, hi = grid[left], grid[left + 1]
         for _ in range(_BISECTIONS if left.size else 0):
             mid = 0.5 * (lo + hi)
-            falling = np.prod(_value_and_slope(fam, mid), axis=0) < 0.0
+            falling = np.prod(pair(mid)[0], axis=0) < 0.0
             lo, hi = np.where(falling, mid, lo), np.where(falling, hi, mid)
         minima = 0.5 * (lo + hi)
         return (np.concatenate([grid, minima]),
-                np.concatenate([f, _value_and_slope(fam, minima)[0]]))
+                np.concatenate([f, fam(minima)]))
 
 
 def _require_finite(ts, values, what):

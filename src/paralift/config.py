@@ -310,6 +310,11 @@ def _parse_scalar(raw, path, problems):
     return {"preset": preset, "params": dict(params)}
 
 
+# Integer fields of "sampling" as (default, minimum), for --seed and
+# --samples too.
+_SAMPLING_INTS = {"count": (100, 1), "seed": (0, 0)}
+
+
 def _parse_sampling(section, problems):
     out = {"count": 100, "seed": 0, "p_max": 2.0}
     if section is None:
@@ -317,10 +322,9 @@ def _parse_sampling(section, problems):
     if not isinstance(section, dict):
         problems.append("sampling: expected an object")
         return out
-    out["count"] = _int_field(section, "count", "sampling.count", problems,
-                              default=100, minimum=1)
-    out["seed"] = _int_field(section, "seed", "sampling.seed", problems,
-                             default=0, minimum=0)
+    for key, (default, minimum) in _SAMPLING_INTS.items():
+        out[key] = _int_field(section, key, f"sampling.{key}", problems,
+                              default=default, minimum=minimum)
     out["p_max"] = _num_field(section, "p_max", "sampling.p_max", problems,
                               default=2.0, positive=True)
     extra = set(section) - {"count", "seed", "p_max"}
@@ -472,12 +476,17 @@ def build_structure(config, m=None):
 
 def apply_overrides(config, *, seed=None, samples=None, tolerances=None,
                     output=None):
-    """CLI flags override the corresponding config fields."""
+    """CLI flags override the corresponding config fields, by their rules."""
     sampling = dict(config.sampling)
-    if seed is not None:
-        sampling["seed"] = seed
-    if samples is not None:
-        sampling["count"] = samples
+    problems = []
+    for flag, key, value in (("--seed", "seed", seed),
+                             ("--samples", "count", samples)):
+        if value is not None:
+            default, minimum = _SAMPLING_INTS[key]
+            sampling[key] = _int_field({key: value}, key, flag, problems,
+                                       default=default, minimum=minimum)
+    if problems:
+        raise ConfigError(problems)
     tols = dict(config.tolerances)
     if tolerances:
         tols.update(tolerances)

@@ -12,13 +12,20 @@ Index layout follows the axis convention of :mod:`paralift.phase`
 
 P1 maps horizontal to vertical slots and sits in the lower-left block; P2
 maps vertical to horizontal and sits in the upper-right block.  The blocks
-read one :func:`paralift.phase.chart_point`, with g = phi I, g^-1 = (1/phi) I.
+read one chart point (:mod:`paralift.phase`), with g = phi I.
 
-Coordinate-frame components come from conjugating with the frame matrices,
-and the evaluators accept a Jet z = (q, p), so every entry stays
-differentiable in all 2n phase-space variables.  Points and z may carry
-leading batch axes (see :mod:`paralift.ad`); coefficients are then evaluated
-on the array of energy densities at once.
+Coordinate components substitute delta_i = d/dq^i + Gamma0_ih d/dp_h once,
+on the n x n blocks.  For adapted P = [[A, B2], [C, D]] (A = D = 0 but for
+Cruceanu P) and the mixed block M = lambda I + mu p (x) g0 of Omega,
+
+    P = [[A - B2 Gamma0, B2], [Gamma0 A + C - (Gamma0 B2 + D) Gamma0,
+                               Gamma0 B2 + D]],
+    Omega = [[Gamma0 M^T - M Gamma0, M], [-M^T, 0]],
+
+that is B P_adapted B^-1 and Binv^T Omega_adapted Binv.  The evaluators
+accept a Jet z = (q, p), so entries stay differentiable in all 2n phase
+variables, and leading batch axes (see :mod:`paralift.ad`): a block's
+coefficients are one :class:`paralift.coefficients.Program` pass.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import numpy as np
 from . import ad
 from .coefficients import StructureSpec
 from .errors import ContractError, RangeError
-from .phase import chart_point, frame_matrices
+from .phase import chart_point, metric_point
 from .spaceform import SpaceForm
 
 __all__ = [
@@ -103,11 +110,16 @@ def _metrics(pt):
     return _scalar(pt.phi) * eye, _scalar(1.0 / pt.phi) * eye
 
 
-def _blocks(ls, pt, coeffs, *, slack):
-    """(k1 g + l1 p(x)p, k2 g^-1 + l2 g0(x)g0) for coeffs = (k1, l1, k2, l2)."""
+def _coefficients(ls, pt, name, *, slack):
+    """The spec's family tuple ``name`` at pt.t, range-checked first."""
     _check_range(ls, pt.t, slack=slack)
+    return ls.spec.program(name)(pt.t)
+
+
+def _blocks(pt, k1, l1, k2, l2):
+    """(k1 g + l1 p(x)p, k2 g^-1 + l2 g0(x)g0), one coefficient value per point."""
     g, ginv = _metrics(pt)
-    k1, l1, k2, l2 = (_scalar(c(pt.t)) for c in coeffs)
+    k1, l1, k2, l2 = (_scalar(c) for c in (k1, l1, k2, l2))
     return (k1 * g + l1 * ad.outer(pt.p, pt.p),
             k2 * ginv + l2 * ad.outer(pt.g0, pt.g0))
 
@@ -126,56 +138,72 @@ def _require_para_hermitian(ls):
     return spec
 
 
-def _p_matrix(ls, pt, *, slack):
-    """Adapted-frame matrix of P at the plain or Jet chart point ``pt``."""
+def _p_blocks(ls, pt, coeffs=None, *, slack=False):
+    """(P1, P2) of an antidiagonal kind; the natural diagonal one reads
+    coeffs = (a1, b1, a2, b2), from the spec when not given."""
+    if ls.kind is StructureKind.CRUCEANU_Q:
+        return _metrics(pt)
+    return _blocks(pt, *(coeffs or _coefficients(ls, pt, "P", slack=slack)))
+
+
+def _p_matrix(ls, pt, coeffs=None):
+    """Adapted-frame matrix of P at the plain chart point ``pt``."""
     n = ls.m.n
     if ls.kind is StructureKind.CRUCEANU_P:
         return np.broadcast_to(np.diag([-1.0] * n + [1.0] * n),
                                np.shape(pt.q)[:-1] + (2 * n, 2 * n))
-    if ls.kind is StructureKind.CRUCEANU_Q:
-        p1, p2 = _metrics(pt)
-    else:
-        s = ls.spec
-        p1, p2 = _blocks(ls, pt, (s.a1, s.b1, s.a2, s.b2), slack=slack)
+    p1, p2 = _p_blocks(ls, pt, coeffs)
     zero = np.zeros((n, n))
     return ad.block([[zero, p2], [p1, zero]])
 
 
 def P_adapted(ls, pt):
     """Adapted-frame matrix of P at ``pt``; block antidiagonal (see module doc)."""
-    return _p_matrix(ls, chart_point(ls.m, pt.q, pt.p), slack=False)
+    return _p_matrix(ls, metric_point(ls.m, pt.q, pt.p))
+
+
+def _p_coordinate(ls, pt):
+    """Coordinate-frame P at the chart point ``pt`` (plain or Jet), blockwise."""
+    n, gamma0 = ls.m.n, pt.Gamma0
+    eye, zero = np.eye(n), np.zeros((n, n))
+    if ls.kind is StructureKind.CRUCEANU_P:  # A = -I, D = I, B2 = C = 0
+        return ad.block([[-eye, zero], [-gamma0 - gamma0, eye]])
+    c, b2 = _p_blocks(ls, pt, slack=True)
+    gb2 = ad.matmul(gamma0, b2)
+    return ad.block([[-ad.matmul(b2, gamma0), b2],
+                     [c - ad.matmul(gb2, gamma0), gb2]])
 
 
 def P_coordinate_function(ls):
     """P in the coordinate frame as a function of z = (q, p), Jet-evaluable."""
     n = ls.m.n
-
-    def fn(z):
-        pt = chart_point(ls.m, z[..., :n], z[..., n:])
-        p_ad = _p_matrix(ls, pt, slack=True)
-        b, binv = frame_matrices(pt.Gamma0)
-        return ad.matmul(ad.matmul(b, p_ad), binv)
-
-    return fn
+    return lambda z: _p_coordinate(ls, chart_point(ls.m, z[..., :n], z[..., n:]))
 
 
-def _g_matrix(ls, pt):
-    """Adapted-frame matrix of G at the plain chart point ``pt``."""
-    s = _require_metric(ls)
-    g1, g2 = _blocks(ls, pt, (s.c1, s.d1, s.c2, s.d2), slack=False)
-    zero = np.zeros((ls.m.n, ls.m.n))
+def _g_blocks(ls, pt, coeffs=None):
+    """(G1, G2) at the plain chart point ``pt``, from coeffs = (c1, d1, c2,
+    d2) or the spec."""
+    return _blocks(pt, *(coeffs or _coefficients(ls, pt, "G", slack=False)))
+
+
+def _diagonal(g1, g2):
+    zero = np.zeros(np.shape(g1)[-2:])
     return ad.block([[g1, zero], [zero, g2]])
 
 
 def G_adapted(ls, pt):
     """Adapted-frame matrix of G at ``pt``; symmetric block diagonal."""
-    return _g_matrix(ls, chart_point(ls.m, pt.q, pt.p))
+    _require_metric(ls)
+    return _diagonal(*_g_blocks(ls, metric_point(ls.m, pt.q, pt.p)))
 
 
 def _adapted_pg(ls, pt):
-    """(P_adapted, G_adapted) at ``pt``, both read from one chart point."""
-    here = chart_point(ls.m, pt.q, pt.p)  # a point of another chart raises
-    return _p_matrix(ls, here, slack=False), _g_matrix(ls, here)
+    """(P_adapted, G_adapted) at ``pt``: one chart point, one program of eight."""
+    _require_metric(ls)
+    here = metric_point(ls.m, pt.q, pt.p)  # a point of another chart raises
+    coeffs = _coefficients(ls, here, "PG", slack=False)
+    return (_p_matrix(ls, here, coeffs[:4]),
+            _diagonal(*_g_blocks(ls, here, coeffs[4:])))
 
 
 def Omega_adapted(ls, pt):
@@ -188,6 +216,16 @@ def Omega_adapted(ls, pt):
     return gmat @ pmat
 
 
+def _omega_coordinate(ls, pt):
+    """Coordinate-frame Omega at the chart point ``pt`` (plain or Jet)."""
+    n = ls.m.n
+    lam, mu = _coefficients(ls, pt, "form", slack=True)
+    mixed = _scalar(lam) * np.eye(n) + _scalar(mu) * ad.outer(pt.p, pt.g0)
+    mixed_t = ad.transpose(mixed, (1, 0))
+    qq = ad.matmul(pt.Gamma0, mixed_t) - ad.matmul(mixed, pt.Gamma0)
+    return ad.block([[qq, mixed], [-mixed_t, np.zeros((n, n))]])
+
+
 def Omega_coordinate(ls):
     """Omega in the coordinate frame as a function of z = (q, p), Jet-evaluable.
 
@@ -195,18 +233,7 @@ def Omega_coordinate(ls):
     expression Omega = (lambda delta_i^j + mu p_i g^{0j}) dq^i ^ Dp_j, which
     yields the blocks [[Gamma0 M^T - M Gamma0, M], [-M^T, 0]].
     """
-    spec = _require_para_hermitian(ls)
+    _require_para_hermitian(ls)
     n = ls.m.n
-
-    def fn(z):
-        pt = chart_point(ls.m, z[..., :n], z[..., n:])
-        _check_range(ls, pt.t, slack=True)
-        mixed = (_scalar(spec.lam(pt.t)) * np.eye(n)
-                 + _scalar(spec.mu(pt.t)) * ad.outer(pt.p, pt.g0))
-        mixed_t = ad.transpose(mixed, (1, 0))
-        qq = ad.matmul(pt.Gamma0, mixed_t) - ad.matmul(mixed, pt.Gamma0)
-        zero = np.zeros((n, n))
-        return ad.block([[qq, mixed], [-mixed_t, zero]])
-
-    return fn
-
+    return lambda z: _omega_coordinate(ls, chart_point(ls.m, z[..., :n],
+                                                       z[..., n:]))

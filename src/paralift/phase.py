@@ -32,6 +32,7 @@ from .spaceform import conformal_factor, conformal_fields
 __all__ = [
     "CotangentPoint",
     "chart_point",
+    "metric_point",
     "make_point",
     "stack_points",
     "unstack_point",
@@ -74,9 +75,19 @@ _FIELDS = tuple(f.name for f in fields(CotangentPoint))
 def chart_point(m, q, p):
     """Unvalidated, unfrozen point at plain or Jet (q, p), from one seeded phi."""
     phi, gamma = conformal_fields(m, q)
+    return _point(q, p, phi, ad.einsum("...k,...kih->...ih", p, gamma))
+
+
+def metric_point(m, q, p):
+    """:func:`chart_point` but for Gamma0 (None), from one unseeded phi:
+    bitwise its other fields, all that adapted-frame blocks read."""
+    return _point(q, p, conformal_factor(m, q), None)
+
+
+def _point(q, p, phi, gamma0):
     g0 = (1.0 / phi)[..., None] * p
     return CotangentPoint(q=q, p=p, phi=phi, t=0.5 * ad.vecdot(p, g0), g0=g0,
-                          Gamma0=ad.einsum("...k,...kih->...ih", p, gamma))
+                          Gamma0=gamma0)
 
 
 def make_point(m, q, p):
@@ -114,13 +125,9 @@ def unstack_point(batch):
 
 
 def energy_density(m, q, p):
-    """(1/2) g^{ik}(q) p_i p_k, evaluable on Jets in all 2n variables.
-
-    One unseeded evaluation of phi, no matrix; on plain coordinates it rounds
-    exactly as the t of :func:`make_point`.
-    """
-    g0 = (1.0 / conformal_factor(m, q))[..., None] * p
-    return 0.5 * ad.vecdot(p, g0)
+    """(1/2) g^{ik}(q) p_i p_k, evaluable on Jets in all 2n variables; on
+    plain coordinates it rounds exactly as the t of :func:`make_point`."""
+    return metric_point(m, q, p).t
 
 
 def frame_matrices(gamma0):

@@ -193,6 +193,6 @@ def check_space_form(m, sample, tol=1e-9, *, seed=None):
     if not points:
         raise ValueError("sample must be nonempty")
     residuals = ad.map_blocks(lambda qs: space_form_residual(m, np.stack(qs)),
-                              points, m.n)
+                              points, (2 * m.n) ** 3)
     return make_report("space_form", residuals, points, tol, seed=seed)
 

@@ -23,19 +23,23 @@ import numpy as np
 
 from . import ad
 from .lifted import (
-    G_adapted,
     Omega_coordinate,
     P_adapted,
     P_coordinate_function,
     _adapted_pg,
+    _g_blocks,
+    _omega_coordinate,
+    _p_coordinate,
     _require_metric,
     _require_para_hermitian,
 )
 from .phase import (
     CotangentPoint,
+    chart_point,
     energy_density,
     frame_matrices,
     make_point,
+    metric_point,
     stack_points,
     unstack_point,
 )
@@ -132,14 +136,20 @@ def _ball(rng, n, radius):
 def _inputs(name, sample, tol):
     """(points, seed, tolerance) of check ``name``; tol None takes the default."""
     tol = DEFAULT_TOLERANCES[name] if tol is None else tol
-    if isinstance(sample, PhaseSample):
-        return list(sample.points), sample.seed, tol
-    return list(sample), None, tol
+    sampled = isinstance(sample, PhaseSample)
+    points = list(sample.points if sampled else sample)
+    if not points:  # a check over no points proves nothing
+        raise ValueError("sample must be nonempty")
+    return points, sample.seed if sampled else None, tol
 
 
-def _residuals(fn, points, n):
-    """``fn`` of the stacked points, block by block: one residual per point."""
-    return ad.map_blocks(lambda block: fn(stack_points(block)), points, n)
+def _residuals(fn, points, footprint):
+    """``fn`` of the stacked points, block by block: one residual per point.
+
+    ``footprint``: (2n)^2 for the matrix checks, (2n)^3 for jacobian checks.
+    """
+    return ad.map_blocks(lambda block: fn(stack_points(block)), points,
+                         footprint)
 
 
 def _max_abs(a, core):
@@ -171,17 +181,25 @@ def nijenhuis_at(ls, pt):
     N^c_ab = P^d_a d_d P^c_b - P^d_b d_d P^c_a
              - P^c_d (d_a P^d_b - d_b P^d_a),
 
-    with every partial taken by forward mode in all 2n variables.  The
-    result is antisymmetric in (a, b) exactly.
+    with every partial taken by forward mode in all 2n variables.  The four
+    terms come from two stacked products, M = dP P and K = P dP (see
+    :func:`_nijenhuis`).  The result is antisymmetric in (a, b) exactly.
     """
-    fn = P_coordinate_function(ls)
-    pmat, dp = ad.jacobian(fn, pt.z())  # dp[..., c, b, a] = d_a P^c_b
-    t1 = np.einsum("...da,...cbd->...cab", pmat, dp)
-    t2 = np.einsum("...db,...cad->...cab", pmat, dp)
-    t3 = np.einsum("...cd,...dba->...cab", pmat, dp)
-    t4 = np.einsum("...cd,...dab->...cab", pmat, dp)
-    # grouped so that swapping (a, b) negates each parenthesis bitwise
-    return (t1 - t2) - (t3 - t4)
+    return _nijenhuis(*ad.jacobian(P_coordinate_function(ls), pt.z()))
+
+
+def _nijenhuis(pmat, dp):
+    """N from P and dp[..., c, b, a] = d_a P^c_b by two matrix products.
+
+    M[c, b, a] = dp[c, b, d] P[d, a] and K[c, b, a] = P[c, d] dp[d, b, a]
+    give N = (M^T - M) - (K^T - K), transposing (a, b); swapping (a, b)
+    negates each parenthesis bitwise.
+    """
+    k, lead = pmat.shape[-1], pmat.shape[:-2]
+    m = (dp.reshape(lead + (k * k, k)) @ pmat).reshape(dp.shape)
+    kk = (pmat @ dp.reshape(lead + (k, k * k))).reshape(dp.shape)
+    return ((np.swapaxes(m, -1, -2) - m)
+            - (np.swapaxes(kk, -1, -2) - kk))
 
 
 def exterior_derivative_2form(omega, pt):
@@ -191,7 +209,11 @@ def exterior_derivative_2form(omega, pt):
     Jet-evaluable near ``pt``; the result is fully antisymmetric.
     """
     z = pt.z() if isinstance(pt, CotangentPoint) else np.asarray(pt, float)
-    _, jac = ad.jacobian(omega, z)  # jac[..., b, c, a] = d_a omega_bc
+    return _d2form(ad.jacobian(omega, z)[1])
+
+
+def _d2form(jac):
+    """d omega from its jacobian jac[..., b, c, a] = d_a omega_bc."""
     return (ad.transpose(jac, (2, 0, 1))
             + ad.transpose(jac, (1, 2, 0))
             + jac)
@@ -244,15 +266,11 @@ def check_almost_product(ls, sample, tol=None):
         pmat = P_adapted(ls, pt)
         return _max_abs(pmat @ pmat - eye, 2)
 
-    residuals = _residuals(residual, points, ls.m.n)
+    residuals = _residuals(residual, points, (2 * ls.m.n) ** 2)
     return make_report("almost_product", residuals, points, tol, seed=seed)
 
 
-def check_integrability(ls, sample, tol=None):
-    """max over the sample of |N_P|_inf in coordinate components."""
-    points, seed, tol = _inputs("integrability", sample, tol)
-    residuals = _residuals(lambda pt: _max_abs(nijenhuis_at(ls, pt), 3),
-                           points, ls.m.n)
+def _integrability_report(ls, residuals, points, tol, seed=None):
     notes = ()
     if ls.m.n == 2:
         notes = ("base dimension 2 is outside the guaranteed range (n > 2) "
@@ -260,6 +278,14 @@ def check_integrability(ls, sample, tol=None):
                  "informational",)
     return make_report("integrability", residuals, points, tol, seed=seed,
                        notes=notes)
+
+
+def check_integrability(ls, sample, tol=None):
+    """max over the sample of |N_P|_inf in coordinate components."""
+    points, seed, tol = _inputs("integrability", sample, tol)
+    residuals = _residuals(lambda pt: _max_abs(nijenhuis_at(ls, pt), 3),
+                           points, (2 * ls.m.n) ** 3)
+    return _integrability_report(ls, residuals, points, tol, seed)
 
 
 def check_compatibility(ls, sample, tol=None):
@@ -271,7 +297,7 @@ def check_compatibility(ls, sample, tol=None):
         pmat, gmat = _adapted_pg(ls, pt)
         return _max_abs(np.swapaxes(pmat, -1, -2) @ gmat @ pmat - eps * gmat, 2)
 
-    residuals = _residuals(residual, points, ls.m.n)
+    residuals = _residuals(residual, points, (2 * ls.m.n) ** 2)
     return make_report("compatibility", residuals, points, tol, seed=seed)
 
 
@@ -279,8 +305,9 @@ def check_metric_signature(ls, sample, tol=None):
     """Eigenvalue-sign census of G_adapted against the expected signature.
 
     Expected: (n, n) for eps = -1 (neutral), (2n, 0) for a positive eps = +1
-    spec.  The residual counts misclassified points, so any nonzero value
-    fails at the default tolerance 0.
+    spec.  G is block diagonal, so its eigenvalues are those of its two
+    n x n blocks.  The residual counts misclassified points, so any nonzero
+    value fails at the default tolerance 0.
     """
     points, seed, tol = _inputs("metric_signature", sample, tol)
     n = ls.m.n
@@ -293,14 +320,15 @@ def check_metric_signature(ls, sample, tol=None):
         expected = None
 
     def residual(pt):
-        eigs = np.linalg.eigvalsh(G_adapted(ls, pt))
+        blocks = _g_blocks(ls, metric_point(ls.m, pt.q, pt.p))
+        eigs = np.concatenate([np.linalg.eigvalsh(g) for g in blocks], axis=-1)
         if expected is None:
             return np.zeros(eigs.shape[:-1])
         pos = np.sum(eigs > _EIGENVALUE_TOL, axis=-1)
         neg = np.sum(eigs < -_EIGENVALUE_TOL, axis=-1)
         return ((pos != expected[0]) | (neg != expected[1])).astype(float)
 
-    residuals = _residuals(residual, points, n)
+    residuals = _residuals(residual, points, (2 * n) ** 2)
     notes = ()
     if expected is None:
         notes = ("no expected signature for a non-positive eps = +1 spec; "
@@ -317,7 +345,7 @@ def check_closure(ls, sample, tol=None):
     omega = Omega_coordinate(ls)
     residuals = _residuals(
         lambda pt: _max_abs(exterior_derivative_2form(omega, pt), 3),
-        points, ls.m.n)
+        points, (2 * ls.m.n) ** 3)
     return make_report("closure", residuals, points, tol, seed=seed)
 
 
@@ -328,22 +356,37 @@ def check_closure_agreement(ls, sample, tol=None):
     residuals = _residuals(
         lambda pt: _max_abs(exterior_derivative_2form(omega, pt)
                             - analytic_dOmega(ls, pt), 3),
-        points, ls.m.n)
+        points, (2 * ls.m.n) ** 3)
     return make_report("closure_agreement", residuals, points, tol, seed=seed)
+
+
+def _seeded_residuals(ls, pt):
+    """(|N|, |d Omega|) per point from one seeded chart point; bitwise the
+    residuals of check_integrability and check_closure, which seed z twice."""
+    n = ls.m.n
+    z = ad.seed(pt.z())
+    here = chart_point(ls.m, z[..., :n], z[..., n:])
+    pmat = _p_coordinate(ls, here)
+    omega = _omega_coordinate(ls, here)
+    return np.stack([
+        _max_abs(_nijenhuis(ad.strip(pmat), ad.partials(pmat, 2 * n)), 3),
+        _max_abs(_d2form(ad.partials(omega, 2 * n)), 3)], axis=-1)
 
 
 def check_para_kahler(ls, sample, tol=None):
     """Composite check: compatibility, integrability and closure at one tol.
 
     Passes iff all three sub-checks pass; the report records each
-    sub-residual and inherits the witnesses of the worst sub-check.
+    sub-residual and inherits the witnesses of the worst sub-check.  The
+    integrability and closure residuals come from one seeded pass.
     """
     points, seed, tol = _inputs("para_kahler", sample, tol)
-    subs = {
-        "compatibility": check_compatibility(ls, points, tol),
-        "integrability": check_integrability(ls, points, tol),
-        "closure": check_closure(ls, points, tol),
-    }
+    subs = {"compatibility": check_compatibility(ls, points, tol)}
+    _require_para_hermitian(ls)
+    both = _residuals(lambda pt: _seeded_residuals(ls, pt), points,
+                      (2 * ls.m.n) ** 3)
+    subs["integrability"] = _integrability_report(ls, both[:, 0], points, tol)
+    subs["closure"] = make_report("closure", both[:, 1], points, tol)
     worst = max(subs, key=lambda k: subs[k].max_residual)
     details = {f"{name}_residual": rep.max_residual for name, rep in subs.items()}
     report = make_report("para_kahler",

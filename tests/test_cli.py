@@ -435,3 +435,36 @@ def test_apply_overrides_keeps_config_immutable():
     cfg2 = apply_overrides(cfg, seed=99)
     assert cfg.sampling["seed"] == 1
     assert cfg2.sampling["seed"] == 99
+
+
+@pytest.mark.parametrize("flag,value,key,problem", [
+    ("--samples", "0", "count", "must be at least 1"),
+    ("--samples", "-3", "count", "must be at least 1"),
+    ("--seed", "-1", "seed", "must be at least 0"),
+], ids=["samples_zero", "samples_negative", "seed_negative"])
+def test_sampling_rules_are_shared_by_file_and_flags(tmp_path, capsys, flag,
+                                                     value, key, problem):
+    # rational_para_hermitian has no space_form check, which alone used to
+    # refuse an empty sample: --samples 0 passed vacuously
+    preset = (Path(__file__).resolve().parent.parent / "src" / "paralift"
+              / "presets" / "rational_para_hermitian.json")
+    out = tmp_path / "r.json"
+    assert main(["verify", str(preset), "--out", str(out), flag, value]) == 2
+    assert capsys.readouterr().err == f"config error: {flag}: {problem}\n"
+    doc = json.loads(preset.read_text())
+    doc["sampling"][key] = int(value)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: sampling.{key}: {problem}\n")
+    assert not out.exists()
+
+
+def test_apply_overrides_refuses_what_the_file_refuses():
+    cfg = parse_config(small(count=5, seed=1))
+    with pytest.raises(ConfigError) as info:
+        apply_overrides(cfg, seed=-1, samples=0)
+    assert info.value.problems == ["--seed: must be at least 0",
+                                   "--samples: must be at least 1"]
+    assert apply_overrides(cfg, seed=0, samples=1).sampling["count"] == 1

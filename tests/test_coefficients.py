@@ -1,5 +1,7 @@
 """Coefficient families and the four derivation rules, on validation grids."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -307,3 +309,129 @@ def test_phase_jet_takes_one_chain_rule_step(rng):
         assert np.array_equal(out.val, fam(t0))
         assert np.allclose(out.grad, fam.derivative()(t0)[:, None] * dt,
                            rtol=1e-13, atol=1e-15)
+
+
+# ------------------------------------------------------- compiled programs
+
+_REFERENCE_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                  "/": operator.truediv, "neg": operator.neg}
+
+
+def reference_walk(fam, t):
+    """The family's tree on t, node by node; t plain or an ad.Jet.
+
+    The recursive evaluation that the compiled program replaced, kept as its
+    reference: every shared subtree is recomputed, and on a jet every node
+    goes through Jet arithmetic.
+    """
+    op, a = fam.op, fam.args
+    if op in _REFERENCE_OPS:
+        return _REFERENCE_OPS[op](*(reference_walk(f, t) for f in a))
+    if op == "exp":
+        return a[0] * ad.exp(a[1] * t)
+    if op == "t":
+        return t
+    acc = a[-1] + 0.0 * t  # "const" and "poly", by Horner's rule
+    for c in reversed(a[:-1]):
+        acc = acc * t + c
+    return acc
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _preset_specs():
+    import json
+    from pathlib import Path
+
+    from paralift.config import build_structure, parse_config
+
+    presets = Path(__file__).resolve().parent.parent / "src" / "paralift" / "presets"
+    return {path.stem: build_structure(parse_config(json.loads(path.read_text()))).spec
+            for path in sorted(presets.glob("*.json"))}
+
+
+def _program_specs():
+    specs = _preset_specs()
+    specs["integrable exp a1"] = with_metric(
+        integrable_spec(exponential(1.5, 0.3), curvature=1.0, t_max=1.0),
+        affine(1.0, 1.0))
+    specs["polynomial mu"] = with_metric(
+        integrable_spec(constant(1.0), curvature=-1.0, t_max=0.4),
+        affine(1.0, 1.0),
+        polynomial([0.5, -0.25, 0.125]))
+    return specs
+
+
+_NAMES = {"P": ("a1", "b1", "a2", "b2"), "G": ("c1", "d1", "c2", "d2"),
+          "PG": ("a1", "b1", "a2", "b2", "c1", "d1", "c2", "d2"),
+          "form": ("lam", "mu")}
+
+
+@pytest.mark.parametrize("label,spec", list(_program_specs().items()))
+def test_programs_equal_the_reference_walk_bitwise(label, spec, rng):
+    t = np.concatenate([validation_grid(spec.t_max),
+                        rng.uniform(0.0, spec.t_max, 9)])
+    phase = ad.Jet(t, rng.standard_normal(t.shape + (6,)))
+    one_seed = ad.Jet(t, np.ones(t.shape + (1,)))
+    for name, fields in _NAMES.items():
+        if spec.c1 is None and name != "P":
+            continue
+        families = [getattr(spec, f) for f in fields]
+        program = spec.program(name)
+        values, slopes = zip(*program.values_and_slopes(t))
+        jets = program(phase)
+        for fam, value, slope, jet, point in zip(
+                families, program(t), slopes, jets, program(0.75)):
+            where = (label, name, fam.description)
+            ref = reference_walk(fam, one_seed)
+            assert _same_bits(value, reference_walk(fam, t)), where
+            assert _same_bits(point, reference_walk(fam, 0.75)), where
+            assert _same_bits(slope, ref.grad[..., 0]), where
+            assert _same_bits(jet.val, ref.val), where
+            assert _same_bits(jet.grad, ref.grad[..., 0][..., None] * phase.grad), where
+            assert _same_bits(fam(t), value), where
+        assert all(_same_bits(v, f) for v, f in zip(values, program(t)))
+
+
+def test_programs_share_subtrees_once():
+    spec = with_metric(integrable_spec(constant(1.0), curvature=1.0),
+                       affine(1.0, 1.0))
+    program = spec.program("PG")
+    # d1 and d2 hold b1 and b2, b2 holds a2 twice, and equal constants merge
+    assert len(program.steps) < 44
+    assert len(set(map(repr, program.steps))) == len(program.steps)
+    for i, (op, args) in enumerate(program.steps):
+        if op in ("+", "-", "*", "/", "neg"):
+            assert all(j < i for j in args)  # children first
+    assert spec.program("PG") is program
+
+
+def test_spec_compiles_each_program_once(monkeypatch):
+    from paralift import coefficients
+    from paralift.lifted import LiftedStructure, StructureKind
+    from paralift.spaceform import conformal_ball
+    from paralift.verify import CHECK_NAMES, run_check, sample_points
+
+    spec = with_metric(integrable_spec(constant(1.0), curvature=1.0),
+                       affine(1.0, 1.0))
+    m = conformal_ball(3, 1.0)
+    ls = LiftedStructure(m=m, kind=StructureKind.NATURAL_DIAGONAL, spec=spec)
+    sample = sample_points(m, 6, 5)
+    compiled = []
+    init = coefficients.Program.__init__
+
+    def counting(self, families):
+        compiled.append(tuple(families))  # held, so ids stay unique
+        init(self, families)
+
+    monkeypatch.setattr(coefficients.Program, "__init__", counting)
+    for _ in range(2):
+        for name in CHECK_NAMES:
+            run_check(name, ls, sample)
+    keys = [tuple(map(id, families)) for families in compiled]
+    assert len(keys) == len(set(keys))
+    for fields in _NAMES.values():
+        assert tuple(id(getattr(spec, f)) for f in fields) in keys

@@ -31,6 +31,7 @@ from paralift import (
 )
 from paralift import ad
 from paralift.phase import frame_matrices, liouville, spray, stack_points
+from paralift.verify import _seeded_residuals, check_para_kahler
 
 N = StructureKind.NATURAL_DIAGONAL
 
@@ -100,6 +101,20 @@ def test_p_coordinate_equals_adapted_where_connection_vanishes():
     pt0 = make_point(mc, [0.0, 0.0], [0.5, 0.5])
     assert np.allclose(P_coordinate_function(lsc)(pt0.z()), P_adapted(lsc, pt0),
                        atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", list(StructureKind), ids=lambda k: k.value)
+def test_coordinate_p_from_blocks_is_the_conjugation(kind):
+    m = conformal_ball(3, -1.0)
+    ls = (rational_structure(m, with_g=False) if kind is N
+          else LiftedStructure(m=m, kind=kind))
+    points = sample_points(m, 8, 19).points
+    for pt in points + (stack_points(points),):
+        b, binv = frame_matrices(pt.Gamma0)
+        expected = b @ P_adapted(ls, pt) @ binv
+        got = P_coordinate_function(ls)(pt.z())
+        assert np.max(np.abs(got - expected)) <= 1e-13 * max(
+            1.0, np.max(np.abs(expected)))
 
 
 def test_p_coordinate_is_the_conjugation():
@@ -283,7 +298,7 @@ def test_contract_errors():
 @pytest.fixture
 def factor_calls(monkeypatch):
     """The arguments of every conformal_factor evaluation from here on."""
-    from paralift import spaceform
+    from paralift import phase, spaceform
 
     calls = []
     factor = spaceform.conformal_factor
@@ -292,7 +307,8 @@ def factor_calls(monkeypatch):
         calls.append(args)
         return factor(*args)
 
-    monkeypatch.setattr(spaceform, "conformal_factor", counting)
+    for module in (spaceform, phase):  # phase holds its own imported name
+        monkeypatch.setattr(module, "conformal_factor", counting)
     return calls
 
 
@@ -310,6 +326,7 @@ def test_one_conformal_factor_evaluation_per_call(factor_calls, batch):
         "Omega_adapted": lambda: Omega_adapted(ls, pt),
         "P_coordinate_function": lambda: P_coordinate_function(ls)(ad.seed(pt.z())),
         "Omega_coordinate": lambda: Omega_coordinate(ls)(ad.seed(pt.z())),
+        "para_kahler seeded pass": lambda: _seeded_residuals(ls, pt),
     }
     for name, call in evaluators.items():
         factor_calls.clear()
@@ -317,11 +334,22 @@ def test_one_conformal_factor_evaluation_per_call(factor_calls, batch):
         assert len(factor_calls) == 1, name
 
 
-def test_compatibility_reads_one_chart_point_per_block(factor_calls):
+def test_compatibility_reads_one_chart_point_per_block(factor_calls, monkeypatch):
     """P and G of a block share one chart point: 3 blocks of 2 points at n = 8."""
     m = conformal_ball(8, 1.0)
     ls = rational_structure(m)
     sample = sample_points(m, 6, 11)
+    monkeypatch.setattr(ad, "BLOCK_ELEMENTS", 2 * 16 ** 2)  # 2 points of 16 x 16
     factor_calls.clear()
     assert check_compatibility(ls, sample).passed
     assert len(factor_calls) == 3
+
+
+def test_para_kahler_reads_one_chart_point_per_block(factor_calls):
+    """At n = 8, 6 points: one block of compatibility, three seeded blocks."""
+    m = conformal_ball(8, 1.0)
+    ls = rational_structure(m)
+    sample = sample_points(m, 6, 11)
+    factor_calls.clear()
+    check_para_kahler(ls, sample)
+    assert len(factor_calls) == 1 + 3

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from paralift import (
+    ContractError,
     LiftedStructure,
     StructureKind,
     affine,
+    almost_product_spec,
     analytic_dOmega,
     check_almost_product,
     check_closure,
@@ -36,8 +38,15 @@ from paralift import (
     with_metric,
 )
 from paralift import P_coordinate_function, Omega_coordinate, ad
-from paralift.phase import chart_point
+from paralift.lifted import G_adapted, _g_blocks
+from paralift.phase import chart_point, stack_points
 from paralift.report import make_report
+from paralift.verify import (
+    CHECK_NAMES,
+    PhaseSample,
+    _seeded_residuals,
+    run_check,
+)
 
 N = StructureKind.NATURAL_DIAGONAL
 
@@ -131,6 +140,36 @@ def test_nijenhuis_antisymmetry_is_exact():
     assert np.array_equal(nij, -np.transpose(nij, (0, 2, 1)))
 
 
+def four_contraction_nijenhuis(ls, pt):
+    """N by the four contractions of its definition, one einsum each: the
+    reference for the two-product kernel of nijenhuis_at."""
+    pmat, dp = ad.jacobian(P_coordinate_function(ls), pt.z())
+    t1 = np.einsum("...da,...cbd->...cab", pmat, dp)
+    t2 = np.einsum("...db,...cad->...cab", pmat, dp)
+    t3 = np.einsum("...cd,...dba->...cab", pmat, dp)
+    t4 = np.einsum("...cd,...dab->...cab", pmat, dp)
+    return (t1 - t2) - (t3 - t4)
+
+
+@pytest.mark.parametrize("case", ["rational", "integrable", "mismatched",
+                                  "perturbed", "cruceanu_p", "cruceanu_q"])
+def test_nijenhuis_equals_the_four_contractions(case):
+    ball = conformal_ball(4, -1.0)
+    ls = {
+        "rational": lambda: rational_ls(ball, with_g=False),
+        "integrable": lambda: para_kahler_ls(conformal_ball(4, 1.0)),
+        "mismatched": lambda: para_kahler_ls(ball, curvature=1.0),
+        "perturbed": lambda: para_kahler_ls(perturbed_conformal(4, 1.0, 0.1)),
+        "cruceanu_p": lambda: LiftedStructure(m=ball, kind=StructureKind.CRUCEANU_P),
+        "cruceanu_q": lambda: LiftedStructure(m=ball, kind=StructureKind.CRUCEANU_Q),
+    }[case]()
+    points = sample_points(ls.m, 6, 23).points
+    for pt in points + (stack_points(points),):
+        ref = four_contraction_nijenhuis(ls, pt)
+        got = nijenhuis_at(ls, pt)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
 def test_integrability_sufficiency_and_necessity():
     m = conformal_ball(3, 1.0)
     ls = para_kahler_ls(m)
@@ -200,6 +239,23 @@ def test_metric_signature_neutral_and_positive():
 
 
 # ------------------------------------------------------------ d Omega checks
+
+
+@pytest.mark.parametrize("epsilon", [-1, 1])
+def test_block_eigenvalue_census_equals_the_full_matrix(epsilon):
+    m = conformal_ball(3, 1.0)
+    spec = with_metric(rational_spec(1.0, 2.0, polynomial([0.0, 1.0]),
+                                     curvature=1.0, epsilon=epsilon),
+                       affine(1.0, 0.5), constant(0.0))
+    ls = LiftedStructure(m=m, kind=N, spec=spec)
+    batch = stack_points(sample_points(m, 40, 13).points)
+    full = np.linalg.eigvalsh(G_adapted(ls, batch))
+    blocks = np.concatenate([np.linalg.eigvalsh(g) for g in _g_blocks(ls, batch)],
+                            axis=-1)
+    assert np.allclose(np.sort(blocks, axis=-1), full, rtol=1e-13, atol=1e-14)
+    for sign in (1.0, -1.0):
+        assert np.array_equal(np.sum(sign * full > 1e-10, axis=-1),
+                              np.sum(sign * blocks > 1e-10, axis=-1))
 
 
 def test_exterior_derivative_of_constant_form_is_zero():
@@ -334,6 +390,57 @@ def test_para_kahler_fails_only_through_closure_when_mu_is_off():
     assert rep.details["closure_residual"] > 1e-8
     assert rep.details["compatibility_residual"] <= 1e-8
     assert rep.details["integrability_residual"] <= 1e-8
+
+
+@pytest.mark.parametrize("case", ["passes", "mu_off", "mismatched", "n2"])
+def test_para_kahler_sub_residuals_equal_the_standalone_checks(case):
+    if case == "mu_off":
+        m = conformal_ball(3, 1.0)
+        ls = LiftedStructure(m=m, kind=N, spec=with_metric(
+            integrable_spec(constant(1.0), curvature=1.0), affine(1.0, 1.0),
+            constant(0.0)))
+    else:
+        m = conformal_ball(2 if case == "n2" else 4,
+                           -1.0 if case == "mismatched" else 1.0)
+        ls = para_kahler_ls(m, curvature=1.0)
+    sample = sample_points(m, 12, 41)
+    tol = 1e-9
+    rep = check_para_kahler(ls, sample, tol)
+    subs = {"compatibility": check_compatibility,
+            "integrability": check_integrability, "closure": check_closure}
+    for name, check in subs.items():
+        alone = check(ls, sample, tol)
+        assert rep.details[f"{name}_residual"] == alone.max_residual, name
+        if alone.max_residual == rep.max_residual:
+            assert rep.witnesses == alone.witnesses
+    # per point, the seeded pass is bitwise the two derivative residuals
+    batch = stack_points(sample.points)
+    both = _seeded_residuals(ls, batch)
+    omega = Omega_coordinate(ls)
+    assert np.array_equal(both[:, 0], np.max(np.abs(nijenhuis_at(ls, batch)),
+                                             axis=(-3, -2, -1)))
+    assert np.array_equal(both[:, 1], np.max(np.abs(
+        exterior_derivative_2form(omega, batch)), axis=(-3, -2, -1)))
+
+
+def test_para_kahler_needs_a_para_hermitian_spec():
+    # compatibility runs for eps = +1; the 2-form of the seeded pass does not
+    m = conformal_ball(3, 1.0)
+    spec = with_metric(almost_product_spec(constant(1.0), constant(0.0),
+                                           curvature=1.0, epsilon=1),
+                       constant(1.0), constant(0.0))
+    ls = LiftedStructure(m=m, kind=N, spec=spec)
+    assert check_compatibility(ls, sample_points(m, 4, 1)).passed
+    with pytest.raises(ContractError, match="epsilon = -1"):
+        check_para_kahler(ls, sample_points(m, 4, 1))
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_every_check_refuses_an_empty_sample(name):
+    ls = para_kahler_ls(conformal_ball(3, 1.0))
+    for sample in (PhaseSample(points=(), seed=1), []):
+        with pytest.raises(ValueError, match="sample must be nonempty"):
+            run_check(name, ls, sample)
 
 
 def test_para_kahler_constant_lambda_rational_family():
