@@ -2,29 +2,24 @@
 
 A :class:`Jet` holds a value ``val`` of shape S (an ndarray, or a float when
 S is ()) and its first partials ``grad`` of shape S + (m,), the seed axis
-last.  Arithmetic broadcasts like numpy; contractions go through the
-two-operand :func:`einsum`, which applies the product rule.  Derivatives are
-exact up to rounding, with no step size to tune.
-
-``val`` may itself be a Jet one nesting level out: seeding inside a seeded
-computation gives exact mixed second derivatives, as the curvature,
-Nijenhuis and d Omega evaluations need.  Where operands of different depth
-meet, the shallower is a constant of the deeper one's seeds.  One code path
-thus serves plain floats, Jets and the finite-difference cross checks.
+last.  Arithmetic broadcasts like numpy; the stacked products
+:func:`matmul`, :func:`vecdot` and :func:`outer` apply the product rule.
+Derivatives are exact up to rounding, with no step size to tune.  Seeding
+is one level only: a Jet is never seeded again, and a plain operand is a
+constant of the seeds.  One code path thus serves plain floats, Jets and
+the finite-difference cross checks.
 
 Batch convention: every array may carry leading batch axes, one slice per
 point, ahead of its own axes; a value of shape (..., S) has a gradient of
 shape (..., S, m), the seed axis still last.  :func:`seed` seeds along the
 last axis, axis arguments count from the end (``transpose``, ``Jet.sum``),
-contractions use ``...`` subscripts, and the products below act on the
-trailing matrix or vector axes like numpy's stacked ``matmul``.  Batch slices
-never mix, so a batch evaluates to the stack of its points' values, bit for
-bit.  :func:`map_blocks` bounds the batch size by :data:`BLOCK_ELEMENTS`.
+and the products act on the trailing matrix or vector axes like numpy's
+stacked ``matmul``.  Batch slices never mix, so a batch evaluates to the
+stack of its points' values, bit for bit.  :func:`map_blocks` bounds the
+batch size by :data:`BLOCK_ELEMENTS`.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -36,7 +31,6 @@ __all__ = [
     "strip",
     "jacobian",
     "exp",
-    "einsum",
     "matmul",
     "vecdot",
     "outer",
@@ -56,7 +50,7 @@ BLOCK_ELEMENTS = 1 << 13
 class Jet:
     """Array value plus gradient, with one trailing axis per seeded variable."""
 
-    __slots__ = ("val", "grad", "depth")
+    __slots__ = ("val", "grad")
 
     # ndarray operators defer to the jet, so ``array * jet`` is a Jet.
     __array_ufunc__ = None
@@ -64,7 +58,6 @@ class Jet:
     def __init__(self, val, grad):
         self.val = val
         self.grad = grad
-        self.depth = val.depth + 1 if isinstance(val, Jet) else 1
 
     @property
     def shape(self):
@@ -73,21 +66,16 @@ class Jet:
     def __getitem__(self, key):
         key = key if isinstance(key, tuple) else (key,)
         gkey = key + (slice(None),) if Ellipsis in key else key
-        v = self.val if isinstance(self.val, Jet) else np.asarray(self.val)
-        return Jet(v[key], self.grad[gkey])
+        return Jet(np.asarray(self.val)[key], self.grad[gkey])
 
     def sum(self, axis):
         """Sum over one value axis; a negative axis counts from the last."""
         return Jet(self.val.sum(axis), self.grad.sum(axis - 1 if axis < 0 else axis))
 
-    # An operand of lower depth is a constant of this jet's seeds; one of
-    # higher depth takes over the operation through its reflected method.
+    # A plain operand is a constant of this jet's seeds.
 
     def __add__(self, other):
-        d = _depth(other)
-        if d > self.depth:
-            return other.__radd__(self)
-        if d == self.depth:
+        if isinstance(other, Jet):
             return Jet(self.val + other.val, self.grad + other.grad)
         v = self.val + other
         return Jet(v, _fit(self.grad, v, other))
@@ -95,10 +83,7 @@ class Jet:
     __radd__ = __add__
 
     def __sub__(self, other):
-        d = _depth(other)
-        if d > self.depth:
-            return other.__rsub__(self)
-        if d == self.depth:
+        if isinstance(other, Jet):
             return Jet(self.val - other.val, self.grad - other.grad)
         v = self.val - other
         return Jet(v, _fit(self.grad, v, other))
@@ -108,10 +93,7 @@ class Jet:
         return Jet(v, _fit(-self.grad, v, other))
 
     def __mul__(self, other):
-        d = _depth(other)
-        if d > self.depth:
-            return other.__rmul__(self)
-        if d == self.depth:
+        if isinstance(other, Jet):
             return Jet(self.val * other.val,
                        _seed_axis(self.val) * other.grad
                        + _seed_axis(other.val) * self.grad)
@@ -120,10 +102,7 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        d = _depth(other)
-        if d > self.depth:
-            return other.__rtruediv__(self)
-        if d == self.depth:
+        if isinstance(other, Jet):
             inv = 1.0 / (other.val * other.val)
             return Jet(self.val / other.val,
                        (self.grad * _seed_axis(other.val)
@@ -141,10 +120,6 @@ class Jet:
         return f"Jet({self.val!r}, {self.grad!r})"
 
 
-def _depth(x):
-    return x.depth if isinstance(x, Jet) else 0
-
-
 def _seed_axis(c):
     """``c`` with a unit axis appended, to broadcast against a gradient."""
     return c if isinstance(c, (int, float)) else c[..., None]
@@ -156,15 +131,16 @@ def _fit(grad, v, c):
 
 
 def seed(x):
-    """Jet of ``x`` seeded by its last-axis entries; ``x`` may itself be a Jet."""
-    if not isinstance(x, Jet):
-        x = np.asarray(x, dtype=float)
+    """Jet of the plain array ``x`` seeded by its last-axis entries."""
+    if isinstance(x, Jet):
+        raise TypeError("seeding is one level only: a Jet cannot be seeded")
+    x = np.asarray(x, dtype=float)
     m = x.shape[-1]
     return Jet(x, np.broadcast_to(np.eye(m), x.shape + (m,)).copy())
 
 
 def val(x):
-    """Value part, removing one level of seeding."""
+    """Value part of a Jet; a plain value is returned as it is."""
     return x.val if isinstance(x, Jet) else x
 
 
@@ -176,10 +152,8 @@ def partials(x, nvars):
 
 
 def strip(x):
-    """Plain value of a possibly nested jet, as a float ndarray."""
-    while isinstance(x, Jet):
-        x = x.val
-    return np.asarray(x, dtype=float)
+    """Value part of ``x`` as a float ndarray."""
+    return np.asarray(val(x), dtype=float)
 
 
 def jacobian(f, x):
@@ -198,55 +172,44 @@ def jacobian(f, x):
 def exp(x):
     """Exponential that follows Jet arguments (numpy otherwise)."""
     if isinstance(x, Jet):
-        e = exp(x.val)
+        e = np.exp(x.val)
         return Jet(e, _seed_axis(e) * x.grad)
     return np.exp(x)
 
 
-def einsum(subscripts, a, b):
-    """Two-operand ``np.einsum`` with an explicit output (``"ij,jk->ik"``).
-
-    The seed axis rides under a letter the subscripts leave free; nested jets
-    recurse one level per call.
-    """
-    da, db = _depth(a), _depth(b)
-    if da == db == 0:
-        return np.einsum(subscripts, a, b)
-    left, right = _seeded(subscripts)
-    if da == db:
-        return Jet(einsum(subscripts, a.val, b.val),
-                   einsum(left, a.grad, b.val) + einsum(right, a.val, b.grad))
-    if da > db:
-        return Jet(einsum(subscripts, a.val, b), einsum(left, a.grad, b))
-    return Jet(einsum(subscripts, a, b.val), einsum(right, a, b.grad))
-
-
-@functools.cache
-def _seeded(subscripts):
-    """Subscripts with the seed axis on a, and on b, under a free letter."""
-    inputs, out = subscripts.split("->")
-    sa, sb = inputs.split(",")
-    s = next(c for c in "zyxwvutsrqponmlkjihgfedcba" if c not in subscripts)
-    return f"{sa}{s},{sb}->{out}{s}", f"{sa},{sb}{s}->{out}{s}"
-
-
 def matmul(a, b):
-    """Stacked ``a @ b`` over the last two axes; plain arrays stay on numpy."""
-    if _depth(a) == _depth(b) == 0:
-        return a @ b
-    return einsum("...ij,...jk->...ik", a, b)
+    """Stacked ``a @ b`` over the last two axes; plain arrays stay on numpy.
+
+    Each gradient term is one stacked product too: d(a) b with ``a.grad``
+    read as a stack of (seed, j) matrices, one per row i, and a d(b) with
+    ``b.grad`` read as a (j, k seed) matrix.
+    """
+    if not isinstance(b, Jet):
+        if not isinstance(a, Jet):
+            return a @ b
+        return Jet(a.val @ b, _left_grad(a.grad, b))
+    shape = b.grad.shape
+    out = val(a) @ b.val
+    right = (val(a) @ b.grad.reshape(shape[:-2] + (-1,))).reshape(
+        out.shape + shape[-1:])
+    if not isinstance(a, Jet):
+        return Jet(out, right)
+    return Jet(out, _left_grad(a.grad, b.val) + right)
+
+
+def _left_grad(da, b):
+    """d(a) b for da[..., i, j, m]: (m, j) @ (j, k) for each row i."""
+    return np.swapaxes(np.swapaxes(da, -1, -2) @ b[..., None, :, :], -1, -2)
 
 
 def vecdot(x, y):
-    """Stacked dot product over the last axis; plain arrays stay on numpy."""
-    if _depth(x) == _depth(y) == 0:
-        return (x[..., None, :] @ y[..., None])[..., 0, 0]
-    return einsum("...i,...i->...", x, y)
+    """Stacked dot product over the last axis, as a 1 x 1 :func:`matmul`."""
+    return matmul(x[..., None, :], y[..., None])[..., 0, 0]
 
 
 def outer(a, b):
-    """Stacked outer product of two vectors."""
-    return einsum("...i,...j->...ij", a, b)
+    """Stacked outer product of two vectors, by broadcasting."""
+    return a[..., :, None] * b[..., None, :]
 
 
 def transpose(x, axes):
@@ -261,34 +224,27 @@ def transpose(x, axes):
 def block(rows):
     """``np.block`` of a nested list of blocks on the last two axes.
 
-    Blocks may be jets, and their leading batch axes broadcast.
+    Blocks may be jets, and their leading batch axes broadcast.  Values are
+    written into one preallocated array, gradients into another, where a
+    plain block leaves zeros.
     """
-    lead = np.broadcast_shapes(*(np.shape(x)[:-2] for row in rows for x in row))
-    rows = [[_broadcast(x, lead, 2) for x in row] for row in rows]
-    return _concatenate([_concatenate(row, -1) for row in rows], -2)
-
-
-def _broadcast(x, lead, core):
-    """``x`` with its axes before the last ``core`` broadcast to ``lead``."""
-    shape = np.shape(x)
-    if shape[:-core] == lead:
-        return x
-    if isinstance(x, Jet):
-        return Jet(_broadcast(x.val, lead, core), _broadcast(x.grad, lead, core + 1))
-    out = np.empty(lead + shape[-core:])
-    out[...] = x
-    return out
-
-
-def _concatenate(parts, axis):
-    depth = max(_depth(x) for x in parts)
-    if depth == 0:
-        return np.concatenate(parts, axis)
-    m = next(x for x in parts if _depth(x) == depth).grad.shape[-1]
-    vals = [x.val if _depth(x) == depth else x for x in parts]
-    grads = [x.grad if _depth(x) == depth else np.zeros(np.shape(x) + (m,))
-             for x in parts]
-    return Jet(_concatenate(vals, axis), _concatenate(grads, axis - 1))
+    parts = [x for row in rows for x in row]
+    lead = np.broadcast_shapes(*(np.shape(x)[:-2] for x in parts))
+    heights = [np.shape(row[0])[-2] for row in rows]
+    widths = [np.shape(x)[-1] for x in rows[0]]
+    out = np.empty(lead + (sum(heights), sum(widths)))
+    jets = [x for x in parts if isinstance(x, Jet)]
+    grad = np.zeros(out.shape + jets[0].grad.shape[-1:]) if jets else None
+    top = 0
+    for row, h in zip(rows, heights):
+        left = 0
+        for x, w in zip(row, widths):
+            out[..., top:top + h, left:left + w] = val(x)
+            if isinstance(x, Jet):
+                grad[..., top:top + h, left:left + w, :] = x.grad
+            left += w
+        top += h
+    return Jet(out, grad) if jets else out
 
 
 def map_blocks(fn, points, footprint):

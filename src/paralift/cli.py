@@ -29,6 +29,7 @@ from .config import (
     build_structure,
     parse_config,
     parse_tolerance,
+    sampling_overrides,
 )
 from .coefficients import SCALAR_PRESETS
 from .errors import (
@@ -149,10 +150,7 @@ def _verify(args):
         return EXIT_CONFIG_ERROR
 
     try:
-        tolerances = _parse_tol_overrides(args.tol_override)
-        config = parse_config(document)
-        config = apply_overrides(config, seed=args.seed, samples=args.samples,
-                                 tolerances=tolerances, output=args.out)
+        config = _load_config(document, args)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
@@ -168,8 +166,26 @@ def _verify(args):
         return EXIT_CONFIG_ERROR
 
 
-def _parse_tol_overrides(entries):
+def _load_config(document, args):
+    """The config with the command line's overrides applied.
+
+    One :class:`ConfigError` lists every problem: those of --tol-override,
+    then the file's, then those of --seed and --samples.
+    """
     problems = []
+    tolerances = _parse_tol_overrides(args.tol_override, problems)
+    try:
+        config = parse_config(document)
+    except ConfigError as exc:
+        problems.extend(exc.problems)
+    sampling_overrides(args.seed, args.samples, problems)
+    if problems:
+        raise ConfigError(problems)
+    return apply_overrides(config, seed=args.seed, samples=args.samples,
+                           tolerances=tolerances, output=args.out)
+
+
+def _parse_tol_overrides(entries, problems):
     out = {}
     for entry in entries:
         name, sep, value = entry.partition("=")
@@ -183,8 +199,6 @@ def _parse_tol_overrides(entries):
             except ValueError:
                 pass  # the tolerance rule reports it as not a number
             out[name] = parse_tolerance(value, f"--tol-override {name}", problems)
-    if problems:
-        raise ConfigError(problems)
     return out
 
 

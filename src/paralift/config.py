@@ -474,21 +474,26 @@ def build_structure(config, m=None):
     return LiftedStructure(m=m, kind=kind, spec=spec)
 
 
-def apply_overrides(config, *, seed=None, samples=None, tolerances=None,
-                    output=None):
-    """CLI flags override the corresponding config fields, by their rules."""
-    sampling = dict(config.sampling)
-    problems = []
+def sampling_overrides(seed, samples, problems):
+    """The ``--seed`` and ``--samples`` values given, as sampling fields,
+    checked by the file's rules for those fields into ``problems``."""
+    out = {}
     for flag, key, value in (("--seed", "seed", seed),
                              ("--samples", "count", samples)):
         if value is not None:
             default, minimum = _SAMPLING_INTS[key]
-            sampling[key] = _int_field({key: value}, key, flag, problems,
-                                       default=default, minimum=minimum)
+            out[key] = _int_field({key: value}, key, flag, problems,
+                                  default=default, minimum=minimum)
+    return out
+
+
+def apply_overrides(config, *, seed=None, samples=None, tolerances=None,
+                    output=None):
+    """CLI flags override the corresponding config fields, by their rules."""
+    problems = []
+    sampling = sampling_overrides(seed, samples, problems)
     if problems:
         raise ConfigError(problems)
-    tols = dict(config.tolerances)
-    if tolerances:
-        tols.update(tolerances)
-    return replace(config, sampling=sampling, tolerances=tols,
+    return replace(config, sampling={**config.sampling, **sampling},
+                   tolerances={**config.tolerances, **(tolerances or {})},
                    output=output if output is not None else config.output)

@@ -22,7 +22,9 @@ Cruceanu P) and the mixed block M = lambda I + mu p (x) g0 of Omega,
                                Gamma0 B2 + D]],
     Omega = [[Gamma0 M^T - M Gamma0, M], [-M^T, 0]],
 
-that is B P_adapted B^-1 and Binv^T Omega_adapted Binv.  The evaluators
+that is B P_adapted B^-1 and Binv^T Omega_adapted Binv.  Gamma0 and B2 are
+exactly symmetric, so B2 Gamma0 = (Gamma0 B2)^T and Gamma0 M^T = (M
+Gamma0)^T take no product of their own.  The evaluators
 accept a Jet z = (q, p), so entries stay differentiable in all 2n phase
 variables, and leading batch axes (see :mod:`paralift.ad`): a block's
 coefficients are one :class:`paralift.coefficients.Program` pass.
@@ -169,8 +171,8 @@ def _p_coordinate(ls, pt):
     if ls.kind is StructureKind.CRUCEANU_P:  # A = -I, D = I, B2 = C = 0
         return ad.block([[-eye, zero], [-gamma0 - gamma0, eye]])
     c, b2 = _p_blocks(ls, pt, slack=True)
-    gb2 = ad.matmul(gamma0, b2)
-    return ad.block([[-ad.matmul(b2, gamma0), b2],
+    gb2 = ad.matmul(gamma0, b2)  # B2 Gamma0 = gb2^T, both being symmetric
+    return ad.block([[-ad.transpose(gb2, (1, 0)), b2],
                      [c - ad.matmul(gb2, gamma0), gb2]])
 
 
@@ -222,7 +224,8 @@ def _omega_coordinate(ls, pt):
     lam, mu = _coefficients(ls, pt, "form", slack=True)
     mixed = _scalar(lam) * np.eye(n) + _scalar(mu) * ad.outer(pt.p, pt.g0)
     mixed_t = ad.transpose(mixed, (1, 0))
-    qq = ad.matmul(pt.Gamma0, mixed_t) - ad.matmul(mixed, pt.Gamma0)
+    m_gamma0 = ad.matmul(mixed, pt.Gamma0)  # Gamma0 M^T = m_gamma0^T
+    qq = ad.transpose(m_gamma0, (1, 0)) - m_gamma0
     return ad.block([[qq, mixed], [-mixed_t, np.zeros((n, n))]])
 
 

@@ -73,9 +73,17 @@ _FIELDS = tuple(f.name for f in fields(CotangentPoint))
 
 
 def chart_point(m, q, p):
-    """Unvalidated, unfrozen point at plain or Jet (q, p), from one seeded phi."""
-    phi, gamma = conformal_fields(m, q)
-    return _point(q, p, phi, ad.einsum("...k,...kih->...ih", p, gamma))
+    """Unvalidated, unfrozen point at plain or Jet (q, p), from phi and its
+    log-gradient h.
+
+    Gamma0_ih = p_k Gamma^k_ih = p_i h_h + p_h h_i - delta_ih (p . h), that
+    is S + S^T - (p . h) I with S = p (x) h, which is exactly symmetric.
+    """
+    phi, h = conformal_fields(m, q)
+    s = ad.outer(p, h)
+    gamma0 = ((s + ad.transpose(s, (1, 0)))
+              - ad.vecdot(p, h)[..., None, None] * np.eye(m.n))
+    return _point(q, p, phi, gamma0)
 
 
 def metric_point(m, q, p):

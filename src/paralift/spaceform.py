@@ -10,9 +10,10 @@ curvature ``c > 0`` (stereographic chart), hyperbolic space for ``c < 0``
 therefore covers every sign of the curvature.  A deliberately perturbed
 variant breaks constant curvature and exists purely to drive negative tests.
 
-Christoffel symbols and the curvature tensor are obtained by forward-mode
-differentiation of phi (see :mod:`paralift.ad`); finite differences appear
-only in the independent test oracles.
+Beside phi, each model writes its log-gradient h = d phi / (2 phi) in closed
+form; the Christoffel symbols follow from h alone, and the curvature tensor
+from one forward-mode pass through them (see :mod:`paralift.ad`).  Finite
+differences appear only in the independent test oracles.
 """
 
 from __future__ import annotations
@@ -94,20 +95,9 @@ def perturbed_conformal(n, c, strength=0.1, chart_radius=1.0):
 def conformal_factor(m, x):
     """Scalar ``phi`` with ``g = phi * I`` at the chart points ``x`` (..., n).
 
-    Accepts a Jet ``x``; domain guards compare the underlying values.
-    Raises :class:`ChartDomainError` off the chart or where the conformal
-    denominator fails to be positive, naming the first such point.
+    The first field of :func:`conformal_fields`, with its domain guards.
     """
-    x = x if isinstance(x, ad.Jet) else np.asarray(x, dtype=float)
-    r2 = (x * x).sum(-1)
-    if m.model is ChartModel.FLAT:
-        return np.ones(np.shape(r2))
-    _require_in_chart(m, x, r2)
-    s = 1.0 / (1.0 + 0.25 * m.c * r2)
-    phi = s * s
-    if m.model is ChartModel.PERTURBED_CONFORMAL:
-        phi = phi * (1.0 + m.strength * x[..., 0])
-    return phi
+    return conformal_fields(m, x)[0]
 
 
 def _require_in_chart(m, x, r2):
@@ -133,25 +123,41 @@ def _require_in_chart(m, x, r2):
 
 
 def conformal_fields(m, x):
-    """phi and Gamma[..., k, i, j] = Gamma^k_ij at ``x``, from one seeded phi.
+    """phi and its log-gradient h = d phi / (2 phi) at the chart points ``x``.
 
-    For g = phi I, Gamma^k_ij = delta^k_i h_j + delta^k_j h_i - delta_ij h_k
-    with h = d phi / (2 phi), each entry one +-h_a (h_k + h_k - h_k where all
-    deltas hold): bitwise the (1/2) g^{kl}(...) contraction.  x may be a Jet.
+    With s = 1 / (1 + (c/4)|x|^2), the ball's phi = s^2 has h = -(c/2) s x;
+    the perturbed model's extra factor 1 + eps x_0 adds (eps/2) / (1 + eps
+    x_0) to h_0; the flat model has phi = 1 and h = 0.  ``x`` may be a Jet;
+    domain guards compare the underlying values.  Raises
+    :class:`ChartDomainError` off the chart or where the conformal
+    denominator fails to be positive, naming the first such point.
     """
-    seeded = conformal_factor(m, ad.seed(x))
-    phi = ad.val(seeded)
-    h = (0.5 / phi)[..., None] * ad.partials(seeded, m.n)
-    eye = np.eye(m.n)
-    gamma = ((eye[:, :, None] * h[..., None, None, :]
-              + eye[:, None, :] * h[..., None, :, None])
-             - eye * h[..., :, None, None])
-    return phi, gamma
+    x = x if isinstance(x, ad.Jet) else np.asarray(x, dtype=float)
+    r2 = (x * x).sum(-1)
+    if m.model is ChartModel.FLAT:
+        return np.ones(np.shape(r2)), np.zeros(np.shape(x))
+    _require_in_chart(m, x, r2)
+    s = 1.0 / (1.0 + 0.25 * m.c * r2)
+    phi, h = s * s, (-0.5 * m.c * s)[..., None] * x
+    if m.model is ChartModel.PERTURBED_CONFORMAL:
+        w = 1.0 + m.strength * x[..., 0]
+        phi = phi * w
+        h = h + (0.5 * m.strength / w)[..., None] * np.eye(m.n)[0]
+    return phi, h
 
 
 def christoffel_at(m, x):
-    """Christoffel symbols Gamma^k_ij(x), the Gamma of :func:`conformal_fields`."""
-    return conformal_fields(m, x)[1]
+    """Christoffel symbols Gamma[..., k, i, j] = Gamma^k_ij(x); ``x`` may be a Jet.
+
+    For g = phi I, Gamma^k_ij = delta^k_i h_j + delta^k_j h_i - delta_ij h_k
+    with h the log-gradient of :func:`conformal_fields`, each entry one +-h_a
+    (h_k + h_k - h_k where all deltas hold).
+    """
+    h = conformal_fields(m, x)[1]
+    eye = np.eye(m.n)
+    return ((eye[:, :, None] * h[..., None, None, :]
+             + eye[:, None, :] * h[..., None, :, None])
+            - eye * h[..., :, None, None])
 
 
 def curvature_at(m, x):
@@ -160,12 +166,12 @@ def curvature_at(m, x):
     R^h_kij = d_i Gamma^h_jk - d_j Gamma^h_ik
               + Gamma^h_il Gamma^l_jk - Gamma^h_jl Gamma^l_ik,
     antisymmetric in (i, j) by construction.  The Gamma derivatives come from
-    a second, nested level of forward-mode seeding.
+    one forward-mode pass through :func:`christoffel_at`.
     """
     gs = christoffel_at(m, ad.seed(x))
     gamma = ad.val(gs)
     dgamma = ad.partials(gs, m.n)  # dgamma[..., k, i, j, a] = d_a Gamma^k_ij
-    quad = ad.einsum("...hil,...ljk->...hkij", gamma, gamma)
+    quad = np.einsum("...hil,...ljk->...hkij", gamma, gamma)
     # grouped so that swapping (i, j) negates each parenthesis bitwise
     return ((ad.transpose(dgamma, (0, 2, 3, 1))
              - ad.transpose(dgamma, (0, 2, 1, 3)))

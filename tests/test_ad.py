@@ -1,9 +1,11 @@
 """Forward-mode jets against finite differences and closed forms."""
 
 import numpy as np
+import pytest
 
 from paralift import ad
 from paralift.verify import fd_oracle
+import jet_reference as ref
 
 
 def f_scalar(x):
@@ -33,44 +35,6 @@ def test_array_valued_jacobian(rng):
     assert np.allclose(jac, fd, rtol=1e-6, atol=1e-9)
 
 
-def _nested(t0):
-    """t0 seeded twice: the inner jet's value, with one seed at each level."""
-    return ad.Jet(ad.Jet(t0, np.ones(1)), np.ones(1))
-
-
-def test_nested_jets_give_second_derivatives():
-    # t^3 on a twice-seeded t: the inner gradient of the outer one is 6t
-    for t0 in (0.0, 0.5, 2.0):
-        t = _nested(t0)
-        cube = t * t * t
-        assert np.isclose(ad.strip(cube.grad[..., 0]), 3.0 * t0 * t0, rtol=1e-13)
-        second = cube.grad.grad[..., 0, 0]
-        assert np.isclose(second, 6.0 * t0, rtol=1e-13, atol=1e-13)
-
-
-def test_nested_einsum_gives_hessian():
-    # f = (x^T A x)(b^T x): gradient by an inner seeding, Hessian by the outer
-    a = np.array([[1.0, 2.0, 0.0], [0.5, -1.0, 3.0], [0.0, 1.5, 2.0]])
-    b = np.array([0.3, -0.7, 1.1])
-
-    def grad_f(x):
-        xs = ad.seed(x)
-        f = ad.einsum("i,i->", ad.einsum("ij,j->i", a, xs), xs) * ad.einsum("i,i->", b, xs)
-        return ad.partials(f, 3)
-
-    x0 = np.array([0.4, -1.2, 0.9])
-    grad, hess = ad.jacobian(grad_f, x0)
-    s, quad, lin = a + a.T, x0 @ a @ x0, b @ x0
-    assert np.allclose(grad, s @ x0 * lin + quad * b, rtol=1e-14, atol=1e-14)
-    assert np.allclose(hess, s * lin + np.outer(s @ x0, b) + np.outer(b, s @ x0),
-                       rtol=1e-14, atol=1e-14)
-
-
-def test_exp_nests():
-    second = ad.exp(_nested(0.7)).grad.grad[..., 0, 0]
-    assert np.isclose(second, np.exp(0.7), rtol=1e-13)
-
-
 def test_neg():
     x = ad.Jet(2.0, np.array([1.0]))
     z = -x
@@ -84,8 +48,12 @@ def test_seed_strip_partials():
     assert ad.strip(s[1]) == 2.0
     assert np.array_equal(ad.partials(s[0], 2), [1.0, 0.0])
     assert np.array_equal(ad.partials(3.5, 2), [0.0, 0.0])
-    nested = ad.Jet(s[0], np.zeros(1))
-    assert ad.strip(nested) == 1.0
+
+
+def test_seed_refuses_a_jet():
+    s = ad.seed(np.array([1.0, 2.0]))
+    with pytest.raises(TypeError, match="one level only"):
+        ad.seed(s)
 
 
 def test_array_scalar_mixing():
@@ -95,3 +63,46 @@ def test_array_scalar_mixing():
     assert isinstance(arr, ad.Jet)
     assert np.array_equal(arr.val, 2.0 * np.eye(2))
     assert np.array_equal(arr.grad, np.eye(2)[..., None])
+
+
+def _jet(rng, shape, m):
+    return ad.Jet(rng.standard_normal(shape), rng.standard_normal(shape + (m,)))
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+# (shape of a, shape of b): single matrices, batches, and a plain 2-D factor
+# broadcast against a batch
+MATMUL_SHAPES = [((4, 5), (5, 3)), ((2, 4, 5), (2, 5, 3)), ((4, 5), (3, 5, 2)),
+                 ((3, 1, 4), (3, 4, 1)), ((2, 8, 8), (8, 8))]
+
+
+@pytest.mark.parametrize("sa,sb", MATMUL_SHAPES)
+def test_matmul_matches_einsum_product_rule(rng, sa, sb):
+    m = 6
+    a, b = _jet(rng, sa, m), _jet(rng, sb, m)
+    for x, y in ((a, b), (a, b.val), (a.val, b)):
+        got, want = ad.matmul(x, y), ref.matmul(x, y)
+        assert got.shape == want.shape and got.grad.shape == want.grad.shape
+        assert _rel(got.val, want.val) < 1e-14
+        assert _rel(got.grad, want.grad) < 1e-14
+    assert np.array_equal(ad.matmul(a.val, b.val), a.val @ b.val)
+
+
+def test_outer_and_block_match_reference_bitwise(rng):
+    m = 5
+    u, v = _jet(rng, (2, 3), m), _jet(rng, (2, 4), m)
+    for x, y in ((u, v), (u, v.val), (u.val, v)):
+        got, want = ad.outer(x, y), ref.outer(x, y)
+        assert np.array_equal(got.val, want.val)
+        assert np.array_equal(got.grad, want.grad)
+    a, c = _jet(rng, (2, 3, 3), m), _jet(rng, (3, 3), m)  # c broadcasts
+    rows = [[np.eye(3), a], [-c, np.zeros((3, 3))]]
+    got, want = ad.block(rows), ref.block(rows)
+    assert got.shape == (2, 6, 6) and got.grad.shape == (2, 6, 6, m)
+    assert np.array_equal(got.val, want.val)
+    assert np.array_equal(got.grad, want.grad)
+    plain = [[np.eye(2), np.ones((2, 3))], [np.zeros((1, 2)), np.ones((1, 3))]]
+    assert np.array_equal(ad.block(plain), np.block(plain))

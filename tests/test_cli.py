@@ -461,6 +461,28 @@ def test_sampling_rules_are_shared_by_file_and_flags(tmp_path, capsys, flag,
     assert not out.exists()
 
 
+def test_config_problems_of_every_stage_are_reported_together(tmp_path, capsys):
+    # the override, the file and the --seed problems all print, in that
+    # order, and no check runs (each stage used to hide the ones after it)
+    preset = (Path(__file__).resolve().parent.parent / "src" / "paralift"
+              / "presets" / "rational_product.json")
+    doc = json.loads(preset.read_text())
+    doc["extra"] = 1
+    doc["sampling"]["count"] = 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["verify", str(path), "--out", str(out), "--tol-override",
+                 "almost_product=-1", "--seed", "-2"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: --tol-override almost_product: expected a nonnegative number",
+        "config error: extra: unknown top-level field",
+        "config error: sampling.count: must be at least 1",
+        "config error: --seed: must be at least 0",
+    ]
+    assert not out.exists()
+
+
 def test_apply_overrides_refuses_what_the_file_refuses():
     cfg = parse_config(small(count=5, seed=1))
     with pytest.raises(ConfigError) as info:

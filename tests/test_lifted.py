@@ -297,18 +297,22 @@ def test_contract_errors():
 
 @pytest.fixture
 def factor_calls(monkeypatch):
-    """The arguments of every conformal_factor evaluation from here on."""
+    """The arguments of every evaluation of phi from here on.
+
+    conformal_factor is the first field of conformal_fields, so counting
+    conformal_fields counts both.
+    """
     from paralift import phase, spaceform
 
     calls = []
-    factor = spaceform.conformal_factor
+    fields = spaceform.conformal_fields
 
     def counting(*args):
         calls.append(args)
-        return factor(*args)
+        return fields(*args)
 
     for module in (spaceform, phase):  # phase holds its own imported name
-        monkeypatch.setattr(module, "conformal_factor", counting)
+        monkeypatch.setattr(module, "conformal_fields", counting)
     return calls
 
 

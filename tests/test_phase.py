@@ -10,8 +10,11 @@ from paralift import (
     flat_space,
     make_point,
 )
-from paralift.phase import frame_matrices, liouville, spray
+from paralift.phase import chart_point, frame_matrices, liouville, spray
+from paralift.spaceform import christoffel_at, perturbed_conformal
+from paralift.verify import sample_points
 from dense_metric import metric_at
+import jet_reference as ref
 
 
 def test_zero_covector_gives_zero_energy():
@@ -44,6 +47,40 @@ def test_gamma0_symmetric():
     m = conformal_ball(3, -1.0)
     pt = make_point(m, [0.2, 0.3, -0.1], [0.5, -1.0, 2.0])
     assert np.array_equal(pt.Gamma0, pt.Gamma0.T)
+
+
+def _dense_gamma0(m, q, p):
+    """p_k Gamma^k_ih, contracted from the dense Christoffel symbols."""
+    return ref.einsum("...k,...kih->...ih", p, christoffel_at(m, q))
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
+
+
+@pytest.mark.parametrize("m", [flat_space(3), conformal_ball(3, 1.0),
+                               conformal_ball(8, -1.0),
+                               perturbed_conformal(4, 1.0, 0.1)])
+def test_gamma0_matches_dense_christoffel_contraction(m):
+    points = sample_points(m, 5, 3).points
+    q = np.array([pt.q for pt in points])
+    p = np.array([pt.p for pt in points])
+    for qq, pp in [(q, p), (q[2], p[2])]:  # a batch and a single point
+        gamma0 = chart_point(m, qq, pp).Gamma0
+        want = _dense_gamma0(m, qq, pp)
+        if m.c == 0.0:
+            assert np.array_equal(gamma0, want)
+        else:
+            assert _rel(gamma0, want) < 1e-14
+        assert np.array_equal(gamma0, np.swapaxes(gamma0, -1, -2))
+    z = ad.seed(np.concatenate([q, p], axis=-1))  # gradients in all 2n
+    n = m.n
+    got = chart_point(m, z[..., :n], z[..., n:]).Gamma0
+    want = _dense_gamma0(m, z[..., :n], z[..., n:])
+    for part in ("val", "grad"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.shape == b.shape
+        assert np.array_equal(a, b) if m.c == 0.0 else _rel(a, b) < 1e-14
 
 
 def test_basis_identity_on_flat_and_at_origin():

