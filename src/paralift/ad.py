@@ -30,7 +30,6 @@ __all__ = [
     "partials",
     "strip",
     "jacobian",
-    "exp",
     "matmul",
     "vecdot",
     "outer",
@@ -167,14 +166,6 @@ def jacobian(f, x):
     m = x.shape[-1]
     out = f(seed(x))
     return strip(out), np.asarray(partials(out, m), dtype=float)
-
-
-def exp(x):
-    """Exponential that follows Jet arguments (numpy otherwise)."""
-    if isinstance(x, Jet):
-        e = np.exp(x.val)
-        return Jet(e, _seed_axis(e) * x.grad)
-    return np.exp(x)
 
 
 def matmul(a, b):

@@ -15,11 +15,11 @@ same nodes, so families stay closed under the arithmetic needed to express
 
 A :class:`Program` compiles a tuple of families once into a flat list of
 their unique nodes, children first, so a subtree that several families share
-(b1 inside d1 and d2) is computed once per pass.  It runs on a plain t, or on
-(value, slope) arrays that repeat a one-seed jet's operations in order, so f
-and f' are bitwise those of forward mode (Griewank & Walther, *Evaluating
-Derivatives*, ch. 3).  A phase-space Jet t then takes one chain-rule step,
-c(t(z)) -> (c(t), c'(t) dt): the phase seeds never enter the tree.
+(b1 inside d1 and d2) is computed once per pass.  It evaluates values on a
+plain t.  A phase-space Jet t takes one chain-rule step,
+c(t(z)) -> (c(t), c'(t) dt), with f and f' from one pass of a second program
+over the families and their derivative trees (Griewank & Walther,
+*Evaluating Derivatives*, ch. 3): the phase seeds never enter the tree.
 """
 
 from __future__ import annotations
@@ -59,15 +59,13 @@ VANISHING_TOL = 1e-8
 # Halvings of a grid cell that bracket a minimum of |f|: 2/63 / 2**40 ~ 3e-14.
 _BISECTIONS = 40
 
-# The inner nodes: value of the children's values, slope of their (value,
-# slope) pairs in the operation order of a one-seed ad.Jet, print format.
+# The inner nodes: value of the children's values, print format.
 _INNER = {
-    "+": (operator.add, lambda f, g: f[1] + g[1], "({} + {})"),
-    "-": (operator.sub, lambda f, g: f[1] - g[1], "({} - {})"),
-    "*": (operator.mul, lambda f, g: f[0] * g[1] + g[0] * f[1], "({})*({})"),
-    "/": (operator.truediv, lambda f, g: (f[1] * g[0] - f[0] * g[1])
-          * (1.0 / (g[0] * g[0])), "({})/({})"),
-    "neg": (operator.neg, lambda f: -f[1], "-({})"),
+    "+": (operator.add, "({} + {})"),
+    "-": (operator.sub, "({} - {})"),
+    "*": (operator.mul, "({})*({})"),
+    "/": (operator.truediv, "({})/({})"),
+    "neg": (operator.neg, "-({})"),
 }
 
 
@@ -134,7 +132,7 @@ class ScalarFamily:
         """The tree printed as a formula in t."""
         op, a = self.op, self.args
         if op in _INNER:
-            return _INNER[op][2].format(*(f.description for f in a))
+            return _INNER[op][1].format(*(f.description for f in a))
         if op == "exp":
             return f"{a[0]:g} exp({a[1]:g} t)"
         terms = (f"{c:g}" + (f" t^{k}" if k else "") for k, c in enumerate(a))
@@ -174,7 +172,7 @@ class Program:
     an earlier one (a shared subtree, say) computes the same bits: one step."""
 
     def __init__(self, families):
-        self.steps, index = [], {}
+        self.families, self.steps, index = tuple(families), [], {}
 
         def visit(f):
             args = tuple(map(visit, f.args)) if f.op in _INNER else f.args
@@ -184,44 +182,34 @@ class Program:
                 self.steps.append((f.op, args))
             return index[key]
 
-        self.outputs = tuple(map(visit, families))
+        self.outputs = tuple(map(visit, self.families))
+
+    @cached_property
+    def with_derivatives(self):
+        """The families followed by their d/dt trees, compiled once."""
+        return Program(self.families
+                       + tuple(f.derivative() for f in self.families))
 
     def __call__(self, t):
         """The families at t; on a phase Jet t, the Jets (f(t0), f'(t0) dt)."""
-        if not isinstance(t, ad.Jet):
-            return tuple(f for f, _ in self._run(t, None))
-        return tuple(ad.Jet(f, s[..., None] * t.grad)
-                     for f, s in self.values_and_slopes(t.val))
-
-    def values_and_slopes(self, t):
-        """(f(t), f'(t)) of each family at a plain t."""
-        return self._run(t, np.ones(np.shape(t)))
-
-    def _run(self, t, dt):
-        """(value, slope) of each output; slopes None unless dt is given.
-
-        A slope repeats the operations of a one-seed jet in their order,
-        the seed axis dropped, so both parts are bitwise the jet's.
-        """
-        out, slope = [], dt is not None
-        zero, dzero = 0.0 * t, dt * 0.0 if slope else None
+        if isinstance(t, ad.Jet):
+            out, k = self.with_derivatives(t.val), len(self.outputs)
+            return tuple(ad.Jet(f, np.asarray(fp)[..., None] * t.grad)
+                         for f, fp in zip(out[:k], out[k:]))
+        out, zero = [], 0.0 * t
         for op, a in self.steps:
             if op in _INNER:
-                kids = [out[i] for i in a]
-                out.append((_INNER[op][0](*(k[0] for k in kids)),
-                            _INNER[op][1](*kids) if slope else None))
+                out.append(_INNER[op][0](*(out[i] for i in a)))
             elif op == "t":
-                out.append((t, dt))
+                out.append(t)
             elif op == "exp":
-                e = ad.exp(a[1] * t)
-                out.append((a[0] * e, (e * (dt * a[1])) * a[0] if slope else None))
-            else:  # "const" and "poly", by Horner's rule from 0 t and 0 dt
-                x, ds = a[-1] + zero, dzero
+                out.append(a[0] * np.exp(a[1] * t))
+            else:  # "const" and "poly", by Horner's rule from 0 t
+                x = a[-1] + zero
                 for c in reversed(a[:-1]):
-                    ds = x * dt + t * ds if slope else None
                     x = x * t + c
-                out.append((x, ds))
-        return [out[i] for i in self.outputs]
+                out.append(x)
+        return tuple(out[i] for i in self.outputs)
 
 
 def constant(value):
@@ -337,16 +325,16 @@ def _sampled_values(fam, t_max):
     such bracket between grid points is refined by bisection.  Overflow and
     0/0 are silent here: the guards name a non-finite value themselves.
     """
-    pair = fam.program.values_and_slopes  # [(f(t), f'(t))]
+    pair = fam.program.with_derivatives  # (f(t), f'(t))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         grid = validation_grid(t_max)
-        f, fp = pair(grid)[0]
+        f, fp = pair(grid)
         slope = f * fp  # d|f|/dt has the sign of f f'
         left = np.flatnonzero((slope[:-1] < 0.0) & (slope[1:] > 0.0))
         lo, hi = grid[left], grid[left + 1]
         for _ in range(_BISECTIONS if left.size else 0):
             mid = 0.5 * (lo + hi)
-            falling = np.prod(pair(mid)[0], axis=0) < 0.0
+            falling = np.prod(pair(mid), axis=0) < 0.0
             lo, hi = np.where(falling, mid, lo), np.where(falling, hi, mid)
         minima = 0.5 * (lo + hi)
         return (np.concatenate([grid, minima]),

@@ -81,6 +81,7 @@ DEFAULT_TOLERANCES = {
 CHECK_NAMES = tuple(DEFAULT_TOLERANCES)
 
 _EIGENVALUE_TOL = 1e-10
+CHART_FRACTION = 0.8  # of the chart radius, the ball of sampled q
 
 
 @dataclass(frozen=True)
@@ -91,10 +92,10 @@ class PhaseSample:
     seed: int | None = None
 
 
-def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0, chart_fraction=0.8):
+def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0):
     """Deterministic sample of phase points for the checkers.
 
-    q is uniform in the ball |q| <= chart_fraction * chart_radius, p uniform
+    q is uniform in the ball |q| <= CHART_FRACTION * chart_radius, p uniform
     in |p| <= p_max; draws with energy density above t_max are rejected and
     redrawn.  The first point always carries p = 0, since several coefficient
     formulas have removable behavior at t = 0 that deserves coverage.  Each
@@ -102,7 +103,7 @@ def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0, chart_fraction=0.8):
     batch.
     """
     rng = np.random.default_rng(seed)
-    radius = chart_fraction * m.chart_radius
+    radius = CHART_FRACTION * m.chart_radius
     qs, ps = [], []
     attempts = 0
     limit = max(1000, 400 * count)

@@ -11,7 +11,7 @@ import jet_reference as ref
 def f_scalar(x):
     # mixes every arithmetic path: add, sub, mul, div, rsub, rtruediv
     return ((x[0] * x[1] - x[2]) / (1.0 + x[0] * x[0]) + 2.0 / (3.0 - x[1])
-            + ad.exp(0.3 * x[2]))
+            + x[2] * x[2] / (4.0 + 0.3 * x[2]))
 
 
 def test_jacobian_matches_finite_differences(rng):
@@ -25,7 +25,7 @@ def test_jacobian_matches_finite_differences(rng):
 
 def test_array_valued_jacobian(rng):
     def g(z):
-        entries = [[z[0] * z[1], z[1] * z[1] * z[1]], [ad.exp(z[0]), 1.0 / z[1]]]
+        entries = [[z[0] * z[1], z[1] * z[1] * z[1]], [1.0 / (1.0 + z[0]), 1.0 / z[1]]]
         return ad.block([[e[None, None] for e in row] for row in entries])
 
     x = np.array([0.4, 1.3])

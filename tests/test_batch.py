@@ -199,7 +199,8 @@ def test_range_error_names_the_first_point_out_of_range():
 def test_chart_error_names_the_first_point_off_the_chart():
     ls = _structure("ball+1", 3)
     wide = conformal_ball(3, 1.0, chart_radius=2.0)
-    base = sample_points(wide, 9, seed=12, p_max=0.5, chart_fraction=0.4).points
+    # the unit chart's sample lies within radius 0.8 of the wider chart's
+    base = sample_points(conformal_ball(3, 1.0), 9, seed=12, p_max=0.5).points
     off = {i: make_point(wide, base[i].q * (r / np.linalg.norm(base[i].q)),
                          base[i].p)
            for i, r in ((3, 1.5), (7, 1.8))}

@@ -346,8 +346,87 @@ def test_boolean_epsilon_exit_2(tmp_path, capsys):
     assert "coefficients.epsilon: must be -1 or +1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("a1,problem", [
+    ({"preset": "constant", "params": {"value": "1.5"}},
+     "params.value: expected a number"),
+    ({"preset": "constant", "params": {"value": True}},
+     "params.value: expected a number"),
+    ({"preset": "constant", "params": {"value": 10 ** 400}},
+     "params.value: must be finite"),
+    ({"preset": "polynomial", "params": {"coeffs": "12"}},
+     "params.coeffs: expected a list of numbers"),
+    ({"preset": "constant", "params": {"value": 1.0, "valu": 2}},
+     "params.valu: unknown parameter for preset 'constant' (takes ['value'])"),
+], ids=["string", "boolean", "huge_integer", "coeffs_string", "unknown"])
+def test_preset_parameters_follow_the_number_rule(tmp_path, capsys, a1,
+                                                  problem):
+    # each used to run and echo the value, silently read "12" as 1 + 2t,
+    # die with an OverflowError, or add a second line for the unknown key
+    preset = (Path(__file__).resolve().parent.parent / "src" / "paralift"
+              / "presets" / "unit_coefficients.json")
+    doc = json.loads(preset.read_text())
+    doc["coefficients"]["a1"] = a1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["verify", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: coefficients.a1.{problem}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset,params,problems", [
+    ("polynomial", {"coeffs": [1.0, "x", math.inf]},
+     ["params.coeffs[1]: expected a number",
+      "params.coeffs[2]: must be finite"]),
+    ("polynomial", {"coeffs": []},
+     ["params: polynomial needs at least one coefficient"]),
+    ("affine", {"slope": 1.0},
+     ["params: affine() missing 1 required positional argument: "
+      "'intercept'"]),
+], ids=["coeffs_items", "coeffs_empty", "missing"])
+def test_preset_parameter_problems(preset, params, problems):
+    doc = small()
+    doc["coefficients"]["a1"] = {"preset": preset, "params": params}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    assert exc.value.problems == [f"coefficients.a1.{p}" for p in problems]
+
+
+def test_manifold_dimension_is_bounded(tmp_path, capsys):
+    # a huge n used to reach the sampler and die with a numpy traceback
+    doc = small(checks=["almost_product"])
+    doc["manifold"]["n"] = 10 ** 30
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["verify", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: manifold.n: must be at most 32\n")
+    assert not out.exists()
+    doc["manifold"]["n"] = 32
+    assert parse_config(doc).manifold["n"] == 32
+
+
 def _drop_manifold_defaults(doc):
     doc["manifold"] = {}
+
+
+def _a1_params(preset, params):
+    def edit(doc):
+        doc["coefficients"]["a1"] = {"preset": preset, "params": params}
+    return edit
+
+
+def _family(**fields):
+    def edit(doc):
+        coefficients = doc["coefficients"]
+        del coefficients["a1"]
+        coefficients["derive"].pop("integrability")
+        coefficients["family"] = {
+            "name": "rational",
+            "u": {"preset": "constant", "params": {"value": 0.5}}, **fields}
+    return edit
 
 
 @pytest.mark.parametrize("edit,accepted", [
@@ -359,9 +438,30 @@ def _drop_manifold_defaults(doc):
     (lambda doc: doc.update(tolerances={"almost_product": 1e-9}), True),
     (lambda doc: doc.update(tolerances={"nope": 1e-9}), False),
     (lambda doc: doc.update(tolerances={"closure": -1}), False),
+    (lambda doc: doc.update(sampling=None), True),
+    (lambda doc: doc.update(tolerances=None), True),
+    (lambda doc: doc.update(output=None), True),
+    (lambda doc: doc["manifold"].update(n=32), True),
+    (lambda doc: doc["manifold"].update(n=33), False),
+    (_a1_params("constant", {"value": "1.5"}), False),
+    (_a1_params("constant", {"value": 1.0, "valu": 2}), False),
+    (_a1_params("affine", {"slope": 1.0}), False),
+    (_a1_params("polynomial", {"coeffs": "12"}), False),
+    (_a1_params("polynomial", {"coeffs": []}), False),
+    (_a1_params("polynomial", {"coeffs": [1.0, "x"]}), False),
+    (_a1_params("polynomial", {"coeffs": [1.0, 0.5]}), True),
+    (_a1_params("exponential", {}), True),
+    (_a1_params("exponential", {"rate": "1"}), False),
+    (_family(alpha=2.0), True),
+    (_family(alpha=0), False),
+    (_family(beta=0.0), False),
 ], ids=["as_is", "epsilon_true", "epsilon_one", "manifold_defaults",
         "manifold_without_c", "tolerance", "tolerance_unknown_check",
-        "tolerance_negative"])
+        "tolerance_negative", "sampling_null", "tolerances_null",
+        "output_null", "n_32", "n_33", "param_string", "param_unknown",
+        "param_missing", "coeffs_string", "coeffs_empty", "coeffs_item",
+        "coeffs", "exponential_defaults", "exponential_string",
+        "family", "family_alpha_zero", "family_beta_zero"])
 def test_parser_and_schema_agree(edit, accepted):
     import jsonschema
 
@@ -377,6 +477,16 @@ def test_parser_and_schema_agree(edit, accepted):
         parsed = False
     assert parsed is accepted
     assert jsonschema.Draft202012Validator(schema).is_valid(doc) is accepted
+
+
+@pytest.mark.parametrize("name", ["config", "report"])
+def test_schemas_are_valid_draft_2020_12(name):
+    import jsonschema
+
+    schema = json.loads(
+        (Path(__file__).resolve().parent.parent / "schemas"
+         / f"{name}.schema.json").read_text())
+    jsonschema.Draft202012Validator.check_schema(schema)
 
 
 def test_presets_subcommand(capsys):
