@@ -16,10 +16,13 @@ last axis, axis arguments count from the end (``transpose``, ``Jet.sum``),
 and the products act on the trailing matrix or vector axes like numpy's
 stacked ``matmul``.  Batch slices never mix, so a batch evaluates to the
 stack of its points' values, bit for bit.  :func:`map_blocks` bounds the
-batch size by :data:`BLOCK_ELEMENTS`.
+batch size by :data:`BLOCK_ELEMENTS`.  Constant arrays such as the identity
+come from :func:`constant`, built once and read-only.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -35,6 +38,7 @@ __all__ = [
     "outer",
     "transpose",
     "block",
+    "constant",
     "map_blocks",
     "BLOCK_ELEMENTS",
 ]
@@ -134,8 +138,9 @@ def seed(x):
     if isinstance(x, Jet):
         raise TypeError("seeding is one level only: a Jet cannot be seeded")
     x = np.asarray(x, dtype=float)
-    m = x.shape[-1]
-    return Jet(x, np.broadcast_to(np.eye(m), x.shape + (m,)).copy())
+    grad = np.empty(x.shape + x.shape[-1:])
+    grad[...] = constant(np.eye, x.shape[-1])
+    return Jet(x, grad)
 
 
 def val(x):
@@ -220,9 +225,10 @@ def block(rows):
     plain block leaves zeros.
     """
     parts = [x for row in rows for x in row]
-    lead = np.broadcast_shapes(*(np.shape(x)[:-2] for x in parts))
-    heights = [np.shape(row[0])[-2] for row in rows]
-    widths = [np.shape(x)[-1] for x in rows[0]]
+    leads = {val(x).shape[:-2] for x in parts} - {()}
+    lead = leads.pop() if len(leads) == 1 else np.broadcast_shapes(*leads)
+    heights = [val(row[0]).shape[-2] for row in rows]
+    widths = [val(x).shape[-1] for x in rows[0]]
     out = np.empty(lead + (sum(heights), sum(widths)))
     jets = [x for x in parts if isinstance(x, Jet)]
     grad = np.zeros(out.shape + jets[0].grad.shape[-1:]) if jets else None
@@ -236,6 +242,14 @@ def block(rows):
             left += w
         top += h
     return Jet(out, grad) if jets else out
+
+
+@cache
+def constant(make, *args):
+    """The array ``make(*args)``, built once per arguments; read-only."""
+    a = make(*args)
+    a.setflags(write=False)
+    return a
 
 
 def map_blocks(fn, points, footprint):

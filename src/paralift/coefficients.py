@@ -15,7 +15,8 @@ same nodes, so families stay closed under the arithmetic needed to express
 
 A :class:`Program` compiles a tuple of families once into a flat list of
 their unique nodes, children first, so a subtree that several families share
-(b1 inside d1 and d2) is computed once per pass.  It evaluates values on a
+(b1 inside d1 and d2) is computed once per pass.  At its first call the steps
+become one straight-line Python function of t, which evaluates values on a
 plain t.  A phase-space Jet t takes one chain-rule step,
 c(t(z)) -> (c(t), c'(t) dt), with f and f' from one pass of a second program
 over the families and their derivative trees (Griewank & Walther,
@@ -24,7 +25,7 @@ over the families and their derivative trees (Griewank & Walther,
 
 from __future__ import annotations
 
-import operator
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property, partialmethod
 
@@ -59,13 +60,14 @@ VANISHING_TOL = 1e-8
 # Halvings of a grid cell that bracket a minimum of |f|: 2/63 / 2**40 ~ 3e-14.
 _BISECTIONS = 40
 
-# The inner nodes: value of the children's values, print format.
+# The inner nodes: print format over the children's formulas, and Python
+# expression over their step names (bare names, which parse fastest).
 _INNER = {
-    "+": (operator.add, "({} + {})"),
-    "-": (operator.sub, "({} - {})"),
-    "*": (operator.mul, "({})*({})"),
-    "/": (operator.truediv, "({})/({})"),
-    "neg": (operator.neg, "-({})"),
+    "+": ("({} + {})", "{} + {}"),
+    "-": ("({} - {})", "{} - {}"),
+    "*": ("({})*({})", "{} * {}"),
+    "/": ("({})/({})", "{} / {}"),
+    "neg": ("-({})", "-{}"),
 }
 
 
@@ -132,7 +134,7 @@ class ScalarFamily:
         """The tree printed as a formula in t."""
         op, a = self.op, self.args
         if op in _INNER:
-            return _INNER[op][1].format(*(f.description for f in a))
+            return _INNER[op][0].format(*(f.description for f in a))
         if op == "exp":
             return f"{a[0]:g} exp({a[1]:g} t)"
         terms = (f"{c:g}" + (f" t^{k}" if k else "") for k, c in enumerate(a))
@@ -172,14 +174,17 @@ class Program:
     an earlier one (a shared subtree, say) computes the same bits: one step."""
 
     def __init__(self, families):
-        self.families, self.steps, index = tuple(families), [], {}
+        self.families, self.steps, index, seen = tuple(families), [], {}, {}
 
         def visit(f):
+            if id(f) in seen:  # a node object met before: its step is known
+                return seen[id(f)]
             args = tuple(map(visit, f.args)) if f.op in _INNER else f.args
             key = (f.op, repr(args))  # repr tells -0.0 from 0.0
             if key not in index:
                 index[key] = len(self.steps)
                 self.steps.append((f.op, args))
+            seen[id(f)] = index[key]
             return index[key]
 
         self.outputs = tuple(map(visit, self.families))
@@ -196,20 +201,31 @@ class Program:
             out, k = self.with_derivatives(t.val), len(self.outputs)
             return tuple(ad.Jet(f, np.asarray(fp)[..., None] * t.grad)
                          for f, fp in zip(out[:k], out[k:]))
-        out, zero = [], 0.0 * t
-        for op, a in self.steps:
+        return self._function(t)
+
+    @cached_property
+    def _function(self):
+        """The steps as one straight-line function of a plain t, compiled at
+        first use: step i assigns s{i}; "const" and "poly" run Horner's rule
+        from 0 t.  Numbers print by ``repr``, which round-trips a float."""
+        lines = ["zero = 0.0 * t"]
+        for i, (op, a) in enumerate(self.steps):
             if op in _INNER:
-                out.append(_INNER[op][0](*(out[i] for i in a)))
-            elif op == "t":
-                out.append(t)
+                lines.append(f"s{i} = " + _INNER[op][1].format(
+                    *(f"s{j}" for j in a)))
             elif op == "exp":
-                out.append(a[0] * np.exp(a[1] * t))
-            else:  # "const" and "poly", by Horner's rule from 0 t
-                x = a[-1] + zero
-                for c in reversed(a[:-1]):
-                    x = x * t + c
-                out.append(x)
-        return tuple(out[i] for i in self.outputs)
+                lines.append(f"s{i} = {a[0]!r} * exp({a[1]!r} * t)")
+            elif op == "t":
+                lines.append(f"s{i} = t")
+            else:
+                lines.append(f"s{i} = {a[-1]!r} + zero")
+                lines.extend(f"s{i} = s{i} * t + {c!r}"
+                             for c in reversed(a[:-1]))
+        lines.append(f"return ({''.join(f's{i}, ' for i in self.outputs)})")
+        source = "def program(t):" + "".join(f"\n    {x}" for x in lines)
+        scope = {"exp": np.exp, "inf": math.inf, "nan": math.nan}
+        exec(compile(source, "<paralift program>", "exec"), scope)
+        return scope["program"]
 
 
 def constant(value):
@@ -318,40 +334,46 @@ def validation_grid(t_max):
     return np.linspace(0.0, float(t_max), GRID_SIZE)
 
 
-def _sampled_values(fam, t_max):
-    """Points and values of ``fam``: the validation grid, then the minima of |f|.
+def _sampled_values(families, t_max):
+    """Per family, points and values: the validation grid, then the minima of |f|.
 
     |f| has an interior minimum where f f' changes sign from - to +; each
-    such bracket between grid points is refined by bisection.  Overflow and
-    0/0 are silent here: the guards name a non-finite value themselves.
+    such bracket between grid points is refined by bisection, the brackets of
+    all families at once.  One (f, f') program serves every family.  Overflow
+    and 0/0 are silent here: the guards name a non-finite value themselves.
     """
-    pair = fam.program.with_derivatives  # (f(t), f'(t))
+    pair, k = Program(families).with_derivatives, len(families)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         grid = validation_grid(t_max)
-        f, fp = pair(grid)
-        slope = f * fp  # d|f|/dt has the sign of f f'
-        left = np.flatnonzero((slope[:-1] < 0.0) & (slope[1:] > 0.0))
-        lo, hi = grid[left], grid[left + 1]
+        values = np.array(pair(grid))  # f of each family, then each f'
+        slope = values[:k] * values[k:]  # d|f|/dt has the sign of f f'
+        fam, left = np.nonzero((slope[:, :-1] < 0.0) & (slope[:, 1:] > 0.0))
+        lo, hi, own = grid[left], grid[left + 1], np.arange(left.size)
         for _ in range(_BISECTIONS if left.size else 0):
             mid = 0.5 * (lo + hi)
-            falling = np.prod(pair(mid), axis=0) < 0.0
+            at = np.array(pair(mid))
+            falling = at[fam, own] * at[k + fam, own] < 0.0
             lo, hi = np.where(falling, mid, lo), np.where(falling, hi, mid)
         minima = 0.5 * (lo + hi)
-        return (np.concatenate([grid, minima]),
-                np.concatenate([f, fam(minima)]))
+        at = np.array(pair(minima))
+    return [(np.concatenate([grid, minima[fam == i]]),
+             np.concatenate([values[i], at[i, fam == i]])) for i in range(k)]
 
 
-def _require_finite(ts, values, what):
-    # NaN fails every comparison, so the guards below would let it through.
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise DegenerateCoefficient(
-            f"{what} is not finite at t = {ts[bad[0]]:.6g}")
+def _guard(t_max, *guards):
+    """Apply each guard (rule, family, name) in order, sampling all their
+    families with one program; a rule raises :class:`DegenerateCoefficient`."""
+    sampled = _sampled_values([fam for _, fam, _ in guards], t_max)
+    for (rule, _, what), (ts, values) in zip(guards, sampled):
+        # NaN fails every comparison, so a rule would let it through
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise DegenerateCoefficient(
+                f"{what} is not finite at t = {ts[bad[0]]:.6g}")
+        rule(ts, values, what, t_max)
 
 
-def _require_nonvanishing(fam, t_max, what):
-    ts, values = _sampled_values(fam, t_max)
-    _require_finite(ts, values, what)
+def _nonvanishing(ts, values, what, t_max):
     small = np.flatnonzero(np.abs(values) < VANISHING_TOL)
     if small.size:
         raise DegenerateCoefficient(
@@ -365,18 +387,12 @@ def _require_nonvanishing(fam, t_max, what):
             f"and t = {ts[i + 1]:.6g}")
 
 
-def _require_positive(fam, t_max, what):
-    ts, values = _sampled_values(fam, t_max)
-    _require_finite(ts, values, what)
+def _positive(ts, values, what, t_max):
     low = np.flatnonzero(values < VANISHING_TOL)
     if low.size:
         i = low[0]
         raise DegenerateCoefficient(
             f"{what} must stay positive; value {values[i]:.6g} at t = {ts[i]:.6g}")
-
-
-def _is_positive(fam, t_max):
-    return bool(np.all(_sampled_values(fam, t_max)[1] >= VANISHING_TOL))
 
 
 def complete_almost_product(a1, b1, *, t_max=2.0):
@@ -386,8 +402,8 @@ def complete_almost_product(a1, b1, *, t_max=2.0):
     of (a1 + 2t b1)(a2 + 2t b2) = 1.
     """
     trace1 = a1 + 2.0 * _t * b1
-    _require_nonvanishing(a1, t_max, "a1")
-    _require_nonvanishing(trace1, t_max, "a1 + 2t b1")
+    _guard(t_max, (_nonvanishing, a1, "a1"),
+           (_nonvanishing, trace1, "a1 + 2t b1"))
     a2 = 1.0 / a1
     b2 = -b1 / (a1 * trace1)
     return a2, b2
@@ -408,9 +424,9 @@ def integrable_b_coeffs(a1, curvature, *, t_max=2.0):
     a2p = a2.derivative()
     den1 = a1 - 2.0 * _t * a1p
     den2 = a1 + (2.0 * c) * _t * a2
-    _require_nonvanishing(a1, t_max, "a1")
-    _require_nonvanishing(den1, t_max, "a1 - 2t a1'")
-    _require_nonvanishing(den2, t_max, "a1 + 2c t a2")
+    _guard(t_max, (_nonvanishing, a1, "a1"),
+           (_nonvanishing, den1, "a1 - 2t a1'"),
+           (_nonvanishing, den2, "a1 + 2c t a2"))
     b1 = (a1 * a1p + c) / den1
     b2 = (a1 * a2p - c * a2 * a2) / den2
     return b1, b2
@@ -432,16 +448,16 @@ def compatible_metric_coeffs(spec, lam, mu, epsilon, *, require_positive=True):
         raise ValueError("epsilon must be +1 or -1")
     t_max = spec.t_max
     scale = lam + 2.0 * _t * mu
-    if require_positive:
-        _require_positive(lam, t_max, "lambda")
-        _require_positive(scale, t_max, "lambda + 2t mu")
     c1 = lam * spec.a1
     d1 = mu * spec.a1 + scale * spec.b1
     c2 = float(epsilon) * (lam * spec.a2)
     d2 = float(epsilon) * (mu * spec.a2 + scale * spec.b2)
-    _require_nonvanishing(c1 * c2, t_max, "c1 c2")
-    _require_nonvanishing((c1 + 2.0 * _t * d1) * (c2 + 2.0 * _t * d2), t_max,
-                          "(c1 + 2t d1)(c2 + 2t d2)")
+    positive = ((_positive, lam, "lambda"),
+                (_positive, scale, "lambda + 2t mu"))
+    _guard(t_max, *(positive if require_positive else ()),
+           (_nonvanishing, c1 * c2, "c1 c2"),
+           (_nonvanishing, (c1 + 2.0 * _t * d1) * (c2 + 2.0 * _t * d2),
+            "(c1 + 2t d1)(c2 + 2t d2)"))
     return c1, d1, c2, d2
 
 
@@ -472,8 +488,8 @@ def integrable_spec(a1, *, curvature, epsilon=-1, t_max=2.0):
 def rational_spec(alpha, beta, u, *, curvature=0.0, epsilon=-1, t_max=2.0):
     """Spec from :func:`rational_family`; the product relations hold by design."""
     a1, b1, a2, b2 = rational_family(alpha, beta, u)
-    _require_nonvanishing(a1 + 2.0 * _t * b1, t_max, "a1 + 2t b1")
-    _require_nonvanishing(a2 + 2.0 * _t * b2, t_max, "a2 + 2t b2")
+    _guard(t_max, (_nonvanishing, a1 + 2.0 * _t * b1, "a1 + 2t b1"),
+           (_nonvanishing, a2 + 2.0 * _t * b2, "a2 + 2t b2"))
     return StructureSpec(a1=a1, b1=b1, a2=a2, b2=b2, epsilon=epsilon,
                          curvature=float(curvature), t_max=float(t_max),
                          flags=frozenset({"almost_product"}))
@@ -494,10 +510,9 @@ def with_metric(spec, lam, mu=None, *, require_positive=True):
     flags = set(spec.flags) | {"compatible"}
     if derived_mu:
         flags.add("mu_is_lambda_prime")
-    if (_is_positive(spec.a1, spec.t_max)
-            and _is_positive(spec.a1 + 2.0 * _t * spec.b1, spec.t_max)
-            and _is_positive(lam, spec.t_max)
-            and _is_positive(lam + 2.0 * _t * mu, spec.t_max)):
+    sampled = _sampled_values([spec.a1, spec.a1 + 2.0 * _t * spec.b1, lam,
+                               lam + 2.0 * _t * mu], spec.t_max)
+    if all(np.all(values >= VANISHING_TOL) for _, values in sampled):
         flags.add("positive")
     return replace(spec, c1=c1, d1=d1, c2=c2, d2=d2, lam=lam, mu=mu,
                    flags=frozenset(flags))

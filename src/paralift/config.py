@@ -312,14 +312,18 @@ def _parse_scalar(raw, path, problems):
         else:
             for i, c in enumerate(value):
                 _number(c, f"{where}[{i}]", problems)
-    if len(problems) > known:
-        return fallback
+    valid = len(problems) == known
+    if not (valid or set(params) <= set(names)):
+        return fallback  # an unknown name's own line says enough
+    # valid stand-ins for invalid numbers: a missing parameter shows too
+    given = params if valid else {key: [0.0] if key == "coeffs" else 0.0
+                                  for key in params}
     try:
-        make_scalar({"preset": preset, "params": params})
+        make_scalar({"preset": preset, "params": given})
     except (TypeError, ValueError) as exc:
         problems.append(f"{path}.params: {exc}")
         return fallback
-    return {"preset": preset, "params": dict(params)}
+    return {"preset": preset, "params": dict(params)} if valid else fallback
 
 
 # Integer fields of "sampling" as (default, minimum), for --seed and

@@ -106,12 +106,6 @@ def _scalar(c):
     return c[..., None, None]
 
 
-def _metrics(pt):
-    """(g, g^-1) = (phi I, (1/phi) I) at the chart point ``pt``."""
-    eye = np.eye(pt.n)
-    return _scalar(pt.phi) * eye, _scalar(1.0 / pt.phi) * eye
-
-
 def _coefficients(ls, pt, name, *, slack):
     """The spec's family tuple ``name`` at pt.t, range-checked first."""
     _check_range(ls, pt.t, slack=slack)
@@ -119,11 +113,15 @@ def _coefficients(ls, pt, name, *, slack):
 
 
 def _blocks(pt, k1, l1, k2, l2):
-    """(k1 g + l1 p(x)p, k2 g^-1 + l2 g0(x)g0), one coefficient value per point."""
-    g, ginv = _metrics(pt)
-    k1, l1, k2, l2 = (_scalar(c) for c in (k1, l1, k2, l2))
-    return (k1 * g + l1 * ad.outer(pt.p, pt.p),
-            k2 * ginv + l2 * ad.outer(pt.g0, pt.g0))
+    """(k1 g + l1 p(x)p, k2 g^-1 + l2 g0(x)g0), one coefficient value per point.
+
+    k1 g = (k1 phi) I is scaled per point before it meets I, which holds only
+    0 and 1, so every nonzero entry has the bits of k1 (phi I).
+    """
+    eye = ad.constant(np.eye, pt.n)
+    return (_scalar(k1 * pt.phi) * eye + _scalar(l1) * ad.outer(pt.p, pt.p),
+            _scalar(k2 * (1.0 / pt.phi)) * eye
+            + _scalar(l2) * ad.outer(pt.g0, pt.g0))
 
 
 def _require_metric(ls):
@@ -143,8 +141,9 @@ def _require_para_hermitian(ls):
 def _p_blocks(ls, pt, coeffs=None, *, slack=False):
     """(P1, P2) of an antidiagonal kind; the natural diagonal one reads
     coeffs = (a1, b1, a2, b2), from the spec when not given."""
-    if ls.kind is StructureKind.CRUCEANU_Q:
-        return _metrics(pt)
+    if ls.kind is StructureKind.CRUCEANU_Q:  # (g, g^-1) = (phi I, I / phi)
+        eye = ad.constant(np.eye, pt.n)
+        return _scalar(pt.phi) * eye, _scalar(1.0 / pt.phi) * eye
     return _blocks(pt, *(coeffs or _coefficients(ls, pt, "P", slack=slack)))
 
 
@@ -155,7 +154,7 @@ def _p_matrix(ls, pt, coeffs=None):
         return np.broadcast_to(np.diag([-1.0] * n + [1.0] * n),
                                np.shape(pt.q)[:-1] + (2 * n, 2 * n))
     p1, p2 = _p_blocks(ls, pt, coeffs)
-    zero = np.zeros((n, n))
+    zero = ad.constant(np.zeros, (n, n))
     return ad.block([[zero, p2], [p1, zero]])
 
 
@@ -167,7 +166,7 @@ def P_adapted(ls, pt):
 def _p_coordinate(ls, pt):
     """Coordinate-frame P at the chart point ``pt`` (plain or Jet), blockwise."""
     n, gamma0 = ls.m.n, pt.Gamma0
-    eye, zero = np.eye(n), np.zeros((n, n))
+    eye, zero = ad.constant(np.eye, n), ad.constant(np.zeros, (n, n))
     if ls.kind is StructureKind.CRUCEANU_P:  # A = -I, D = I, B2 = C = 0
         return ad.block([[-eye, zero], [-gamma0 - gamma0, eye]])
     c, b2 = _p_blocks(ls, pt, slack=True)
@@ -189,7 +188,8 @@ def _g_blocks(ls, pt, coeffs=None):
 
 
 def _diagonal(g1, g2):
-    zero = np.zeros(np.shape(g1)[-2:])
+    n = np.shape(g1)[-1]
+    zero = ad.constant(np.zeros, (n, n))
     return ad.block([[g1, zero], [zero, g2]])
 
 
@@ -222,11 +222,12 @@ def _omega_coordinate(ls, pt):
     """Coordinate-frame Omega at the chart point ``pt`` (plain or Jet)."""
     n = ls.m.n
     lam, mu = _coefficients(ls, pt, "form", slack=True)
-    mixed = _scalar(lam) * np.eye(n) + _scalar(mu) * ad.outer(pt.p, pt.g0)
+    mixed = (_scalar(lam) * ad.constant(np.eye, n)
+             + _scalar(mu) * ad.outer(pt.p, pt.g0))
     mixed_t = ad.transpose(mixed, (1, 0))
     m_gamma0 = ad.matmul(mixed, pt.Gamma0)  # Gamma0 M^T = m_gamma0^T
     qq = ad.transpose(m_gamma0, (1, 0)) - m_gamma0
-    return ad.block([[qq, mixed], [-mixed_t, np.zeros((n, n))]])
+    return ad.block([[qq, mixed], [-mixed_t, ad.constant(np.zeros, (n, n))]])
 
 
 def Omega_coordinate(ls):

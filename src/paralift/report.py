@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -62,7 +64,7 @@ def make_report(check_name, residuals, points, tolerance, *, seed=None,
     NaN or Inf anywhere turns into an explicit failure rather than leaking
     into downstream comparisons.
     """
-    residuals = [float(r) for r in residuals]
+    residuals = np.asarray(residuals, dtype=float).tolist()
     notes = list(notes)
     finite = [r for r in residuals if math.isfinite(r)]
     if len(finite) != len(residuals):
@@ -101,8 +103,9 @@ def _point_dict(point):
     if isinstance(point, dict):
         return point
     if hasattr(point, "q") and hasattr(point, "p"):
-        return {"q": [float(v) for v in point.q], "p": [float(v) for v in point.p]}
-    return {"q": [float(v) for v in point]}
+        return {"q": np.asarray(point.q, dtype=float).tolist(),
+                "p": np.asarray(point.p, dtype=float).tolist()}
+    return {"q": np.asarray(point, dtype=float).tolist()}
 
 
 def _finite_or_none(x):

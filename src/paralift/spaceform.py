@@ -95,9 +95,9 @@ def perturbed_conformal(n, c, strength=0.1, chart_radius=1.0):
 def conformal_factor(m, x):
     """Scalar ``phi`` with ``g = phi * I`` at the chart points ``x`` (..., n).
 
-    The first field of :func:`conformal_fields`, with its domain guards.
+    The first field of :func:`conformal_fields`, computed without h.
     """
-    return conformal_fields(m, x)[0]
+    return _factor(m, x)[1]
 
 
 def _require_in_chart(m, x, r2):
@@ -132,18 +132,29 @@ def conformal_fields(m, x):
     :class:`ChartDomainError` off the chart or where the conformal
     denominator fails to be positive, naming the first such point.
     """
+    x, phi, s, w = _factor(m, x)
+    if m.model is ChartModel.FLAT:
+        return phi, np.zeros(np.shape(x))
+    h = (-0.5 * m.c * s)[..., None] * x
+    if m.model is ChartModel.PERTURBED_CONFORMAL:
+        h = h + (0.5 * m.strength / w)[..., None] * ad.constant(np.eye, m.n)[0]
+    return phi, h
+
+
+def _factor(m, x):
+    """(x, phi, s, w): ``x`` as a float array or Jet, checked to lie on the
+    chart; phi by the one formula of its model; and the parts that h reuses,
+    s = 1 / (1 + (c/4)|x|^2) and w = 1 + eps x_0 (None where unused)."""
     x = x if isinstance(x, ad.Jet) else np.asarray(x, dtype=float)
     r2 = (x * x).sum(-1)
     if m.model is ChartModel.FLAT:
-        return np.ones(np.shape(r2)), np.zeros(np.shape(x))
+        return x, np.ones(np.shape(r2)), None, None
     _require_in_chart(m, x, r2)
     s = 1.0 / (1.0 + 0.25 * m.c * r2)
-    phi, h = s * s, (-0.5 * m.c * s)[..., None] * x
-    if m.model is ChartModel.PERTURBED_CONFORMAL:
-        w = 1.0 + m.strength * x[..., 0]
-        phi = phi * w
-        h = h + (0.5 * m.strength / w)[..., None] * np.eye(m.n)[0]
-    return phi, h
+    if m.model is ChartModel.CONFORMAL_BALL:
+        return x, s * s, s, None
+    w = 1.0 + m.strength * x[..., 0]
+    return x, (s * s) * w, s, w
 
 
 def christoffel_at(m, x):
@@ -154,7 +165,7 @@ def christoffel_at(m, x):
     (h_k + h_k - h_k where all deltas hold).
     """
     h = conformal_fields(m, x)[1]
-    eye = np.eye(m.n)
+    eye = ad.constant(np.eye, m.n)
     return ((eye[:, :, None] * h[..., None, None, :]
              + eye[:, None, :] * h[..., None, :, None])
             - eye * h[..., :, None, None])
@@ -186,11 +197,16 @@ def space_form_residual(m, x):
     drives this to rounding level, the perturbed model does not.
     """
     riem = curvature_at(m, x)
-    eye = np.eye(m.n)
-    shape = (np.einsum("hi,kj->hkij", eye, eye)
-             - np.einsum("hj,ki->hkij", eye, eye))
-    target = (m.c * conformal_factor(m, x))[..., None, None, None, None] * shape
+    target = ((m.c * conformal_factor(m, x))[..., None, None, None, None]
+              * ad.constant(_curvature_shape, m.n))
     return np.max(np.abs(riem - target), axis=(-4, -3, -2, -1))
+
+
+def _curvature_shape(n):
+    """delta^h_i delta_kj - delta^h_j delta_ki, for :func:`ad.constant`."""
+    eye = np.eye(n)
+    return (np.einsum("hi,kj->hkij", eye, eye)
+            - np.einsum("hj,ki->hkij", eye, eye))
 
 
 def check_space_form(m, sample, tol=1e-9, *, seed=None):
@@ -201,4 +217,3 @@ def check_space_form(m, sample, tol=1e-9, *, seed=None):
     residuals = ad.map_blocks(lambda qs: space_form_residual(m, np.stack(qs)),
                               points, (2 * m.n) ** 3)
     return make_report("space_form", residuals, points, tol, seed=seed)
-

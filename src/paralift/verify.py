@@ -37,7 +37,6 @@ from .phase import (
     CotangentPoint,
     chart_point,
     energy_density,
-    frame_matrices,
     make_point,
     metric_point,
     stack_points,
@@ -238,7 +237,7 @@ def analytic_dOmega(ls, pt):
     t = pt.t
     factor = 0.5 * (np.asarray(spec.mu(t)) - spec.lam.derivative()(t))
     g0 = pt.g0  # p_k g^{kh} = g0[..., h]
-    eye = np.eye(n)
+    eye = ad.constant(np.eye, n)
     # w[..., n + h, n + j, i] of Dp_h Dp_j dq^i
     w = np.zeros(np.shape(g0)[:-1] + (2 * n, 2 * n, 2 * n))
     w[..., n:, n:, :n] = factor[..., None, None, None] * (
@@ -247,7 +246,9 @@ def analytic_dOmega(ls, pt):
     mixed = (w + ad.transpose(w, (1, 2, 0)) + ad.transpose(w, (2, 0, 1))
              - ad.transpose(w, (0, 2, 1)) - ad.transpose(w, (2, 1, 0))
              - ad.transpose(w, (1, 0, 2)))
-    _, binv = frame_matrices(pt.Gamma0)
+    # Binv of phase.frame_matrices, alone: B itself is not needed
+    zero = ad.constant(np.zeros, (n, n))
+    binv = ad.block([[eye, zero], [-pt.Gamma0, eye]])
     # Binv^a_A Binv^b_B Binv^c_C mixed_abc, one slot at a time as stacked
     # matrix products over the last axis, rotating the slots (abc -> bcA ->
     # cAB -> ABC)
@@ -261,7 +262,7 @@ def analytic_dOmega(ls, pt):
 def check_almost_product(ls, sample, tol=None):
     """max over the sample of |P_adapted^2 - I|_inf."""
     points, seed, tol = _inputs("almost_product", sample, tol)
-    eye = np.eye(2 * ls.m.n)
+    eye = ad.constant(np.eye, 2 * ls.m.n)
 
     def residual(pt):
         pmat = P_adapted(ls, pt)

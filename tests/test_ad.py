@@ -106,3 +106,18 @@ def test_outer_and_block_match_reference_bitwise(rng):
     assert np.array_equal(got.grad, want.grad)
     plain = [[np.eye(2), np.ones((2, 3))], [np.zeros((1, 2)), np.ones((1, 3))]]
     assert np.array_equal(ad.block(plain), np.block(plain))
+
+
+def test_cached_constants_are_read_only():
+    from paralift.spaceform import _curvature_shape
+
+    for make, args in ((np.eye, (3,)), (np.zeros, ((3, 3),)),
+                       (_curvature_shape, (3,))):
+        const = ad.constant(make, *args)
+        assert const is ad.constant(make, *args)  # built once
+        assert np.array_equal(const, make(*args))
+        with pytest.raises(ValueError):
+            const[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            const += 1.0
+        assert np.array_equal(const, make(*args))

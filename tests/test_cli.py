@@ -600,3 +600,44 @@ def test_apply_overrides_refuses_what_the_file_refuses():
     assert info.value.problems == ["--seed: must be at least 0",
                                    "--samples: must be at least 1"]
     assert apply_overrides(cfg, seed=0, samples=1).sampling["count"] == 1
+
+
+def test_missing_parameter_is_reported_beside_an_invalid_one(tmp_path, capsys):
+    # the missing intercept used to go unreported while slope was invalid
+    doc = small(checks=["almost_product"])
+    doc["coefficients"]["a1"] = {"preset": "affine", "params": {"slope": "x"}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["verify", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: coefficients.a1.params.slope: expected a number\n"
+        "config error: coefficients.a1.params: affine() missing 1 required "
+        "positional argument: 'intercept'\n")
+    assert not out.exists()
+
+
+def test_checks_in_turn_report_as_fresh_runs():
+    # A, B, A share the cached constants of n = 3; each run's reports equal
+    # those of a run that built every constant anew
+    from paralift import ad
+    from paralift.cli import execute_checks
+
+    presets = (Path(__file__).resolve().parent.parent / "src" / "paralift"
+               / "presets")
+    docs = {}
+    for name in ("rational_para_kahler", "unit_coefficients"):
+        docs[name] = json.loads((presets / f"{name}.json").read_text())
+        docs[name]["sampling"]["count"] = 12
+
+    def reports(name):
+        reps, _ = execute_checks(parse_config(docs[name]))
+        return [r.to_dict() for r in reps]
+
+    fresh = {}
+    for name in docs:
+        ad.constant.cache_clear()
+        fresh[name] = reports(name)
+    for name in ("rational_para_kahler", "unit_coefficients",
+                 "rational_para_kahler"):
+        assert reports(name) == fresh[name], name

@@ -441,3 +441,54 @@ def test_spec_compiles_each_program_once(monkeypatch):
     assert len(keys) == len(set(keys))
     for fields in _NAMES.values():
         assert tuple(id(getattr(spec, f)) for f in fields) in keys
+
+
+def test_program_numbers_round_trip_bitwise():
+    # the compiled program writes each number by repr: every float,
+    # -0.0 and the non-finite ones included, evaluates as the tree does
+    from paralift.coefficients import Program
+
+    numbers = [0.1, -0.0, 1e-300, -2.5e17, 1.0 / 3.0, np.inf, -np.inf, np.nan]
+    families = ([constant(c) for c in numbers]
+                + [polynomial([c, 0.7, c]) for c in numbers]
+                + [exponential(c, 1.0 / 7.0) for c in numbers[:5]])
+    t = np.array([0.0, 0.3, 1.9])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for fam, value in zip(families, Program(families)(t)):
+            assert _same_bits(value, reference_walk(fam, t)), fam.description
+
+
+def test_guards_sample_all_families_as_each_alone():
+    # brackets of several families bisect together, each as if alone
+    from paralift.coefficients import _sampled_values
+
+    t = ScalarFamily("t")
+    families = [(t - 0.7) * (t - 0.7) + 1e-3, affine(1.0, 1.0),
+                exponential(1.0, -1.0) - 0.5 + 0.01 * t,
+                (t - 0.33) * (t - 1.5) * (t - 1.5) + 0.2]
+    together = _sampled_values(families, 2.0)
+    assert sum(len(ts) > 64 for ts, _ in together) >= 2  # interior minima
+    for fam, (ts, values) in zip(families, together):
+        alone_ts, alone = _sampled_values([fam], 2.0)[0]
+        assert _same_bits(ts, alone_ts) and _same_bits(values, alone)
+
+
+@pytest.mark.parametrize("build,programs", [
+    (lambda: almost_product_spec(affine(1.0, 0.5), affine(0.0, 0.1)), 1),
+    (lambda: integrable_spec(exponential(1.5, 0.3), curvature=1.0,
+                             t_max=1.0), 1),
+    (lambda: rational_spec(1.0, 2.0, affine(0.0, 1.0)), 1),
+    (lambda: with_metric(integrable_spec(constant(1.0), curvature=1.0),
+                         affine(1.0, 1.0)), 1 + 2),
+], ids=["almost_product", "integrable", "rational", "with_metric"])
+def test_builders_compile_one_guard_program_each(monkeypatch, build, programs):
+    # with_metric: its integrable spec, the guards of compatible_metric_coeffs
+    # and the positivity flag
+    from paralift import coefficients
+
+    compiled = []
+    monkeypatch.setattr(coefficients, "compile",
+                        lambda *args: compiled.append(args) or compile(*args),
+                        raising=False)
+    build()
+    assert len(compiled) == programs

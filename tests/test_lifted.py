@@ -299,20 +299,23 @@ def test_contract_errors():
 def factor_calls(monkeypatch):
     """The arguments of every evaluation of phi from here on.
 
-    conformal_factor is the first field of conformal_fields, so counting
-    conformal_fields counts both.
+    phi comes from conformal_fields (phi and h) or from its phi-only path
+    conformal_factor; both are counted.
     """
     from paralift import phase, spaceform
 
     calls = []
-    fields = spaceform.conformal_fields
 
-    def counting(*args):
-        calls.append(args)
-        return fields(*args)
+    def counting(evaluate):
+        def call(*args):
+            calls.append(args)
+            return evaluate(*args)
+        return call
 
-    for module in (spaceform, phase):  # phase holds its own imported name
-        monkeypatch.setattr(module, "conformal_fields", counting)
+    for name in ("conformal_fields", "conformal_factor"):
+        call = counting(getattr(spaceform, name))
+        for module in (spaceform, phase):  # phase holds its own imported names
+            monkeypatch.setattr(module, name, call)
     return calls
 
 

@@ -238,3 +238,22 @@ def test_log_gradient_matches_fd_of_log_phi(rng, n):
             else:
                 assert np.max(np.abs(single - fd)) <= 1e-8 * np.max(np.abs(fd))
 
+
+
+def test_phi_alone_where_h_is_dropped(monkeypatch):
+    # metric_point and energy_density read phi through the phi-only path
+    from paralift import phase, spaceform
+    from paralift.phase import energy_density, metric_point
+
+    xs = np.array([[0.1, -0.2, 0.3], [0.4, 0.0, -0.5]])
+    ps = np.array([[1.0, 0.5, -0.25], [0.0, 0.0, 0.0]])
+    for m in ALL_MODELS:
+        want = phase.chart_point(m, xs, ps)
+        for module in (phase, spaceform):  # h is out of reach
+            monkeypatch.setattr(module, "conformal_fields", None)
+        here = metric_point(m, xs, ps)
+        assert np.array_equal(here.phi, want.phi)
+        assert np.array_equal(here.t, want.t)
+        assert np.array_equal(energy_density(m, xs, ps), want.t)
+        assert np.array_equal(conformal_factor(m, xs), want.phi)
+        monkeypatch.undo()

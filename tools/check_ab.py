@@ -6,7 +6,10 @@ Imports both checkouts' ``src/paralift`` in one process, under two names.
 On WORKLOAD's cases at benchmark seed 1 (NEW's ``perfbench``), times
 ``run_check`` on each 2-point chunk, OLD and NEW back to back, the first
 alternating.  Prints median ms per chunk of each check, and points/s as
-``check_points_per_s`` counts them.  Cases either side refuses are skipped.
+``check_points_per_s`` counts them.  Each round is one pair of runs, so for
+each check and overall it also prints in how many rounds NEW took less time
+than OLD over the same chunks: a gain holds when NEW wins nearly every pair,
+not only in the median.  Cases either side refuses are skipped.
 """
 
 from __future__ import annotations
@@ -81,15 +84,24 @@ def main(old_root, new_root, workload):
                 times[(j, side)].append(time.perf_counter() - start)
     median = {key: statistics.median(v) for key, v in times.items()}
     for check in sorted({name for name, _, _ in jobs}):
-        old, new = (1e3 * statistics.mean(median[(j, side)] for j, job in
-                                          enumerate(jobs) if job[0] == check)
+        mine = [j for j, job in enumerate(jobs) if job[0] == check]
+        old, new = (1e3 * statistics.mean(median[(j, side)] for j in mine)
                     for side in SIDES)
         print(f"{check:18s} ms/chunk old {old:8.3f}  new {new:8.3f}  "
-              f"new/old {new / old:.3f}")
+              f"new/old {new / old:.3f}  new won {wins(times, mine)}")
     points = sum(n for _, n, _ in jobs)
     old, new = (points / sum(median[(j, side)] for j in range(len(jobs)))
                 for side in SIDES)
-    print(f"points/s old {old:.0f}  new {new:.0f}  new/old {new / old:.3f}")
+    print(f"points/s old {old:.0f}  new {new:.0f}  new/old {new / old:.3f}  "
+          f"new won {wins(times, range(len(jobs)))}")
+
+
+def wins(times, jobs):
+    """"k of ROUNDS": the rounds in which NEW's summed time over ``jobs``
+    was below OLD's."""
+    won = sum(sum(times[(j, "new")][r] for j in jobs)
+              < sum(times[(j, "old")][r] for j in jobs) for r in range(ROUNDS))
+    return f"{won} of {ROUNDS}"
 
 
 if __name__ == "__main__":
