@@ -1,16 +1,19 @@
-"""Run configuration: parsing with full error aggregation, plus builders.
+"""Run configuration: one table of field rules, its parser and its schema.
 
-Configs are JSON documents (see ``schemas/config.schema.json`` for the frozen
-field list).  ``parse_config`` validates the whole document and reports every
-problem it finds, not just the first; the builders then turn a validated
-config into the space form, coefficient spec and lifted structure.
+``FIELDS`` declares each config field once.  ``parse_config`` walks it, adds
+the cross-field rules whose problem lines ``PARSER_ONLY`` holds, and lists
+every problem, not just the first.  ``schemas/config.schema.json`` is the
+output of :func:`config_schema`, never edited by hand: regenerate it with
+``python3 tools/config_schema.py``.  The builders make the geometric objects.
 """
 
 from __future__ import annotations
 
 import copy
-import sys
+import inspect
 from dataclasses import dataclass, replace
+from functools import partial
+from sys import float_info
 
 from . import coefficients as co
 from .errors import ConfigError
@@ -18,15 +21,138 @@ from .lifted import LiftedStructure, StructureKind
 from .spaceform import ChartModel, SpaceForm
 from .verify import CHECK_NAMES
 
-MODELS = tuple(m.value for m in ChartModel)
-KINDS = tuple(k.value for k in StructureKind)
-
 # Checks that read the metric part of a spec, hence need the
-# proportionality derivation, and those that need epsilon = -1.
-_METRIC_CHECKS = frozenset(
-    {"compatibility", "metric_signature", "closure", "closure_agreement",
-     "para_kahler"})
-_NEUTRAL_CHECKS = frozenset({"closure", "closure_agreement", "para_kahler"})
+# proportionality derivation; the last three need epsilon = -1 too.
+_METRIC_CHECKS = ("compatibility", "metric_signature", "closure",
+                  "closure_agreement", "para_kahler")
+_NEUTRAL_CHECKS = _METRIC_CHECKS[2:]
+
+
+@dataclass(frozen=True)
+class Field:
+    """One config field, as the parser and the schema both read it: ``type``
+    is a JSON type, "enum" (of ``values``), "scalar" (a preset or one of
+    ``values``), "list" (of ``values``) or "object" (the section at its path).
+    A bad value is noted as "expected <type>", for an enum "unknown <name>
+    ...", or ``problem``, and ``default`` is kept.  Absent, the field is the
+    problem ``required`` if set; ``nullable`` reads null as absent."""
+
+    name: str
+    type: str
+    default: object = None
+    low: int | None = None
+    high: int | None = None
+    sign: str | None = None
+    values: tuple = ()
+    problem: str | None = None
+    required: str | None = None
+    nullable: bool = False
+
+
+# The Python types of the JSON types a row may hold.
+_TYPES = {"integer": int, "number": (int, float), "boolean": bool,
+          "string": str, "object": dict}
+# A number's sign rule: its problem, its test and its schema keywords.
+_SIGNS = {
+    "positive": ("must be positive", lambda v: v > 0, {"exclusiveMinimum": 0}),
+    "nonzero": ("must be nonzero", lambda v: v != 0, {"not": {"const": 0}}),
+    "nonnegative": ("expected a nonnegative number", lambda v: v >= 0,
+                    {"minimum": 0}),
+}
+_MISSING = "required section missing"
+_ONLY_RATIONAL = "the only built-in family is 'rational'"
+_NUMBER = Field("number", "number")
+_TOLERANCE = Field("tolerance", "number", sign="nonnegative")
+_CHECK = Field("check", "enum", values=tuple(sorted(CHECK_NAMES)))
+
+# Every config field, by the path of its section ("" is the document).
+FIELDS = {
+    "": (
+        Field("manifold", "object", required=_MISSING, nullable=True),
+        Field("coefficients", "object", required=_MISSING, nullable=True),
+        Field("sampling", "object", nullable=True),
+        Field("checks", "list", values=_CHECK.values,
+              required="required nonempty list of check names"),
+        Field("tolerances", "object", nullable=True,
+              problem="expected an object of check -> number"),
+        Field("output", "string", nullable=True,
+              problem="expected a string path"),
+    ),
+    "manifold": (
+        Field("model", "enum", "conformal_ball",
+              values=tuple(m.value for m in ChartModel)),
+        # At n = 32 the eight checks take about 0.5 s on 4 points, 77 MB peak.
+        Field("n", "integer", 3, low=2, high=32),
+        Field("c", "number", 1.0),
+        Field("chart_radius", "number", 1.0, sign="positive"),
+        Field("strength", "number", 0.1),
+    ),
+    "coefficients": (
+        Field("kind", "enum", "natural_diagonal",
+              values=tuple(k.value for k in StructureKind)),
+        Field("derive", "object", problem="expected an object of booleans"),
+        Field("family", "object", nullable=True),
+        Field("a1", "scalar"),
+        Field("b1", "scalar"),
+        Field("curvature", "number"),  # manifold.c unless given
+        Field("allow_mismatched_c", "boolean", False),
+        Field("epsilon", "enum", -1, values=(-1, 1),
+              problem="must be -1 or +1"),
+        Field("t_max", "number", 2.0, sign="positive"),
+        Field("lambda", "scalar",
+              {"preset": "constant", "params": {"value": 1.0}}),
+        Field("mu", "scalar", "derived", values=("derived",)),
+        Field("require_positive", "boolean", True),
+    ),
+    "coefficients.derive": tuple(Field(name, "boolean", True) for name in (
+        "product_completion", "integrability", "metric_proportionality")),
+    "coefficients.family": (
+        Field("name", "enum", "rational", values=("rational",),
+              problem=_ONLY_RATIONAL, required=_ONLY_RATIONAL),
+        Field("alpha", "number", 1.0, sign="nonzero"),
+        Field("beta", "number", 2.0, sign="nonzero"),
+        Field("u", "scalar", {"preset": "constant", "params": {"value": 0.0}},
+              required="required scalar preset"),
+    ),
+    "sampling": (
+        Field("count", "integer", 100, low=1),
+        Field("seed", "integer", 0, low=0),
+        Field("p_max", "number", 2.0, sign="positive"),
+    ),
+    "tolerances": tuple(replace(_TOLERANCE, name=n) for n in CHECK_NAMES),
+}
+_ROWS = {(path, f.name): f for path, rows in FIELDS.items() for f in rows}
+# Sections read in document order, noting an unknown key with this problem.
+_IN_PLACE = {"coefficients.derive": "unknown flag; valid: "
+             f"{sorted(f.name for f in FIELDS['coefficients.derive'])}",
+             "tolerances": "unknown check name"}
+
+# The problem lines of the rules the parser alone enforces, "{}" standing
+# for a path or value; the schema's $comment lists them.
+PARSER_ONLY = dict(
+    finite="{}: must be finite",
+    integral="{}: expected an integer",
+    strength="manifold.strength: only valid for the perturbed_conformal model",
+    flat="manifold.c: the flat model requires c = 0",
+    radius="manifold.chart_radius: reaches the conformal-factor singularity "
+           "for this negative curvature",
+    family="coefficients.{}: not allowed together with a coefficient family",
+    family_b1="coefficients.derive.integrability: the family already fixes "
+              "b1; drop the flag or the family",
+    a1="coefficients.a1: required (or give a family)",
+    b1_on="coefficients.b1: not allowed when derive.integrability is set",
+    b1_off="coefficients.b1: required when derive.integrability is off",
+    completion="coefficients.derive.product_completion: must stay on; it is "
+               "the only source of (a2, b2)",
+    curvature="coefficients.curvature: integrability derivation uses {:g} but "
+              "the manifold has c = {:g}; set allow_mismatched_c for negative "
+              "tests",
+    metric="coefficients.{}: only meaningful with "
+           "derive.metric_proportionality on a natural_diagonal structure",
+    kind="checks: {!r} needs the natural_diagonal structure (metric part)",
+    proportional="checks: {!r} needs derive.metric_proportionality",
+    neutral="checks: {!r} needs epsilon = -1",
+)
 
 
 @dataclass(frozen=True)
@@ -42,245 +168,169 @@ class RunConfig:
 
     def echo(self):
         """JSON-ready copy of the normalized config, for the report."""
-        return {
-            "manifold": dict(self.manifold),
-            "coefficients": copy.deepcopy(self.coefficients),
-            "sampling": dict(self.sampling),
-            "checks": list(self.checks),
-            "tolerances": dict(self.tolerances),
-            "output": self.output,
-        }
+        return copy.deepcopy({**vars(self), "checks": list(self.checks)})
 
 
 def parse_config(document):
     """Validate a config document; raise :class:`ConfigError` with all problems."""
-    problems = []
     if not isinstance(document, dict):
         raise ConfigError(["config: expected a JSON object"])
-    known = {"manifold", "coefficients", "sampling", "checks", "tolerances",
-             "output"}
-    for key in document:
-        if key not in known:
-            problems.append(f"{key}: unknown top-level field")
-
-    manifold = _parse_manifold(document.get("manifold"), problems)
-    coefficients = _parse_coefficients(document.get("coefficients"), manifold,
-                                       problems)
-    sampling = _parse_sampling(document.get("sampling"), problems)
+    problems = [f"{key}: unknown top-level field" for key in document
+                if ("", key) not in _ROWS]
+    manifold = _field(document, "", "manifold", problems,
+                      {"strength": _manifold_rule})
+    coefficients = _field(document, "", "coefficients", problems, {
+        "family": _family_rule, "a1": None, "b1": None,
+        "allow_mismatched_c": partial(_curvature_rule, c=manifold["c"]),
+        "lambda": partial(_metric_rule, key="lambda"),
+        "mu": partial(_metric_rule, key="mu")})
+    sampling = _field(document, "", "sampling", problems)
     checks = _parse_checks(document.get("checks"), coefficients, problems)
-    tolerances = _parse_tolerances(document.get("tolerances"), problems)
-    output = document.get("output")
-    if output is not None and not isinstance(output, str):
-        problems.append("output: expected a string path")
-        output = None
-
+    tolerances = _field(document, "", "tolerances", problems)
+    output = _field(document, "", "output", problems)
     if problems:
         raise ConfigError(problems)
-    return RunConfig(manifold=manifold, coefficients=coefficients,
-                     sampling=sampling, checks=tuple(checks),
-                     tolerances=tolerances, output=output)
+    return RunConfig(manifold, coefficients, sampling, checks, tolerances,
+                     output)
 
 
-def _parse_manifold(section, problems):
-    out = {"model": "conformal_ball", "n": 3, "c": 1.0, "chart_radius": 1.0}
-    if section is None:
-        problems.append("manifold: required section missing")
-        return out
-    if not isinstance(section, dict):
-        problems.append("manifold: expected an object")
-        return out
-    model = section.get("model", "conformal_ball")
-    if model not in MODELS:
-        problems.append(f"manifold.model: unknown model {model!r}; "
-                        f"valid: {list(MODELS)}")
-        model = "conformal_ball"
-    out["model"] = model
-    # At n = 32 the eight checks take about 0.5 s on 4 points, 77 MB peak.
-    out["n"] = _int_field(section, "n", "manifold.n", problems, default=3,
-                          minimum=2, maximum=32)
-    out["c"] = _num_field(section, "c", "manifold.c", problems, default=1.0)
-    out["chart_radius"] = _num_field(section, "chart_radius",
-                                     "manifold.chart_radius", problems,
-                                     default=1.0, positive=True)
-    if model == "perturbed_conformal":
-        out["strength"] = _num_field(section, "strength", "manifold.strength",
-                                     problems, default=0.1)
+def _field(section, path, name, problems, rules=None, missing=None):
+    """Field ``name`` of the section at ``path`` by its row; when absent, the
+    row's default, after the problem ``missing`` or the row's ``required``."""
+    f, where = _ROWS[path, name], f"{path}.{name}".lstrip(".")
+    if section.get(name) is not None or (name in section and not f.nullable):
+        return _value(f, section[name], where, problems, rules)
+    if missing or f.required:
+        problems.append(missing or f"{where}: {f.required}")
+    return _defaults(where) if f.type == "object" else copy.deepcopy(f.default)
+
+
+def _value(f, value, path, problems, rules=None):
+    """``value`` checked by row ``f``; on a problem, noted in ``problems``,
+    the row's default.  A section is walked with ``rules``."""
+    if f.type == "scalar":
+        if value in f.values:
+            return value
+        parsed = _parse_scalar(value, path, problems)
+        _unknown(value if isinstance(value, dict) else {}, path,
+                 ("preset", "params"), problems)
+        return parsed
+    problem = None
+    if f.type == "enum":
+        if isinstance(value, bool) or value not in f.values:
+            problem = f.problem or (f"unknown {f.name} {value!r}; valid: "
+                                    f"{list(f.values)}")
+    elif (isinstance(value, bool) is not (f.type == "boolean")
+          or not isinstance(value, _TYPES[f.type])):
+        article = "an" if f.type[0] in "aeiou" else "a"
+        problem = f.problem or f"expected {article} {f.type}"
+    # json.loads passes NaN and Infinity; huge integers overflow a float
+    elif f.type == "number" and not abs(value) <= float_info.max:
+        problem = "must be finite"
+    elif f.low is not None and value < f.low:
+        problem = f"must be at least {f.low}"
+    elif f.high is not None and value > f.high:
+        problem = f"must be at most {f.high}"
+    elif f.sign and not _SIGNS[f.sign][1](value):
+        problem = _SIGNS[f.sign][0]
+    elif f.type == "object":
+        return _walk(value, path, problems, rules or {})
+    if problem:
+        problems.append(f"{path}: {problem}")
+        return _defaults(path) if f.type == "object" else f.default
+    if f.type == "enum":
+        return f.values[f.values.index(value)]  # the number 1.0 is 1
+    return float(value) if f.type == "number" else value
+
+
+def _walk(section, path, problems, rules):
+    """The section at ``path`` read row by row in table order, then unknown
+    keys sorted (an in-place section: by its keys).  A row named in ``rules``
+    is read by that rule, called with (section, fields so far, problems), or
+    by an earlier one if None."""
+    unknown = _IN_PLACE.get(path)
+    out = _defaults(path) if unknown else {}
+    for name in section if unknown else [f.name for f in FIELDS[path]]:
+        if (path, name) not in _ROWS:
+            problems.append(f"{path}.{name}: {unknown}")
+        elif name not in rules:
+            out[name] = _field(section, path, name, problems)
+        elif rules[name]:
+            rules[name](section, out, problems)
+    if not unknown:
+        _unknown(section, path, [f.name for f in FIELDS[path]], problems)
+    return out
+
+
+def _defaults(path):
+    """An absent section: its rows' defaults (of an in-place one: the set)."""
+    return {f.name: (_defaults(f"{path}.{f.name}") if f.type == "object"
+                     else copy.deepcopy(f.default)) for f in FIELDS[path]
+            if f.default is not None or path not in _IN_PLACE}
+
+
+def _unknown(section, path, names, problems):
+    for key in sorted(set(section) - set(names)):
+        problems.append(f"{path}.{key}: unknown field")
+
+
+def _manifold_rule(section, out, problems):
+    """strength, then the rules that read the whole manifold section."""
+    if out["model"] == "perturbed_conformal":
+        out["strength"] = _field(section, "manifold", "strength", problems)
     elif "strength" in section:
-        problems.append("manifold.strength: only valid for the "
-                        "perturbed_conformal model")
-    if model == "flat" and out["c"] != 0.0:
-        problems.append("manifold.c: the flat model requires c = 0")
+        problems.append(PARSER_ONLY["strength"])
+    if out["model"] == "flat" and out["c"] != 0.0:
+        problems.append(PARSER_ONLY["flat"])
     if out["c"] < 0 and out["chart_radius"] ** 2 >= -4.0 / out["c"]:
-        problems.append("manifold.chart_radius: reaches the conformal-factor "
-                        "singularity for this negative curvature")
-    extra = set(section) - {"model", "n", "c", "chart_radius", "strength"}
-    for key in sorted(extra):
-        problems.append(f"manifold.{key}: unknown field")
-    return out
+        problems.append(PARSER_ONLY["radius"])
 
 
-def _parse_coefficients(section, manifold, problems):
-    out = {
-        "kind": "natural_diagonal",
-        "a1": None,
-        "b1": None,
-        "family": None,
-        "curvature": manifold["c"],
-        "allow_mismatched_c": False,
-        "epsilon": -1,
-        "t_max": 2.0,
-        "lambda": None,
-        "mu": "derived",
-        "derive": {"product_completion": True, "integrability": True,
-                   "metric_proportionality": True},
-        "require_positive": True,
-    }
-    if section is None:
-        problems.append("coefficients: required section missing")
-        return out
-    if not isinstance(section, dict):
-        problems.append("coefficients: expected an object")
-        return out
-
-    kind = section.get("kind", "natural_diagonal")
-    if kind not in KINDS:
-        problems.append(f"coefficients.kind: unknown kind {kind!r}; "
-                        f"valid: {list(KINDS)}")
-        kind = "natural_diagonal"
-    out["kind"] = kind
-
-    derive = dict(out["derive"])
-    raw_derive = section.get("derive", {})
-    if not isinstance(raw_derive, dict):
-        problems.append("coefficients.derive: expected an object of booleans")
-        raw_derive = {}
-    for key, value in raw_derive.items():
-        if key not in derive:
-            problems.append(f"coefficients.derive.{key}: unknown flag; valid: "
-                            f"{sorted(derive)}")
-        elif not isinstance(value, bool):
-            problems.append(f"coefficients.derive.{key}: expected a boolean")
-        else:
-            derive[key] = value
-
-    family = section.get("family")
-    if family is not None:
-        out["family"] = _parse_family(family, problems)
-        if "integrability" not in raw_derive:
-            derive["integrability"] = False
-        elif derive["integrability"]:
-            problems.append("coefficients.derive.integrability: the family "
-                            "already fixes b1; drop the flag or the family")
+def _family_rule(section, out, problems):
+    """family, a1 and b1: which of them a structure reads."""
+    out["family"] = out["a1"] = out["b1"] = None
+    if section.get("family") is not None:
+        out["family"] = _field(section, "coefficients", "family", problems)
+        derive = section.get("derive")
+        if "integrability" not in (derive if isinstance(derive, dict) else {}):
+            out["derive"]["integrability"] = False
+        elif out["derive"]["integrability"]:
+            problems.append(PARSER_ONLY["family_b1"])
+        problems.extend(PARSER_ONLY["family"].format(key)
+                        for key in ("b1", "a1") if key in section)
+    if out["kind"] != "natural_diagonal" or out["family"] is not None:
+        return  # a family or a Cruceanu structure reads no a1, b1
+    out["a1"] = _field(section, "coefficients", "a1", problems,
+                       missing=PARSER_ONLY["a1"])
+    if out["derive"]["integrability"]:
         if "b1" in section:
-            problems.append("coefficients.b1: not allowed together with a "
-                            "coefficient family")
-        if "a1" in section:
-            problems.append("coefficients.a1: not allowed together with a "
-                            "coefficient family")
-    out["derive"] = derive
+            problems.append(PARSER_ONLY["b1_on"])
+        return
+    out["b1"] = _field(section, "coefficients", "b1", problems,
+                       missing=PARSER_ONLY["b1_off"])
+    if not out["derive"]["product_completion"]:
+        problems.append(PARSER_ONLY["completion"])
 
-    if kind == "natural_diagonal" and family is None:
-        if "a1" in section:
-            out["a1"] = _parse_scalar(section["a1"], "coefficients.a1",
-                                      problems)
-        else:
-            problems.append("coefficients.a1: required (or give a family)")
-        if derive["integrability"]:
-            if "b1" in section:
-                problems.append("coefficients.b1: not allowed when "
-                                "derive.integrability is set")
-        else:
-            if "b1" in section:
-                out["b1"] = _parse_scalar(section["b1"], "coefficients.b1",
-                                          problems)
-            else:
-                problems.append("coefficients.b1: required when "
-                                "derive.integrability is off")
-            if not derive["product_completion"]:
-                problems.append("coefficients.derive.product_completion: "
-                                "must stay on; it is the only source of "
-                                "(a2, b2)")
 
-    out["curvature"] = _num_field(section, "curvature",
-                                  "coefficients.curvature", problems,
-                                  default=manifold["c"])
-    allow = section.get("allow_mismatched_c", False)
-    if not isinstance(allow, bool):
-        problems.append("coefficients.allow_mismatched_c: expected a boolean")
-        allow = False
+def _curvature_rule(section, out, problems, c):
+    """allow_mismatched_c, then curvature against the base's ``c``."""
+    allow = _field(section, "coefficients", "allow_mismatched_c", problems)
     out["allow_mismatched_c"] = allow
-    if (derive["integrability"] and kind == "natural_diagonal"
-            and family is None and out["curvature"] != manifold["c"]
-            and not allow):
-        problems.append(
-            "coefficients.curvature: integrability derivation uses "
-            f"{out['curvature']:g} but the manifold has c = "
-            f"{manifold['c']:g}; set allow_mismatched_c for negative tests")
-
-    epsilon = section.get("epsilon", -1)
-    if isinstance(epsilon, bool) or epsilon not in (-1, 1):
-        problems.append("coefficients.epsilon: must be -1 or +1")
-        epsilon = -1
-    out["epsilon"] = int(epsilon)
-    out["t_max"] = _num_field(section, "t_max", "coefficients.t_max",
-                              problems, default=2.0, positive=True)
-
-    if derive["metric_proportionality"] and kind == "natural_diagonal":
-        if "lambda" in section:
-            out["lambda"] = _parse_scalar(section["lambda"],
-                                          "coefficients.lambda", problems)
-        else:
-            out["lambda"] = {"preset": "constant", "params": {"value": 1.0}}
-        mu = section.get("mu", "derived")
-        if mu == "derived":
-            out["mu"] = "derived"
-        else:
-            out["mu"] = _parse_scalar(mu, "coefficients.mu", problems)
-    else:
-        for key in ("lambda", "mu"):
-            if key in section:
-                problems.append(f"coefficients.{key}: only meaningful with "
-                                "derive.metric_proportionality on a "
-                                "natural_diagonal structure")
-        out["lambda"] = None
-        out["mu"] = None
-
-    rp = section.get("require_positive", True)
-    if not isinstance(rp, bool):
-        problems.append("coefficients.require_positive: expected a boolean")
-        rp = True
-    out["require_positive"] = rp
-
-    extra = set(section) - {"kind", "a1", "b1", "family", "curvature",
-                            "allow_mismatched_c", "epsilon", "t_max",
-                            "lambda", "mu", "derive", "require_positive"}
-    for key in sorted(extra):
-        problems.append(f"coefficients.{key}: unknown field")
-    return out
+    if out["curvature"] is None:
+        out["curvature"] = c
+    if (out["derive"]["integrability"] and out["kind"] == "natural_diagonal"
+            and out["family"] is None and out["curvature"] != c and not allow):
+        problems.append(PARSER_ONLY["curvature"].format(out["curvature"], c))
 
 
-def _parse_family(raw, problems):
-    out = {"name": "rational", "alpha": 1.0, "beta": 2.0,
-           "u": {"preset": "constant", "params": {"value": 0.0}}}
-    if not isinstance(raw, dict):
-        problems.append("coefficients.family: expected an object")
-        return out
-    name = raw.get("name")
-    if name != "rational":
-        problems.append("coefficients.family.name: the only built-in family "
-                        "is 'rational'")
-    out["alpha"] = _num_field(raw, "alpha", "coefficients.family.alpha",
-                              problems, default=1.0, nonzero=True)
-    out["beta"] = _num_field(raw, "beta", "coefficients.family.beta",
-                             problems, default=2.0, nonzero=True)
-    if "u" in raw:
-        out["u"] = _parse_scalar(raw["u"], "coefficients.family.u", problems)
-    else:
-        problems.append("coefficients.family.u: required scalar preset")
-    extra = set(raw) - {"name", "alpha", "beta", "u"}
-    for key in sorted(extra):
-        problems.append(f"coefficients.family.{key}: unknown field")
-    return out
+def _metric_rule(section, out, problems, key):
+    """lambda or mu, read only for the metric proportionality derivation."""
+    out[key] = None
+    if (out["derive"]["metric_proportionality"]
+            and out["kind"] == "natural_diagonal"):
+        out[key] = _field(section, "coefficients", key, problems)
+    elif key in section:
+        problems.append(PARSER_ONLY["metric"].format(key))
 
 
 def _parse_scalar(raw, path, problems):
@@ -289,29 +339,27 @@ def _parse_scalar(raw, path, problems):
         problems.append(f"{path}: expected an object with 'preset' and "
                         "'params'")
         return fallback
-    preset = raw.get("preset")
-    if preset not in co.SCALAR_PRESETS:
+    preset, params = raw.get("preset"), raw.get("params", {})
+    if preset not in tuple(co.SCALAR_PRESETS):  # a list is not hashable
         problems.append(f"{path}.preset: unknown preset {preset!r}; valid: "
                         f"{sorted(co.SCALAR_PRESETS)}")
         return fallback
-    params = raw.get("params", {})
     if not isinstance(params, dict):
         problems.append(f"{path}.params: expected an object")
         return fallback
-    _, names = co.SCALAR_PRESETS[preset]
-    known = len(problems)
+    names, known = co.SCALAR_PRESETS[preset][1], len(problems)
     for key, value in params.items():
         where = f"{path}.params.{key}"
         if key not in names:
             problems.append(f"{where}: unknown parameter for preset "
                             f"{preset!r} (takes {list(names)})")
         elif key != "coeffs":
-            _number(value, where, problems)
+            _value(_NUMBER, value, where, problems)
         elif not isinstance(value, list):
             problems.append(f"{where}: expected a list of numbers")
         else:
             for i, c in enumerate(value):
-                _number(c, f"{where}[{i}]", problems)
+                _value(_NUMBER, c, f"{where}[{i}]", problems)
     valid = len(problems) == known
     if not (valid or set(params) <= set(names)):
         return fallback  # an unknown name's own line says enough
@@ -326,118 +374,85 @@ def _parse_scalar(raw, path, problems):
     return {"preset": preset, "params": dict(params)} if valid else fallback
 
 
-# Integer fields of "sampling" as (default, minimum), for --seed and
-# --samples too.
-_SAMPLING_INTS = {"count": (100, 1), "seed": (0, 0)}
-
-
-def _parse_sampling(section, problems):
-    out = {"count": 100, "seed": 0, "p_max": 2.0}
-    if section is None:
-        return out
-    if not isinstance(section, dict):
-        problems.append("sampling: expected an object")
-        return out
-    for key, (default, minimum) in _SAMPLING_INTS.items():
-        out[key] = _int_field(section, key, f"sampling.{key}", problems,
-                              default=default, minimum=minimum)
-    out["p_max"] = _num_field(section, "p_max", "sampling.p_max", problems,
-                              default=2.0, positive=True)
-    extra = set(section) - {"count", "seed", "p_max"}
-    for key in sorted(extra):
-        problems.append(f"sampling.{key}: unknown field")
-    return out
-
-
 def _parse_checks(raw, coefficients, problems):
     if not isinstance(raw, list) or not raw:
-        problems.append("checks: required nonempty list of check names")
+        problems.append(f"checks: {_ROWS['', 'checks'].required}")
         return ()
-    checks = []
-    for i, name in enumerate(raw):
-        if name not in CHECK_NAMES:
-            problems.append(f"checks[{i}]: unknown check {name!r}; valid: "
-                            f"{sorted(CHECK_NAMES)}")
-            continue
-        checks.append(name)
-    kind = coefficients["kind"]
-    derive = coefficients["derive"]
+    checks = [check for i, name in enumerate(raw)
+              if (check := _value(_CHECK, name, f"checks[{i}]", problems))]
     for name in checks:
         if name in _METRIC_CHECKS:
-            if kind != "natural_diagonal":
-                problems.append(f"checks: {name!r} needs the natural_diagonal "
-                                "structure (metric part)")
-            elif not derive["metric_proportionality"]:
-                problems.append(f"checks: {name!r} needs "
-                                "derive.metric_proportionality")
+            if coefficients["kind"] != "natural_diagonal":
+                problems.append(PARSER_ONLY["kind"].format(name))
+            elif not coefficients["derive"]["metric_proportionality"]:
+                problems.append(PARSER_ONLY["proportional"].format(name))
         if name in _NEUTRAL_CHECKS and coefficients["epsilon"] != -1:
-            problems.append(f"checks: {name!r} needs epsilon = -1")
+            problems.append(PARSER_ONLY["neutral"].format(name))
     return tuple(dict.fromkeys(checks))
-
-
-def _parse_tolerances(raw, problems):
-    if raw is None:
-        return {}
-    if not isinstance(raw, dict):
-        problems.append("tolerances: expected an object of check -> number")
-        return {}
-    out = {}
-    for key, value in raw.items():
-        if key not in CHECK_NAMES:
-            problems.append(f"tolerances.{key}: unknown check name")
-        else:
-            out[key] = parse_tolerance(value, f"tolerances.{key}", problems)
-    return out
 
 
 def parse_tolerance(value, path, problems):
     """A check tolerance, a finite number >= 0; else None, noted in ``problems``."""
-    value = _number(value, path, problems)
-    if value is None or value >= 0:
-        return value
-    problems.append(f"{path}: expected a nonnegative number")
-    return None
+    return _value(_TOLERANCE, value, path, problems)
 
 
-def _int_field(section, key, path, problems, *, default, minimum=None,
-               maximum=None):
-    value = section.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        problems.append(f"{path}: expected an integer")
-        return default
-    if minimum is not None and value < minimum:
-        problems.append(f"{path}: must be at least {minimum}")
-        return default
-    if maximum is not None and value > maximum:
-        problems.append(f"{path}: must be at most {maximum}")
-        return default
-    return value
+def config_schema():
+    """The JSON Schema of a run config: the rows of ``FIELDS``, the scalar
+    presets' factory signatures, and ``PARSER_ONLY`` as its ``$comment``."""
+    presets = []
+    for name, (factory, params) in co.SCALAR_PRESETS.items():
+        signature = inspect.signature(factory).parameters
+        rows = {key: {"type": "number"} if key != "coeffs" else {
+            "type": "array", "minItems": 1, "items": {"type": "number"}}
+            for key in params}
+        required = [key for key in params
+                    if signature[key].default is inspect.Parameter.empty]
+        for key in set(params) - set(required):
+            rows[key]["default"] = signature[key].default
+        presets.append({"required": ["params"] if required else [],
+                        "properties": {"preset": {"const": name}, "params": {
+                            "required": required, "properties": rows,
+                            "additionalProperties": False}}})
+    return {
+        "$schema": "https://json-schema.org/draft/2020-12/schema",
+        "$id": "paralift/config.schema.json",
+        "title": "paralift run configuration",
+        "$comment": "Generated by paralift.config.config_schema.  Problems "
+                    "only the parser finds ({} is a path or value; integer "
+                    "admits 5.0): " + " | ".join(PARSER_ONLY.values()),
+        "$defs": {"scalar_preset": {
+            "type": "object", "required": ["preset"],
+            "additionalProperties": False, "oneOf": presets,
+            "properties": {"preset": {"enum": list(co.SCALAR_PRESETS)},
+                           "params": {"type": "object"}}}},
+        **_row_schema(Field("", "object"), ""),
+    }
 
 
-def _num_field(section, key, path, problems, *, default, positive=False,
-               nonzero=False):
-    value = _number(section.get(key, default), path, problems)
-    if value is None:
-        return default
-    if positive and value <= 0:
-        problems.append(f"{path}: must be positive")
-        return default
-    if nonzero and value == 0:
-        problems.append(f"{path}: must be nonzero")
-        return default
-    return value
-
-
-def _number(value, path, problems):
-    """``value`` as a finite float (``json.loads`` passes NaN and Infinity);
-    else None, noted in ``problems``."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        problems.append(f"{path}: expected a number")
-    elif not abs(value) <= sys.float_info.max:  # NaN, +-inf, huge integers
-        problems.append(f"{path}: must be finite")
+def _row_schema(f, where):
+    """The schema of row ``f``, found at path ``where``."""
+    if f.type == "object":
+        rows = FIELDS[where]
+        out = {"type": "object", "additionalProperties": False, "properties": {
+            r.name: _row_schema(r, f"{where}.{r.name}".lstrip("."))
+            for r in rows}, "required": [r.name for r in rows if r.required]}
+    elif f.type == "scalar":
+        out = {"$ref": "#/$defs/scalar_preset"}
+        if f.values:
+            out = {"oneOf": [{"const": v} for v in f.values] + [out]}
+    elif f.type == "enum":
+        out = {"enum": list(f.values)}
+    elif f.type == "list":
+        out = {"type": "array", "minItems": 1,
+               "items": {"enum": list(f.values)}}
     else:
-        return float(value)
-    return None
+        out = {"type": f.type, **(_SIGNS[f.sign][2] if f.sign else {})}
+    if f.nullable and not f.required:
+        out["type"] = [out["type"], "null"]
+    extra = {"minimum": f.low, "maximum": f.high,
+             "default": None if f.required else f.default}
+    out.update((key, v) for key, v in extra.items() if v is not None)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -452,44 +467,30 @@ def make_scalar(desc):
 
 def build_space_form(config):
     mf = config.manifold
-    return SpaceForm(
-        n=mf["n"],
-        c=mf["c"],
-        model=ChartModel(mf["model"]),
-        chart_radius=mf["chart_radius"],
-        strength=mf.get("strength", 0.0),
-    )
+    return SpaceForm(n=mf["n"], c=mf["c"], model=ChartModel(mf["model"]),
+                     chart_radius=mf["chart_radius"],
+                     strength=mf.get("strength", 0.0))
 
 
 def build_structure(config, m=None):
     """The :class:`LiftedStructure` described by a validated config."""
-    if m is None:
-        m = build_space_form(config)
+    m = m or build_space_form(config)
     cf = config.coefficients
     kind = StructureKind(cf["kind"])
     if kind is not StructureKind.NATURAL_DIAGONAL:
         return LiftedStructure(m=m, kind=kind)
-
-    t_max = cf["t_max"]
-    epsilon = cf["epsilon"]
-    curvature = cf["curvature"]
-    if cf["family"] is not None:
-        fam = cf["family"]
+    shared = {key: cf[key] for key in ("curvature", "epsilon", "t_max")}
+    if (fam := cf["family"]) is not None:
         spec = co.rational_spec(fam["alpha"], fam["beta"],
-                                make_scalar(fam["u"]), curvature=curvature,
-                                epsilon=epsilon, t_max=t_max)
+                                make_scalar(fam["u"]), **shared)
     elif cf["derive"]["integrability"]:
-        spec = co.integrable_spec(make_scalar(cf["a1"]), curvature=curvature,
-                                  epsilon=epsilon, t_max=t_max)
+        spec = co.integrable_spec(make_scalar(cf["a1"]), **shared)
     else:
         spec = co.almost_product_spec(make_scalar(cf["a1"]),
-                                      make_scalar(cf["b1"]),
-                                      curvature=curvature, epsilon=epsilon,
-                                      t_max=t_max)
+                                      make_scalar(cf["b1"]), **shared)
     if cf["derive"]["metric_proportionality"]:
-        lam = make_scalar(cf["lambda"])
         mu = None if cf["mu"] == "derived" else make_scalar(cf["mu"])
-        spec = co.with_metric(spec, lam, mu,
+        spec = co.with_metric(spec, make_scalar(cf["lambda"]), mu,
                               require_positive=cf["require_positive"])
     return LiftedStructure(m=m, kind=kind, spec=spec)
 
@@ -497,14 +498,9 @@ def build_structure(config, m=None):
 def sampling_overrides(seed, samples, problems):
     """The ``--seed`` and ``--samples`` values given, as sampling fields,
     checked by the file's rules for those fields into ``problems``."""
-    out = {}
-    for flag, key, value in (("--seed", "seed", seed),
-                             ("--samples", "count", samples)):
-        if value is not None:
-            default, minimum = _SAMPLING_INTS[key]
-            out[key] = _int_field({key: value}, key, flag, problems,
-                                  default=default, minimum=minimum)
-    return out
+    given = {"seed": ("--seed", seed), "count": ("--samples", samples)}
+    return {key: _value(_ROWS["sampling", key], value, flag, problems)
+            for key, (flag, value) in given.items() if value is not None}
 
 
 def apply_overrides(config, *, seed=None, samples=None, tolerances=None,

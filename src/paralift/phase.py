@@ -1,4 +1,4 @@
-"""Points of the cotangent bundle, the frame matrices, spray and Liouville field.
+"""Points of the cotangent bundle and their chart fields.
 
 A chart point of T*M is a pair (q, p): base coordinates q and covector
 components p.  The Levi-Civita connection splits each tangent space of T*M
@@ -8,10 +8,11 @@ splitting via
 
     delta_i = d/dq^i + Gamma0_ih d/dp_h,      Gamma0_ih = p_k Gamma^k_ih.
 
-Components refer to the adapted frame unless a name says otherwise;
-:func:`frame_matrices` converts to coordinate components.  Axis convention
-for all 2n-component objects: slots 0..n-1 are horizontal (q-directions),
-slots n..2n-1 vertical (p-directions).
+Components refer to the adapted frame unless a name says otherwise; the
+block triangular matrix B = [[I, 0], [Gamma0, I]] converts them to
+coordinate components.  Axis convention for all 2n-component objects:
+slots 0..n-1 are horizontal (q-directions), slots n..2n-1 vertical
+(p-directions).
 
 Every function here also takes leading batch axes (see :mod:`paralift.ad`):
 a :class:`CotangentPoint` whose arrays carry one leading axis stands for a
@@ -37,9 +38,6 @@ __all__ = [
     "stack_points",
     "unstack_point",
     "energy_density",
-    "frame_matrices",
-    "liouville",
-    "spray",
 ]
 
 
@@ -136,29 +134,3 @@ def energy_density(m, q, p):
     """(1/2) g^{ik}(q) p_i p_k, evaluable on Jets in all 2n variables; on
     plain coordinates it rounds exactly as the t of :func:`make_point`."""
     return metric_point(m, q, p).t
-
-
-def frame_matrices(gamma0):
-    """(B, Binv) from the contraction Gamma0; works on a Jet Gamma0 too.
-
-    Columns of B express the adapted frame vectors in coordinates; Binv is
-    its closed-form inverse.  Both are block triangular:
-
-        B = [[I, 0], [Gamma0, I]],   Binv = [[I, 0], [-Gamma0, I]].
-    """
-    n = gamma0.shape[-1]
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    b = ad.block([[eye, zero], [gamma0, eye]])
-    binv = ad.block([[eye, zero], [-gamma0, eye]])
-    return b, binv
-
-
-def liouville(pt):
-    """Adapted components (0, p) of the tautological vertical field at ``pt``."""
-    return np.concatenate([np.zeros_like(pt.p), pt.p], axis=-1)
-
-
-def spray(pt):
-    """Adapted components (g0, 0) of the geodesic spray g^{0i} delta_i at ``pt``."""
-    return np.concatenate([pt.g0, np.zeros_like(pt.g0)], axis=-1)

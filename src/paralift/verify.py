@@ -246,7 +246,8 @@ def analytic_dOmega(ls, pt):
     mixed = (w + ad.transpose(w, (1, 2, 0)) + ad.transpose(w, (2, 0, 1))
              - ad.transpose(w, (0, 2, 1)) - ad.transpose(w, (2, 1, 0))
              - ad.transpose(w, (1, 0, 2)))
-    # Binv of phase.frame_matrices, alone: B itself is not needed
+    # Binv = [[I, 0], [-Gamma0, I]], the inverse of the adapted frame
+    # matrix B = [[I, 0], [Gamma0, I]]; B itself is not needed
     zero = ad.constant(np.zeros, (n, n))
     binv = ad.block([[eye, zero], [-pt.Gamma0, eye]])
     # Binv^a_A Binv^b_B Binv^c_C mixed_abc, one slot at a time as stacked

@@ -33,10 +33,11 @@ from paralift import (
 )
 from paralift import ChartDomainError, Omega_coordinate, P_coordinate_function, ad
 from paralift.lifted import G_adapted, Omega_adapted, P_adapted
-from paralift.phase import frame_matrices, stack_points
+from paralift.phase import stack_points
 from paralift.spaceform import conformal_factor, space_form_residual
 from paralift.verify import CHECK_NAMES, PhaseSample, run_check
 from dense_metric import metric_at
+from frame_reference import frame_matrices
 
 DIMS = (2, 3, 4, 8)
 MODELS = ("flat", "ball+1", "ball-1", "perturbed")

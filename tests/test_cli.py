@@ -375,6 +375,30 @@ def test_preset_parameters_follow_the_number_rule(tmp_path, capsys, a1,
     assert not out.exists()
 
 
+def test_unknown_key_of_a_scalar_preset_exit_2(tmp_path, capsys):
+    # a key beside "preset" and "params" used to be ignored silently
+    doc = small(checks=["almost_product"])
+    doc["coefficients"]["a1"]["x"] = 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["verify", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: coefficients.a1.x: unknown field\n")
+    assert not out.exists()
+
+
+def test_unhashable_preset_name_is_a_config_error():
+    # a list as the preset name used to raise TypeError out of the parser
+    doc = small()
+    doc["coefficients"]["a1"] = {"preset": [], "params": {}}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    assert exc.value.problems == [
+        "coefficients.a1.preset: unknown preset []; valid: "
+        "['affine', 'constant', 'exponential', 'polynomial']"]
+
+
 @pytest.mark.parametrize("preset,params,problems", [
     ("polynomial", {"coeffs": [1.0, "x", math.inf]},
      ["params.coeffs[1]: expected a number",
@@ -455,13 +479,16 @@ def _family(**fields):
     (_family(alpha=2.0), True),
     (_family(alpha=0), False),
     (_family(beta=0.0), False),
+    (lambda doc: doc["coefficients"]["a1"].update(x=1), False),
+    (lambda doc: doc["coefficients"].update(family=None), True),
 ], ids=["as_is", "epsilon_true", "epsilon_one", "manifold_defaults",
         "manifold_without_c", "tolerance", "tolerance_unknown_check",
         "tolerance_negative", "sampling_null", "tolerances_null",
         "output_null", "n_32", "n_33", "param_string", "param_unknown",
         "param_missing", "coeffs_string", "coeffs_empty", "coeffs_item",
         "coeffs", "exponential_defaults", "exponential_string",
-        "family", "family_alpha_zero", "family_beta_zero"])
+        "family", "family_alpha_zero", "family_beta_zero",
+        "scalar_unknown_key", "family_null"])
 def test_parser_and_schema_agree(edit, accepted):
     import jsonschema
 

@@ -30,8 +30,9 @@ from paralift import (
     with_metric,
 )
 from paralift import ad
-from paralift.phase import frame_matrices, liouville, spray, stack_points
+from paralift.phase import stack_points
 from paralift.verify import _seeded_residuals, check_para_kahler
+from frame_reference import frame_matrices, liouville, spray
 
 N = StructureKind.NATURAL_DIAGONAL
 

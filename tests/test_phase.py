@@ -10,10 +10,11 @@ from paralift import (
     flat_space,
     make_point,
 )
-from paralift.phase import chart_point, frame_matrices, liouville, spray
+from paralift.phase import chart_point
 from paralift.spaceform import christoffel_at, perturbed_conformal
 from paralift.verify import sample_points
 from dense_metric import metric_at
+from frame_reference import frame_matrices, liouville, spray
 import jet_reference as ref
 
 
