@@ -3,8 +3,8 @@
 The package builds the almost product tensor P, the lifted metric G and the
 fundamental 2-form Omega on T*M over constant-curvature bases, and verifies
 their defining identities (P^2 = I, vanishing Nijenhuis tensor, metric
-compatibility, closure of Omega) numerically with exact forward-mode
-derivatives at sampled phase points.
+compatibility, closure of Omega) numerically at sampled phase points, with
+derivatives exact to rounding by complex step.
 """
 
 __version__ = "0.1.0"

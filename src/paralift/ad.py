@@ -1,23 +1,26 @@
-"""Forward-mode automatic differentiation at array granularity.
+"""Derivatives by complex step through the plain evaluators.
 
-A :class:`Jet` holds a value ``val`` of shape S (an ndarray, or a float when
-S is ()) and its first partials ``grad`` of shape S + (m,), the seed axis
-last.  Arithmetic broadcasts like numpy; the stacked products
-:func:`matmul`, :func:`vecdot` and :func:`outer` apply the product rule.
-Derivatives are exact up to rounding, with no step size to tune.  Seeding
-is one level only: a Jet is never seeded again, and a plain operand is a
-constant of the seeds.  One code path thus serves plain floats, Jets and
-the finite-difference cross checks.
+Every evaluator of the package is written once, for arrays of real or complex
+scalars, in arithmetic that is analytic: +, -, *, / and matrix products.
+:func:`jacobian` runs it on x + i h e_a for every coordinate direction e_a at
+once, the directions stacked on one extra batch axis.  Then f(x + i h e_a) =
+f(x) + i h d_a f(x) + O(h^2), and h = :data:`STEP` is a power of two whose
+square underflows to 0.0: the real parts are the plain values (a quotient
+rounds as a * (1/b)), and Im / h is the partial d_a f, exact to rounding,
+with no difference to cancel and no step size to tune (Squire & Trapp, *SIAM
+Review* 40(1), 1998; Martins, Sturdza & Alonso, *ACM TOMS* 29(3), 2003).
+One code path thus serves values, derivatives and the finite-difference
+cross checks.  Domain guards compare real parts.  Steps do not nest: a
+complex point is never stepped again.
 
 Batch convention: every array may carry leading batch axes, one slice per
-point, ahead of its own axes; a value of shape (..., S) has a gradient of
-shape (..., S, m), the seed axis still last.  :func:`seed` seeds along the
-last axis, axis arguments count from the end (``transpose``, ``Jet.sum``),
-and the products act on the trailing matrix or vector axes like numpy's
-stacked ``matmul``.  Batch slices never mix, so a batch evaluates to the
-stack of its points' values, bit for bit.  :func:`map_blocks` bounds the
-batch size by :data:`BLOCK_ELEMENTS`.  Constant arrays such as the identity
-come from :func:`constant`, built once and read-only.
+point, ahead of its own axes, and the step directions are one more of them.
+Axis arguments count from the end (:func:`transpose`), and products act on
+the trailing matrix or vector axes like numpy's stacked ``matmul``.  Batch
+slices never mix, so a batch evaluates to the stack of its points' values,
+bit for bit.  :func:`map_blocks` bounds the batch size by
+:data:`BLOCK_ELEMENTS`.  Constant arrays such as the identity come from
+:func:`constant`, built once and read-only.
 """
 
 from __future__ import annotations
@@ -27,13 +30,8 @@ from functools import cache
 import numpy as np
 
 __all__ = [
-    "Jet",
-    "seed",
-    "val",
-    "partials",
-    "strip",
+    "STEP",
     "jacobian",
-    "matmul",
     "vecdot",
     "outer",
     "transpose",
@@ -45,162 +43,48 @@ __all__ = [
 
 # Size of one block of points, in footprint elements per point: (2n)^3 for a
 # phase-space jacobian over an n-dimensional base, (2n)^2 for a matrix.  A
-# block's intermediates peak at about nine float64 values per element, so at
-# about 0.6 MB: a jacobian check holds 2 points at n = 8, 37 at n = 3.
+# jacobian's intermediates are complex, 16 bytes per element, and peak at
+# about nine values per element, so at about 1.2 MB: a jacobian check holds
+# 2 points at n = 8, 37 at n = 3.
 BLOCK_ELEMENTS = 1 << 13
 
-
-class Jet:
-    """Array value plus gradient, with one trailing axis per seeded variable."""
-
-    __slots__ = ("val", "grad")
-
-    # ndarray operators defer to the jet, so ``array * jet`` is a Jet.
-    __array_ufunc__ = None
-
-    def __init__(self, val, grad):
-        self.val = val
-        self.grad = grad
-
-    @property
-    def shape(self):
-        return np.shape(self.val)
-
-    def __getitem__(self, key):
-        key = key if isinstance(key, tuple) else (key,)
-        gkey = key + (slice(None),) if Ellipsis in key else key
-        return Jet(np.asarray(self.val)[key], self.grad[gkey])
-
-    def sum(self, axis):
-        """Sum over one value axis; a negative axis counts from the last."""
-        return Jet(self.val.sum(axis), self.grad.sum(axis - 1 if axis < 0 else axis))
-
-    # A plain operand is a constant of this jet's seeds.
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            return Jet(self.val + other.val, self.grad + other.grad)
-        v = self.val + other
-        return Jet(v, _fit(self.grad, v, other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Jet):
-            return Jet(self.val - other.val, self.grad - other.grad)
-        v = self.val - other
-        return Jet(v, _fit(self.grad, v, other))
-
-    def __rsub__(self, other):
-        v = other - self.val
-        return Jet(v, _fit(-self.grad, v, other))
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            return Jet(self.val * other.val,
-                       _seed_axis(self.val) * other.grad
-                       + _seed_axis(other.val) * self.grad)
-        return Jet(self.val * other, self.grad * _seed_axis(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            inv = 1.0 / (other.val * other.val)
-            return Jet(self.val / other.val,
-                       (self.grad * _seed_axis(other.val)
-                        - _seed_axis(self.val) * other.grad) * _seed_axis(inv))
-        return Jet(self.val / other, self.grad / _seed_axis(other))
-
-    def __rtruediv__(self, other):
-        inv = 1.0 / (self.val * self.val)
-        return Jet(other / self.val, -_seed_axis(other * inv) * self.grad)
-
-    def __neg__(self):
-        return Jet(-self.val, -self.grad)
-
-    def __repr__(self):
-        return f"Jet({self.val!r}, {self.grad!r})"
+# The complex step h: a power of two, so Im / h is an exact rescale, and
+# h * h == 0.0, so products of two steps vanish from the real parts.
+STEP = 2.0 ** -600
 
 
-def _seed_axis(c):
-    """``c`` with a unit axis appended, to broadcast against a gradient."""
-    return c if isinstance(c, (int, float)) else c[..., None]
-
-
-def _fit(grad, v, c):
-    """``grad`` broadcast to the gradient shape of ``v``, a jet value plus ``c``."""
-    return grad if isinstance(c, (int, float)) else grad + np.zeros(np.shape(v) + (1,))
-
-
-def seed(x):
-    """Jet of the plain array ``x`` seeded by its last-axis entries."""
-    if isinstance(x, Jet):
-        raise TypeError("seeding is one level only: a Jet cannot be seeded")
-    x = np.asarray(x, dtype=float)
-    grad = np.empty(x.shape + x.shape[-1:])
-    grad[...] = constant(np.eye, x.shape[-1])
-    return Jet(x, grad)
-
-
-def val(x):
-    """Value part of a Jet; a plain value is returned as it is."""
-    return x.val if isinstance(x, Jet) else x
-
-
-def partials(x, nvars):
-    """Gradient in ``nvars`` seeded variables, seed axis last; zero for a constant."""
-    if isinstance(x, Jet):
-        return x.grad
-    return np.zeros(np.shape(x) + (nvars,))
-
-
-def strip(x):
-    """Value part of ``x`` as a float ndarray."""
-    return np.asarray(val(x), dtype=float)
+def _steps(m):
+    """h I_m: row a is the step along coordinate a, for :func:`constant`."""
+    return STEP * np.eye(m)
 
 
 def jacobian(f, x):
-    """Evaluate ``f`` once on seeded inputs; return ``(value, jacobian)``.
+    """Evaluate ``f`` once on complex-stepped inputs; return ``(value, jacobian)``.
 
-    ``f`` maps the last axis of ``x``, ``m`` scalars, to a scalar or array;
-    leading axes of ``x`` are a batch.  The jacobian has the shape of the
+    ``f`` maps the last axis of ``x``, ``m`` real scalars, to a scalar or
+    array; leading axes of ``x`` are a batch.  ``f`` sees the m steps as one
+    more batch axis, just before the last.  The jacobian has the shape of the
     output followed by one trailing axis of length ``m``.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
+    if x.dtype.kind == "c":
+        raise TypeError("complex steps do not nest: jacobian takes a real point")
+    x = x.astype(float, copy=False)
     m = x.shape[-1]
-    out = f(seed(x))
-    return strip(out), np.asarray(partials(out, m), dtype=float)
-
-
-def matmul(a, b):
-    """Stacked ``a @ b`` over the last two axes; plain arrays stay on numpy.
-
-    Each gradient term is one stacked product too: d(a) b with ``a.grad``
-    read as a stack of (seed, j) matrices, one per row i, and a d(b) with
-    ``b.grad`` read as a (j, k seed) matrix.
-    """
-    if not isinstance(b, Jet):
-        if not isinstance(a, Jet):
-            return a @ b
-        return Jet(a.val @ b, _left_grad(a.grad, b))
-    shape = b.grad.shape
-    out = val(a) @ b.val
-    right = (val(a) @ b.grad.reshape(shape[:-2] + (-1,))).reshape(
-        out.shape + shape[-1:])
-    if not isinstance(a, Jet):
-        return Jet(out, right)
-    return Jet(out, _left_grad(a.grad, b.val) + right)
-
-
-def _left_grad(da, b):
-    """d(a) b for da[..., i, j, m]: (m, j) @ (j, k) for each row i."""
-    return np.swapaxes(np.swapaxes(da, -1, -2) @ b[..., None, :, :], -1, -2)
+    z = np.empty(x.shape[:-1] + (m, m), complex)
+    z.real, z.imag = x[..., None, :], constant(_steps, m)
+    out = np.asarray(f(z))
+    k = out.ndim - x.ndim  # the output's own axes, after the step axis
+    value = out.real.take(0, axis=-k - 1)
+    partials = np.multiply(transpose(out.imag, (*range(1, k + 1), 0)),
+                           1.0 / STEP, order="C")
+    return value, partials
 
 
 def vecdot(x, y):
-    """Stacked dot product over the last axis, as a 1 x 1 :func:`matmul`."""
-    return matmul(x[..., None, :], y[..., None])[..., 0, 0]
+    """Stacked dot product over the last axis, as a 1 x 1 matrix product
+    (no conjugation of a complex ``x``)."""
+    return (x[..., None, :] @ y[..., None])[..., 0, 0]
 
 
 def outer(a, b):
@@ -210,38 +94,37 @@ def outer(a, b):
 
 def transpose(x, axes):
     """Permute the last ``len(axes)`` axes of ``x`` by ``axes``; batch axes stay."""
-    if isinstance(x, Jet):
-        return Jet(transpose(x.val, axes),
-                   transpose(x.grad, tuple(axes) + (len(axes),)))
-    lead = np.ndim(x) - len(axes)
-    return np.transpose(x, tuple(range(lead)) + tuple(lead + a for a in axes))
+    return x.transpose(_last_axes(x.ndim, axes))
+
+
+@cache
+def _last_axes(ndim, axes):
+    """The axis order of :func:`transpose` on ``ndim`` axes."""
+    lead = ndim - len(axes)
+    return tuple(range(lead)) + tuple(lead + a for a in axes)
 
 
 def block(rows):
-    """``np.block`` of a nested list of blocks on the last two axes.
+    """``np.block`` of a nested list of array blocks on the last two axes.
 
-    Blocks may be jets, and their leading batch axes broadcast.  Values are
-    written into one preallocated array, gradients into another, where a
-    plain block leaves zeros.
+    The blocks' leading batch axes broadcast, and the result takes their
+    common dtype, complex if any block is.  Blocks are written into one
+    preallocated array.
     """
     parts = [x for row in rows for x in row]
-    leads = {val(x).shape[:-2] for x in parts} - {()}
+    leads = {x.shape[:-2] for x in parts} - {()}
     lead = leads.pop() if len(leads) == 1 else np.broadcast_shapes(*leads)
-    heights = [val(row[0]).shape[-2] for row in rows]
-    widths = [val(x).shape[-1] for x in rows[0]]
-    out = np.empty(lead + (sum(heights), sum(widths)))
-    jets = [x for x in parts if isinstance(x, Jet)]
-    grad = np.zeros(out.shape + jets[0].grad.shape[-1:]) if jets else None
+    heights = [row[0].shape[-2] for row in rows]
+    widths = [x.shape[-1] for x in rows[0]]
+    out = np.empty(lead + (sum(heights), sum(widths)), np.result_type(*parts))
     top = 0
     for row, h in zip(rows, heights):
         left = 0
         for x, w in zip(row, widths):
-            out[..., top:top + h, left:left + w] = val(x)
-            if isinstance(x, Jet):
-                grad[..., top:top + h, left:left + w, :] = x.grad
+            out[..., top:top + h, left:left + w] = x
             left += w
         top += h
-    return Jet(out, grad) if jets else out
+    return out
 
 
 @cache

@@ -17,10 +17,11 @@ A :class:`Program` compiles a tuple of families once into a flat list of
 their unique nodes, children first, so a subtree that several families share
 (b1 inside d1 and d2) is computed once per pass.  At its first call the steps
 become one straight-line Python function of t, which evaluates values on a
-plain t.  A phase-space Jet t takes one chain-rule step,
-c(t(z)) -> (c(t), c'(t) dt), with f and f' from one pass of a second program
-over the families and their derivative trees (Griewank & Walther,
-*Evaluating Derivatives*, ch. 3): the phase seeds never enter the tree.
+real t.  A complex-stepped t (see :mod:`paralift.ad`) takes one chain-rule
+step, c(t) -> c(Re t) + i c'(Re t) Im t, with f and f' from one pass of a
+second program over the families and their derivative trees (Griewank &
+Walther, *Evaluating Derivatives*, ch. 3): the complex step never enters the
+tree, so exp and every guard see real numbers.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from functools import cached_property, partialmethod
 
 import numpy as np
 
-from . import ad
 from .errors import DegenerateCoefficient
 
 __all__ = [
@@ -94,7 +94,7 @@ class ScalarFamily:
     args: tuple = ()
 
     def __call__(self, t):
-        """f(t); on a phase Jet t, the chain-rule Jet (f(t0), f'(t0) dt)."""
+        """f(t); on a complex t, the chain-rule step f(Re t) + i f'(Re t) Im t."""
         return self.program(t)[0]
 
     @cached_property
@@ -196,10 +196,10 @@ class Program:
                        + tuple(f.derivative() for f in self.families))
 
     def __call__(self, t):
-        """The families at t; on a phase Jet t, the Jets (f(t0), f'(t0) dt)."""
-        if isinstance(t, ad.Jet):
-            out, k = self.with_derivatives(t.val), len(self.outputs)
-            return tuple(ad.Jet(f, np.asarray(fp)[..., None] * t.grad)
+        """The families at t; on a complex t, f(Re t) + i f'(Re t) Im t."""
+        if np.iscomplexobj(t):
+            out, k = self.with_derivatives(t.real), len(self.outputs)
+            return tuple(_complex(f, fp * t.imag)
                          for f, fp in zip(out[:k], out[k:]))
         return self._function(t)
 
@@ -226,6 +226,13 @@ class Program:
         scope = {"exp": np.exp, "inf": math.inf, "nan": math.nan}
         exec(compile(source, "<paralift program>", "exec"), scope)
         return scope["program"]
+
+
+def _complex(re, im):
+    """The complex array re + i im, both parts written as they are."""
+    out = np.empty(np.shape(im), complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def constant(value):

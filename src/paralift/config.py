@@ -287,7 +287,8 @@ def _manifold_rule(section, out, problems):
 
 
 def _family_rule(section, out, problems):
-    """family, a1 and b1: which of them a structure reads."""
+    """family, a1 and b1: which of them a structure reads.  A Cruceanu
+    structure builds from none of them; given a1 or b1 are still checked."""
     out["family"] = out["a1"] = out["b1"] = None
     if section.get("family") is not None:
         out["family"] = _field(section, "coefficients", "family", problems)
@@ -298,8 +299,12 @@ def _family_rule(section, out, problems):
             problems.append(PARSER_ONLY["family_b1"])
         problems.extend(PARSER_ONLY["family"].format(key)
                         for key in ("b1", "a1") if key in section)
-    if out["kind"] != "natural_diagonal" or out["family"] is not None:
-        return  # a family or a Cruceanu structure reads no a1, b1
+    if out["family"] is not None:
+        return
+    if out["kind"] != "natural_diagonal":  # read by their rows, never built
+        for key in ("a1", "b1"):
+            out[key] = _field(section, "coefficients", key, problems)
+        return
     out["a1"] = _field(section, "coefficients", "a1", problems,
                        missing=PARSER_ONLY["a1"])
     if out["derive"]["integrability"]:

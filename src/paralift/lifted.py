@@ -25,9 +25,9 @@ Cruceanu P) and the mixed block M = lambda I + mu p (x) g0 of Omega,
 that is B P_adapted B^-1 and Binv^T Omega_adapted Binv.  Gamma0 and B2 are
 exactly symmetric, so B2 Gamma0 = (Gamma0 B2)^T and Gamma0 M^T = (M
 Gamma0)^T take no product of their own.  The evaluators
-accept a Jet z = (q, p), so entries stay differentiable in all 2n phase
-variables, and leading batch axes (see :mod:`paralift.ad`): a block's
-coefficients are one :class:`paralift.coefficients.Program` pass.
+accept a complex z = (q, p), so entries are differentiable by complex step
+in all 2n phase variables, and leading batch axes (see :mod:`paralift.ad`):
+a block's coefficients are one :class:`paralift.coefficients.Program` pass.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def _check_range(ls, t, *, slack):
     if ls.spec is None:
         return
     bound = ls.spec.t_max + (_T_SLACK if slack else 0.0)
-    tv = ad.strip(t)
+    tv = np.asarray(t).real
     over = tv > bound
     if over.any():
         first = tv[np.unravel_index(np.argmax(over), over.shape)]
@@ -102,8 +102,7 @@ def _check_range(ls, t, *, slack):
 
 def _scalar(c):
     """A coefficient value per point, broadcast against n x n blocks."""
-    c = c if isinstance(c, ad.Jet) else np.asarray(c)
-    return c[..., None, None]
+    return np.asarray(c)[..., None, None]
 
 
 def _coefficients(ls, pt, name, *, slack):
@@ -164,19 +163,19 @@ def P_adapted(ls, pt):
 
 
 def _p_coordinate(ls, pt):
-    """Coordinate-frame P at the chart point ``pt`` (plain or Jet), blockwise."""
+    """Coordinate-frame P at the real or complex chart point ``pt``, blockwise."""
     n, gamma0 = ls.m.n, pt.Gamma0
     eye, zero = ad.constant(np.eye, n), ad.constant(np.zeros, (n, n))
     if ls.kind is StructureKind.CRUCEANU_P:  # A = -I, D = I, B2 = C = 0
         return ad.block([[-eye, zero], [-gamma0 - gamma0, eye]])
     c, b2 = _p_blocks(ls, pt, slack=True)
-    gb2 = ad.matmul(gamma0, b2)  # B2 Gamma0 = gb2^T, both being symmetric
+    gb2 = gamma0 @ b2  # B2 Gamma0 = gb2^T, both being symmetric
     return ad.block([[-ad.transpose(gb2, (1, 0)), b2],
-                     [c - ad.matmul(gb2, gamma0), gb2]])
+                     [c - gb2 @ gamma0, gb2]])
 
 
 def P_coordinate_function(ls):
-    """P in the coordinate frame as a function of z = (q, p), Jet-evaluable."""
+    """P in the coordinate frame as a function of z = (q, p), real or complex."""
     n = ls.m.n
     return lambda z: _p_coordinate(ls, chart_point(ls.m, z[..., :n], z[..., n:]))
 
@@ -219,19 +218,19 @@ def Omega_adapted(ls, pt):
 
 
 def _omega_coordinate(ls, pt):
-    """Coordinate-frame Omega at the chart point ``pt`` (plain or Jet)."""
+    """Coordinate-frame Omega at the real or complex chart point ``pt``."""
     n = ls.m.n
     lam, mu = _coefficients(ls, pt, "form", slack=True)
     mixed = (_scalar(lam) * ad.constant(np.eye, n)
              + _scalar(mu) * ad.outer(pt.p, pt.g0))
     mixed_t = ad.transpose(mixed, (1, 0))
-    m_gamma0 = ad.matmul(mixed, pt.Gamma0)  # Gamma0 M^T = m_gamma0^T
+    m_gamma0 = mixed @ pt.Gamma0  # Gamma0 M^T = m_gamma0^T
     qq = ad.transpose(m_gamma0, (1, 0)) - m_gamma0
     return ad.block([[qq, mixed], [-mixed_t, ad.constant(np.zeros, (n, n))]])
 
 
 def Omega_coordinate(ls):
-    """Omega in the coordinate frame as a function of z = (q, p), Jet-evaluable.
+    """Omega in the coordinate frame as a function of z = (q, p), real or complex.
 
     Obtained by substituting Dp_j = dp_j - Gamma0_jh dq^h into the adapted
     expression Omega = (lambda delta_i^j + mu p_i g^{0j}) dq^i ^ Dp_j, which

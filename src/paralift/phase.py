@@ -71,8 +71,8 @@ _FIELDS = tuple(f.name for f in fields(CotangentPoint))
 
 
 def chart_point(m, q, p):
-    """Unvalidated, unfrozen point at plain or Jet (q, p), from phi and its
-    log-gradient h.
+    """Unvalidated, unfrozen point at real or complex (q, p), from phi and
+    its log-gradient h.
 
     Gamma0_ih = p_k Gamma^k_ih = p_i h_h + p_h h_i - delta_ih (p . h), that
     is S + S^T - (p . h) I with S = p (x) h, which is exactly symmetric.
@@ -85,8 +85,8 @@ def chart_point(m, q, p):
 
 
 def metric_point(m, q, p):
-    """:func:`chart_point` but for Gamma0 (None), from one unseeded phi:
-    bitwise its other fields, all that adapted-frame blocks read."""
+    """:func:`chart_point` but for Gamma0 (None), from phi alone: bitwise
+    its other fields, all that adapted-frame blocks read."""
     return _point(q, p, conformal_factor(m, q), None)
 
 
@@ -131,6 +131,7 @@ def unstack_point(batch):
 
 
 def energy_density(m, q, p):
-    """(1/2) g^{ik}(q) p_i p_k, evaluable on Jets in all 2n variables; on
-    plain coordinates it rounds exactly as the t of :func:`make_point`."""
+    """(1/2) g^{ik}(q) p_i p_k, evaluable on complex steps in all 2n
+    variables; on real coordinates it rounds exactly as the t of
+    :func:`make_point`."""
     return metric_point(m, q, p).t

@@ -12,8 +12,8 @@ variant breaks constant curvature and exists purely to drive negative tests.
 
 Beside phi, each model writes its log-gradient h = d phi / (2 phi) in closed
 form; the Christoffel symbols follow from h alone, and the curvature tensor
-from one forward-mode pass through them (see :mod:`paralift.ad`).  Finite
-differences appear only in the independent test oracles.
+from h and its jacobian, taken by one complex step (see :mod:`paralift.ad`).
+Finite differences appear only in the independent test oracles.
 """
 
 from __future__ import annotations
@@ -101,13 +101,13 @@ def conformal_factor(m, x):
 
 
 def _require_in_chart(m, x, r2):
-    r2v = ad.strip(r2)
+    r2v = r2.real
     bound = m.chart_radius ** 2
     outside = r2v > bound * (1.0 + _DOMAIN_SLACK)
     singular = 1.0 + 0.25 * m.c * r2v <= 0.0
     bad = outside | singular
     if m.model is ChartModel.PERTURBED_CONFORMAL:
-        bad = bad | (1.0 + m.strength * ad.strip(x)[..., 0] <= 0.0)
+        bad = bad | (1.0 + m.strength * x.real[..., 0] <= 0.0)
     if not bad.any():
         return
     i = np.unravel_index(np.argmax(bad), bad.shape)  # the first bad point
@@ -127,8 +127,8 @@ def conformal_fields(m, x):
 
     With s = 1 / (1 + (c/4)|x|^2), the ball's phi = s^2 has h = -(c/2) s x;
     the perturbed model's extra factor 1 + eps x_0 adds (eps/2) / (1 + eps
-    x_0) to h_0; the flat model has phi = 1 and h = 0.  ``x`` may be a Jet;
-    domain guards compare the underlying values.  Raises
+    x_0) to h_0; the flat model has phi = 1 and h = 0.  ``x`` may be
+    complex; domain guards compare its real part.  Raises
     :class:`ChartDomainError` off the chart or where the conformal
     denominator fails to be positive, naming the first such point.
     """
@@ -142,10 +142,11 @@ def conformal_fields(m, x):
 
 
 def _factor(m, x):
-    """(x, phi, s, w): ``x`` as a float array or Jet, checked to lie on the
-    chart; phi by the one formula of its model; and the parts that h reuses,
-    s = 1 / (1 + (c/4)|x|^2) and w = 1 + eps x_0 (None where unused)."""
-    x = x if isinstance(x, ad.Jet) else np.asarray(x, dtype=float)
+    """(x, phi, s, w): ``x`` as a float or complex array, checked to lie on
+    the chart; phi by the one formula of its model; and the parts that h
+    reuses, s = 1 / (1 + (c/4)|x|^2) and w = 1 + eps x_0 (None where unused)."""
+    x = np.asarray(x)
+    x = x if x.dtype.kind == "c" else x.astype(float, copy=False)
     r2 = (x * x).sum(-1)
     if m.model is ChartModel.FLAT:
         return x, np.ones(np.shape(r2)), None, None
@@ -158,7 +159,7 @@ def _factor(m, x):
 
 
 def christoffel_at(m, x):
-    """Christoffel symbols Gamma[..., k, i, j] = Gamma^k_ij(x); ``x`` may be a Jet.
+    """Christoffel symbols Gamma[..., k, i, j] = Gamma^k_ij(x); ``x`` may be complex.
 
     For g = phi I, Gamma^k_ij = delta^k_i h_j + delta^k_j h_i - delta_ij h_k
     with h the log-gradient of :func:`conformal_fields`, each entry one +-h_a
@@ -172,21 +173,35 @@ def christoffel_at(m, x):
 
 
 def curvature_at(m, x):
-    """Curvature components R[..., h, k, i, j] = R^h_kij(x).
+    """Curvature components R[..., h, k, i, j] = R^h_kij(x), in closed form.
 
     R^h_kij = d_i Gamma^h_jk - d_j Gamma^h_ik
-              + Gamma^h_il Gamma^l_jk - Gamma^h_jl Gamma^l_ik,
-    antisymmetric in (i, j) by construction.  The Gamma derivatives come from
-    one forward-mode pass through :func:`christoffel_at`.
+              + Gamma^h_il Gamma^l_jk - Gamma^h_jl Gamma^l_ik.
+    For the conformally flat g = phi I, phi = exp(2 sigma) and h = d sigma,
+    this is (Besse, *Einstein Manifolds*, 1987, 1.J)
+
+        R^h_kij = T_hkij - T_hkji,   T_hkij = delta_hj A_ik + delta_ik A_jh,
+        A = dh - h (x) h + (1/2)|h|^2 I,
+
+    with dh[..., i, k] = d_k h_i from one complex step of
+    :func:`conformal_fields`, n lanes.  Each of the four delta terms is one
+    n^3 diagonal plane of R: delta_hj A_ik and delta_ik A_jh are added, then
+    delta_hi A_jk and delta_jk A_ih subtracted.  Where planes meet this rounds
+    as the formula does, so swapping (i, j) negates R bitwise.
     """
-    gs = christoffel_at(m, ad.seed(x))
-    gamma = ad.val(gs)
-    dgamma = ad.partials(gs, m.n)  # dgamma[..., k, i, j, a] = d_a Gamma^k_ij
-    quad = np.einsum("...hil,...ljk->...hkij", gamma, gamma)
-    # grouped so that swapping (i, j) negates each parenthesis bitwise
-    return ((ad.transpose(dgamma, (0, 2, 3, 1))
-             - ad.transpose(dgamma, (0, 2, 1, 3)))
-            + (quad - ad.transpose(quad, (0, 1, 3, 2))))
+    h, dh = ad.jacobian(lambda y: conformal_fields(m, y)[1], x)
+    a = ((dh - ad.outer(h, h))
+         + (0.5 * ad.vecdot(h, h))[..., None, None] * ad.constant(np.eye, m.n))
+    at = ad.transpose(a, (1, 0))  # at[..., k, i] = A_ik
+    rows, cols = at[..., None, :, :], at[..., :, None, :]
+    riem = np.zeros(a.shape[:-2] + (m.n,) * 4)
+    for plane, term, op in (("...hkih->...hki", rows, np.add),  # d_hj A_ik
+                            ("...hkkj->...hkj", cols, np.add),  # d_ik A_jh
+                            ("...hkhj->...hkj", rows, np.subtract),  # d_hi A_jk
+                            ("...hkik->...hki", cols, np.subtract)):  # d_jk A_ih
+        view = np.einsum(plane, riem)  # a writable view of the plane
+        op(view, term, out=view)
+    return riem
 
 
 def space_form_residual(m, x):
@@ -197,16 +212,15 @@ def space_form_residual(m, x):
     drives this to rounding level, the perturbed model does not.
     """
     riem = curvature_at(m, x)
-    target = ((m.c * conformal_factor(m, x))[..., None, None, None, None]
-              * ad.constant(_curvature_shape, m.n))
-    return np.max(np.abs(riem - target), axis=(-4, -3, -2, -1))
-
-
-def _curvature_shape(n):
-    """delta^h_i delta_kj - delta^h_j delta_ki, for :func:`ad.constant`."""
-    eye = np.eye(n)
-    return (np.einsum("hi,kj->hkij", eye, eye)
-            - np.einsum("hj,ki->hkij", eye, eye))
+    c_phi = (m.c * conformal_factor(m, x))[..., None, None]
+    # The target is c phi on the plane (i, j) = (h, k) and -c phi on (k, h).
+    # Where both meet, h = k, it is 0, and R^h_hhh = 0 exactly, so
+    # (0 - c phi) + c phi = 0 subtracts it there too.
+    for plane, op in (("...hkhk->...hk", np.subtract),
+                      ("...hkkh->...hk", np.add)):
+        view = np.einsum(plane, riem)
+        op(view, c_phi, out=view)
+    return np.max(np.abs(riem, out=riem), axis=(-4, -3, -2, -1))
 
 
 def check_space_form(m, sample, tol=1e-9, *, seed=None):

@@ -5,9 +5,10 @@ so verdicts do not depend on evaluation order.  The points of a sample are
 stacked along a leading batch axis and evaluated in one pass per block of
 :data:`paralift.ad.BLOCK_ELEMENTS`; the residuals are those of the points
 evaluated one by one, bit for bit.  Derivative-based residuals
-(Nijenhuis tensor, exterior derivative) use forward-mode differentiation of
-the coordinate-frame evaluators; :func:`fd_oracle` provides the independent
-finite-difference cross check used by the test suite.
+(Nijenhuis tensor, exterior derivative) differentiate the coordinate-frame
+evaluators by complex step (:func:`paralift.ad.jacobian`); :func:`fd_oracle`
+provides the independent finite-difference cross check used by the test
+suite.
 
 Default tolerances: 1e-10 for purely algebraic identities, 1e-8 for
 first-derivative residuals (one differentiation pass through the Christoffel
@@ -161,8 +162,8 @@ def fd_oracle(f, x, step=1e-5):
     """Central finite differences of ``f`` along each coordinate of ``x``.
 
     Returns an array shaped like ``f(x)`` with one trailing axis per input
-    coordinate.  This is the independent oracle for every forward-mode
-    derivative in the package; it never shares code with the Jet path.
+    coordinate.  This is the independent oracle for every complex-step
+    derivative in the package; it evaluates on real points only.
     """
     x = np.asarray(x, dtype=float)
     base = np.asarray(f(x), dtype=float)
@@ -181,7 +182,7 @@ def nijenhuis_at(ls, pt):
     N^c_ab = P^d_a d_d P^c_b - P^d_b d_d P^c_a
              - P^c_d (d_a P^d_b - d_b P^d_a),
 
-    with every partial taken by forward mode in all 2n variables.  The four
+    with every partial taken by complex step in all 2n variables.  The four
     terms come from two stacked products, M = dP P and K = P dP (see
     :func:`_nijenhuis`).  The result is antisymmetric in (a, b) exactly.
     """
@@ -205,8 +206,8 @@ def _nijenhuis(pmat, dp):
 def exterior_derivative_2form(omega, pt):
     """(d omega)[a, b, c] = d_a omega_bc + d_b omega_ca + d_c omega_ab.
 
-    ``omega`` maps z = (q, p) to an antisymmetric matrix and must be
-    Jet-evaluable near ``pt``; the result is fully antisymmetric.
+    ``omega`` maps z = (q, p) to an antisymmetric matrix and must evaluate
+    on complex steps near ``pt``; the result is fully antisymmetric.
     """
     z = pt.z() if isinstance(pt, CotangentPoint) else np.asarray(pt, float)
     return _d2form(ad.jacobian(omega, z)[1])
@@ -343,7 +344,7 @@ def check_metric_signature(ls, sample, tol=None):
 
 
 def check_closure(ls, sample, tol=None):
-    """max over the sample of |d Omega|_inf by forward-mode differentiation."""
+    """max over the sample of |d Omega|_inf by complex-step differentiation."""
     points, seed, tol = _inputs("closure", sample, tol)
     omega = Omega_coordinate(ls)
     residuals = _residuals(
@@ -353,7 +354,7 @@ def check_closure(ls, sample, tol=None):
 
 
 def check_closure_agreement(ls, sample, tol=None):
-    """max over the sample of |d Omega (forward mode) - d Omega (closed form)|."""
+    """max over the sample of |d Omega (complex step) - d Omega (closed form)|."""
     points, seed, tol = _inputs("closure_agreement", sample, tol)
     omega = Omega_coordinate(ls)
     residuals = _residuals(
@@ -364,16 +365,20 @@ def check_closure_agreement(ls, sample, tol=None):
 
 
 def _seeded_residuals(ls, pt):
-    """(|N|, |d Omega|) per point from one seeded chart point; bitwise the
-    residuals of check_integrability and check_closure, which seed z twice."""
+    """(|N|, |d Omega|) per point from one complex-stepped chart point;
+    bitwise the residuals of check_integrability and check_closure, which
+    step z twice."""
     n = ls.m.n
-    z = ad.seed(pt.z())
-    here = chart_point(ls.m, z[..., :n], z[..., n:])
-    pmat = _p_coordinate(ls, here)
-    omega = _omega_coordinate(ls, here)
-    return np.stack([
-        _max_abs(_nijenhuis(ad.strip(pmat), ad.partials(pmat, 2 * n)), 3),
-        _max_abs(_d2form(ad.partials(omega, 2 * n)), 3)], axis=-1)
+
+    def p_and_omega(z):
+        here = chart_point(ls.m, z[..., :n], z[..., n:])
+        return np.stack([_p_coordinate(ls, here), _omega_coordinate(ls, here)],
+                        axis=-3)
+
+    value, jac = ad.jacobian(p_and_omega, pt.z())
+    nij = _nijenhuis(value[..., 0, :, :], jac[..., 0, :, :, :])
+    return np.stack([_max_abs(nij, 3), _max_abs(_d2form(jac[..., 1, :, :, :]), 3)],
+                    axis=-1)
 
 
 def check_para_kahler(ls, sample, tol=None):
@@ -381,7 +386,7 @@ def check_para_kahler(ls, sample, tol=None):
 
     Passes iff all three sub-checks pass; the report records each
     sub-residual and inherits the witnesses of the worst sub-check.  The
-    integrability and closure residuals come from one seeded pass.
+    integrability and closure residuals come from one complex-step pass.
     """
     points, seed, tol = _inputs("para_kahler", sample, tol)
     subs = {"compatibility": check_compatibility(ls, points, tol)}

@@ -1,32 +1,85 @@
-"""Forward-mode jets against finite differences and closed forms."""
+"""Complex-step jacobians against exact derivatives, finite differences and
+the plain evaluators."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from paralift import ad
+from paralift import (
+    ChartDomainError,
+    LiftedStructure,
+    Omega_coordinate,
+    P_coordinate_function,
+    RangeError,
+    StructureKind,
+    ad,
+    affine,
+    conformal_ball,
+    constant,
+    curvature_at,
+    integrable_spec,
+    make_point,
+    with_metric,
+)
+from paralift.spaceform import conformal_factor
 from paralift.verify import fd_oracle
-import jet_reference as ref
 
 
 def f_scalar(x):
     # mixes every arithmetic path: add, sub, mul, div, rsub, rtruediv
-    return ((x[0] * x[1] - x[2]) / (1.0 + x[0] * x[0]) + 2.0 / (3.0 - x[1])
-            + x[2] * x[2] / (4.0 + 0.3 * x[2]))
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    return ((x0 * x1 - x2) / (1.0 + x0 * x0) + 2.0 / (3.0 - x1)
+            + x2 * x2 / (4.0 + 0.3 * x2))
+
+
+def test_step_is_a_power_of_two_whose_square_underflows():
+    mantissa, _ = np.frexp(ad.STEP)
+    assert ad.STEP > 0.0 and mantissa == 0.5
+    assert ad.STEP * ad.STEP == 0.0
+
+
+# f on the last axis, and its exact partials as fractions of the arguments
+EXACT = {
+    "x^2": (lambda x: x[..., 0] * x[..., 0], lambda a: [2 * a[0]]),
+    "x^3": (lambda x: x[..., 0] * x[..., 0] * x[..., 0],
+            lambda a: [3 * a[0] ** 2]),
+    "1/x": (lambda x: 1.0 / x[..., 0], lambda a: [-1 / a[0] ** 2]),
+    "x y": (lambda x: x[..., 0] * x[..., 1], lambda a: [a[1], a[0]]),
+    "x + y": (lambda x: x[..., 0] + x[..., 1], lambda a: [1, 1]),
+}
+
+
+@pytest.mark.parametrize("name", EXACT)
+def test_jacobian_is_exact_to_two_ulp(rng, name):
+    f, partials = EXACT[name]
+    magnitudes = np.geomspace(1e-3, 1e3, 25)
+    x = np.stack([magnitudes * rng.choice([-1.0, 1.0], 25),
+                  rng.permutation(magnitudes)], axis=-1)
+    value, jac = ad.jacobian(f, x)
+    assert value.tobytes() == np.asarray(f(x), dtype=float).tobytes()
+    assert jac.shape == (25, 2)
+    for point, got in zip(x, jac):
+        want = partials([Fraction(c) for c in point]) + [0] * 2
+        for g, w in zip(got, want):
+            assert abs(Fraction(g) - w) <= 2 * Fraction(np.spacing(abs(float(w)))), \
+                (name, point, g, w)
 
 
 def test_jacobian_matches_finite_differences(rng):
     for _ in range(10):
         x = rng.uniform(-0.8, 0.8, size=3)
-        val, jac = ad.jacobian(lambda z: f_scalar(z), x)
+        val, jac = ad.jacobian(f_scalar, x)
         assert np.isclose(val, f_scalar(x), rtol=1e-14)
-        fd = fd_oracle(lambda z: f_scalar(z), x)
+        fd = fd_oracle(f_scalar, x)
         assert np.allclose(jac, fd, rtol=1e-6, atol=1e-9)
 
 
 def test_array_valued_jacobian(rng):
     def g(z):
-        entries = [[z[0] * z[1], z[1] * z[1] * z[1]], [1.0 / (1.0 + z[0]), 1.0 / z[1]]]
-        return ad.block([[e[None, None] for e in row] for row in entries])
+        x, y = z[..., 0], z[..., 1]
+        entries = [[x * y, y * y * y], [1.0 / (1.0 + x), 1.0 / y]]
+        return ad.block([[e[..., None, None] for e in row] for row in entries])
 
     x = np.array([0.4, 1.3])
     val, jac = ad.jacobian(g, x)
@@ -36,37 +89,31 @@ def test_array_valued_jacobian(rng):
 
 
 def test_neg():
-    x = ad.Jet(2.0, np.array([1.0]))
-    z = -x
-    assert z.val == -2.0 and z.grad[0] == -1.0
+    val, jac = ad.jacobian(lambda x: -x, np.array([2.0, -0.0]))
+    assert val.tobytes() == np.array([-2.0, 0.0]).tobytes()
+    assert np.array_equal(jac, -np.eye(2))
 
 
-def test_seed_strip_partials():
+def test_jacobian_of_identity_and_constant():
     x = np.array([1.0, 2.0])
-    s = ad.seed(x)
-    assert ad.val(s[0]) == 1.0
-    assert ad.strip(s[1]) == 2.0
-    assert np.array_equal(ad.partials(s[0], 2), [1.0, 0.0])
-    assert np.array_equal(ad.partials(3.5, 2), [0.0, 0.0])
+    val, jac = ad.jacobian(lambda z: z, x)
+    assert np.array_equal(val, x) and np.array_equal(jac, np.eye(2))
+    val, jac = ad.jacobian(lambda z: np.full(z.shape[:-1], 3.5), x)
+    assert val == 3.5 and np.array_equal(jac, [0.0, 0.0])
 
 
-def test_seed_refuses_a_jet():
-    s = ad.seed(np.array([1.0, 2.0]))
-    with pytest.raises(TypeError, match="one level only"):
-        ad.seed(s)
+def test_jacobian_refuses_a_complex_point():
+    with pytest.raises(TypeError, match="do not nest"):
+        ad.jacobian(lambda z: z, np.array([1.0, 2.0j]))
 
 
 def test_array_scalar_mixing():
-    # ndarray operators defer to the jet: the product is one array jet
-    j = ad.Jet(2.0, np.array([1.0]))
-    arr = np.eye(2) * j
-    assert isinstance(arr, ad.Jet)
-    assert np.array_equal(arr.val, 2.0 * np.eye(2))
-    assert np.array_equal(arr.grad, np.eye(2)[..., None])
-
-
-def _jet(rng, shape, m):
-    return ad.Jet(rng.standard_normal(shape), rng.standard_normal(shape + (m,)))
+    # a plain array times a stepped scalar is a stepped array whose real
+    # part is the plain product, bit for bit
+    val, jac = ad.jacobian(lambda z: np.eye(2) * z[..., 0, None, None],
+                           np.array([2.0]))
+    assert val.tobytes() == (2.0 * np.eye(2)).tobytes()
+    assert np.array_equal(jac, np.eye(2)[..., None])
 
 
 def _rel(got, want):
@@ -81,38 +128,49 @@ MATMUL_SHAPES = [((4, 5), (5, 3)), ((2, 4, 5), (2, 5, 3)), ((4, 5), (3, 5, 2)),
 
 @pytest.mark.parametrize("sa,sb", MATMUL_SHAPES)
 def test_matmul_matches_einsum_product_rule(rng, sa, sb):
+    # A(x) = A0 + sum_a x_a A_a, likewise B: d_a (A B) = A_a B + A B_a
     m = 6
-    a, b = _jet(rng, sa, m), _jet(rng, sb, m)
-    for x, y in ((a, b), (a, b.val), (a.val, b)):
-        got, want = ad.matmul(x, y), ref.matmul(x, y)
-        assert got.shape == want.shape and got.grad.shape == want.grad.shape
-        assert _rel(got.val, want.val) < 1e-14
-        assert _rel(got.grad, want.grad) < 1e-14
-    assert np.array_equal(ad.matmul(a.val, b.val), a.val @ b.val)
+    a0, b0 = rng.standard_normal(sa), rng.standard_normal(sb)
+    da, db = rng.standard_normal(sa + (m,)), rng.standard_normal(sb + (m,))
+    x = 0.1 * rng.standard_normal(m)
+
+    def product(z):  # z holds one step lane per direction, axis 0
+        a = a0 + np.tensordot(z, da, ([-1], [-1]))
+        b = b0 + np.tensordot(z, db, ([-1], [-1]))
+        k = max(a.ndim, b.ndim)  # the lane axis leads the broadcast batch
+        return (a.reshape(a.shape[:1] + (1,) * (k - a.ndim) + a.shape[1:])
+                @ b.reshape(b.shape[:1] + (1,) * (k - b.ndim) + b.shape[1:]))
+
+    val, jac = ad.jacobian(product, x)
+    a = a0 + da @ x
+    b = b0 + db @ x
+    assert _rel(val, a @ b) < 1e-14
+    want = (np.einsum("...ija,...jk->...ika", da, b)
+            + np.einsum("...ij,...jka->...ika", a, db))
+    assert jac.shape == want.shape
+    assert _rel(jac, want) < 1e-14
 
 
 def test_outer_and_block_match_reference_bitwise(rng):
-    m = 5
-    u, v = _jet(rng, (2, 3), m), _jet(rng, (2, 4), m)
-    for x, y in ((u, v), (u, v.val), (u.val, v)):
-        got, want = ad.outer(x, y), ref.outer(x, y)
-        assert np.array_equal(got.val, want.val)
-        assert np.array_equal(got.grad, want.grad)
-    a, c = _jet(rng, (2, 3, 3), m), _jet(rng, (3, 3), m)  # c broadcasts
-    rows = [[np.eye(3), a], [-c, np.zeros((3, 3))]]
-    got, want = ad.block(rows), ref.block(rows)
-    assert got.shape == (2, 6, 6) and got.grad.shape == (2, 6, 6, m)
-    assert np.array_equal(got.val, want.val)
-    assert np.array_equal(got.grad, want.grad)
+    u = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    v = rng.standard_normal((2, 4))
+    for x, y in ((u, v), (v[..., :3], u), (u, u)):
+        want = np.stack([np.multiply.outer(xi, yi) for xi, yi in zip(x, y)])
+        assert ad.outer(x, y).tobytes() == want.tobytes()
+    a = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    c = rng.standard_normal((3, 3))  # broadcasts against a's batch
+    got = ad.block([[np.eye(3), a], [-c, np.zeros((3, 3))]])
+    want = np.block([[np.broadcast_to(np.eye(3), a.shape), a],
+                     [np.broadcast_to(-c, a.shape), np.zeros(a.shape)]])
+    assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
     plain = [[np.eye(2), np.ones((2, 3))], [np.zeros((1, 2)), np.ones((1, 3))]]
-    assert np.array_equal(ad.block(plain), np.block(plain))
+    got = ad.block(plain)
+    assert got.dtype == np.float64 and np.array_equal(got, np.block(plain))
 
 
 def test_cached_constants_are_read_only():
-    from paralift.spaceform import _curvature_shape
-
     for make, args in ((np.eye, (3,)), (np.zeros, ((3, 3),)),
-                       (_curvature_shape, (3,))):
+                       (np.full, ((3, 3), 0.5))):
         const = ad.constant(make, *args)
         assert const is ad.constant(make, *args)  # built once
         assert np.array_equal(const, make(*args))
@@ -121,3 +179,45 @@ def test_cached_constants_are_read_only():
         with pytest.raises(ValueError):
             const += 1.0
         assert np.array_equal(const, make(*args))
+
+
+# --------------------------------------- guards see the real part of a step
+
+
+def _message(exc_type, fn, *args):
+    with pytest.raises(exc_type) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def _structure():
+    m = conformal_ball(3, 1.0)
+    spec = with_metric(integrable_spec(constant(1.0), curvature=1.0),
+                       affine(1.0, 1.0))
+    return LiftedStructure(m=m, kind=StructureKind.NATURAL_DIAGONAL, spec=spec)
+
+
+def test_chart_error_through_jacobian_is_the_plain_one():
+    ls = _structure()
+    q = np.array([0.6, -0.7, 0.5])  # |q| > 1, the chart radius
+    z = np.concatenate([q, [0.1, 0.2, 0.3]])
+    for fn in (P_coordinate_function(ls), Omega_coordinate(ls)):
+        plain = _message(ChartDomainError, fn, z)
+        assert _message(ChartDomainError, ad.jacobian, fn, z) == plain
+    plain = _message(ChartDomainError, conformal_factor, ls.m, q)
+    assert _message(ChartDomainError, curvature_at, ls.m, q) == plain
+
+
+def test_range_error_through_jacobian_is_the_plain_one():
+    # the coordinate evaluators accept t up to t_max + 1e-3; this point's t
+    # lies just past that slack
+    ls = _structure()
+    q = np.array([0.2, 0.1, -0.3])
+    p = np.array([1.0, -0.5, 0.25])
+    t_edge = ls.spec.t_max + 1.5e-3
+    p = p * np.sqrt(t_edge / make_point(ls.m, q, p).t)
+    z = np.concatenate([q, p])
+    for fn in (P_coordinate_function(ls), Omega_coordinate(ls)):
+        plain = _message(RangeError, fn, z)
+        assert "exceeds validated t_max" in plain
+        assert _message(RangeError, ad.jacobian, fn, z) == plain

@@ -481,6 +481,12 @@ def _family(**fields):
     (_family(beta=0.0), False),
     (lambda doc: doc["coefficients"]["a1"].update(x=1), False),
     (lambda doc: doc["coefficients"].update(family=None), True),
+    (lambda doc: doc.update(coefficients={"kind": "cruceanu_p",
+                                          "a1": "garbage", "b1": 5}), False),
+    (lambda doc: doc.update(coefficients={
+        "kind": "cruceanu_q",
+        "a1": {"preset": "affine", "params": {"intercept": 1.0,
+                                              "slope": 0.5}}}), True),
 ], ids=["as_is", "epsilon_true", "epsilon_one", "manifold_defaults",
         "manifold_without_c", "tolerance", "tolerance_unknown_check",
         "tolerance_negative", "sampling_null", "tolerances_null",
@@ -488,7 +494,8 @@ def _family(**fields):
         "param_missing", "coeffs_string", "coeffs_empty", "coeffs_item",
         "coeffs", "exponential_defaults", "exponential_string",
         "family", "family_alpha_zero", "family_beta_zero",
-        "scalar_unknown_key", "family_null"])
+        "scalar_unknown_key", "family_null", "cruceanu_garbage_a1_b1",
+        "cruceanu_a1"])
 def test_parser_and_schema_agree(edit, accepted):
     import jsonschema
 

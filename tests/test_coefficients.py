@@ -21,7 +21,6 @@ from paralift import (
     rational_spec,
     with_metric,
 )
-from paralift import ad
 from paralift.coefficients import ScalarFamily, validation_grid
 from paralift.verify import fd_oracle
 
@@ -297,30 +296,31 @@ def test_composite_derivatives_match_finite_differences(a1):
 
 
 def test_phase_jet_takes_one_chain_rule_step(rng):
-    # t on a 16-seed phase jet (n = 8): the family is a jet whose value is
-    # the plain evaluation and whose gradient is f'(t0) dt
+    # t on 16 complex-step lanes (n = 8): the family's real part is the plain
+    # evaluation, bit for bit, and its imaginary part f'(t0) Im t
     spec = with_metric(integrable_spec(constant(1.0), curvature=1.0),
                        affine(1.0, 1.0))
-    t0 = rng.uniform(0.0, 2.0, size=(3,))
-    dt = rng.standard_normal((3, 16))
+    t0 = rng.uniform(0.0, 2.0, size=(3, 1)) + np.zeros((3, 16))
+    step = rng.standard_normal((3, 16))
     for fam in (spec.b1, spec.d2):
-        out = fam(ad.Jet(t0, dt))
-        assert isinstance(out, ad.Jet)
-        assert np.array_equal(out.val, fam(t0))
-        assert np.allclose(out.grad, fam.derivative()(t0)[:, None] * dt,
+        out = fam(t0 + 1j * step)
+        assert out.dtype == np.complex128
+        assert out.real.tobytes() == fam(t0).tobytes()
+        assert np.allclose(out.imag, fam.derivative()(t0) * step,
                            rtol=1e-13, atol=1e-15)
 
 
 def test_unbatched_phase_jet_takes_the_same_step():
-    # one point: t's value is a float, and constant families (f' = 0) too
-    # give a gradient of the seed length
+    # one point: t's real part is a float on every lane, and constant
+    # families (f' = 0) too give one entry per lane
     spec = with_metric(integrable_spec(constant(1.0), curvature=1.0),
                        affine(1.0, 1.0))
-    t = ad.Jet(0.5, np.array([1.0, -2.0, 0.25]))
+    step = np.array([1.0, -2.0, 0.25])
     for fam in (spec.a1, spec.b1, spec.lam, spec.mu):
-        out = fam(t)
-        assert out.val == fam(0.5)
-        assert np.array_equal(out.grad, fam.derivative()(0.5) * t.grad)
+        out = fam(0.5 + 1j * step)
+        assert out.shape == (3,)
+        assert np.array_equal(out.real, np.full(3, fam(0.5)))
+        assert np.array_equal(out.imag, fam.derivative()(0.5) * step)
 
 
 # ------------------------------------------------------- compiled programs
@@ -385,20 +385,21 @@ _NAMES = {"P": ("a1", "b1", "a2", "b2"), "G": ("c1", "d1", "c2", "d2"),
 def test_programs_equal_the_reference_walk_bitwise(label, spec, rng):
     t = np.concatenate([validation_grid(spec.t_max),
                         rng.uniform(0.0, spec.t_max, 9)])
-    phase = ad.Jet(t, rng.standard_normal(t.shape + (6,)))
+    phase = t[:, None] + 1j * rng.standard_normal(t.shape + (6,))
     for name, fields in _NAMES.items():
         if spec.c1 is None and name != "P":
             continue
         families = [getattr(spec, f) for f in fields]
         program = spec.program(name)
-        for fam, value, jet, point in zip(
+        for fam, value, stepped, point in zip(
                 families, program(t), program(phase), program(0.75)):
             where = (label, name, fam.description)
             slope = reference_walk(fam.derivative(), t)
             assert _same_bits(value, reference_walk(fam, t)), where
             assert _same_bits(point, reference_walk(fam, 0.75)), where
-            assert _same_bits(jet.val, value), where
-            assert _same_bits(jet.grad, slope[..., None] * phase.grad), where
+            assert _same_bits(stepped.real, np.broadcast_to(value[:, None],
+                                                            phase.shape)), where
+            assert _same_bits(stepped.imag, slope[..., None] * phase.imag), where
             assert _same_bits(fam(t), value), where
 
 

@@ -31,6 +31,12 @@ BASE = {
 }
 FAMILY = {"name": "rational",
           "u": {"preset": "constant", "params": {"value": 0.5}}}
+# The property test's bases: the shipped presets, all natural_diagonal, and
+# a Cruceanu structure, which reads no coefficient family.
+CRUCEANU = {"manifold": {"model": "conformal_ball", "n": 3, "c": 1.0},
+            "coefficients": {"kind": "cruceanu_p"},
+            "checks": ["almost_product", "integrability"]}
+BASES = PRESETS + [CRUCEANU]
 
 
 def problems_of(doc):
@@ -155,9 +161,9 @@ ROWS = [(path, row, values(row))
 
 @st.composite
 def mutated(draw):
-    """A shipped preset with one field of the table set, removed, or given
-    an unknown neighbour key."""
-    doc = copy.deepcopy(draw(st.sampled_from(PRESETS)))
+    """A base document with one field of the table set, removed, or given an
+    unknown neighbour key."""
+    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
     path, row, value = draw(st.sampled_from(ROWS))
     section = doc
     for key in filter(None, path.split(".")):
@@ -188,5 +194,5 @@ def test_parser_and_schema_agree_on_single_field_mutations(doc):
 
 
 def test_shipped_presets_agree():
-    for doc in PRESETS:
+    for doc in BASES:
         assert not problems_of(doc) and VALIDATOR.is_valid(doc)

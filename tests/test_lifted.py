@@ -332,8 +332,9 @@ def test_one_conformal_factor_evaluation_per_call(factor_calls, batch):
         "P_adapted": lambda: P_adapted(ls, pt),
         "G_adapted": lambda: G_adapted(ls, pt),
         "Omega_adapted": lambda: Omega_adapted(ls, pt),
-        "P_coordinate_function": lambda: P_coordinate_function(ls)(ad.seed(pt.z())),
-        "Omega_coordinate": lambda: Omega_coordinate(ls)(ad.seed(pt.z())),
+        "P_coordinate_function": lambda: ad.jacobian(P_coordinate_function(ls),
+                                                     pt.z()),
+        "Omega_coordinate": lambda: ad.jacobian(Omega_coordinate(ls), pt.z()),
         "para_kahler seeded pass": lambda: _seeded_residuals(ls, pt),
     }
     for name, call in evaluators.items():

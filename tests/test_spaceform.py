@@ -19,6 +19,7 @@ from paralift import (
 from paralift.spaceform import conformal_factor, conformal_fields
 from paralift.verify import fd_oracle
 from chart_sampling import random_chart_points
+from curvature_reference import generic_curvature
 from dense_metric import metric_at
 
 ALL_MODELS = [
@@ -238,6 +239,20 @@ def test_log_gradient_matches_fd_of_log_phi(rng, n):
             else:
                 assert np.max(np.abs(single - fd)) <= 1e-8 * np.max(np.abs(fd))
 
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_closed_form_curvature_matches_the_generic_route(rng, n):
+    # the generic route (Christoffel jacobian plus the quadratic term) is the
+    # oracle, itself cross-checked against central differences
+    for m in _models(n):
+        xs = np.array(random_chart_points(rng, m, 3))
+        got = curvature_at(m, xs)
+        want = generic_curvature(m, xs)
+        scale = max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale, m
+        fd = generic_curvature(m, xs[0], fd_oracle)
+        assert np.max(np.abs(want[0] - fd)) <= 1e-6 * scale, m
 
 
 def test_phi_alone_where_h_is_dropped(monkeypatch):

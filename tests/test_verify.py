@@ -47,6 +47,7 @@ from paralift.verify import (
     _seeded_residuals,
     run_check,
 )
+from curvature_reference import generic_curvature
 
 N = StructureKind.NATURAL_DIAGONAL
 
@@ -505,32 +506,32 @@ def test_kernels_ad_vs_fd_at_n8():
         _, dgam = ad.jacobian(lambda y: christoffel_at(m, y), q)
         fd_dgam = fd_oracle(lambda y: christoffel_at(m, y), q)  # [k, i, j, a]
         assert rel(dgam, fd_dgam) < 1e-6
-        gam = christoffel_at(m, q)
-        quad = np.einsum("hil,ljk->hkij", gam, gam)
-        fd_riem = (np.einsum("hjki->hkij", fd_dgam) - np.einsum("hikj->hkij", fd_dgam)
-                   + quad - np.einsum("hkji->hkij", quad))
-        assert rel(curvature_at(m, q), fd_riem) < 1e-6
+        assert rel(curvature_at(m, q), generic_curvature(m, q, fd_oracle)) < 1e-6
         for fn in (P_coordinate_function(ls), Omega_coordinate(ls)):
             _, jac = ad.jacobian(fn, z)
             assert rel(jac, fd_oracle(fn, z)) < 1e-6
 
 
-def jet_leaves(x):
-    return (x.val, x.grad) if isinstance(x, ad.Jet) else (x,)
-
-
 def test_evaluators_return_float_array_jets():
+    # on complex steps every evaluator gives complex128 arrays, and its
+    # jacobian float64 ones
     m = conformal_ball(3, 1.0)
     ls = para_kahler_ls(m)
     pt = sample_points(m, 2, 59).points[1]
-    qs, zs = ad.seed(pt.q), ad.seed(pt.z())
-    outputs = [christoffel_at(m, qs),
-               chart_point(m, qs, pt.p).Gamma0, energy_density(m, qs, pt.p),
-               P_coordinate_function(ls)(zs), Omega_coordinate(ls)(zs)]
-    for out in outputs:
-        assert isinstance(out, ad.Jet)
-        for leaf in jet_leaves(out):
-            assert np.asarray(leaf).dtype == np.float64
+    n = m.n
+    evaluators = [
+        (pt.q, [lambda y: christoffel_at(m, y),
+                lambda y: chart_point(m, y, pt.p).Gamma0,
+                lambda y: energy_density(m, y, pt.p)]),
+        (pt.z(), [lambda z: chart_point(m, z[..., :n], z[..., n:]).Gamma0,
+                  P_coordinate_function(ls), Omega_coordinate(ls)]),
+    ]
+    for x, fns in evaluators:
+        for fn in fns:
+            stepped = fn(x + 1j * ad.STEP * np.eye(len(x)))
+            assert stepped.dtype == np.complex128
+            for part in ad.jacobian(fn, x):
+                assert np.asarray(part).dtype == np.float64
 
 
 # ---------------------------------------------------- biconditional battery

@@ -10,6 +10,10 @@ alternating.  Prints median ms per chunk of each check, and points/s as
 each check and overall it also prints in how many rounds NEW took less time
 than OLD over the same chunks: a gain holds when NEW wins nearly every pair,
 not only in the median.  Cases either side refuses are skipped.
+
+The answers are compared too, so a speed A/B cannot hide a changed one: per
+check, whether every chunk's verdict agrees, and the largest relative change
+of a chunk's ``max_residual``.  The exit status is 1 if any verdict differs.
 """
 
 from __future__ import annotations
@@ -75,25 +79,44 @@ def main(old_root, new_root, workload):
                            config.tolerances.get(name))
                     for side, (config, ls, chunks) in built.items()}))
     times = defaultdict(list)  # (job index, side) -> seconds
+    reports = {}  # (job index, side) -> the report of the first round
     for r in range(ROUNDS):
         for j, (name, _, calls) in enumerate(jobs):
             for side in SIDES if (r + j) % 2 == 0 else SIDES[::-1]:
                 run_check, ls, chunk, tol = calls[side]
                 start = time.perf_counter()
-                run_check(name, ls, chunk, tol)
+                report = run_check(name, ls, chunk, tol)
                 times[(j, side)].append(time.perf_counter() - start)
+                reports.setdefault((j, side), report)
     median = {key: statistics.median(v) for key, v in times.items()}
+    mismatches = 0
     for check in sorted({name for name, _, _ in jobs}):
         mine = [j for j, job in enumerate(jobs) if job[0] == check]
         old, new = (1e3 * statistics.mean(median[(j, side)] for j in mine)
                     for side in SIDES)
+        differ = sum(reports[(j, "old")].passed != reports[(j, "new")].passed
+                     for j in mine)
+        mismatches += differ
+        moved = max(relative_change(reports[(j, "old")].max_residual,
+                                    reports[(j, "new")].max_residual)
+                    for j in mine)
+        verdicts = f"{differ} VERDICTS DIFFER" if differ else "verdicts agree"
         print(f"{check:18s} ms/chunk old {old:8.3f}  new {new:8.3f}  "
-              f"new/old {new / old:.3f}  new won {wins(times, mine)}")
+              f"new/old {new / old:.3f}  new won {wins(times, mine)}  "
+              f"{verdicts}  max_residual moved {moved:.2g}")
     points = sum(n for _, n, _ in jobs)
     old, new = (points / sum(median[(j, side)] for j in range(len(jobs)))
                 for side in SIDES)
     print(f"points/s old {old:.0f}  new {new:.0f}  new/old {new / old:.3f}  "
           f"new won {wins(times, range(len(jobs)))}")
+    return 1 if mismatches else 0
+
+
+def relative_change(old, new):
+    """|new - old| / |old|; 0 when both are equal, inf from an exact 0."""
+    if new == old:
+        return 0.0
+    return abs(new - old) / abs(old) if old else float("inf")
 
 
 def wins(times, jobs):
@@ -107,4 +130,4 @@ def wins(times, jobs):
 if __name__ == "__main__":
     if len(sys.argv) != 4:
         sys.exit(__doc__)
-    main(*sys.argv[1:])
+    sys.exit(main(*sys.argv[1:]))
