@@ -64,7 +64,9 @@ def jacobian(f, x):
     ``f`` maps the last axis of ``x``, ``m`` real scalars, to a scalar or
     array; leading axes of ``x`` are a batch.  ``f`` sees the m steps as one
     more batch axis, just before the last.  The jacobian has the shape of the
-    output followed by one trailing axis of length ``m``.
+    output followed by one trailing axis of length ``m``.  An ``f`` that
+    returns a tuple of arrays, several outputs of one pass, gets one
+    ``(value, jacobian)`` pair per output.
     """
     x = np.asarray(x)
     if x.dtype.kind == "c":
@@ -73,8 +75,16 @@ def jacobian(f, x):
     m = x.shape[-1]
     z = np.empty(x.shape[:-1] + (m, m), complex)
     z.real, z.imag = x[..., None, :], constant(_steps, m)
-    out = np.asarray(f(z))
-    k = out.ndim - x.ndim  # the output's own axes, after the step axis
+    out = f(z)
+    if isinstance(out, tuple):
+        return tuple(_split(part, x.ndim) for part in out)
+    return _split(out, x.ndim)
+
+
+def _split(out, ndim):
+    """(value, jacobian) of one stepped output of a point with ``ndim`` axes."""
+    out = np.asarray(out)
+    k = out.ndim - ndim  # the output's own axes, after the step axis
     value = out.real.take(0, axis=-k - 1)
     partials = np.multiply(transpose(out.imag, (*range(1, k + 1), 0)),
                            1.0 / STEP, order="C")

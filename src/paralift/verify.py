@@ -372,13 +372,11 @@ def _seeded_residuals(ls, pt):
 
     def p_and_omega(z):
         here = chart_point(ls.m, z[..., :n], z[..., n:])
-        return np.stack([_p_coordinate(ls, here), _omega_coordinate(ls, here)],
-                        axis=-3)
+        return _p_coordinate(ls, here), _omega_coordinate(ls, here)
 
-    value, jac = ad.jacobian(p_and_omega, pt.z())
-    nij = _nijenhuis(value[..., 0, :, :], jac[..., 0, :, :, :])
-    return np.stack([_max_abs(nij, 3), _max_abs(_d2form(jac[..., 1, :, :, :]), 3)],
-                    axis=-1)
+    (pmat, dp), (_, domega) = ad.jacobian(p_and_omega, pt.z())
+    return np.stack([_max_abs(_nijenhuis(pmat, dp), 3),
+                     _max_abs(_d2form(domega), 3)], axis=-1)
 
 
 def check_para_kahler(ls, sample, tol=None):

@@ -86,6 +86,12 @@ def test_array_valued_jacobian(rng):
     fd = fd_oracle(g, x)
     assert val.shape == (2, 2) and jac.shape == (2, 2, 2)
     assert np.allclose(jac, fd, rtol=1e-6, atol=1e-9)
+    # several outputs of one pass: one (value, jacobian) pair each
+    (v1, j1), (v2, j2) = ad.jacobian(lambda z: (g(z), f_scalar(z[..., [0, 1, 0]])),
+                                     x)
+    assert v1.tobytes() == val.tobytes() and j1.tobytes() == jac.tobytes()
+    v3, j3 = ad.jacobian(lambda z: f_scalar(z[..., [0, 1, 0]]), x)
+    assert v2 == v3 and j2.tobytes() == j3.tobytes()
 
 
 def test_neg():
