@@ -51,7 +51,6 @@ from .report import CheckReport, Witness
 from .spaceform import (
     ChartModel,
     SpaceForm,
-    check_space_form,
     christoffel_at,
     conformal_ball,
     curvature_at,
@@ -69,6 +68,7 @@ from .verify import (
     check_integrability,
     check_metric_signature,
     check_para_kahler,
+    check_space_form,
     exterior_derivative_2form,
     fd_oracle,
     nijenhuis_at,

@@ -66,14 +66,13 @@ def make_report(check_name, residuals, points, tolerance, *, seed=None,
     """
     residuals = np.asarray(residuals, dtype=float).tolist()
     notes = list(notes)
-    finite = [r for r in residuals if math.isfinite(r)]
-    if len(finite) != len(residuals):
+    if all(map(math.isfinite, residuals)):
+        max_residual = max(residuals) if residuals else 0.0
+        passed = max_residual <= tolerance
+    else:
         notes.append("non-finite residual encountered; check forced to fail")
         max_residual = math.nan
         passed = False
-    else:
-        max_residual = max(residuals) if residuals else 0.0
-        passed = max_residual <= tolerance
     order = sorted(range(len(residuals)),
                    key=lambda i: -_sort_key(residuals[i]))
     witnesses = tuple(
@@ -100,8 +99,6 @@ def _sort_key(r):
 
 
 def _point_dict(point):
-    if isinstance(point, dict):
-        return point
     if hasattr(point, "q") and hasattr(point, "p"):
         return {"q": np.asarray(point.q, dtype=float).tolist(),
                 "p": np.asarray(point.p, dtype=float).tolist()}

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import ad
 from .errors import ChartDomainError
-from .report import make_report
 
 __all__ = [
     "ChartModel",
@@ -38,7 +37,6 @@ __all__ = [
     "christoffel_at",
     "curvature_at",
     "space_form_residual",
-    "check_space_form",
 ]
 
 _DOMAIN_SLACK = 1e-12
@@ -222,12 +220,3 @@ def space_form_residual(m, x):
         op(view, c_phi, out=view)
     return np.max(np.abs(riem, out=riem), axis=(-4, -3, -2, -1))
 
-
-def check_space_form(m, sample, tol=1e-9, *, seed=None):
-    """Residual report for the constant-curvature shape over chart points."""
-    points = list(sample)
-    if not points:
-        raise ValueError("sample must be nonempty")
-    residuals = ad.map_blocks(lambda qs: space_form_residual(m, np.stack(qs)),
-                              points, (2 * m.n) ** 3)
-    return make_report("space_form", residuals, points, tol, seed=seed)

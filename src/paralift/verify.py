@@ -1,14 +1,14 @@
 """Property checkers for the lifted structures.
 
 Each check evaluates a residual at sampled phase points and reduces by max,
-so verdicts do not depend on evaluation order.  The points of a sample are
-stacked along a leading batch axis and evaluated in one pass per block of
-:data:`paralift.ad.BLOCK_ELEMENTS`; the residuals are those of the points
-evaluated one by one, bit for bit.  Derivative-based residuals
-(Nijenhuis tensor, exterior derivative) differentiate the coordinate-frame
-evaluators by complex step (:func:`paralift.ad.jacobian`); :func:`fd_oracle`
-provides the independent finite-difference cross check used by the test
-suite.
+so verdicts do not depend on evaluation order.  Every check takes one path:
+its residual on the stacked points, block by block of
+:data:`paralift.ad.BLOCK_ELEMENTS` (bit for bit the residuals of the points
+one by one), then one :func:`paralift.report.make_report`.  Derivative-based
+residuals (Nijenhuis tensor, exterior derivative) differentiate the
+coordinate-frame evaluators by complex step (:func:`paralift.ad.jacobian`);
+:func:`fd_oracle` and the closed form :func:`analytic_dOmega` provide the
+independent cross checks.
 
 Default tolerances: 1e-10 for purely algebraic identities, 1e-8 for
 first-derivative residuals (one differentiation pass through the Christoffel
@@ -18,7 +18,7 @@ for comparisons against central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +43,8 @@ from .phase import (
     stack_points,
     unstack_point,
 )
-from .report import CheckReport, make_report
-from .spaceform import check_space_form
+from .report import CheckReport, _sort_key, make_report
+from .spaceform import space_form_residual
 
 __all__ = [
     "CheckReport",
@@ -82,6 +82,9 @@ CHECK_NAMES = tuple(DEFAULT_TOLERANCES)
 
 _EIGENVALUE_TOL = 1e-10
 CHART_FRACTION = 0.8  # of the chart radius, the ball of sampled q
+_N2_NOTES = ("base dimension 2 is outside the guaranteed range (n > 2) of "
+             "the constant-curvature characterization; residuals are "
+             "informational",)
 
 
 @dataclass(frozen=True)
@@ -134,23 +137,26 @@ def _ball(rng, n, radius):
     return (r / norm) * v
 
 
-def _inputs(name, sample, tol):
-    """(points, seed, tolerance) of check ``name``; tol None takes the default."""
+def _check(name, sample, tol, residuals, finish=lambda r: (r, None, ())):
+    """Report of check ``name``; tol None takes the default.  ``residuals``
+    maps the points to one residual per point, ``finish`` its result to the
+    report's (residuals, details, notes)."""
     tol = DEFAULT_TOLERANCES[name] if tol is None else tol
     sampled = isinstance(sample, PhaseSample)
     points = list(sample.points if sampled else sample)
     if not points:  # a check over no points proves nothing
         raise ValueError("sample must be nonempty")
-    return points, sample.seed if sampled else None, tol
+    values, details, notes = finish(residuals(points))
+    return make_report(name, values, points, tol,
+                       seed=sample.seed if sampled else None,
+                       details=details, notes=notes)
 
 
-def _residuals(fn, points, footprint):
-    """``fn`` of the stacked points, block by block: one residual per point.
-
-    ``footprint``: (2n)^2 for the matrix checks, (2n)^3 for jacobian checks.
-    """
-    return ad.map_blocks(lambda block: fn(stack_points(block)), points,
-                         footprint)
+def _blocks(fn, footprint, stack=stack_points):
+    """Points to ``fn`` of their blocks, ``stack``-ed; ``footprint``: (2n)^2
+    for the matrix checks, (2n)^3 for jacobian checks."""
+    return lambda points: ad.map_blocks(lambda block: fn(stack(block)),
+                                        points, footprint)
 
 
 def _max_abs(a, core):
@@ -223,86 +229,68 @@ def _d2form(jac):
 def analytic_dOmega(ls, pt):
     """Closed-form d Omega in coordinate components at ``pt``.
 
-    In the mixed coframe {dq^i, Dp_j} the derivative of the fundamental form
-    collapses to
-
-        d Omega = (1/2)(mu - lambda') p_k (g^{kh} d^j_i - g^{kj} d^h_i)
-                  Dp_h ^ Dp_j ^ dq^i,
-
-    which vanishes identically iff mu = lambda'.  The mixed-coframe tensor is
-    antisymmetrized over the basis wedges and then converted to coordinate
-    components through Dp_j = dp_j - Gamma0_jh dq^h.
+    d Omega = (mu - lambda') theta ^ J with theta = g0^h Dp_h and
+    J = Dp_i ^ dq^i, so it vanishes identically iff mu = lambda'.  As
+    Dp_h = dp_h - Gamma0_hk dq^k with Gamma0 symmetric, J = dp_i ^ dq^i and
+    theta = (-Gamma0 g0, g0) in the (q, p) slots; the components
+    theta_a J_bc + theta_b J_ca + theta_c J_ab are the cyclic sum of
+    :func:`_d2form`.
     """
     spec = _require_para_hermitian(ls)
-    n = ls.m.n
-    t = pt.t
-    factor = 0.5 * (np.asarray(spec.mu(t)) - spec.lam.derivative()(t))
-    g0 = pt.g0  # p_k g^{kh} = g0[..., h]
-    eye = ad.constant(np.eye, n)
-    # w[..., n + h, n + j, i] of Dp_h Dp_j dq^i
-    w = np.zeros(np.shape(g0)[:-1] + (2 * n, 2 * n, 2 * n))
-    w[..., n:, n:, :n] = factor[..., None, None, None] * (
-        g0[..., :, None, None] * eye - g0[..., None, :, None] * eye[:, None])
-    # antisymmetrized over the basis wedges: signed sum over the slot permutations
-    mixed = (w + ad.transpose(w, (1, 2, 0)) + ad.transpose(w, (2, 0, 1))
-             - ad.transpose(w, (0, 2, 1)) - ad.transpose(w, (2, 1, 0))
-             - ad.transpose(w, (1, 0, 2)))
-    # Binv = [[I, 0], [-Gamma0, I]], the inverse of the adapted frame
-    # matrix B = [[I, 0], [Gamma0, I]]; B itself is not needed
-    zero = ad.constant(np.zeros, (n, n))
-    binv = ad.block([[eye, zero], [-pt.Gamma0, eye]])
-    # Binv^a_A Binv^b_B Binv^c_C mixed_abc, one slot at a time as stacked
-    # matrix products over the last axis, rotating the slots (abc -> bcA ->
-    # cAB -> ABC)
-    lead, k = np.shape(mixed)[:-3], 2 * n
-    for _ in range(3):
-        rotated = ad.transpose(mixed, (1, 2, 0)).reshape(lead + (k * k, k))
-        mixed = (rotated @ binv).reshape(lead + (k, k, k))
-    return mixed
+    t, g0 = pt.t, pt.g0
+    factor = np.asarray(spec.mu(t)) - spec.lam.derivative()(t)
+    theta = factor[..., None] * np.concatenate(
+        [-(pt.Gamma0 @ g0[..., None])[..., 0], g0], axis=-1)
+    j = ad.constant(_dp_wedge_dq, ls.m.n)
+    return _d2form(j[:, :, None] * theta[..., None, None, :])
+
+
+def _dp_wedge_dq(n):
+    """Components J of dp_i ^ dq^i: J[n + i, i] = 1 = -J[i, n + i]."""
+    return np.kron([[0.0, -1.0], [1.0, 0.0]], np.eye(n))
+
+
+def check_space_form(m, sample, tol=None, *, seed=None):
+    """max of :func:`paralift.spaceform.space_form_residual` over chart points
+    q, or the q of phase points; witnesses name q alone."""
+    if isinstance(sample, PhaseSample):
+        sample, seed = sample.points, sample.seed
+    qs = tuple(getattr(pt, "q", pt) for pt in sample)
+    return _check("space_form", PhaseSample(qs, seed), tol,
+                  _blocks(lambda q: space_form_residual(m, q),
+                          (2 * m.n) ** 3, np.stack))
 
 
 def check_almost_product(ls, sample, tol=None):
     """max over the sample of |P_adapted^2 - I|_inf."""
-    points, seed, tol = _inputs("almost_product", sample, tol)
     eye = ad.constant(np.eye, 2 * ls.m.n)
 
     def residual(pt):
         pmat = P_adapted(ls, pt)
         return _max_abs(pmat @ pmat - eye, 2)
 
-    residuals = _residuals(residual, points, (2 * ls.m.n) ** 2)
-    return make_report("almost_product", residuals, points, tol, seed=seed)
-
-
-def _integrability_report(ls, residuals, points, tol, seed=None):
-    notes = ()
-    if ls.m.n == 2:
-        notes = ("base dimension 2 is outside the guaranteed range (n > 2) "
-                 "of the constant-curvature characterization; residuals are "
-                 "informational",)
-    return make_report("integrability", residuals, points, tol, seed=seed,
-                       notes=notes)
+    return _check("almost_product", sample, tol,
+                  _blocks(residual, (2 * ls.m.n) ** 2))
 
 
 def check_integrability(ls, sample, tol=None):
     """max over the sample of |N_P|_inf in coordinate components."""
-    points, seed, tol = _inputs("integrability", sample, tol)
-    residuals = _residuals(lambda pt: _max_abs(nijenhuis_at(ls, pt), 3),
-                           points, (2 * ls.m.n) ** 3)
-    return _integrability_report(ls, residuals, points, tol, seed)
+    return _check("integrability", sample, tol,
+                  _blocks(lambda pt: _max_abs(nijenhuis_at(ls, pt), 3),
+                          (2 * ls.m.n) ** 3),
+                  lambda r: (r, None, _N2_NOTES if ls.m.n == 2 else ()))
+
+
+def _compatibility(ls, pt):
+    pmat, gmat = _adapted_pg(ls, pt)
+    eps = float(ls.spec.epsilon)
+    return _max_abs(np.swapaxes(pmat, -1, -2) @ gmat @ pmat - eps * gmat, 2)
 
 
 def check_compatibility(ls, sample, tol=None):
     """max over the sample of |P^T G P - eps G|_inf in the adapted frame."""
-    points, seed, tol = _inputs("compatibility", sample, tol)
-    eps = float(_require_metric(ls).epsilon)
-
-    def residual(pt):
-        pmat, gmat = _adapted_pg(ls, pt)
-        return _max_abs(np.swapaxes(pmat, -1, -2) @ gmat @ pmat - eps * gmat, 2)
-
-    residuals = _residuals(residual, points, (2 * ls.m.n) ** 2)
-    return make_report("compatibility", residuals, points, tol, seed=seed)
+    return _check("compatibility", sample, tol,
+                  _blocks(lambda pt: _compatibility(ls, pt), (2 * ls.m.n) ** 2))
 
 
 def check_metric_signature(ls, sample, tol=None):
@@ -313,7 +301,6 @@ def check_metric_signature(ls, sample, tol=None):
     n x n blocks.  The residual counts misclassified points, so any nonzero
     value fails at the default tolerance 0.
     """
-    points, seed, tol = _inputs("metric_signature", sample, tol)
     n = ls.m.n
     spec = _require_metric(ls)
     if spec.epsilon == -1:
@@ -332,36 +319,30 @@ def check_metric_signature(ls, sample, tol=None):
         neg = np.sum(eigs < -_EIGENVALUE_TOL, axis=-1)
         return ((pos != expected[0]) | (neg != expected[1])).astype(float)
 
-    residuals = _residuals(residual, points, (2 * n) ** 2)
-    notes = ()
-    if expected is None:
-        notes = ("no expected signature for a non-positive eps = +1 spec; "
-                 "check is vacuous",)
+    notes = () if expected else ("no expected signature for a non-positive "
+                                 "eps = +1 spec; check is vacuous",)
     details = {"expected_positive": expected[0] if expected else None,
                "expected_negative": expected[1] if expected else None}
-    return make_report("metric_signature", residuals, points, tol, seed=seed,
-                       details=details, notes=notes)
+    return _check("metric_signature", sample, tol,
+                  _blocks(residual, (2 * n) ** 2),
+                  lambda r: (r, details, notes))
 
 
 def check_closure(ls, sample, tol=None):
     """max over the sample of |d Omega|_inf by complex-step differentiation."""
-    points, seed, tol = _inputs("closure", sample, tol)
     omega = Omega_coordinate(ls)
-    residuals = _residuals(
+    return _check("closure", sample, tol, _blocks(
         lambda pt: _max_abs(exterior_derivative_2form(omega, pt), 3),
-        points, (2 * ls.m.n) ** 3)
-    return make_report("closure", residuals, points, tol, seed=seed)
+        (2 * ls.m.n) ** 3))
 
 
 def check_closure_agreement(ls, sample, tol=None):
     """max over the sample of |d Omega (complex step) - d Omega (closed form)|."""
-    points, seed, tol = _inputs("closure_agreement", sample, tol)
     omega = Omega_coordinate(ls)
-    residuals = _residuals(
+    return _check("closure_agreement", sample, tol, _blocks(
         lambda pt: _max_abs(exterior_derivative_2form(omega, pt)
                             - analytic_dOmega(ls, pt), 3),
-        points, (2 * ls.m.n) ** 3)
-    return make_report("closure_agreement", residuals, points, tol, seed=seed)
+        (2 * ls.m.n) ** 3))
 
 
 def _seeded_residuals(ls, pt):
@@ -382,35 +363,30 @@ def _seeded_residuals(ls, pt):
 def check_para_kahler(ls, sample, tol=None):
     """Composite check: compatibility, integrability and closure at one tol.
 
-    Passes iff all three sub-checks pass; the report records each
-    sub-residual and inherits the witnesses of the worst sub-check.  The
-    integrability and closure residuals come from one complex-step pass.
+    Passes iff all three parts pass.  The details record each part's max
+    residual; the residuals, witnesses and notes are those of the worst
+    part, a non-finite one ranking worst.  Compatibility runs in its own
+    blocks, integrability and closure in one complex-step pass.
     """
-    points, seed, tol = _inputs("para_kahler", sample, tol)
-    subs = {"compatibility": check_compatibility(ls, points, tol)}
     _require_para_hermitian(ls)
-    both = _residuals(lambda pt: _seeded_residuals(ls, pt), points,
-                      (2 * ls.m.n) ** 3)
-    subs["integrability"] = _integrability_report(ls, both[:, 0], points, tol)
-    subs["closure"] = make_report("closure", both[:, 1], points, tol)
-    worst = max(subs, key=lambda k: subs[k].max_residual)
-    details = {f"{name}_residual": rep.max_residual for name, rep in subs.items()}
-    report = make_report("para_kahler",
-                         [rep.max_residual for rep in subs.values()],
-                         [{"sub_check": name} for name in subs],
-                         tol, seed=seed, details=details)
-    # Witnesses of the dominating sub-check are the informative ones.
-    return replace(report, points_sampled=len(points),
-                   witnesses=subs[worst].witnesses, notes=subs[worst].notes)
+    k = 2 * ls.m.n
+    compatibility = _blocks(lambda pt: _compatibility(ls, pt), k ** 2)
+    seeded = _blocks(lambda pt: _seeded_residuals(ls, pt), k ** 3)
 
+    def worst(parts):
+        top = [float(r.max()) for r in parts]
+        i = max(range(3), key=lambda i: _sort_key(top[i]))  # nan ranks worst
+        notes = _N2_NOTES if i == 1 and ls.m.n == 2 else ()
+        names = ("compatibility", "integrability", "closure")
+        return parts[i], {f"{a}_residual": r for a, r in zip(names, top)}, notes
 
-def _space_form_adapter(ls, sample, tol):
-    points, seed, tol = _inputs("space_form", sample, tol)
-    return check_space_form(ls.m, [pt.q for pt in points], tol, seed=seed)
+    return _check("para_kahler", sample, tol,
+                  lambda points: (compatibility(points), *seeded(points).T),
+                  worst)
 
 
 _CHECKS = {
-    "space_form": _space_form_adapter,
+    "space_form": lambda ls, sample, tol: check_space_form(ls.m, sample, tol),
     "almost_product": check_almost_product,
     "integrability": check_integrability,
     "compatibility": check_compatibility,
@@ -423,8 +399,6 @@ _CHECKS = {
 
 def run_check(name, ls, sample, tol=None):
     """Dispatch one named check; see :data:`CHECK_NAMES` for valid names."""
-    try:
-        fn = _CHECKS[name]
-    except KeyError:
+    if name not in _CHECKS:
         raise KeyError(f"unknown check {name!r}; valid: {sorted(_CHECKS)}")
-    return fn(ls, sample, tol)
+    return _CHECKS[name](ls, sample, tol)

@@ -12,7 +12,7 @@ from paralift import ad
 
 
 def frame_matrices(gamma0):
-    """(B, Binv) from the contraction Gamma0; works on a Jet Gamma0 too.
+    """(B, Binv) from the contraction Gamma0, with or without batch axes.
 
     Columns of B express the adapted frame vectors in coordinates; Binv is
     its closed-form inverse.  Both are block triangular:

@@ -194,7 +194,7 @@ def test_criterion_5_d_omega():
                          check_closure(ls_open, sample, 1e-8).max_residual)
 
     ok = agree_worst <= 1e-8 and closed_worst <= 1e-8 and open_floor > 1e-8
-    _verdict(5, ok, f"d Omega forward-mode vs closed form agree to "
+    _verdict(5, ok, f"d Omega by complex step vs closed form agree to "
                     f"{agree_worst:.2e} <= 1e-8; mu = lambda' vanishes to "
                     f"{closed_worst:.2e}; mu = 0 stays nonzero "
                     f"({open_floor:.2e})")
@@ -262,9 +262,10 @@ def test_criterion_7_ad_vs_fd():
             worst = max(worst, abs(ad_d - fd_d) / max(1.0, abs(ad_d)))
 
     ok = worst <= FD_RTOL
-    _verdict(7, ok, f"worst forward-mode vs central-difference relative "
-                    f"error {worst:.2e} <= 1e-6 across metric, Christoffel, "
-                    "P entries, Omega entries, and all coefficient families")
+    _verdict(7, ok, f"worst complex-step or derivative-tree vs "
+                    f"central-difference relative error {worst:.2e} <= 1e-6 "
+                    "across metric, Christoffel, P entries, Omega entries, "
+                    "and all coefficient families")
 
 
 def test_criterion_8_determinism(tmp_path):

@@ -204,6 +204,20 @@ def test_check_space_form_fails_for_perturbed(rng):
         assert rep.max_residual > 1e-6
 
 
+def test_check_space_form_reads_q_of_a_phase_sample():
+    # chart points with a seed, or a PhaseSample through run_check: the same
+    # report, at the default tolerance, with witnesses naming q alone
+    from paralift import LiftedStructure, StructureKind
+    from paralift.verify import DEFAULT_TOLERANCES, run_check, sample_points
+    m = conformal_ball(3, 1.0)
+    sample = sample_points(m, 5, 3)
+    rep = check_space_form(m, [pt.q for pt in sample.points], seed=3)
+    assert rep.tolerance == DEFAULT_TOLERANCES["space_form"] and rep.seed == 3
+    assert all(set(w.point) == {"q"} for w in rep.witnesses)
+    ls = LiftedStructure(m=m, kind=StructureKind.CRUCEANU_P)
+    assert run_check("space_form", ls, sample) == rep
+
+
 def test_check_space_form_rejects_empty():
     with pytest.raises(ValueError):
         check_space_form(flat_space(2), [], 1e-9)

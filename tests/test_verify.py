@@ -357,11 +357,19 @@ def wedge_loop_dOmega(ls, pt):
     return np.einsum("abc,aA,bB,cC->ABC", mixed, binv, binv, binv)
 
 
-@pytest.mark.parametrize("n", [2, 3, 8])
-def test_analytic_d_omega_matches_wedge_loop(n):
-    m = conformal_ball(n, 1.0)
+@pytest.mark.parametrize("m", [
+    pytest.param(conformal_ball(2, 1.0), id="2"),
+    pytest.param(conformal_ball(3, 1.0), id="3"),
+    pytest.param(conformal_ball(8, 1.0), id="8"),
+    pytest.param(conformal_ball(3, -1.0), id="ball-1"),
+    pytest.param(perturbed_conformal(3, 1.0, 0.1), id="perturbed"),
+    pytest.param(flat_space(3), id="flat"),
+])
+def test_analytic_d_omega_matches_wedge_loop(m):
     ls = rational_ls(m, lam=affine(1.0, 1.0), mu=constant(0.0))  # d Omega != 0
-    for pt in sample_points(m, 4, 31).points[1:]:  # the first has p = 0
+    points = sample_points(m, 4, 31).points
+    assert np.all(analytic_dOmega(ls, points[0]) == 0.0)  # p = 0, so theta = 0
+    for pt in points[1:]:
         ref = wedge_loop_dOmega(ls, pt)
         assert np.max(np.abs(ref)) > 0.1
         assert np.max(np.abs(analytic_dOmega(ls, pt) - ref)) < 1e-14 * max(
@@ -422,6 +430,24 @@ def test_para_kahler_sub_residuals_equal_the_standalone_checks(case):
                                              axis=(-3, -2, -1)))
     assert np.array_equal(both[:, 1], np.max(np.abs(
         exterior_derivative_2form(omega, batch)), axis=(-3, -2, -1)))
+
+
+def test_para_kahler_reports_a_non_finite_part():
+    # mu = nan leaves compatibility and integrability finite; the closure
+    # residuals are nan, and that part ranks worst
+    m = conformal_ball(3, 1.0)
+    spec = replace(para_kahler_ls(m).spec, mu=constant(math.nan))
+    ls = LiftedStructure(m=m, kind=N, spec=spec)
+    sample = sample_points(m, 6, 0)
+    rep = check_para_kahler(ls, sample)
+    d = rep.to_dict()
+    assert d["verdict"] == "fail" and d["max_residual"] is None
+    assert any("non-finite" in note for note in rep.notes)
+    assert d["details"]["closure_residual"] is None
+    assert d["details"]["compatibility_residual"] <= 1e-8
+    assert [w["residual"] for w in d["witnesses"]] == [None] * 3
+    alone = check_closure(ls, sample).to_dict()
+    assert d["witnesses"] == alone["witnesses"]
 
 
 def test_para_kahler_needs_a_para_hermitian_spec():
@@ -512,7 +538,7 @@ def test_kernels_ad_vs_fd_at_n8():
             assert rel(jac, fd_oracle(fn, z)) < 1e-6
 
 
-def test_evaluators_return_float_array_jets():
+def test_evaluators_return_float_jacobians():
     # on complex steps every evaluator gives complex128 arrays, and its
     # jacobian float64 ones
     m = conformal_ball(3, 1.0)
@@ -577,7 +603,7 @@ def test_verdicts_stable_across_seeds():
 
 
 def test_make_report_handles_nan():
-    pts = [{"q": [0.0]}, {"q": [1.0]}]
+    pts = [[0.0], [1.0]]
     rep = make_report("demo", [0.5, math.nan], pts, 1e3)
     assert not rep.passed
     assert any("non-finite" in n for n in rep.notes)
@@ -587,9 +613,10 @@ def test_make_report_handles_nan():
 
 
 def test_make_report_witness_order():
-    pts = [{"q": [float(i)]} for i in range(5)]
+    pts = [[float(i)] for i in range(5)]
     rep = make_report("demo", [0.1, 0.5, 0.3, 0.2, 0.4], pts, 1.0)
     assert rep.passed
     resids = [w.residual for w in rep.witnesses]
     assert resids == sorted(resids, reverse=True)
     assert len(rep.witnesses) == 3
+    assert rep.witnesses[0].point == {"q": [1.0]}

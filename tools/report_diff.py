@@ -9,7 +9,8 @@ each report entry that differs outside ``timing`` as ``old -> new``, and any
 differing exit status or stderr.  Witness entries of a check that passes on
 both sides are the top points of rounding noise, so they are only counted,
 one line per run.  The last line gives the count of differences, printed and
-counted.
+counted.  The exit status is 1 if any difference was printed, 0 if none
+was or only witness entries of passing checks were counted.
 """
 
 from __future__ import annotations
@@ -95,7 +96,8 @@ def main(old_root, new_root):
     print(f"{printed + counted} differing entries over {len(todo)} runs: "
           f"{printed} printed, {counted} witness entries of passing checks "
           "counted")
+    return 1 if printed else 0
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:])
+    sys.exit(main(*sys.argv[1:]))
