@@ -18,7 +18,7 @@ point, ahead of its own axes, and the step directions are one more of them.
 Axis arguments count from the end (:func:`transpose`), and products act on
 the trailing matrix or vector axes like numpy's stacked ``matmul``.  Batch
 slices never mix, so a batch evaluates to the stack of its points' values,
-bit for bit.  :func:`map_blocks` bounds the batch size by
+bit for bit.  The checks bound their batch sizes by
 :data:`BLOCK_ELEMENTS`.  Constant arrays such as the identity come from
 :func:`constant`, built once and read-only.
 """
@@ -37,7 +37,6 @@ __all__ = [
     "transpose",
     "block",
     "constant",
-    "map_blocks",
     "BLOCK_ELEMENTS",
 ]
 
@@ -143,16 +142,3 @@ def constant(make, *args):
     a = make(*args)
     a.setflags(write=False)
     return a
-
-
-def map_blocks(fn, points, footprint):
-    """``fn`` over consecutive blocks of ``points``, results concatenated.
-
-    ``fn`` maps a block of points to one value (or row) per point, and its
-    largest intermediate holds ``footprint`` elements per point.  A block
-    holds as many points as :data:`BLOCK_ELEMENTS` allows, at least one.  The
-    result does not depend on the block size, since batch slices never mix.
-    """
-    size = max(1, BLOCK_ELEMENTS // footprint)
-    parts = [fn(points[i:i + size]) for i in range(0, len(points), size)]
-    return np.concatenate(parts) if parts else np.zeros(0)

@@ -199,8 +199,10 @@ class Program:
         """The families at t; on a complex t, f(Re t) + i f'(Re t) Im t."""
         if np.iscomplexobj(t):
             out, k = self.with_derivatives(t.real), len(self.outputs)
-            return tuple(_complex(f, fp * t.imag)
-                         for f, fp in zip(out[:k], out[k:]))
+            z = np.empty((k,) + np.shape(t), complex)
+            z.real = out[:k]
+            np.multiply(out[k:], t.imag, out=z.imag)
+            return tuple(z)
         return self._function(t)
 
     @cached_property
@@ -226,13 +228,6 @@ class Program:
         scope = {"exp": np.exp, "inf": math.inf, "nan": math.nan}
         exec(compile(source, "<paralift program>", "exec"), scope)
         return scope["program"]
-
-
-def _complex(re, im):
-    """The complex array re + i im, both parts written as they are."""
-    out = np.empty(np.shape(im), complex)
-    out.real, out.imag = re, im
-    return out
 
 
 def constant(value):

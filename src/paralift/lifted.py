@@ -93,7 +93,7 @@ def _check_range(ls, t, *, slack):
     bound = ls.spec.t_max + (_T_SLACK if slack else 0.0)
     tv = np.asarray(t).real
     over = tv > bound
-    if over.any():
+    if np.count_nonzero(over):
         first = tv[np.unravel_index(np.argmax(over), over.shape)]
         raise RangeError(
             f"energy density t = {first:.6g} exceeds validated t_max = "
@@ -159,7 +159,7 @@ def _p_matrix(ls, pt, coeffs=None):
 
 def P_adapted(ls, pt):
     """Adapted-frame matrix of P at ``pt``; block antidiagonal (see module doc)."""
-    return _p_matrix(ls, metric_point(ls.m, pt.q, pt.p))
+    return _p_matrix(ls, metric_point(ls.m, pt))
 
 
 def _p_coordinate(ls, pt):
@@ -195,13 +195,13 @@ def _diagonal(g1, g2):
 def G_adapted(ls, pt):
     """Adapted-frame matrix of G at ``pt``; symmetric block diagonal."""
     _require_metric(ls)
-    return _diagonal(*_g_blocks(ls, metric_point(ls.m, pt.q, pt.p)))
+    return _diagonal(*_g_blocks(ls, metric_point(ls.m, pt)))
 
 
 def _adapted_pg(ls, pt):
     """(P_adapted, G_adapted) at ``pt``: one chart point, one program of eight."""
     _require_metric(ls)
-    here = metric_point(ls.m, pt.q, pt.p)  # a point of another chart raises
+    here = metric_point(ls.m, pt)
     coeffs = _coefficients(ls, here, "PG", slack=False)
     return (_p_matrix(ls, here, coeffs[:4]),
             _diagonal(*_g_blocks(ls, here, coeffs[4:])))

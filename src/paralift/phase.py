@@ -16,19 +16,19 @@ slots 0..n-1 are horizontal (q-directions), slots n..2n-1 vertical
 
 Every function here also takes leading batch axes (see :mod:`paralift.ad`):
 a :class:`CotangentPoint` whose arrays carry one leading axis stands for a
-whole sample, and :func:`stack_points` builds one from a sequence of points,
-so a ``PhaseSample`` is evaluated as one batch.  Since g = phi I, a point
-carries the scalar phi, not metric matrices.
+whole sample, and a ``PhaseSample`` holds its points as one, built once.
+Since g = phi I, a point carries the scalar phi, not metric matrices, and
+its chart ``m``: evaluators on an equal chart read its fields as they are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ad
-from .spaceform import conformal_factor, conformal_fields
+from .spaceform import SpaceForm, conformal_factor, conformal_fields
 
 __all__ = [
     "CotangentPoint",
@@ -36,7 +36,7 @@ __all__ = [
     "metric_point",
     "make_point",
     "stack_points",
-    "unstack_point",
+    "take_points",
     "energy_density",
 ]
 
@@ -48,7 +48,8 @@ class CotangentPoint:
     phi is the conformal factor of g = phi I at q, t the energy density
     (1/2) g^{ik} p_i p_k, g0 the raised covector g^{0i} = p_h g^{hi}, and
     Gamma0 the matrix p_k Gamma^k_ih.  With a leading batch axis on every
-    field (phi and t then arrays) it holds a sample.
+    array (phi and t then arrays) it holds a sample.  ``m`` is the chart the
+    fields were built on, None when unknown or mixed.
     """
 
     q: np.ndarray
@@ -57,6 +58,7 @@ class CotangentPoint:
     t: float
     g0: np.ndarray
     Gamma0: np.ndarray
+    m: SpaceForm | None = None
 
     @property
     def n(self):
@@ -67,7 +69,7 @@ class CotangentPoint:
         return np.concatenate([self.q, self.p], axis=-1)
 
 
-_FIELDS = tuple(f.name for f in fields(CotangentPoint))
+_ARRAYS = ("q", "p", "phi", "t", "g0", "Gamma0")
 
 
 def chart_point(m, q, p):
@@ -80,14 +82,16 @@ def chart_point(m, q, p):
     phi, h = conformal_fields(m, q)
     s = ad.outer(p, h)
     gamma0 = ((s + ad.transpose(s, (1, 0)))
-              - ad.vecdot(p, h)[..., None, None] * np.eye(m.n))
+              - ad.vecdot(p, h)[..., None, None] * ad.constant(np.eye, m.n))
     return _point(q, p, phi, gamma0)
 
 
-def metric_point(m, q, p):
-    """:func:`chart_point` but for Gamma0 (None), from phi alone: bitwise
-    its other fields, all that adapted-frame blocks read."""
-    return _point(q, p, conformal_factor(m, q), None)
+def metric_point(m, pt):
+    """``pt`` if built on a chart equal to ``m``; else its fields on ``m``,
+    from phi alone, bitwise chart_point's but Gamma0 (None), or a raise."""
+    if pt.m is m or pt.m == m:
+        return pt
+    return _point(pt.q, pt.p, conformal_factor(m, pt.q), None)
 
 
 def _point(q, p, phi, gamma0):
@@ -106,32 +110,33 @@ def make_point(m, q, p):
     if q.shape[-1:] != (m.n,) or p.shape != q.shape:
         raise ValueError(f"expected {m.n} components for q and p")
     pt = chart_point(m, q, p)
-    return _frozen(*(getattr(pt, name) for name in _FIELDS))
+    return _frozen(m, *(getattr(pt, name) for name in _ARRAYS))
 
 
-def _frozen(*values):
+def _frozen(m, *values):
     """A point of read-only arrays; phi and t of a single point are floats."""
     values = [float(v) if np.ndim(v) == 0 else v for v in values]
     for v in values:
         if isinstance(v, np.ndarray):
             v.setflags(write=False)
-    return CotangentPoint(*values)
+    return CotangentPoint(*values, m=m)
 
 
 def stack_points(points):
     """One point with a leading batch axis holding ``points`` in order."""
+    charts = {pt.m for pt in points}
     return CotangentPoint(*(np.array([getattr(pt, name) for pt in points])
-                            for name in _FIELDS))
+                            for name in _ARRAYS),
+                          m=charts.pop() if len(charts) == 1 else None)
 
 
-def unstack_point(batch):
-    """The single points of a batched point, in order."""
-    return tuple(_frozen(*(getattr(batch, name)[i] for name in _FIELDS))
-                 for i in range(len(batch.t)))
+def take_points(batch, index):
+    """Point ``index`` of a batched point, or a batch for a slice."""
+    return _frozen(batch.m, *(getattr(batch, name)[index] for name in _ARRAYS))
 
 
 def energy_density(m, q, p):
     """(1/2) g^{ik}(q) p_i p_k, evaluable on complex steps in all 2n
     variables; on real coordinates it rounds exactly as the t of
     :func:`make_point`."""
-    return metric_point(m, q, p).t
+    return _point(q, p, conformal_factor(m, q), None).t

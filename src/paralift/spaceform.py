@@ -106,7 +106,7 @@ def _require_in_chart(m, x, r2):
     bad = outside | singular
     if m.model is ChartModel.PERTURBED_CONFORMAL:
         bad = bad | (1.0 + m.strength * x.real[..., 0] <= 0.0)
-    if not bad.any():
+    if not np.count_nonzero(bad):
         return
     i = np.unravel_index(np.argmax(bad), bad.shape)  # the first bad point
     if outside[i]:

@@ -2,9 +2,10 @@
 
 Each check evaluates a residual at sampled phase points and reduces by max,
 so verdicts do not depend on evaluation order.  Every check takes one path:
-its residual on the stacked points, block by block of
-:data:`paralift.ad.BLOCK_ELEMENTS` (bit for bit the residuals of the points
-one by one), then one :func:`paralift.report.make_report`.  Derivative-based
+its residual on the sample's one batch, whose points carry their chart, or
+on its slices in blocks of :data:`paralift.ad.BLOCK_ELEMENTS` (bit for bit
+the residuals of the points one by one), then one
+:func:`paralift.report.make_report`.  Derivative-based
 residuals (Nijenhuis tensor, exterior derivative) differentiate the
 coordinate-frame evaluators by complex step (:func:`paralift.ad.jacobian`);
 :func:`fd_oracle` and the closed form :func:`analytic_dOmega` provide the
@@ -18,7 +19,7 @@ for comparisons against central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .phase import (
     make_point,
     metric_point,
     stack_points,
-    unstack_point,
+    take_points,
 )
 from .report import CheckReport, _sort_key, make_report
 from .spaceform import space_form_residual
@@ -89,10 +90,16 @@ _N2_NOTES = ("base dimension 2 is outside the guaranteed range (n > 2) of "
 
 @dataclass(frozen=True)
 class PhaseSample:
-    """Sampled phase points plus the seed that produced them."""
+    """Sampled phase points, the seed that produced them, and the points as
+    one batched CotangentPoint that checks read, stacked here if not given."""
 
     points: tuple
     seed: int | None = None
+    batch: CotangentPoint = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.batch is None:
+            object.__setattr__(self, "batch", stack_points(self.points))
 
 
 def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0):
@@ -122,8 +129,9 @@ def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0):
             continue
         qs.append(q)
         ps.append(p)
-    points = unstack_point(make_point(m, qs, ps)) if qs else ()
-    return PhaseSample(points=points, seed=seed)
+    batch = make_point(m, qs, ps) if qs else stack_points(())
+    points = tuple(take_points(batch, i) for i in range(len(qs)))
+    return PhaseSample(points=points, seed=seed, batch=batch)
 
 
 def _ball(rng, n, radius):
@@ -138,30 +146,36 @@ def _ball(rng, n, radius):
 
 
 def _check(name, sample, tol, residuals, finish=lambda r: (r, None, ())):
-    """Report of check ``name``; tol None takes the default.  ``residuals``
-    maps the points to one residual per point, ``finish`` its result to the
-    report's (residuals, details, notes)."""
+    """Report of check ``name`` on a PhaseSample or points; tol None takes the
+    default.  ``residuals`` maps the sample to one residual per point,
+    ``finish`` its result to the report's (residuals, details, notes)."""
     tol = DEFAULT_TOLERANCES[name] if tol is None else tol
-    sampled = isinstance(sample, PhaseSample)
-    points = list(sample.points if sampled else sample)
-    if not points:  # a check over no points proves nothing
+    if not isinstance(sample, PhaseSample):
+        sample = PhaseSample(points=tuple(sample))
+    if not len(sample.points):  # a check over no points proves nothing
         raise ValueError("sample must be nonempty")
-    values, details, notes = finish(residuals(points))
-    return make_report(name, values, points, tol,
-                       seed=sample.seed if sampled else None,
+    values, details, notes = finish(residuals(sample))
+    return make_report(name, values, sample.points, tol, seed=sample.seed,
                        details=details, notes=notes)
 
 
-def _blocks(fn, footprint, stack=stack_points):
-    """Points to ``fn`` of their blocks, ``stack``-ed; ``footprint``: (2n)^2
-    for the matrix checks, (2n)^3 for jacobian checks."""
-    return lambda points: ad.map_blocks(lambda block: fn(stack(block)),
-                                        points, footprint)
+def _blocks(fn, footprint, take=take_points):
+    """A sample to ``fn`` of its batch, or of consecutive blocks ``take``-n
+    from it, each of at least one point and :data:`paralift.ad.BLOCK_ELEMENTS`
+    at most; ``footprint``: elements per point, (2n)^2 for the matrix checks,
+    (2n)^3 for jacobian checks.  Batch slices never mix, so neither do blocks."""
+    def residuals(s):
+        count, size = len(s.points), max(1, ad.BLOCK_ELEMENTS // footprint)
+        if count <= size:
+            return fn(s.batch)
+        return np.concatenate([fn(take(s.batch, slice(i, i + size)))
+                               for i in range(0, count, size)])
+    return residuals
 
 
 def _max_abs(a, core):
-    """max |a| over the last ``core`` axes."""
-    return np.max(np.abs(a), axis=tuple(range(-core, 0)))
+    """max |a| over the last ``core`` axes, reshaped into one."""
+    return np.abs(a).reshape(a.shape[:a.ndim - core] + (-1,)).max(-1)
 
 
 def fd_oracle(f, x, step=1e-5):
@@ -251,14 +265,15 @@ def _dp_wedge_dq(n):
 
 
 def check_space_form(m, sample, tol=None, *, seed=None):
-    """max of :func:`paralift.spaceform.space_form_residual` over chart points
-    q, or the q of phase points; witnesses name q alone."""
+    """max of space_form_residual over chart points q, or the q of phase
+    points: a sample of q rows, batched as one array; witnesses name q alone."""
     if isinstance(sample, PhaseSample):
-        sample, seed = sample.points, sample.seed
-    qs = tuple(getattr(pt, "q", pt) for pt in sample)
-    return _check("space_form", PhaseSample(qs, seed), tol,
+        qs, seed = sample.batch.q, sample.seed
+    else:
+        qs = np.array([getattr(pt, "q", pt) for pt in sample])
+    return _check("space_form", PhaseSample(qs, seed, qs), tol,
                   _blocks(lambda q: space_form_residual(m, q),
-                          (2 * m.n) ** 3, np.stack))
+                          (2 * m.n) ** 3, lambda q, part: q[part]))
 
 
 def check_almost_product(ls, sample, tol=None):
@@ -311,7 +326,7 @@ def check_metric_signature(ls, sample, tol=None):
         expected = None
 
     def residual(pt):
-        blocks = _g_blocks(ls, metric_point(ls.m, pt.q, pt.p))
+        blocks = _g_blocks(ls, metric_point(ls.m, pt))
         eigs = np.concatenate([np.linalg.eigvalsh(g) for g in blocks], axis=-1)
         if expected is None:
             return np.zeros(eigs.shape[:-1])
@@ -381,8 +396,7 @@ def check_para_kahler(ls, sample, tol=None):
         return parts[i], {f"{a}_residual": r for a, r in zip(names, top)}, notes
 
     return _check("para_kahler", sample, tol,
-                  lambda points: (compatibility(points), *seeded(points).T),
-                  worst)
+                  lambda s: (compatibility(s), *seeded(s).T), worst)
 
 
 _CHECKS = {

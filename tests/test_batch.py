@@ -8,6 +8,8 @@ reports gives, and a failing check names the first offending point in sample
 order.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,9 @@ def test_batched_kernels_equal_stacked_points(model, n):
                    analytic_dOmega):
         assert _same(kernel(ls, batch), _stacked(lambda pt: kernel(ls, pt), points)), \
             kernel.__name__
+    unknown = replace(batch, m=None)  # fields rebuilt on ls.m, not read
+    for kernel in (P_adapted, G_adapted, Omega_adapted):
+        assert _same(kernel(ls, unknown), kernel(ls, batch)), kernel.__name__
     omega = Omega_coordinate(ls)
     assert _same(exterior_derivative_2form(omega, batch),
                  _stacked(lambda pt: exterior_derivative_2form(omega, pt), points))
@@ -112,6 +117,22 @@ def test_batched_kernels_equal_stacked_points(model, n):
         singles = [ad.jacobian(fn, z) for z in zs]
         assert _same(value, np.stack([v for v, _ in singles]))
         assert _same(jac, np.stack([j for _, j in singles]))
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_a_sample_is_one_batch_of_its_points(model):
+    """sample_points keeps make_point's batch, bitwise the stack of its
+    points; both record the sampled chart, as does a chunk's batch."""
+    ls = _structure(model, 3)
+    sample = _sample(ls, 3)
+    stacked = stack_points(sample.points)
+    for field in ("q", "p", "phi", "t", "g0", "Gamma0"):
+        assert _same(getattr(sample.batch, field), getattr(stacked, field))
+    chunk = PhaseSample(points=sample.points[2:4], seed=sample.seed)
+    assert sample.batch.m is stacked.m is chunk.batch.m is ls.m
+    assert _same(chunk.batch.q, sample.batch.q[2:4])
+    assert stack_points([sample.points[0], replace(sample.points[1],
+                                                   m=None)]).m is None
 
 
 def _merge(reports):

@@ -295,7 +295,7 @@ def test_composite_derivatives_match_finite_differences(a1):
         assert np.allclose(exact, fd, rtol=1e-6, atol=1e-9), name
 
 
-def test_phase_jet_takes_one_chain_rule_step(rng):
+def test_complex_stepped_t_takes_one_chain_rule_step(rng):
     # t on 16 complex-step lanes (n = 8): the family's real part is the plain
     # evaluation, bit for bit, and its imaginary part f'(t0) Im t
     spec = with_metric(integrable_spec(constant(1.0), curvature=1.0),
@@ -310,7 +310,7 @@ def test_phase_jet_takes_one_chain_rule_step(rng):
                            rtol=1e-13, atol=1e-15)
 
 
-def test_unbatched_phase_jet_takes_the_same_step():
+def test_unbatched_complex_stepped_t_takes_the_same_step():
     # one point: t's real part is a float on every lane, and constant
     # families (f' = 0) too give one entry per lane
     spec = with_metric(integrable_spec(constant(1.0), curvature=1.0),

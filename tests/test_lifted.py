@@ -322,43 +322,72 @@ def factor_calls(monkeypatch):
 
 @pytest.mark.parametrize("batch", [False, True])
 def test_one_conformal_factor_evaluation_per_call(factor_calls, batch):
-    """Each evaluator derives its chart fields from one evaluation of phi."""
+    """Each evaluator derives its chart fields from at most one evaluation of
+    phi; the adapted ones read them from a point built on their chart."""
     m = conformal_ball(3, 1.0)
     ls = rational_structure(m)
     points = sample_points(m, 3, 11).points
     pt = stack_points(points) if batch else points[1]
     evaluators = {
-        "make_point": lambda: make_point(m, pt.q, pt.p),
-        "P_adapted": lambda: P_adapted(ls, pt),
-        "G_adapted": lambda: G_adapted(ls, pt),
-        "Omega_adapted": lambda: Omega_adapted(ls, pt),
-        "P_coordinate_function": lambda: ad.jacobian(P_coordinate_function(ls),
-                                                     pt.z()),
-        "Omega_coordinate": lambda: ad.jacobian(Omega_coordinate(ls), pt.z()),
-        "para_kahler seeded pass": lambda: _seeded_residuals(ls, pt),
+        "make_point": (lambda: make_point(m, pt.q, pt.p), 1),
+        "P_adapted": (lambda: P_adapted(ls, pt), 0),
+        "G_adapted": (lambda: G_adapted(ls, pt), 0),
+        "Omega_adapted": (lambda: Omega_adapted(ls, pt), 0),
+        "P_coordinate_function": (
+            lambda: ad.jacobian(P_coordinate_function(ls), pt.z()), 1),
+        "Omega_coordinate": (
+            lambda: ad.jacobian(Omega_coordinate(ls), pt.z()), 1),
+        "para_kahler seeded pass": (lambda: _seeded_residuals(ls, pt), 1),
     }
-    for name, call in evaluators.items():
+    for name, (call, count) in evaluators.items():
         factor_calls.clear()
         call()
-        assert len(factor_calls) == 1, name
+        assert len(factor_calls) == count, name
 
 
 def test_compatibility_reads_one_chart_point_per_block(factor_calls, monkeypatch):
-    """P and G of a block share one chart point: 3 blocks of 2 points at n = 8."""
+    """P and G of a block share one chart point, the block of the sample
+    itself: 3 blocks of 2 points at n = 8 and no evaluation of phi."""
     m = conformal_ball(8, 1.0)
     ls = rational_structure(m)
     sample = sample_points(m, 6, 11)
     monkeypatch.setattr(ad, "BLOCK_ELEMENTS", 2 * 16 ** 2)  # 2 points of 16 x 16
     factor_calls.clear()
     assert check_compatibility(ls, sample).passed
-    assert len(factor_calls) == 3
+    assert len(factor_calls) == 0
 
 
 def test_para_kahler_reads_one_chart_point_per_block(factor_calls):
-    """At n = 8, 6 points: one block of compatibility, three seeded blocks."""
+    """At n = 8, 6 points: one block of compatibility reads the sample's
+    chart fields, and each of three seeded blocks steps one chart point."""
     m = conformal_ball(8, 1.0)
     ls = rational_structure(m)
     sample = sample_points(m, 6, 11)
     factor_calls.clear()
     check_para_kahler(ls, sample)
-    assert len(factor_calls) == 1 + 3
+    assert len(factor_calls) == 3
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_a_point_of_an_equal_chart_is_read_and_of_another_rebuilt(
+        factor_calls, batch):
+    """An equal but distinct chart counts as the points' own: no evaluation
+    of phi.  Points of another chart are rebuilt on the structure's, as
+    points made there: one evaluation."""
+    m = conformal_ball(3, 1.0)
+    ls = rational_structure(conformal_ball(3, 1.0))
+    assert ls.m == m and ls.m is not m
+    wide = conformal_ball(3, 1.0, chart_radius=2.0)
+    own = sample_points(m, 3, 11).points
+    other = tuple(make_point(wide, pt.q, pt.p) for pt in own)
+    for points, count in ((own, 0), (other, 1)):
+        pt = stack_points(points) if batch else points[1]
+        for name, call in (("P_adapted", lambda: P_adapted(ls, pt)),
+                           ("G_adapted", lambda: G_adapted(ls, pt)),
+                           ("check_compatibility",
+                            lambda: check_compatibility(ls, points))):
+            factor_calls.clear()
+            call()
+            assert len(factor_calls) == count, (name, count)
+    for evaluate in (P_adapted, G_adapted):
+        assert np.array_equal(evaluate(ls, other[1]), evaluate(ls, own[1]))

@@ -280,7 +280,7 @@ def test_phi_alone_where_h_is_dropped(monkeypatch):
         want = phase.chart_point(m, xs, ps)
         for module in (phase, spaceform):  # h is out of reach
             monkeypatch.setattr(module, "conformal_fields", None)
-        here = metric_point(m, xs, ps)
+        here = metric_point(m, want)  # want.m is None: rebuilt on m
         assert np.array_equal(here.phi, want.phi)
         assert np.array_equal(here.t, want.t)
         assert np.array_equal(energy_density(m, xs, ps), want.t)

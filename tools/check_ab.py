@@ -5,11 +5,14 @@
 Imports both checkouts' ``src/paralift`` in one process, under two names.
 On WORKLOAD's cases at benchmark seed 1 (NEW's ``perfbench``), times
 ``run_check`` on each 2-point chunk, OLD and NEW back to back, the first
-alternating.  Prints median ms per chunk of each check, and points/s as
-``check_points_per_s`` counts them.  Each round is one pair of runs, so for
-each check and overall it also prints in how many rounds NEW took less time
-than OLD over the same chunks: a gain holds when NEW wins nearly every pair,
-not only in the median.  Cases either side refuses are skipped.
+alternating.  A side's time for a chunk in a round is the least of
+``REPEATS`` back-to-back calls, which drops the calls a shared host slowed,
+so a per-check median resolves a band of a few percent.  Prints median ms
+per chunk of each check, and points/s as ``check_points_per_s`` counts
+them.  Each round is one pair of runs, so for each check and overall it
+also prints in how many rounds NEW took less time than OLD over the same
+chunks: a gain holds when NEW wins nearly every pair, not only in the
+median.  Cases either side refuses are skipped.
 
 The answers are compared too, so a speed A/B cannot hide a changed one: per
 check, whether every chunk's verdict agrees, and the largest relative change
@@ -27,6 +30,7 @@ from collections import defaultdict
 from pathlib import Path
 
 ROUNDS = 15
+REPEATS = 3  # calls per side, chunk and round; the least one counts
 CHUNK_POINTS = 2  # as perfbench/measure.py
 SIDES = ("old", "new")
 REFUSALS = ("ConfigError", "ChartDomainError", "ContractError",
@@ -84,9 +88,12 @@ def main(old_root, new_root, workload):
         for j, (name, _, calls) in enumerate(jobs):
             for side in SIDES if (r + j) % 2 == 0 else SIDES[::-1]:
                 run_check, ls, chunk, tol = calls[side]
-                start = time.perf_counter()
-                report = run_check(name, ls, chunk, tol)
-                times[(j, side)].append(time.perf_counter() - start)
+                best = float("inf")
+                for _ in range(REPEATS):
+                    start = time.perf_counter()
+                    report = run_check(name, ls, chunk, tol)
+                    best = min(best, time.perf_counter() - start)
+                times[(j, side)].append(best)
                 reports.setdefault((j, side), report)
     median = {key: statistics.median(v) for key, v in times.items()}
     mismatches = 0
