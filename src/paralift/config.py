@@ -89,7 +89,7 @@ FIELDS = {
     ),
     "coefficients": (
         Field("kind", "enum", "natural_diagonal",
-              values=tuple(k.value for k in StructureKind)),
+              values=("natural_diagonal", "cruceanu_p", "cruceanu_q")),
         Field("derive", "object", problem="expected an object of booleans"),
         Field("family", "object", nullable=True),
         Field("a1", "scalar"),
@@ -288,7 +288,8 @@ def _manifold_rule(section, out, problems):
 
 def _family_rule(section, out, problems):
     """family, a1 and b1: which of them a structure reads.  A Cruceanu
-    structure builds from none of them; given a1 or b1 are still checked."""
+    structure builds from none of them; given a1 or b1 are still checked.
+    Every path needs the product completion."""
     out["family"] = out["a1"] = out["b1"] = None
     if section.get("family") is not None:
         out["family"] = _field(section, "coefficients", "family", problems)
@@ -299,20 +300,17 @@ def _family_rule(section, out, problems):
             problems.append(PARSER_ONLY["family_b1"])
         problems.extend(PARSER_ONLY["family"].format(key)
                         for key in ("b1", "a1") if key in section)
-    if out["family"] is not None:
-        return
-    if out["kind"] != "natural_diagonal":  # read by their rows, never built
+    elif out["kind"] != "natural_diagonal":  # read by their rows, never built
         for key in ("a1", "b1"):
             out[key] = _field(section, "coefficients", key, problems)
-        return
-    out["a1"] = _field(section, "coefficients", "a1", problems,
-                       missing=PARSER_ONLY["a1"])
-    if out["derive"]["integrability"]:
-        if "b1" in section:
+    else:
+        out["a1"] = _field(section, "coefficients", "a1", problems,
+                           missing=PARSER_ONLY["a1"])
+        if not out["derive"]["integrability"]:
+            out["b1"] = _field(section, "coefficients", "b1", problems,
+                               missing=PARSER_ONLY["b1_off"])
+        elif "b1" in section:
             problems.append(PARSER_ONLY["b1_on"])
-        return
-    out["b1"] = _field(section, "coefficients", "b1", problems,
-                       missing=PARSER_ONLY["b1_off"])
     if not out["derive"]["product_completion"]:
         problems.append(PARSER_ONLY["completion"])
 
@@ -481,10 +479,13 @@ def build_structure(config, m=None):
     """The :class:`LiftedStructure` described by a validated config."""
     m = m or build_space_form(config)
     cf = config.coefficients
-    kind = StructureKind(cf["kind"])
-    if kind is not StructureKind.NATURAL_DIAGONAL:
-        return LiftedStructure(m=m, kind=kind)
+    if cf["kind"] == "cruceanu_p":
+        return LiftedStructure(m=m, kind=StructureKind.CRUCEANU_P)
     shared = {key: cf[key] for key in ("curvature", "epsilon", "t_max")}
+    if cf["kind"] == "cruceanu_q":  # Cruceanu's Q: P1 = g, P2 = g^-1
+        spec = co.almost_product_spec(co.constant(1.0), **shared)
+        return LiftedStructure(m=m, kind=StructureKind.NATURAL_DIAGONAL,
+                               spec=spec)
     if (fam := cf["family"]) is not None:
         spec = co.rational_spec(fam["alpha"], fam["beta"],
                                 make_scalar(fam["u"]), **shared)
@@ -497,7 +498,7 @@ def build_structure(config, m=None):
         mu = None if cf["mu"] == "derived" else make_scalar(cf["mu"])
         spec = co.with_metric(spec, make_scalar(cf["lambda"]), mu,
                               require_positive=cf["require_positive"])
-    return LiftedStructure(m=m, kind=kind, spec=spec)
+    return LiftedStructure(m=m, kind=StructureKind.NATURAL_DIAGONAL, spec=spec)
 
 
 def sampling_overrides(seed, samples, problems):

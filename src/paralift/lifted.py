@@ -53,15 +53,15 @@ __all__ = [
     "Omega_coordinate",
 ]
 
-# Coordinate-frame evaluators tolerate a small overshoot of t past t_max so
-# that difference-quotient probes at boundary sample points stay legal.
+# Coordinate-frame evaluators tolerate a small overshoot of t past t_max for
+# fd_oracle's central differences at sample points with t near or at t_max,
+# perfbench's digits check included.
 _T_SLACK = 1e-3
 
 
 class StructureKind(Enum):
     NATURAL_DIAGONAL = "natural_diagonal"
     CRUCEANU_P = "cruceanu_p"
-    CRUCEANU_Q = "cruceanu_q"
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,8 @@ class LiftedStructure:
     """A lifted structure over a space form.
 
     NATURAL_DIAGONAL reads its coefficients from ``spec`` (which must carry
-    the "almost_product" flag); the two Cruceanu presets are fixed structures
-    that ignore the coefficient part of ``spec``.
+    the "almost_product" flag); CRUCEANU_P is the fixed structure
+    diag(-I, I) and ignores the coefficient part of ``spec``.
     """
 
     m: SpaceForm
@@ -137,22 +137,14 @@ def _require_para_hermitian(ls):
     return spec
 
 
-def _p_blocks(ls, pt, coeffs=None, *, slack=False):
-    """(P1, P2) of an antidiagonal kind; the natural diagonal one reads
-    coeffs = (a1, b1, a2, b2), from the spec when not given."""
-    if ls.kind is StructureKind.CRUCEANU_Q:  # (g, g^-1) = (phi I, I / phi)
-        eye = ad.constant(np.eye, pt.n)
-        return _scalar(pt.phi) * eye, _scalar(1.0 / pt.phi) * eye
-    return _blocks(pt, *(coeffs or _coefficients(ls, pt, "P", slack=slack)))
-
-
 def _p_matrix(ls, pt, coeffs=None):
-    """Adapted-frame matrix of P at the plain chart point ``pt``."""
+    """Adapted-frame matrix of P at the plain chart point ``pt``, from
+    coeffs = (a1, b1, a2, b2) or the spec."""
     n = ls.m.n
     if ls.kind is StructureKind.CRUCEANU_P:
         return np.broadcast_to(np.diag([-1.0] * n + [1.0] * n),
                                np.shape(pt.q)[:-1] + (2 * n, 2 * n))
-    p1, p2 = _p_blocks(ls, pt, coeffs)
+    p1, p2 = _blocks(pt, *(coeffs or _coefficients(ls, pt, "P", slack=False)))
     zero = ad.constant(np.zeros, (n, n))
     return ad.block([[zero, p2], [p1, zero]])
 
@@ -168,7 +160,7 @@ def _p_coordinate(ls, pt):
     eye, zero = ad.constant(np.eye, n), ad.constant(np.zeros, (n, n))
     if ls.kind is StructureKind.CRUCEANU_P:  # A = -I, D = I, B2 = C = 0
         return ad.block([[-eye, zero], [-gamma0 - gamma0, eye]])
-    c, b2 = _p_blocks(ls, pt, slack=True)
+    c, b2 = _blocks(pt, *_coefficients(ls, pt, "P", slack=True))
     gb2 = gamma0 @ b2  # B2 Gamma0 = gb2^T, both being symmetric
     return ad.block([[-ad.transpose(gb2, (1, 0)), b2],
                      [c - gb2 @ gamma0, gb2]])

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ad
+from .errors import RangeError
 from .lifted import (
     Omega_coordinate,
     P_adapted,
@@ -107,7 +108,8 @@ def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0):
 
     q is uniform in the ball |q| <= CHART_FRACTION * chart_radius, p uniform
     in |p| <= p_max; draws with energy density above t_max are rejected and
-    redrawn.  The first point always carries p = 0, since several coefficient
+    redrawn, and a :class:`RangeError` ends a search that draws too many.
+    The first point always carries p = 0, since several coefficient
     formulas have removable behavior at t = 0 that deserves coverage.  Each
     draw is tested in float arithmetic; the accepted ones are built as one
     batch.
@@ -120,7 +122,7 @@ def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0):
     while len(qs) < count:
         attempts += 1
         if attempts > limit:
-            raise RuntimeError(
+            raise RangeError(
                 f"sampler starved: {len(qs)} of {count} points after "
                 f"{attempts} draws (t_max = {t_max:g} too tight?)")
         q = _ball(rng, m.n, radius)

@@ -18,6 +18,7 @@ from paralift import (
     RangeError,
     StructureKind,
     affine,
+    almost_product_spec,
     analytic_dOmega,
     christoffel_at,
     conformal_ball,
@@ -175,10 +176,14 @@ def test_block_budget_does_not_change_reports(monkeypatch):
     assert [run_check(name, ls, sample) for name in CHECK_NAMES] == reports
 
 
-@pytest.mark.parametrize("kind", [StructureKind.CRUCEANU_P, StructureKind.CRUCEANU_Q])
+@pytest.mark.parametrize("kind", ["cruceanu_p", "cruceanu_q"])
 def test_cruceanu_structures_batch(kind):
     m = conformal_ball(3, 1.0)
-    ls = LiftedStructure(m=m, kind=kind)
+    if kind == "cruceanu_p":
+        ls = LiftedStructure(m=m, kind=StructureKind.CRUCEANU_P)
+    else:  # Cruceanu's Q: the natural diagonal spec a1 = 1, b1 = 0
+        ls = LiftedStructure(m=m, kind=StructureKind.NATURAL_DIAGONAL,
+                             spec=almost_product_spec(constant(1.0)))
     sample = sample_points(m, 6, seed=5)
     batch = stack_points(sample.points)
     assert _same(P_adapted(ls, batch),

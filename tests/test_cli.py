@@ -104,6 +104,34 @@ def test_cruceanu_kind_limits_checks():
     assert ls.spec is None
 
 
+CHART_MODELS = {
+    "ball+1": {"model": "conformal_ball", "c": 1.0},
+    "ball-1": {"model": "conformal_ball", "c": -1.0},
+    "flat": {"model": "flat", "c": 0.0},
+    "perturbed": {"model": "perturbed_conformal", "c": 1.0, "strength": 0.1},
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("model", sorted(CHART_MODELS))
+def test_cruceanu_q_is_the_unit_natural_diagonal(model, n):
+    # kind cruceanu_q names the spec a1 = 1, b1 = 0 (P1 = g, P2 = g^-1)
+    from paralift.cli import execute_checks
+
+    def checks(coefficients):
+        doc = small(count=6, seed=11, checks=["space_form", "almost_product",
+                                               "integrability"])
+        doc["manifold"] = {**CHART_MODELS[model], "n": n}
+        doc["coefficients"] = coefficients
+        return [r.to_dict() for r in execute_checks(parse_config(doc))[0]]
+
+    one, zero = ({"preset": "constant", "params": {"value": v}}
+                 for v in (1.0, 0.0))
+    assert checks({"kind": "cruceanu_q"}) == checks({
+        "a1": one, "b1": zero,
+        "derive": {"integrability": False, "metric_proportionality": False}})
+
+
 def test_family_and_a1_conflict():
     doc = small()
     doc["coefficients"]["family"] = {
@@ -237,6 +265,21 @@ def test_main_domain_error_exit_2(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path)]) == 2
     assert "DegenerateCoefficient" in capsys.readouterr().err
+
+
+def test_starved_sampler_exit_2(tmp_path, capsys):
+    # no draw but the first, at p = 0, has t <= 1e-9; this used to end in a
+    # RuntimeError traceback and exit status 1, which means a failed check
+    doc = small(count=5, checks=["almost_product"])
+    doc["coefficients"]["t_max"] = 1e-9
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["verify", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: RangeError: sampler starved: 1 of 5 points")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_double_root_coefficient_exit_2(tmp_path, capsys):

@@ -130,6 +130,21 @@ def test_parser_only_rule_is_beyond_the_schema(rule):
     assert [parser_only(p) for p in problems_of(doc)] == [[rule]]
 
 
+@pytest.mark.parametrize("coefficients", [
+    {}, {"family": FAMILY}, {"kind": "cruceanu_p"}, {"kind": "cruceanu_q"},
+], ids=["integrability", "family", "cruceanu_p", "cruceanu_q"])
+def test_product_completion_stays_on_on_every_path(coefficients):
+    """Switched off, the completion is refused on the paths beside RULE_EDITS'
+    explicit b1, rather than echoed while the spec carries its result."""
+    doc = copy.deepcopy(BASE)
+    doc["coefficients"].update(coefficients)
+    if "family" in coefficients or "kind" in coefficients:
+        del doc["coefficients"]["a1"]
+    doc["coefficients"].setdefault("derive", {})["product_completion"] = False
+    assert VALIDATOR.is_valid(doc)
+    assert problems_of(doc) == [PARSER_ONLY["completion"]]
+
+
 # Values a field may be set to: every JSON type, bounds and their
 # neighbours, non-finite and huge numbers, and scalar presets good and bad.
 ODD = [None, True, False, "", "x", "derived", [], [1.0], {}, {"x": 1}, 0, -1,

@@ -44,23 +44,18 @@ def rational_structure(m, with_g=True, lam=None, mu=None):
     return LiftedStructure(m=m, kind=N, spec=spec)
 
 
+def cruceanu_q(m):
+    """Cruceanu's Q (P1 = g, P2 = g^-1): the natural diagonal a1 = 1, b1 = 0."""
+    return LiftedStructure(m=m, kind=N, spec=almost_product_spec(constant(1.0)))
+
+
 def test_cruceanu_q_flat_is_the_swap():
     m = flat_space(2)
     pt = make_point(m, [0.0, 0.0], [0.3, -0.4])
-    ls = LiftedStructure(m=m, kind=StructureKind.CRUCEANU_Q)
-    p = P_adapted(ls, pt)
+    p = P_adapted(cruceanu_q(m), pt)
     expected = np.block([[np.zeros((2, 2)), np.eye(2)],
                          [np.eye(2), np.zeros((2, 2))]])
     assert np.array_equal(p, expected)
-
-
-def test_unit_natural_diagonal_equals_cruceanu_q(rng):
-    m = conformal_ball(3, 1.0)
-    spec = almost_product_spec(constant(1.0), constant(0.0), curvature=1.0)
-    nat = LiftedStructure(m=m, kind=N, spec=spec)
-    q = LiftedStructure(m=m, kind=StructureKind.CRUCEANU_Q)
-    for pt in sample_points(m, 5, 7).points:
-        assert np.allclose(P_adapted(nat, pt), P_adapted(q, pt), atol=1e-15)
 
 
 def test_cruceanu_p_is_the_sign_split():
@@ -82,8 +77,7 @@ def test_p_squares_to_identity_and_is_traceless(rng):
 
 def test_p_eigenvalues_split_evenly(rng):
     m = conformal_ball(3, -1.0)
-    for ls in (rational_structure(m, with_g=False),
-               LiftedStructure(m=m, kind=StructureKind.CRUCEANU_Q),
+    for ls in (rational_structure(m, with_g=False), cruceanu_q(m),
                LiftedStructure(m=m, kind=StructureKind.CRUCEANU_P)):
         for pt in sample_points(m, 5, 3).points:
             eigs = np.sort(np.real(np.linalg.eigvals(P_adapted(ls, pt))))
@@ -104,11 +98,13 @@ def test_p_coordinate_equals_adapted_where_connection_vanishes():
                        atol=1e-14)
 
 
-@pytest.mark.parametrize("kind", list(StructureKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("kind", ["natural_diagonal", "cruceanu_p",
+                                  "cruceanu_q"])
 def test_coordinate_p_from_blocks_is_the_conjugation(kind):
     m = conformal_ball(3, -1.0)
-    ls = (rational_structure(m, with_g=False) if kind is N
-          else LiftedStructure(m=m, kind=kind))
+    ls = {"natural_diagonal": lambda: rational_structure(m, with_g=False),
+          "cruceanu_p": lambda: LiftedStructure(m=m, kind=StructureKind.CRUCEANU_P),
+          "cruceanu_q": lambda: cruceanu_q(m)}[kind]()
     points = sample_points(m, 8, 19).points
     for pt in points + (stack_points(points),):
         b, binv = frame_matrices(pt.Gamma0)

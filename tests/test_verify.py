@@ -9,6 +9,7 @@ import pytest
 from paralift import (
     ContractError,
     LiftedStructure,
+    RangeError,
     StructureKind,
     affine,
     almost_product_spec,
@@ -37,7 +38,7 @@ from paralift import (
     sample_points,
     with_metric,
 )
-from paralift import P_coordinate_function, Omega_coordinate, ad
+from paralift import P_coordinate_function, Omega_coordinate, ad, lifted
 from paralift.lifted import G_adapted, _g_blocks
 from paralift.phase import chart_point, stack_points
 from paralift.report import make_report
@@ -86,7 +87,7 @@ def test_sampler_is_deterministic_and_in_bounds():
 
 def test_sampler_starvation_reported():
     m = flat_space(3)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RangeError, match="sampler starved"):
         sample_points(m, 10, 1, p_max=2.0, t_max=1e-12)
 
 
@@ -162,7 +163,8 @@ def test_nijenhuis_equals_the_four_contractions(case):
         "mismatched": lambda: para_kahler_ls(ball, curvature=1.0),
         "perturbed": lambda: para_kahler_ls(perturbed_conformal(4, 1.0, 0.1)),
         "cruceanu_p": lambda: LiftedStructure(m=ball, kind=StructureKind.CRUCEANU_P),
-        "cruceanu_q": lambda: LiftedStructure(m=ball, kind=StructureKind.CRUCEANU_Q),
+        "cruceanu_q": lambda: LiftedStructure(  # a1 = 1, b1 = 0
+            m=ball, kind=N, spec=almost_product_spec(constant(1.0))),
     }[case]()
     points = sample_points(ls.m, 6, 23).points
     for pt in points + (stack_points(points),):
@@ -518,6 +520,27 @@ def test_omega_entries_ad_vs_fd(rng):
         fd = fd_oracle(fn, z)
         scale = max(1.0, float(np.max(np.abs(jac))))
         assert np.max(np.abs(jac - fd)) < 1e-6 * scale
+
+
+def test_fd_oracle_steps_past_t_max_at_a_boundary_point(monkeypatch):
+    # central differences at a point with t = t_max step t past t_max, which
+    # the coordinate evaluators admit by lifted._T_SLACK; without it the
+    # oracle raises where perfbench's digits check calls it
+    m = conformal_ball(3, 1.0)
+    q, p = np.array([0.3, -0.2, 0.1]), np.array([0.5, 0.4, -0.6])
+    p = p * math.sqrt(2.0 / energy_density(m, q, p))
+    pt = make_point(m, q, p)
+    spec = integrable_spec(constant(1.0), curvature=1.0, t_max=float(pt.t))
+    ls = LiftedStructure(m=m, kind=N, spec=with_metric(spec, affine(1.0, 1.0)))
+    assert ls.spec.t_max == pt.t and abs(pt.t - 2.0) < 1e-12
+    for fn in (P_coordinate_function(ls), Omega_coordinate(ls)):
+        _, jac = ad.jacobian(fn, pt.z())
+        fd = fd_oracle(fn, pt.z())
+        assert np.max(np.abs(jac - fd)) < 1e-6 * np.max(np.abs(jac))
+        with monkeypatch.context() as patch:
+            patch.setattr(lifted, "_T_SLACK", 0.0)
+            with pytest.raises(RangeError, match="exceeds validated t_max"):
+                fd_oracle(fn, pt.z())
 
 
 def test_kernels_ad_vs_fd_at_n8():

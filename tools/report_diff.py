@@ -3,8 +3,13 @@
     python3 tools/report_diff.py OLD_CHECKOUT NEW_CHECKOUT
 
 Runs ``paralift verify`` from each checkout's ``src/`` on the four shipped
-presets, at their own seed and at ``--seed 7``, and on every config of
-NEW_CHECKOUT's ``perfbench/workloads.py`` at benchmark seeds 1-3.  Prints
+presets, at their own seed and at ``--seed 7``, on every config of
+NEW_CHECKOUT's ``perfbench/workloads.py`` at benchmark seeds 1-3, and on the
+structures neither builds (``STRUCTURE_JOBS``): ``cruceanu_p`` and
+``cruceanu_q`` on each chart model at n = 3 and on the c = +1 ball at n = 8,
+with the space_form, almost_product and integrability checks, and one
+epsilon = +1 natural diagonal spec with almost_product, integrability,
+compatibility and metric_signature.  Prints
 each report entry that differs outside ``timing`` as ``old -> new``, and any
 differing exit status or stderr.  Witness entries of a check that passes on
 both sides are the top points of rounding noise, so they are only counted,
@@ -23,6 +28,36 @@ import tempfile
 from pathlib import Path
 
 
+MODELS = {
+    "ball+1": {"model": "conformal_ball", "c": 1.0},
+    "ball-1": {"model": "conformal_ball", "c": -1.0},
+    "flat": {"model": "flat", "c": 0.0},
+    "perturbed": {"model": "perturbed_conformal", "c": 1.0, "strength": 0.1},
+}
+SAMPLING = {"count": 20, "seed": 7}
+# a1 = 1.5 exp(0.1 t) and lambda = 1 + t: Riemannian and locally product
+EPSILON_PLUS = {
+    "manifold": {**MODELS["ball+1"], "n": 3},
+    "coefficients": {
+        "epsilon": 1,
+        "a1": {"preset": "exponential",
+               "params": {"amplitude": 1.5, "rate": 0.1}},
+        "lambda": {"preset": "affine",
+                   "params": {"intercept": 1.0, "slope": 1.0}}},
+    "sampling": SAMPLING,
+    "checks": ["almost_product", "integrability", "compatibility",
+               "metric_signature"],
+}
+STRUCTURE_JOBS = [
+    (f"{kind} {model} n={n}", {
+        "manifold": {**MODELS[model], "n": n}, "coefficients": {"kind": kind},
+        "sampling": SAMPLING,
+        "checks": ["space_form", "almost_product", "integrability"]}, None)
+    for kind in ("cruceanu_p", "cruceanu_q")
+    for model, n in [*((model, 3) for model in MODELS), ("ball+1", 8)]
+] + [("natural_diagonal epsilon=+1 n=3", EPSILON_PLUS, None)]
+
+
 def jobs(new_root):
     """(label, preset name or config document, --seed value or None)."""
     sys.path.insert(0, str(new_root / "perfbench"))
@@ -33,7 +68,8 @@ def jobs(new_root):
     return out + [(f"{workload}/{case.name} bench-seed={seed}",
                    case.document, None)
                   for workload in WORKLOADS for seed in (1, 2, 3)
-                  for case in build_workload(workload, seed, new_root)]
+                  for case in build_workload(workload, seed, new_root)
+                  ] + STRUCTURE_JOBS
 
 
 def run(root, config, seed):
