@@ -14,15 +14,10 @@ from .coefficients import (
     StructureSpec,
     affine,
     almost_product_spec,
-    complete_almost_product,
-    compatible_metric_coeffs,
     constant,
     exponential,
-    integrable_b_coeffs,
     integrable_spec,
-    para_kahler_mu,
     polynomial,
-    rational_family,
     rational_spec,
     with_metric,
 )
@@ -40,7 +35,6 @@ from .lifted import (
     Omega_coordinate,
     P_adapted,
     P_coordinate_function,
-    StructureKind,
 )
 from .phase import (
     CotangentPoint,

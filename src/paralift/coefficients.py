@@ -5,13 +5,19 @@ density t.  A :class:`ScalarFamily` is a small expression tree over nine
 nodes: constant, t, +, -, *, /, negation, exp and polynomial.  Its
 derivative d/dt is a rewrite of the tree in closed form, closed under the
 same nodes, so families stay closed under the arithmetic needed to express
+the derivation rules, each applied by one spec builder:
 
-  * the product completion: a2 = 1/a1 and (a1 + 2t b1)(a2 + 2t b2) = 1,
-  * the integrability rule: b1 = (a1 a1' + c) / (a1 - 2t a1'),
-                            b2 = (a1 a2' - a2^2 c) / (a1 + 2c t a2),
-  * the metric proportionality: c1/a1 = eps c2/a2 = lambda and
-    (c1 + 2t d1)/(a1 + 2t b1) = eps (c2 + 2t d2)/(a2 + 2t b2) = lambda + 2t mu,
-  * the closure rule mu = lambda'.
+  * the product completion (:func:`almost_product_spec`): a2 = 1/a1 and
+    (a1 + 2t b1)(a2 + 2t b2) = 1,
+  * the integrability rule (:func:`integrable_spec`):
+    b1 = (a1 a1' + c) / (a1 - 2t a1'), b2 = (a1 a2' - a2^2 c) / (a1 + 2c t a2),
+  * the metric proportionality (:func:`with_metric`): c1/a1 = eps c2/a2 =
+    lambda and (c1 + 2t d1)/(a1 + 2t b1) = eps (c2 + 2t d2)/(a2 + 2t b2) =
+    lambda + 2t mu,
+  * the closure rule mu = lambda' (:func:`with_metric` without a mu).
+
+:func:`rational_spec` builds a family that satisfies the product relations
+by construction.
 
 A :class:`Program` compiles a tuple of families once into a flat list of
 their unique nodes, children first, so a subtree that several families share
@@ -42,11 +48,6 @@ __all__ = [
     "affine",
     "exponential",
     "polynomial",
-    "rational_family",
-    "complete_almost_product",
-    "integrable_b_coeffs",
-    "compatible_metric_coeffs",
-    "para_kahler_mu",
     "almost_product_spec",
     "integrable_spec",
     "rational_spec",
@@ -262,24 +263,6 @@ SCALAR_PRESETS = {
 }
 
 
-def rational_family(alpha, beta, u):
-    """The two-constant family (a1, b1, a2, b2) built around a free function u:
-
-        a1 = 1/beta,  b1 = u/(alpha beta),
-        a2 = beta,    b2 = -u beta / (alpha + 2 t u).
-
-    Satisfies the product completion identically for any smooth u.
-    """
-    alpha, beta = float(alpha), float(beta)
-    if alpha == 0.0 or beta == 0.0:
-        raise ValueError("alpha and beta must be nonzero")
-    a1 = constant(1.0 / beta)
-    b1 = u * (1.0 / (alpha * beta))
-    a2 = constant(beta)
-    b2 = -(u * beta) / (alpha + 2.0 * _t * u)
-    return a1, b1, a2, b2
-
-
 _PROGRAMS = {"P": "a1 b1 a2 b2", "G": "c1 d1 c2 d2",
              "PG": "a1 b1 a2 b2 c1 d1 c2 d2", "form": "lam mu"}
 
@@ -397,28 +380,33 @@ def _positive(ts, values, what, t_max):
             f"{what} must stay positive; value {values[i]:.6g} at t = {ts[i]:.6g}")
 
 
-def complete_almost_product(a1, b1, *, t_max=2.0):
-    """Solve the product relations for (a2, b2) given (a1, b1).
+def almost_product_spec(a1, b1=None, *, curvature=0.0, epsilon=-1, t_max=2.0):
+    """Spec with (a2, b2) from the product completion; b1 defaults to zero.
 
     a2 = 1/a1 and b2 = -b1 / (a1 (a1 + 2t b1)), which is the unique solution
     of (a1 + 2t b1)(a2 + 2t b2) = 1.
     """
+    if b1 is None:
+        b1 = constant(0.0)
     trace1 = a1 + 2.0 * _t * b1
     _guard(t_max, (_nonvanishing, a1, "a1"),
            (_nonvanishing, trace1, "a1 + 2t b1"))
     a2 = 1.0 / a1
     b2 = -b1 / (a1 * trace1)
-    return a2, b2
+    return StructureSpec(a1=a1, b1=b1, a2=a2, b2=b2, epsilon=epsilon,
+                         curvature=float(curvature), t_max=float(t_max),
+                         flags=frozenset({"almost_product"}))
 
 
-def integrable_b_coeffs(a1, curvature, *, t_max=2.0):
-    """The (b1, b2) forced by integrability over a base of curvature ``curvature``.
+def integrable_spec(a1, *, curvature, epsilon=-1, t_max=2.0):
+    """Spec whose (b1, b2) are forced by integrability over a base of
+    curvature c:
 
         b1 = (a1 a1' + c) / (a1 - 2t a1'),
         b2 = (a1 a2' - a2^2 c) / (a1 + 2c t a2),   a2 = 1/a1.
 
-    The result automatically satisfies the product relations, so the same
-    pair also defines an almost product structure.
+    The pair satisfies the product relations identically, so the spec is
+    also an almost product structure.
     """
     c = float(curvature)
     a1p = a1.derivative()
@@ -431,65 +419,26 @@ def integrable_b_coeffs(a1, curvature, *, t_max=2.0):
            (_nonvanishing, den2, "a1 + 2c t a2"))
     b1 = (a1 * a1p + c) / den1
     b2 = (a1 * a2p - c * a2 * a2) / den2
-    return b1, b2
-
-
-def compatible_metric_coeffs(spec, lam, mu, epsilon, *, require_positive=True):
-    """Metric coefficients proportional to the structure coefficients.
-
-    Solving both proportionality chains gives, without dividing by t,
-
-        c1 = lam a1,            d1 = mu a1 + (lam + 2t mu) b1,
-        c2 = eps lam a2,        d2 = eps (mu a2 + (lam + 2t mu) b2),
-
-    so the value at t = 0 is the analytic limit and needs no special case.
-    ``require_positive`` enforces lam > 0 and lam + 2t mu > 0 on the grid;
-    relax it only when deliberately exploring non-positive proportionality.
-    """
-    if epsilon not in (-1, 1):
-        raise ValueError("epsilon must be +1 or -1")
-    t_max = spec.t_max
-    scale = lam + 2.0 * _t * mu
-    c1 = lam * spec.a1
-    d1 = mu * spec.a1 + scale * spec.b1
-    c2 = float(epsilon) * (lam * spec.a2)
-    d2 = float(epsilon) * (mu * spec.a2 + scale * spec.b2)
-    positive = ((_positive, lam, "lambda"),
-                (_positive, scale, "lambda + 2t mu"))
-    _guard(t_max, *(positive if require_positive else ()),
-           (_nonvanishing, c1 * c2, "c1 c2"),
-           (_nonvanishing, (c1 + 2.0 * _t * d1) * (c2 + 2.0 * _t * d2),
-            "(c1 + 2t d1)(c2 + 2t d2)"))
-    return c1, d1, c2, d2
-
-
-def para_kahler_mu(lam):
-    """The unique mu closing the fundamental 2-form: mu = lambda'."""
-    return lam.derivative()
-
-
-def almost_product_spec(a1, b1=None, *, curvature=0.0, epsilon=-1, t_max=2.0):
-    """Spec with (a2, b2) from the product completion; b1 defaults to zero."""
-    if b1 is None:
-        b1 = constant(0.0)
-    a2, b2 = complete_almost_product(a1, b1, t_max=t_max)
     return StructureSpec(a1=a1, b1=b1, a2=a2, b2=b2, epsilon=epsilon,
-                         curvature=float(curvature), t_max=float(t_max),
-                         flags=frozenset({"almost_product"}))
-
-
-def integrable_spec(a1, *, curvature, epsilon=-1, t_max=2.0):
-    """Spec whose (b1, b2) follow the integrability rule for ``curvature``."""
-    b1, b2 = integrable_b_coeffs(a1, curvature, t_max=t_max)
-    a2 = 1.0 / a1
-    return StructureSpec(a1=a1, b1=b1, a2=a2, b2=b2, epsilon=epsilon,
-                         curvature=float(curvature), t_max=float(t_max),
+                         curvature=c, t_max=float(t_max),
                          flags=frozenset({"almost_product", "integrable"}))
 
 
 def rational_spec(alpha, beta, u, *, curvature=0.0, epsilon=-1, t_max=2.0):
-    """Spec from :func:`rational_family`; the product relations hold by design."""
-    a1, b1, a2, b2 = rational_family(alpha, beta, u)
+    """Spec of the two-constant family built around a free function u:
+
+        a1 = 1/beta,  b1 = u/(alpha beta),
+        a2 = beta,    b2 = -u beta / (alpha + 2 t u).
+
+    The product relations hold identically for any smooth u.
+    """
+    alpha, beta = float(alpha), float(beta)
+    if alpha == 0.0 or beta == 0.0:
+        raise ValueError("alpha and beta must be nonzero")
+    a1 = constant(1.0 / beta)
+    b1 = u * (1.0 / (alpha * beta))
+    a2 = constant(beta)
+    b2 = -(u * beta) / (alpha + 2.0 * _t * u)
     _guard(t_max, (_nonvanishing, a1 + 2.0 * _t * b1, "a1 + 2t b1"),
            (_nonvanishing, a2 + 2.0 * _t * b2, "a2 + 2t b2"))
     return StructureSpec(a1=a1, b1=b1, a2=a2, b2=b2, epsilon=epsilon,
@@ -498,17 +447,37 @@ def rational_spec(alpha, beta, u, *, curvature=0.0, epsilon=-1, t_max=2.0):
 
 
 def with_metric(spec, lam, mu=None, *, require_positive=True):
-    """Attach proportional metric coefficients to ``spec``.
+    """Attach metric coefficients proportional to the structure coefficients.
 
-    ``mu=None`` derives mu = lambda' (the closure rule).  Flags gain
-    "compatible", plus "positive" when the full positivity conditions hold
-    and "mu_is_lambda_prime" when mu was derived.
+    Solving both proportionality chains gives, without dividing by t,
+
+        c1 = lam a1,            d1 = mu a1 + (lam + 2t mu) b1,
+        c2 = eps lam a2,        d2 = eps (mu a2 + (lam + 2t mu) b2),
+
+    so the value at t = 0 is the analytic limit and needs no special case.
+    ``mu=None`` derives mu = lambda' (the closure rule).
+    ``require_positive`` enforces lam > 0 and lam + 2t mu > 0 on the grid;
+    relax it only when deliberately exploring non-positive proportionality.
+    Flags gain "compatible", plus "positive" when the full positivity
+    conditions hold and "mu_is_lambda_prime" when mu was derived.
     """
+    eps = spec.epsilon
+    if eps not in (-1, 1):
+        raise ValueError("epsilon must be +1 or -1")
     derived_mu = mu is None
     if derived_mu:
-        mu = para_kahler_mu(lam)
-    c1, d1, c2, d2 = compatible_metric_coeffs(
-        spec, lam, mu, spec.epsilon, require_positive=require_positive)
+        mu = lam.derivative()
+    scale = lam + 2.0 * _t * mu
+    c1 = lam * spec.a1
+    d1 = mu * spec.a1 + scale * spec.b1
+    c2 = float(eps) * (lam * spec.a2)
+    d2 = float(eps) * (mu * spec.a2 + scale * spec.b2)
+    positive = ((_positive, lam, "lambda"),
+                (_positive, scale, "lambda + 2t mu"))
+    _guard(spec.t_max, *(positive if require_positive else ()),
+           (_nonvanishing, c1 * c2, "c1 c2"),
+           (_nonvanishing, (c1 + 2.0 * _t * d1) * (c2 + 2.0 * _t * d2),
+            "(c1 + 2t d1)(c2 + 2t d2)"))
     flags = set(spec.flags) | {"compatible"}
     if derived_mu:
         flags.add("mu_is_lambda_prime")

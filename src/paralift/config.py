@@ -17,7 +17,7 @@ from sys import float_info
 
 from . import coefficients as co
 from .errors import ConfigError
-from .lifted import LiftedStructure, StructureKind
+from .lifted import LiftedStructure
 from .spaceform import ChartModel, SpaceForm
 from .verify import CHECK_NAMES
 
@@ -480,12 +480,11 @@ def build_structure(config, m=None):
     m = m or build_space_form(config)
     cf = config.coefficients
     if cf["kind"] == "cruceanu_p":
-        return LiftedStructure(m=m, kind=StructureKind.CRUCEANU_P)
+        return LiftedStructure(m=m)
     shared = {key: cf[key] for key in ("curvature", "epsilon", "t_max")}
     if cf["kind"] == "cruceanu_q":  # Cruceanu's Q: P1 = g, P2 = g^-1
-        spec = co.almost_product_spec(co.constant(1.0), **shared)
-        return LiftedStructure(m=m, kind=StructureKind.NATURAL_DIAGONAL,
-                               spec=spec)
+        return LiftedStructure(
+            m=m, spec=co.almost_product_spec(co.constant(1.0), **shared))
     if (fam := cf["family"]) is not None:
         spec = co.rational_spec(fam["alpha"], fam["beta"],
                                 make_scalar(fam["u"]), **shared)
@@ -498,7 +497,7 @@ def build_structure(config, m=None):
         mu = None if cf["mu"] == "derived" else make_scalar(cf["mu"])
         spec = co.with_metric(spec, make_scalar(cf["lambda"]), mu,
                               require_positive=cf["require_positive"])
-    return LiftedStructure(m=m, kind=StructureKind.NATURAL_DIAGONAL, spec=spec)
+    return LiftedStructure(m=m, spec=spec)
 
 
 def sampling_overrides(seed, samples, problems):

@@ -12,11 +12,12 @@ Index layout follows the axis convention of :mod:`paralift.phase`
 
 P1 maps horizontal to vertical slots and sits in the lower-left block; P2
 maps vertical to horizontal and sits in the upper-right block.  The blocks
-read one chart point (:mod:`paralift.phase`), with g = phi I.
+read one chart point (:mod:`paralift.phase`), with g = phi I.  A structure
+without a spec is Cruceanu's P = diag(-I, I), which has no G or Omega.
 
 Coordinate components substitute delta_i = d/dq^i + Gamma0_ih d/dp_h once,
 on the n x n blocks.  For adapted P = [[A, B2], [C, D]] (A = D = 0 but for
-Cruceanu P) and the mixed block M = lambda I + mu p (x) g0 of Omega,
+Cruceanu's P) and the mixed block M = lambda I + mu p (x) g0 of Omega,
 
     P = [[A - B2 Gamma0, B2], [Gamma0 A + C - (Gamma0 B2 + D) Gamma0,
                                Gamma0 B2 + D]],
@@ -33,7 +34,6 @@ a block's coefficients are one :class:`paralift.coefficients.Program` pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .phase import chart_point, metric_point
 from .spaceform import SpaceForm
 
 __all__ = [
-    "StructureKind",
     "LiftedStructure",
     "P_adapted",
     "P_coordinate_function",
@@ -59,32 +58,24 @@ __all__ = [
 _T_SLACK = 1e-3
 
 
-class StructureKind(Enum):
-    NATURAL_DIAGONAL = "natural_diagonal"
-    CRUCEANU_P = "cruceanu_p"
-
-
 @dataclass(frozen=True)
 class LiftedStructure:
     """A lifted structure over a space form.
 
-    NATURAL_DIAGONAL reads its coefficients from ``spec`` (which must carry
-    the "almost_product" flag); CRUCEANU_P is the fixed structure
-    diag(-I, I) and ignores the coefficient part of ``spec``.
+    The natural diagonal structure reads its coefficients from ``spec``,
+    which must come from a spec builder (it carries the "almost_product"
+    flag).  Without a spec it is Cruceanu's P, the fixed diag(-I, I), which
+    has no coefficients and no metric part.
     """
 
     m: SpaceForm
-    kind: StructureKind
     spec: StructureSpec | None = None
 
     def __post_init__(self):
-        if self.kind is StructureKind.NATURAL_DIAGONAL:
-            if self.spec is None:
-                raise ContractError("natural diagonal structure needs a coefficient spec")
-            if "almost_product" not in self.spec.flags:
-                raise ContractError(
-                    "coefficient spec is not tagged almost_product; "
-                    "build it through the derivation rules")
+        if self.spec is not None and "almost_product" not in self.spec.flags:
+            raise ContractError(
+                "coefficient spec is not tagged almost_product; "
+                "build it through the derivation rules")
 
 
 def _check_range(ls, t, *, slack):
@@ -141,7 +132,7 @@ def _p_matrix(ls, pt, coeffs=None):
     """Adapted-frame matrix of P at the plain chart point ``pt``, from
     coeffs = (a1, b1, a2, b2) or the spec."""
     n = ls.m.n
-    if ls.kind is StructureKind.CRUCEANU_P:
+    if ls.spec is None:
         return np.broadcast_to(np.diag([-1.0] * n + [1.0] * n),
                                np.shape(pt.q)[:-1] + (2 * n, 2 * n))
     p1, p2 = _blocks(pt, *(coeffs or _coefficients(ls, pt, "P", slack=False)))
@@ -158,7 +149,7 @@ def _p_coordinate(ls, pt):
     """Coordinate-frame P at the real or complex chart point ``pt``, blockwise."""
     n, gamma0 = ls.m.n, pt.Gamma0
     eye, zero = ad.constant(np.eye, n), ad.constant(np.zeros, (n, n))
-    if ls.kind is StructureKind.CRUCEANU_P:  # A = -I, D = I, B2 = C = 0
+    if ls.spec is None:  # Cruceanu's P: A = -I, D = I, B2 = C = 0
         return ad.block([[-eye, zero], [-gamma0 - gamma0, eye]])
     c, b2 = _blocks(pt, *_coefficients(ls, pt, "P", slack=True))
     gb2 = gamma0 @ b2  # B2 Gamma0 = gb2^T, both being symmetric

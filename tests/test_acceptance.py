@@ -12,7 +12,6 @@ import numpy as np
 
 from paralift import (
     LiftedStructure,
-    StructureKind,
     P_adapted,
     P_coordinate_function,
     G_adapted,
@@ -41,7 +40,6 @@ from paralift import (
 from paralift.cli import execute_checks, run
 from paralift.config import parse_config
 
-N = StructureKind.NATURAL_DIAGONAL
 FD_STEP = 1e-5
 FD_RTOL = 1e-6
 
@@ -67,13 +65,13 @@ def test_criterion_1_almost_product():
     for c in (-1.0, 0.0, 1.0):
         m = conformal_ball(3, c) if c != 0.0 else conformal_ball(3, 0.0)
         spec = rational_spec(1.0, 2.0, polynomial([0.0, 1.0]), curvature=c)
-        ls = LiftedStructure(m=m, kind=N, spec=spec)
+        ls = LiftedStructure(m=m, spec=spec)
         worst = max(worst, _max_p_square_residual(ls, sample_points(m, 100, 101)))
     ok = worst <= 1e-11
 
     m = conformal_ball(3, 1.0)
     spec = rational_spec(1.0, 2.0, polynomial([0.0, 1.0]), curvature=1.0)
-    bad = LiftedStructure(m=m, kind=N, spec=replace(spec, b2=spec.b2 * 1.1))
+    bad = LiftedStructure(m=m, spec=replace(spec, b2=spec.b2 * 1.1))
     neg = _max_p_square_residual(bad, sample_points(m, 100, 101))
     ok = ok and neg > 1e-6
     _verdict(1, ok, f"P^2 = I residual {worst:.2e} <= 1e-11; "
@@ -85,7 +83,7 @@ def test_criterion_2_integrability():
     for c, t_max in ((-1.0, 0.4), (1.0, 2.0), (0.0, 2.0)):
         m = _base(c)
         spec = integrable_spec(constant(1.0), curvature=c, t_max=t_max)
-        ls = LiftedStructure(m=m, kind=N, spec=spec)
+        ls = LiftedStructure(m=m, spec=spec)
         sample = sample_points(m, 30, 202, t_max=t_max)
         rep = check_integrability(ls, sample, 1e-8)
         worst = max(worst, rep.max_residual)
@@ -95,17 +93,16 @@ def test_criterion_2_integrability():
     spec = integrable_spec(constant(1.0), curvature=1.0)
     sample = sample_points(m, 10, 202)
 
-    perturbed = LiftedStructure(m=m, kind=N,
-                                spec=replace(spec, b1=spec.b1 * 1.1))
+    perturbed = LiftedStructure(m=m, spec=replace(spec, b1=spec.b1 * 1.1))
     r_perturbed = check_integrability(perturbed, sample, 1e-6).max_residual
 
     m_neg = conformal_ball(3, -1.0)
-    mismatched = LiftedStructure(m=m_neg, kind=N, spec=spec)
+    mismatched = LiftedStructure(m=m_neg, spec=spec)
     r_mismatch = check_integrability(
         mismatched, sample_points(m_neg, 10, 202), 1e-6).max_residual
 
     m_pert = perturbed_conformal(3, 1.0, 0.1)
-    bad_base = LiftedStructure(m=m_pert, kind=N, spec=spec)
+    bad_base = LiftedStructure(m=m_pert, spec=spec)
     r_base = check_integrability(
         bad_base, sample_points(m_pert, 10, 202), 1e-6).max_residual
 
@@ -117,11 +114,11 @@ def test_criterion_2_integrability():
 
 def test_criterion_3_cruceanu_preset():
     flat = flat_space(3)
-    ls_flat = LiftedStructure(m=flat, kind=StructureKind.CRUCEANU_P)
+    ls_flat = LiftedStructure(m=flat)
     r_flat = max(float(np.max(np.abs(nijenhuis_at(ls_flat, pt))))
                  for pt in sample_points(flat, 30, 303).points)
     curved = conformal_ball(3, 1.0)
-    ls_curved = LiftedStructure(m=curved, kind=StructureKind.CRUCEANU_P)
+    ls_curved = LiftedStructure(m=curved)
     r_curved = max(float(np.max(np.abs(nijenhuis_at(ls_curved, pt))))
                    for pt in sample_points(curved, 30, 303).points)
     ok = r_flat <= 1e-11 and r_curved > 1e-3
@@ -136,13 +133,13 @@ def test_criterion_4_compatibility():
     spec_neg = with_metric(rational_spec(1.0, 2.0, polynomial([0.0, 1.0]),
                                          curvature=1.0),
                            constant(1.0), constant(0.0))
-    ls_neg = LiftedStructure(m=m, kind=N, spec=spec_neg)
+    ls_neg = LiftedStructure(m=m, spec=spec_neg)
     r_neg = check_compatibility(ls_neg, sample, 1e-11).max_residual
 
     spec_pos = with_metric(integrable_spec(constant(1.0), curvature=1.0,
                                            epsilon=1),
                            constant(1.0), constant(0.0))
-    ls_pos = LiftedStructure(m=m, kind=N, spec=spec_pos)
+    ls_pos = LiftedStructure(m=m, spec=spec_pos)
     r_pos = check_compatibility(ls_pos, sample, 1e-11).max_residual
 
     signature_ok = all(
@@ -151,7 +148,7 @@ def test_criterion_4_compatibility():
         for pt in sample.points)
 
     broken = LiftedStructure(
-        m=m, kind=N, spec=replace(spec_neg, c1=spec_neg.c1 * 1.1))
+        m=m, spec=replace(spec_neg, c1=spec_neg.c1 * 1.1))
     r_broken = check_compatibility(broken, sample, 1e-6).max_residual
 
     ok = (max(r_neg, r_pos) <= 1e-11 and signature_ok and r_broken > 1e-6)
@@ -173,7 +170,7 @@ def test_criterion_5_d_omega():
         spec_closed = with_metric(
             rational_spec(1.0, 2.0, polynomial([0.0, 1.0]), curvature=c),
             affine(1.0, 1.0))
-        ls_closed = LiftedStructure(m=m, kind=N, spec=spec_closed)
+        ls_closed = LiftedStructure(m=m, spec=spec_closed)
         omega = Omega_coordinate(ls_closed)
         for pt in sample.points:
             closed_worst = max(
@@ -187,7 +184,7 @@ def test_criterion_5_d_omega():
         spec_open = with_metric(
             rational_spec(1.0, 2.0, polynomial([0.0, 1.0]), curvature=c),
             affine(1.0, 1.0), constant(0.0))
-        ls_open = LiftedStructure(m=m, kind=N, spec=spec_open)
+        ls_open = LiftedStructure(m=m, spec=spec_open)
         agree_worst = max(agree_worst, check_closure_agreement(
             ls_open, sample, 1e-8).max_residual)
         open_floor = min(open_floor,
@@ -206,12 +203,12 @@ def test_criterion_6_para_kahler_composite():
 
     spec_a = with_metric(integrable_spec(constant(1.0), curvature=1.0),
                          affine(1.0, 1.0))  # mu derived = 1 = lambda'
-    rep_a = check_para_kahler(LiftedStructure(m=m, kind=N, spec=spec_a),
+    rep_a = check_para_kahler(LiftedStructure(m=m, spec=spec_a),
                               sample, 1e-8)
 
     spec_b = with_metric(rational_spec(1.0, 2.0, constant(4.0), curvature=1.0),
                          constant(1.0), constant(0.0))  # u = c alpha beta^2
-    rep_b = check_para_kahler(LiftedStructure(m=m, kind=N, spec=spec_b),
+    rep_b = check_para_kahler(LiftedStructure(m=m, spec=spec_b),
                               sample, 1e-8)
 
     ok = rep_a.passed and rep_b.passed
@@ -228,7 +225,7 @@ def test_criterion_7_ad_vs_fd():
     m = conformal_ball(3, 1.0)
     spec = with_metric(integrable_spec(constant(1.0), curvature=1.0),
                        affine(1.0, 1.0), constant(0.5))
-    ls = LiftedStructure(m=m, kind=N, spec=spec)
+    ls = LiftedStructure(m=m, spec=spec)
     p_fn = P_coordinate_function(ls)
     o_fn = Omega_coordinate(ls)
     sample = sample_points(m, 10, 707)

@@ -12,7 +12,6 @@ from paralift import (
     Omega_coordinate,
     P_coordinate_function,
     RangeError,
-    StructureKind,
     ad,
     affine,
     conformal_ball,
@@ -200,7 +199,7 @@ def _structure():
     m = conformal_ball(3, 1.0)
     spec = with_metric(integrable_spec(constant(1.0), curvature=1.0),
                        affine(1.0, 1.0))
-    return LiftedStructure(m=m, kind=StructureKind.NATURAL_DIAGONAL, spec=spec)
+    return LiftedStructure(m=m, spec=spec)
 
 
 def test_chart_error_through_jacobian_is_the_plain_one():

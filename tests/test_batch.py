@@ -16,7 +16,6 @@ import pytest
 from paralift import (
     LiftedStructure,
     RangeError,
-    StructureKind,
     affine,
     almost_product_spec,
     analytic_dOmega,
@@ -57,7 +56,7 @@ def _structure(model, n):
     else:  # a1 = 1 would make a1 + 2c t a2 vanish at t = 1/2
         m, c, a1 = conformal_ball(n, -1.0), -1.0, constant(3.0)
     spec = with_metric(integrable_spec(a1, curvature=c), affine(1.0, 1.0))
-    return LiftedStructure(m=m, kind=StructureKind.NATURAL_DIAGONAL, spec=spec)
+    return LiftedStructure(m=m, spec=spec)
 
 
 def _sample(ls, n):
@@ -180,10 +179,9 @@ def test_block_budget_does_not_change_reports(monkeypatch):
 def test_cruceanu_structures_batch(kind):
     m = conformal_ball(3, 1.0)
     if kind == "cruceanu_p":
-        ls = LiftedStructure(m=m, kind=StructureKind.CRUCEANU_P)
+        ls = LiftedStructure(m=m)
     else:  # Cruceanu's Q: the natural diagonal spec a1 = 1, b1 = 0
-        ls = LiftedStructure(m=m, kind=StructureKind.NATURAL_DIAGONAL,
-                             spec=almost_product_spec(constant(1.0)))
+        ls = LiftedStructure(m=m, spec=almost_product_spec(constant(1.0)))
     sample = sample_points(m, 6, seed=5)
     batch = stack_points(sample.points)
     assert _same(P_adapted(ls, batch),

@@ -1,6 +1,7 @@
 """Coefficient families and the four derivation rules, on validation grids."""
 
 import operator
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,15 +10,10 @@ from paralift import (
     DegenerateCoefficient,
     affine,
     almost_product_spec,
-    compatible_metric_coeffs,
-    complete_almost_product,
     constant,
     exponential,
-    integrable_b_coeffs,
     integrable_spec,
-    para_kahler_mu,
     polynomial,
-    rational_family,
     rational_spec,
     with_metric,
 )
@@ -52,16 +48,18 @@ def test_family_algebra_derivatives():
 
 
 def test_complete_identity_coefficients():
-    a2, b2 = complete_almost_product(constant(1.0), constant(0.0))
+    spec = almost_product_spec(constant(1.0), constant(0.0))
     for t in TGRID:
-        assert a2(t) == 1.0
-        assert b2(t) == 0.0
+        assert spec.a2(t) == 1.0
+        assert spec.b2(t) == 0.0
 
 
-def test_complete_rational_family_closed_form():
+def test_complete_rational_spec_closed_form():
     # alpha=1, beta=2, u(t)=t gives a2=2 and b2 = -2t/(1+2t^2)
-    a1, b1, _, _ = rational_family(1.0, 2.0, polynomial([0.0, 1.0]))
-    a2, b2 = complete_almost_product(a1, b1)
+    family = rational_spec(1.0, 2.0, polynomial([0.0, 1.0]))
+    a1, b1 = family.a1, family.b1
+    spec = almost_product_spec(a1, b1)
+    a2, b2 = spec.a2, spec.b2
     for t in TGRID:
         assert np.isclose(float(a2(t)), 2.0, atol=1e-14)
         assert np.isclose(float(b2(t)), -2.0 * t / (1.0 + 2.0 * t ** 2), atol=1e-13)
@@ -74,7 +72,8 @@ def test_complete_rational_family_closed_form():
 def test_complete_random_smooth_positive_family(rng):
     a1 = polynomial([1.5, 0.3, 0.1])
     b1 = polynomial([0.2, -0.05, 0.01])
-    a2, b2 = complete_almost_product(a1, b1)
+    spec = almost_product_spec(a1, b1)
+    a2, b2 = spec.a2, spec.b2
     for t in np.linspace(0.0, 2.0, 50):
         assert abs(float(a1(t) * a2(t)) - 1.0) < 1e-10
         prod = float((a1(t) + 2 * t * b1(t)) * (a2(t) + 2 * t * b2(t)))
@@ -83,7 +82,7 @@ def test_complete_random_smooth_positive_family(rng):
 
 def test_complete_detects_vanishing_trace():
     with pytest.raises(DegenerateCoefficient):
-        complete_almost_product(constant(1.0), constant(-0.5))  # 1 - t crosses 0
+        almost_product_spec(constant(1.0), constant(-0.5))  # 1 - t crosses 0
 
 
 def test_nonvanishing_guard_rejects_nan():
@@ -102,14 +101,15 @@ def test_positivity_guard_rejects_nan():
 
 
 def test_integrable_flat_base_constant_coefficients():
-    b1, b2 = integrable_b_coeffs(constant(1.0), 0.0)
+    spec = integrable_spec(constant(1.0), curvature=0.0)
     for t in TGRID:
-        assert float(b1(t)) == 0.0
-        assert float(b2(t)) == 0.0
+        assert float(spec.b1(t)) == 0.0
+        assert float(spec.b2(t)) == 0.0
 
 
 def test_integrable_unit_positive_curvature():
-    b1, b2 = integrable_b_coeffs(constant(1.0), 1.0)
+    spec = integrable_spec(constant(1.0), curvature=1.0)
+    b1, b2 = spec.b1, spec.b2
     for t in TGRID:
         assert np.isclose(float(b1(t)), 1.0, atol=1e-14)
         assert np.isclose(float(b2(t)), -1.0 / (1.0 + 2.0 * t), atol=1e-13)
@@ -120,7 +120,8 @@ def test_integrable_unit_positive_curvature():
 def test_integrable_consistent_with_product_completion():
     # the integrability rule always lands on the product relations
     for a1 in (affine(1.0, 0.25), exponential(1.0, -0.3), constant(2.0)):
-        b1, b2 = integrable_b_coeffs(a1, 1.0)
+        spec = integrable_spec(a1, curvature=1.0)
+        b1, b2 = spec.b1, spec.b2
         a2 = 1.0 / a1
         for t in validation_grid(2.0):
             assert abs(float(a1(t) * a2(t)) - 1.0) < 1e-10
@@ -128,26 +129,32 @@ def test_integrable_consistent_with_product_completion():
             assert abs(prod - 1.0) < 1e-10
 
 
-def test_rational_family_with_matched_u_reproduces_integrability_rule():
+def test_rational_spec_with_matched_u_reproduces_integrability_rule():
     # u = c * alpha * beta^2 makes the family integrable
     c, alpha, beta = 1.0, 1.0, 2.0
-    a1f, b1f, _, b2f = rational_family(alpha, beta, constant(c * alpha * beta ** 2))
-    b1r, b2r = integrable_b_coeffs(constant(1.0 / beta), c)
+    family = rational_spec(alpha, beta, constant(c * alpha * beta ** 2))
+    rule = integrable_spec(constant(1.0 / beta), curvature=c)
     for t in validation_grid(2.0):
-        assert abs(float(b1f(t)) - float(b1r(t))) < 1e-12
-        assert abs(float(b2f(t)) - float(b2r(t))) < 1e-12
+        assert abs(float(family.b1(t)) - float(rule.b1(t))) < 1e-12
+        assert abs(float(family.b2(t)) - float(rule.b2(t))) < 1e-12
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.0, 2.0), (1.0, 0.0)])
+def test_rational_spec_rejects_zero_alpha_or_beta(alpha, beta):
+    with pytest.raises(ValueError, match="alpha and beta must be nonzero"):
+        rational_spec(alpha, beta, polynomial([0.0, 1.0]))
 
 
 def test_integrable_negative_curvature_degenerates_on_default_range():
     # a1 = 1, c = -1 puts a zero of a1 + 2c t a2 at t = 1/2
     with pytest.raises(DegenerateCoefficient) as exc:
-        integrable_b_coeffs(constant(1.0), -1.0, t_max=2.0)
+        integrable_spec(constant(1.0), curvature=-1.0, t_max=2.0)
     assert "t = " in str(exc.value)
 
 
 def test_integrable_negative_curvature_ok_on_short_range():
-    b1, b2 = integrable_b_coeffs(constant(1.0), -1.0, t_max=0.4)
-    assert np.isclose(float(b1(0.2)), -1.0, atol=1e-14)
+    spec = integrable_spec(constant(1.0), curvature=-1.0, t_max=0.4)
+    assert np.isclose(float(spec.b1(0.2)), -1.0, atol=1e-14)
 
 
 def test_positivity_sees_a_minimum_between_grid_points():
@@ -156,14 +163,14 @@ def test_positivity_sees_a_minimum_between_grid_points():
     assert min(float(lam(t)) for t in validation_grid(2.0)) > 1e-5
     spec = integrable_spec(constant(1.0), curvature=1.0)
     with pytest.raises(DegenerateCoefficient, match="lambda must stay positive"):
-        compatible_metric_coeffs(spec, lam, constant(0.0), -1)
+        with_metric(spec, lam, constant(0.0))
 
 
 def test_compatible_unit_proportionality_negative_epsilon():
     # lambda = 1, mu = 0, eps = -1 flips the sign of the vertical coefficients
     spec = rational_spec(1.0, 2.0, polynomial([0.0, 1.0]), curvature=1.0)
-    c1, d1, c2, d2 = compatible_metric_coeffs(
-        spec, constant(1.0), constant(0.0), -1)
+    metric = with_metric(spec, constant(1.0), constant(0.0))
+    c1, d1, c2, d2 = metric.c1, metric.d1, metric.c2, metric.d2
     for t in validation_grid(2.0):
         assert np.isclose(float(c1(t)), float(spec.a1(t)), atol=1e-14)
         assert np.isclose(float(d1(t)), float(spec.b1(t)), atol=1e-14)
@@ -173,8 +180,8 @@ def test_compatible_unit_proportionality_negative_epsilon():
 
 def test_compatible_identity_positive_epsilon():
     spec = almost_product_spec(constant(1.0), constant(0.0), epsilon=1)
-    c1, d1, c2, d2 = compatible_metric_coeffs(
-        spec, constant(1.0), constant(0.0), 1)
+    metric = with_metric(spec, constant(1.0), constant(0.0))
+    c1, d1, c2, d2 = metric.c1, metric.d1, metric.c2, metric.d2
     for t in TGRID:
         assert float(c1(t)) == 1.0 and float(c2(t)) == 1.0
         assert float(d1(t)) == 0.0 and float(d2(t)) == 0.0
@@ -183,7 +190,8 @@ def test_compatible_identity_positive_epsilon():
 def test_compatible_chains_hold_on_grid():
     spec = integrable_spec(constant(1.0), curvature=1.0)
     lam, mu = affine(1.0, 1.0), constant(1.0)
-    c1, d1, c2, d2 = compatible_metric_coeffs(spec, lam, mu, -1)
+    metric = with_metric(spec, lam, mu)
+    c1, d1, c2, d2 = metric.c1, metric.d1, metric.c2, metric.d2
     for t in validation_grid(2.0):
         lt, st = float(lam(t)), float(lam(t) + 2 * t * mu(t))
         assert abs(float(c1(t)) / float(spec.a1(t)) - lt) < 1e-12
@@ -199,23 +207,29 @@ def test_compatible_chains_hold_on_grid():
 def test_compatible_rejects_nonpositive_lambda():
     spec = integrable_spec(constant(1.0), curvature=1.0)
     with pytest.raises(DegenerateCoefficient):
-        compatible_metric_coeffs(spec, affine(0.5, -1.0), constant(0.0), -1)
+        with_metric(spec, affine(0.5, -1.0), constant(0.0))
     # the relaxed mode only demands nondegeneracy
-    c1, _, _, _ = compatible_metric_coeffs(
-        spec, affine(-1.0, -1.0), constant(0.0), -1, require_positive=False)
-    assert float(c1(0.0)) == -1.0
+    relaxed = with_metric(spec, affine(-1.0, -1.0), constant(0.0),
+                          require_positive=False)
+    assert float(relaxed.c1(0.0)) == -1.0
 
 
 def test_compatible_rejects_bad_epsilon():
     spec = integrable_spec(constant(1.0), curvature=1.0)
-    with pytest.raises(ValueError):
-        compatible_metric_coeffs(spec, constant(1.0), constant(0.0), 2)
+    with pytest.raises(ValueError, match=r"epsilon must be \+1 or -1"):
+        with_metric(replace(spec, epsilon=2), constant(1.0), constant(0.0))
+    with pytest.raises(ValueError, match=r"epsilon must be \+1 or -1"):
+        with_metric(almost_product_spec(constant(1.0), epsilon=2),
+                    constant(1.0))
 
 
-def test_para_kahler_mu_presets():
-    assert float(para_kahler_mu(constant(1.0))(0.7)) == 0.0
-    assert np.isclose(float(para_kahler_mu(affine(1.0, 1.0))(0.3)), 1.0)
-    mu = para_kahler_mu(exponential())
+def test_closure_rule_mu_presets():
+    def mu_of(lam):  # mu derived as lambda'
+        return with_metric(almost_product_spec(constant(1.0)), lam).mu
+
+    assert float(mu_of(constant(1.0))(0.7)) == 0.0
+    assert np.isclose(float(mu_of(affine(1.0, 1.0))(0.3)), 1.0)
+    mu = mu_of(exponential())
     for t in np.linspace(0.1, 1.5, 20):
         assert abs(float(mu(t)) - np.exp(t)) < 1e-12
         assert abs(float(mu.derivative()(t)) - fd_deriv(mu, t)) < 1e-6 * np.exp(t)
@@ -418,14 +432,14 @@ def test_programs_share_subtrees_once():
 
 def test_spec_compiles_each_program_once(monkeypatch):
     from paralift import coefficients
-    from paralift.lifted import LiftedStructure, StructureKind
+    from paralift.lifted import LiftedStructure
     from paralift.spaceform import conformal_ball
     from paralift.verify import CHECK_NAMES, run_check, sample_points
 
     spec = with_metric(integrable_spec(constant(1.0), curvature=1.0),
                        affine(1.0, 1.0))
     m = conformal_ball(3, 1.0)
-    ls = LiftedStructure(m=m, kind=StructureKind.NATURAL_DIAGONAL, spec=spec)
+    ls = LiftedStructure(m=m, spec=spec)
     sample = sample_points(m, 6, 5)
     compiled = []
     init = coefficients.Program.__init__
@@ -483,8 +497,8 @@ def test_guards_sample_all_families_as_each_alone():
                          affine(1.0, 1.0)), 1 + 2),
 ], ids=["almost_product", "integrable", "rational", "with_metric"])
 def test_builders_compile_one_guard_program_each(monkeypatch, build, programs):
-    # with_metric: its integrable spec, the guards of compatible_metric_coeffs
-    # and the positivity flag
+    # with_metric: its integrable spec, its metric guards and the positivity
+    # flag
     from paralift import coefficients
 
     compiled = []

@@ -13,7 +13,6 @@ from paralift import (
     P_adapted,
     P_coordinate_function,
     RangeError,
-    StructureKind,
     affine,
     almost_product_spec,
     analytic_dOmega,
@@ -34,19 +33,18 @@ from paralift.phase import stack_points
 from paralift.verify import _seeded_residuals, check_para_kahler
 from frame_reference import frame_matrices, liouville, spray
 
-N = StructureKind.NATURAL_DIAGONAL
 
 
 def rational_structure(m, with_g=True, lam=None, mu=None):
     spec = rational_spec(1.0, 2.0, polynomial([0.0, 1.0]), curvature=m.c)
     if with_g:
         spec = with_metric(spec, lam or constant(1.0), mu or constant(0.0))
-    return LiftedStructure(m=m, kind=N, spec=spec)
+    return LiftedStructure(m=m, spec=spec)
 
 
 def cruceanu_q(m):
     """Cruceanu's Q (P1 = g, P2 = g^-1): the natural diagonal a1 = 1, b1 = 0."""
-    return LiftedStructure(m=m, kind=N, spec=almost_product_spec(constant(1.0)))
+    return LiftedStructure(m=m, spec=almost_product_spec(constant(1.0)))
 
 
 def test_cruceanu_q_flat_is_the_swap():
@@ -61,7 +59,7 @@ def test_cruceanu_q_flat_is_the_swap():
 def test_cruceanu_p_is_the_sign_split():
     m = conformal_ball(2, -1.0)
     pt = make_point(m, [0.1, 0.2], [1.0, 1.0])
-    ls = LiftedStructure(m=m, kind=StructureKind.CRUCEANU_P)
+    ls = LiftedStructure(m=m)
     assert np.array_equal(P_adapted(ls, pt), np.diag([-1.0, -1.0, 1.0, 1.0]))
     assert np.array_equal(P_adapted(ls, pt) @ P_adapted(ls, pt), np.eye(4))
 
@@ -78,7 +76,7 @@ def test_p_squares_to_identity_and_is_traceless(rng):
 def test_p_eigenvalues_split_evenly(rng):
     m = conformal_ball(3, -1.0)
     for ls in (rational_structure(m, with_g=False), cruceanu_q(m),
-               LiftedStructure(m=m, kind=StructureKind.CRUCEANU_P)):
+               LiftedStructure(m=m)):
         for pt in sample_points(m, 5, 3).points:
             eigs = np.sort(np.real(np.linalg.eigvals(P_adapted(ls, pt))))
             assert np.allclose(eigs, [-1.0] * 3 + [1.0] * 3, atol=1e-9)
@@ -87,7 +85,7 @@ def test_p_eigenvalues_split_evenly(rng):
 def test_p_coordinate_equals_adapted_where_connection_vanishes():
     m = flat_space(2)
     spec = almost_product_spec(constant(1.0), constant(0.5), curvature=0.0)
-    ls = LiftedStructure(m=m, kind=N, spec=spec)
+    ls = LiftedStructure(m=m, spec=spec)
     pt = make_point(m, [0.4, -0.2], [0.5, 0.5])
     assert np.allclose(P_coordinate_function(ls)(pt.z()), P_adapted(ls, pt),
                        atol=1e-15)
@@ -103,7 +101,7 @@ def test_p_coordinate_equals_adapted_where_connection_vanishes():
 def test_coordinate_p_from_blocks_is_the_conjugation(kind):
     m = conformal_ball(3, -1.0)
     ls = {"natural_diagonal": lambda: rational_structure(m, with_g=False),
-          "cruceanu_p": lambda: LiftedStructure(m=m, kind=StructureKind.CRUCEANU_P),
+          "cruceanu_p": lambda: LiftedStructure(m=m),
           "cruceanu_q": lambda: cruceanu_q(m)}[kind]()
     points = sample_points(m, 8, 19).points
     for pt in points + (stack_points(points),):
@@ -118,7 +116,7 @@ def test_p_coordinate_is_the_conjugation():
     m = conformal_ball(2, 1.0)
     spec = rational_spec(1.0, 2.0, polynomial([0.0, 1.0]), curvature=m.c,
                          t_max=4.0)  # the sample point sits at t ~ 2.6
-    ls = LiftedStructure(m=m, kind=N, spec=spec)
+    ls = LiftedStructure(m=m, spec=spec)
     pt = make_point(m, [0.3, 0.1], [1.0, 2.0])
     b, binv = frame_matrices(pt.Gamma0)
     expected = b @ P_adapted(ls, pt) @ binv
@@ -133,7 +131,7 @@ def test_g_identity_case():
         almost_product_spec(constant(1.0), constant(0.0), curvature=0.0,
                             epsilon=1),
         constant(1.0), constant(0.0))
-    ls = LiftedStructure(m=m, kind=N, spec=spec)
+    ls = LiftedStructure(m=m, spec=spec)
     pt = make_point(m, [0.1, 0.2, 0.3], [1.0, 0.0, -1.0])
     assert np.allclose(G_adapted(ls, pt), np.eye(6), atol=1e-15)
 
@@ -151,7 +149,7 @@ def test_g_positive_definite_for_positive_epsilon(rng):
     m = conformal_ball(3, 1.0)
     spec = with_metric(integrable_spec(constant(1.0), curvature=1.0, epsilon=1),
                        constant(1.0), constant(0.0))
-    ls = LiftedStructure(m=m, kind=N, spec=spec)
+    ls = LiftedStructure(m=m, spec=spec)
     assert "positive" in spec.flags
     for pt in sample_points(m, 10, 5).points:
         assert np.all(np.linalg.eigvalsh(G_adapted(ls, pt)) > 0)
@@ -182,7 +180,7 @@ def test_omega_mixed_block_general_coefficients():
     spec = with_metric(
         almost_product_spec(constant(1.0), constant(0.0), curvature=0.0),
         affine(1.0, 1.0), constant(1.0))
-    ls = LiftedStructure(m=m, kind=N, spec=spec)
+    ls = LiftedStructure(m=m, spec=spec)
     pt = make_point(m, [0.0, 0.0], [1.0, 0.0])  # t = 1/2, g0 = p
     om = Omega_adapted(ls, pt)
     expected = 1.5 * np.eye(2) + np.outer(pt.p, pt.p)
@@ -205,7 +203,7 @@ def test_omega_coordinate_matches_adapted_where_connection_vanishes():
     spec = with_metric(
         almost_product_spec(constant(1.0), constant(0.0), curvature=0.0),
         affine(1.0, 1.0))
-    ls = LiftedStructure(m=m, kind=N, spec=spec)
+    ls = LiftedStructure(m=m, spec=spec)
     pt = make_point(m, [0.2, -0.1], [0.5, 1.0])
     assert np.allclose(Omega_coordinate(ls)(pt.z()), Omega_adapted(ls, pt),
                        atol=1e-15)
@@ -255,7 +253,7 @@ def test_range_error_beyond_t_max():
     m = flat_space(2)
     spec = almost_product_spec(constant(1.0), constant(0.0), curvature=0.0,
                                t_max=1.0)
-    ls = LiftedStructure(m=m, kind=N, spec=spec)
+    ls = LiftedStructure(m=m, spec=spec)
     pt = make_point(m, [0.0, 0.0], [2.0, 1.0])  # t = 2.5 > 1
     with pytest.raises(RangeError):
         P_adapted(ls, pt)
@@ -264,9 +262,9 @@ def test_range_error_beyond_t_max():
 def test_contract_errors():
     m = flat_space(2)
     pt = make_point(m, [0.0, 0.0], [1.0, 0.0])
-    bare = LiftedStructure(m=m, kind=StructureKind.CRUCEANU_P)
+    bare = LiftedStructure(m=m)
     spec = almost_product_spec(constant(1.0), constant(0.0), curvature=0.0)
-    ls_p_only = LiftedStructure(m=m, kind=N, spec=spec)
+    ls_p_only = LiftedStructure(m=m, spec=spec)
     for no_metric in (bare, ls_p_only):
         with pytest.raises(ContractError):
             G_adapted(no_metric, pt)
@@ -282,14 +280,12 @@ def test_contract_errors():
         almost_product_spec(constant(1.0), constant(0.0), curvature=0.0,
                             epsilon=1),
         constant(1.0), constant(0.0))
-    ls_plus = LiftedStructure(m=m, kind=N, spec=spec_plus)
+    ls_plus = LiftedStructure(m=m, spec=spec_plus)
     with pytest.raises(ContractError):
         Omega_coordinate(ls_plus)
-    with pytest.raises(ContractError):
-        LiftedStructure(m=m, kind=N, spec=None)
     unvalidated = replace(spec, flags=frozenset())
     with pytest.raises(ContractError):
-        LiftedStructure(m=m, kind=N, spec=unvalidated)
+        LiftedStructure(m=m, spec=unvalidated)
 
 
 @pytest.fixture

@@ -10,7 +10,6 @@ from paralift import (
     ContractError,
     LiftedStructure,
     RangeError,
-    StructureKind,
     affine,
     almost_product_spec,
     analytic_dOmega,
@@ -50,7 +49,6 @@ from paralift.verify import (
 )
 from curvature_reference import generic_curvature
 
-N = StructureKind.NATURAL_DIAGONAL
 
 
 def rational_ls(m, lam=None, mu=None, with_g=True):
@@ -58,14 +56,14 @@ def rational_ls(m, lam=None, mu=None, with_g=True):
     if with_g:
         spec = with_metric(spec, lam or constant(1.0),
                            mu if mu is not None else constant(0.0))
-    return LiftedStructure(m=m, kind=N, spec=spec)
+    return LiftedStructure(m=m, spec=spec)
 
 
 def para_kahler_ls(m, curvature=None):
     spec = integrable_spec(constant(1.0), curvature=m.c if curvature is None
                            else curvature)
     spec = with_metric(spec, affine(1.0, 1.0))  # mu derived as lambda' = 1
-    return LiftedStructure(m=m, kind=N, spec=spec)
+    return LiftedStructure(m=m, spec=spec)
 
 
 # ----------------------------------------------------------------- sampler
@@ -94,7 +92,7 @@ def test_sampler_starvation_reported():
 # ------------------------------------------------- almost product (squares)
 
 
-def test_almost_product_passes_for_rational_family():
+def test_almost_product_passes_for_rational_spec():
     m = conformal_ball(3, 1.0)
     ls = rational_ls(m, with_g=False)
     rep = check_almost_product(ls, sample_points(m, 100, 1), 1e-11)
@@ -106,7 +104,7 @@ def test_almost_product_detects_perturbed_b2():
     m = conformal_ball(3, 1.0)
     ls = rational_ls(m, with_g=False)
     bad = replace(ls.spec, b2=ls.spec.b2 * 1.1)  # bypasses validation
-    rep = check_almost_product(LiftedStructure(m=m, kind=N, spec=bad),
+    rep = check_almost_product(LiftedStructure(m=m, spec=bad),
                                sample_points(m, 100, 1), 1e-6)
     assert not rep.passed
     assert rep.max_residual > 1e-6
@@ -114,7 +112,7 @@ def test_almost_product_detects_perturbed_b2():
 
 def test_almost_product_cruceanu_p_exact():
     m = conformal_ball(3, 1.0)
-    ls = LiftedStructure(m=m, kind=StructureKind.CRUCEANU_P)
+    ls = LiftedStructure(m=m)
     rep = check_almost_product(ls, sample_points(m, 10, 1), 0.0)
     assert rep.passed and rep.max_residual == 0.0
 
@@ -124,11 +122,11 @@ def test_almost_product_cruceanu_p_exact():
 
 def test_nijenhuis_cruceanu_p_vanishes_iff_flat():
     flat = flat_space(3)
-    ls_flat = LiftedStructure(m=flat, kind=StructureKind.CRUCEANU_P)
+    ls_flat = LiftedStructure(m=flat)
     for pt in sample_points(flat, 5, 3).points:
         assert np.max(np.abs(nijenhuis_at(ls_flat, pt))) < 1e-11
     curved = conformal_ball(3, 1.0)
-    ls_curved = LiftedStructure(m=curved, kind=StructureKind.CRUCEANU_P)
+    ls_curved = LiftedStructure(m=curved)
     worst = max(np.max(np.abs(nijenhuis_at(ls_curved, pt)))
                 for pt in sample_points(curved, 10, 3).points)
     assert worst > 1e-3
@@ -162,9 +160,9 @@ def test_nijenhuis_equals_the_four_contractions(case):
         "integrable": lambda: para_kahler_ls(conformal_ball(4, 1.0)),
         "mismatched": lambda: para_kahler_ls(ball, curvature=1.0),
         "perturbed": lambda: para_kahler_ls(perturbed_conformal(4, 1.0, 0.1)),
-        "cruceanu_p": lambda: LiftedStructure(m=ball, kind=StructureKind.CRUCEANU_P),
+        "cruceanu_p": lambda: LiftedStructure(m=ball),
         "cruceanu_q": lambda: LiftedStructure(  # a1 = 1, b1 = 0
-            m=ball, kind=N, spec=almost_product_spec(constant(1.0))),
+            m=ball, spec=almost_product_spec(constant(1.0))),
     }[case]()
     points = sample_points(ls.m, 6, 23).points
     for pt in points + (stack_points(points),):
@@ -182,13 +180,13 @@ def test_integrability_sufficiency_and_necessity():
 
     # same coefficients over a non-space-form base
     mp = perturbed_conformal(3, 1.0, 0.1)
-    ls_bad_base = LiftedStructure(m=mp, kind=N, spec=ls.spec)
+    ls_bad_base = LiftedStructure(m=mp, spec=ls.spec)
     rep = check_integrability(ls_bad_base, sample_points(mp, 10, 7), 1e-6)
     assert not rep.passed and rep.max_residual > 1e-6
 
     # coefficients derived for the wrong curvature
     m_neg = conformal_ball(3, -1.0)
-    ls_mismatch = LiftedStructure(m=m_neg, kind=N, spec=ls.spec)
+    ls_mismatch = LiftedStructure(m=m_neg, spec=ls.spec)
     rep = check_integrability(ls_mismatch, sample_points(m_neg, 10, 7), 1e-6)
     assert not rep.passed and rep.max_residual > 1e-6
 
@@ -196,7 +194,7 @@ def test_integrability_sufficiency_and_necessity():
 def test_integrability_n2_note():
     m = conformal_ball(2, 1.0)
     spec = integrable_spec(constant(1.0), curvature=1.0)
-    ls = LiftedStructure(m=m, kind=N, spec=spec)
+    ls = LiftedStructure(m=m, spec=spec)
     rep = check_integrability(ls, sample_points(m, 3, 1), 1e-8)
     assert any("dimension 2" in note for note in rep.notes)
 
@@ -215,7 +213,7 @@ def test_compatibility_positive_epsilon():
     m = conformal_ball(3, 1.0)
     spec = integrable_spec(constant(1.0), curvature=1.0, epsilon=1)
     spec = with_metric(spec, constant(1.0), constant(0.0))
-    ls = LiftedStructure(m=m, kind=N, spec=spec)
+    ls = LiftedStructure(m=m, spec=spec)
     rep = check_compatibility(ls, sample_points(m, 100, 11), 1e-11)
     assert rep.passed
 
@@ -224,7 +222,7 @@ def test_compatibility_detects_broken_chain():
     m = conformal_ball(3, 1.0)
     ls = rational_ls(m)
     bad = replace(ls.spec, c1=ls.spec.c1 * 1.1)  # breaks the first chain only
-    rep = check_compatibility(LiftedStructure(m=m, kind=N, spec=bad),
+    rep = check_compatibility(LiftedStructure(m=m, spec=bad),
                               sample_points(m, 50, 11), 1e-6)
     assert not rep.passed and rep.max_residual > 1e-6
 
@@ -236,7 +234,7 @@ def test_metric_signature_neutral_and_positive():
 
     spec = with_metric(integrable_spec(constant(1.0), curvature=1.0, epsilon=1),
                        constant(1.0), constant(0.0))
-    ls = LiftedStructure(m=m, kind=N, spec=spec)
+    ls = LiftedStructure(m=m, spec=spec)
     rep = check_metric_signature(ls, sample_points(m, 20, 13))
     assert rep.passed and rep.details["expected_positive"] == 6
 
@@ -250,7 +248,7 @@ def test_block_eigenvalue_census_equals_the_full_matrix(epsilon):
     spec = with_metric(rational_spec(1.0, 2.0, polynomial([0.0, 1.0]),
                                      curvature=1.0, epsilon=epsilon),
                        affine(1.0, 0.5), constant(0.0))
-    ls = LiftedStructure(m=m, kind=N, spec=spec)
+    ls = LiftedStructure(m=m, spec=spec)
     batch = stack_points(sample_points(m, 40, 13).points)
     full = np.linalg.eigvalsh(G_adapted(ls, batch))
     blocks = np.concatenate([np.linalg.eigvalsh(g) for g in _g_blocks(ls, batch)],
@@ -279,7 +277,7 @@ def test_canonical_form_is_closed():
     m = flat_space(3)
     spec = with_metric(integrable_spec(constant(1.0), curvature=0.0),
                        constant(1.0), constant(0.0))
-    ls = LiftedStructure(m=m, kind=N, spec=spec)
+    ls = LiftedStructure(m=m, spec=spec)
     omega = Omega_coordinate(ls)
     for pt in sample_points(m, 5, 17).points:
         assert np.max(np.abs(exterior_derivative_2form(omega, pt))) < 1e-12
@@ -302,7 +300,7 @@ def test_analytic_d_omega_flat_frozen_pattern():
     m = flat_space(2)
     spec = with_metric(integrable_spec(constant(1.0), curvature=0.0),
                        affine(1.0, 1.0), constant(0.0))
-    ls = LiftedStructure(m=m, kind=N, spec=spec)
+    ls = LiftedStructure(m=m, spec=spec)
     pt = make_point(m, [0.0, 0.0], [1.0, 0.0])
     d = analytic_dOmega(ls, pt)
     assert np.isclose(d[2, 3, 1], -1.0, atol=1e-14)
@@ -318,7 +316,7 @@ def test_derived_mu_closes_omega():
         spec = with_metric(rational_spec(1.0, 2.0, polynomial([0.0, 1.0]),
                                          curvature=c),
                            affine(1.0, 1.0))  # mu derived as lambda' = 1
-        ls = LiftedStructure(m=m, kind=N, spec=spec)
+        ls = LiftedStructure(m=m, spec=spec)
         sample = sample_points(m, 10, 23)
         for pt in sample.points:
             assert np.max(np.abs(analytic_dOmega(ls, pt))) < 1e-14
@@ -332,7 +330,7 @@ def test_numeric_and_analytic_d_omega_agree():
         spec = with_metric(rational_spec(1.0, 2.0, polynomial([0.0, 1.0]),
                                          curvature=c),
                            affine(1.0, 1.0), constant(0.0))
-        ls = LiftedStructure(m=m, kind=N, spec=spec)
+        ls = LiftedStructure(m=m, spec=spec)
         sample = sample_points(m, 20, 29)
         rep = check_closure_agreement(ls, sample, 1e-8)
         assert rep.passed
@@ -394,7 +392,7 @@ def test_para_kahler_fails_only_through_closure_when_mu_is_off():
     m = conformal_ball(3, 1.0)
     spec = integrable_spec(constant(1.0), curvature=1.0)
     spec = with_metric(spec, affine(1.0, 1.0), constant(0.0))  # mu != lambda'
-    ls = LiftedStructure(m=m, kind=N, spec=spec)
+    ls = LiftedStructure(m=m, spec=spec)
     sample = sample_points(m, 20, 31)
     rep = check_para_kahler(ls, sample, 1e-8)
     assert not rep.passed
@@ -407,7 +405,7 @@ def test_para_kahler_fails_only_through_closure_when_mu_is_off():
 def test_para_kahler_sub_residuals_equal_the_standalone_checks(case):
     if case == "mu_off":
         m = conformal_ball(3, 1.0)
-        ls = LiftedStructure(m=m, kind=N, spec=with_metric(
+        ls = LiftedStructure(m=m, spec=with_metric(
             integrable_spec(constant(1.0), curvature=1.0), affine(1.0, 1.0),
             constant(0.0)))
     else:
@@ -439,7 +437,7 @@ def test_para_kahler_reports_a_non_finite_part():
     # residuals are nan, and that part ranks worst
     m = conformal_ball(3, 1.0)
     spec = replace(para_kahler_ls(m).spec, mu=constant(math.nan))
-    ls = LiftedStructure(m=m, kind=N, spec=spec)
+    ls = LiftedStructure(m=m, spec=spec)
     sample = sample_points(m, 6, 0)
     rep = check_para_kahler(ls, sample)
     d = rep.to_dict()
@@ -458,7 +456,7 @@ def test_para_kahler_needs_a_para_hermitian_spec():
     spec = with_metric(almost_product_spec(constant(1.0), constant(0.0),
                                            curvature=1.0, epsilon=1),
                        constant(1.0), constant(0.0))
-    ls = LiftedStructure(m=m, kind=N, spec=spec)
+    ls = LiftedStructure(m=m, spec=spec)
     assert check_compatibility(ls, sample_points(m, 4, 1)).passed
     with pytest.raises(ContractError, match="epsilon = -1"):
         check_para_kahler(ls, sample_points(m, 4, 1))
@@ -472,13 +470,13 @@ def test_every_check_refuses_an_empty_sample(name):
             run_check(name, ls, sample)
 
 
-def test_para_kahler_constant_lambda_rational_family():
+def test_para_kahler_constant_lambda_rational_spec():
     # u = c alpha beta^2 makes the rational family integrable; lambda = 1,
     # mu = 0 = lambda' then closes the 2-form
     m = conformal_ball(3, 1.0)
     spec = with_metric(rational_spec(1.0, 2.0, constant(4.0), curvature=1.0),
                        constant(1.0), constant(0.0))
-    ls = LiftedStructure(m=m, kind=N, spec=spec)
+    ls = LiftedStructure(m=m, spec=spec)
     rep = check_para_kahler(ls, sample_points(m, 30, 37), 1e-8)
     assert rep.passed
 
@@ -512,7 +510,7 @@ def test_omega_entries_ad_vs_fd(rng):
     m = conformal_ball(3, -1.0)
     spec = with_metric(rational_spec(1.0, 2.0, polynomial([0.0, 1.0]),
                                      curvature=-1.0), affine(1.0, 0.5))
-    ls = LiftedStructure(m=m, kind=N, spec=spec)
+    ls = LiftedStructure(m=m, spec=spec)
     fn = Omega_coordinate(ls)
     for pt in sample_points(m, 5, 43).points:
         z = pt.z()
@@ -531,7 +529,7 @@ def test_fd_oracle_steps_past_t_max_at_a_boundary_point(monkeypatch):
     p = p * math.sqrt(2.0 / energy_density(m, q, p))
     pt = make_point(m, q, p)
     spec = integrable_spec(constant(1.0), curvature=1.0, t_max=float(pt.t))
-    ls = LiftedStructure(m=m, kind=N, spec=with_metric(spec, affine(1.0, 1.0)))
+    ls = LiftedStructure(m=m, spec=with_metric(spec, affine(1.0, 1.0)))
     assert ls.spec.t_max == pt.t and abs(pt.t - 2.0) < 1e-12
     for fn in (P_coordinate_function(ls), Omega_coordinate(ls)):
         _, jac = ad.jacobian(fn, pt.z())
@@ -598,12 +596,12 @@ def test_biconditional_battery(field, checker):
     m = conformal_ball(3, 1.0)
     spec = with_metric(integrable_spec(constant(1.0), curvature=1.0),
                        affine(1.0, 1.0))  # mu derived, so closure holds too
-    ls = LiftedStructure(m=m, kind=N, spec=spec)
+    ls = LiftedStructure(m=m, spec=spec)
     sample = sample_points(m, 15, 47)
     assert checker(ls, sample).passed
 
     perturbed = replace(spec, **{field: getattr(spec, field) * 1.1})
-    bad = LiftedStructure(m=m, kind=N, spec=perturbed)
+    bad = LiftedStructure(m=m, spec=perturbed)
     rep = checker(bad, sample, 1e-6)
     assert not rep.passed and rep.max_residual > 1e-6
 
@@ -614,8 +612,7 @@ def test_biconditional_battery(field, checker):
 def test_verdicts_stable_across_seeds():
     m = conformal_ball(3, 1.0)
     good = para_kahler_ls(m)
-    bad = LiftedStructure(m=m, kind=N,
-                          spec=replace(good.spec, b1=good.spec.b1 * 1.1))
+    bad = LiftedStructure(m=m, spec=replace(good.spec, b1=good.spec.b1 * 1.1))
     for seed in (1, 2, 3, 4, 5):
         sample = sample_points(m, 10, seed)
         assert check_integrability(good, sample, 1e-8).passed
