@@ -5,19 +5,14 @@ density t.  A :class:`ScalarFamily` is a small expression tree over nine
 nodes: constant, t, +, -, *, /, negation, exp and polynomial.  Its
 derivative d/dt is a rewrite of the tree in closed form, closed under the
 same nodes, so families stay closed under the arithmetic needed to express
-the derivation rules, each applied by one spec builder:
+the derivation rules, each applied by one spec builder below:
 
-  * the product completion (:func:`almost_product_spec`): a2 = 1/a1 and
-    (a1 + 2t b1)(a2 + 2t b2) = 1,
-  * the integrability rule (:func:`integrable_spec`):
-    b1 = (a1 a1' + c) / (a1 - 2t a1'), b2 = (a1 a2' - a2^2 c) / (a1 + 2c t a2),
-  * the metric proportionality (:func:`with_metric`): c1/a1 = eps c2/a2 =
-    lambda and (c1 + 2t d1)/(a1 + 2t b1) = eps (c2 + 2t d2)/(a2 + 2t b2) =
-    lambda + 2t mu,
-  * the closure rule mu = lambda' (:func:`with_metric` without a mu).
-
-:func:`rational_spec` builds a family that satisfies the product relations
-by construction.
+  * the product completion: a2 = 1/a1 and (a1 + 2t b1)(a2 + 2t b2) = 1,
+  * the integrability rule: b1 = (a1 a1' + c) / (a1 - 2t a1'),
+                            b2 = (a1 a2' - a2^2 c) / (a1 + 2c t a2),
+  * the metric proportionality: c1/a1 = eps c2/a2 = lambda and
+    (c1 + 2t d1)/(a1 + 2t b1) = eps (c2 + 2t d2)/(a2 + 2t b2) = lambda + 2t mu,
+  * the closure rule mu = lambda'.
 
 A :class:`Program` compiles a tuple of families once into a flat list of
 their unique nodes, children first, so a subtree that several families share
@@ -399,14 +394,12 @@ def almost_product_spec(a1, b1=None, *, curvature=0.0, epsilon=-1, t_max=2.0):
 
 
 def integrable_spec(a1, *, curvature, epsilon=-1, t_max=2.0):
-    """Spec whose (b1, b2) are forced by integrability over a base of
-    curvature c:
+    """Spec whose (b1, b2) follow the integrability rule for curvature c,
 
         b1 = (a1 a1' + c) / (a1 - 2t a1'),
-        b2 = (a1 a2' - a2^2 c) / (a1 + 2c t a2),   a2 = 1/a1.
+        b2 = (a1 a2' - a2^2 c) / (a1 + 2c t a2),   a2 = 1/a1,
 
-    The pair satisfies the product relations identically, so the spec is
-    also an almost product structure.
+    which satisfy the product relations identically.
     """
     c = float(curvature)
     a1p = a1.derivative()
@@ -461,8 +454,7 @@ def with_metric(spec, lam, mu=None, *, require_positive=True):
     Flags gain "compatible", plus "positive" when the full positivity
     conditions hold and "mu_is_lambda_prime" when mu was derived.
     """
-    eps = spec.epsilon
-    if eps not in (-1, 1):
+    if spec.epsilon not in (-1, 1):
         raise ValueError("epsilon must be +1 or -1")
     derived_mu = mu is None
     if derived_mu:
@@ -470,8 +462,8 @@ def with_metric(spec, lam, mu=None, *, require_positive=True):
     scale = lam + 2.0 * _t * mu
     c1 = lam * spec.a1
     d1 = mu * spec.a1 + scale * spec.b1
-    c2 = float(eps) * (lam * spec.a2)
-    d2 = float(eps) * (mu * spec.a2 + scale * spec.b2)
+    c2 = float(spec.epsilon) * (lam * spec.a2)
+    d2 = float(spec.epsilon) * (mu * spec.a2 + scale * spec.b2)
     positive = ((_positive, lam, "lambda"),
                 (_positive, scale, "lambda + 2t mu"))
     _guard(spec.t_max, *(positive if require_positive else ()),

@@ -137,6 +137,8 @@ PARSER_ONLY = dict(
     radius="manifold.chart_radius: reaches the conformal-factor singularity "
            "for this negative curvature",
     family="coefficients.{}: not allowed together with a coefficient family",
+    cruceanu="coefficients.{}: a Cruceanu structure builds from none of "
+             "family, a1, b1 or the integrability and metric derivations",
     family_b1="coefficients.derive.integrability: the family already fixes "
               "b1; drop the flag or the family",
     a1="coefficients.a1: required (or give a family)",
@@ -288,21 +290,21 @@ def _manifold_rule(section, out, problems):
 
 def _family_rule(section, out, problems):
     """family, a1 and b1: which of them a structure reads.  A Cruceanu
-    structure builds from none of them; given a1 or b1 are still checked.
-    Every path needs the product completion."""
+    structure builds from none of them, nor from the integrability and
+    metric derivations.  Every path needs the product completion."""
     out["family"] = out["a1"] = out["b1"] = None
-    if section.get("family") is not None:
+    if out["kind"] != "natural_diagonal":
+        problems.extend(PARSER_ONLY["cruceanu"].format(key)
+                        for key in ("family", "a1", "b1") if key in section
+                        and (key != "family" or section[key] is not None))
+        _derive_off(section, out, ("integrability", "metric_proportionality"),
+                    PARSER_ONLY["cruceanu"], problems)
+    elif section.get("family") is not None:
         out["family"] = _field(section, "coefficients", "family", problems)
-        derive = section.get("derive")
-        if "integrability" not in (derive if isinstance(derive, dict) else {}):
-            out["derive"]["integrability"] = False
-        elif out["derive"]["integrability"]:
-            problems.append(PARSER_ONLY["family_b1"])
+        _derive_off(section, out, ("integrability",), PARSER_ONLY["family_b1"],
+                    problems)
         problems.extend(PARSER_ONLY["family"].format(key)
                         for key in ("b1", "a1") if key in section)
-    elif out["kind"] != "natural_diagonal":  # read by their rows, never built
-        for key in ("a1", "b1"):
-            out[key] = _field(section, "coefficients", key, problems)
     else:
         out["a1"] = _field(section, "coefficients", "a1", problems,
                            missing=PARSER_ONLY["a1"])
@@ -313,6 +315,16 @@ def _family_rule(section, out, problems):
             problems.append(PARSER_ONLY["b1_on"])
     if not out["derive"]["product_completion"]:
         problems.append(PARSER_ONLY["completion"])
+
+
+def _derive_off(section, out, flags, problem, problems):
+    """Each derive flag of ``flags`` off unless given; on, the ``problem``."""
+    derive = section.get("derive")
+    for flag in flags:
+        if flag not in (derive if isinstance(derive, dict) else {}):
+            out["derive"][flag] = False
+        elif out["derive"][flag]:
+            problems.append(problem.format(f"derive.{flag}"))
 
 
 def _curvature_rule(section, out, problems, c):
@@ -329,8 +341,7 @@ def _curvature_rule(section, out, problems, c):
 def _metric_rule(section, out, problems, key):
     """lambda or mu, read only for the metric proportionality derivation."""
     out[key] = None
-    if (out["derive"]["metric_proportionality"]
-            and out["kind"] == "natural_diagonal"):
+    if out["derive"]["metric_proportionality"]:
         out[key] = _field(section, "coefficients", key, problems)
     elif key in section:
         problems.append(PARSER_ONLY["metric"].format(key))
@@ -483,9 +494,8 @@ def build_structure(config, m=None):
         return LiftedStructure(m=m)
     shared = {key: cf[key] for key in ("curvature", "epsilon", "t_max")}
     if cf["kind"] == "cruceanu_q":  # Cruceanu's Q: P1 = g, P2 = g^-1
-        return LiftedStructure(
-            m=m, spec=co.almost_product_spec(co.constant(1.0), **shared))
-    if (fam := cf["family"]) is not None:
+        spec = co.almost_product_spec(co.constant(1.0), **shared)
+    elif (fam := cf["family"]) is not None:
         spec = co.rational_spec(fam["alpha"], fam["beta"],
                                 make_scalar(fam["u"]), **shared)
     elif cf["derive"]["integrability"]:
@@ -513,8 +523,9 @@ def apply_overrides(config, *, seed=None, samples=None, tolerances=None,
     """CLI flags override the corresponding config fields, by their rules."""
     problems = []
     sampling = sampling_overrides(seed, samples, problems)
+    tolerances = _walk(tolerances or {}, "tolerances", problems, {})
     if problems:
         raise ConfigError(problems)
     return replace(config, sampling={**config.sampling, **sampling},
-                   tolerances={**config.tolerances, **(tolerances or {})},
+                   tolerances={**config.tolerances, **tolerances},
                    output=output if output is not None else config.output)

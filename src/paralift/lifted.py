@@ -79,8 +79,6 @@ class LiftedStructure:
 
 
 def _check_range(ls, t, *, slack):
-    if ls.spec is None:
-        return
     bound = ls.spec.t_max + (_T_SLACK if slack else 0.0)
     tv = np.asarray(t).real
     over = tv > bound

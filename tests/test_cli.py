@@ -104,6 +104,36 @@ def test_cruceanu_kind_limits_checks():
     assert ls.spec is None
 
 
+@pytest.mark.parametrize("kind", ["cruceanu_p", "cruceanu_q"])
+def test_cruceanu_kinds_refuse_what_they_would_not_build(kind):
+    # a Cruceanu structure is built from none of these, so the report must
+    # not echo them as if they were
+    from paralift.config import PARSER_ONLY
+
+    doc = small(checks=["almost_product"])
+    doc["coefficients"] = {"kind": kind}
+    echo = parse_config(doc).echo()["coefficients"]
+    assert echo["derive"] == {"product_completion": True,
+                              "integrability": False,
+                              "metric_proportionality": False}
+    assert echo["family"] is echo["a1"] is echo["b1"] is None
+    off = {"integrability": False, "metric_proportionality": False}
+    doc["coefficients"]["derive"] = off
+    parse_config(doc)
+    doc["coefficients"].update(
+        family={"name": "rational",
+                "u": {"preset": "constant", "params": {"value": 0.5}}},
+        a1={"preset": "constant", "params": {"value": 5.0}},
+        b1={"preset": "constant", "params": {"value": 0.3}},
+        derive={key: True for key in off})
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert info.value.problems == [
+        PARSER_ONLY["cruceanu"].format(key) for key in
+        ("family", "a1", "b1", "derive.integrability",
+         "derive.metric_proportionality")]
+
+
 CHART_MODELS = {
     "ball+1": {"model": "conformal_ball", "c": 1.0},
     "ball-1": {"model": "conformal_ball", "c": -1.0},
@@ -526,10 +556,6 @@ def _family(**fields):
     (lambda doc: doc["coefficients"].update(family=None), True),
     (lambda doc: doc.update(coefficients={"kind": "cruceanu_p",
                                           "a1": "garbage", "b1": 5}), False),
-    (lambda doc: doc.update(coefficients={
-        "kind": "cruceanu_q",
-        "a1": {"preset": "affine", "params": {"intercept": 1.0,
-                                              "slope": 0.5}}}), True),
 ], ids=["as_is", "epsilon_true", "epsilon_one", "manifold_defaults",
         "manifold_without_c", "tolerance", "tolerance_unknown_check",
         "tolerance_negative", "sampling_null", "tolerances_null",
@@ -537,8 +563,7 @@ def _family(**fields):
         "param_missing", "coeffs_string", "coeffs_empty", "coeffs_item",
         "coeffs", "exponential_defaults", "exponential_string",
         "family", "family_alpha_zero", "family_beta_zero",
-        "scalar_unknown_key", "family_null", "cruceanu_garbage_a1_b1",
-        "cruceanu_a1"])
+        "scalar_unknown_key", "family_null", "cruceanu_garbage_a1_b1"])
 def test_parser_and_schema_agree(edit, accepted):
     import jsonschema
 
@@ -677,6 +702,21 @@ def test_apply_overrides_refuses_what_the_file_refuses():
     assert info.value.problems == ["--seed: must be at least 0",
                                    "--samples: must be at least 1"]
     assert apply_overrides(cfg, seed=0, samples=1).sampling["count"] == 1
+    # the file's tolerance rules: a NaN would reach the report, whose JSON
+    # cannot hold it, only after every check has run
+    bad = {"almost_product": math.nan, "closure": -1.0, "nonsense": "x",
+           "integrability": 1e-6}
+    with pytest.raises(ConfigError) as info:
+        apply_overrides(cfg, seed=-1, tolerances=bad)
+    assert info.value.problems == [
+        "--seed: must be at least 0",
+        "tolerances.almost_product: must be finite",
+        "tolerances.closure: expected a nonnegative number",
+        "tolerances.nonsense: unknown check name"]
+    tolerances = apply_overrides(cfg, tolerances={"integrability": 1e-6,
+                                                  "closure": 0}).tolerances
+    assert tolerances == {**cfg.tolerances, "integrability": 1e-6,
+                          "closure": 0.0}
 
 
 def test_missing_parameter_is_reported_beside_an_invalid_one(tmp_path, capsys):

@@ -81,7 +81,7 @@ def _b1_without_completion(doc):
 
 
 def _cruceanu_compatibility(doc):
-    doc["coefficients"]["kind"] = "cruceanu_p"
+    doc["coefficients"] = {"kind": "cruceanu_p"}  # it reads no a1
     doc["checks"] = ["compatibility"]
 
 
@@ -100,6 +100,7 @@ RULE_EDITS = {
     "flat": _edit("manifold", model="flat"),
     "radius": _edit("manifold", c=-5.0),
     "family": lambda doc: doc["coefficients"].update(family=FAMILY),
+    "cruceanu": _edit("coefficients", kind="cruceanu_q"),  # a1 is not read
     "family_b1": _family(integrability=True),
     "a1": _drop_a1,
     "b1_on": _edit("coefficients",

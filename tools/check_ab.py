@@ -14,6 +14,10 @@ also prints in how many rounds NEW took less time than OLD over the same
 chunks: a gain holds when NEW wins nearly every pair, not only in the
 median.  Cases either side refuses are skipped.
 
+Construction is timed the same way: per case and round, ``parse_config``
+plus ``build_structure`` as the least of ``REPEATS`` calls, OLD and NEW
+alternating, printed as one ``build`` line of ms per case.
+
 The answers are compared too, so a speed A/B cannot hide a changed one: per
 check, whether every chunk's verdict agrees, and the largest relative change
 of a chunk's ``max_residual``.  The exit status is 1 if any verdict differs.
@@ -70,12 +74,14 @@ def main(old_root, new_root, workload):
     from workloads import build_workload
 
     jobs = []  # (check name, points, {side: (run_check, ls, chunk, tol)})
+    documents = []  # of the cases both sides build
     for case in build_workload(workload, 1, new_root):
         try:
             built = {side: build(pkgs[side], case.document) for side in SIDES}
         except refusals as exc:
             print(f"skipped {case.name}: {type(exc).__name__}: {exc}")
             continue
+        documents.append(case.document)
         for name in built["new"][0].checks:
             for i, chunk in enumerate(built["new"][2]):
                 jobs.append((name, len(chunk.points), {
@@ -83,16 +89,19 @@ def main(old_root, new_root, workload):
                            config.tolerances.get(name))
                     for side, (config, ls, chunks) in built.items()}))
     times = defaultdict(list)  # (job index, side) -> seconds
+    builds = defaultdict(list)  # (case index, side) -> seconds
     reports = {}  # (job index, side) -> the report of the first round
     for r in range(ROUNDS):
+        for k, document in enumerate(documents):
+            for side in SIDES if (r + k) % 2 == 0 else SIDES[::-1]:
+                config_mod = pkgs[side][0]
+                best, _ = least(lambda: config_mod.build_structure(
+                    config_mod.parse_config(document)))
+                builds[(k, side)].append(best)
         for j, (name, _, calls) in enumerate(jobs):
             for side in SIDES if (r + j) % 2 == 0 else SIDES[::-1]:
                 run_check, ls, chunk, tol = calls[side]
-                best = float("inf")
-                for _ in range(REPEATS):
-                    start = time.perf_counter()
-                    report = run_check(name, ls, chunk, tol)
-                    best = min(best, time.perf_counter() - start)
+                best, report = least(lambda: run_check(name, ls, chunk, tol))
                 times[(j, side)].append(best)
                 reports.setdefault((j, side), report)
     median = {key: statistics.median(v) for key, v in times.items()}
@@ -116,7 +125,22 @@ def main(old_root, new_root, workload):
                 for side in SIDES)
     print(f"points/s old {old:.0f}  new {new:.0f}  new/old {new / old:.3f}  "
           f"new won {wins(times, range(len(jobs)))}")
+    old, new = (1e3 * statistics.mean(statistics.median(builds[(k, side)])
+                                      for k in range(len(documents)))
+                for side in SIDES)
+    print(f"build ms/case old {old:.3f}  new {new:.3f}  new/old "
+          f"{new / old:.3f}  new won {wins(builds, range(len(documents)))}")
     return 1 if mismatches else 0
+
+
+def least(call):
+    """(least wall time in seconds, last result) of ``REPEATS`` calls."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = call()
+        best = min(best, time.perf_counter() - start)
+    return best, result
 
 
 def relative_change(old, new):
