@@ -41,7 +41,7 @@ from .phase import (
     energy_density,
     make_point,
 )
-from .report import CheckReport, Witness
+from .report import CheckReport
 from .spaceform import (
     ChartModel,
     SpaceForm,

@@ -18,14 +18,14 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
 
 from . import __version__
 from .config import (
-    apply_overrides,
-    build_space_form,
+    PARSER_ONLY,
     build_structure,
     parse_config,
     parse_tolerance,
@@ -51,11 +51,10 @@ _DOMAIN_ERRORS = (ChartDomainError, ContractError, DegenerateCoefficient,
 
 def execute_checks(config):
     """Run every requested check; returns (reports, all_passed)."""
-    m = build_space_form(config)
-    ls = build_structure(config, m)
+    ls = build_structure(config)
     t_max = config.coefficients["t_max"]
     sample = sample_points(
-        m,
+        ls.m,
         config.sampling["count"],
         config.sampling["seed"],
         p_max=config.sampling["p_max"],
@@ -92,23 +91,22 @@ def emit_report(document, path):
         raise OSError(f"cannot write report to {path}: {exc}") from exc
 
 
-def run(config, *, out=None, stream=None):
-    """Execute a validated config end to end; returns the exit status."""
-    stream = stream or sys.stdout
+def run(config):
+    """Execute a validated config end to end; returns the exit status.
+    The report goes to ``config.output`` or report.json, a summary to stdout."""
     start = time.perf_counter()
     reports, all_passed = execute_checks(config)
     wall = time.perf_counter() - start
     document = build_report_document(config, reports, all_passed, wall)
-    out_path = out or config.output or "report.json"
+    out_path = config.output or "report.json"
     emit_report(document, out_path)
     for r in reports:
         residual = "nan" if r.max_residual != r.max_residual \
             else f"{r.max_residual:.3e}"
         print(f"{r.check_name}: {r.verdict.upper()}  "
-              f"max_residual={residual}  tolerance={r.tolerance:.1e}",
-              file=stream)
-    print(f"overall: {'PASS' if all_passed else 'FAIL'}", file=stream)
-    print(f"report: {out_path}", file=stream)
+              f"max_residual={residual}  tolerance={r.tolerance:.1e}")
+    print(f"overall: {'PASS' if all_passed else 'FAIL'}")
+    print(f"report: {out_path}")
     return EXIT_PASS if all_passed else EXIT_CHECK_FAILED
 
 
@@ -170,7 +168,7 @@ def _load_config(document, args):
     """The config with the command line's overrides applied.
 
     One :class:`ConfigError` lists every problem: those of --tol-override,
-    then the file's, then those of --seed and --samples.
+    then the file's, then those of --seed, --samples and --out.
     """
     problems = []
     tolerances = _parse_tol_overrides(args.tol_override, problems)
@@ -178,11 +176,14 @@ def _load_config(document, args):
         config = parse_config(document)
     except ConfigError as exc:
         problems.extend(exc.problems)
-    sampling_overrides(args.seed, args.samples, problems)
+    sampling = sampling_overrides(args.seed, args.samples, problems)
+    if args.out == "":
+        problems.append(PARSER_ONLY["output"].format("--out"))
     if problems:
         raise ConfigError(problems)
-    return apply_overrides(config, seed=args.seed, samples=args.samples,
-                           tolerances=tolerances, output=args.out)
+    return replace(config, sampling={**config.sampling, **sampling},
+                   tolerances={**config.tolerances, **tolerances},
+                   output=config.output if args.out is None else args.out)
 
 
 def _parse_tol_overrides(entries, problems):

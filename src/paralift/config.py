@@ -154,6 +154,7 @@ PARSER_ONLY = dict(
     kind="checks: {!r} needs the natural_diagonal structure (metric part)",
     proportional="checks: {!r} needs derive.metric_proportionality",
     neutral="checks: {!r} needs epsilon = -1",
+    output="{}: expected a nonempty path",
 )
 
 
@@ -190,6 +191,8 @@ def parse_config(document):
     checks = _parse_checks(document.get("checks"), coefficients, problems)
     tolerances = _field(document, "", "tolerances", problems)
     output = _field(document, "", "output", problems)
+    if output == "":
+        problems.append(PARSER_ONLY["output"].format("output"))
     if problems:
         raise ConfigError(problems)
     return RunConfig(manifold, coefficients, sampling, checks, tolerances,
@@ -479,17 +482,13 @@ def make_scalar(desc):
     return factory(**desc["params"])
 
 
-def build_space_form(config):
-    mf = config.manifold
-    return SpaceForm(n=mf["n"], c=mf["c"], model=ChartModel(mf["model"]),
-                     chart_radius=mf["chart_radius"],
-                     strength=mf.get("strength", 0.0))
-
-
-def build_structure(config, m=None):
-    """The :class:`LiftedStructure` described by a validated config."""
-    m = m or build_space_form(config)
-    cf = config.coefficients
+def build_structure(config):
+    """The :class:`LiftedStructure` described by a validated config, on the
+    space form of its ``manifold`` section."""
+    mf, cf = config.manifold, config.coefficients
+    m = SpaceForm(n=mf["n"], c=mf["c"], model=ChartModel(mf["model"]),
+                  chart_radius=mf["chart_radius"],
+                  strength=mf.get("strength", 0.0))
     if cf["kind"] == "cruceanu_p":
         return LiftedStructure(m=m)
     shared = {key: cf[key] for key in ("curvature", "epsilon", "t_max")}
@@ -517,15 +516,3 @@ def sampling_overrides(seed, samples, problems):
     return {key: _value(_ROWS["sampling", key], value, flag, problems)
             for key, (flag, value) in given.items() if value is not None}
 
-
-def apply_overrides(config, *, seed=None, samples=None, tolerances=None,
-                    output=None):
-    """CLI flags override the corresponding config fields, by their rules."""
-    problems = []
-    sampling = sampling_overrides(seed, samples, problems)
-    tolerances = _walk(tolerances or {}, "tolerances", problems, {})
-    if problems:
-        raise ConfigError(problems)
-    return replace(config, sampling={**config.sampling, **sampling},
-                   tolerances={**config.tolerances, **tolerances},
-                   output=output if output is not None else config.output)

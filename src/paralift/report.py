@@ -9,23 +9,13 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class Witness:
-    """One sampled point together with the residual measured there."""
-
-    point: dict
-    residual: float
-
-    def to_dict(self):
-        return {"point": self.point, "residual": _finite_or_none(self.residual)}
-
-
-@dataclass(frozen=True)
 class CheckReport:
     """Outcome of one property check over a sample of points.
 
     ``passed`` is true exactly when ``max_residual <= tolerance`` and the
-    residual is finite.  Witnesses hold the worst offending points, sorted by
-    descending residual, at most three of them.
+    residual is finite.  The witnesses are the worst offending points,
+    sorted by descending residual, at most three of them, each a dict of its
+    "point" and the "residual" measured there.
     """
 
     check_name: str
@@ -49,7 +39,8 @@ class CheckReport:
             "max_residual": _finite_or_none(self.max_residual),
             "tolerance": self.tolerance,
             "verdict": self.verdict,
-            "witnesses": [w.to_dict() for w in self.witnesses],
+            "witnesses": [{**w, "residual": _finite_or_none(w["residual"])}
+                          for w in self.witnesses],
             "seed": self.seed,
             "details": {k: _finite_or_none(v) for k, v in sorted(self.details.items())},
             "notes": list(self.notes),
@@ -75,10 +66,8 @@ def make_report(check_name, residuals, points, tolerance, *, seed=None,
         passed = False
     order = sorted(range(len(residuals)),
                    key=lambda i: -_sort_key(residuals[i]))
-    witnesses = tuple(
-        Witness(point=_point_dict(points[i]), residual=residuals[i])
-        for i in order[:3]
-    )
+    witnesses = tuple({"point": _point_dict(points[i]),
+                       "residual": residuals[i]} for i in order[:3])
     return CheckReport(
         check_name=check_name,
         points_sampled=len(residuals),

@@ -266,13 +266,14 @@ def _dp_wedge_dq(n):
     return np.kron([[0.0, -1.0], [1.0, 0.0]], np.eye(n))
 
 
-def check_space_form(m, sample, tol=None, *, seed=None):
+def check_space_form(m, sample, tol=None):
     """max of space_form_residual over chart points q, or the q of phase
-    points: a sample of q rows, batched as one array; witnesses name q alone."""
+    points: a sample of q rows, batched as one array; witnesses name q alone.
+    The report's seed is a PhaseSample's, None for a list of rows or points."""
     if isinstance(sample, PhaseSample):
         qs, seed = sample.batch.q, sample.seed
     else:
-        qs = np.array([getattr(pt, "q", pt) for pt in sample])
+        qs, seed = np.array([getattr(pt, "q", pt) for pt in sample]), None
     return _check("space_form", PhaseSample(qs, seed, qs), tol,
                   _blocks(lambda q: space_form_residual(m, q),
                           (2 * m.n) ** 3, lambda q, part: q[part]))

@@ -266,8 +266,6 @@ def test_criterion_7_ad_vs_fd():
 
 
 def test_criterion_8_determinism(tmp_path):
-    import io
-
     doc = {
         "manifold": {"model": "conformal_ball", "n": 3, "c": 1.0},
         "coefficients": {
@@ -278,11 +276,12 @@ def test_criterion_8_determinism(tmp_path):
         "sampling": {"count": 20, "seed": 808},
         "checks": ["almost_product", "compatibility", "closure"],
     }
-    cfg = parse_config(doc)
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    run(cfg, out=a, stream=io.StringIO())
-    run(cfg, out=b, stream=io.StringIO())
-    da, db = json.loads(a.read_text()), json.loads(b.read_text())
+    path = tmp_path / "r.json"
+    cfg = replace(parse_config(doc), output=str(path))
+    run(cfg)
+    da = json.loads(path.read_text())
+    run(cfg)
+    db = json.loads(path.read_text())
     da.pop("timing")
     db.pop("timing")
     stable = (json.dumps(da, sort_keys=True).encode()

@@ -138,7 +138,7 @@ def test_a_sample_is_one_batch_of_its_points(model):
 def _merge(reports):
     """What the reports of consecutive chunks say about their union."""
     witnesses = sorted((w for r in reports for w in r.witnesses),
-                       key=lambda w: -w.residual)[:3]
+                       key=lambda w: -w["residual"])[:3]
     return (max(r.max_residual for r in reports),
             all(r.passed for r in reports), tuple(witnesses))
 

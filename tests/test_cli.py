@@ -2,17 +2,13 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from paralift.cli import emit_report, main, run
-from paralift.config import (
-    apply_overrides,
-    build_space_form,
-    build_structure,
-    parse_config,
-)
+from paralift.config import build_structure, parse_config
 from paralift.errors import ConfigError, DegenerateCoefficient
 
 MINIMAL = {
@@ -174,8 +170,7 @@ def test_family_and_a1_conflict():
 
 def test_builders_produce_working_structure():
     cfg = parse_config(small(count=5))
-    m = build_space_form(cfg)
-    ls = build_structure(cfg, m)
+    ls = build_structure(cfg)
     assert ls.spec.is_para_hermitian
     assert "integrable" in ls.spec.flags
 
@@ -183,7 +178,7 @@ def test_builders_produce_working_structure():
 def test_run_passes_and_writes_report(tmp_path, capsys):
     cfg = parse_config(small(count=10))
     out = tmp_path / "report.json"
-    status = run(cfg, out=out)
+    status = run(replace(cfg, output=str(out)))
     assert status == 0
     text = capsys.readouterr().out
     assert "para_kahler: PASS" in text and "overall: PASS" in text
@@ -197,7 +192,7 @@ def test_run_fail_exit_code(tmp_path):
     doc = small(count=10)
     doc["coefficients"]["mu"] = {"preset": "constant", "params": {"value": 0.5}}
     cfg = parse_config(doc)
-    status = run(cfg, out=tmp_path / "r.json")
+    status = run(replace(cfg, output=str(tmp_path / "r.json")))
     assert status == 1
     rep = json.loads((tmp_path / "r.json").read_text())
     by_name = {c["check_name"]: c for c in rep["checks"]}
@@ -214,15 +209,17 @@ def test_run_perturbed_base_fails_integrability(tmp_path):
         "sampling": {"count": 10, "seed": 5},
     }
     cfg = parse_config(doc)
-    assert run(cfg, out=tmp_path / "r.json") == 1
+    assert run(replace(cfg, output=str(tmp_path / "r.json"))) == 1
 
 
 def test_reports_byte_stable(tmp_path):
     cfg = parse_config(small(count=8, checks=["almost_product", "closure"]))
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    run(cfg, out=a)
-    run(cfg, out=b)
-    da, db = json.loads(a.read_text()), json.loads(b.read_text())
+    path = tmp_path / "r.json"
+    cfg = replace(cfg, output=str(path))
+    run(cfg)
+    da = json.loads(path.read_text())
+    run(cfg)
+    db = json.loads(path.read_text())
     da.pop("timing")
     db.pop("timing")
     assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
@@ -238,13 +235,13 @@ def test_report_round_trips_residuals(tmp_path):
     assert loaded["checks"][0]["max_residual"] == reports[0].max_residual
     for w_loaded, w_obj in zip(loaded["checks"][0]["witnesses"],
                                reports[0].witnesses):
-        assert w_loaded["residual"] == w_obj.residual
+        assert w_loaded["residual"] == w_obj["residual"]
     assert len(loaded["checks"][0]["witnesses"]) <= 3
 
 
 def test_report_numbers_all_finite(tmp_path):
     cfg = parse_config(small(count=8))
-    run(cfg, out=tmp_path / "r.json")
+    run(replace(cfg, output=str(tmp_path / "r.json")))
 
     def walk(x):
         if isinstance(x, dict):
@@ -260,8 +257,13 @@ def test_report_numbers_all_finite(tmp_path):
 
 
 def test_main_verify_and_overrides(tmp_path, capsys):
+    # each flag replaces one field of the file; an override merges into the
+    # file's tolerances, and the report echoes the path it was written to
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(small(count=30)))
+    doc = small(count=30)
+    doc.update(tolerances={"para_kahler": 1e-7, "almost_product": 1e-9},
+               output=str(tmp_path / "file.json"))
+    path.write_text(json.dumps(doc))
     out = tmp_path / "o.json"
     status = main(["verify", str(path), "--samples", "6", "--seed", "9",
                    "--out", str(out), "--tol-override", "para_kahler=1e-5"])
@@ -269,8 +271,11 @@ def test_main_verify_and_overrides(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["config"]["sampling"]["count"] == 6
     assert doc["config"]["sampling"]["seed"] == 9
-    assert doc["config"]["tolerances"]["para_kahler"] == 1e-5
+    assert doc["config"]["tolerances"] == {"para_kahler": 1e-5,
+                                           "almost_product": 1e-9}
+    assert doc["config"]["output"] == str(out)
     assert doc["checks"][0]["seed"] == 9
+    assert not (tmp_path / "file.json").exists()
 
 
 def test_main_config_error_exit_2(tmp_path, capsys):
@@ -638,15 +643,8 @@ def test_emitted_report_validates_schema(tmp_path):
          / "report.schema.json").read_text())
     cfg = parse_config(small(count=6, checks=["almost_product",
                                               "metric_signature"]))
-    run(cfg, out=tmp_path / "r.json")
+    run(replace(cfg, output=str(tmp_path / "r.json")))
     jsonschema.validate(json.loads((tmp_path / "r.json").read_text()), schema)
-
-
-def test_apply_overrides_keeps_config_immutable():
-    cfg = parse_config(small(count=5, seed=1))
-    cfg2 = apply_overrides(cfg, seed=99)
-    assert cfg.sampling["seed"] == 1
-    assert cfg2.sampling["seed"] == 99
 
 
 @pytest.mark.parametrize("flag,value,key,problem", [
@@ -685,38 +683,33 @@ def test_config_problems_of_every_stage_are_reported_together(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     out = tmp_path / "r.json"
     assert main(["verify", str(path), "--out", str(out), "--tol-override",
-                 "almost_product=-1", "--seed", "-2"]) == 2
+                 "almost_product=-1", "--samples", "0", "--seed", "-2"]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "config error: --tol-override almost_product: expected a nonnegative number",
         "config error: extra: unknown top-level field",
         "config error: sampling.count: must be at least 1",
         "config error: --seed: must be at least 0",
+        "config error: --samples: must be at least 1",
     ]
     assert not out.exists()
 
 
-def test_apply_overrides_refuses_what_the_file_refuses():
-    cfg = parse_config(small(count=5, seed=1))
-    with pytest.raises(ConfigError) as info:
-        apply_overrides(cfg, seed=-1, samples=0)
-    assert info.value.problems == ["--seed: must be at least 0",
-                                   "--samples: must be at least 1"]
-    assert apply_overrides(cfg, seed=0, samples=1).sampling["count"] == 1
-    # the file's tolerance rules: a NaN would reach the report, whose JSON
-    # cannot hold it, only after every check has run
-    bad = {"almost_product": math.nan, "closure": -1.0, "nonsense": "x",
-           "integrability": 1e-6}
-    with pytest.raises(ConfigError) as info:
-        apply_overrides(cfg, seed=-1, tolerances=bad)
-    assert info.value.problems == [
-        "--seed: must be at least 0",
-        "tolerances.almost_product: must be finite",
-        "tolerances.closure: expected a nonnegative number",
-        "tolerances.nonsense: unknown check name"]
-    tolerances = apply_overrides(cfg, tolerances={"integrability": 1e-6,
-                                                  "closure": 0}).tolerances
-    assert tolerances == {**cfg.tolerances, "integrability": 1e-6,
-                          "closure": 0.0}
+@pytest.mark.parametrize("output,flags,err", [
+    ("", [], "config error: output: expected a nonempty path\n"),
+    (None, ["--seed", "-1", "--out", ""],
+     "config error: --seed: must be at least 0\n"
+     "config error: --out: expected a nonempty path\n"),
+], ids=["file", "flag"])
+def test_empty_report_path_exit_2(tmp_path, monkeypatch, capsys, output,
+                                  flags, err):
+    # an empty path used to write report.json while the report echoed ""
+    monkeypatch.chdir(tmp_path)
+    doc = small(checks=["almost_product"])
+    doc["output"] = output
+    Path("cfg.json").write_text(json.dumps(doc))
+    assert main(["verify", "cfg.json", *flags]) == 2
+    assert capsys.readouterr().err == err
+    assert [item.name for item in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_missing_parameter_is_reported_beside_an_invalid_one(tmp_path, capsys):

@@ -114,6 +114,7 @@ RULE_EDITS = {
                                  doc.update(checks=["compatibility"])),
     "neutral": lambda doc: (doc["coefficients"].update(epsilon=1),
                             doc.update(checks=["closure"])),
+    "output": lambda doc: doc.update(output=""),
 }
 
 

@@ -205,17 +205,22 @@ def test_check_space_form_fails_for_perturbed(rng):
 
 
 def test_check_space_form_reads_q_of_a_phase_sample():
-    # chart points with a seed, or a PhaseSample through run_check: the same
-    # report, at the default tolerance, with witnesses naming q alone
+    # a PhaseSample, directly or through run_check, or its q rows: the same
+    # report, at the default tolerance, with witnesses naming q alone; only
+    # the PhaseSample carries a seed
+    from dataclasses import replace
+
     from paralift import LiftedStructure
     from paralift.verify import DEFAULT_TOLERANCES, run_check, sample_points
     m = conformal_ball(3, 1.0)
     sample = sample_points(m, 5, 3)
-    rep = check_space_form(m, [pt.q for pt in sample.points], seed=3)
+    rep = check_space_form(m, sample)
     assert rep.tolerance == DEFAULT_TOLERANCES["space_form"] and rep.seed == 3
-    assert all(set(w.point) == {"q"} for w in rep.witnesses)
+    assert all(set(w["point"]) == {"q"} for w in rep.witnesses)
     ls = LiftedStructure(m=m)
     assert run_check("space_form", ls, sample) == rep
+    rows = check_space_form(m, [pt.q for pt in sample.points])
+    assert rows == replace(rep, seed=None)
 
 
 def test_check_space_form_rejects_empty():

@@ -636,7 +636,7 @@ def test_make_report_witness_order():
     pts = [[float(i)] for i in range(5)]
     rep = make_report("demo", [0.1, 0.5, 0.3, 0.2, 0.4], pts, 1.0)
     assert rep.passed
-    resids = [w.residual for w in rep.witnesses]
+    resids = [w["residual"] for w in rep.witnesses]
     assert resids == sorted(resids, reverse=True)
     assert len(rep.witnesses) == 3
-    assert rep.witnesses[0].point == {"q": [1.0]}
+    assert rep.witnesses[0]["point"] == {"q": [1.0]}

@@ -3,19 +3,22 @@
     python3 tools/report_diff.py OLD_CHECKOUT NEW_CHECKOUT
 
 Runs ``paralift verify`` from each checkout's ``src/`` on the four shipped
-presets, at their own seed and at ``--seed 7``, on every config of
-NEW_CHECKOUT's ``perfbench/workloads.py`` at benchmark seeds 1-3, and on the
+presets, as they are, with ``--seed 7`` and with ``--samples 5
+--tol-override para_kahler=1e-5``; on one preset with an unknown field and
+``--seed -1 --tol-override almost_product=nan``, which the CLI refuses, so
+the order of its problem lines is compared; on every config of
+NEW_CHECKOUT's ``perfbench/workloads.py`` at benchmark seeds 1-3; and on the
 structures neither builds (``STRUCTURE_JOBS``): ``cruceanu_p`` and
 ``cruceanu_q`` on each chart model at n = 3 and on the c = +1 ball at n = 8,
 with the space_form, almost_product and integrability checks, and one
 epsilon = +1 natural diagonal spec with almost_product, integrability,
-compatibility and metric_signature.  Prints
-each report entry that differs outside ``timing`` as ``old -> new``, and any
-differing exit status or stderr.  Witness entries of a check that passes on
-both sides are the top points of rounding noise, so they are only counted,
-one line per run.  The last line gives the count of differences, printed and
-counted.  The exit status is 1 if any difference was printed, 0 if none
-was or only witness entries of passing checks were counted.
+compatibility and metric_signature.  Prints each report entry that differs
+outside ``timing`` as ``old -> new``, and any differing exit status or
+stderr.  The witness entries of a check that passes on both sides are the
+top points of rounding noise, so they are only counted, one line per run.
+The last line gives the count of differences, printed and counted.  The
+exit status is 1 if any difference was printed, 0 if none was or only
+witness entries of passing checks were counted.
 """
 
 from __future__ import annotations
@@ -52,27 +55,34 @@ STRUCTURE_JOBS = [
     (f"{kind} {model} n={n}", {
         "manifold": {**MODELS[model], "n": n}, "coefficients": {"kind": kind},
         "sampling": SAMPLING,
-        "checks": ["space_form", "almost_product", "integrability"]}, None)
+        "checks": ["space_form", "almost_product", "integrability"]}, [])
     for kind in ("cruceanu_p", "cruceanu_q")
     for model, n in [*((model, 3) for model in MODELS), ("ball+1", 8)]
-] + [("natural_diagonal epsilon=+1 n=3", EPSILON_PLUS, None)]
+] + [("natural_diagonal epsilon=+1 n=3", EPSILON_PLUS, [])]
 
 
 def jobs(new_root):
-    """(label, preset name or config document, --seed value or None)."""
+    """(label, preset name or config document, extra CLI arguments)."""
     sys.path.insert(0, str(new_root / "perfbench"))
     from workloads import PRESET_NAMES, WORKLOADS, build_workload
 
-    out = [(f"{name} seed={seed}", name, seed)
-           for name in PRESET_NAMES for seed in (None, 7)]
+    flag_sets = ([], ["--seed", "7"],
+                 ["--samples", "5", "--tol-override", "para_kahler=1e-5"])
+    out = [(" ".join([name, *flags]), name, flags)
+           for name in PRESET_NAMES for flags in flag_sets]
+    first = PRESET_NAMES[0]
+    preset = new_root / "src" / "paralift" / "presets" / f"{first}.json"
+    refused = ["--seed", "-1", "--tol-override", "almost_product=nan"]
+    out.append((" ".join([f"{first}+extra", *refused]),
+                {**json.loads(preset.read_text()), "extra": 1}, refused))
     return out + [(f"{workload}/{case.name} bench-seed={seed}",
-                   case.document, None)
+                   case.document, [])
                   for workload in WORKLOADS for seed in (1, 2, 3)
                   for case in build_workload(workload, seed, new_root)
                   ] + STRUCTURE_JOBS
 
 
-def run(root, config, seed):
+def run(root, config, flags):
     """(exit status, stderr, report or None) of one CLI run from ``root``."""
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "config.json"
@@ -81,7 +91,7 @@ def run(root, config, seed):
         else:
             path.write_text(json.dumps(config))
         cmd = [sys.executable, "-m", "paralift.cli", "verify", str(path),
-               "--out", "report.json"] + (["--seed", str(seed)] if seed else [])
+               "--out", "report.json", *flags]
         proc = subprocess.run(cmd, cwd=work, capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=str(root / "src")))
         report = Path(work) / "report.json"
@@ -114,8 +124,8 @@ def passing(report):
 def main(old_root, new_root):
     old_root, new_root = Path(old_root).resolve(), Path(new_root).resolve()
     todo, printed, counted = jobs(new_root), 0, 0
-    for label, config, seed in todo:
-        old, new = (run(root, config, seed) for root in (old_root, new_root))
+    for label, config, flags in todo:
+        old, new = (run(root, config, flags) for root in (old_root, new_root))
         quiet = tuple(f".checks[{name}].witnesses"
                       for name in passing(old[2]) & passing(new[2]))
         lines = list(diff(old[2], new[2]))
