@@ -2,13 +2,16 @@
 
 Every evaluator of the package is written once, for arrays of real or complex
 scalars, in arithmetic that is analytic: +, -, *, / and matrix products.
-:func:`jacobian` runs it on x + i h e_a for every coordinate direction e_a at
+:func:`stepped` runs it on x + i h e_a for every coordinate direction e_a at
 once, the directions stacked on one extra batch axis.  Then f(x + i h e_a) =
 f(x) + i h d_a f(x) + O(h^2), and h = :data:`STEP` is a power of two whose
 square underflows to 0.0: the real parts are the plain values (a quotient
 rounds as a * (1/b)), and Im / h is the partial d_a f, exact to rounding,
 with no difference to cancel and no step size to tune (Squire & Trapp, *SIAM
 Review* 40(1), 1998; Martins, Sturdza & Alonso, *ACM TOMS* 29(3), 2003).
+A reader of sums and products of partials (the Nijenhuis tensor, d omega)
+takes h d_a f where it lands and rescales its result by 1/h, exactly;
+:func:`jacobian` splits the stepped output into value and partials.
 One code path thus serves values, derivatives and the finite-difference
 cross checks.  Domain guards compare real parts.  Steps do not nest: a
 complex point is never stepped again.
@@ -31,6 +34,7 @@ import numpy as np
 
 __all__ = [
     "STEP",
+    "stepped",
     "jacobian",
     "vecdot",
     "outer",
@@ -57,37 +61,35 @@ def _steps(m):
     return STEP * np.eye(m)
 
 
-def jacobian(f, x):
-    """Evaluate ``f`` once on complex-stepped inputs; return ``(value, jacobian)``.
+def stepped(f, x):
+    """``f``'s output on complex-stepped inputs, one evaluation, as it lands.
 
     ``f`` maps the last axis of ``x``, ``m`` real scalars, to a scalar or
     array; leading axes of ``x`` are a batch.  ``f`` sees the m steps as one
-    more batch axis, just before the last.  The jacobian has the shape of the
-    output followed by one trailing axis of length ``m``.  An ``f`` that
-    returns a tuple of arrays, several outputs of one pass, gets one
-    ``(value, jacobian)`` pair per output.
-    """
+    more batch axis, just before the last, and each output keeps it there:
+    the value in the real part, STEP d_a f in the imaginary one."""
     x = np.asarray(x)
     if x.dtype.kind == "c":
-        raise TypeError("complex steps do not nest: jacobian takes a real point")
+        raise TypeError("complex steps do not nest: stepped takes a real point")
     x = x.astype(float, copy=False)
     m = x.shape[-1]
     z = np.empty(x.shape[:-1] + (m, m), complex)
     z.real, z.imag = x[..., None, :], constant(_steps, m)
-    out = f(z)
-    if isinstance(out, tuple):
-        return tuple(_split(part, x.ndim) for part in out)
-    return _split(out, x.ndim)
+    return f(z)
 
 
-def _split(out, ndim):
-    """(value, jacobian) of one stepped output of a point with ``ndim`` axes."""
-    out = np.asarray(out)
-    k = out.ndim - ndim  # the output's own axes, after the step axis
-    value = out.real.take(0, axis=-k - 1)
-    partials = np.multiply(transpose(out.imag, (*range(1, k + 1), 0)),
-                           1.0 / STEP, order="C")
-    return value, partials
+def jacobian(f, x):
+    """``(value, jacobian)`` of ``f`` at ``x``, the split of :func:`stepped`:
+    the jacobian has the output's shape and one trailing axis of length
+    ``m``.  Each output of a tuple gets its own pair."""
+    out, ndim = stepped(f, x), np.ndim(x)
+
+    def split(part):
+        k = np.ndim(part) - ndim  # the output's own axes, after the step axis
+        return part.real.take(0, axis=-k - 1), np.multiply(
+            transpose(part.imag, (*range(1, k + 1), 0)), 1.0 / STEP, order="C")
+
+    return tuple(map(split, out)) if isinstance(out, tuple) else split(out)
 
 
 def vecdot(x, y):

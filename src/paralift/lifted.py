@@ -25,10 +25,14 @@ Cruceanu's P) and the mixed block M = lambda I + mu p (x) g0 of Omega,
 
 that is B P_adapted B^-1 and Binv^T Omega_adapted Binv.  Gamma0 and B2 are
 exactly symmetric, so B2 Gamma0 = (Gamma0 B2)^T and Gamma0 M^T = (M
-Gamma0)^T take no product of their own.  The evaluators
-accept a complex z = (q, p), so entries are differentiable by complex step
-in all 2n phase variables, and leading batch axes (see :mod:`paralift.ad`):
-a block's coefficients are one :class:`paralift.coefficients.Program` pass.
+Gamma0)^T take no product of their own.  As g0 = p/phi is parallel to p,
+Gamma0 g0 = p (h . g0) + h (p . g0) - (p . h) g0 = 2t h, so Gamma0 B2 =
+(a2/phi) Gamma0 + 2t b2 h (x) g0, and of M Gamma0 = lambda Gamma0 + 2t mu
+p (x) h only 2t mu (h (x) p - p (x) h) is left in Omega's qq block.  The
+evaluators accept a complex z = (q, p), so entries are differentiable by
+complex step in all 2n phase variables, and leading batch axes (see
+:mod:`paralift.ad`): a block's coefficients are one
+:class:`paralift.coefficients.Program` pass.
 """
 
 from __future__ import annotations
@@ -149,8 +153,11 @@ def _p_coordinate(ls, pt):
     eye, zero = ad.constant(np.eye, n), ad.constant(np.zeros, (n, n))
     if ls.spec is None:  # Cruceanu's P: A = -I, D = I, B2 = C = 0
         return ad.block([[-eye, zero], [-gamma0 - gamma0, eye]])
-    c, b2 = _blocks(pt, *_coefficients(ls, pt, "P", slack=True))
-    gb2 = gamma0 @ b2  # B2 Gamma0 = gb2^T, both being symmetric
+    coeffs = _coefficients(ls, pt, "P", slack=True)
+    c, b2 = _blocks(pt, *coeffs)
+    # Gamma0 B2, and B2 Gamma0 = gb2^T (module doc)
+    gb2 = (_scalar(coeffs[2] * (1.0 / pt.phi)) * gamma0
+           + _scalar((2.0 * pt.t) * coeffs[3]) * ad.outer(pt.h, pt.g0))
     return ad.block([[-ad.transpose(gb2, (1, 0)), b2],
                      [c - gb2 @ gamma0, gb2]])
 
@@ -204,10 +211,10 @@ def _omega_coordinate(ls, pt):
     lam, mu = _coefficients(ls, pt, "form", slack=True)
     mixed = (_scalar(lam) * ad.constant(np.eye, n)
              + _scalar(mu) * ad.outer(pt.p, pt.g0))
-    mixed_t = ad.transpose(mixed, (1, 0))
-    m_gamma0 = mixed @ pt.Gamma0  # Gamma0 M^T = m_gamma0^T
-    qq = ad.transpose(m_gamma0, (1, 0)) - m_gamma0
-    return ad.block([[qq, mixed], [-mixed_t, ad.constant(np.zeros, (n, n))]])
+    s = ad.outer(np.asarray((2.0 * pt.t) * mu)[..., None] * pt.h, pt.p)
+    qq = s - ad.transpose(s, (1, 0))  # 2t mu (h (x) p - p (x) h)
+    return ad.block([[qq, mixed], [-ad.transpose(mixed, (1, 0)),
+                                   ad.constant(np.zeros, (n, n))]])
 
 
 def Omega_coordinate(ls):

@@ -17,8 +17,9 @@ slots 0..n-1 are horizontal (q-directions), slots n..2n-1 vertical
 Every function here also takes leading batch axes (see :mod:`paralift.ad`):
 a :class:`CotangentPoint` whose arrays carry one leading axis stands for a
 whole sample, and a ``PhaseSample`` holds its points as one, built once.
-Since g = phi I, a point carries the scalar phi, not metric matrices, and
-its chart ``m``: evaluators on an equal chart read its fields as they are.
+Since g = phi I, a point carries phi and its log-gradient h, not matrices,
+and its chart ``m``: evaluators on an equal chart read its fields as they
+are.  Gamma0 is formed from p and h where it is read.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ class CotangentPoint:
     """A point (q, p) of T*M with its cached chart fields.
 
     phi is the conformal factor of g = phi I at q, t the energy density
-    (1/2) g^{ik} p_i p_k, g0 the raised covector g^{0i} = p_h g^{hi}, and
-    Gamma0 the matrix p_k Gamma^k_ih.  With a leading batch axis on every
-    array (phi and t then arrays) it holds a sample.  ``m`` is the chart the
-    fields were built on, None when unknown or mixed.
+    (1/2) g^{ik} p_i p_k, g0 the raised covector g^{0i} = p_h g^{hi}, and h
+    the log-gradient d phi / (2 phi) at q.  With a leading batch axis on
+    every array (phi and t then arrays) it holds a sample.  ``m`` is the
+    chart the fields were built on, None when unknown or mixed.
     """
 
     q: np.ndarray
@@ -57,47 +58,47 @@ class CotangentPoint:
     phi: float
     t: float
     g0: np.ndarray
-    Gamma0: np.ndarray
+    h: np.ndarray
     m: SpaceForm | None = None
 
     @property
     def n(self):
         return self.q.shape[-1]
 
+    @property
+    def Gamma0(self):
+        """p_k Gamma^k_ih = p_i h_h + p_h h_i - delta_ih (p . h), formed on
+        each read as S + S^T - (p . h) I, S = p (x) h: exactly symmetric."""
+        s = ad.outer(self.p, self.h)
+        return ((s + ad.transpose(s, (1, 0)))
+                - ad.vecdot(self.p, self.h)[..., None, None]
+                * ad.constant(np.eye, self.n))
+
     def z(self):
         """Raw coordinates (q, p) concatenated into one 2n vector."""
         return np.concatenate([self.q, self.p], axis=-1)
 
 
-_ARRAYS = ("q", "p", "phi", "t", "g0", "Gamma0")
+_ARRAYS = ("q", "p", "phi", "t", "g0", "h")
 
 
 def chart_point(m, q, p):
     """Unvalidated, unfrozen point at real or complex (q, p), from phi and
-    its log-gradient h.
-
-    Gamma0_ih = p_k Gamma^k_ih = p_i h_h + p_h h_i - delta_ih (p . h), that
-    is S + S^T - (p . h) I with S = p (x) h, which is exactly symmetric.
-    """
-    phi, h = conformal_fields(m, q)
-    s = ad.outer(p, h)
-    gamma0 = ((s + ad.transpose(s, (1, 0)))
-              - ad.vecdot(p, h)[..., None, None] * ad.constant(np.eye, m.n))
-    return _point(q, p, phi, gamma0)
+    its log-gradient h."""
+    return _point(q, p, *conformal_fields(m, q))
 
 
 def metric_point(m, pt):
     """``pt`` if built on a chart equal to ``m``; else its fields on ``m``,
-    from phi alone, bitwise chart_point's but Gamma0 (None), or a raise."""
+    from phi alone, bitwise chart_point's but h (None), or a raise."""
     if pt.m is m or pt.m == m:
         return pt
     return _point(pt.q, pt.p, conformal_factor(m, pt.q), None)
 
 
-def _point(q, p, phi, gamma0):
+def _point(q, p, phi, h):
     g0 = (1.0 / phi)[..., None] * p
-    return CotangentPoint(q=q, p=p, phi=phi, t=0.5 * ad.vecdot(p, g0), g0=g0,
-                          Gamma0=gamma0)
+    return CotangentPoint(q, p, phi, 0.5 * ad.vecdot(p, g0), g0, h)
 
 
 def make_point(m, q, p):

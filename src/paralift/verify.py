@@ -6,8 +6,8 @@ its residual on the sample's one batch, whose points carry their chart, or
 on its slices in blocks of :data:`paralift.ad.BLOCK_ELEMENTS` (bit for bit
 the residuals of the points one by one), then one
 :func:`paralift.report.make_report`.  Derivative-based
-residuals (Nijenhuis tensor, exterior derivative) differentiate the
-coordinate-frame evaluators by complex step (:func:`paralift.ad.jacobian`);
+residuals (Nijenhuis tensor, exterior derivative) read the complex-stepped
+coordinate-frame evaluators in place (:func:`paralift.ad.stepped`);
 :func:`fd_oracle` and the closed form :func:`analytic_dOmega` provide the
 independent cross checks.
 
@@ -204,42 +204,45 @@ def nijenhuis_at(ls, pt):
     N^c_ab = P^d_a d_d P^c_b - P^d_b d_d P^c_a
              - P^c_d (d_a P^d_b - d_b P^d_a),
 
-    with every partial taken by complex step in all 2n variables.  The four
-    terms come from two stacked products, M = dP P and K = P dP (see
-    :func:`_nijenhuis`).  The result is antisymmetric in (a, b) exactly.
+    with every partial taken by complex step in all 2n variables, read where
+    it lands (:func:`_stepped_nijenhuis`): exactly antisymmetric in (a, b).
     """
-    return _nijenhuis(*ad.jacobian(P_coordinate_function(ls), pt.z()))
+    out = ad.stepped(P_coordinate_function(ls), pt.z())
+    return ad.transpose(_stepped_nijenhuis(out), (1, 0, 2)) / ad.STEP
 
 
-def _nijenhuis(pmat, dp):
-    """N from P and dp[..., c, b, a] = d_a P^c_b by two matrix products.
+def _stepped_nijenhuis(out):
+    """h N[..., a, c, b] = h N^c_ab from P's stepped output out[..., a, c, b]:
+    with D = Im out = h d_a P^c_b, Y = P^T D - P D, that is Y[a, c, b] =
+    P^d_a D[d, c, b] - P^c_d D[a, d, b], is one flat product and one
+    broadcast over a, and h N = Y - Y with a and b swapped, bitwise."""
+    pmat = np.ascontiguousarray(out.real[..., 0, :, :])
+    d = np.ascontiguousarray(out.imag)  # unit strides for both products
+    k, lead = pmat.shape[-1], d.shape[:-3]
+    y = ((ad.transpose(pmat, (1, 0)) @ d.reshape(lead + (k, k * k)))
+         .reshape(d.shape) - pmat[..., None, :, :] @ d)
+    return y - ad.transpose(y, (2, 1, 0))
 
-    M[c, b, a] = dp[c, b, d] P[d, a] and K[c, b, a] = P[c, d] dp[d, b, a]
-    give N = (M^T - M) - (K^T - K), transposing (a, b); swapping (a, b)
-    negates each parenthesis bitwise.
-    """
-    k, lead = pmat.shape[-1], pmat.shape[:-2]
-    m = (dp.reshape(lead + (k * k, k)) @ pmat).reshape(dp.shape)
-    kk = (pmat @ dp.reshape(lead + (k, k * k))).reshape(dp.shape)
-    return ((np.swapaxes(m, -1, -2) - m)
-            - (np.swapaxes(kk, -1, -2) - kk))
+
+def _step_max(x):
+    """max |x| per point over the last three axes, rescaled by 1/h (exact)."""
+    return _max_abs(x, 3) / ad.STEP
 
 
 def exterior_derivative_2form(omega, pt):
     """(d omega)[a, b, c] = d_a omega_bc + d_b omega_ca + d_c omega_ab.
 
     ``omega`` maps z = (q, p) to an antisymmetric matrix and must evaluate
-    on complex steps near ``pt``; the result is fully antisymmetric.
+    on complex steps near the point ``pt``; the result is fully antisymmetric.
     """
-    z = pt.z() if isinstance(pt, CotangentPoint) else np.asarray(pt, float)
-    return _d2form(ad.jacobian(omega, z)[1])
+    return _d2form(ad.stepped(omega, pt.z()).imag) / ad.STEP
 
 
-def _d2form(jac):
-    """d omega from its jacobian jac[..., b, c, a] = d_a omega_bc."""
-    return (ad.transpose(jac, (2, 0, 1))
-            + ad.transpose(jac, (1, 2, 0))
-            + jac)
+def _d2form(x):
+    """x[a, b, c] + x[b, c, a] + x[c, a, b] in that order, x gathered
+    C-ordered: d omega from x[..., a, b, c] = d_a omega_bc, at any scale."""
+    x = np.ascontiguousarray(x)
+    return (x + ad.transpose(x, (1, 2, 0))) + ad.transpose(x, (2, 0, 1))
 
 
 def analytic_dOmega(ls, pt):
@@ -248,22 +251,32 @@ def analytic_dOmega(ls, pt):
     d Omega = (mu - lambda') theta ^ J with theta = g0^h Dp_h and
     J = Dp_i ^ dq^i, so it vanishes identically iff mu = lambda'.  As
     Dp_h = dp_h - Gamma0_hk dq^k with Gamma0 symmetric, J = dp_i ^ dq^i and
-    theta = (-Gamma0 g0, g0) in the (q, p) slots; the components
-    theta_a J_bc + theta_b J_ca + theta_c J_ab are the cyclic sum of
-    :func:`_d2form`.
+    theta = (-Gamma0 g0, g0) = (-2t h, g0) in the (q, p) slots, fields read
+    on ``ls.m``; the components theta_a J_bc + theta_b J_ca + theta_c J_ab
+    are the cyclic sum of :func:`_d2form`.
     """
+    theta = _theta(ls, pt)
+    k = theta.shape[-1]
+    return _d2form(_minus_theta_j(np.zeros(theta.shape + (k, k)), -theta))
+
+
+def _theta(ls, pt):
+    """(mu - lambda') theta at ``pt``, its fields read on ``ls.m``."""
     spec = _require_para_hermitian(ls)
-    t, g0 = pt.t, pt.g0
-    factor = np.asarray(spec.mu(t)) - spec.lam.derivative()(t)
-    theta = factor[..., None] * np.concatenate(
-        [-(pt.Gamma0 @ g0[..., None])[..., 0], g0], axis=-1)
-    j = ad.constant(_dp_wedge_dq, ls.m.n)
-    return _d2form(j[:, :, None] * theta[..., None, None, :])
+    if pt.m != ls.m:  # built on another chart, or unknown
+        pt = chart_point(ls.m, pt.q, pt.p)
+    factor = np.asarray(spec.mu(pt.t)) - spec.lam.derivative()(pt.t)
+    return factor[..., None] * np.concatenate(
+        [np.asarray(-2.0 * pt.t)[..., None] * pt.h, pt.g0], axis=-1)
 
 
-def _dp_wedge_dq(n):
-    """Components J of dp_i ^ dq^i: J[n + i, i] = 1 = -J[i, n + i]."""
-    return np.kron([[0.0, -1.0], [1.0, 0.0]], np.eye(n))
+def _minus_theta_j(x, theta):
+    """x[..., a, b, c] - theta_a J_bc in place, for J = dp_i ^ dq^i, whose
+    only nonzero entries are J[n + i, i] = 1 = -J[i, n + i]."""
+    i = np.arange(theta.shape[-1] // 2)
+    x[..., len(i) + i, i] -= theta[..., :, None]
+    x[..., i, len(i) + i] += theta[..., :, None]
+    return x
 
 
 def check_space_form(m, sample, tol=None):
@@ -293,9 +306,10 @@ def check_almost_product(ls, sample, tol=None):
 
 def check_integrability(ls, sample, tol=None):
     """max over the sample of |N_P|_inf in coordinate components."""
+    p = P_coordinate_function(ls)
     return _check("integrability", sample, tol,
-                  _blocks(lambda pt: _max_abs(nijenhuis_at(ls, pt), 3),
-                          (2 * ls.m.n) ** 3),
+                  _blocks(lambda pt: _step_max(_stepped_nijenhuis(
+                      ad.stepped(p, pt.z()))), (2 * ls.m.n) ** 3),
                   lambda r: (r, None, _N2_NOTES if ls.m.n == 2 else ()))
 
 
@@ -350,16 +364,17 @@ def check_closure(ls, sample, tol=None):
     """max over the sample of |d Omega|_inf by complex-step differentiation."""
     omega = Omega_coordinate(ls)
     return _check("closure", sample, tol, _blocks(
-        lambda pt: _max_abs(exterior_derivative_2form(omega, pt), 3),
+        lambda pt: _step_max(_d2form(ad.stepped(omega, pt.z()).imag)),
         (2 * ls.m.n) ** 3))
 
 
 def check_closure_agreement(ls, sample, tol=None):
-    """max over the sample of |d Omega (complex step) - d Omega (closed form)|."""
+    """max over the sample of |d Omega (complex step) - d Omega (closed form)|,
+    one cyclic sum of h d_a Omega_bc - h theta_a J_bc on the stepped output."""
     omega = Omega_coordinate(ls)
     return _check("closure_agreement", sample, tol, _blocks(
-        lambda pt: _max_abs(exterior_derivative_2form(omega, pt)
-                            - analytic_dOmega(ls, pt), 3),
+        lambda pt: _step_max(_d2form(_minus_theta_j(
+            ad.stepped(omega, pt.z()).imag, ad.STEP * _theta(ls, pt)))),
         (2 * ls.m.n) ** 3))
 
 
@@ -373,9 +388,9 @@ def _seeded_residuals(ls, pt):
         here = chart_point(ls.m, z[..., :n], z[..., n:])
         return _p_coordinate(ls, here), _omega_coordinate(ls, here)
 
-    (pmat, dp), (_, domega) = ad.jacobian(p_and_omega, pt.z())
-    return np.stack([_max_abs(_nijenhuis(pmat, dp), 3),
-                     _max_abs(_d2form(domega), 3)], axis=-1)
+    p_out, omega_out = ad.stepped(p_and_omega, pt.z())
+    return np.stack([_step_max(_stepped_nijenhuis(p_out)),
+                     _step_max(_d2form(omega_out.imag))], axis=-1)
 
 
 def check_para_kahler(ls, sample, tol=None):

@@ -93,6 +93,32 @@ def test_array_valued_jacobian(rng):
     assert v2 == v3 and j2.tobytes() == j3.tobytes()
 
 
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_jacobian_is_the_split_of_stepped(rng, batch):
+    """stepped keeps f's output where it lands: x's batch axes, the step axis,
+    the output's own axes, the value in every real part and STEP times the
+    partials in the imaginary ones.  jacobian is its split, bit for bit, for
+    one output and for each output of a tuple."""
+    ls = _structure()
+    x = np.concatenate([rng.uniform(-0.3, 0.3, batch + (3,)),
+                        rng.uniform(-0.5, 0.5, batch + (3,))], axis=-1)
+    fns = (P_coordinate_function(ls), Omega_coordinate(ls))
+    both = ad.stepped(lambda z: tuple(fn(z) for fn in fns), x)
+    pairs = ad.jacobian(lambda z: tuple(fn(z) for fn in fns), x)
+    for fn, out, pair in zip(fns, both, pairs):
+        alone = ad.stepped(fn, x)
+        assert out.shape == batch + (6, 6, 6) and out.dtype == np.complex128
+        assert alone.tobytes() == out.tobytes()
+        value = fn(x)
+        assert np.array_equal(out.real, np.broadcast_to(
+            value[..., None, :, :], out.shape))
+        split = (value, np.moveaxis(out.imag, -3, -1) * (1.0 / ad.STEP))
+        for got in (ad.jacobian(fn, x), pair):
+            for part, want in zip(got, split):
+                assert part.shape == want.shape
+                assert part.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 def test_neg():
     val, jac = ad.jacobian(lambda x: -x, np.array([2.0, -0.0]))
     assert val.tobytes() == np.array([-2.0, 0.0]).tobytes()

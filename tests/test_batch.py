@@ -84,13 +84,18 @@ def test_batched_kernels_equal_stacked_points(model, n):
     qs, zs = batch.q, batch.z()
 
     rebuilt = make_point(m, batch.q, batch.p)
-    for field in ("q", "p", "phi", "t", "g0", "Gamma0"):
+    for field in ("q", "p", "phi", "t", "g0", "h"):
         assert _same(getattr(rebuilt, field), getattr(batch, field)), field
     for pt in points:
         single = make_point(m, pt.q, pt.p)
         assert isinstance(single.t, float) and isinstance(single.phi, float)
-        for field in ("phi", "t", "g0", "Gamma0"):
+        for field in ("phi", "t", "g0", "h"):
             assert _same(getattr(single, field), getattr(pt, field)), field
+    for pt in (batch, *points):  # formed where read, by the formula it had
+        s = pt.p[..., :, None] * pt.h[..., None, :]  # as a field
+        dot = (pt.p[..., None, :] @ pt.h[..., :, None])[..., 0]
+        assert _same(pt.Gamma0, (s + np.swapaxes(s, -1, -2))
+                     - dot[..., None] * np.eye(n))
 
     for kernel in (conformal_factor, metric_at, christoffel_at, curvature_at,
                    space_form_residual):
@@ -126,7 +131,7 @@ def test_a_sample_is_one_batch_of_its_points(model):
     ls = _structure(model, 3)
     sample = _sample(ls, 3)
     stacked = stack_points(sample.points)
-    for field in ("q", "p", "phi", "t", "g0", "Gamma0"):
+    for field in ("q", "p", "phi", "t", "g0", "h"):
         assert _same(getattr(sample.batch, field), getattr(stacked, field))
     chunk = PhaseSample(points=sample.points[2:4], seed=sample.seed)
     assert sample.batch.m is stacked.m is chunk.batch.m is ls.m

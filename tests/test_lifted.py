@@ -23,6 +23,7 @@ from paralift import (
     flat_space,
     integrable_spec,
     make_point,
+    perturbed_conformal,
     polynomial,
     rational_spec,
     sample_points,
@@ -30,7 +31,7 @@ from paralift import (
 )
 from paralift import ad
 from paralift.phase import stack_points
-from paralift.verify import _seeded_residuals, check_para_kahler
+from paralift.verify import _seeded_residuals, check_para_kahler, fd_oracle
 from frame_reference import frame_matrices, liouville, spray
 
 
@@ -234,6 +235,36 @@ def test_frame_covariance_of_p_and_omega(rng):
         o_expected = binv.T @ Omega_adapted(ls, pt) @ binv
         omc = Omega_coordinate(ls)(pt.z())
         assert np.max(np.abs(omc - o_expected)) < 1e-11
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("model", ["flat", "ball+1", "ball-1", "perturbed"])
+def test_coordinate_p_and_omega_match_the_frame_and_fd_oracles(n, model):
+    """The coordinate blocks, written through Gamma0 g0 = 2t h, are still the
+    dense conjugations of the adapted ones, and their complex-step jacobians
+    still match central differences."""
+    m, c, a1 = {"flat": (flat_space(n), 0.0, affine(1.0, 0.1)),
+                "ball+1": (conformal_ball(n, 1.0), 1.0, constant(1.0)),
+                "ball-1": (conformal_ball(n, -1.0), -1.0, constant(3.0)),
+                "perturbed": (perturbed_conformal(n, 1.0, 0.1), 1.0,
+                              constant(1.0))}[model]
+    ls = LiftedStructure(m=m, spec=with_metric(integrable_spec(a1, curvature=c),
+                                               affine(1.0, 1.0)))
+    points = sample_points(m, 4, 61).points
+    p_fn, omega_fn = P_coordinate_function(ls), Omega_coordinate(ls)
+    for pt in points + (stack_points(points),):
+        b, binv = frame_matrices(pt.Gamma0)
+        for got, want in ((p_fn(pt.z()), b @ P_adapted(ls, pt) @ binv),
+                          (omega_fn(pt.z()),
+                           np.swapaxes(binv, -1, -2) @ Omega_adapted(ls, pt)
+                           @ binv)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(
+                1.0, np.max(np.abs(want))), model
+    for pt in points[1:3]:
+        for fn in (p_fn, omega_fn):
+            _, jac = ad.jacobian(fn, pt.z())
+            fd = fd_oracle(fn, pt.z())
+            assert np.max(np.abs(jac - fd)) < 1e-6 * max(1.0, np.max(np.abs(jac)))
 
 
 def test_p_maps_spray_onto_scaled_liouville(rng):

@@ -83,6 +83,36 @@ def test_gamma0_matches_dense_christoffel_contraction(m):
         assert np.array_equal(a, b) if m.c == 0.0 else _rel(a, b) < 1e-14
 
 
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("model", ["flat", "ball+1", "ball-1", "perturbed"])
+def test_gamma0_carries_g0_to_2t_h(n, model):
+    """Gamma0 g0 = 2t h, the identity that spares Omega and theta a matrix,
+    within 4 ulp of |p| |h| |g0|, the size of the terms that cancel; on
+    complex steps the imaginary parts, rescaled by 1/STEP, within 4 ulp of
+    that size's product-rule derivative."""
+    m = {"flat": flat_space(n), "ball+1": conformal_ball(n, 1.0),
+         "ball-1": conformal_ball(n, -1.0),
+         "perturbed": perturbed_conformal(n, 1.0, 0.1)}[model]
+    z = sample_points(m, 20, 5).batch.z()
+    eps = np.finfo(float).eps
+
+    def parts(x):
+        return x.real, x.imag * (1.0 / ad.STEP)
+
+    for x in (z, z[:, None, :] + 1j * ad.STEP * np.eye(2 * n)):
+        pt = chart_point(m, x[..., :n], x[..., n:])
+        lhs = (pt.Gamma0 @ pt.g0[..., None])[..., 0]
+        rhs = (2.0 * pt.t)[..., None] * pt.h
+        norms = [[np.linalg.norm(part, axis=-1) for part in parts(v)]
+                 for v in (pt.p, pt.h, pt.g0)]
+        (p, dp), (h, dh), (g, dg) = norms
+        for got, want, size in zip(parts(lhs), parts(rhs),
+                                   (p * h * g, dp * h * g + p * dh * g
+                                    + p * h * dg)):
+            err = np.max(np.abs(got - want), axis=-1)
+            assert np.all(err <= 4 * eps * size), (model, n)
+
+
 def test_basis_identity_on_flat_and_at_origin():
     m = flat_space(2)
     pt = make_point(m, [0.5, 0.5], [1.0, 2.0])

@@ -138,6 +138,11 @@ def test_nijenhuis_antisymmetry_is_exact():
     pt = sample_points(m, 3, 5).points[-1]
     nij = nijenhuis_at(ls, pt)
     assert np.array_equal(nij, -np.transpose(nij, (0, 2, 1)))
+    # and on a batch at n = 8, in the [c, a, b] layout
+    ls = para_kahler_ls(conformal_ball(8, -1.0), curvature=1.0)
+    nij = nijenhuis_at(ls, sample_points(ls.m, 3, 5).batch)
+    assert nij.shape == (3, 16, 16, 16) and np.max(np.abs(nij)) > 1e-3
+    assert np.array_equal(nij, -np.swapaxes(nij, -1, -2))
 
 
 def four_contraction_nijenhuis(ls, pt):
@@ -337,6 +342,51 @@ def test_numeric_and_analytic_d_omega_agree():
         # and the form is genuinely non-closed here (mu != lambda')
         rep = check_closure(ls, sample, 1e-8)
         assert not rep.passed
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_closure_agreement_is_the_difference_of_the_two_sides(n):
+    """The check's one cyclic sum of the stepped jacobian minus the closed
+    form agrees with max |exterior_derivative_2form - analytic_dOmega| within
+    4 ulp of the larger of the two terms, point by point."""
+    eps = np.finfo(float).eps
+    for mu in (None, constant(0.0), constant(0.5)):
+        for m in (flat_space(n), conformal_ball(n, 1.0),
+                  perturbed_conformal(n, 1.0, 0.1)):
+            ls = LiftedStructure(m=m, spec=with_metric(
+                integrable_spec(constant(1.0), curvature=1.0),
+                affine(1.0, 1.0), mu))
+            omega = Omega_coordinate(ls)
+            for pt in sample_points(m, 4, 67).points:
+                one = check_closure_agreement(ls, [pt]).max_residual
+                numeric = exterior_derivative_2form(omega, pt)
+                analytic = analytic_dOmega(ls, pt)
+                two = np.max(np.abs(numeric - analytic))
+                size = max(np.max(np.abs(numeric)), np.max(np.abs(analytic)))
+                assert abs(one - two) <= 4 * eps * size
+
+
+def test_closure_agreement_reads_a_foreign_point_on_its_own_chart():
+    """A point built on any chart model gives the residual of the same (q, p)
+    built on the structure's chart, bit for bit: both sides read ls.m."""
+    m = conformal_ball(3, 1.0)
+    ls = LiftedStructure(m=m, spec=with_metric(
+        integrable_spec(constant(1.0), curvature=1.0), affine(1.0, 1.0),
+        constant(0.5)))
+    q, p = [0.1, 0.2, -0.1], [0.3, -0.2, 0.5]
+    own = check_closure_agreement(ls, [make_point(m, q, p)]).max_residual
+    assert own < 1e-15
+    for other in (conformal_ball(3, -1.0), flat_space(3),
+                  perturbed_conformal(3, 1.0, 0.1)):
+        pt = make_point(other, q, p)
+        assert check_closure_agreement(ls, [pt]).max_residual == own, other
+        assert np.array_equal(analytic_dOmega(ls, pt),
+                              analytic_dOmega(ls, make_point(m, q, p)))
+    sample = sample_points(conformal_ball(3, -1.0), 20, 3, p_max=1.0)
+    own = check_closure_agreement(ls, [make_point(m, pt.q, pt.p)
+                                       for pt in sample.points])
+    assert check_closure_agreement(ls, sample).max_residual == own.max_residual
+    assert own.passed
 
 
 def wedge_loop_dOmega(ls, pt):
