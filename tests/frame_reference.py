@@ -1,9 +1,9 @@
 """The adapted frame as matrices, and the spray and Liouville fields.
 
-The checks never form these: the lifted blocks and ``analytic_dOmega`` take
-Gamma0 directly.  The tests use them to move between the adapted and the
-coordinate frame and to state the paper's identities on the tautological
-fields.
+The checks never form these: the coordinate P blocks read Gamma0 directly,
+and Omega and ``analytic_dOmega`` only Gamma0 g0 = 2t h.  The tests use them
+to move between the adapted and the coordinate frame and to state the
+paper's identities on the tautological fields.
 """
 
 import numpy as np

@@ -1,9 +1,11 @@
-"""Per-check times of two checkouts on one benchmark workload, interleaved.
+"""Per-check times of two checkouts on one workload or config, interleaved.
 
     python3 tools/check_ab.py OLD_CHECKOUT NEW_CHECKOUT WORKLOAD
+    python3 tools/check_ab.py OLD_CHECKOUT NEW_CHECKOUT CONFIG.json
 
 Imports both checkouts' ``src/paralift`` in one process, under two names.
-On WORKLOAD's cases at benchmark seed 1 (NEW's ``perfbench``), times
+On WORKLOAD's cases at benchmark seed 1 (NEW's ``perfbench``), or on the one
+run config in the file CONFIG.json at its own ``sampling.seed``, times
 ``run_check`` on each 2-point chunk, OLD and NEW back to back, the first
 alternating.  A side's time for a chunk in a round is the least of
 ``REPEATS`` back-to-back calls, which drops the calls a shared host slowed,
@@ -15,8 +17,9 @@ chunks: a gain holds when NEW wins nearly every pair, not only in the
 median.  Cases either side refuses are skipped.
 
 Construction is timed the same way: per case and round, ``parse_config``
-plus ``build_structure`` as the least of ``REPEATS`` calls, OLD and NEW
-alternating, printed as one ``build`` line of ms per case.
+plus ``build_structure`` as the least of ``BUILD_REPEATS`` calls, OLD and
+NEW alternating, printed as one ``build`` line of ms per case.  A build
+takes a few ms, so it gets more calls than a chunk.
 
 The answers are compared too, so a speed A/B cannot hide a changed one: per
 check, whether every chunk's verdict agrees, and the largest relative change
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import statistics
 import sys
 import time
@@ -35,6 +39,7 @@ from pathlib import Path
 
 ROUNDS = 15
 REPEATS = 3  # calls per side, chunk and round; the least one counts
+BUILD_REPEATS = 3 * REPEATS  # calls per side, case and round
 CHUNK_POINTS = 2  # as perfbench/measure.py
 SIDES = ("old", "new")
 REFUSALS = ("ConfigError", "ChartDomainError", "ContractError",
@@ -65,23 +70,31 @@ def build(modules, document):
                         for i in range(0, len(pts), CHUNK_POINTS)]
 
 
+def cases(new_root, workload):
+    """(name, document) of each case: a workload's, or a config file's one."""
+    if Path(workload).is_file():
+        return [(Path(workload).stem, json.loads(Path(workload).read_text()))]
+    sys.path.insert(0, str(Path(new_root) / "perfbench"))
+    from workloads import build_workload
+    return [(case.name, case.document)
+            for case in build_workload(workload, 1, new_root)]
+
+
 def main(old_root, new_root, workload):
     pkgs = dict(zip(SIDES, (load(old_root, "paralift_old"),
                             load(new_root, "paralift_new"))))
     refusals = tuple(getattr(errors, name) for _, errors, _ in pkgs.values()
                      for name in REFUSALS)
-    sys.path.insert(0, str(Path(new_root) / "perfbench"))
-    from workloads import build_workload
 
     jobs = []  # (check name, points, {side: (run_check, ls, chunk, tol)})
     documents = []  # of the cases both sides build
-    for case in build_workload(workload, 1, new_root):
+    for case, document in cases(new_root, workload):
         try:
-            built = {side: build(pkgs[side], case.document) for side in SIDES}
+            built = {side: build(pkgs[side], document) for side in SIDES}
         except refusals as exc:
-            print(f"skipped {case.name}: {type(exc).__name__}: {exc}")
+            print(f"skipped {case}: {type(exc).__name__}: {exc}")
             continue
-        documents.append(case.document)
+        documents.append(document)
         for name in built["new"][0].checks:
             for i, chunk in enumerate(built["new"][2]):
                 jobs.append((name, len(chunk.points), {
@@ -96,7 +109,7 @@ def main(old_root, new_root, workload):
             for side in SIDES if (r + k) % 2 == 0 else SIDES[::-1]:
                 config_mod = pkgs[side][0]
                 best, _ = least(lambda: config_mod.build_structure(
-                    config_mod.parse_config(document)))
+                    config_mod.parse_config(document)), BUILD_REPEATS)
                 builds[(k, side)].append(best)
         for j, (name, _, calls) in enumerate(jobs):
             for side in SIDES if (r + j) % 2 == 0 else SIDES[::-1]:
@@ -133,10 +146,10 @@ def main(old_root, new_root, workload):
     return 1 if mismatches else 0
 
 
-def least(call):
-    """(least wall time in seconds, last result) of ``REPEATS`` calls."""
+def least(call, repeats=REPEATS):
+    """(least wall time in seconds, last result) of ``repeats`` calls."""
     best = float("inf")
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         start = time.perf_counter()
         result = call()
         best = min(best, time.perf_counter() - start)
