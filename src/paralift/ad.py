@@ -11,7 +11,8 @@ with no difference to cancel and no step size to tune (Squire & Trapp, *SIAM
 Review* 40(1), 1998; Martins, Sturdza & Alonso, *ACM TOMS* 29(3), 2003).
 A reader of sums and products of partials (the Nijenhuis tensor, d omega)
 takes h d_a f where it lands and rescales its result by 1/h, exactly;
-:func:`jacobian` splits the stepped output into value and partials.
+:func:`jacobian` splits the stepped output into value and partials
+(:func:`split`, which also serves a stepped output computed before).
 One code path thus serves values, derivatives and the finite-difference
 cross checks.  Domain guards compare real parts.  Steps do not nest: a
 complex point is never stepped again.
@@ -36,6 +37,7 @@ __all__ = [
     "STEP",
     "stepped",
     "jacobian",
+    "split",
     "vecdot",
     "outer",
     "transpose",
@@ -84,12 +86,18 @@ def jacobian(f, x):
     ``m``.  Each output of a tuple gets its own pair."""
     out, ndim = stepped(f, x), np.ndim(x)
 
-    def split(part):
-        k = np.ndim(part) - ndim  # the output's own axes, after the step axis
-        return part.real.take(0, axis=-k - 1), np.multiply(
-            transpose(part.imag, (*range(1, k + 1), 0)), 1.0 / STEP, order="C")
+    def one(part):
+        return split(part, np.ndim(part) - ndim)
 
-    return tuple(map(split, out)) if isinstance(out, tuple) else split(out)
+    return tuple(map(one, out)) if isinstance(out, tuple) else one(out)
+
+
+def split(part, k):
+    """``(value, jacobian)`` of one stepped output whose own axes are the
+    last ``k``, after the step axis: the real part of lane 0, and Im / STEP
+    with the step axis moved last (exact, STEP being a power of two)."""
+    return part.real.take(0, axis=-k - 1), np.multiply(
+        transpose(part.imag, (*range(1, k + 1), 0)), 1.0 / STEP, order="C")
 
 
 def vecdot(x, y):

@@ -16,7 +16,9 @@ slots 0..n-1 are horizontal (q-directions), slots n..2n-1 vertical
 
 Every function here also takes leading batch axes (see :mod:`paralift.ad`):
 a :class:`CotangentPoint` whose arrays carry one leading axis stands for a
-whole sample, and a ``PhaseSample`` holds its points as one, built once.
+whole sample, and a ``PhaseSample`` holds its points as one, built once,
+beside :func:`stepped_point` of that batch: the same fields on the 2n
+complex-stepped lanes z + i h e_a that every derivative check reads.
 Since g = phi I, a point carries phi and its log-gradient h, not matrices,
 and its chart ``m``: evaluators on an equal chart read its fields as they
 are.  Gamma0 is formed from p and h where it is read.
@@ -36,6 +38,7 @@ __all__ = [
     "chart_point",
     "metric_point",
     "make_point",
+    "stepped_point",
     "stack_points",
     "take_points",
     "energy_density",
@@ -112,6 +115,21 @@ def make_point(m, q, p):
         raise ValueError(f"expected {m.n} components for q and p")
     pt = chart_point(m, q, p)
     return _frozen(m, *(getattr(pt, name) for name in _ARRAYS))
+
+
+def stepped_point(m, pt):
+    """The chart point on ``m`` of ``pt``'s complex-stepped z: one
+    :func:`paralift.ad.stepped` of z, one :func:`chart_point`, read-only.
+
+    Its arrays carry the step axis after ``pt``'s batch axes, as
+    :func:`paralift.ad.stepped` lays it: lane a holds the fields at
+    z + i STEP e_a, lanes 0..n-1 stepping q and n..2n-1 stepping p.  A field
+    evaluated on it is the stepped output of that field at ``pt``, bitwise.
+    """
+    n = m.n
+    lanes = ad.stepped(lambda z: chart_point(m, z[..., :n], z[..., n:]),
+                       pt.z())
+    return _frozen(m, *(getattr(lanes, name) for name in _ARRAYS))
 
 
 def _frozen(m, *values):

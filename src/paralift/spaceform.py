@@ -13,6 +13,10 @@ variant breaks constant curvature and exists purely to drive negative tests.
 Beside phi, each model writes its log-gradient h = d phi / (2 phi) in closed
 form; the Christoffel symbols follow from h alone, and the curvature tensor
 from h and its jacobian, taken by one complex step (see :mod:`paralift.ad`).
+The space-form residual goes fields -> R -> residual: :func:`curvature_of`
+and :func:`space_form_deviation` take h, its jacobian and phi from any
+caller, :func:`curvature_at` and :func:`space_form_residual` from x, and a
+check reads them off a sample's stepped chart point instead.
 Finite differences appear only in the independent test oracles.
 """
 
@@ -36,7 +40,9 @@ __all__ = [
     "conformal_fields",
     "christoffel_at",
     "curvature_at",
+    "curvature_of",
     "space_form_residual",
+    "space_form_deviation",
 ]
 
 _DOMAIN_SLACK = 1e-12
@@ -182,12 +188,20 @@ def curvature_at(m, x):
         A = dh - h (x) h + (1/2)|h|^2 I,
 
     with dh[..., i, k] = d_k h_i from one complex step of
-    :func:`conformal_fields`, n lanes.  Each of the four delta terms is one
-    n^3 diagonal plane of R: delta_hj A_ik and delta_ik A_jh are added, then
-    delta_hi A_jk and delta_jk A_ih subtracted.  Where planes meet this rounds
-    as the formula does, so swapping (i, j) negates R bitwise.
+    :func:`conformal_fields`, n lanes (:func:`curvature_of` takes h and dh).
     """
-    h, dh = ad.jacobian(lambda y: conformal_fields(m, y)[1], x)
+    return curvature_of(m, *ad.jacobian(lambda y: conformal_fields(m, y)[1], x))
+
+
+def curvature_of(m, h, dh):
+    """R[..., h, k, i, j] of :func:`curvature_at` from the log-gradient h and
+    its jacobian dh[..., i, k] = d_k h_i, however they were stepped.
+
+    Each of the four delta terms is one n^3 diagonal plane of R: delta_hj
+    A_ik and delta_ik A_jh are added, then delta_hi A_jk and delta_jk A_ih
+    subtracted.  Where planes meet this rounds as the formula does, so
+    swapping (i, j) negates R bitwise.
+    """
     a = ((dh - ad.outer(h, h))
          + (0.5 * ad.vecdot(h, h))[..., None, None] * ad.constant(np.eye, m.n))
     at = ad.transpose(a, (1, 0))  # at[..., k, i] = A_ik
@@ -209,8 +223,12 @@ def space_form_residual(m, x):
     = c phi (delta^h_i delta_kj - delta^h_j delta_ki); any genuine space form
     drives this to rounding level, the perturbed model does not.
     """
-    riem = curvature_at(m, x)
-    c_phi = (m.c * conformal_factor(m, x))[..., None, None]
+    return space_form_deviation(m, curvature_at(m, x), conformal_factor(m, x))
+
+
+def space_form_deviation(m, riem, phi):
+    """:func:`space_form_residual` from R (overwritten) and phi at its points."""
+    c_phi = np.asarray(m.c * phi)[..., None, None]
     # The target is c phi on the plane (i, j) = (h, k) and -c phi on (k, h).
     # Where both meet, h = k, it is 0, and R^h_hhh = 0 exactly, so
     # (0 - c phi) + c phi = 0 subtracts it there too.
@@ -219,4 +237,3 @@ def space_form_residual(m, x):
         view = np.einsum(plane, riem)
         op(view, c_phi, out=view)
     return np.max(np.abs(riem, out=riem), axis=(-4, -3, -2, -1))
-

@@ -5,11 +5,15 @@ so verdicts do not depend on evaluation order.  Every check takes one path:
 its residual on the sample's one batch, whose points carry their chart, or
 on its slices in blocks of :data:`paralift.ad.BLOCK_ELEMENTS` (bit for bit
 the residuals of the points one by one), then one
-:func:`paralift.report.make_report`.  Derivative-based
-residuals (Nijenhuis tensor, exterior derivative) read the complex-stepped
-coordinate-frame evaluators in place (:func:`paralift.ad.stepped`);
-:func:`fd_oracle` and the closed form :func:`analytic_dOmega` provide the
-independent cross checks.
+:func:`paralift.report.make_report`.  A sample also carries its batch's
+complex-stepped chart point (:func:`paralift.phase.stepped_point`), built
+once with the sample and sliced with the batch, so the checks that
+differentiate the chart (Nijenhuis tensor, exterior derivative, curvature)
+step it zero times: they evaluate the coordinate-frame P and Omega on it and
+read the stepped output in place; space_form reads h and its jacobian off
+its q lanes.  A sample of another chart is stepped on the structure's,
+block by block.  :func:`fd_oracle` and the closed form
+:func:`analytic_dOmega` provide the independent cross checks.
 
 Default tolerances: 1e-10 for purely algebraic identities, 1e-8 for
 first-derivative residuals (one differentiation pass through the Christoffel
@@ -26,9 +30,7 @@ import numpy as np
 from . import ad
 from .errors import RangeError
 from .lifted import (
-    Omega_coordinate,
     P_adapted,
-    P_coordinate_function,
     _adapted_pg,
     _g_blocks,
     _omega_coordinate,
@@ -43,10 +45,11 @@ from .phase import (
     make_point,
     metric_point,
     stack_points,
+    stepped_point,
     take_points,
 )
 from .report import CheckReport, _sort_key, make_report
-from .spaceform import space_form_residual
+from .spaceform import curvature_of, space_form_deviation, space_form_residual
 
 __all__ = [
     "CheckReport",
@@ -92,15 +95,29 @@ _N2_NOTES = ("base dimension 2 is outside the guaranteed range (n > 2) of "
 @dataclass(frozen=True)
 class PhaseSample:
     """Sampled phase points, the seed that produced them, and the points as
-    one batched CotangentPoint that checks read, stacked here if not given."""
+    one batched CotangentPoint that checks read, stacked here if not given.
+
+    ``stepped`` is derived, built here once: the batch's
+    :func:`paralift.phase.stepped_point` on its own chart, which every check
+    that differentiates the chart reads.  It is None for a batch of q rows,
+    of points with no common chart, or of no points.  It takes
+    16 (8n^2 + 4n) bytes per point, 133 KB at n = 32.
+    """
 
     points: tuple
     seed: int | None = None
     batch: CotangentPoint = field(default=None, compare=False, repr=False)
+    stepped: CotangentPoint | None = field(init=False, compare=False,
+                                           repr=False)
 
     def __post_init__(self):
         if self.batch is None:
             object.__setattr__(self, "batch", stack_points(self.points))
+        batch = self.batch
+        object.__setattr__(self, "stepped", stepped_point(batch.m, batch)
+                           if isinstance(batch, CotangentPoint)
+                           and batch.m is not None and len(self.points)
+                           else None)
 
 
 def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0):
@@ -147,32 +164,59 @@ def _ball(rng, n, radius):
     return (r / norm) * v
 
 
-def _check(name, sample, tol, residuals, finish=lambda r: (r, None, ())):
+def _check(name, sample, tol, residuals, finish=lambda r: (r, None, ()),
+           named=None):
     """Report of check ``name`` on a PhaseSample or points; tol None takes the
     default.  ``residuals`` maps the sample to one residual per point,
-    ``finish`` its result to the report's (residuals, details, notes)."""
+    ``finish`` its result to the report's (residuals, details, notes); the
+    witnesses name the sample's points, or the rows of ``named``."""
     tol = DEFAULT_TOLERANCES[name] if tol is None else tol
     if not isinstance(sample, PhaseSample):
         sample = PhaseSample(points=tuple(sample))
     if not len(sample.points):  # a check over no points proves nothing
         raise ValueError("sample must be nonempty")
     values, details, notes = finish(residuals(sample))
-    return make_report(name, values, sample.points, tol, seed=sample.seed,
-                       details=details, notes=notes)
+    return make_report(name, values,
+                       sample.points if named is None else named, tol,
+                       seed=sample.seed, details=details, notes=notes)
 
 
-def _blocks(fn, footprint, take=take_points):
-    """A sample to ``fn`` of its batch, or of consecutive blocks ``take``-n
-    from it, each of at least one point and :data:`paralift.ad.BLOCK_ELEMENTS`
-    at most; ``footprint``: elements per point, (2n)^2 for the matrix checks,
-    (2n)^3 for jacobian checks.  Batch slices never mix, so neither do blocks."""
+def _blocks(fn, footprint):
+    """A sample to ``fn`` of its batch and stepped point, or of the same
+    consecutive slices of both, each of at least one point and
+    :data:`paralift.ad.BLOCK_ELEMENTS` at most; ``footprint``: elements per
+    point, (2n)^2 for the matrix checks, (2n)^3 for jacobian checks.  Batch
+    slices never mix, so neither do blocks."""
     def residuals(s):
         count, size = len(s.points), max(1, ad.BLOCK_ELEMENTS // footprint)
         if count <= size:
-            return fn(s.batch)
-        return np.concatenate([fn(take(s.batch, slice(i, i + size)))
+            return fn(s.batch, s.stepped)
+        return np.concatenate([fn(*(_take(x, slice(i, i + size))
+                                    for x in (s.batch, s.stepped)))
                                for i in range(0, count, size)])
     return residuals
+
+
+def _take(x, part):
+    """Slice ``part`` of a batched point or of q rows; None stays None."""
+    if isinstance(x, CotangentPoint):
+        return take_points(x, part)
+    return None if x is None else x[part]
+
+
+def _on(m, lanes):
+    """Whether ``lanes``, a block's stepped point or None, is on a chart
+    equal to ``m``."""
+    return lanes is not None and (lanes.m is m or lanes.m == m)
+
+
+def _stepped_blocks(ls, fn):
+    """:func:`_blocks` of fn(block, its stepped chart point on ls.m), (2n)^3
+    elements per point: the sample's own stepped point where it was built on
+    a chart equal to ls.m, else one built here per block, as points of ls.m."""
+    def residual(pt, lanes):
+        return fn(pt, lanes if _on(ls.m, lanes) else stepped_point(ls.m, pt))
+    return _blocks(residual, (2 * ls.m.n) ** 3)
 
 
 def _max_abs(a, core):
@@ -207,7 +251,7 @@ def nijenhuis_at(ls, pt):
     with every partial taken by complex step in all 2n variables, read where
     it lands (:func:`_stepped_nijenhuis`): exactly antisymmetric in (a, b).
     """
-    out = ad.stepped(P_coordinate_function(ls), pt.z())
+    out = _p_coordinate(ls, stepped_point(ls.m, pt))
     return ad.transpose(_stepped_nijenhuis(out), (1, 0, 2)) / ad.STEP
 
 
@@ -281,22 +325,31 @@ def _minus_theta_j(x, theta):
 
 def check_space_form(m, sample, tol=None):
     """max of space_form_residual over chart points q, or the q of phase
-    points: a sample of q rows, batched as one array; witnesses name q alone.
-    The report's seed is a PhaseSample's, None for a list of rows or points."""
-    if isinstance(sample, PhaseSample):
-        qs, seed = sample.batch.q, sample.seed
-    else:
-        qs, seed = np.array([getattr(pt, "q", pt) for pt in sample]), None
-    return _check("space_form", PhaseSample(qs, seed, qs), tol,
-                  _blocks(lambda q: space_form_residual(m, q),
-                          (2 * m.n) ** 3, lambda q, part: q[part]))
+    points; witnesses name q alone.  A list of rows or points is one batch
+    of q rows.  A PhaseSample stepped on a chart equal to ``m`` gives h and
+    its jacobian from the q lanes of its stepped point and phi from its
+    batch, bitwise space_form_residual of its q; one of another chart is
+    evaluated at its q.  The report's seed is a PhaseSample's, None for a
+    list."""
+    if not isinstance(sample, PhaseSample):
+        qs = np.array([getattr(pt, "q", pt) for pt in sample])
+        sample = PhaseSample(qs, None, qs)
+
+    def residual(pt, lanes):
+        if not _on(m, lanes):
+            return space_form_residual(m, getattr(pt, "q", pt))
+        h, dh = ad.split(lanes.h[..., :m.n, :], 1)  # the n q lanes
+        return space_form_deviation(m, curvature_of(m, h, dh), pt.phi)
+
+    return _check("space_form", sample, tol, _blocks(residual, (2 * m.n) ** 3),
+                  named=getattr(sample.batch, "q", sample.batch))
 
 
 def check_almost_product(ls, sample, tol=None):
     """max over the sample of |P_adapted^2 - I|_inf."""
     eye = ad.constant(np.eye, 2 * ls.m.n)
 
-    def residual(pt):
+    def residual(pt, _):
         pmat = P_adapted(ls, pt)
         return _max_abs(pmat @ pmat - eye, 2)
 
@@ -304,12 +357,20 @@ def check_almost_product(ls, sample, tol=None):
                   _blocks(residual, (2 * ls.m.n) ** 2))
 
 
+def _nijenhuis_max(ls, lanes):
+    """|N_P|_inf per point from P on the stepped chart point ``lanes``."""
+    return _step_max(_stepped_nijenhuis(_p_coordinate(ls, lanes)))
+
+
+def _closure_max(ls, lanes):
+    """|d Omega|_inf per point from Omega on the stepped chart point ``lanes``."""
+    return _step_max(_d2form(_omega_coordinate(ls, lanes).imag))
+
+
 def check_integrability(ls, sample, tol=None):
     """max over the sample of |N_P|_inf in coordinate components."""
-    p = P_coordinate_function(ls)
     return _check("integrability", sample, tol,
-                  _blocks(lambda pt: _step_max(_stepped_nijenhuis(
-                      ad.stepped(p, pt.z()))), (2 * ls.m.n) ** 3),
+                  _stepped_blocks(ls, lambda _, lanes: _nijenhuis_max(ls, lanes)),
                   lambda r: (r, None, _N2_NOTES if ls.m.n == 2 else ()))
 
 
@@ -322,7 +383,7 @@ def _compatibility(ls, pt):
 def check_compatibility(ls, sample, tol=None):
     """max over the sample of |P^T G P - eps G|_inf in the adapted frame."""
     return _check("compatibility", sample, tol,
-                  _blocks(lambda pt: _compatibility(ls, pt), (2 * ls.m.n) ** 2))
+                  _blocks(lambda pt, _: _compatibility(ls, pt), (2 * ls.m.n) ** 2))
 
 
 def check_metric_signature(ls, sample, tol=None):
@@ -342,7 +403,7 @@ def check_metric_signature(ls, sample, tol=None):
     else:
         expected = None
 
-    def residual(pt):
+    def residual(pt, _):
         blocks = _g_blocks(ls, metric_point(ls.m, pt))
         eigs = np.concatenate([np.linalg.eigvalsh(g) for g in blocks], axis=-1)
         if expected is None:
@@ -362,35 +423,25 @@ def check_metric_signature(ls, sample, tol=None):
 
 def check_closure(ls, sample, tol=None):
     """max over the sample of |d Omega|_inf by complex-step differentiation."""
-    omega = Omega_coordinate(ls)
-    return _check("closure", sample, tol, _blocks(
-        lambda pt: _step_max(_d2form(ad.stepped(omega, pt.z()).imag)),
-        (2 * ls.m.n) ** 3))
+    _require_para_hermitian(ls)
+    return _check("closure", sample, tol,
+                  _stepped_blocks(ls, lambda _, lanes: _closure_max(ls, lanes)))
 
 
 def check_closure_agreement(ls, sample, tol=None):
     """max over the sample of |d Omega (complex step) - d Omega (closed form)|,
     one cyclic sum of h d_a Omega_bc - h theta_a J_bc on the stepped output."""
-    omega = Omega_coordinate(ls)
-    return _check("closure_agreement", sample, tol, _blocks(
-        lambda pt: _step_max(_d2form(_minus_theta_j(
-            ad.stepped(omega, pt.z()).imag, ad.STEP * _theta(ls, pt)))),
-        (2 * ls.m.n) ** 3))
+    _require_para_hermitian(ls)
+    return _check("closure_agreement", sample, tol, _stepped_blocks(
+        ls, lambda pt, lanes: _step_max(_d2form(_minus_theta_j(
+            _omega_coordinate(ls, lanes).imag, ad.STEP * _theta(ls, pt))))))
 
 
-def _seeded_residuals(ls, pt):
-    """(|N|, |d Omega|) per point from one complex-stepped chart point;
-    bitwise the residuals of check_integrability and check_closure, which
-    step z twice."""
-    n = ls.m.n
-
-    def p_and_omega(z):
-        here = chart_point(ls.m, z[..., :n], z[..., n:])
-        return _p_coordinate(ls, here), _omega_coordinate(ls, here)
-
-    p_out, omega_out = ad.stepped(p_and_omega, pt.z())
-    return np.stack([_step_max(_stepped_nijenhuis(p_out)),
-                     _step_max(_d2form(omega_out.imag))], axis=-1)
+def _seeded_residuals(ls, lanes):
+    """(|N|, |d Omega|) per point from one stepped chart point; bitwise the
+    residuals of check_integrability and check_closure."""
+    return np.stack([_nijenhuis_max(ls, lanes), _closure_max(ls, lanes)],
+                    axis=-1)
 
 
 def check_para_kahler(ls, sample, tol=None):
@@ -399,12 +450,12 @@ def check_para_kahler(ls, sample, tol=None):
     Passes iff all three parts pass.  The details record each part's max
     residual; the residuals, witnesses and notes are those of the worst
     part, a non-finite one ranking worst.  Compatibility runs in its own
-    blocks, integrability and closure in one complex-step pass.
+    blocks, integrability and closure on the same stepped blocks.
     """
     _require_para_hermitian(ls)
-    k = 2 * ls.m.n
-    compatibility = _blocks(lambda pt: _compatibility(ls, pt), k ** 2)
-    seeded = _blocks(lambda pt: _seeded_residuals(ls, pt), k ** 3)
+    compatibility = _blocks(lambda pt, _: _compatibility(ls, pt),
+                            (2 * ls.m.n) ** 2)
+    seeded = _stepped_blocks(ls, lambda _, lanes: _seeded_residuals(ls, lanes))
 
     def worst(parts):
         top = [float(r.max()) for r in parts]

@@ -34,10 +34,21 @@ from paralift import (
     with_metric,
 )
 from paralift import ChartDomainError, Omega_coordinate, P_coordinate_function, ad
-from paralift.lifted import G_adapted, Omega_adapted, P_adapted
-from paralift.phase import stack_points
-from paralift.spaceform import conformal_factor, space_form_residual
-from paralift.verify import CHECK_NAMES, PhaseSample, run_check
+from paralift.lifted import (
+    G_adapted,
+    Omega_adapted,
+    P_adapted,
+    _omega_coordinate,
+    _p_coordinate,
+)
+from paralift.phase import stack_points, stepped_point
+from paralift.spaceform import (
+    conformal_factor,
+    curvature_of,
+    space_form_deviation,
+    space_form_residual,
+)
+from paralift.verify import CHECK_NAMES, PhaseSample, check_space_form, run_check
 from dense_metric import metric_at
 from frame_reference import frame_matrices
 
@@ -138,6 +149,62 @@ def test_a_sample_is_one_batch_of_its_points(model):
     assert _same(chunk.batch.q, sample.batch.q[2:4])
     assert stack_points([sample.points[0], replace(sample.points[1],
                                                    m=None)]).m is None
+
+
+def _same_lanes(a, b):
+    """Bitwise equality of two arrays of one dtype, complex ones included."""
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.ascontiguousarray(a).tobytes()
+            == np.ascontiguousarray(b).tobytes())
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("n", (2, 3, 8))
+def test_the_stepped_point_is_the_stepped_chart_bitwise(model, n):
+    """P and Omega on a sample's stepped point are their stepped outputs at
+    its z, for the batch, a single point and a one-point sample; space_form
+    from its q lanes and the batch's phi is space_form_residual of q."""
+    ls = _structure(model, n)
+    m = ls.m
+    sample = _sample(ls, n)
+    one = PhaseSample(points=sample.points[1:2])
+    single = sample.points[1]
+    for pt, lanes in ((sample.batch, sample.stepped),
+                      (single, stepped_point(m, single)),
+                      (one.batch, one.stepped)):
+        z = pt.z()
+        assert _same_lanes(_p_coordinate(ls, lanes),
+                           ad.stepped(P_coordinate_function(ls), z))
+        assert _same_lanes(_omega_coordinate(ls, lanes),
+                           ad.stepped(Omega_coordinate(ls), z))
+        h, dh = ad.split(lanes.h[..., :n, :], 1)
+        assert _same(space_form_deviation(m, curvature_of(m, h, dh), pt.phi),
+                     space_form_residual(m, pt.q))
+    rows = check_space_form(m, [pt.q for pt in sample.points])
+    assert check_space_form(m, sample) == replace(rows, seed=sample.seed)
+
+
+def test_a_sample_carries_a_read_only_stepped_point():
+    """The stepped point of a sample is read-only, on the sample's chart,
+    with the step lanes after the batch axis; a sample of q rows, of points
+    with no common chart or of no points carries none."""
+    ls = _structure("ball+1", 3)
+    sample = _sample(ls, 3)
+    lanes = sample.stepped
+    assert lanes.m is ls.m and lanes.q.shape == (7, 6, 3)
+    assert lanes.phi.shape == lanes.t.shape == (7, 6)
+    for field in ("q", "p", "phi", "t", "g0", "h"):
+        value = getattr(lanes, field)
+        assert value.dtype.kind == "c" and not value.flags.writeable, field
+        with pytest.raises(ValueError):
+            value[...] = 0
+    chunk = PhaseSample(points=sample.points[2:4])
+    assert _same_lanes(chunk.stepped.h, lanes.h[2:4])
+    qs = sample.batch.q
+    mixed = (sample.points[0], replace(sample.points[1], m=None))
+    for none in (PhaseSample(qs, None, qs), PhaseSample(points=mixed),
+                 PhaseSample(points=())):
+        assert none.stepped is None
 
 
 def _merge(reports):

@@ -473,6 +473,40 @@ def test_program_numbers_round_trip_bitwise():
             assert _same_bits(value, reference_walk(fam, t)), fam.description
 
 
+def test_constant_subtrees_fold_bitwise_at_every_finite_t():
+    # folded steps, the ones left to run time (a -0.0 leaf, a division by
+    # zero, an overflow) and constant outputs evaluate as the tree does, at
+    # negative, signed-zero and positive t
+    from paralift.coefficients import Program, _t
+
+    zero, minus_zero, third = constant(0.0), constant(-0.0), constant(1.0 / 3.0)
+    big = constant(1e300)
+    families = [third, -zero, minus_zero, -minus_zero, third / zero,
+                zero / zero, big * big, (third + 0.5) * (-third) - 2.0,
+                ((third - 0.25) / (third + 1.0)) * _t + third * third,
+                -zero * _t, minus_zero * _t, (-zero) + 0.0,
+                exponential(0.5, third.args[0]) / (1.0 + third)]
+    t = np.array([-3.5, -1e-300, -0.0, 0.0, 1e-300, 0.3, 2.0, 7.5e200])
+    program = Program(families)
+    assert len(program._constants) < len(program.steps)
+    with np.errstate(all="ignore"):
+        for point in (t, *t):
+            for fam, value in zip(families, program(point)):
+                assert np.shape(value) == np.shape(point), fam.description
+                assert _same_bits(value, reference_walk(fam, point)), (
+                    fam.description, point)
+
+
+def test_a_specs_constant_steps_are_folded():
+    # high_dim_para_kahler's spec: a1 = 1 on the c = 1 ball, lambda = 1 + t
+    spec = with_metric(integrable_spec(constant(1.0), curvature=1.0),
+                       affine(1.0, 1.0))
+    for program, folded, steps in ((spec.program("P"), 9, 17),
+                                   (spec.program("PG"), 12, 31),
+                                   (spec.program("P").with_derivatives, 13, 23)):
+        assert (len(program._constants), len(program.steps)) == (folded, steps)
+
+
 def test_guards_sample_all_families_as_each_alone():
     # brackets of several families bisect together, each as if alone
     from paralift.coefficients import _sampled_values

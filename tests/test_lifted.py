@@ -23,6 +23,7 @@ from paralift import (
     flat_space,
     integrable_spec,
     make_point,
+    nijenhuis_at,
     perturbed_conformal,
     polynomial,
     rational_spec,
@@ -30,8 +31,16 @@ from paralift import (
     with_metric,
 )
 from paralift import ad
-from paralift.phase import stack_points
-from paralift.verify import _seeded_residuals, check_para_kahler, fd_oracle
+from paralift.phase import stack_points, stepped_point
+from paralift.verify import (
+    PhaseSample,
+    _seeded_residuals,
+    check_closure,
+    check_integrability,
+    check_para_kahler,
+    check_space_form,
+    fd_oracle,
+)
 from frame_reference import frame_matrices, liouville, spray
 
 
@@ -346,11 +355,13 @@ def factor_calls(monkeypatch):
 @pytest.mark.parametrize("batch", [False, True])
 def test_one_conformal_factor_evaluation_per_call(factor_calls, batch):
     """Each evaluator derives its chart fields from at most one evaluation of
-    phi; the adapted ones read them from a point built on their chart."""
+    phi; the adapted ones read them from a point built on their chart, and
+    the seeded pass from a stepped point built before."""
     m = conformal_ball(3, 1.0)
     ls = rational_structure(m)
     points = sample_points(m, 3, 11).points
     pt = stack_points(points) if batch else points[1]
+    lanes = stepped_point(m, pt)
     evaluators = {
         "make_point": (lambda: make_point(m, pt.q, pt.p), 1),
         "P_adapted": (lambda: P_adapted(ls, pt), 0),
@@ -360,7 +371,10 @@ def test_one_conformal_factor_evaluation_per_call(factor_calls, batch):
             lambda: ad.jacobian(P_coordinate_function(ls), pt.z()), 1),
         "Omega_coordinate": (
             lambda: ad.jacobian(Omega_coordinate(ls), pt.z()), 1),
-        "para_kahler seeded pass": (lambda: _seeded_residuals(ls, pt), 1),
+        "stepped_point": (lambda: stepped_point(m, pt), 1),
+        "PhaseSample": (lambda: PhaseSample(points=points), 1),
+        "nijenhuis_at": (lambda: nijenhuis_at(ls, pt), 1),
+        "para_kahler seeded pass": (lambda: _seeded_residuals(ls, lanes), 0),
     }
     for name, (call, count) in evaluators.items():
         factor_calls.clear()
@@ -381,22 +395,35 @@ def test_compatibility_reads_one_chart_point_per_block(factor_calls, monkeypatch
 
 
 def test_para_kahler_reads_one_chart_point_per_block(factor_calls):
-    """At n = 8, 6 points: one block of compatibility reads the sample's
-    chart fields, and each of three seeded blocks steps one chart point."""
+    """At n = 8, 6 points: building the sample steps the chart once; then
+    one block of compatibility reads its chart fields and each of three
+    seeded blocks a slice of its stepped point, so phi is evaluated zero
+    times.  A sample of another chart is rebuilt once per block: its
+    compatibility block from phi alone, and each seeded block stepped."""
     m = conformal_ball(8, 1.0)
     ls = rational_structure(m)
     sample = sample_points(m, 6, 11)
     factor_calls.clear()
-    check_para_kahler(ls, sample)
-    assert len(factor_calls) == 3
+    chunk = PhaseSample(points=sample.points)
+    assert len(factor_calls) == 1
+    wide = conformal_ball(8, 1.0, chart_radius=2.0)
+    other = PhaseSample(points=tuple(make_point(wide, pt.q, pt.p)
+                                     for pt in sample.points))
+    for own, count in ((sample, 0), (chunk, 0), (other, 1 + 3)):
+        factor_calls.clear()
+        check_para_kahler(ls, own)
+        assert len(factor_calls) == count
 
 
 @pytest.mark.parametrize("batch", [False, True])
 def test_a_point_of_an_equal_chart_is_read_and_of_another_rebuilt(
         factor_calls, batch):
     """An equal but distinct chart counts as the points' own: no evaluation
-    of phi.  Points of another chart are rebuilt on the structure's, as
-    points made there: one evaluation."""
+    of phi, in the adapted evaluators and in the checks of a sample, which
+    read its chart fields and its stepped point.  Points of another chart
+    are rebuilt on the structure's, as points made there: one evaluation,
+    for a check one per block (one block here); space_form evaluates h
+    stepped and phi plain at their q, two."""
     m = conformal_ball(3, 1.0)
     ls = rational_structure(conformal_ball(3, 1.0))
     assert ls.m == m and ls.m is not m
@@ -405,12 +432,19 @@ def test_a_point_of_an_equal_chart_is_read_and_of_another_rebuilt(
     other = tuple(make_point(wide, pt.q, pt.p) for pt in own)
     for points, count in ((own, 0), (other, 1)):
         pt = stack_points(points) if batch else points[1]
+        sample = PhaseSample(points=points if batch else points[1:2])
         for name, call in (("P_adapted", lambda: P_adapted(ls, pt)),
                            ("G_adapted", lambda: G_adapted(ls, pt)),
                            ("check_compatibility",
-                            lambda: check_compatibility(ls, points))):
+                            lambda: check_compatibility(ls, sample)),
+                           ("check_integrability",
+                            lambda: check_integrability(ls, sample)),
+                           ("check_closure", lambda: check_closure(ls, sample)),
+                           ("check_space_form",
+                            lambda: check_space_form(ls.m, sample))):
             factor_calls.clear()
             call()
-            assert len(factor_calls) == count, (name, count)
+            want = 2 if count and name == "check_space_form" else count
+            assert len(factor_calls) == want, (name, count)
     for evaluate in (P_adapted, G_adapted):
         assert np.array_equal(evaluate(ls, other[1]), evaluate(ls, own[1]))

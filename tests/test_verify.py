@@ -389,6 +389,25 @@ def test_closure_agreement_reads_a_foreign_point_on_its_own_chart():
     assert own.passed
 
 
+@pytest.mark.parametrize("other", ["ball-1", "flat", "perturbed", "wide"])
+def test_a_sample_of_another_chart_reports_as_one_of_the_structures(other):
+    """A sample built on another chart model gives, for every check that
+    differentiates the chart, the report of the same (q, p) built on the
+    structure's chart, bit for bit: its stepped point is rebuilt on ls.m."""
+    m = conformal_ball(3, 1.0)
+    ls = para_kahler_ls(m)
+    chart = {"ball-1": conformal_ball(3, -1.0), "flat": flat_space(3),
+             "perturbed": perturbed_conformal(3, 1.0, 0.1),
+             "wide": conformal_ball(3, 1.0, chart_radius=1.2)}[other]
+    sample = sample_points(chart, 20, 3, p_max=1.0)
+    assert sample.stepped.m is chart
+    own = PhaseSample(points=tuple(make_point(m, pt.q, pt.p)
+                                   for pt in sample.points), seed=sample.seed)
+    for name in ("space_form", "integrability", "closure",
+                 "closure_agreement", "para_kahler"):
+        assert run_check(name, ls, sample) == run_check(name, ls, own), name
+
+
 def wedge_loop_dOmega(ls, pt):
     """Reference for analytic_dOmega: the per-index wedge accumulation."""
     perms = (((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
@@ -472,9 +491,10 @@ def test_para_kahler_sub_residuals_equal_the_standalone_checks(case):
         assert rep.details[f"{name}_residual"] == alone.max_residual, name
         if alone.max_residual == rep.max_residual:
             assert rep.witnesses == alone.witnesses
-    # per point, the seeded pass is bitwise the two derivative residuals
+    # per point, the seeded pass on the sample's stepped point is bitwise
+    # the two derivative residuals
     batch = stack_points(sample.points)
-    both = _seeded_residuals(ls, batch)
+    both = _seeded_residuals(ls, sample.stepped)
     omega = Omega_coordinate(ls)
     assert np.array_equal(both[:, 0], np.max(np.abs(nijenhuis_at(ls, batch)),
                                              axis=(-3, -2, -1)))

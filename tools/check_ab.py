@@ -19,7 +19,10 @@ median.  Cases either side refuses are skipped.
 Construction is timed the same way: per case and round, ``parse_config``
 plus ``build_structure`` as the least of ``BUILD_REPEATS`` calls, OLD and
 NEW alternating, printed as one ``build`` line of ms per case.  A build
-takes a few ms, so it gets more calls than a chunk.
+takes a few ms, so it gets more calls than a chunk.  ``sample_points``, as
+``build()`` calls it on the built structure, is timed the same way and
+printed as a ``sample`` line, so work that a change moves from the checks
+into the sample shows beside the per-check ratios.
 
 The answers are compared too, so a speed A/B cannot hide a changed one: per
 check, whether every chunk's verdict agrees, and the largest relative change
@@ -62,12 +65,18 @@ def build(modules, document):
     config_mod, _, verify = modules
     config = config_mod.parse_config(document)
     ls = config_mod.build_structure(config)
-    s = config.sampling
-    sample = verify.sample_points(ls.m, s["count"], s["seed"], p_max=s["p_max"],
-                                  t_max=config.coefficients["t_max"])
+    sample = draw(modules, config, ls)
     pts = sample.points
     return config, ls, [verify.PhaseSample(pts[i:i + CHUNK_POINTS], sample.seed)
                         for i in range(0, len(pts), CHUNK_POINTS)]
+
+
+def draw(modules, config, ls):
+    """The sample of ``config`` on the structure's chart, as the CLI draws it."""
+    s = config.sampling
+    return modules[2].sample_points(ls.m, s["count"], s["seed"],
+                                    p_max=s["p_max"],
+                                    t_max=config.coefficients["t_max"])
 
 
 def cases(new_root, workload):
@@ -88,6 +97,7 @@ def main(old_root, new_root, workload):
 
     jobs = []  # (check name, points, {side: (run_check, ls, chunk, tol)})
     documents = []  # of the cases both sides build
+    structures = []  # per such case, {side: (config, ls)}
     for case, document in cases(new_root, workload):
         try:
             built = {side: build(pkgs[side], document) for side in SIDES}
@@ -95,6 +105,8 @@ def main(old_root, new_root, workload):
             print(f"skipped {case}: {type(exc).__name__}: {exc}")
             continue
         documents.append(document)
+        structures.append({side: (config, ls)
+                           for side, (config, ls, _) in built.items()})
         for name in built["new"][0].checks:
             for i, chunk in enumerate(built["new"][2]):
                 jobs.append((name, len(chunk.points), {
@@ -103,6 +115,7 @@ def main(old_root, new_root, workload):
                     for side, (config, ls, chunks) in built.items()}))
     times = defaultdict(list)  # (job index, side) -> seconds
     builds = defaultdict(list)  # (case index, side) -> seconds
+    samples = defaultdict(list)  # (case index, side) -> seconds
     reports = {}  # (job index, side) -> the report of the first round
     for r in range(ROUNDS):
         for k, document in enumerate(documents):
@@ -111,6 +124,10 @@ def main(old_root, new_root, workload):
                 best, _ = least(lambda: config_mod.build_structure(
                     config_mod.parse_config(document)), BUILD_REPEATS)
                 builds[(k, side)].append(best)
+            for side in SIDES if (r + k) % 2 == 0 else SIDES[::-1]:
+                best, _ = least(lambda: draw(pkgs[side], *structures[k][side]),
+                                BUILD_REPEATS)
+                samples[(k, side)].append(best)
         for j, (name, _, calls) in enumerate(jobs):
             for side in SIDES if (r + j) % 2 == 0 else SIDES[::-1]:
                 run_check, ls, chunk, tol = calls[side]
@@ -138,11 +155,12 @@ def main(old_root, new_root, workload):
                 for side in SIDES)
     print(f"points/s old {old:.0f}  new {new:.0f}  new/old {new / old:.3f}  "
           f"new won {wins(times, range(len(jobs)))}")
-    old, new = (1e3 * statistics.mean(statistics.median(builds[(k, side)])
-                                      for k in range(len(documents)))
-                for side in SIDES)
-    print(f"build ms/case old {old:.3f}  new {new:.3f}  new/old "
-          f"{new / old:.3f}  new won {wins(builds, range(len(documents)))}")
+    for name, spent in (("build", builds), ("sample", samples)):
+        old, new = (1e3 * statistics.mean(statistics.median(spent[(k, side)])
+                                          for k in range(len(documents)))
+                    for side in SIDES)
+        print(f"{name} ms/case old {old:.3f}  new {new:.3f}  new/old "
+              f"{new / old:.3f}  new won {wins(spent, range(len(documents)))}")
     return 1 if mismatches else 0
 
 
