@@ -12,8 +12,11 @@ Index layout follows the axis convention of :mod:`paralift.phase`
 
 P1 maps horizontal to vertical slots and sits in the lower-left block; P2
 maps vertical to horizontal and sits in the upper-right block.  The blocks
-read one chart point (:mod:`paralift.phase`), with g = phi I.  A structure
-without a spec is Cruceanu's P = diag(-I, I), which has no G or Omega.
+read one chart point (:mod:`paralift.phase`), with g = phi I.  The public
+adapted evaluators first bring their point onto the structure's chart
+(:func:`paralift.phase.on_chart`); the private evaluators the checks call
+read theirs as it is.  A structure without a spec is Cruceanu's
+P = diag(-I, I), which has no G or Omega.
 
 Coordinate components substitute delta_i = d/dq^i + Gamma0_ih d/dp_h once,
 on the n x n blocks.  For adapted P = [[A, B2], [C, D]] (A = D = 0 but for
@@ -23,9 +26,9 @@ Cruceanu's P) and the mixed block M = lambda I + mu p (x) g0 of Omega,
                                Gamma0 B2 + D]],
     Omega = [[Gamma0 M^T - M Gamma0, M], [-M^T, 0]],
 
-that is B P_adapted B^-1 and Binv^T Omega_adapted Binv.  Gamma0 and B2 are
-exactly symmetric, so B2 Gamma0 = (Gamma0 B2)^T and Gamma0 M^T = (M
-Gamma0)^T take no product of their own.  As g0 = p/phi is parallel to p,
+that is B P_adapted B^-1 and Binv^T (G_adapted P_adapted) Binv.  Gamma0
+and B2 are exactly symmetric, so B2 Gamma0 = (Gamma0 B2)^T and Gamma0 M^T
+= (M Gamma0)^T take no product of their own.  As g0 = p/phi is parallel to p,
 Gamma0 g0 = p (h . g0) + h (p . g0) - (p . h) g0 = 2t h, so Gamma0 B2 =
 (a2/phi) Gamma0 + 2t b2 h (x) g0, and of M Gamma0 = lambda Gamma0 + 2t mu
 p (x) h only 2t mu (h (x) p - p (x) h) is left in Omega's qq block.  The
@@ -44,7 +47,7 @@ import numpy as np
 from . import ad
 from .coefficients import StructureSpec
 from .errors import ContractError, RangeError
-from .phase import chart_point, metric_point
+from .phase import chart_point, on_chart
 from .spaceform import SpaceForm
 
 __all__ = [
@@ -52,7 +55,6 @@ __all__ = [
     "P_adapted",
     "P_coordinate_function",
     "G_adapted",
-    "Omega_adapted",
     "Omega_coordinate",
 ]
 
@@ -143,8 +145,9 @@ def _p_matrix(ls, pt, coeffs=None):
 
 
 def P_adapted(ls, pt):
-    """Adapted-frame matrix of P at ``pt``; block antidiagonal (see module doc)."""
-    return _p_matrix(ls, metric_point(ls.m, pt))
+    """Adapted-frame matrix of P at ``pt``, read on ``ls.m``; block
+    antidiagonal (see module doc)."""
+    return _p_matrix(ls, on_chart(ls.m, pt))
 
 
 def _p_coordinate(ls, pt):
@@ -181,28 +184,19 @@ def _diagonal(g1, g2):
 
 
 def G_adapted(ls, pt):
-    """Adapted-frame matrix of G at ``pt``; symmetric block diagonal."""
+    """Adapted-frame matrix of G at ``pt``, read on ``ls.m``; symmetric block
+    diagonal."""
     _require_metric(ls)
-    return _diagonal(*_g_blocks(ls, metric_point(ls.m, pt)))
+    return _diagonal(*_g_blocks(ls, on_chart(ls.m, pt)))
 
 
 def _adapted_pg(ls, pt):
-    """(P_adapted, G_adapted) at ``pt``: one chart point, one program of eight."""
+    """(P_adapted, G_adapted) at the point ``pt`` of ``ls.m``: one program of
+    eight."""
     _require_metric(ls)
-    here = metric_point(ls.m, pt)
-    coeffs = _coefficients(ls, here, "PG", slack=False)
-    return (_p_matrix(ls, here, coeffs[:4]),
-            _diagonal(*_g_blocks(ls, here, coeffs[4:])))
-
-
-def Omega_adapted(ls, pt):
-    """Adapted-frame matrix of Omega(X, Y) = G(X, PY); antisymmetric.
-
-    The diagonal blocks vanish and the mixed block is lambda I + mu p (x) g0.
-    """
-    _require_para_hermitian(ls)
-    pmat, gmat = _adapted_pg(ls, pt)
-    return gmat @ pmat
+    coeffs = _coefficients(ls, pt, "PG", slack=False)
+    return (_p_matrix(ls, pt, coeffs[:4]),
+            _diagonal(*_g_blocks(ls, pt, coeffs[4:])))
 
 
 def _omega_coordinate(ls, pt):

@@ -20,8 +20,9 @@ whole sample, and a ``PhaseSample`` holds its points as one, built once,
 beside :func:`stepped_point` of that batch: the same fields on the 2n
 complex-stepped lanes z + i h e_a that every derivative check reads.
 Since g = phi I, a point carries phi and its log-gradient h, not matrices,
-and its chart ``m``: evaluators on an equal chart read its fields as they
-are.  Gamma0 is formed from p and h where it is read.
+and its chart ``m``.  :func:`on_chart` is where a point meets a structure's
+chart: a point of an equal chart is read as it is, any other is rebuilt
+there.  Gamma0 is formed from p and h where it is read.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .spaceform import SpaceForm, conformal_factor, conformal_fields
 __all__ = [
     "CotangentPoint",
     "chart_point",
-    "metric_point",
+    "on_chart",
     "make_point",
     "stepped_point",
     "stack_points",
@@ -45,7 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CotangentPoint:
     """A point (q, p) of T*M with its cached chart fields.
 
@@ -53,7 +54,8 @@ class CotangentPoint:
     (1/2) g^{ik} p_i p_k, g0 the raised covector g^{0i} = p_h g^{hi}, and h
     the log-gradient d phi / (2 phi) at q.  With a leading batch axis on
     every array (phi and t then arrays) it holds a sample.  ``m`` is the
-    chart the fields were built on, None when unknown or mixed.
+    chart the fields were built on, None when unknown or mixed.  Points
+    compare and hash by identity.
     """
 
     q: np.ndarray
@@ -91,12 +93,10 @@ def chart_point(m, q, p):
     return _point(q, p, *conformal_fields(m, q))
 
 
-def metric_point(m, pt):
-    """``pt`` if built on a chart equal to ``m``; else its fields on ``m``,
-    from phi alone, bitwise chart_point's but h (None), or a raise."""
-    if pt.m is m or pt.m == m:
-        return pt
-    return _point(pt.q, pt.p, conformal_factor(m, pt.q), None)
+def on_chart(m, pt):
+    """``pt`` if built on a chart equal to ``m``, else :func:`make_point` of
+    its (q, p) on ``m``, which raises off that chart."""
+    return pt if pt.m is m or pt.m == m else make_point(m, pt.q, pt.p)
 
 
 def _point(q, p, phi, h):

@@ -2,18 +2,19 @@
 
 Each check evaluates a residual at sampled phase points and reduces by max,
 so verdicts do not depend on evaluation order.  Every check takes one path:
-its residual on the sample's one batch, whose points carry their chart, or
-on its slices in blocks of :data:`paralift.ad.BLOCK_ELEMENTS` (bit for bit
-the residuals of the points one by one), then one
+:func:`_check` brings the sample onto the structure's chart, rebuilding it
+once there if it was built on another chart or on mixed charts
+(:func:`paralift.phase.on_chart`); the residual then reads the sample's one
+batch, or its slices in blocks of :data:`paralift.ad.BLOCK_ELEMENTS` (bit
+for bit the residuals of the points one by one), as it is; then one
 :func:`paralift.report.make_report`.  A sample also carries its batch's
 complex-stepped chart point (:func:`paralift.phase.stepped_point`), built
 once with the sample and sliced with the batch, so the checks that
 differentiate the chart (Nijenhuis tensor, exterior derivative, curvature)
 step it zero times: they evaluate the coordinate-frame P and Omega on it and
 read the stepped output in place; space_form reads h and its jacobian off
-its q lanes.  A sample of another chart is stepped on the structure's,
-block by block.  :func:`fd_oracle` and the closed form
-:func:`analytic_dOmega` provide the independent cross checks.
+its q lanes.  :func:`fd_oracle` and the closed form :func:`analytic_dOmega`
+provide the independent cross checks.
 
 Default tolerances: 1e-10 for purely algebraic identities, 1e-8 for
 first-derivative residuals (one differentiation pass through the Christoffel
@@ -30,26 +31,25 @@ import numpy as np
 from . import ad
 from .errors import RangeError
 from .lifted import (
-    P_adapted,
     _adapted_pg,
     _g_blocks,
     _omega_coordinate,
     _p_coordinate,
+    _p_matrix,
     _require_metric,
     _require_para_hermitian,
 )
 from .phase import (
     CotangentPoint,
-    chart_point,
     energy_density,
     make_point,
-    metric_point,
+    on_chart,
     stack_points,
     stepped_point,
     take_points,
 )
 from .report import CheckReport, _sort_key, make_report
-from .spaceform import curvature_of, space_form_deviation, space_form_residual
+from .spaceform import curvature_of, space_form_deviation
 
 __all__ = [
     "CheckReport",
@@ -92,31 +92,30 @@ _N2_NOTES = ("base dimension 2 is outside the guaranteed range (n > 2) of "
              "informational",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseSample:
     """Sampled phase points, the seed that produced them, and the points as
     one batched CotangentPoint that checks read, stacked here if not given.
+    Samples compare and hash by identity.
 
     ``stepped`` is derived, built here once: the batch's
     :func:`paralift.phase.stepped_point` on its own chart, which every check
-    that differentiates the chart reads.  It is None for a batch of q rows,
-    of points with no common chart, or of no points.  It takes
-    16 (8n^2 + 4n) bytes per point, 133 KB at n = 32.
+    that differentiates the chart reads.  It is None for points with no
+    common chart or for no points.  It takes 16 (8n^2 + 4n) bytes per
+    point, 133 KB at n = 32.
     """
 
     points: tuple
     seed: int | None = None
-    batch: CotangentPoint = field(default=None, compare=False, repr=False)
-    stepped: CotangentPoint | None = field(init=False, compare=False,
-                                           repr=False)
+    batch: CotangentPoint = field(default=None, repr=False)
+    stepped: CotangentPoint | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.batch is None:
             object.__setattr__(self, "batch", stack_points(self.points))
         batch = self.batch
         object.__setattr__(self, "stepped", stepped_point(batch.m, batch)
-                           if isinstance(batch, CotangentPoint)
-                           and batch.m is not None and len(self.points)
+                           if batch.m is not None and len(self.points)
                            else None)
 
 
@@ -148,9 +147,13 @@ def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0):
             continue
         qs.append(q)
         ps.append(p)
-    batch = make_point(m, qs, ps) if qs else stack_points(())
-    points = tuple(take_points(batch, i) for i in range(len(qs)))
-    return PhaseSample(points=points, seed=seed, batch=batch)
+    return _sample_of(make_point(m, qs, ps) if qs else stack_points(()), seed)
+
+
+def _sample_of(batch, seed=None):
+    """The PhaseSample of the points of ``batch``, a batched point."""
+    points = tuple(take_points(batch, i) for i in range(len(batch.q)))
+    return PhaseSample(points, seed, batch)
 
 
 def _ball(rng, n, radius):
@@ -164,17 +167,23 @@ def _ball(rng, n, radius):
     return (r / norm) * v
 
 
-def _check(name, sample, tol, residuals, finish=lambda r: (r, None, ()),
+def _check(name, m, sample, tol, residuals, finish=lambda r: (r, None, ()),
            named=None):
     """Report of check ``name`` on a PhaseSample or points; tol None takes the
-    default.  ``residuals`` maps the sample to one residual per point,
-    ``finish`` its result to the report's (residuals, details, notes); the
-    witnesses name the sample's points, or the rows of ``named``."""
+    default.  A sample whose batch was built on a chart other than ``m``, or
+    on mixed charts, is rebuilt here once on ``m``, so ``residuals``, which
+    maps the sample to one residual per point, reads a batch and a stepped
+    point of ``m``.  ``finish`` maps its result to the report's (residuals,
+    details, notes); the witnesses name the sample's points, or the rows of
+    ``named``."""
     tol = DEFAULT_TOLERANCES[name] if tol is None else tol
     if not isinstance(sample, PhaseSample):
         sample = PhaseSample(points=tuple(sample))
     if not len(sample.points):  # a check over no points proves nothing
         raise ValueError("sample must be nonempty")
+    batch = on_chart(m, sample.batch)
+    if batch is not sample.batch:
+        sample = PhaseSample(sample.points, sample.seed, batch)
     values, details, notes = finish(residuals(sample))
     return make_report(name, values,
                        sample.points if named is None else named, tol,
@@ -185,38 +194,15 @@ def _blocks(fn, footprint):
     """A sample to ``fn`` of its batch and stepped point, or of the same
     consecutive slices of both, each of at least one point and
     :data:`paralift.ad.BLOCK_ELEMENTS` at most; ``footprint``: elements per
-    point, (2n)^2 for the matrix checks, (2n)^3 for jacobian checks.  Batch
-    slices never mix, so neither do blocks."""
+    point, (2n)^2 for the matrix checks, (2n)^3 for jacobian checks."""
     def residuals(s):
         count, size = len(s.points), max(1, ad.BLOCK_ELEMENTS // footprint)
         if count <= size:
             return fn(s.batch, s.stepped)
-        return np.concatenate([fn(*(_take(x, slice(i, i + size))
+        return np.concatenate([fn(*(take_points(x, slice(i, i + size))
                                     for x in (s.batch, s.stepped)))
                                for i in range(0, count, size)])
     return residuals
-
-
-def _take(x, part):
-    """Slice ``part`` of a batched point or of q rows; None stays None."""
-    if isinstance(x, CotangentPoint):
-        return take_points(x, part)
-    return None if x is None else x[part]
-
-
-def _on(m, lanes):
-    """Whether ``lanes``, a block's stepped point or None, is on a chart
-    equal to ``m``."""
-    return lanes is not None and (lanes.m is m or lanes.m == m)
-
-
-def _stepped_blocks(ls, fn):
-    """:func:`_blocks` of fn(block, its stepped chart point on ls.m), (2n)^3
-    elements per point: the sample's own stepped point where it was built on
-    a chart equal to ls.m, else one built here per block, as points of ls.m."""
-    def residual(pt, lanes):
-        return fn(pt, lanes if _on(ls.m, lanes) else stepped_point(ls.m, pt))
-    return _blocks(residual, (2 * ls.m.n) ** 3)
 
 
 def _max_abs(a, core):
@@ -299,16 +285,14 @@ def analytic_dOmega(ls, pt):
     on ``ls.m``; the components theta_a J_bc + theta_b J_ca + theta_c J_ab
     are the cyclic sum of :func:`_d2form`.
     """
-    theta = _theta(ls, pt)
+    theta = _theta(ls, on_chart(ls.m, pt))
     k = theta.shape[-1]
     return _d2form(_minus_theta_j(np.zeros(theta.shape + (k, k)), -theta))
 
 
 def _theta(ls, pt):
-    """(mu - lambda') theta at ``pt``, its fields read on ``ls.m``."""
+    """(mu - lambda') theta at the point ``pt`` of ``ls.m``."""
     spec = _require_para_hermitian(ls)
-    if pt.m != ls.m:  # built on another chart, or unknown
-        pt = chart_point(ls.m, pt.q, pt.p)
     factor = np.asarray(spec.mu(pt.t)) - spec.lam.derivative()(pt.t)
     return factor[..., None] * np.concatenate(
         [np.asarray(-2.0 * pt.t)[..., None] * pt.h, pt.g0], axis=-1)
@@ -326,23 +310,21 @@ def _minus_theta_j(x, theta):
 def check_space_form(m, sample, tol=None):
     """max of space_form_residual over chart points q, or the q of phase
     points; witnesses name q alone.  A list of rows or points is one batch
-    of q rows.  A PhaseSample stepped on a chart equal to ``m`` gives h and
-    its jacobian from the q lanes of its stepped point and phi from its
-    batch, bitwise space_form_residual of its q; one of another chart is
-    evaluated at its q.  The report's seed is a PhaseSample's, None for a
-    list."""
+    of the points (q, 0) of ``m``.  h and its jacobian come from the q lanes
+    of the sample's stepped point and phi from its batch, bitwise
+    space_form_residual of its q.  The report's seed is a PhaseSample's,
+    None for a list."""
     if not isinstance(sample, PhaseSample):
-        qs = np.array([getattr(pt, "q", pt) for pt in sample])
-        sample = PhaseSample(qs, None, qs)
+        rows = [getattr(pt, "q", pt) for pt in sample]
+        qs = np.array(rows, dtype=float).reshape(len(rows), m.n)
+        sample = _sample_of(make_point(m, qs, np.zeros_like(qs)))
 
     def residual(pt, lanes):
-        if not _on(m, lanes):
-            return space_form_residual(m, getattr(pt, "q", pt))
         h, dh = ad.split(lanes.h[..., :m.n, :], 1)  # the n q lanes
         return space_form_deviation(m, curvature_of(m, h, dh), pt.phi)
 
-    return _check("space_form", sample, tol, _blocks(residual, (2 * m.n) ** 3),
-                  named=getattr(sample.batch, "q", sample.batch))
+    return _check("space_form", m, sample, tol,
+                  _blocks(residual, (2 * m.n) ** 3), named=sample.batch.q)
 
 
 def check_almost_product(ls, sample, tol=None):
@@ -350,10 +332,10 @@ def check_almost_product(ls, sample, tol=None):
     eye = ad.constant(np.eye, 2 * ls.m.n)
 
     def residual(pt, _):
-        pmat = P_adapted(ls, pt)
+        pmat = _p_matrix(ls, pt)
         return _max_abs(pmat @ pmat - eye, 2)
 
-    return _check("almost_product", sample, tol,
+    return _check("almost_product", ls.m, sample, tol,
                   _blocks(residual, (2 * ls.m.n) ** 2))
 
 
@@ -369,8 +351,9 @@ def _closure_max(ls, lanes):
 
 def check_integrability(ls, sample, tol=None):
     """max over the sample of |N_P|_inf in coordinate components."""
-    return _check("integrability", sample, tol,
-                  _stepped_blocks(ls, lambda _, lanes: _nijenhuis_max(ls, lanes)),
+    return _check("integrability", ls.m, sample, tol,
+                  _blocks(lambda _, lanes: _nijenhuis_max(ls, lanes),
+                          (2 * ls.m.n) ** 3),
                   lambda r: (r, None, _N2_NOTES if ls.m.n == 2 else ()))
 
 
@@ -382,7 +365,7 @@ def _compatibility(ls, pt):
 
 def check_compatibility(ls, sample, tol=None):
     """max over the sample of |P^T G P - eps G|_inf in the adapted frame."""
-    return _check("compatibility", sample, tol,
+    return _check("compatibility", ls.m, sample, tol,
                   _blocks(lambda pt, _: _compatibility(ls, pt), (2 * ls.m.n) ** 2))
 
 
@@ -404,7 +387,7 @@ def check_metric_signature(ls, sample, tol=None):
         expected = None
 
     def residual(pt, _):
-        blocks = _g_blocks(ls, metric_point(ls.m, pt))
+        blocks = _g_blocks(ls, pt)
         eigs = np.concatenate([np.linalg.eigvalsh(g) for g in blocks], axis=-1)
         if expected is None:
             return np.zeros(eigs.shape[:-1])
@@ -416,7 +399,7 @@ def check_metric_signature(ls, sample, tol=None):
                                  "eps = +1 spec; check is vacuous",)
     details = {"expected_positive": expected[0] if expected else None,
                "expected_negative": expected[1] if expected else None}
-    return _check("metric_signature", sample, tol,
+    return _check("metric_signature", ls.m, sample, tol,
                   _blocks(residual, (2 * n) ** 2),
                   lambda r: (r, details, notes))
 
@@ -424,17 +407,19 @@ def check_metric_signature(ls, sample, tol=None):
 def check_closure(ls, sample, tol=None):
     """max over the sample of |d Omega|_inf by complex-step differentiation."""
     _require_para_hermitian(ls)
-    return _check("closure", sample, tol,
-                  _stepped_blocks(ls, lambda _, lanes: _closure_max(ls, lanes)))
+    return _check("closure", ls.m, sample, tol,
+                  _blocks(lambda _, lanes: _closure_max(ls, lanes),
+                          (2 * ls.m.n) ** 3))
 
 
 def check_closure_agreement(ls, sample, tol=None):
     """max over the sample of |d Omega (complex step) - d Omega (closed form)|,
     one cyclic sum of h d_a Omega_bc - h theta_a J_bc on the stepped output."""
     _require_para_hermitian(ls)
-    return _check("closure_agreement", sample, tol, _stepped_blocks(
-        ls, lambda pt, lanes: _step_max(_d2form(_minus_theta_j(
-            _omega_coordinate(ls, lanes).imag, ad.STEP * _theta(ls, pt))))))
+    return _check("closure_agreement", ls.m, sample, tol, _blocks(
+        lambda pt, lanes: _step_max(_d2form(_minus_theta_j(
+            _omega_coordinate(ls, lanes).imag, ad.STEP * _theta(ls, pt)))),
+        (2 * ls.m.n) ** 3))
 
 
 def _seeded_residuals(ls, lanes):
@@ -455,7 +440,8 @@ def check_para_kahler(ls, sample, tol=None):
     _require_para_hermitian(ls)
     compatibility = _blocks(lambda pt, _: _compatibility(ls, pt),
                             (2 * ls.m.n) ** 2)
-    seeded = _stepped_blocks(ls, lambda _, lanes: _seeded_residuals(ls, lanes))
+    seeded = _blocks(lambda _, lanes: _seeded_residuals(ls, lanes),
+                     (2 * ls.m.n) ** 3)
 
     def worst(parts):
         top = [float(r.max()) for r in parts]
@@ -464,7 +450,7 @@ def check_para_kahler(ls, sample, tol=None):
         names = ("compatibility", "integrability", "closure")
         return parts[i], {f"{a}_residual": r for a, r in zip(names, top)}, notes
 
-    return _check("para_kahler", sample, tol,
+    return _check("para_kahler", ls.m, sample, tol,
                   lambda s: (compatibility(s), *seeded(s).T), worst)
 
 

@@ -1,4 +1,5 @@
-"""The adapted frame as matrices, and the spray and Liouville fields.
+"""The adapted frame as matrices, Omega in it, and the spray and Liouville
+fields.
 
 The checks never form these: the coordinate P blocks read Gamma0 directly,
 and Omega and ``analytic_dOmega`` only Gamma0 g0 = 2t h.  The tests use them
@@ -9,6 +10,19 @@ paper's identities on the tautological fields.
 import numpy as np
 
 from paralift import ad
+from paralift.lifted import _adapted_pg, _require_para_hermitian
+from paralift.phase import on_chart
+
+
+def Omega_adapted(ls, pt):
+    """Adapted-frame matrix of Omega(X, Y) = G(X, PY) at ``pt``, read on
+    ``ls.m``; antisymmetric.
+
+    The diagonal blocks vanish and the mixed block is lambda I + mu p (x) g0.
+    """
+    _require_para_hermitian(ls)
+    pmat, gmat = _adapted_pg(ls, on_chart(ls.m, pt))
+    return gmat @ pmat
 
 
 def frame_matrices(gamma0):

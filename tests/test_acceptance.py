@@ -13,9 +13,6 @@ import numpy as np
 from paralift import (
     LiftedStructure,
     P_adapted,
-    P_coordinate_function,
-    G_adapted,
-    Omega_coordinate,
     ad,
     affine,
     analytic_dOmega,
@@ -26,11 +23,9 @@ from paralift import (
     check_para_kahler,
     conformal_ball,
     constant,
-    exterior_derivative_2form,
     fd_oracle,
     flat_space,
     integrable_spec,
-    nijenhuis_at,
     perturbed_conformal,
     polynomial,
     rational_spec,
@@ -39,6 +34,8 @@ from paralift import (
 )
 from paralift.cli import execute_checks, run
 from paralift.config import parse_config
+from paralift.lifted import G_adapted, Omega_coordinate, P_coordinate_function
+from paralift.verify import exterior_derivative_2form, nijenhuis_at
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-6

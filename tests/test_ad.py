@@ -9,8 +9,6 @@ import pytest
 from paralift import (
     ChartDomainError,
     LiftedStructure,
-    Omega_coordinate,
-    P_coordinate_function,
     RangeError,
     ad,
     affine,
@@ -21,6 +19,7 @@ from paralift import (
     make_point,
     with_metric,
 )
+from paralift.lifted import Omega_coordinate, P_coordinate_function
 from paralift.spaceform import conformal_factor
 from paralift.verify import fd_oracle
 

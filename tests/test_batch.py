@@ -19,38 +19,44 @@ from paralift import (
     affine,
     almost_product_spec,
     analytic_dOmega,
-    christoffel_at,
     conformal_ball,
     constant,
     curvature_at,
     energy_density,
-    exterior_derivative_2form,
     flat_space,
     integrable_spec,
     make_point,
-    nijenhuis_at,
     perturbed_conformal,
     sample_points,
     with_metric,
 )
-from paralift import ChartDomainError, Omega_coordinate, P_coordinate_function, ad
+from paralift import ChartDomainError, ad
 from paralift.lifted import (
     G_adapted,
-    Omega_adapted,
+    Omega_coordinate,
     P_adapted,
+    P_coordinate_function,
     _omega_coordinate,
     _p_coordinate,
 )
 from paralift.phase import stack_points, stepped_point
 from paralift.spaceform import (
+    christoffel_at,
     conformal_factor,
     curvature_of,
     space_form_deviation,
     space_form_residual,
 )
-from paralift.verify import CHECK_NAMES, PhaseSample, check_space_form, run_check
+from paralift.verify import (
+    CHECK_NAMES,
+    PhaseSample,
+    check_space_form,
+    exterior_derivative_2form,
+    nijenhuis_at,
+    run_check,
+)
 from dense_metric import metric_at
-from frame_reference import frame_matrices
+from frame_reference import Omega_adapted, frame_matrices
 
 DIMS = (2, 3, 4, 8)
 MODELS = ("flat", "ball+1", "ball-1", "perturbed")
@@ -186,8 +192,8 @@ def test_the_stepped_point_is_the_stepped_chart_bitwise(model, n):
 
 def test_a_sample_carries_a_read_only_stepped_point():
     """The stepped point of a sample is read-only, on the sample's chart,
-    with the step lanes after the batch axis; a sample of q rows, of points
-    with no common chart or of no points carries none."""
+    with the step lanes after the batch axis; a sample of points with no
+    common chart or of no points carries none."""
     ls = _structure("ball+1", 3)
     sample = _sample(ls, 3)
     lanes = sample.stepped
@@ -200,11 +206,20 @@ def test_a_sample_carries_a_read_only_stepped_point():
             value[...] = 0
     chunk = PhaseSample(points=sample.points[2:4])
     assert _same_lanes(chunk.stepped.h, lanes.h[2:4])
-    qs = sample.batch.q
     mixed = (sample.points[0], replace(sample.points[1], m=None))
-    for none in (PhaseSample(qs, None, qs), PhaseSample(points=mixed),
-                 PhaseSample(points=())):
+    for none in (PhaseSample(points=mixed), PhaseSample(points=())):
         assert none.stepped is None
+
+
+def test_points_and_samples_compare_and_hash_by_identity():
+    """Two samples of equal values, their points and their batches compare
+    unequal without raising; each equals itself, and all of them hash."""
+    ls = _structure("ball+1", 3)
+    one, two = _sample(ls, 3), _sample(ls, 3)
+    for a, b in ((one, two), (one.points[1], two.points[1]),
+                 (one.batch, two.batch)):
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
 
 def _merge(reports):

@@ -22,3 +22,25 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ lists undefined names {missing}"
+
+
+def test_the_package_exports_what_the_checks_reach():
+    """Evaluators and oracles that no check reaches are imported from their
+    own modules, not from the package."""
+    assert set(paralift.__all__) == {
+        "ScalarFamily", "StructureSpec", "affine", "almost_product_spec",
+        "constant", "exponential", "integrable_spec", "polynomial",
+        "rational_spec", "with_metric",
+        "ChartDomainError", "ConfigError", "ContractError",
+        "DegenerateCoefficient", "RangeError",
+        "LiftedStructure", "P_adapted",
+        "CotangentPoint", "energy_density", "make_point",
+        "CheckReport",
+        "ChartModel", "SpaceForm", "conformal_ball", "curvature_at",
+        "flat_space", "perturbed_conformal",
+        "DEFAULT_TOLERANCES", "PhaseSample", "analytic_dOmega",
+        "check_almost_product", "check_closure", "check_closure_agreement",
+        "check_compatibility", "check_integrability",
+        "check_metric_signature", "check_para_kahler", "check_space_form",
+        "fd_oracle", "run_check", "sample_points",
+    }

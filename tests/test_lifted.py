@@ -6,12 +6,8 @@ from dataclasses import replace
 
 from paralift import (
     ContractError,
-    G_adapted,
     LiftedStructure,
-    Omega_adapted,
-    Omega_coordinate,
     P_adapted,
-    P_coordinate_function,
     RangeError,
     affine,
     almost_product_spec,
@@ -23,7 +19,6 @@ from paralift import (
     flat_space,
     integrable_spec,
     make_point,
-    nijenhuis_at,
     perturbed_conformal,
     polynomial,
     rational_spec,
@@ -31,6 +26,7 @@ from paralift import (
     with_metric,
 )
 from paralift import ad
+from paralift.lifted import G_adapted, Omega_coordinate, P_coordinate_function
 from paralift.phase import stack_points, stepped_point
 from paralift.verify import (
     PhaseSample,
@@ -40,8 +36,9 @@ from paralift.verify import (
     check_para_kahler,
     check_space_form,
     fd_oracle,
+    nijenhuis_at,
 )
-from frame_reference import frame_matrices, liouville, spray
+from frame_reference import Omega_adapted, frame_matrices, liouville, spray
 
 
 
@@ -398,8 +395,8 @@ def test_para_kahler_reads_one_chart_point_per_block(factor_calls):
     """At n = 8, 6 points: building the sample steps the chart once; then
     one block of compatibility reads its chart fields and each of three
     seeded blocks a slice of its stepped point, so phi is evaluated zero
-    times.  A sample of another chart is rebuilt once per block: its
-    compatibility block from phi alone, and each seeded block stepped."""
+    times.  A sample of another chart is rebuilt once per check call, not
+    per block: one point and one stepped point of the structure's chart."""
     m = conformal_ball(8, 1.0)
     ls = rational_structure(m)
     sample = sample_points(m, 6, 11)
@@ -409,7 +406,7 @@ def test_para_kahler_reads_one_chart_point_per_block(factor_calls):
     wide = conformal_ball(8, 1.0, chart_radius=2.0)
     other = PhaseSample(points=tuple(make_point(wide, pt.q, pt.p)
                                      for pt in sample.points))
-    for own, count in ((sample, 0), (chunk, 0), (other, 1 + 3)):
+    for own, count in ((sample, 0), (chunk, 0), (other, 2)):
         factor_calls.clear()
         check_para_kahler(ls, own)
         assert len(factor_calls) == count
@@ -421,16 +418,16 @@ def test_a_point_of_an_equal_chart_is_read_and_of_another_rebuilt(
     """An equal but distinct chart counts as the points' own: no evaluation
     of phi, in the adapted evaluators and in the checks of a sample, which
     read its chart fields and its stepped point.  Points of another chart
-    are rebuilt on the structure's, as points made there: one evaluation,
-    for a check one per block (one block here); space_form evaluates h
-    stepped and phi plain at their q, two."""
+    are rebuilt on the structure's, as points made there: one evaluation
+    in an adapted evaluator, and two in a check, which also steps the
+    rebuilt sample once."""
     m = conformal_ball(3, 1.0)
     ls = rational_structure(conformal_ball(3, 1.0))
     assert ls.m == m and ls.m is not m
     wide = conformal_ball(3, 1.0, chart_radius=2.0)
     own = sample_points(m, 3, 11).points
     other = tuple(make_point(wide, pt.q, pt.p) for pt in own)
-    for points, count in ((own, 0), (other, 1)):
+    for points, rebuilt in ((own, False), (other, True)):
         pt = stack_points(points) if batch else points[1]
         sample = PhaseSample(points=points if batch else points[1:2])
         for name, call in (("P_adapted", lambda: P_adapted(ls, pt)),
@@ -444,7 +441,7 @@ def test_a_point_of_an_equal_chart_is_read_and_of_another_rebuilt(
                             lambda: check_space_form(ls.m, sample))):
             factor_calls.clear()
             call()
-            want = 2 if count and name == "check_space_form" else count
-            assert len(factor_calls) == want, (name, count)
+            want = (1 if name.endswith("_adapted") else 2) if rebuilt else 0
+            assert len(factor_calls) == want, (name, rebuilt)
     for evaluate in (P_adapted, G_adapted):
         assert np.array_equal(evaluate(ls, other[1]), evaluate(ls, own[1]))

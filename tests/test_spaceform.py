@@ -9,14 +9,13 @@ from paralift import (
     ChartDomainError,
     SpaceForm,
     check_space_form,
-    christoffel_at,
     conformal_ball,
     curvature_at,
     flat_space,
     make_point,
     perturbed_conformal,
 )
-from paralift.spaceform import conformal_factor, conformal_fields
+from paralift.spaceform import christoffel_at, conformal_factor, conformal_fields
 from paralift.verify import fd_oracle
 from chart_sampling import random_chart_points
 from curvature_reference import generic_curvature
@@ -275,9 +274,9 @@ def test_closed_form_curvature_matches_the_generic_route(rng, n):
 
 
 def test_phi_alone_where_h_is_dropped(monkeypatch):
-    # metric_point and energy_density read phi through the phi-only path
+    # energy_density reads phi through the phi-only path
     from paralift import phase, spaceform
-    from paralift.phase import energy_density, metric_point
+    from paralift.phase import energy_density
 
     xs = np.array([[0.1, -0.2, 0.3], [0.4, 0.0, -0.5]])
     ps = np.array([[1.0, 0.5, -0.25], [0.0, 0.0, 0.0]])
@@ -285,9 +284,6 @@ def test_phi_alone_where_h_is_dropped(monkeypatch):
         want = phase.chart_point(m, xs, ps)
         for module in (phase, spaceform):  # h is out of reach
             monkeypatch.setattr(module, "conformal_fields", None)
-        here = metric_point(m, want)  # want.m is None: rebuilt on m
-        assert np.array_equal(here.phi, want.phi)
-        assert np.array_equal(here.t, want.t)
         assert np.array_equal(energy_density(m, xs, ps), want.t)
         assert np.array_equal(conformal_factor(m, xs), want.phi)
         monkeypatch.undo()

@@ -20,31 +20,36 @@ from paralift import (
     check_integrability,
     check_metric_signature,
     check_para_kahler,
-    christoffel_at,
     conformal_ball,
     constant,
     curvature_at,
     energy_density,
-    exterior_derivative_2form,
     fd_oracle,
     flat_space,
     integrable_spec,
     make_point,
-    nijenhuis_at,
     perturbed_conformal,
     polynomial,
     rational_spec,
     sample_points,
     with_metric,
 )
-from paralift import P_coordinate_function, Omega_coordinate, ad, lifted
-from paralift.lifted import G_adapted, _g_blocks
+from paralift import ad, lifted
+from paralift.lifted import (
+    G_adapted,
+    Omega_coordinate,
+    P_coordinate_function,
+    _g_blocks,
+)
 from paralift.phase import chart_point, stack_points
 from paralift.report import make_report
+from paralift.spaceform import christoffel_at
 from paralift.verify import (
     CHECK_NAMES,
     PhaseSample,
     _seeded_residuals,
+    exterior_derivative_2form,
+    nijenhuis_at,
     run_check,
 )
 from curvature_reference import generic_curvature
@@ -389,22 +394,29 @@ def test_closure_agreement_reads_a_foreign_point_on_its_own_chart():
     assert own.passed
 
 
-@pytest.mark.parametrize("other", ["ball-1", "flat", "perturbed", "wide"])
+@pytest.mark.parametrize("other",
+                         ["ball-1", "flat", "perturbed", "wide", "mixed"])
 def test_a_sample_of_another_chart_reports_as_one_of_the_structures(other):
-    """A sample built on another chart model gives, for every check that
-    differentiates the chart, the report of the same (q, p) built on the
-    structure's chart, bit for bit: its stepped point is rebuilt on ls.m."""
+    """A sample built on another chart model, or on two (its batch then has
+    no chart), gives for every check the report of the same (q, p) built on
+    the structure's chart, bit for bit: the check rebuilds it on ls.m."""
     m = conformal_ball(3, 1.0)
     ls = para_kahler_ls(m)
     chart = {"ball-1": conformal_ball(3, -1.0), "flat": flat_space(3),
              "perturbed": perturbed_conformal(3, 1.0, 0.1),
-             "wide": conformal_ball(3, 1.0, chart_radius=1.2)}[other]
+             "wide": conformal_ball(3, 1.0, chart_radius=1.2),
+             "mixed": conformal_ball(3, -1.0)}[other]
     sample = sample_points(chart, 20, 3, p_max=1.0)
-    assert sample.stepped.m is chart
+    if other == "mixed":
+        sample = PhaseSample(points=tuple(
+            make_point(flat_space(3), pt.q, pt.p) if i % 2 else pt
+            for i, pt in enumerate(sample.points)), seed=sample.seed)
+        assert sample.batch.m is None and sample.stepped is None
+    else:
+        assert sample.stepped.m is chart
     own = PhaseSample(points=tuple(make_point(m, pt.q, pt.p)
                                    for pt in sample.points), seed=sample.seed)
-    for name in ("space_form", "integrability", "closure",
-                 "closure_agreement", "para_kahler"):
+    for name in CHECK_NAMES:
         assert run_check(name, ls, sample) == run_check(name, ls, own), name
 
 
