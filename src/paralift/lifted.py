@@ -18,6 +18,22 @@ adapted evaluators first bring their point onto the structure's chart
 read theirs as it is.  A structure without a spec is Cruceanu's
 P = diag(-I, I), which has no G or Omega.
 
+The checks read the n x n blocks, never a zero block.  almost_product
+takes P1 and P2 (P^2 - I = diag(P2 P1 - I, P1 P2 - I)); compatibility
+takes P1, P2, G1 and G2 from one program of eight (P^T G P - eps G =
+diag(P1^T G2 P1 - eps G1, P2^T G1 P2 - eps G2), and P1, P2 are exactly
+symmetric); metric_signature takes G1 and G2.  The coordinate P and Omega
+build each n x n block as a contiguous array and copy it into its slot of
+one 2n x 2n output: a ufunc writing straight into a slot (``out=``) costs
+more than the contiguous operation and the copy together, since a slot's
+rows are apart.  Only P_adapted and G_adapted, which no check calls, and
+Cruceanu's P assemble whole matrices with :func:`paralift.ad.block`.  On a
+stepped point the output takes 16 (2n)^3 bytes a point.  P takes it once
+P1 and P2 exist and drops them as they are copied, and -gb2^T and -M^T
+negate their blocks in place; in that order glibc's malloc keeps its heap
+from one derivative check to the next at n = 16, where it otherwise hands
+it back and faults it in again on every call (ROADMAP item 8).
+
 Coordinate components substitute delta_i = d/dq^i + Gamma0_ih d/dp_h once,
 on the n x n blocks.  For adapted P = [[A, B2], [C, D]] (A = D = 0 but for
 Cruceanu's P) and the mixed block M = lambda I + mu p (x) g0 of Omega,
@@ -132,14 +148,21 @@ def _require_para_hermitian(ls):
     return spec
 
 
-def _p_matrix(ls, pt, coeffs=None):
-    """Adapted-frame matrix of P at the plain chart point ``pt``, from
-    coeffs = (a1, b1, a2, b2) or the spec."""
+def _adapted_blocks(ls, pt, name):
+    """The n x n blocks at the plain chart point ``pt`` from one pass of the
+    spec's program ``name``: (P1, P2) for "P", (G1, G2) for "G" and
+    (P1, P2, G1, G2) for "PG"."""
+    c = _coefficients(ls, pt, name, slack=False)
+    return _blocks(pt, *c[:4]) + (_blocks(pt, *c[4:]) if c[4:] else ())
+
+
+def _p_matrix(ls, pt):
+    """Adapted-frame matrix of P at the plain chart point ``pt``."""
     n = ls.m.n
     if ls.spec is None:
         return np.broadcast_to(np.diag([-1.0] * n + [1.0] * n),
                                np.shape(pt.q)[:-1] + (2 * n, 2 * n))
-    p1, p2 = _blocks(pt, *(coeffs or _coefficients(ls, pt, "P", slack=False)))
+    p1, p2 = _adapted_blocks(ls, pt, "P")
     zero = ad.constant(np.zeros, (n, n))
     return ad.block([[zero, p2], [p1, zero]])
 
@@ -150,19 +173,34 @@ def P_adapted(ls, pt):
     return _p_matrix(ls, on_chart(ls.m, pt))
 
 
+def _slots(pt):
+    """An empty 2n x 2n coordinate-frame matrix at ``pt``, real or complex as
+    its fields, and views of its (qq, qp, pq, pp) n x n blocks."""
+    n = pt.n
+    out = np.empty(pt.p.shape[:-1] + (2 * n, 2 * n), np.result_type(pt.p, pt.h))
+    return out, (out[..., :n, :n], out[..., :n, n:],
+                 out[..., n:, :n], out[..., n:, n:])
+
+
 def _p_coordinate(ls, pt):
-    """Coordinate-frame P at the real or complex chart point ``pt``, blockwise."""
+    """Coordinate-frame P at the real or complex chart point ``pt``, blockwise:
+    each block is built, then written into its slot (module doc)."""
     n, gamma0 = ls.m.n, pt.Gamma0
-    eye, zero = ad.constant(np.eye, n), ad.constant(np.zeros, (n, n))
     if ls.spec is None:  # Cruceanu's P: A = -I, D = I, B2 = C = 0
+        eye, zero = ad.constant(np.eye, n), ad.constant(np.zeros, (n, n))
         return ad.block([[-eye, zero], [-gamma0 - gamma0, eye]])
     coeffs = _coefficients(ls, pt, "P", slack=True)
     c, b2 = _blocks(pt, *coeffs)
+    out, (qq, qp, pq, pp) = _slots(pt)
+    pq[...], qp[...] = c, b2  # C, less gb2 Gamma0 below, and B2
+    del c, b2
     # Gamma0 B2, and B2 Gamma0 = gb2^T (module doc)
     gb2 = (_scalar(coeffs[2] * (1.0 / pt.phi)) * gamma0
            + _scalar((2.0 * pt.t) * coeffs[3]) * ad.outer(pt.h, pt.g0))
-    return ad.block([[-ad.transpose(gb2, (1, 0)), b2],
-                     [c - gb2 @ gamma0, gb2]])
+    pq -= gb2 @ gamma0
+    pp[...] = gb2
+    qq[...] = ad.transpose(np.negative(gb2, out=gb2), (1, 0))
+    return out
 
 
 def P_coordinate_function(ls):
@@ -171,44 +209,27 @@ def P_coordinate_function(ls):
     return lambda z: _p_coordinate(ls, chart_point(ls.m, z[..., :n], z[..., n:]))
 
 
-def _g_blocks(ls, pt, coeffs=None):
-    """(G1, G2) at the plain chart point ``pt``, from coeffs = (c1, d1, c2,
-    d2) or the spec."""
-    return _blocks(pt, *(coeffs or _coefficients(ls, pt, "G", slack=False)))
-
-
-def _diagonal(g1, g2):
-    n = np.shape(g1)[-1]
-    zero = ad.constant(np.zeros, (n, n))
-    return ad.block([[g1, zero], [zero, g2]])
-
-
 def G_adapted(ls, pt):
     """Adapted-frame matrix of G at ``pt``, read on ``ls.m``; symmetric block
     diagonal."""
     _require_metric(ls)
-    return _diagonal(*_g_blocks(ls, on_chart(ls.m, pt)))
-
-
-def _adapted_pg(ls, pt):
-    """(P_adapted, G_adapted) at the point ``pt`` of ``ls.m``: one program of
-    eight."""
-    _require_metric(ls)
-    coeffs = _coefficients(ls, pt, "PG", slack=False)
-    return (_p_matrix(ls, pt, coeffs[:4]),
-            _diagonal(*_g_blocks(ls, pt, coeffs[4:])))
+    g1, g2 = _adapted_blocks(ls, on_chart(ls.m, pt), "G")
+    zero = ad.constant(np.zeros, (ls.m.n, ls.m.n))
+    return ad.block([[g1, zero], [zero, g2]])
 
 
 def _omega_coordinate(ls, pt):
-    """Coordinate-frame Omega at the real or complex chart point ``pt``."""
-    n = ls.m.n
+    """Coordinate-frame Omega at the real or complex chart point ``pt``: each
+    block is built, then written into its slot (module doc)."""
     lam, mu = _coefficients(ls, pt, "form", slack=True)
-    mixed = (_scalar(lam) * ad.constant(np.eye, n)
+    mixed = (_scalar(lam) * ad.constant(np.eye, pt.n)
              + _scalar(mu) * ad.outer(pt.p, pt.g0))
     s = ad.outer(np.asarray((2.0 * pt.t) * mu)[..., None] * pt.h, pt.p)
-    qq = s - ad.transpose(s, (1, 0))  # 2t mu (h (x) p - p (x) h)
-    return ad.block([[qq, mixed], [-ad.transpose(mixed, (1, 0)),
-                                   ad.constant(np.zeros, (n, n))]])
+    s = s - ad.transpose(s, (1, 0))  # 2t mu (h (x) p - p (x) h)
+    out, (qq, qp, pq, pp) = _slots(pt)
+    qq[...], qp[...], pp[...] = s, mixed, 0.0
+    pq[...] = ad.transpose(np.negative(mixed, out=mixed), (1, 0))
+    return out
 
 
 def Omega_coordinate(ls):

@@ -31,8 +31,7 @@ import numpy as np
 from . import ad
 from .errors import RangeError
 from .lifted import (
-    _adapted_pg,
-    _g_blocks,
+    _adapted_blocks,
     _omega_coordinate,
     _p_coordinate,
     _p_matrix,
@@ -170,17 +169,19 @@ def _ball(rng, n, radius):
 def _check(name, m, sample, tol, residuals, finish=lambda r: (r, None, ()),
            named=None):
     """Report of check ``name`` on a PhaseSample or points; tol None takes the
-    default.  A sample whose batch was built on a chart other than ``m``, or
-    on mixed charts, is rebuilt here once on ``m``, so ``residuals``, which
+    default.  Points are stacked into one batch on ``m`` and stepped once
+    there; a sample whose batch was built on a chart other than ``m``, or on
+    mixed charts, is rebuilt here once on ``m``.  So ``residuals``, which
     maps the sample to one residual per point, reads a batch and a stepped
     point of ``m``.  ``finish`` maps its result to the report's (residuals,
     details, notes); the witnesses name the sample's points, or the rows of
     ``named``."""
     tol = DEFAULT_TOLERANCES[name] if tol is None else tol
-    if not isinstance(sample, PhaseSample):
-        sample = PhaseSample(points=tuple(sample))
-    if not len(sample.points):  # a check over no points proves nothing
+    points = sample.points if isinstance(sample, PhaseSample) else tuple(sample)
+    if not len(points):  # a check over no points proves nothing
         raise ValueError("sample must be nonempty")
+    if not isinstance(sample, PhaseSample):
+        sample = PhaseSample(points, None, on_chart(m, stack_points(points)))
     batch = on_chart(m, sample.batch)
     if batch is not sample.batch:
         sample = PhaseSample(sample.points, sample.seed, batch)
@@ -248,9 +249,11 @@ def _stepped_nijenhuis(out):
     broadcast over a, and h N = Y - Y with a and b swapped, bitwise."""
     pmat = np.ascontiguousarray(out.real[..., 0, :, :])
     d = np.ascontiguousarray(out.imag)  # unit strides for both products
+    del out  # a caller's temporary is freed before the products
     k, lead = pmat.shape[-1], d.shape[:-3]
-    y = ((ad.transpose(pmat, (1, 0)) @ d.reshape(lead + (k, k * k)))
-         .reshape(d.shape) - pmat[..., None, :, :] @ d)
+    y = (ad.transpose(pmat, (1, 0)) @ d.reshape(lead + (k, k * k))).reshape(
+        d.shape)
+    y -= pmat[..., None, :, :] @ d
     return y - ad.transpose(y, (2, 1, 0))
 
 
@@ -327,16 +330,24 @@ def check_space_form(m, sample, tol=None):
                   _blocks(residual, (2 * m.n) ** 3), named=sample.batch.q)
 
 
-def check_almost_product(ls, sample, tol=None):
-    """max over the sample of |P_adapted^2 - I|_inf."""
-    eye = ad.constant(np.eye, 2 * ls.m.n)
-
-    def residual(pt, _):
+def _almost_product(ls, pt):
+    """|P^2 - I|_inf per point; Cruceanu's P = diag(-I, I) is squared whole."""
+    if ls.spec is None:
         pmat = _p_matrix(ls, pt)
-        return _max_abs(pmat @ pmat - eye, 2)
+        return _max_abs(pmat @ pmat - ad.constant(np.eye, 2 * ls.m.n), 2)
+    p1, p2 = _adapted_blocks(ls, pt, "P")
+    eye = ad.constant(np.eye, ls.m.n)
+    return np.maximum(_max_abs(p2 @ p1 - eye, 2), _max_abs(p1 @ p2 - eye, 2))
 
+
+def check_almost_product(ls, sample, tol=None):
+    """max over the sample of |P_adapted^2 - I|_inf.
+
+    For P = [[0, P2], [P1, 0]], P^2 - I = diag(P2 P1 - I, P1 P2 - I): the
+    residual reads these two n x n blocks and assembles no zero block."""
     return _check("almost_product", ls.m, sample, tol,
-                  _blocks(residual, (2 * ls.m.n) ** 2))
+                  _blocks(lambda pt, _: _almost_product(ls, pt),
+                          (2 * ls.m.n) ** 2))
 
 
 def _nijenhuis_max(ls, lanes):
@@ -358,13 +369,20 @@ def check_integrability(ls, sample, tol=None):
 
 
 def _compatibility(ls, pt):
-    pmat, gmat = _adapted_pg(ls, pt)
-    eps = float(ls.spec.epsilon)
-    return _max_abs(np.swapaxes(pmat, -1, -2) @ gmat @ pmat - eps * gmat, 2)
+    """|P^T G P - eps G|_inf per point; P1 and P2 are exactly symmetric."""
+    eps = float(_require_metric(ls).epsilon)
+    p1, p2, g1, g2 = _adapted_blocks(ls, pt, "PG")
+    return np.maximum(_max_abs(p1 @ g2 @ p1 - eps * g1, 2),
+                      _max_abs(p2 @ g1 @ p2 - eps * g2, 2))
 
 
 def check_compatibility(ls, sample, tol=None):
-    """max over the sample of |P^T G P - eps G|_inf in the adapted frame."""
+    """max over the sample of |P^T G P - eps G|_inf in the adapted frame.
+
+    For P = [[0, P2], [P1, 0]] and G = diag(G1, G2), P^T G P - eps G =
+    diag(P1^T G2 P1 - eps G1, P2^T G1 P2 - eps G2): the residual reads these
+    two n x n blocks, built from one coefficient pass, and assembles no zero
+    block."""
     return _check("compatibility", ls.m, sample, tol,
                   _blocks(lambda pt, _: _compatibility(ls, pt), (2 * ls.m.n) ** 2))
 
@@ -387,7 +405,7 @@ def check_metric_signature(ls, sample, tol=None):
         expected = None
 
     def residual(pt, _):
-        blocks = _g_blocks(ls, pt)
+        blocks = _adapted_blocks(ls, pt, "G")
         eigs = np.concatenate([np.linalg.eigvalsh(g) for g in blocks], axis=-1)
         if expected is None:
             return np.zeros(eigs.shape[:-1])

@@ -27,10 +27,14 @@ from paralift import (
 )
 from paralift import ad
 from paralift.lifted import G_adapted, Omega_coordinate, P_coordinate_function
+from paralift.lifted import _omega_coordinate, _p_coordinate
 from paralift.phase import stack_points, stepped_point
 from paralift.verify import (
     PhaseSample,
+    _almost_product,
+    _compatibility,
     _seeded_residuals,
+    check_almost_product,
     check_closure,
     check_integrability,
     check_para_kahler,
@@ -38,7 +42,14 @@ from paralift.verify import (
     fd_oracle,
     nijenhuis_at,
 )
-from frame_reference import Omega_adapted, frame_matrices, liouville, spray
+from frame_reference import (
+    Omega_adapted,
+    frame_matrices,
+    liouville,
+    omega_coordinate_dense,
+    p_coordinate_dense,
+    spray,
+)
 
 
 
@@ -445,3 +456,76 @@ def test_a_point_of_an_equal_chart_is_read_and_of_another_rebuilt(
             assert len(factor_calls) == want, (name, rebuilt)
     for evaluate in (P_adapted, G_adapted):
         assert np.array_equal(evaluate(ls, other[1]), evaluate(ls, own[1]))
+
+
+def test_a_check_on_a_list_steps_the_chart_once(factor_calls):
+    """A list of points is stacked onto the structure's chart before it is
+    stepped: points of another chart cost one rebuild and one step, as a
+    prebuilt sample of them does, and points of its own chart one step."""
+    m = conformal_ball(3, 1.0)
+    ls = rational_structure(m)
+    wide = conformal_ball(3, 1.0, chart_radius=2.0)
+    sample = sample_points(m, 3, 11)
+    other = [make_point(wide, pt.q, pt.p) for pt in sample.points]
+    prebuilt = PhaseSample(tuple(other))
+    for check in (check_compatibility, check_integrability):
+        for points, count in ((other, 2), (prebuilt, 2),
+                              (list(sample.points), 1)):
+            factor_calls.clear()
+            report = check(ls, points)
+            assert len(factor_calls) == count, (check.__name__, count)
+            assert report.max_residual == check(ls, sample).max_residual
+
+
+BLOCK_MODELS = {
+    "flat": lambda n: (flat_space(n), 0.0, affine(1.0, 0.1)),
+    "ball+1": lambda n: (conformal_ball(n, 1.0), 1.0, constant(1.0)),
+    "ball-1": lambda n: (conformal_ball(n, -1.0), -1.0, constant(3.0)),
+    "perturbed": lambda n: (perturbed_conformal(n, 1.0, 0.1), 1.0,
+                            constant(1.0)),
+}
+
+
+def _bits(a):
+    """dtype, shape and bytes of an array or scalar: bitwise identity."""
+    a = np.asarray(a)
+    return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("epsilon", [-1, 1])
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("model", sorted(BLOCK_MODELS))
+def test_block_readings_equal_the_dense_assembly_bitwise(model, n, epsilon):
+    """almost_product and compatibility read the two diagonal n x n blocks
+    of P^2 - I and P^T G P - eps G; per point their residuals are the max
+    over the whole 2n x 2n products of P_adapted and G_adapted, bit for bit,
+    on a batch and on single points, and so for Cruceanu's P.  The
+    coordinate P and Omega, written into their slots, are the ad.block
+    assembly of the same blocks, on real points and on the stepped point,
+    dtype included."""
+    m, c, a1 = BLOCK_MODELS[model](n)
+    ls = LiftedStructure(m=m, spec=with_metric(
+        integrable_spec(a1, curvature=c, epsilon=epsilon), affine(1.0, 1.0)))
+    sample = sample_points(m, 5, 70 + n)
+    eye = np.eye(2 * n)
+    for pt in sample.points + (sample.batch,):
+        pmat, gmat = P_adapted(ls, pt), G_adapted(ls, pt)
+        square = np.abs(pmat @ pmat - eye).max((-2, -1))
+        compatible = np.abs(np.swapaxes(pmat, -1, -2) @ gmat @ pmat
+                            - float(epsilon) * gmat).max((-2, -1))
+        assert _bits(_almost_product(ls, pt)) == _bits(square)
+        assert _bits(_compatibility(ls, pt)) == _bits(compatible)
+        cruceanu = LiftedStructure(m=m)
+        pmat = P_adapted(cruceanu, pt)
+        assert _bits(_almost_product(cruceanu, pt)) == _bits(
+            np.abs(pmat @ pmat - eye).max((-2, -1)))
+        for at in (pt, stepped_point(m, pt)):
+            assert _bits(_p_coordinate(ls, at)) == _bits(
+                p_coordinate_dense(ls, at))
+            if epsilon == -1:
+                assert _bits(_omega_coordinate(ls, at)) == _bits(
+                    omega_coordinate_dense(ls, at))
+    for check, residual in ((check_almost_product, _almost_product),
+                            (check_compatibility, _compatibility)):
+        assert check(ls, sample).max_residual == float(
+            residual(ls, sample.batch).max())

@@ -39,7 +39,7 @@ from paralift.lifted import (
     G_adapted,
     Omega_coordinate,
     P_coordinate_function,
-    _g_blocks,
+    _adapted_blocks,
 )
 from paralift.phase import chart_point, stack_points
 from paralift.report import make_report
@@ -261,8 +261,8 @@ def test_block_eigenvalue_census_equals_the_full_matrix(epsilon):
     ls = LiftedStructure(m=m, spec=spec)
     batch = stack_points(sample_points(m, 40, 13).points)
     full = np.linalg.eigvalsh(G_adapted(ls, batch))
-    blocks = np.concatenate([np.linalg.eigvalsh(g) for g in _g_blocks(ls, batch)],
-                            axis=-1)
+    blocks = np.concatenate([np.linalg.eigvalsh(g)
+                             for g in _adapted_blocks(ls, batch, "G")], axis=-1)
     assert np.allclose(np.sort(blocks, axis=-1), full, rtol=1e-13, atol=1e-14)
     for sign in (1.0, -1.0):
         assert np.array_equal(np.sum(sign * full > 1e-10, axis=-1),

@@ -24,6 +24,13 @@ takes a few ms, so it gets more calls than a chunk.  ``sample_points``, as
 printed as a ``sample`` line, so work that a change moves from the checks
 into the sample shows beside the per-check ratios.
 
+Both checkouts share this one process, and so one heap: the allocator
+state that one side's calls leave behind (its trim threshold, its free
+memory) is what the other side's calls meet.  At n >= 16, where a check's
+stepped temporaries take megabytes, that can bias the per-check ratios
+either way, so confirm large-n readings with each side in processes of its
+own.
+
 The answers are compared too, so a speed A/B cannot hide a changed one: per
 check, whether every chunk's verdict agrees, and the largest relative change
 of a chunk's ``max_residual``.  The exit status is 1 if any verdict differs.
