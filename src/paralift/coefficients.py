@@ -16,13 +16,14 @@ the derivation rules, each applied by one spec builder below:
 
 A :class:`Program` compiles a tuple of families once into a flat list of
 their unique nodes, children first, so a subtree that several families share
-(b1 inside d1 and d2) is computed once per pass.  At its first call the steps
-become one straight-line Python function of t, which evaluates values on a
-real t.  A complex-stepped t (see :mod:`paralift.ad`) takes one chain-rule
-step, c(t) -> c(Re t) + i c'(Re t) Im t, with f and f' from one pass of a
-second program over the families and their derivative trees (Griewank &
-Walther, *Evaluating Derivatives*, ch. 3): the complex step never enters the
-tree, so exp and every guard see real numbers.
+(b1 inside d1 and d2) is computed once per pass, and a pass returns one
+array with a row per family.  At its first call the steps become one
+straight-line Python function of t, which evaluates values on a real t.  A
+complex-stepped t (see :mod:`paralift.ad`) takes one chain-rule step,
+c(t) -> c(Re t) + i c'(Re t) Im t, with f and f' from one pass of a second
+program over the families and their derivative trees (Griewank & Walther,
+*Evaluating Derivatives*, ch. 3): the complex step never enters the tree,
+so exp and every guard see real numbers.
 """
 
 from __future__ import annotations
@@ -91,8 +92,11 @@ class ScalarFamily:
     args: tuple = ()
 
     def __call__(self, t):
-        """f(t); on a complex t, the chain-rule step f(Re t) + i f'(Re t) Im t."""
-        return self.program(t)[0]
+        """f(t); on a complex t, the chain-rule step f(Re t) + i f'(Re t) Im t.
+        A plain t reads the compiled function's first output, unstacked."""
+        if np.iscomplexobj(t):
+            return self.program(t)[0]
+        return self.program._function(t)[0]
 
     @cached_property
     def program(self):
@@ -193,14 +197,15 @@ class Program:
                        + tuple(f.derivative() for f in self.families))
 
     def __call__(self, t):
-        """The families at t; on a complex t, f(Re t) + i f'(Re t) Im t."""
+        """The families at t as one array, a row per family, t's shape each;
+        on a complex t, f(Re t) + i f'(Re t) Im t."""
         if np.iscomplexobj(t):
-            out, k = self.with_derivatives(t.real), len(self.outputs)
+            out, k = self.with_derivatives._function(t.real), len(self.outputs)
             z = np.empty((k,) + np.shape(t), complex)
             z.real = out[:k]
             np.multiply(out[k:], t.imag, out=z.imag)
-            return tuple(z)
-        return self._function(t)
+            return z
+        return np.array(self._function(t))
 
     @cached_property
     def _constants(self):
@@ -301,7 +306,8 @@ SCALAR_PRESETS = {
 
 
 _PROGRAMS = {"P": "a1 b1 a2 b2", "G": "c1 d1 c2 d2",
-             "PG": "a1 b1 a2 b2 c1 d1 c2 d2", "form": "lam mu"}
+             "PG": "a1 b1 a2 b2 c1 d1 c2 d2", "form": "lam mu",
+             "Pform": "a1 b1 a2 b2 lam mu"}
 
 
 @dataclass(frozen=True)
@@ -344,7 +350,7 @@ class StructureSpec:
     def program(self, name):
         """The :class:`Program` of the family tuple ``name``, compiled once:
         "P" is a1, b1, a2, b2; "G" c1, d1, c2, d2; "PG" the eight; "form"
-        lam, mu."""
+        lam, mu; "Pform" the four of "P", then lam, mu."""
         programs = self.__dict__.setdefault("_programs", {})  # beside the fields
         if name not in programs:
             programs[name] = Program([getattr(self, f)
@@ -367,17 +373,17 @@ def _sampled_values(families, t_max):
     pair, k = Program(families).with_derivatives, len(families)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         grid = validation_grid(t_max)
-        values = np.array(pair(grid))  # f of each family, then each f'
+        values = pair(grid)  # f of each family, then each f'
         slope = values[:k] * values[k:]  # d|f|/dt has the sign of f f'
         fam, left = np.nonzero((slope[:, :-1] < 0.0) & (slope[:, 1:] > 0.0))
         lo, hi, own = grid[left], grid[left + 1], np.arange(left.size)
         for _ in range(_BISECTIONS if left.size else 0):
             mid = 0.5 * (lo + hi)
-            at = np.array(pair(mid))
+            at = pair(mid)
             falling = at[fam, own] * at[k + fam, own] < 0.0
             lo, hi = np.where(falling, mid, lo), np.where(falling, hi, mid)
         minima = 0.5 * (lo + hi)
-        at = np.array(pair(minima))
+        at = pair(minima)
     return [(np.concatenate([grid, minima[fam == i]]),
              np.concatenate([values[i], at[i, fam == i]])) for i in range(k)]
 

@@ -18,21 +18,59 @@ adapted evaluators first bring their point onto the structure's chart
 read theirs as it is.  A structure without a spec is Cruceanu's
 P = diag(-I, I), which has no G or Omega.
 
-The checks read the n x n blocks, never a zero block.  almost_product
-takes P1 and P2 (P^2 - I = diag(P2 P1 - I, P1 P2 - I)); compatibility
-takes P1, P2, G1 and G2 from one program of eight (P^T G P - eps G =
-diag(P1^T G2 P1 - eps G1, P2^T G1 P2 - eps G2), and P1, P2 are exactly
-symmetric); metric_signature takes G1 and G2.  The coordinate P and Omega
-build each n x n block as a contiguous array and copy it into its slot of
-one 2n x 2n output: a ufunc writing straight into a slot (``out=``) costs
-more than the contiguous operation and the copy together, since a slot's
-rows are apart.  Only P_adapted and G_adapted, which no check calls, and
-Cruceanu's P assemble whole matrices with :func:`paralift.ad.block`.  On a
-stepped point the output takes 16 (2n)^3 bytes a point.  P takes it once
-P1 and P2 exist and drops them as they are copied, and -gb2^T and -M^T
-negate their blocks in place; in that order glibc's malloc keeps its heap
-from one derivative check to the next at n = 16, where it otherwise hands
-it back and faults it in again on every call (ROADMAP item 8).
+The checks read the n x n blocks, never a zero block, and hold the blocks
+of one coefficient pass as one stack.  A pass of a spec's program is one
+array, a row per family (:class:`paralift.coefficients.Program`), and
+:func:`_blocks` turns each group of four rows (k1, l1, k2, l2) into
+k1 g + l1 p(x)p and k2 g^-1 + l2 g0(x)g0: the pass "P" gives the stack
+(P1, P2), "G" gives (G1, G2) and "PG" gives (P1, P2, G1, G2).  Each
+identity is read off its stack in one pass:
+
+  * almost_product: P^2 - I = diag(P2 P1 - I, P1 P2 - I), and as P1 and P2
+    are exactly symmetric, P1 P2 - I is (P2 P1 - I)^T (see
+    :func:`paralift.verify.check_almost_product`): one product of slices
+    1 and 0, P2 P1 - I;
+  * compatibility: P^T G P - eps G = diag(P1 G2 P1 - eps G1,
+    P2 G1 P2 - eps G2), one stacked triple product (P1, P2) (G2, G1)
+    (P1, P2) - eps (G1, G2) of slices 0-1, 3-2 (a contiguous copy) and
+    0-1, then one max;
+  * metric_signature: the eigenvalues of G are those of G1 and G2, one
+    eigvalsh over the (G1, G2) stack.
+
+A stacked matmul or eigvalsh runs, on each contiguous slice, what a call
+on that block alone runs, so each residual is bitwise the blockwise one.
+Coefficient passes per block of points, each one program call:
+
+  check              passes              before the stacked blocks
+  almost_product     P                   P
+  compatibility      PG                  PG
+  metric_signature   G                   G
+  integrability      P on the lanes      P on the lanes
+  closure            form on the lanes   form on the lanes
+  closure_agreement  form on the lanes,  the same
+                     mu and lam' on the
+                     points
+  para_kahler        PG, and Pform on    PG, and P and form on the lanes
+                     the lanes
+  space_form         none                none
+
+The lanes are the sample's stepped chart point; "Pform" is a1, b1, a2, b2,
+lam, mu in one program, whose rows are bitwise those of "P" and "form".
+
+The coordinate P and Omega build each n x n block as a contiguous array and
+copy it into its slot of one 2n x 2n output: a ufunc writing straight into
+a slot (``out=``) costs more than the contiguous operation and the copy
+together, since a slot's rows are apart.  Only P_adapted and G_adapted,
+which no check calls, and Cruceanu's P assemble whole matrices with
+:func:`paralift.ad.block`.  On a stepped point the output takes 16 (2n)^3
+bytes a point.  P builds P1 and P2 one at a time (:func:`_block`, the
+formula :func:`_blocks` applies to a whole stack), takes the output once
+both exist and drops them as they are copied, and -gb2^T and -M^T negate
+their blocks in place; in that order glibc's malloc keeps its heap from
+one derivative check to the next at n = 16, where it otherwise hands it
+back and faults it in again on every call (ROADMAP item 8).  The (P1, P2)
+stack in their place, one array of twice a block, brought those faults
+back: about 500 a call of integrability at n = 16.
 
 Coordinate components substitute delta_i = d/dq^i + Gamma0_ih d/dp_h once,
 on the n x n blocks.  For adapted P = [[A, B2], [C, D]] (A = D = 0 but for
@@ -51,7 +89,8 @@ p (x) h only 2t mu (h (x) p - p (x) h) is left in Omega's qq block.  The
 evaluators accept a complex z = (q, p), so entries are differentiable by
 complex step in all 2n phase variables, and leading batch axes (see
 :mod:`paralift.ad`): a block's coefficients are one
-:class:`paralift.coefficients.Program` pass.
+:class:`paralift.coefficients.Program` pass, which the coordinate P and
+Omega also take from a caller that shares one.
 """
 
 from __future__ import annotations
@@ -117,21 +156,30 @@ def _scalar(c):
 
 
 def _coefficients(ls, pt, name, *, slack):
-    """The spec's family tuple ``name`` at pt.t, range-checked first."""
+    """The pass of the spec's program ``name`` at pt.t, one row per family,
+    range-checked first."""
     _check_range(ls, pt.t, slack=slack)
     return ls.spec.program(name)(pt.t)
 
 
-def _blocks(pt, k1, l1, k2, l2):
-    """(k1 g + l1 p(x)p, k2 g^-1 + l2 g0(x)g0), one coefficient value per point.
+def _blocks(pt, coeffs):
+    """The n x n blocks of the pass ``coeffs`` as one stack: for each group
+    of rows (k1, l1, k2, l2), k1 g + l1 p(x)p and k2 g^-1 + l2 g0(x)g0, one
+    coefficient value per point; shape (2 groups, ..., n, n).
 
     k1 g = (k1 phi) I is scaled per point before it meets I, which holds only
     0 and 1, so every nonzero entry has the bits of k1 (phi I).
     """
-    eye = ad.constant(np.eye, pt.n)
-    return (_scalar(k1 * pt.phi) * eye + _scalar(l1) * ad.outer(pt.p, pt.p),
-            _scalar(k2 * (1.0 / pt.phi)) * eye
-            + _scalar(l2) * ad.outer(pt.g0, pt.g0))
+    rows = coeffs.reshape((-1, 2, 2) + coeffs.shape[1:])  # group, block, k|l
+    out = _block(rows[:, :, 0] * np.array((pt.phi, 1.0 / pt.phi)),
+                 rows[:, :, 1], np.array((pt.p, pt.g0)))
+    return out.reshape((-1,) + out.shape[2:])
+
+
+def _block(scale, weight, v):
+    """scale I + weight v(x)v, one scale and weight per point, broadcast."""
+    return (_scalar(scale) * ad.constant(np.eye, v.shape[-1])
+            + _scalar(weight) * ad.outer(v, v))
 
 
 def _require_metric(ls):
@@ -149,11 +197,10 @@ def _require_para_hermitian(ls):
 
 
 def _adapted_blocks(ls, pt, name):
-    """The n x n blocks at the plain chart point ``pt`` from one pass of the
-    spec's program ``name``: (P1, P2) for "P", (G1, G2) for "G" and
-    (P1, P2, G1, G2) for "PG"."""
-    c = _coefficients(ls, pt, name, slack=False)
-    return _blocks(pt, *c[:4]) + (_blocks(pt, *c[4:]) if c[4:] else ())
+    """The stack of n x n blocks at the plain chart point ``pt`` from one
+    pass of the spec's program ``name``: (P1, P2) for "P", (G1, G2) for "G"
+    and (P1, P2, G1, G2) for "PG"."""
+    return _blocks(pt, _coefficients(ls, pt, name, slack=False))
 
 
 def _p_matrix(ls, pt):
@@ -182,15 +229,18 @@ def _slots(pt):
                  out[..., n:, :n], out[..., n:, n:])
 
 
-def _p_coordinate(ls, pt):
+def _p_coordinate(ls, pt, coeffs=None):
     """Coordinate-frame P at the real or complex chart point ``pt``, blockwise:
-    each block is built, then written into its slot (module doc)."""
+    each block is built, then written into its slot (module doc).
+    ``coeffs`` is the pass of "P" at pt.t, evaluated here if None."""
     n, gamma0 = ls.m.n, pt.Gamma0
     if ls.spec is None:  # Cruceanu's P: A = -I, D = I, B2 = C = 0
         eye, zero = ad.constant(np.eye, n), ad.constant(np.zeros, (n, n))
         return ad.block([[-eye, zero], [-gamma0 - gamma0, eye]])
-    coeffs = _coefficients(ls, pt, "P", slack=True)
-    c, b2 = _blocks(pt, *coeffs)
+    if coeffs is None:
+        coeffs = _coefficients(ls, pt, "P", slack=True)
+    c = _block(coeffs[0] * pt.phi, coeffs[1], pt.p)
+    b2 = _block(coeffs[2] * (1.0 / pt.phi), coeffs[3], pt.g0)
     out, (qq, qp, pq, pp) = _slots(pt)
     pq[...], qp[...] = c, b2  # C, less gb2 Gamma0 below, and B2
     del c, b2
@@ -218,10 +268,12 @@ def G_adapted(ls, pt):
     return ad.block([[g1, zero], [zero, g2]])
 
 
-def _omega_coordinate(ls, pt):
+def _omega_coordinate(ls, pt, coeffs=None):
     """Coordinate-frame Omega at the real or complex chart point ``pt``: each
-    block is built, then written into its slot (module doc)."""
-    lam, mu = _coefficients(ls, pt, "form", slack=True)
+    block is built, then written into its slot (module doc).  ``coeffs`` is
+    the pass of "form" at pt.t, evaluated here if None."""
+    lam, mu = (_coefficients(ls, pt, "form", slack=True) if coeffs is None
+               else coeffs)
     mixed = (_scalar(lam) * ad.constant(np.eye, pt.n)
              + _scalar(mu) * ad.outer(pt.p, pt.g0))
     s = ad.outer(np.asarray((2.0 * pt.t) * mu)[..., None] * pt.h, pt.p)

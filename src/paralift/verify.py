@@ -24,7 +24,7 @@ for comparisons against central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from . import ad
 from .errors import RangeError
 from .lifted import (
     _adapted_blocks,
+    _coefficients,
     _omega_coordinate,
     _p_coordinate,
     _p_matrix,
@@ -69,6 +70,7 @@ __all__ = [
     "run_check",
     "DEFAULT_TOLERANCES",
     "CHECK_NAMES",
+    "STEPPED_CHECKS",
 ]
 
 DEFAULT_TOLERANCES = {
@@ -83,6 +85,10 @@ DEFAULT_TOLERANCES = {
 }
 
 CHECK_NAMES = tuple(DEFAULT_TOLERANCES)
+
+# The checks that differentiate the chart, so read a sample's stepped point.
+STEPPED_CHECKS = frozenset({"space_form", "integrability", "closure",
+                            "closure_agreement", "para_kahler"})
 
 _EIGENVALUE_TOL = 1e-10
 CHART_FRACTION = 0.8  # of the chart radius, the ball of sampled q
@@ -99,26 +105,27 @@ class PhaseSample:
 
     ``stepped`` is derived, built here once: the batch's
     :func:`paralift.phase.stepped_point` on its own chart, which every check
-    that differentiates the chart reads.  It is None for points with no
-    common chart or for no points.  It takes 16 (8n^2 + 4n) bytes per
-    point, 133 KB at n = 32.
+    of :data:`STEPPED_CHECKS` reads.  It is None for points with no common
+    chart, for no points, or when ``step`` is false.  It takes
+    16 (8n^2 + 4n) bytes per point, 133 KB at n = 32.
     """
 
     points: tuple
     seed: int | None = None
     batch: CotangentPoint = field(default=None, repr=False)
     stepped: CotangentPoint | None = field(init=False, repr=False)
+    step: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, step):
         if self.batch is None:
             object.__setattr__(self, "batch", stack_points(self.points))
         batch = self.batch
         object.__setattr__(self, "stepped", stepped_point(batch.m, batch)
-                           if batch.m is not None and len(self.points)
+                           if step and batch.m is not None and len(self.points)
                            else None)
 
 
-def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0):
+def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0, stepped=True):
     """Deterministic sample of phase points for the checkers.
 
     q is uniform in the ball |q| <= CHART_FRACTION * chart_radius, p uniform
@@ -127,7 +134,8 @@ def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0):
     The first point always carries p = 0, since several coefficient
     formulas have removable behavior at t = 0 that deserves coverage.  Each
     draw is tested in float arithmetic; the accepted ones are built as one
-    batch.
+    batch, with its stepped point unless ``stepped`` is false: a run whose
+    checks are none of :data:`STEPPED_CHECKS` reads none.
     """
     rng = np.random.default_rng(seed)
     radius = CHART_FRACTION * m.chart_radius
@@ -146,13 +154,14 @@ def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0):
             continue
         qs.append(q)
         ps.append(p)
-    return _sample_of(make_point(m, qs, ps) if qs else stack_points(()), seed)
+    return _sample_of(make_point(m, qs, ps) if qs else stack_points(()), seed,
+                      stepped)
 
 
-def _sample_of(batch, seed=None):
+def _sample_of(batch, seed=None, step=True):
     """The PhaseSample of the points of ``batch``, a batched point."""
     points = tuple(take_points(batch, i) for i in range(len(batch.q)))
-    return PhaseSample(points, seed, batch)
+    return PhaseSample(points, seed, batch, step)
 
 
 def _ball(rng, n, radius):
@@ -169,22 +178,26 @@ def _ball(rng, n, radius):
 def _check(name, m, sample, tol, residuals, finish=lambda r: (r, None, ()),
            named=None):
     """Report of check ``name`` on a PhaseSample or points; tol None takes the
-    default.  Points are stacked into one batch on ``m`` and stepped once
-    there; a sample whose batch was built on a chart other than ``m``, or on
-    mixed charts, is rebuilt here once on ``m``.  So ``residuals``, which
-    maps the sample to one residual per point, reads a batch and a stepped
-    point of ``m``.  ``finish`` maps its result to the report's (residuals,
-    details, notes); the witnesses name the sample's points, or the rows of
-    ``named``."""
+    default.  Points are stacked into one batch on ``m``; a sample whose
+    batch was built on a chart other than ``m``, or on mixed charts, is
+    rebuilt here once on ``m``.  A check of :data:`STEPPED_CHECKS` steps
+    the points, the rebuilt sample, or a sample built without its stepped
+    point once, there; any other check steps none.  So ``residuals``, which
+    maps the sample to one residual per point, reads a batch of ``m`` and,
+    if it differentiates, a stepped point of ``m``.  ``finish`` maps its
+    result to the report's (residuals, details, notes); the witnesses name
+    the sample's points, or the rows of ``named``."""
     tol = DEFAULT_TOLERANCES[name] if tol is None else tol
     points = sample.points if isinstance(sample, PhaseSample) else tuple(sample)
     if not len(points):  # a check over no points proves nothing
         raise ValueError("sample must be nonempty")
+    step = name in STEPPED_CHECKS
     if not isinstance(sample, PhaseSample):
-        sample = PhaseSample(points, None, on_chart(m, stack_points(points)))
+        sample = PhaseSample(points, None, on_chart(m, stack_points(points)),
+                             step)
     batch = on_chart(m, sample.batch)
-    if batch is not sample.batch:
-        sample = PhaseSample(sample.points, sample.seed, batch)
+    if batch is not sample.batch or step and sample.stepped is None:
+        sample = PhaseSample(sample.points, sample.seed, batch, step)
     values, details, notes = finish(residuals(sample))
     return make_report(name, values,
                        sample.points if named is None else named, tol,
@@ -192,15 +205,16 @@ def _check(name, m, sample, tol, residuals, finish=lambda r: (r, None, ()),
 
 
 def _blocks(fn, footprint):
-    """A sample to ``fn`` of its batch and stepped point, or of the same
-    consecutive slices of both, each of at least one point and
-    :data:`paralift.ad.BLOCK_ELEMENTS` at most; ``footprint``: elements per
-    point, (2n)^2 for the matrix checks, (2n)^3 for jacobian checks."""
+    """A sample to ``fn`` of its batch and stepped point (None if it has
+    none), or of the same consecutive slices of both, each of at least one
+    point and :data:`paralift.ad.BLOCK_ELEMENTS` at most; ``footprint``:
+    elements per point, (2n)^2 for the matrix checks, (2n)^3 for jacobian
+    checks."""
     def residuals(s):
         count, size = len(s.points), max(1, ad.BLOCK_ELEMENTS // footprint)
         if count <= size:
             return fn(s.batch, s.stepped)
-        return np.concatenate([fn(*(take_points(x, slice(i, i + size))
+        return np.concatenate([fn(*(x and take_points(x, slice(i, i + size))
                                     for x in (s.batch, s.stepped)))
                                for i in range(0, count, size)])
     return residuals
@@ -331,33 +345,39 @@ def check_space_form(m, sample, tol=None):
 
 
 def _almost_product(ls, pt):
-    """|P^2 - I|_inf per point; Cruceanu's P = diag(-I, I) is squared whole."""
+    """|P^2 - I|_inf per point from P2 P1 - I alone (check_almost_product);
+    Cruceanu's P = diag(-I, I) is squared whole."""
     if ls.spec is None:
         pmat = _p_matrix(ls, pt)
         return _max_abs(pmat @ pmat - ad.constant(np.eye, 2 * ls.m.n), 2)
     p1, p2 = _adapted_blocks(ls, pt, "P")
-    eye = ad.constant(np.eye, ls.m.n)
-    return np.maximum(_max_abs(p2 @ p1 - eye, 2), _max_abs(p1 @ p2 - eye, 2))
+    return _max_abs(p2 @ p1 - ad.constant(np.eye, ls.m.n), 2)
 
 
 def check_almost_product(ls, sample, tol=None):
     """max over the sample of |P_adapted^2 - I|_inf.
 
-    For P = [[0, P2], [P1, 0]], P^2 - I = diag(P2 P1 - I, P1 P2 - I): the
-    residual reads these two n x n blocks and assembles no zero block."""
+    For P = [[0, P2], [P1, 0]], P^2 - I = diag(P2 P1 - I, P1 P2 - I).  The
+    residual reads P2 P1 - I alone and assembles no zero block: P1 and P2
+    are exactly symmetric, so each entry of P1 P2 - I sums the same
+    products as the mirrored entry of P2 P1 - I, and P1 P2 - I is
+    (P2 P1 - I)^T bit for bit, max |.| included.  (OpenBLAS 0.3.31 is the
+    one exception seen: at n = 17 to 20 it rounds the off-diagonal entries
+    of the last row and column, of order 1e-17, apart by an ulp; the max
+    never moved.)"""
     return _check("almost_product", ls.m, sample, tol,
                   _blocks(lambda pt, _: _almost_product(ls, pt),
                           (2 * ls.m.n) ** 2))
 
 
-def _nijenhuis_max(ls, lanes):
+def _nijenhuis_max(ls, lanes, coeffs=None):
     """|N_P|_inf per point from P on the stepped chart point ``lanes``."""
-    return _step_max(_stepped_nijenhuis(_p_coordinate(ls, lanes)))
+    return _step_max(_stepped_nijenhuis(_p_coordinate(ls, lanes, coeffs)))
 
 
-def _closure_max(ls, lanes):
+def _closure_max(ls, lanes, coeffs=None):
     """|d Omega|_inf per point from Omega on the stepped chart point ``lanes``."""
-    return _step_max(_d2form(_omega_coordinate(ls, lanes).imag))
+    return _step_max(_d2form(_omega_coordinate(ls, lanes, coeffs).imag))
 
 
 def check_integrability(ls, sample, tol=None):
@@ -371,9 +391,8 @@ def check_integrability(ls, sample, tol=None):
 def _compatibility(ls, pt):
     """|P^T G P - eps G|_inf per point; P1 and P2 are exactly symmetric."""
     eps = float(_require_metric(ls).epsilon)
-    p1, p2, g1, g2 = _adapted_blocks(ls, pt, "PG")
-    return np.maximum(_max_abs(p1 @ g2 @ p1 - eps * g1, 2),
-                      _max_abs(p2 @ g1 @ p2 - eps * g2, 2))
+    b = _adapted_blocks(ls, pt, "PG")  # P1, P2, G1, G2
+    return np.abs(b[:2] @ b[[3, 2]] @ b[:2] - eps * b[2:]).max((0, -2, -1))
 
 
 def check_compatibility(ls, sample, tol=None):
@@ -405,12 +424,11 @@ def check_metric_signature(ls, sample, tol=None):
         expected = None
 
     def residual(pt, _):
-        blocks = _adapted_blocks(ls, pt, "G")
-        eigs = np.concatenate([np.linalg.eigvalsh(g) for g in blocks], axis=-1)
+        eigs = np.linalg.eigvalsh(_adapted_blocks(ls, pt, "G"))
         if expected is None:
-            return np.zeros(eigs.shape[:-1])
-        pos = np.sum(eigs > _EIGENVALUE_TOL, axis=-1)
-        neg = np.sum(eigs < -_EIGENVALUE_TOL, axis=-1)
+            return np.zeros(eigs.shape[1:-1])
+        pos = np.sum(eigs > _EIGENVALUE_TOL, axis=(0, -1))
+        neg = np.sum(eigs < -_EIGENVALUE_TOL, axis=(0, -1))
         return ((pos != expected[0]) | (neg != expected[1])).astype(float)
 
     notes = () if expected else ("no expected signature for a non-positive "
@@ -441,10 +459,14 @@ def check_closure_agreement(ls, sample, tol=None):
 
 
 def _seeded_residuals(ls, lanes):
-    """(|N|, |d Omega|) per point from one stepped chart point; bitwise the
-    residuals of check_integrability and check_closure."""
-    return np.stack([_nijenhuis_max(ls, lanes), _closure_max(ls, lanes)],
-                    axis=-1)
+    """(|N|, |d Omega|) per point from one stepped chart point and one pass
+    of "Pform", whose rows are bitwise those of "P" and "form": bitwise the
+    residuals of check_integrability and check_closure.  d Omega is taken
+    first: taken second, after the pass, para_kahler read 3-11% slower at
+    n = 16 in separate-process A/B runs, with no more page faults."""
+    coeffs = _coefficients(ls, lanes, "Pform", slack=True)
+    closure = _closure_max(ls, lanes, coeffs[4:])
+    return np.stack([_nijenhuis_max(ls, lanes, coeffs[:4]), closure], axis=-1)
 
 
 def check_para_kahler(ls, sample, tol=None):

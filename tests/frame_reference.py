@@ -50,7 +50,7 @@ def p_coordinate_dense(ls, pt):
     ``ad.block``."""
     gamma0 = pt.Gamma0
     coeffs = _coefficients(ls, pt, "P", slack=True)
-    c, b2 = _blocks(pt, *coeffs)
+    c, b2 = _blocks(pt, coeffs)
     gb2 = (_scalar(coeffs[2] * (1.0 / pt.phi)) * gamma0
            + _scalar((2.0 * pt.t) * coeffs[3]) * ad.outer(pt.h, pt.g0))
     return ad.block([[-ad.transpose(gb2, (1, 0)), b2],

@@ -392,7 +392,7 @@ def _program_specs():
 
 _NAMES = {"P": ("a1", "b1", "a2", "b2"), "G": ("c1", "d1", "c2", "d2"),
           "PG": ("a1", "b1", "a2", "b2", "c1", "d1", "c2", "d2"),
-          "form": ("lam", "mu")}
+          "form": ("lam", "mu"), "Pform": ("a1", "b1", "a2", "b2", "lam", "mu")}
 
 
 @pytest.mark.parametrize("label,spec", list(_program_specs().items()))
@@ -415,6 +415,26 @@ def test_programs_equal_the_reference_walk_bitwise(label, spec, rng):
                                                             phase.shape)), where
             assert _same_bits(stepped.imag, slope[..., None] * phase.imag), where
             assert _same_bits(fam(t), value), where
+
+
+@pytest.mark.parametrize("label,spec", [
+    (label, spec) for label, spec in _program_specs().items()
+    if spec.lam is not None])
+def test_the_shared_pass_rows_equal_the_separate_passes_bitwise(label, spec):
+    """The rows of "Pform" are those of "P" and of "form", one pass each,
+    on the validation grid and on the lanes of a stepped chart point."""
+    from paralift.phase import stepped_point
+    from paralift.spaceform import conformal_ball
+    from paralift.verify import sample_points
+
+    m = conformal_ball(3, 1.0)
+    lanes = stepped_point(m, sample_points(m, 6, 5, t_max=spec.t_max).batch)
+    for t in (validation_grid(spec.t_max), lanes.t):
+        both = spec.program("Pform")(t)
+        for part, name in ((both[:4], "P"), (both[4:], "form")):
+            alone = spec.program(name)(t)
+            assert (part.dtype, part.shape, part.tobytes()) == (
+                alone.dtype, alone.shape, alone.tobytes()), (label, name)
 
 
 def test_programs_share_subtrees_once():

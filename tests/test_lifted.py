@@ -1,8 +1,11 @@
 """Block structure, frame covariance, and algebraic identities of P, G, Omega."""
 
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from paralift import (
     ContractError,
@@ -26,10 +29,13 @@ from paralift import (
     with_metric,
 )
 from paralift import ad
+from paralift.cli import execute_checks
+from paralift.config import build_structure, parse_config
 from paralift.lifted import G_adapted, Omega_coordinate, P_coordinate_function
-from paralift.lifted import _omega_coordinate, _p_coordinate
+from paralift.lifted import _adapted_blocks, _omega_coordinate, _p_coordinate
 from paralift.phase import stack_points, stepped_point
 from paralift.verify import (
+    STEPPED_CHECKS,
     PhaseSample,
     _almost_product,
     _compatibility,
@@ -41,6 +47,7 @@ from paralift.verify import (
     check_space_form,
     fd_oracle,
     nijenhuis_at,
+    run_check,
 )
 from frame_reference import (
     Omega_adapted,
@@ -430,8 +437,9 @@ def test_a_point_of_an_equal_chart_is_read_and_of_another_rebuilt(
     of phi, in the adapted evaluators and in the checks of a sample, which
     read its chart fields and its stepped point.  Points of another chart
     are rebuilt on the structure's, as points made there: one evaluation
-    in an adapted evaluator, and two in a check, which also steps the
-    rebuilt sample once."""
+    in an adapted evaluator and in an algebraic check, and two in a check
+    that differentiates the chart, which also steps the rebuilt sample
+    once."""
     m = conformal_ball(3, 1.0)
     ls = rational_structure(conformal_ball(3, 1.0))
     assert ls.m == m and ls.m is not m
@@ -452,7 +460,8 @@ def test_a_point_of_an_equal_chart_is_read_and_of_another_rebuilt(
                             lambda: check_space_form(ls.m, sample))):
             factor_calls.clear()
             call()
-            want = (1 if name.endswith("_adapted") else 2) if rebuilt else 0
+            steps = name.removeprefix("check_") in STEPPED_CHECKS
+            want = (2 if steps else 1) if rebuilt else 0
             assert len(factor_calls) == want, (name, rebuilt)
     for evaluate in (P_adapted, G_adapted):
         assert np.array_equal(evaluate(ls, other[1]), evaluate(ls, own[1]))
@@ -461,20 +470,53 @@ def test_a_point_of_an_equal_chart_is_read_and_of_another_rebuilt(
 def test_a_check_on_a_list_steps_the_chart_once(factor_calls):
     """A list of points is stacked onto the structure's chart before it is
     stepped: points of another chart cost one rebuild and one step, as a
-    prebuilt sample of them does, and points of its own chart one step."""
+    prebuilt sample of them does, and points of its own chart one step.
+    A check that differentiates nothing steps nothing: compatibility costs
+    the rebuild alone, and nothing on points of its own chart."""
     m = conformal_ball(3, 1.0)
     ls = rational_structure(m)
     wide = conformal_ball(3, 1.0, chart_radius=2.0)
     sample = sample_points(m, 3, 11)
     other = [make_point(wide, pt.q, pt.p) for pt in sample.points]
     prebuilt = PhaseSample(tuple(other))
-    for check in (check_compatibility, check_integrability):
-        for points, count in ((other, 2), (prebuilt, 2),
-                              (list(sample.points), 1)):
+    for check, step in ((check_compatibility, 0), (check_integrability, 1)):
+        for points, count in ((other, 1 + step), (prebuilt, 1 + step),
+                              (list(sample.points), step)):
             factor_calls.clear()
             report = check(ls, points)
             assert len(factor_calls) == count, (check.__name__, count)
             assert report.max_residual == check(ls, sample).max_residual
+
+
+def test_a_run_that_reads_no_stepped_point_builds_none(factor_calls):
+    """A run whose checks differentiate nothing samples without the stepped
+    point: phi is evaluated once fewer than with it, and the report is
+    byte-equal.  A derivative check on such a sample steps it once."""
+    preset = (Path(__file__).resolve().parent.parent / "src" / "paralift"
+              / "presets" / "rational_para_hermitian.json")
+    document = json.loads(preset.read_text())
+    document["checks"] = ["almost_product", "compatibility",
+                          "metric_signature"]
+    config = parse_config(document)
+    factor_calls.clear()
+    reports, _ = execute_checks(config)
+    without = len(factor_calls)
+    ls, s = build_structure(config), config.sampling
+    factor_calls.clear()
+    sample = sample_points(ls.m, s["count"], s["seed"], p_max=s["p_max"],
+                           t_max=config.coefficients["t_max"])
+    stepped = [run_check(name, ls, sample) for name in config.checks]
+    assert len(factor_calls) == without + 1
+    assert sample.stepped is not None
+    assert json.dumps([r.to_dict() for r in reports]) == json.dumps(
+        [r.to_dict() for r in stepped])
+    bare = sample_points(ls.m, s["count"], s["seed"], p_max=s["p_max"],
+                         t_max=config.coefficients["t_max"], stepped=False)
+    assert bare.stepped is None
+    factor_calls.clear()
+    report = check_closure(ls, bare)
+    assert len(factor_calls) == 1
+    assert report.to_dict() == check_closure(ls, sample).to_dict()
 
 
 BLOCK_MODELS = {
@@ -529,3 +571,23 @@ def test_block_readings_equal_the_dense_assembly_bitwise(model, n, epsilon):
                             (check_compatibility, _compatibility)):
         assert check(ls, sample).max_residual == float(
             residual(ls, sample.batch).max())
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16, 17, 18, 19, 20, 21, 32])
+def test_one_almost_product_block_has_the_max_of_both(n):
+    """almost_product reads P2 P1 - I alone: per point its max equals the
+    max over both blocks, P1 P2 - I included, bit for bit, at every n the
+    configs allow it tried, on a batch and on single points.  At n = 17 to
+    20 OpenBLAS may round off-diagonal entries of the last row and column
+    of the two products apart; the max is what the residual reads."""
+    eye = np.eye(n)
+    for model in sorted(BLOCK_MODELS):
+        m, c, a1 = BLOCK_MODELS[model](n)
+        ls = LiftedStructure(m=m, spec=integrable_spec(a1, curvature=c))
+        sample = sample_points(m, 40, 90 + n, p_max=0.7)
+        for pt in sample.points[:3] + (sample.batch,):
+            p1, p2 = (np.ascontiguousarray(b)
+                      for b in _adapted_blocks(ls, pt, "P"))
+            both = np.maximum(np.abs(p2 @ p1 - eye).max((-2, -1)),
+                              np.abs(p1 @ p2 - eye).max((-2, -1)))
+            assert _bits(_almost_product(ls, pt)) == _bits(both), model

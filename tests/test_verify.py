@@ -267,6 +267,14 @@ def test_block_eigenvalue_census_equals_the_full_matrix(epsilon):
     for sign in (1.0, -1.0):
         assert np.array_equal(np.sum(sign * full > 1e-10, axis=-1),
                               np.sum(sign * blocks > 1e-10, axis=-1))
+    # the one eigvalsh over the (G1, G2) stack is each block's own, bitwise,
+    # on the batch and on a single point
+    for pt in (batch, sample_points(m, 2, 13).points[1]):
+        stack = _adapted_blocks(ls, pt, "G")
+        stacked = np.linalg.eigvalsh(stack)
+        for g, eigs in zip(stack, stacked):
+            alone = np.linalg.eigvalsh(g.copy())
+            assert (eigs.shape, eigs.tobytes()) == (alone.shape, alone.tobytes())
 
 
 def test_exterior_derivative_of_constant_form_is_zero():

@@ -3,33 +3,41 @@
     python3 tools/check_ab.py OLD_CHECKOUT NEW_CHECKOUT WORKLOAD
     python3 tools/check_ab.py OLD_CHECKOUT NEW_CHECKOUT CONFIG.json
 
-Imports both checkouts' ``src/paralift`` in one process, under two names.
-On WORKLOAD's cases at benchmark seed 1 (NEW's ``perfbench``), or on the one
-run config in the file CONFIG.json at its own ``sampling.seed``, times
-``run_check`` on each 2-point chunk, OLD and NEW back to back, the first
-alternating.  A side's time for a chunk in a round is the least of
-``REPEATS`` back-to-back calls, which drops the calls a shared host slowed,
-so a per-check median resolves a band of a few percent.  Prints median ms
-per chunk of each check, and points/s as ``check_points_per_s`` counts
-them.  Each round is one pair of runs, so for each check and overall it
-also prints in how many rounds NEW took less time than OLD over the same
-chunks: a gain holds when NEW wins nearly every pair, not only in the
-median.  Cases either side refuses are skipped.
+Each checkout runs in processes of its own: in every round a fresh one per
+side, started in alternating order, imports that checkout's
+``src/paralift``, builds every case and then answers this process's timing
+requests over a pipe until the round ends.  So neither side's calls meet
+the heap that the other side's leave behind: at n >= 16, where a check's
+stepped temporaries take megabytes, the allocator's state (its trim
+threshold, its free memory) decides whether a call faults its memory in
+again, and a shared heap could bias a per-check ratio either way.  A
+process also carries a speed of its own (its address layout, its pages),
+which one process per side kept for all rounds turns into a bias of a few
+percent between two equal checkouts; a new pair per round turns it into
+noise between rounds.  Both processes keep their BLAS pools at one
+thread, as the benchmark does: a pool left to spin in the waiting side
+would take the CPU from the timed one.
+
+On WORKLOAD's cases at benchmark seed 1 (NEW's ``perfbench``), or on the
+one run config in the file CONFIG.json at its own ``sampling.seed``, each
+side times ``run_check`` on each 2-point chunk.  In each round every chunk
+is timed on both sides back to back, the first side alternating from chunk
+to chunk and from round to round.  A side's time for a chunk in a round is
+the least of ``REPEATS`` back-to-back calls, which drops the calls a shared
+host slowed, so a per-check median resolves a band of a few percent.
+Prints median ms per chunk of each check, and points/s as
+``check_points_per_s`` counts them.  Each round is one pair of runs, so for
+each check and overall it also prints in how many rounds NEW took less time
+than OLD over the same chunks: a gain holds when NEW wins nearly every
+pair, not only in the median.  Cases either side refuses are skipped.
 
 Construction is timed the same way: per case and round, ``parse_config``
-plus ``build_structure`` as the least of ``BUILD_REPEATS`` calls, OLD and
-NEW alternating, printed as one ``build`` line of ms per case.  A build
-takes a few ms, so it gets more calls than a chunk.  ``sample_points``, as
-``build()`` calls it on the built structure, is timed the same way and
-printed as a ``sample`` line, so work that a change moves from the checks
-into the sample shows beside the per-check ratios.
-
-Both checkouts share this one process, and so one heap: the allocator
-state that one side's calls leave behind (its trim threshold, its free
-memory) is what the other side's calls meet.  At n >= 16, where a check's
-stepped temporaries take megabytes, that can bias the per-check ratios
-either way, so confirm large-n readings with each side in processes of its
-own.
+plus ``build_structure`` as the least of ``BUILD_REPEATS`` calls, printed
+as one ``build`` line of ms per case.  A build takes a few ms, so it gets
+more calls than a chunk.  ``sample_points``, as ``build()`` calls it on the
+built structure, is timed the same way and printed as a ``sample`` line,
+so work that a change moves from the checks into the sample shows beside
+the per-check ratios.
 
 The answers are compared too, so a speed A/B cannot hide a changed one: per
 check, whether every chunk's verdict agrees, and the largest relative change
@@ -38,9 +46,9 @@ of a chunk's ``max_residual``.  The exit status is 1 if any verdict differs.
 
 from __future__ import annotations
 
-import importlib
-import importlib.util
 import json
+import multiprocessing
+import os
 import statistics
 import sys
 import time
@@ -52,38 +60,26 @@ REPEATS = 3  # calls per side, chunk and round; the least one counts
 BUILD_REPEATS = 3 * REPEATS  # calls per side, case and round
 CHUNK_POINTS = 2  # as perfbench/measure.py
 SIDES = ("old", "new")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 REFUSALS = ("ConfigError", "ChartDomainError", "ContractError",
             "DegenerateCoefficient", "RangeError")
 
 
-def load(root, name):
-    """(config, errors, verify) of ``root``'s package, imported as ``name``."""
-    src = Path(root) / "src" / "paralift"
-    spec = importlib.util.spec_from_file_location(
-        name, src / "__init__.py", submodule_search_locations=[str(src)])
-    sys.modules[name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sys.modules[name])
-    return [importlib.import_module(f"{name}.{part}")
-            for part in ("config", "errors", "verify")]
-
-
-def build(modules, document):
+def build(config_mod, verify, document):
     """(config, structure, 2-point samples) of one config document."""
-    config_mod, _, verify = modules
     config = config_mod.parse_config(document)
     ls = config_mod.build_structure(config)
-    sample = draw(modules, config, ls)
+    sample = draw(verify, config, ls)
     pts = sample.points
     return config, ls, [verify.PhaseSample(pts[i:i + CHUNK_POINTS], sample.seed)
                         for i in range(0, len(pts), CHUNK_POINTS)]
 
 
-def draw(modules, config, ls):
+def draw(verify, config, ls):
     """The sample of ``config`` on the structure's chart, as the CLI draws it."""
     s = config.sampling
-    return modules[2].sample_points(ls.m, s["count"], s["seed"],
-                                    p_max=s["p_max"],
-                                    t_max=config.coefficients["t_max"])
+    return verify.sample_points(ls.m, s["count"], s["seed"], p_max=s["p_max"],
+                                t_max=config.coefficients["t_max"])
 
 
 def cases(new_root, workload):
@@ -96,78 +92,134 @@ def cases(new_root, workload):
             for case in build_workload(workload, 1, new_root)]
 
 
-def main(old_root, new_root, workload):
-    pkgs = dict(zip(SIDES, (load(old_root, "paralift_old"),
-                            load(new_root, "paralift_new"))))
-    refusals = tuple(getattr(errors, name) for _, errors, _ in pkgs.values()
-                     for name in REFUSALS)
+def serve(root, documents, conn):
+    """One side for one round, in a process of its own: import ``root``'s
+    package, build every case, and send per case its refusal or its
+    (checks, chunk sizes).  Then receive the jobs (case, check, chunk) and
+    answer each request: for a case k, its (build, sample) seconds; for a
+    job j, its seconds and its report's (passed, max_residual); for None,
+    stop."""
+    sys.path.insert(0, str(Path(root) / "src"))
+    from paralift import config as config_mod
+    from paralift import verify
 
-    jobs = []  # (check name, points, {side: (run_check, ls, chunk, tol)})
-    documents = []  # of the cases both sides build
-    structures = []  # per such case, {side: (config, ls)}
-    for case, document in cases(new_root, workload):
+    built = []
+    for document in documents:
         try:
-            built = {side: build(pkgs[side], document) for side in SIDES}
-        except refusals as exc:
-            print(f"skipped {case}: {type(exc).__name__}: {exc}")
+            built.append(build(config_mod, verify, document))
+        except Exception as exc:
+            if type(exc).__name__ not in REFUSALS:
+                raise
+            built.append(f"{type(exc).__name__}: {exc}")
+    conn.send([b if isinstance(b, str) else
+               (b[0].checks, [len(chunk.points) for chunk in b[2]])
+               for b in built])
+    jobs = conn.recv()
+    while (request := conn.recv()) is not None:
+        what, i = request
+        if what == "case":
+            config, ls, _ = built[i]
+            document = documents[i]
+            conn.send((least(lambda: config_mod.build_structure(
+                           config_mod.parse_config(document)),
+                             BUILD_REPEATS)[0],
+                       least(lambda: draw(verify, config, ls),
+                             BUILD_REPEATS)[0]))
             continue
-        documents.append(document)
-        structures.append({side: (config, ls)
-                           for side, (config, ls, _) in built.items()})
-        for name in built["new"][0].checks:
-            for i, chunk in enumerate(built["new"][2]):
-                jobs.append((name, len(chunk.points), {
-                    side: (pkgs[side][2].run_check, ls, chunks[i],
-                           config.tolerances.get(name))
-                    for side, (config, ls, chunks) in built.items()}))
+        k, name, c = jobs[i]
+        config, ls, chunks = built[k]
+        best, report = least(lambda: verify.run_check(
+            name, ls, chunks[c], config.tolerances.get(name)))
+        conn.send((best, (report.passed, report.max_residual)))
+
+
+def main(old_root, new_root, workload):
+    named = cases(new_root, workload)
+    documents = [document for _, document in named]
+    roots = dict(zip(SIDES, (old_root, new_root)))
+    os.environ.update(dict.fromkeys(THREAD_VARS, "1"))  # the sides inherit it
+    spawn = multiprocessing.get_context("spawn")
     times = defaultdict(list)  # (job index, side) -> seconds
-    builds = defaultdict(list)  # (case index, side) -> seconds
-    samples = defaultdict(list)  # (case index, side) -> seconds
-    reports = {}  # (job index, side) -> the report of the first round
+    builds = defaultdict(list)  # (kept case index, side) -> seconds
+    samples = defaultdict(list)  # (kept case index, side) -> seconds
+    answers = {}  # (job index, side) -> (passed, max_residual), first round
     for r in range(ROUNDS):
-        for k, document in enumerate(documents):
-            for side in SIDES if (r + k) % 2 == 0 else SIDES[::-1]:
-                config_mod = pkgs[side][0]
-                best, _ = least(lambda: config_mod.build_structure(
-                    config_mod.parse_config(document)), BUILD_REPEATS)
-                builds[(k, side)].append(best)
-            for side in SIDES if (r + k) % 2 == 0 else SIDES[::-1]:
-                best, _ = least(lambda: draw(pkgs[side], *structures[k][side]),
-                                BUILD_REPEATS)
-                samples[(k, side)].append(best)
-        for j, (name, _, calls) in enumerate(jobs):
+        conns, procs = {}, []
+        for side in SIDES if r % 2 == 0 else SIDES[::-1]:
+            conns[side], child = spawn.Pipe()
+            procs.append(spawn.Process(target=serve, daemon=True,
+                                       args=(roots[side], documents, child)))
+            procs[-1].start()
+        built = {side: conns[side].recv() for side in SIDES}
+        if not r:
+            kept, jobs = plan(named, built)
+        for side in SIDES:
+            conns[side].send(jobs)
+        for c, k in enumerate(kept):
+            for side in SIDES if (r + c) % 2 == 0 else SIDES[::-1]:
+                build_s, sample_s = ask(conns[side], ("case", k))
+                builds[(c, side)].append(build_s)
+                samples[(c, side)].append(sample_s)
+        for j in range(len(jobs)):
             for side in SIDES if (r + j) % 2 == 0 else SIDES[::-1]:
-                run_check, ls, chunk, tol = calls[side]
-                best, report = least(lambda: run_check(name, ls, chunk, tol))
+                best, answer = ask(conns[side], ("job", j))
                 times[(j, side)].append(best)
-                reports.setdefault((j, side), report)
+                answers.setdefault((j, side), answer)
+        for side, proc in zip(conns, procs):
+            conns[side].send(None)
+            proc.join()
+    points = [built["new"][k][1][i] for k, _, i in jobs]
+    return compare(jobs, points, len(kept), times, builds, samples, answers)
+
+
+def plan(named, built):
+    """(kept cases, jobs (case, check, chunk)) from each side's first message:
+    the cases no side refused, and NEW's checks and chunks of each."""
+    kept = []
+    for k, (case, _) in enumerate(named):
+        refused = [b[k] for b in built.values() if isinstance(b[k], str)]
+        if refused:
+            print(f"skipped {case}: {refused[0]}")
+        else:
+            kept.append(k)
+    return kept, [(k, name, i) for k in kept
+                  for name in built["new"][k][0]
+                  for i in range(len(built["new"][k][1]))]
+
+
+def ask(conn, request):
+    """One side's answer to ``request``."""
+    conn.send(request)
+    return conn.recv()
+
+
+def compare(jobs, points, cases, times, builds, samples, answers):
+    """Print the comparison; the exit status."""
     median = {key: statistics.median(v) for key, v in times.items()}
     mismatches = 0
-    for check in sorted({name for name, _, _ in jobs}):
-        mine = [j for j, job in enumerate(jobs) if job[0] == check]
+    for check in sorted({name for _, name, _ in jobs}):
+        mine = [j for j, job in enumerate(jobs) if job[1] == check]
         old, new = (1e3 * statistics.mean(median[(j, side)] for j in mine)
                     for side in SIDES)
-        differ = sum(reports[(j, "old")].passed != reports[(j, "new")].passed
+        differ = sum(answers[(j, "old")][0] != answers[(j, "new")][0]
                      for j in mine)
         mismatches += differ
-        moved = max(relative_change(reports[(j, "old")].max_residual,
-                                    reports[(j, "new")].max_residual)
-                    for j in mine)
+        moved = max(relative_change(answers[(j, "old")][1],
+                                    answers[(j, "new")][1]) for j in mine)
         verdicts = f"{differ} VERDICTS DIFFER" if differ else "verdicts agree"
         print(f"{check:18s} ms/chunk old {old:8.3f}  new {new:8.3f}  "
               f"new/old {new / old:.3f}  new won {wins(times, mine)}  "
               f"{verdicts}  max_residual moved {moved:.2g}")
-    points = sum(n for _, n, _ in jobs)
-    old, new = (points / sum(median[(j, side)] for j in range(len(jobs)))
+    old, new = (sum(points) / sum(median[(j, side)] for j in range(len(jobs)))
                 for side in SIDES)
     print(f"points/s old {old:.0f}  new {new:.0f}  new/old {new / old:.3f}  "
           f"new won {wins(times, range(len(jobs)))}")
     for name, spent in (("build", builds), ("sample", samples)):
-        old, new = (1e3 * statistics.mean(statistics.median(spent[(k, side)])
-                                          for k in range(len(documents)))
+        old, new = (1e3 * statistics.mean(statistics.median(spent[(c, side)])
+                                          for c in range(cases))
                     for side in SIDES)
         print(f"{name} ms/case old {old:.3f}  new {new:.3f}  new/old "
-              f"{new / old:.3f}  new won {wins(spent, range(len(documents)))}")
+              f"{new / old:.3f}  new won {wins(spent, range(cases))}")
     return 1 if mismatches else 0
 
 
