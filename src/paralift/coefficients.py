@@ -53,6 +53,9 @@ __all__ = [
 ]
 
 GRID_SIZE = 64
+# Entries of a plain t up to which a Program evaluates entry by entry: on two
+# points a pass of "PG" took 9 us that way and 31 us on the array.
+_POINTWISE = 4
 VANISHING_TOL = 1e-8
 # Halvings of a grid cell that bracket a minimum of |f|: 2/63 / 2**40 ~ 3e-14.
 _BISECTIONS = 40
@@ -198,13 +201,19 @@ class Program:
 
     def __call__(self, t):
         """The families at t as one array, a row per family, t's shape each;
-        on a complex t, f(Re t) + i f'(Re t) Im t."""
+        on a complex t, f(Re t) + i f'(Re t) Im t.  An array t of at most
+        :data:`_POINTWISE` entries is evaluated entry by entry on numpy
+        scalars: the same IEEE operations, and exp the same ufunc, so the
+        same bits without an array operation's fixed cost per step."""
         if np.iscomplexobj(t):
             out, k = self.with_derivatives._function(t.real), len(self.outputs)
             z = np.empty((k,) + np.shape(t), complex)
             z.real = out[:k]
             np.multiply(out[k:], t.imag, out=z.imag)
             return z
+        if isinstance(t, np.ndarray) and 0 < t.size <= _POINTWISE:
+            rows = np.array([self._function(x) for x in t.flat])
+            return rows.T.reshape((-1,) + t.shape)
         return np.array(self._function(t))
 
     @cached_property

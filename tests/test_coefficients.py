@@ -405,12 +405,15 @@ def test_programs_equal_the_reference_walk_bitwise(label, spec, rng):
             continue
         families = [getattr(spec, f) for f in fields]
         program = spec.program(name)
-        for fam, value, stepped, point in zip(
-                families, program(t), program(phase), program(0.75)):
+        few = t[60:64].reshape(2, 2)  # evaluated entry by entry
+        for fam, value, stepped, point, pointwise in zip(
+                families, program(t), program(phase), program(0.75),
+                program(few)):
             where = (label, name, fam.description)
             slope = reference_walk(fam.derivative(), t)
             assert _same_bits(value, reference_walk(fam, t)), where
             assert _same_bits(point, reference_walk(fam, 0.75)), where
+            assert _same_bits(pointwise, reference_walk(fam, few)), where
             assert _same_bits(stepped.real, np.broadcast_to(value[:, None],
                                                             phase.shape)), where
             assert _same_bits(stepped.imag, slope[..., None] * phase.imag), where
