@@ -39,12 +39,7 @@ from .errors import (
     DegenerateCoefficient,
     RangeError,
 )
-from .verify import (
-    DEFAULT_TOLERANCES,
-    STEPPED_CHECKS,
-    run_check,
-    sample_points,
-)
+from .verify import DEFAULT_TOLERANCES, run_check, sample_points
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -55,8 +50,9 @@ _DOMAIN_ERRORS = (ChartDomainError, ContractError, DegenerateCoefficient,
 
 
 def execute_checks(config):
-    """Run every requested check; returns (reports, all_passed).  The sample
-    carries its stepped point only if a requested check reads it."""
+    """Run every requested check; returns (reports, all_passed).  The
+    checks share one sample, whose stepped point the first check that
+    differentiates the chart builds; a run of algebraic checks builds none."""
     ls = build_structure(config)
     t_max = config.coefficients["t_max"]
     sample = sample_points(
@@ -65,7 +61,6 @@ def execute_checks(config):
         config.sampling["seed"],
         p_max=config.sampling["p_max"],
         t_max=t_max,
-        stepped=not STEPPED_CHECKS.isdisjoint(config.checks),
     )
     reports = [
         run_check(name, ls, sample, tol=config.tolerances.get(name))

@@ -315,8 +315,7 @@ SCALAR_PRESETS = {
 
 
 _PROGRAMS = {"P": "a1 b1 a2 b2", "G": "c1 d1 c2 d2",
-             "PG": "a1 b1 a2 b2 c1 d1 c2 d2", "form": "lam mu",
-             "Pform": "a1 b1 a2 b2 lam mu"}
+             "PG": "a1 b1 a2 b2 c1 d1 c2 d2", "form": "lam mu"}
 
 
 @dataclass(frozen=True)
@@ -359,7 +358,7 @@ class StructureSpec:
     def program(self, name):
         """The :class:`Program` of the family tuple ``name``, compiled once:
         "P" is a1, b1, a2, b2; "G" c1, d1, c2, d2; "PG" the eight; "form"
-        lam, mu; "Pform" the four of "P", then lam, mu."""
+        lam, mu."""
         programs = self.__dict__.setdefault("_programs", {})  # beside the fields
         if name not in programs:
             programs[name] = Program([getattr(self, f)

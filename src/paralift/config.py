@@ -19,13 +19,7 @@ from . import coefficients as co
 from .errors import ConfigError
 from .lifted import LiftedStructure
 from .spaceform import ChartModel, SpaceForm
-from .verify import CHECK_NAMES
-
-# Checks that read the metric part of a spec, hence need the
-# proportionality derivation; the last three need epsilon = -1 too.
-_METRIC_CHECKS = ("compatibility", "metric_signature", "closure",
-                  "closure_agreement", "para_kahler")
-_NEUTRAL_CHECKS = _METRIC_CHECKS[2:]
+from .verify import CHECK_NAMES, METRIC_CHECKS, PARA_HERMITIAN_CHECKS
 
 
 @dataclass(frozen=True)
@@ -398,12 +392,12 @@ def _parse_checks(raw, coefficients, problems):
     checks = [check for i, name in enumerate(raw)
               if (check := _value(_CHECK, name, f"checks[{i}]", problems))]
     for name in checks:
-        if name in _METRIC_CHECKS:
+        if name in METRIC_CHECKS:
             if coefficients["kind"] != "natural_diagonal":
                 problems.append(PARSER_ONLY["kind"].format(name))
             elif not coefficients["derive"]["metric_proportionality"]:
                 problems.append(PARSER_ONLY["proportional"].format(name))
-        if name in _NEUTRAL_CHECKS and coefficients["epsilon"] != -1:
+        if name in PARA_HERMITIAN_CHECKS and coefficients["epsilon"] != -1:
             problems.append(PARSER_ONLY["neutral"].format(name))
     return tuple(dict.fromkeys(checks))
 

@@ -41,21 +41,18 @@ A stacked matmul or eigvalsh runs, on each contiguous slice, what a call
 on that block alone runs, so each residual is bitwise the blockwise one.
 Coefficient passes per block of points, each one program call:
 
-  check              passes              before the stacked blocks
-  almost_product     P                   P
-  compatibility      PG                  PG
-  metric_signature   G                   G
-  integrability      P on the lanes      P on the lanes
-  closure            form on the lanes   form on the lanes
-  closure_agreement  form on the lanes,  the same
-                     mu and lam' on the
-                     points
-  para_kahler        PG, and Pform on    PG, and P and form on the lanes
-                     the lanes
-  space_form         none                none
+  check              passes
+  almost_product     P
+  compatibility      PG
+  metric_signature   G
+  integrability      P on the lanes
+  closure            form on the lanes
+  closure_agreement  form on the lanes, mu and lam' on the points
+  para_kahler        PG, P on the lanes and form on the lanes
+  space_form         none
 
-The lanes are the sample's stepped chart point; "Pform" is a1, b1, a2, b2,
-lam, mu in one program, whose rows are bitwise those of "P" and "form".
+The lanes are the sample's stepped chart point.  para_kahler runs on each
+block what compatibility, integrability and closure run on it.
 
 The coordinate P and Omega build each n x n block as a contiguous array and
 copy it into its slot of one 2n x 2n output: a ufunc writing straight into
@@ -89,8 +86,7 @@ p (x) h only 2t mu (h (x) p - p (x) h) is left in Omega's qq block.  The
 evaluators accept a complex z = (q, p), so entries are differentiable by
 complex step in all 2n phase variables, and leading batch axes (see
 :mod:`paralift.ad`): a block's coefficients are one
-:class:`paralift.coefficients.Program` pass, which the coordinate P and
-Omega also take from a caller that shares one.
+:class:`paralift.coefficients.Program` pass.
 """
 
 from __future__ import annotations
@@ -229,16 +225,14 @@ def _slots(pt):
                  out[..., n:, :n], out[..., n:, n:])
 
 
-def _p_coordinate(ls, pt, coeffs=None):
+def _p_coordinate(ls, pt):
     """Coordinate-frame P at the real or complex chart point ``pt``, blockwise:
-    each block is built, then written into its slot (module doc).
-    ``coeffs`` is the pass of "P" at pt.t, evaluated here if None."""
+    each block is built, then written into its slot (module doc)."""
     n, gamma0 = ls.m.n, pt.Gamma0
     if ls.spec is None:  # Cruceanu's P: A = -I, D = I, B2 = C = 0
         eye, zero = ad.constant(np.eye, n), ad.constant(np.zeros, (n, n))
         return ad.block([[-eye, zero], [-gamma0 - gamma0, eye]])
-    if coeffs is None:
-        coeffs = _coefficients(ls, pt, "P", slack=True)
+    coeffs = _coefficients(ls, pt, "P", slack=True)
     c = _block(coeffs[0] * pt.phi, coeffs[1], pt.p)
     b2 = _block(coeffs[2] * (1.0 / pt.phi), coeffs[3], pt.g0)
     out, (qq, qp, pq, pp) = _slots(pt)
@@ -268,12 +262,10 @@ def G_adapted(ls, pt):
     return ad.block([[g1, zero], [zero, g2]])
 
 
-def _omega_coordinate(ls, pt, coeffs=None):
+def _omega_coordinate(ls, pt):
     """Coordinate-frame Omega at the real or complex chart point ``pt``: each
-    block is built, then written into its slot (module doc).  ``coeffs`` is
-    the pass of "form" at pt.t, evaluated here if None."""
-    lam, mu = (_coefficients(ls, pt, "form", slack=True) if coeffs is None
-               else coeffs)
+    block is built, then written into its slot (module doc)."""
+    lam, mu = _coefficients(ls, pt, "form", slack=True)
     mixed = (_scalar(lam) * ad.constant(np.eye, pt.n)
              + _scalar(mu) * ad.outer(pt.p, pt.g0))
     s = ad.outer(np.asarray((2.0 * pt.t) * mu)[..., None] * pt.h, pt.p)

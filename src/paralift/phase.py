@@ -17,8 +17,9 @@ slots 0..n-1 are horizontal (q-directions), slots n..2n-1 vertical
 Every function here also takes leading batch axes (see :mod:`paralift.ad`):
 a :class:`CotangentPoint` whose arrays carry one leading axis stands for a
 whole sample, and a ``PhaseSample`` holds its points as one, built once,
-beside :func:`stepped_point` of that batch: the same fields on the 2n
-complex-stepped lanes z + i h e_a that every derivative check reads.
+and from the first derivative check on :func:`stepped_point` of that
+batch: the same fields on the 2n complex-stepped lanes z + i h e_a that
+every derivative check reads.
 Since g = phi I, a point carries phi and its log-gradient h, not matrices,
 and its chart ``m``.  :func:`on_chart` is where a point meets a structure's
 chart: a point of an equal chart is read as it is, any other is rebuilt

@@ -9,12 +9,13 @@ batch, or its slices in blocks of :data:`paralift.ad.BLOCK_ELEMENTS` (bit
 for bit the residuals of the points one by one), as it is; then one
 :func:`paralift.report.make_report`.  A sample also carries its batch's
 complex-stepped chart point (:func:`paralift.phase.stepped_point`), built
-once with the sample and sliced with the batch, so the checks that
-differentiate the chart (Nijenhuis tensor, exterior derivative, curvature)
-step it zero times: they evaluate the coordinate-frame P and Omega on it and
-read the stepped output in place; space_form reads h and its jacobian off
-its q lanes.  :func:`fd_oracle` and the closed form :func:`analytic_dOmega`
-provide the independent cross checks.
+when a check first reads it, kept, and sliced with the batch, so the checks
+that differentiate the chart (Nijenhuis tensor, exterior derivative,
+curvature) share one step of it: they evaluate the coordinate-frame P and
+Omega on it and read the stepped output in place; space_form reads h and
+its jacobian off its q lanes.  The algebraic checks never build it.
+:func:`fd_oracle` and the closed form :func:`analytic_dOmega` provide the
+independent cross checks.
 
 Default tolerances: 1e-10 for purely algebraic identities, 1e-8 for
 first-derivative residuals (one differentiation pass through the Christoffel
@@ -24,7 +25,8 @@ for comparisons against central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +34,6 @@ from . import ad
 from .errors import RangeError
 from .lifted import (
     _adapted_blocks,
-    _coefficients,
     _omega_coordinate,
     _p_coordinate,
     _p_matrix,
@@ -71,6 +72,8 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "CHECK_NAMES",
     "STEPPED_CHECKS",
+    "METRIC_CHECKS",
+    "PARA_HERMITIAN_CHECKS",
 ]
 
 DEFAULT_TOLERANCES = {
@@ -89,6 +92,13 @@ CHECK_NAMES = tuple(DEFAULT_TOLERANCES)
 # The checks that differentiate the chart, so read a sample's stepped point.
 STEPPED_CHECKS = frozenset({"space_form", "integrability", "closure",
                             "closure_agreement", "para_kahler"})
+# The checks that read a spec's metric part (they call _require_metric),
+# and among them those that read Omega, which also need epsilon = -1
+# (_require_para_hermitian).  The config parser refuses them on a spec
+# without these.
+PARA_HERMITIAN_CHECKS = frozenset({"closure", "closure_agreement",
+                                   "para_kahler"})
+METRIC_CHECKS = PARA_HERMITIAN_CHECKS | {"compatibility", "metric_signature"}
 
 _EIGENVALUE_TOL = 1e-10
 CHART_FRACTION = 0.8  # of the chart radius, the ball of sampled q
@@ -103,29 +113,30 @@ class PhaseSample:
     one batched CotangentPoint that checks read, stacked here if not given.
     Samples compare and hash by identity.
 
-    ``stepped`` is derived, built here once: the batch's
+    ``stepped`` is derived on its first read and kept: the batch's
     :func:`paralift.phase.stepped_point` on its own chart, which every check
-    of :data:`STEPPED_CHECKS` reads.  It is None for points with no common
-    chart, for no points, or when ``step`` is false.  It takes
-    16 (8n^2 + 4n) bytes per point, 133 KB at n = 32.
+    of :data:`STEPPED_CHECKS` reads, so a run steps a sample once if any of
+    them runs and never otherwise.  It is None for points with no common
+    chart or for no points.  It takes 16 (8n^2 + 4n) bytes per point,
+    133 KB at n = 32.
     """
 
     points: tuple
     seed: int | None = None
     batch: CotangentPoint = field(default=None, repr=False)
-    stepped: CotangentPoint | None = field(init=False, repr=False)
-    step: InitVar[bool] = True
 
-    def __post_init__(self, step):
+    def __post_init__(self):
         if self.batch is None:
             object.__setattr__(self, "batch", stack_points(self.points))
+
+    @cached_property
+    def stepped(self):
         batch = self.batch
-        object.__setattr__(self, "stepped", stepped_point(batch.m, batch)
-                           if step and batch.m is not None and len(self.points)
-                           else None)
+        return (stepped_point(batch.m, batch)
+                if batch.m is not None and len(self.points) else None)
 
 
-def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0, stepped=True):
+def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0):
     """Deterministic sample of phase points for the checkers.
 
     q is uniform in the ball |q| <= CHART_FRACTION * chart_radius, p uniform
@@ -134,8 +145,7 @@ def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0, stepped=True):
     The first point always carries p = 0, since several coefficient
     formulas have removable behavior at t = 0 that deserves coverage.  Each
     draw is tested in float arithmetic; the accepted ones are built as one
-    batch, with its stepped point unless ``stepped`` is false: a run whose
-    checks are none of :data:`STEPPED_CHECKS` reads none.
+    batch, whose stepped point the first check that differentiates builds.
     """
     rng = np.random.default_rng(seed)
     radius = CHART_FRACTION * m.chart_radius
@@ -154,14 +164,13 @@ def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0, stepped=True):
             continue
         qs.append(q)
         ps.append(p)
-    return _sample_of(make_point(m, qs, ps) if qs else stack_points(()), seed,
-                      stepped)
+    return _sample_of(make_point(m, qs, ps) if qs else stack_points(()), seed)
 
 
-def _sample_of(batch, seed=None, step=True):
+def _sample_of(batch, seed=None):
     """The PhaseSample of the points of ``batch``, a batched point."""
     points = tuple(take_points(batch, i) for i in range(len(batch.q)))
-    return PhaseSample(points, seed, batch, step)
+    return PhaseSample(points, seed, batch)
 
 
 def _ball(rng, n, radius):
@@ -175,49 +184,46 @@ def _ball(rng, n, radius):
     return (r / norm) * v
 
 
-def _check(name, m, sample, tol, residuals, finish=lambda r: (r, None, ()),
+def _check(name, m, sample, tol, fn, finish=lambda r: (r, None, ()),
            named=None):
     """Report of check ``name`` on a PhaseSample or points; tol None takes the
     default.  Points are stacked into one batch on ``m``; a sample whose
     batch was built on a chart other than ``m``, or on mixed charts, is
-    rebuilt here once on ``m``.  A check of :data:`STEPPED_CHECKS` steps
-    the points, the rebuilt sample, or a sample built without its stepped
-    point once, there; any other check steps none.  So ``residuals``, which
-    maps the sample to one residual per point, reads a batch of ``m`` and,
-    if it differentiates, a stepped point of ``m``.  ``finish`` maps its
-    result to the report's (residuals, details, notes); the witnesses name
-    the sample's points, or the rows of ``named``."""
+    rebuilt here once on ``m``.  ``fn`` maps a batch of ``m`` and, for a
+    check of :data:`STEPPED_CHECKS`, the sample's stepped point (else None)
+    to one residual per point, in :func:`_blocks`; so the first such check
+    on a sample steps it, and the algebraic checks never do.  ``finish``
+    maps the residuals to the report's (residuals, details, notes); the
+    witnesses name the sample's points, or the rows of ``named``."""
     tol = DEFAULT_TOLERANCES[name] if tol is None else tol
     points = sample.points if isinstance(sample, PhaseSample) else tuple(sample)
     if not len(points):  # a check over no points proves nothing
         raise ValueError("sample must be nonempty")
-    step = name in STEPPED_CHECKS
     if not isinstance(sample, PhaseSample):
-        sample = PhaseSample(points, None, on_chart(m, stack_points(points)),
-                             step)
+        sample = PhaseSample(points, None, on_chart(m, stack_points(points)))
     batch = on_chart(m, sample.batch)
-    if batch is not sample.batch or step and sample.stepped is None:
-        sample = PhaseSample(sample.points, sample.seed, batch, step)
-    values, details, notes = finish(residuals(sample))
+    if batch is not sample.batch:
+        sample = PhaseSample(sample.points, sample.seed, batch)
+    values, details, notes = finish(
+        _blocks(fn, sample, name in STEPPED_CHECKS, m.n))
     return make_report(name, values,
                        sample.points if named is None else named, tol,
                        seed=sample.seed, details=details, notes=notes)
 
 
-def _blocks(fn, footprint):
-    """A sample to ``fn`` of its batch and stepped point (None if it has
-    none), or of the same consecutive slices of both, each of at least one
-    point and :data:`paralift.ad.BLOCK_ELEMENTS` at most; ``footprint``:
-    elements per point, (2n)^2 for the matrix checks, (2n)^3 for jacobian
-    checks."""
-    def residuals(s):
-        count, size = len(s.points), max(1, ad.BLOCK_ELEMENTS // footprint)
-        if count <= size:
-            return fn(s.batch, s.stepped)
-        return np.concatenate([fn(*(x and take_points(x, slice(i, i + size))
-                                    for x in (s.batch, s.stepped)))
-                               for i in range(0, count, size)])
-    return residuals
+def _blocks(fn, sample, lanes, n):
+    """``fn`` of the sample's batch and, if ``lanes``, its stepped point (else
+    None), or of the same consecutive slices of both, each of at least one
+    point and :data:`paralift.ad.BLOCK_ELEMENTS` elements at most: (2n)^3
+    per point with the stepped point, (2n)^2 without."""
+    parts = (sample.batch, sample.stepped if lanes else None)
+    count = len(sample.points)
+    size = max(1, ad.BLOCK_ELEMENTS // (2 * n) ** (3 if lanes else 2))
+    if count <= size:
+        return fn(*parts)
+    return np.concatenate([fn(*(x and take_points(x, slice(i, i + size))
+                                for x in parts))
+                           for i in range(0, count, size)])
 
 
 def _max_abs(a, core):
@@ -340,8 +346,7 @@ def check_space_form(m, sample, tol=None):
         h, dh = ad.split(lanes.h[..., :m.n, :], 1)  # the n q lanes
         return space_form_deviation(m, curvature_of(m, h, dh), pt.phi)
 
-    return _check("space_form", m, sample, tol,
-                  _blocks(residual, (2 * m.n) ** 3), named=sample.batch.q)
+    return _check("space_form", m, sample, tol, residual, named=sample.batch.q)
 
 
 def _almost_product(ls, pt):
@@ -366,25 +371,23 @@ def check_almost_product(ls, sample, tol=None):
     of the last row and column, of order 1e-17, apart by an ulp; the max
     never moved.)"""
     return _check("almost_product", ls.m, sample, tol,
-                  _blocks(lambda pt, _: _almost_product(ls, pt),
-                          (2 * ls.m.n) ** 2))
+                  lambda pt, _: _almost_product(ls, pt))
 
 
-def _nijenhuis_max(ls, lanes, coeffs=None):
+def _nijenhuis_max(ls, lanes):
     """|N_P|_inf per point from P on the stepped chart point ``lanes``."""
-    return _step_max(_stepped_nijenhuis(_p_coordinate(ls, lanes, coeffs)))
+    return _step_max(_stepped_nijenhuis(_p_coordinate(ls, lanes)))
 
 
-def _closure_max(ls, lanes, coeffs=None):
+def _closure_max(ls, lanes):
     """|d Omega|_inf per point from Omega on the stepped chart point ``lanes``."""
-    return _step_max(_d2form(_omega_coordinate(ls, lanes, coeffs).imag))
+    return _step_max(_d2form(_omega_coordinate(ls, lanes).imag))
 
 
 def check_integrability(ls, sample, tol=None):
     """max over the sample of |N_P|_inf in coordinate components."""
     return _check("integrability", ls.m, sample, tol,
-                  _blocks(lambda _, lanes: _nijenhuis_max(ls, lanes),
-                          (2 * ls.m.n) ** 3),
+                  lambda _, lanes: _nijenhuis_max(ls, lanes),
                   lambda r: (r, None, _N2_NOTES if ls.m.n == 2 else ()))
 
 
@@ -403,7 +406,7 @@ def check_compatibility(ls, sample, tol=None):
     two n x n blocks, built from one coefficient pass, and assembles no zero
     block."""
     return _check("compatibility", ls.m, sample, tol,
-                  _blocks(lambda pt, _: _compatibility(ls, pt), (2 * ls.m.n) ** 2))
+                  lambda pt, _: _compatibility(ls, pt))
 
 
 def check_metric_signature(ls, sample, tol=None):
@@ -435,8 +438,7 @@ def check_metric_signature(ls, sample, tol=None):
                                  "eps = +1 spec; check is vacuous",)
     details = {"expected_positive": expected[0] if expected else None,
                "expected_negative": expected[1] if expected else None}
-    return _check("metric_signature", ls.m, sample, tol,
-                  _blocks(residual, (2 * n) ** 2),
+    return _check("metric_signature", ls.m, sample, tol, residual,
                   lambda r: (r, details, notes))
 
 
@@ -444,29 +446,17 @@ def check_closure(ls, sample, tol=None):
     """max over the sample of |d Omega|_inf by complex-step differentiation."""
     _require_para_hermitian(ls)
     return _check("closure", ls.m, sample, tol,
-                  _blocks(lambda _, lanes: _closure_max(ls, lanes),
-                          (2 * ls.m.n) ** 3))
+                  lambda _, lanes: _closure_max(ls, lanes))
 
 
 def check_closure_agreement(ls, sample, tol=None):
     """max over the sample of |d Omega (complex step) - d Omega (closed form)|,
     one cyclic sum of h d_a Omega_bc - h theta_a J_bc on the stepped output."""
     _require_para_hermitian(ls)
-    return _check("closure_agreement", ls.m, sample, tol, _blocks(
-        lambda pt, lanes: _step_max(_d2form(_minus_theta_j(
-            _omega_coordinate(ls, lanes).imag, ad.STEP * _theta(ls, pt)))),
-        (2 * ls.m.n) ** 3))
-
-
-def _seeded_residuals(ls, lanes):
-    """(|N|, |d Omega|) per point from one stepped chart point and one pass
-    of "Pform", whose rows are bitwise those of "P" and "form": bitwise the
-    residuals of check_integrability and check_closure.  d Omega is taken
-    first: taken second, after the pass, para_kahler read 3-11% slower at
-    n = 16 in separate-process A/B runs, with no more page faults."""
-    coeffs = _coefficients(ls, lanes, "Pform", slack=True)
-    closure = _closure_max(ls, lanes, coeffs[4:])
-    return np.stack([_nijenhuis_max(ls, lanes, coeffs[:4]), closure], axis=-1)
+    return _check("closure_agreement", ls.m, sample, tol,
+                  lambda pt, lanes: _step_max(_d2form(_minus_theta_j(
+                      _omega_coordinate(ls, lanes).imag,
+                      ad.STEP * _theta(ls, pt)))))
 
 
 def check_para_kahler(ls, sample, tol=None):
@@ -474,24 +464,24 @@ def check_para_kahler(ls, sample, tol=None):
 
     Passes iff all three parts pass.  The details record each part's max
     residual; the residuals, witnesses and notes are those of the worst
-    part, a non-finite one ranking worst.  Compatibility runs in its own
-    blocks, integrability and closure on the same stepped blocks.
+    part, a non-finite one ranking worst.  Each block of the stepped point
+    gives the three parts' residuals per point, each bitwise its check's.
     """
     _require_para_hermitian(ls)
-    compatibility = _blocks(lambda pt, _: _compatibility(ls, pt),
-                            (2 * ls.m.n) ** 2)
-    seeded = _blocks(lambda _, lanes: _seeded_residuals(ls, lanes),
-                     (2 * ls.m.n) ** 3)
 
-    def worst(parts):
+    def block(pt, lanes):
+        return np.stack([_compatibility(ls, pt), _nijenhuis_max(ls, lanes),
+                         _closure_max(ls, lanes)], axis=-1)
+
+    def worst(residuals):
+        parts = residuals.T
         top = [float(r.max()) for r in parts]
         i = max(range(3), key=lambda i: _sort_key(top[i]))  # nan ranks worst
         notes = _N2_NOTES if i == 1 and ls.m.n == 2 else ()
         names = ("compatibility", "integrability", "closure")
         return parts[i], {f"{a}_residual": r for a, r in zip(names, top)}, notes
 
-    return _check("para_kahler", ls.m, sample, tol,
-                  lambda s: (compatibility(s), *seeded(s).T), worst)
+    return _check("para_kahler", ls.m, sample, tol, block, worst)
 
 
 _CHECKS = {

@@ -88,6 +88,37 @@ def test_metric_checks_need_proportionality():
         parse_config(doc)
 
 
+_METRIC_NAMES = ["para_kahler", "closure_agreement", "closure",
+                 "metric_signature", "compatibility"]
+
+
+@pytest.mark.parametrize("rule,defect,refused", [
+    ("kind", {"kind": "cruceanu_p"}, _METRIC_NAMES),
+    ("proportional", {"derive": {"product_completion": True,
+                                 "integrability": True,
+                                 "metric_proportionality": False}},
+     _METRIC_NAMES),
+    ("neutral", {"epsilon": 1}, _METRIC_NAMES[:3]),
+])
+def test_a_check_the_spec_cannot_serve_is_one_line_each(
+        rule, defect, refused, tmp_path, capsys):
+    """Each check the spec lacks the metric part or eps = -1 for is refused
+    on a line of its own, in the config's order, and nothing else is."""
+    from paralift.config import PARSER_ONLY
+    from paralift.verify import CHECK_NAMES
+
+    doc = small(checks=list(reversed(CHECK_NAMES)))
+    if rule == "kind":
+        doc["coefficients"] = defect
+    else:
+        doc["coefficients"].update(defect)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: " + PARSER_ONLY[rule].format(name) for name in refused]
+
+
 def test_cruceanu_kind_limits_checks():
     doc = small(checks=["compatibility"])
     doc["coefficients"] = {"kind": "cruceanu_p"}

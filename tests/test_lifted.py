@@ -38,8 +38,9 @@ from paralift.verify import (
     STEPPED_CHECKS,
     PhaseSample,
     _almost_product,
+    _closure_max,
     _compatibility,
-    _seeded_residuals,
+    _nijenhuis_max,
     check_almost_product,
     check_closure,
     check_integrability,
@@ -371,7 +372,9 @@ def factor_calls(monkeypatch):
 def test_one_conformal_factor_evaluation_per_call(factor_calls, batch):
     """Each evaluator derives its chart fields from at most one evaluation of
     phi; the adapted ones read them from a point built on their chart, and
-    the seeded pass from a stepped point built before."""
+    the derivative residuals from a stepped point built before.  A sample
+    of given points is stacked, not stepped: its stepped point costs one
+    evaluation on its first read."""
     m = conformal_ball(3, 1.0)
     ls = rational_structure(m)
     points = sample_points(m, 3, 11).points
@@ -387,9 +390,11 @@ def test_one_conformal_factor_evaluation_per_call(factor_calls, batch):
         "Omega_coordinate": (
             lambda: ad.jacobian(Omega_coordinate(ls), pt.z()), 1),
         "stepped_point": (lambda: stepped_point(m, pt), 1),
-        "PhaseSample": (lambda: PhaseSample(points=points), 1),
+        "PhaseSample": (lambda: PhaseSample(points=points), 0),
+        "PhaseSample.stepped": (lambda: PhaseSample(points=points).stepped, 1),
         "nijenhuis_at": (lambda: nijenhuis_at(ls, pt), 1),
-        "para_kahler seeded pass": (lambda: _seeded_residuals(ls, lanes), 0),
+        "integrability blocks": (lambda: _nijenhuis_max(ls, lanes), 0),
+        "closure blocks": (lambda: _closure_max(ls, lanes), 0),
     }
     for name, (call, count) in evaluators.items():
         factor_calls.clear()
@@ -410,36 +415,39 @@ def test_compatibility_reads_one_chart_point_per_block(factor_calls, monkeypatch
 
 
 def test_para_kahler_reads_one_chart_point_per_block(factor_calls):
-    """At n = 8, 6 points: building the sample steps the chart once; then
-    one block of compatibility reads its chart fields and each of three
-    seeded blocks a slice of its stepped point, so phi is evaluated zero
-    times.  A sample of another chart is rebuilt once per check call, not
-    per block: one point and one stepped point of the structure's chart."""
+    """At n = 8, 6 points: the first call on a sample steps its chart once;
+    then each of three blocks reads a slice of its batch and of its stepped
+    point, so a second call evaluates phi zero times.  A sample of another
+    chart is rebuilt once per check call, not per block: one point and one
+    stepped point of the structure's chart."""
     m = conformal_ball(8, 1.0)
     ls = rational_structure(m)
     sample = sample_points(m, 6, 11)
     factor_calls.clear()
     chunk = PhaseSample(points=sample.points)
-    assert len(factor_calls) == 1
+    assert len(factor_calls) == 0
     wide = conformal_ball(8, 1.0, chart_radius=2.0)
     other = PhaseSample(points=tuple(make_point(wide, pt.q, pt.p)
                                      for pt in sample.points))
-    for own, count in ((sample, 0), (chunk, 0), (other, 2)):
+    for own, count in ((sample, 1), (sample, 0), (chunk, 1), (chunk, 0),
+                       (other, 2), (other, 2)):
         factor_calls.clear()
         check_para_kahler(ls, own)
         assert len(factor_calls) == count
+    assert "stepped" not in vars(other)
 
 
 @pytest.mark.parametrize("batch", [False, True])
 def test_a_point_of_an_equal_chart_is_read_and_of_another_rebuilt(
         factor_calls, batch):
     """An equal but distinct chart counts as the points' own: no evaluation
-    of phi, in the adapted evaluators and in the checks of a sample, which
-    read its chart fields and its stepped point.  Points of another chart
-    are rebuilt on the structure's, as points made there: one evaluation
-    in an adapted evaluator and in an algebraic check, and two in a check
-    that differentiates the chart, which also steps the rebuilt sample
-    once."""
+    of phi in the adapted evaluators and the algebraic checks of a sample,
+    which read its chart fields, and one in the first check that
+    differentiates the chart, which steps the sample for the others.
+    Points of another chart are rebuilt on the structure's, as points made
+    there: one evaluation in an adapted evaluator and in an algebraic
+    check, and two in a check that differentiates the chart, which also
+    steps the rebuilt sample once."""
     m = conformal_ball(3, 1.0)
     ls = rational_structure(conformal_ball(3, 1.0))
     assert ls.m == m and ls.m is not m
@@ -461,7 +469,8 @@ def test_a_point_of_an_equal_chart_is_read_and_of_another_rebuilt(
             factor_calls.clear()
             call()
             steps = name.removeprefix("check_") in STEPPED_CHECKS
-            want = (2 if steps else 1) if rebuilt else 0
+            first = name == "check_integrability"  # the first to step
+            want = (1 + steps) if rebuilt else int(first)
             assert len(factor_calls) == want, (name, rebuilt)
     for evaluate in (P_adapted, G_adapted):
         assert np.array_equal(evaluate(ls, other[1]), evaluate(ls, own[1]))
@@ -489,9 +498,10 @@ def test_a_check_on_a_list_steps_the_chart_once(factor_calls):
 
 
 def test_a_run_that_reads_no_stepped_point_builds_none(factor_calls):
-    """A run whose checks differentiate nothing samples without the stepped
-    point: phi is evaluated once fewer than with it, and the report is
-    byte-equal.  A derivative check on such a sample steps it once."""
+    """A CLI run whose checks differentiate nothing evaluates phi as often as
+    drawing its sample does: no check steps it.  The same checks on a drawn
+    sample leave its stepped point unbuilt and report byte-equal; a
+    derivative check then steps it once, and a second one not again."""
     preset = (Path(__file__).resolve().parent.parent / "src" / "paralift"
               / "presets" / "rational_para_hermitian.json")
     document = json.loads(preset.read_text())
@@ -500,23 +510,42 @@ def test_a_run_that_reads_no_stepped_point_builds_none(factor_calls):
     config = parse_config(document)
     factor_calls.clear()
     reports, _ = execute_checks(config)
-    without = len(factor_calls)
+    run = len(factor_calls)
     ls, s = build_structure(config), config.sampling
     factor_calls.clear()
     sample = sample_points(ls.m, s["count"], s["seed"], p_max=s["p_max"],
                            t_max=config.coefficients["t_max"])
-    stepped = [run_check(name, ls, sample) for name in config.checks]
-    assert len(factor_calls) == without + 1
-    assert sample.stepped is not None
+    assert len(factor_calls) == run
+    again = [run_check(name, ls, sample) for name in config.checks]
+    assert len(factor_calls) == run
+    assert "stepped" not in vars(sample)
     assert json.dumps([r.to_dict() for r in reports]) == json.dumps(
-        [r.to_dict() for r in stepped])
-    bare = sample_points(ls.m, s["count"], s["seed"], p_max=s["p_max"],
-                         t_max=config.coefficients["t_max"], stepped=False)
-    assert bare.stepped is None
+        [r.to_dict() for r in again])
+    for name, count in (("closure", 1), ("integrability", 0)):
+        factor_calls.clear()
+        run_check(name, ls, sample)
+        assert len(factor_calls) == count, name
+    assert vars(sample)["stepped"] is sample.stepped
+
+
+def test_the_derivative_checks_of_a_sample_share_one_stepped_point(
+        factor_calls):
+    """On one sample, space_form, integrability, closure, closure_agreement
+    and para_kahler together evaluate phi once, in the first of them; the
+    algebraic checks before them build no stepped point."""
+    m = conformal_ball(3, 1.0)
+    ls = rational_structure(m)
+    sample = sample_points(m, 5, 11)
     factor_calls.clear()
-    report = check_closure(ls, bare)
+    for name in ("almost_product", "compatibility", "metric_signature"):
+        run_check(name, ls, sample)
+    assert not factor_calls and "stepped" not in vars(sample)
+    for name in ("space_form", "integrability", "closure",
+                 "closure_agreement", "para_kahler"):
+        assert name in STEPPED_CHECKS
+        run_check(name, ls, sample)
     assert len(factor_calls) == 1
-    assert report.to_dict() == check_closure(ls, sample).to_dict()
+    assert vars(sample)["stepped"].m is m
 
 
 BLOCK_MODELS = {

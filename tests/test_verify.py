@@ -24,6 +24,7 @@ from paralift import (
     constant,
     curvature_at,
     energy_density,
+    exponential,
     fd_oracle,
     flat_space,
     integrable_spec,
@@ -46,8 +47,11 @@ from paralift.report import make_report
 from paralift.spaceform import christoffel_at
 from paralift.verify import (
     CHECK_NAMES,
+    METRIC_CHECKS,
+    PARA_HERMITIAN_CHECKS,
     PhaseSample,
-    _seeded_residuals,
+    _closure_max,
+    _nijenhuis_max,
     exterior_derivative_2form,
     nijenhuis_at,
     run_check,
@@ -511,14 +515,13 @@ def test_para_kahler_sub_residuals_equal_the_standalone_checks(case):
         assert rep.details[f"{name}_residual"] == alone.max_residual, name
         if alone.max_residual == rep.max_residual:
             assert rep.witnesses == alone.witnesses
-    # per point, the seeded pass on the sample's stepped point is bitwise
-    # the two derivative residuals
+    # per point, the derivative residuals on the sample's stepped point are
+    # bitwise those of the public evaluators
     batch = stack_points(sample.points)
-    both = _seeded_residuals(ls, sample.stepped)
     omega = Omega_coordinate(ls)
-    assert np.array_equal(both[:, 0], np.max(np.abs(nijenhuis_at(ls, batch)),
-                                             axis=(-3, -2, -1)))
-    assert np.array_equal(both[:, 1], np.max(np.abs(
+    assert np.array_equal(_nijenhuis_max(ls, sample.stepped), np.max(
+        np.abs(nijenhuis_at(ls, batch)), axis=(-3, -2, -1)))
+    assert np.array_equal(_closure_max(ls, sample.stepped), np.max(np.abs(
         exterior_derivative_2form(omega, batch)), axis=(-3, -2, -1)))
 
 
@@ -541,7 +544,7 @@ def test_para_kahler_reports_a_non_finite_part():
 
 
 def test_para_kahler_needs_a_para_hermitian_spec():
-    # compatibility runs for eps = +1; the 2-form of the seeded pass does not
+    # compatibility runs for eps = +1; closure, the 2-form's part, does not
     m = conformal_ball(3, 1.0)
     spec = with_metric(almost_product_spec(constant(1.0), constant(0.0),
                                            curvature=1.0, epsilon=1),
@@ -550,6 +553,82 @@ def test_para_kahler_needs_a_para_hermitian_spec():
     assert check_compatibility(ls, sample_points(m, 4, 1)).passed
     with pytest.raises(ContractError, match="epsilon = -1"):
         check_para_kahler(ls, sample_points(m, 4, 1))
+
+
+def test_the_metric_check_sets_name_the_checks_that_refuse():
+    """METRIC_CHECKS are the checks that refuse a structure without a metric
+    part, Cruceanu's included, and PARA_HERMITIAN_CHECKS those that refuse
+    an eps = +1 one: the sets the config parser reads."""
+    m = conformal_ball(3, 1.0)
+    plus = with_metric(almost_product_spec(constant(1.0), constant(0.0),
+                                           curvature=1.0, epsilon=1),
+                       constant(1.0), constant(0.0))
+    sample = sample_points(m, 4, 1)
+    for ls, refused in (
+            (LiftedStructure(m=m), METRIC_CHECKS),
+            (LiftedStructure(m=m, spec=integrable_spec(
+                constant(1.0), curvature=1.0)), METRIC_CHECKS),
+            (LiftedStructure(m=m, spec=plus), PARA_HERMITIAN_CHECKS)):
+        raised = set()
+        for name in CHECK_NAMES:
+            try:
+                run_check(name, ls, sample)
+            except ContractError:
+                raised.add(name)
+        assert raised == refused
+    assert PARA_HERMITIAN_CHECKS < METRIC_CHECKS
+
+
+ORBIT_MODELS = {
+    "ball+1": lambda n: conformal_ball(n, 1.0),
+    "ball-1": lambda n: conformal_ball(n, -1.0),
+    "flat": flat_space,
+}
+
+
+def _residual_norms(ls, q, p):
+    """Frobenius norms per point of N, d Omega and the deviation of R from
+    constant curvature c + 1 (off by one, so not rounding noise) at the
+    points (q, p) of ``ls.m``."""
+    m = ls.m
+    pt = make_point(m, q, p)
+    eye = np.eye(m.n)
+    target = (m.c + 1.0) * pt.phi[:, None, None, None, None] * (
+        np.einsum("hi,kj->hkij", eye, eye) - np.einsum("hj,ki->hkij", eye, eye))
+    tensors = (nijenhuis_at(ls, pt),
+               exterior_derivative_2form(Omega_coordinate(ls), pt),
+               curvature_at(m, q) - target)
+    return np.array([np.sqrt((x * x).reshape(len(q), -1).sum(-1))
+                     for x in tensors])
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+@pytest.mark.parametrize("model", [*ORBIT_MODELS, "perturbed"])
+def test_residual_norms_are_invariant_under_rotations(model, n, rng):
+    """The chart metric of the ball and of the flat model is invariant under
+    O(n), and the cotangent lift (q, p) -> (Rq, Rp) of a rotation R is
+    orthogonal on phase coordinates; so the Frobenius norms of N, d Omega
+    and the curvature deviation at (q, p) and (Rq, Rp) agree to rounding,
+    for a spec off the integrability and closure rules.  The perturbed base
+    is invariant only about e0, and the symmetry breaks there."""
+    c = {"ball+1": 1.0, "ball-1": -1.0}.get(model, 0.0)
+    m = (perturbed_conformal(n, 1.0, 0.1) if model == "perturbed"
+         else ORBIT_MODELS[model](n))
+    spec = with_metric(almost_product_spec(exponential(1.5, 0.1),
+                                           constant(0.3), curvature=c),
+                       affine(1.0, 1.0), constant(0.5))
+    ls = LiftedStructure(m=m, spec=spec)
+    # t_max leaves room for the perturbed base, where a rotation moves t
+    batch = sample_points(m, 6, 90 + n, t_max=1.5).batch
+    rotation, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    before = _residual_norms(ls, batch.q, batch.p)[:, 1:]  # p != 0
+    after = _residual_norms(ls, batch.q @ rotation.T, batch.p @ rotation.T)
+    assert np.all(before > 1e-3)  # off the rules
+    gap = np.abs(after[:, 1:] - before) / before
+    if model == "perturbed":  # each of the three, by 3-14% on these draws
+        assert np.all(gap.max(axis=1) > 1e-2)
+    else:
+        assert gap.max() < 1e-13
 
 
 @pytest.mark.parametrize("name", CHECK_NAMES)

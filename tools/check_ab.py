@@ -35,9 +35,12 @@ Construction is timed the same way: per case and round, ``parse_config``
 plus ``build_structure`` as the least of ``BUILD_REPEATS`` calls, printed
 as one ``build`` line of ms per case.  A build takes a few ms, so it gets
 more calls than a chunk.  ``sample_points``, as ``build()`` calls it on the
-built structure, is timed the same way and printed as a ``sample`` line,
-so work that a change moves from the checks into the sample shows beside
-the per-check ratios.
+built structure, and a read of the new sample's stepped point are timed the
+same way and printed as a ``sample`` line: a checkout that steps the sample
+with its draw and one that steps it on the first read pay the same work
+there.  So work that a change moves between the checks and the sample
+shows beside the per-check ratios, where the least of ``REPEATS`` calls
+would hide a step taken in a chunk's first call.
 
 The answers are compared too, so a speed A/B cannot hide a changed one: per
 check, whether every chunk's verdict agrees, and the largest relative change
@@ -123,7 +126,7 @@ def serve(root, documents, conn):
             conn.send((least(lambda: config_mod.build_structure(
                            config_mod.parse_config(document)),
                              BUILD_REPEATS)[0],
-                       least(lambda: draw(verify, config, ls),
+                       least(lambda: draw(verify, config, ls).stepped,
                              BUILD_REPEATS)[0]))
             continue
         k, name, c = jobs[i]
