@@ -47,11 +47,13 @@ __all__ = [
 ]
 
 # Size of one block of points, in footprint elements per point: (2n)^3 for a
-# phase-space jacobian over an n-dimensional base, (2n)^2 for a matrix.  A
-# jacobian's intermediates are complex, 16 bytes per element, and peak at
-# about nine values per element, so at about 1.2 MB: a jacobian check holds
-# 2 points at n = 8, 37 at n = 3.
-BLOCK_ELEMENTS = 1 << 13
+# check that reads the stepped point, (2n)^2 for one that does not.  Sized
+# for the samples a CLI run checks: a derivative check holds 151 points a
+# block at n = 3 (a 100-point sample whole), 8 at n = 8 and 1 at n = 16.
+# All eight checks on 100 points at n = 8 took 66, 51, 46 and 59 ms at 2^13,
+# 2^14, 2^15 and 2^16 elements (least of 5 in one process, Xeon, 2 MB of L2
+# cache a core, which a complex temporary of 2^15 elements fills to 512 KB).
+BLOCK_ELEMENTS = 1 << 15
 
 # The complex step h: a power of two, so Im / h is an exact rescale, and
 # h * h == 0.0, so products of two steps vanish from the real parts.

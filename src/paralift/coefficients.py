@@ -53,9 +53,6 @@ __all__ = [
 ]
 
 GRID_SIZE = 64
-# Entries of a plain t up to which a Program evaluates entry by entry: on two
-# points a pass of "PG" took 9 us that way and 31 us on the array.
-_POINTWISE = 4
 VANISHING_TOL = 1e-8
 # Halvings of a grid cell that bracket a minimum of |f|: 2/63 / 2**40 ~ 3e-14.
 _BISECTIONS = 40
@@ -95,11 +92,9 @@ class ScalarFamily:
     args: tuple = ()
 
     def __call__(self, t):
-        """f(t); on a complex t, the chain-rule step f(Re t) + i f'(Re t) Im t.
-        A plain t reads the compiled function's first output, unstacked."""
-        if np.iscomplexobj(t):
-            return self.program(t)[0]
-        return self.program._function(t)[0]
+        """f(t) in t's shape; on a complex t, the chain-rule step
+        f(Re t) + i f'(Re t) Im t: the one row of :attr:`program`'s pass."""
+        return self.program(t)[0]
 
     @cached_property
     def program(self):
@@ -201,19 +196,14 @@ class Program:
 
     def __call__(self, t):
         """The families at t as one array, a row per family, t's shape each;
-        on a complex t, f(Re t) + i f'(Re t) Im t.  An array t of at most
-        :data:`_POINTWISE` entries is evaluated entry by entry on numpy
-        scalars: the same IEEE operations, and exp the same ufunc, so the
-        same bits without an array operation's fixed cost per step."""
+        on a complex t, f(Re t) + i f'(Re t) Im t.  A plain t, one point or
+        a whole sample, takes one pass of :attr:`_function`."""
         if np.iscomplexobj(t):
             out, k = self.with_derivatives._function(t.real), len(self.outputs)
             z = np.empty((k,) + np.shape(t), complex)
             z.real = out[:k]
             np.multiply(out[k:], t.imag, out=z.imag)
             return z
-        if isinstance(t, np.ndarray) and 0 < t.size <= _POINTWISE:
-            rows = np.array([self._function(x) for x in t.flat])
-            return rows.T.reshape((-1,) + t.shape)
         return np.array(self._function(t))
 
     @cached_property
@@ -396,10 +386,13 @@ def _sampled_values(families, t_max):
              np.concatenate([values[i], at[i, fam == i]])) for i in range(k)]
 
 
-def _guard(t_max, *guards):
-    """Apply each guard (rule, family, name) in order, sampling all their
-    families with one program; a rule raises :class:`DegenerateCoefficient`."""
-    sampled = _sampled_values([fam for _, fam, _ in guards], t_max)
+def _guard(t_max, *guards, also=()):
+    """Apply each guard (rule, family, name) in order; a rule raises
+    :class:`DegenerateCoefficient`.  One program samples their families and
+    the families ``also``, whose samples (points, values) are returned
+    unguarded: a builder reads its flags off them with no second pass."""
+    sampled = _sampled_values([fam for _, fam, _ in guards] + list(also),
+                              t_max)
     for (rule, _, what), (ts, values) in zip(guards, sampled):
         # NaN fails every comparison, so a rule would let it through
         bad = np.flatnonzero(~np.isfinite(values))
@@ -407,6 +400,7 @@ def _guard(t_max, *guards):
             raise DegenerateCoefficient(
                 f"{what} is not finite at t = {ts[bad[0]]:.6g}")
         rule(ts, values, what, t_max)
+    return sampled[len(guards):]
 
 
 def _nonvanishing(ts, values, what, t_max):
@@ -508,7 +502,9 @@ def with_metric(spec, lam, mu=None, *, require_positive=True):
     ``require_positive`` enforces lam > 0 and lam + 2t mu > 0 on the grid;
     relax it only when deliberately exploring non-positive proportionality.
     Flags gain "compatible", plus "positive" when the full positivity
-    conditions hold and "mu_is_lambda_prime" when mu was derived.
+    conditions hold (a1, a1 + 2t b1, lam and lam + 2t mu at least
+    :data:`VANISHING_TOL` where the guards sample, read off the guards' one
+    pass) and "mu_is_lambda_prime" when mu was derived.
     """
     if spec.epsilon not in (-1, 1):
         raise ValueError("epsilon must be +1 or -1")
@@ -522,15 +518,15 @@ def with_metric(spec, lam, mu=None, *, require_positive=True):
     d2 = float(spec.epsilon) * (mu * spec.a2 + scale * spec.b2)
     positive = ((_positive, lam, "lambda"),
                 (_positive, scale, "lambda + 2t mu"))
-    _guard(spec.t_max, *(positive if require_positive else ()),
-           (_nonvanishing, c1 * c2, "c1 c2"),
-           (_nonvanishing, (c1 + 2.0 * _t * d1) * (c2 + 2.0 * _t * d2),
-            "(c1 + 2t d1)(c2 + 2t d2)"))
+    sampled = _guard(
+        spec.t_max, *(positive if require_positive else ()),
+        (_nonvanishing, c1 * c2, "c1 c2"),
+        (_nonvanishing, (c1 + 2.0 * _t * d1) * (c2 + 2.0 * _t * d2),
+         "(c1 + 2t d1)(c2 + 2t d2)"),
+        also=(spec.a1, spec.a1 + 2.0 * _t * spec.b1, lam, scale))
     flags = set(spec.flags) | {"compatible"}
     if derived_mu:
         flags.add("mu_is_lambda_prime")
-    sampled = _sampled_values([spec.a1, spec.a1 + 2.0 * _t * spec.b1, lam,
-                               lam + 2.0 * _t * mu], spec.t_max)
     if all(np.all(values >= VANISHING_TOL) for _, values in sampled):
         flags.add("positive")
     return replace(spec, c1=c1, d1=d1, c2=c2, d2=d2, lam=lam, mu=mu,

@@ -47,12 +47,14 @@ Coefficient passes per block of points, each one program call:
   metric_signature   G
   integrability      P on the lanes
   closure            form on the lanes
-  closure_agreement  form on the lanes, mu and lam' on the points
+  closure_agreement  form on the lanes, form with derivatives on the points
   para_kahler        PG, P on the lanes and form on the lanes
   space_form         none
 
-The lanes are the sample's stepped chart point.  para_kahler runs on each
-block what compatibility, integrability and closure run on it.
+The lanes are the sample's stepped chart point; on the points,
+closure_agreement reads mu and lam' off the form program's pass with its
+derivatives, the pass that the lanes' complex t also runs.  para_kahler
+runs on each block what compatibility, integrability and closure run on it.
 
 The coordinate P and Omega build each n x n block as a contiguous array and
 copy it into its slot of one 2n x 2n output: a ufunc writing straight into

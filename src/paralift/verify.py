@@ -314,9 +314,12 @@ def analytic_dOmega(ls, pt):
 
 
 def _theta(ls, pt):
-    """(mu - lambda') theta at the point ``pt`` of ``ls.m``."""
-    spec = _require_para_hermitian(ls)
-    factor = np.asarray(spec.mu(pt.t)) - spec.lam.derivative()(pt.t)
+    """(mu - lambda') theta at the point ``pt`` of ``ls.m``, mu and lambda'
+    from one pass of the spec's "form" program with its derivatives, the
+    program closure_agreement runs on the lanes."""
+    _, mu, lam_prime, _ = _require_para_hermitian(ls).program(
+        "form").with_derivatives(pt.t)
+    factor = mu - lam_prime
     return factor[..., None] * np.concatenate(
         [np.asarray(-2.0 * pt.t)[..., None] * pt.h, pt.g0], axis=-1)
 

@@ -30,7 +30,7 @@ from paralift import (
     sample_points,
     with_metric,
 )
-from paralift import ChartDomainError, ad
+from paralift import ChartDomainError, ad, verify
 from paralift.lifted import (
     G_adapted,
     Omega_coordinate,
@@ -49,6 +49,7 @@ from paralift.spaceform import (
 )
 from paralift.verify import (
     CHECK_NAMES,
+    STEPPED_CHECKS,
     PhaseSample,
     check_space_form,
     exterior_derivative_2form,
@@ -254,12 +255,38 @@ def test_check_reports_do_not_depend_on_the_split(model, n):
                 assert full.witnesses == witnesses, (name, size)
 
 
-def test_block_budget_does_not_change_reports(monkeypatch):
-    ls = _structure("ball+1", 3)
-    sample = _sample(ls, 3)
+@pytest.mark.parametrize("n", [3, 8])
+def test_block_budget_does_not_change_reports(monkeypatch, n):
+    ls = _structure("ball+1", n)
+    sample = _sample(ls, n)
     reports = [run_check(name, ls, sample) for name in CHECK_NAMES]
-    monkeypatch.setattr(ad, "BLOCK_ELEMENTS", 1)  # one point per block
-    assert [run_check(name, ls, sample) for name in CHECK_NAMES] == reports
+    # one point per block; 2 points per derivative block at n = 8
+    for budget in (1, 1 << 13):
+        monkeypatch.setattr(ad, "BLOCK_ELEMENTS", budget)
+        assert [run_check(name, ls, sample) for name in CHECK_NAMES] == reports
+
+
+@pytest.mark.parametrize("n,count,stepped,plain", [
+    (3, 100, [100], [100]),
+    (8, 10, [8, 2], [10]),
+    (16, 2, [1, 1], [2]),
+])
+def test_block_budget_fits_whole_samples(monkeypatch, n, count, stepped, plain):
+    """Points per residual call of each check: a CLI sample at n = 3 is one
+    block, and a check that reads the stepped point splits at n = 8 and 16."""
+    ls = _structure("ball+1", n)
+    sample = sample_points(ls.m, count, seed=100 + n)
+    blocks, sizes = verify._blocks, []
+
+    def counting(fn, sample, lanes, n):
+        return blocks(lambda pt, x: sizes.append(len(pt.q)) or fn(pt, x),
+                      sample, lanes, n)
+
+    monkeypatch.setattr(verify, "_blocks", counting)
+    for name in CHECK_NAMES:
+        sizes.clear()
+        run_check(name, ls, sample)
+        assert sizes == (stepped if name in STEPPED_CHECKS else plain), name
 
 
 @pytest.mark.parametrize("kind", ["cruceanu_p", "cruceanu_q"])

@@ -1,6 +1,7 @@
 """Coefficient families and the four derivation rules, on validation grids."""
 
 import operator
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -246,6 +247,41 @@ def test_with_metric_flags():
     assert "mu_is_lambda_prime" not in explicit.flags
 
 
+@pytest.mark.parametrize("a1,lam,mu,require_positive,flags", [
+    (constant(1.0), affine(1.0, 1.0), None, True,
+     {"positive", "mu_is_lambda_prime"}),
+    (constant(1.0), affine(1.0, 1.0), constant(0.0), False, {"positive"}),
+    (constant(1.0), affine(-1.0, -1.0), constant(0.0), False, set()),
+    (constant(-1.0), affine(1.0, 1.0), None, True, {"mu_is_lambda_prime"}),
+], ids=["positive", "relaxed positive", "relaxed negative lambda",
+        "negative a1"])
+def test_with_metric_flags_from_the_guard_pass(a1, lam, mu, require_positive,
+                                              flags):
+    # "positive" asks a1, a1 + 2t b1, lambda and lambda + 2t mu to stay
+    # positive where the guards sample them, guarded or not
+    spec = integrable_spec(a1, curvature=1.0)
+    metric = with_metric(spec, lam, mu, require_positive=require_positive)
+    assert metric.flags == spec.flags | {"compatible"} | flags
+
+
+@pytest.mark.parametrize("lam,mu,require_positive,message", [
+    (affine(0.5, -1.0), constant(0.0), True,
+     "lambda must stay positive; value"),
+    (constant(1.0), constant(-1.0), True,
+     "lambda + 2t mu must stay positive; value"),
+    (exponential(1.0, 800.0), constant(0.0), True,
+     "lambda is not finite at t = "),
+    (affine(1.0, -1.0), constant(0.0), False, "c1 c2 vanishes near t = 1 "),
+    (constant(1.0), constant(-1.0), False,
+     "(c1 + 2t d1)(c2 + 2t d2) vanishes near t = 0.5 "),
+], ids=["lambda", "lambda + 2t mu", "not finite", "c1 c2", "traces"])
+def test_with_metric_guards_keep_their_messages(lam, mu, require_positive,
+                                                message):
+    spec = integrable_spec(constant(1.0), curvature=1.0)
+    with pytest.raises(DegenerateCoefficient, match=re.escape(message)):
+        with_metric(spec, lam, mu, require_positive=require_positive)
+
+
 def test_spec_builders_record_curvature_and_range():
     spec = integrable_spec(affine(1.0, 0.5), curvature=-1.0, t_max=0.4)
     assert spec.curvature == -1.0
@@ -405,19 +441,50 @@ def test_programs_equal_the_reference_walk_bitwise(label, spec, rng):
             continue
         families = [getattr(spec, f) for f in fields]
         program = spec.program(name)
-        few = t[60:64].reshape(2, 2)  # evaluated entry by entry
-        for fam, value, stepped, point, pointwise in zip(
+        few = t[60:64].reshape(2, 2)  # a small 2-d t takes the array path too
+        for fam, value, stepped, point, small in zip(
                 families, program(t), program(phase), program(0.75),
                 program(few)):
             where = (label, name, fam.description)
             slope = reference_walk(fam.derivative(), t)
             assert _same_bits(value, reference_walk(fam, t)), where
             assert _same_bits(point, reference_walk(fam, 0.75)), where
-            assert _same_bits(pointwise, reference_walk(fam, few)), where
+            assert _same_bits(small, reference_walk(fam, few)), where
             assert _same_bits(stepped.real, np.broadcast_to(value[:, None],
                                                             phase.shape)), where
             assert _same_bits(stepped.imag, slope[..., None] * phase.imag), where
             assert _same_bits(fam(t), value), where
+
+
+def _theta_specs():
+    spec = integrable_spec(constant(1.0), curvature=1.0)
+    return {**_preset_specs(),
+            "mu = 0.5": with_metric(spec, affine(1.0, 1.0), constant(0.5)),
+            "exponential mu": with_metric(spec, affine(1.0, 1.0),
+                                          exponential(0.5, 0.3))}
+
+
+@pytest.mark.parametrize("label,spec", list(_theta_specs().items()))
+def test_theta_factor_is_mu_less_lambda_prime_bitwise(label, spec):
+    # _theta's factor, from one "form" pass with derivatives, has the bits
+    # of mu and lambda' evaluated as families of their own, at one point, at
+    # two and on a CLI-sized sample; a spec with no metric is refused
+    from paralift import ContractError, LiftedStructure, sample_points
+    from paralift.phase import stack_points
+    from paralift.spaceform import conformal_ball
+    from paralift.verify import _theta
+
+    ls = LiftedStructure(m=conformal_ball(3, 1.0), spec=spec)
+    sample = sample_points(ls.m, 100, 5)
+    for pt in (sample.points[7], stack_points(sample.points[:2]), sample.batch):
+        if spec.c1 is None:
+            with pytest.raises(ContractError):
+                _theta(ls, pt)
+            continue
+        factor = np.asarray(spec.mu(pt.t)) - spec.lam.derivative()(pt.t)
+        want = factor[..., None] * np.concatenate(
+            [np.asarray(-2.0 * pt.t)[..., None] * pt.h, pt.g0], axis=-1)
+        assert _same_bits(_theta(ls, pt), want), label
 
 
 def test_programs_share_subtrees_once():
@@ -457,6 +524,7 @@ def test_spec_compiles_each_program_once(monkeypatch):
             run_check(name, ls, sample)
     keys = [tuple(map(id, families)) for families in compiled]
     assert len(keys) == len(set(keys))
+    assert min(map(len, compiled)) > 1  # no check evaluates a family alone
     for fields in _NAMES.values():
         assert tuple(id(getattr(spec, f)) for f in fields) in keys
 
@@ -531,11 +599,11 @@ def test_guards_sample_all_families_as_each_alone():
                              t_max=1.0), 1),
     (lambda: rational_spec(1.0, 2.0, affine(0.0, 1.0)), 1),
     (lambda: with_metric(integrable_spec(constant(1.0), curvature=1.0),
-                         affine(1.0, 1.0)), 1 + 2),
+                         affine(1.0, 1.0)), 1 + 1),
 ], ids=["almost_product", "integrable", "rational", "with_metric"])
 def test_builders_compile_one_guard_program_each(monkeypatch, build, programs):
-    # with_metric: its integrable spec, its metric guards and the positivity
-    # flag
+    # with_metric: its integrable spec, then its metric guards together with
+    # the families of the positivity flag
     from paralift import coefficients
 
     compiled = []

@@ -416,8 +416,8 @@ def test_compatibility_reads_one_chart_point_per_block(factor_calls, monkeypatch
 
 def test_para_kahler_reads_one_chart_point_per_block(factor_calls):
     """At n = 8, 6 points: the first call on a sample steps its chart once;
-    then each of three blocks reads a slice of its batch and of its stepped
-    point, so a second call evaluates phi zero times.  A sample of another
+    then each block reads a slice of its batch and of its stepped point, so
+    a second call evaluates phi zero times.  A sample of another
     chart is rebuilt once per check call, not per block: one point and one
     stepped point of the structure's chart."""
     m = conformal_ball(8, 1.0)

@@ -31,6 +31,15 @@ each check and overall it also prints in how many rounds NEW took less time
 than OLD over the same chunks: a gain holds when NEW wins nearly every
 pair, not only in the median.  Cases either side refuses are skipped.
 
+The same processes then time ``run_check`` on each case's whole sample, as
+``execute_checks`` runs it: the sample the CLI draws, its stepped point
+read before any check (a tree that steps the sample with its draw has no
+``stepped`` to read), timed as the chunks are.  A second table prints
+median ms per sample of each check, points/s over the whole samples and
+the rounds NEW won.  The chunks time the fixed cost per call that the
+benchmark's 2-point chunks pay; the whole samples time what a CLI run
+checks, where a block of points, not a call, sets the cost.
+
 Construction is timed the same way: per case and round, ``parse_config``
 plus ``build_structure`` as the least of ``BUILD_REPEATS`` calls, printed
 as one ``build`` line of ms per case.  A build takes a few ms, so it gets
@@ -43,8 +52,9 @@ shows beside the per-check ratios, where the least of ``REPEATS`` calls
 would hide a step taken in a chunk's first call.
 
 The answers are compared too, so a speed A/B cannot hide a changed one: per
-check, whether every chunk's verdict agrees, and the largest relative change
-of a chunk's ``max_residual``.  The exit status is 1 if any verdict differs.
+check, whether every chunk's and every whole sample's verdict agrees, and
+the largest relative change of their ``max_residual``.  The exit status is
+1 if any verdict differs.
 """
 
 from __future__ import annotations
@@ -69,20 +79,27 @@ REFUSALS = ("ConfigError", "ChartDomainError", "ContractError",
 
 
 def build(config_mod, verify, document):
-    """(config, structure, 2-point samples) of one config document."""
+    """(config, structure, whole sample, its 2-point samples) of one config
+    document; the whole sample's stepped point is read here."""
     config = config_mod.parse_config(document)
     ls = config_mod.build_structure(config)
     sample = draw(verify, config, ls)
     pts = sample.points
-    return config, ls, [verify.PhaseSample(pts[i:i + CHUNK_POINTS], sample.seed)
-                        for i in range(0, len(pts), CHUNK_POINTS)]
+    return config, ls, sample, [
+        verify.PhaseSample(pts[i:i + CHUNK_POINTS], sample.seed)
+        for i in range(0, len(pts), CHUNK_POINTS)]
 
 
 def draw(verify, config, ls):
-    """The sample of ``config`` on the structure's chart, as the CLI draws it."""
+    """The sample of ``config`` on the structure's chart, as the CLI draws
+    it, with its stepped point read (a tree that steps with the draw has no
+    ``stepped``)."""
     s = config.sampling
-    return verify.sample_points(ls.m, s["count"], s["seed"], p_max=s["p_max"],
-                                t_max=config.coefficients["t_max"])
+    sample = verify.sample_points(ls.m, s["count"], s["seed"],
+                                  p_max=s["p_max"],
+                                  t_max=config.coefficients["t_max"])
+    getattr(sample, "stepped", None)
+    return sample
 
 
 def cases(new_root, workload):
@@ -98,10 +115,10 @@ def cases(new_root, workload):
 def serve(root, documents, conn):
     """One side for one round, in a process of its own: import ``root``'s
     package, build every case, and send per case its refusal or its
-    (checks, chunk sizes).  Then receive the jobs (case, check, chunk) and
-    answer each request: for a case k, its (build, sample) seconds; for a
-    job j, its seconds and its report's (passed, max_residual); for None,
-    stop."""
+    (checks, chunk sizes).  Then receive the jobs (case, check, chunk),
+    chunk None for the whole sample, and answer each request: for a case k,
+    its (build, sample) seconds; for a job j, its seconds and its report's
+    (passed, max_residual); for None, stop."""
     sys.path.insert(0, str(Path(root) / "src"))
     from paralift import config as config_mod
     from paralift import verify
@@ -115,24 +132,25 @@ def serve(root, documents, conn):
                 raise
             built.append(f"{type(exc).__name__}: {exc}")
     conn.send([b if isinstance(b, str) else
-               (b[0].checks, [len(chunk.points) for chunk in b[2]])
+               (b[0].checks, [len(chunk.points) for chunk in b[3]])
                for b in built])
     jobs = conn.recv()
     while (request := conn.recv()) is not None:
         what, i = request
         if what == "case":
-            config, ls, _ = built[i]
+            config, ls, _, _ = built[i]
             document = documents[i]
             conn.send((least(lambda: config_mod.build_structure(
                            config_mod.parse_config(document)),
                              BUILD_REPEATS)[0],
-                       least(lambda: draw(verify, config, ls).stepped,
+                       least(lambda: draw(verify, config, ls),
                              BUILD_REPEATS)[0]))
             continue
         k, name, c = jobs[i]
-        config, ls, chunks = built[k]
+        config, ls, sample, chunks = built[k]
         best, report = least(lambda: verify.run_check(
-            name, ls, chunks[c], config.tolerances.get(name)))
+            name, ls, sample if c is None else chunks[c],
+            config.tolerances.get(name)))
         conn.send((best, (report.passed, report.max_residual)))
 
 
@@ -171,13 +189,15 @@ def main(old_root, new_root, workload):
         for side, proc in zip(conns, procs):
             conns[side].send(None)
             proc.join()
-    points = [built["new"][k][1][i] for k, _, i in jobs]
+    points = [sum(sizes) if i is None else sizes[i] for k, _, i in jobs
+              for sizes in [built["new"][k][1]]]
     return compare(jobs, points, len(kept), times, builds, samples, answers)
 
 
 def plan(named, built):
     """(kept cases, jobs (case, check, chunk)) from each side's first message:
-    the cases no side refused, and NEW's checks and chunks of each."""
+    the cases no side refused, and NEW's checks and chunks of each, then
+    each case's checks on its whole sample (chunk None)."""
     kept = []
     for k, (case, _) in enumerate(named):
         refused = [b[k] for b in built.values() if isinstance(b[k], str)]
@@ -185,9 +205,10 @@ def plan(named, built):
             print(f"skipped {case}: {refused[0]}")
         else:
             kept.append(k)
-    return kept, [(k, name, i) for k in kept
+    return kept, [(k, name, i) for whole in (False, True) for k in kept
                   for name in built["new"][k][0]
-                  for i in range(len(built["new"][k][1]))]
+                  for i in ([None] if whole
+                            else range(len(built["new"][k][1])))]
 
 
 def ask(conn, request):
@@ -200,23 +221,28 @@ def compare(jobs, points, cases, times, builds, samples, answers):
     """Print the comparison; the exit status."""
     median = {key: statistics.median(v) for key, v in times.items()}
     mismatches = 0
-    for check in sorted({name for _, name, _ in jobs}):
-        mine = [j for j, job in enumerate(jobs) if job[1] == check]
-        old, new = (1e3 * statistics.mean(median[(j, side)] for j in mine)
-                    for side in SIDES)
-        differ = sum(answers[(j, "old")][0] != answers[(j, "new")][0]
-                     for j in mine)
-        mismatches += differ
-        moved = max(relative_change(answers[(j, "old")][1],
-                                    answers[(j, "new")][1]) for j in mine)
-        verdicts = f"{differ} VERDICTS DIFFER" if differ else "verdicts agree"
-        print(f"{check:18s} ms/chunk old {old:8.3f}  new {new:8.3f}  "
-              f"new/old {new / old:.3f}  new won {wins(times, mine)}  "
-              f"{verdicts}  max_residual moved {moved:.2g}")
-    old, new = (sum(points) / sum(median[(j, side)] for j in range(len(jobs)))
-                for side in SIDES)
-    print(f"points/s old {old:.0f}  new {new:.0f}  new/old {new / old:.3f}  "
-          f"new won {wins(times, range(len(jobs)))}")
+    for unit, whole in (("chunk", False), ("sample", True)):
+        print("on whole samples, stepped point read" if whole
+              else f"on {CHUNK_POINTS}-point chunks")
+        part = [j for j, job in enumerate(jobs) if (job[2] is None) == whole]
+        for check in sorted({jobs[j][1] for j in part}):
+            mine = [j for j in part if jobs[j][1] == check]
+            old, new = (1e3 * statistics.mean(median[(j, side)] for j in mine)
+                        for side in SIDES)
+            differ = sum(answers[(j, "old")][0] != answers[(j, "new")][0]
+                         for j in mine)
+            mismatches += differ
+            moved = max(relative_change(answers[(j, "old")][1],
+                                        answers[(j, "new")][1]) for j in mine)
+            verdicts = (f"{differ} VERDICTS DIFFER" if differ
+                        else "verdicts agree")
+            print(f"{check:18s} ms/{unit:6s} old {old:8.3f}  new {new:8.3f}  "
+                  f"new/old {new / old:.3f}  new won {wins(times, mine)}  "
+                  f"{verdicts}  max_residual moved {moved:.2g}")
+        old, new = (sum(points[j] for j in part)
+                    / sum(median[(j, side)] for j in part) for side in SIDES)
+        print(f"points/s old {old:.0f}  new {new:.0f}  new/old "
+              f"{new / old:.3f}  new won {wins(times, part)}")
     for name, spent in (("build", builds), ("sample", samples)):
         old, new = (1e3 * statistics.mean(statistics.median(spent[(c, side)])
                                           for c in range(cases))
