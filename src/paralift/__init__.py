@@ -49,14 +49,6 @@ from .verify import (
     DEFAULT_TOLERANCES,
     PhaseSample,
     analytic_dOmega,
-    check_almost_product,
-    check_closure,
-    check_closure_agreement,
-    check_compatibility,
-    check_integrability,
-    check_metric_signature,
-    check_para_kahler,
-    check_space_form,
     fd_oracle,
     run_check,
     sample_points,
@@ -64,10 +56,7 @@ from .verify import (
 
 __all__ = [
     "affine", "almost_product_spec", "analytic_dOmega", "ChartDomainError",
-    "ChartModel", "check_almost_product", "check_closure",
-    "check_closure_agreement", "check_compatibility",
-    "check_integrability", "check_metric_signature", "check_para_kahler",
-    "check_space_form", "CheckReport", "ConfigError", "conformal_ball",
+    "ChartModel", "CheckReport", "ConfigError", "conformal_ball",
     "constant", "ContractError", "CotangentPoint", "curvature_at",
     "DEFAULT_TOLERANCES", "DegenerateCoefficient", "energy_density",
     "exponential", "fd_oracle", "flat_space", "integrable_spec",

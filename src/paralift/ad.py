@@ -85,13 +85,9 @@ def stepped(f, x):
 def jacobian(f, x):
     """``(value, jacobian)`` of ``f`` at ``x``, the split of :func:`stepped`:
     the jacobian has the output's shape and one trailing axis of length
-    ``m``.  Each output of a tuple gets its own pair."""
-    out, ndim = stepped(f, x), np.ndim(x)
-
-    def one(part):
-        return split(part, np.ndim(part) - ndim)
-
-    return tuple(map(one, out)) if isinstance(out, tuple) else one(out)
+    ``m``."""
+    out = stepped(f, x)
+    return split(out, np.ndim(out) - np.ndim(x))
 
 
 def split(part, k):

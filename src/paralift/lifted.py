@@ -28,7 +28,7 @@ identity is read off its stack in one pass:
 
   * almost_product: P^2 - I = diag(P2 P1 - I, P1 P2 - I), and as P1 and P2
     are exactly symmetric, P1 P2 - I is (P2 P1 - I)^T (see
-    :func:`paralift.verify.check_almost_product`): one product of slices
+    :func:`paralift.verify._almost_product`): one product of slices
     1 and 0, P2 P1 - I;
   * compatibility: P^T G P - eps G = diag(P1 G2 P1 - eps G1,
     P2 G1 P2 - eps G2), one stacked triple product (P1, P2) (G2, G1)
@@ -48,13 +48,15 @@ Coefficient passes per block of points, each one program call:
   integrability      P on the lanes
   closure            form on the lanes
   closure_agreement  form on the lanes, form with derivatives on the points
-  para_kahler        PG, P on the lanes and form on the lanes
+  para_kahler        those of compatibility, integrability and closure
   space_form         none
 
 The lanes are the sample's stepped chart point; on the points,
 closure_agreement reads mu and lam' off the form program's pass with its
 derivatives, the pass that the lanes' complex t also runs.  para_kahler
-runs on each block what compatibility, integrability and closure run on it.
+runs its parts one after the other, each over the sample in blocks of its
+own size, so compatibility's PG pass takes the larger blocks of a check
+that reads no lanes.
 
 The coordinate P and Omega build each n x n block as a contiguous array and
 copy it into its slot of one 2n x 2n output: a ufunc writing straight into

@@ -1,13 +1,19 @@
 """Property checkers for the lifted structures.
 
 Each check evaluates a residual at sampled phase points and reduces by max,
-so verdicts do not depend on evaluation order.  Every check takes one path:
-:func:`_check` brings the sample onto the structure's chart, rebuilding it
-once there if it was built on another chart or on mixed charts
-(:func:`paralift.phase.on_chart`); the residual then reads the sample's one
-batch, or its slices in blocks of :data:`paralift.ad.BLOCK_ELEMENTS` (bit
-for bit the residuals of the points one by one), as it is; then one
-:func:`paralift.report.make_report`.  A sample also carries its batch's
+so verdicts do not depend on evaluation order.  :data:`CHECKS` declares
+every check once: its default tolerance, what it needs of the structure's
+spec, whether it reads the sample's stepped point, its residual and the
+report fields only it emits; :data:`DEFAULT_TOLERANCES`, :data:`CHECK_NAMES`
+and the config parser's rules read it.  :func:`run_check` is the one way to
+run a check: it enforces the spec requirement, brings the sample onto the
+structure's chart, rebuilding it once there if it was built on another
+chart or on mixed charts (:func:`paralift.phase.on_chart`); the residual
+then reads the sample's one batch, or its slices in blocks of
+:data:`paralift.ad.BLOCK_ELEMENTS` (bit for bit the residuals of the points
+one by one), as it is; then one :func:`paralift.report.make_report`.  A
+composite check runs each of its parts so, at the part's own block size,
+and reports the worst part.  A sample also carries its batch's
 complex-stepped chart point (:func:`paralift.phase.stepped_point`), built
 when a check first reads it, kept, and sliced with the batch, so the checks
 that differentiate the chart (Nijenhuis tensor, exterior derivative,
@@ -26,7 +32,9 @@ for comparisons against central finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from operator import attrgetter
+from typing import Callable
 
 import numpy as np
 
@@ -60,51 +68,14 @@ __all__ = [
     "nijenhuis_at",
     "exterior_derivative_2form",
     "analytic_dOmega",
-    "check_almost_product",
-    "check_integrability",
-    "check_compatibility",
-    "check_metric_signature",
-    "check_closure",
-    "check_closure_agreement",
-    "check_para_kahler",
-    "check_space_form",
     "run_check",
+    "CHECKS",
     "DEFAULT_TOLERANCES",
     "CHECK_NAMES",
-    "STEPPED_CHECKS",
-    "METRIC_CHECKS",
-    "PARA_HERMITIAN_CHECKS",
 ]
-
-DEFAULT_TOLERANCES = {
-    "space_form": 1e-9,
-    "almost_product": 1e-10,
-    "compatibility": 1e-10,
-    "metric_signature": 0.0,
-    "integrability": 1e-8,
-    "closure": 1e-8,
-    "closure_agreement": 1e-8,
-    "para_kahler": 1e-8,
-}
-
-CHECK_NAMES = tuple(DEFAULT_TOLERANCES)
-
-# The checks that differentiate the chart, so read a sample's stepped point.
-STEPPED_CHECKS = frozenset({"space_form", "integrability", "closure",
-                            "closure_agreement", "para_kahler"})
-# The checks that read a spec's metric part (they call _require_metric),
-# and among them those that read Omega, which also need epsilon = -1
-# (_require_para_hermitian).  The config parser refuses them on a spec
-# without these.
-PARA_HERMITIAN_CHECKS = frozenset({"closure", "closure_agreement",
-                                   "para_kahler"})
-METRIC_CHECKS = PARA_HERMITIAN_CHECKS | {"compatibility", "metric_signature"}
 
 _EIGENVALUE_TOL = 1e-10
 CHART_FRACTION = 0.8  # of the chart radius, the ball of sampled q
-_N2_NOTES = ("base dimension 2 is outside the guaranteed range (n > 2) of "
-             "the constant-curvature characterization; residuals are "
-             "informational",)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,10 +86,10 @@ class PhaseSample:
 
     ``stepped`` is derived on its first read and kept: the batch's
     :func:`paralift.phase.stepped_point` on its own chart, which every check
-    of :data:`STEPPED_CHECKS` reads, so a run steps a sample once if any of
-    them runs and never otherwise.  It is None for points with no common
-    chart or for no points.  It takes 16 (8n^2 + 4n) bytes per point,
-    133 KB at n = 32.
+    that differentiates the chart reads (its :class:`Check` row, or a part's,
+    is ``stepped``), so a run steps a sample once if any of them runs and
+    never otherwise.  It is None for points with no common chart or for no
+    points.  It takes 16 (8n^2 + 4n) bytes per point, 133 KB at n = 32.
     """
 
     points: tuple
@@ -164,12 +135,8 @@ def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0):
             continue
         qs.append(q)
         ps.append(p)
-    return _sample_of(make_point(m, qs, ps) if qs else stack_points(()), seed)
-
-
-def _sample_of(batch, seed=None):
-    """The PhaseSample of the points of ``batch``, a batched point."""
-    points = tuple(take_points(batch, i) for i in range(len(batch.q)))
+    batch = make_point(m, qs, ps) if qs else stack_points(())
+    points = tuple(take_points(batch, i) for i in range(len(qs)))
     return PhaseSample(points, seed, batch)
 
 
@@ -182,33 +149,6 @@ def _ball(rng, n, radius):
         norm = 1.0
     r = radius * rng.random() ** (1.0 / n)
     return (r / norm) * v
-
-
-def _check(name, m, sample, tol, fn, finish=lambda r: (r, None, ()),
-           named=None):
-    """Report of check ``name`` on a PhaseSample or points; tol None takes the
-    default.  Points are stacked into one batch on ``m``; a sample whose
-    batch was built on a chart other than ``m``, or on mixed charts, is
-    rebuilt here once on ``m``.  ``fn`` maps a batch of ``m`` and, for a
-    check of :data:`STEPPED_CHECKS`, the sample's stepped point (else None)
-    to one residual per point, in :func:`_blocks`; so the first such check
-    on a sample steps it, and the algebraic checks never do.  ``finish``
-    maps the residuals to the report's (residuals, details, notes); the
-    witnesses name the sample's points, or the rows of ``named``."""
-    tol = DEFAULT_TOLERANCES[name] if tol is None else tol
-    points = sample.points if isinstance(sample, PhaseSample) else tuple(sample)
-    if not len(points):  # a check over no points proves nothing
-        raise ValueError("sample must be nonempty")
-    if not isinstance(sample, PhaseSample):
-        sample = PhaseSample(points, None, on_chart(m, stack_points(points)))
-    batch = on_chart(m, sample.batch)
-    if batch is not sample.batch:
-        sample = PhaseSample(sample.points, sample.seed, batch)
-    values, details, notes = finish(
-        _blocks(fn, sample, name in STEPPED_CHECKS, m.n))
-    return make_report(name, values,
-                       sample.points if named is None else named, tol,
-                       seed=sample.seed, details=details, notes=notes)
 
 
 def _blocks(fn, sample, lanes, n):
@@ -308,6 +248,7 @@ def analytic_dOmega(ls, pt):
     on ``ls.m``; the components theta_a J_bc + theta_b J_ca + theta_c J_ab
     are the cyclic sum of :func:`_d2form`.
     """
+    _require_para_hermitian(ls)
     theta = _theta(ls, on_chart(ls.m, pt))
     k = theta.shape[-1]
     return _d2form(_minus_theta_j(np.zeros(theta.shape + (k, k)), -theta))
@@ -317,8 +258,7 @@ def _theta(ls, pt):
     """(mu - lambda') theta at the point ``pt`` of ``ls.m``, mu and lambda'
     from one pass of the spec's "form" program with its derivatives, the
     program closure_agreement runs on the lanes."""
-    _, mu, lam_prime, _ = _require_para_hermitian(ls).program(
-        "form").with_derivatives(pt.t)
+    _, mu, lam_prime, _ = ls.spec.program("form").with_derivatives(pt.t)
     factor = mu - lam_prime
     return factor[..., None] * np.concatenate(
         [np.asarray(-2.0 * pt.t)[..., None] * pt.h, pt.g0], axis=-1)
@@ -333,37 +273,20 @@ def _minus_theta_j(x, theta):
     return x
 
 
-def check_space_form(m, sample, tol=None):
-    """max of space_form_residual over chart points q, or the q of phase
-    points; witnesses name q alone.  A list of rows or points is one batch
-    of the points (q, 0) of ``m``.  h and its jacobian come from the q lanes
-    of the sample's stepped point and phi from its batch, bitwise
-    space_form_residual of its q.  The report's seed is a PhaseSample's,
-    None for a list."""
-    if not isinstance(sample, PhaseSample):
-        rows = [getattr(pt, "q", pt) for pt in sample]
-        qs = np.array(rows, dtype=float).reshape(len(rows), m.n)
-        sample = _sample_of(make_point(m, qs, np.zeros_like(qs)))
+# The residuals: each maps the structure, a batch of points on its chart
+# and, for a check that reads it, the batch's stepped point (else None) to
+# one residual per point.
 
-    def residual(pt, lanes):
-        h, dh = ad.split(lanes.h[..., :m.n, :], 1)  # the n q lanes
-        return space_form_deviation(m, curvature_of(m, h, dh), pt.phi)
-
-    return _check("space_form", m, sample, tol, residual, named=sample.batch.q)
+def _space_form(ls, pt, lanes):
+    """space_form_residual of each point's q, bitwise: h and its jacobian
+    from the n q lanes of the stepped point, phi from the batch."""
+    m = ls.m
+    h, dh = ad.split(lanes.h[..., :m.n, :], 1)
+    return space_form_deviation(m, curvature_of(m, h, dh), pt.phi)
 
 
-def _almost_product(ls, pt):
-    """|P^2 - I|_inf per point from P2 P1 - I alone (check_almost_product);
-    Cruceanu's P = diag(-I, I) is squared whole."""
-    if ls.spec is None:
-        pmat = _p_matrix(ls, pt)
-        return _max_abs(pmat @ pmat - ad.constant(np.eye, 2 * ls.m.n), 2)
-    p1, p2 = _adapted_blocks(ls, pt, "P")
-    return _max_abs(p2 @ p1 - ad.constant(np.eye, ls.m.n), 2)
-
-
-def check_almost_product(ls, sample, tol=None):
-    """max over the sample of |P_adapted^2 - I|_inf.
+def _almost_product(ls, pt, _):
+    """|P^2 - I|_inf per point in the adapted frame.
 
     For P = [[0, P2], [P1, 0]], P^2 - I = diag(P2 P1 - I, P1 P2 - I).  The
     residual reads P2 P1 - I alone and assembles no zero block: P1 and P2
@@ -372,135 +295,161 @@ def check_almost_product(ls, sample, tol=None):
     (P2 P1 - I)^T bit for bit, max |.| included.  (OpenBLAS 0.3.31 is the
     one exception seen: at n = 17 to 20 it rounds the off-diagonal entries
     of the last row and column, of order 1e-17, apart by an ulp; the max
-    never moved.)"""
-    return _check("almost_product", ls.m, sample, tol,
-                  lambda pt, _: _almost_product(ls, pt))
+    never moved.)  Cruceanu's P = diag(-I, I) is squared whole."""
+    if ls.spec is None:
+        pmat = _p_matrix(ls, pt)
+        return _max_abs(pmat @ pmat - ad.constant(np.eye, 2 * ls.m.n), 2)
+    p1, p2 = _adapted_blocks(ls, pt, "P")
+    return _max_abs(p2 @ p1 - ad.constant(np.eye, ls.m.n), 2)
 
 
-def _nijenhuis_max(ls, lanes):
-    """|N_P|_inf per point from P on the stepped chart point ``lanes``."""
-    return _step_max(_stepped_nijenhuis(_p_coordinate(ls, lanes)))
-
-
-def _closure_max(ls, lanes):
-    """|d Omega|_inf per point from Omega on the stepped chart point ``lanes``."""
-    return _step_max(_d2form(_omega_coordinate(ls, lanes).imag))
-
-
-def check_integrability(ls, sample, tol=None):
-    """max over the sample of |N_P|_inf in coordinate components."""
-    return _check("integrability", ls.m, sample, tol,
-                  lambda _, lanes: _nijenhuis_max(ls, lanes),
-                  lambda r: (r, None, _N2_NOTES if ls.m.n == 2 else ()))
-
-
-def _compatibility(ls, pt):
-    """|P^T G P - eps G|_inf per point; P1 and P2 are exactly symmetric."""
-    eps = float(_require_metric(ls).epsilon)
-    b = _adapted_blocks(ls, pt, "PG")  # P1, P2, G1, G2
-    return np.abs(b[:2] @ b[[3, 2]] @ b[:2] - eps * b[2:]).max((0, -2, -1))
-
-
-def check_compatibility(ls, sample, tol=None):
-    """max over the sample of |P^T G P - eps G|_inf in the adapted frame.
+def _compatibility(ls, pt, _):
+    """|P^T G P - eps G|_inf per point in the adapted frame.
 
     For P = [[0, P2], [P1, 0]] and G = diag(G1, G2), P^T G P - eps G =
     diag(P1^T G2 P1 - eps G1, P2^T G1 P2 - eps G2): the residual reads these
     two n x n blocks, built from one coefficient pass, and assembles no zero
-    block."""
-    return _check("compatibility", ls.m, sample, tol,
-                  lambda pt, _: _compatibility(ls, pt))
+    block; P1 and P2 are exactly symmetric."""
+    b = _adapted_blocks(ls, pt, "PG")  # P1, P2, G1, G2
+    return np.abs(b[:2] @ b[[3, 2]] @ b[:2]
+                  - float(ls.spec.epsilon) * b[2:]).max((0, -2, -1))
 
 
-def check_metric_signature(ls, sample, tol=None):
-    """Eigenvalue-sign census of G_adapted against the expected signature.
-
-    Expected: (n, n) for eps = -1 (neutral), (2n, 0) for a positive eps = +1
-    spec.  G is block diagonal, so its eigenvalues are those of its two
-    n x n blocks.  The residual counts misclassified points, so any nonzero
-    value fails at the default tolerance 0.
-    """
+def _expected_signature(ls):
+    """The (positive, negative) eigenvalue counts G_adapted must have: (n, n)
+    for eps = -1 (neutral), (2n, 0) for a positive eps = +1 spec, else
+    None."""
     n = ls.m.n
-    spec = _require_metric(ls)
-    if spec.epsilon == -1:
-        expected = (n, n)
-    elif "positive" in spec.flags:
-        expected = (2 * n, 0)
-    else:
-        expected = None
+    if ls.spec.epsilon == -1:
+        return n, n
+    return (2 * n, 0) if "positive" in ls.spec.flags else None
 
-    def residual(pt, _):
-        eigs = np.linalg.eigvalsh(_adapted_blocks(ls, pt, "G"))
-        if expected is None:
-            return np.zeros(eigs.shape[1:-1])
-        pos = np.sum(eigs > _EIGENVALUE_TOL, axis=(0, -1))
-        neg = np.sum(eigs < -_EIGENVALUE_TOL, axis=(0, -1))
-        return ((pos != expected[0]) | (neg != expected[1])).astype(float)
 
+def _signature(ls, pt, _):
+    """1 at each point where the eigenvalue-sign census of G_adapted misses
+    the expected signature, else 0; so any miss fails at the default
+    tolerance 0.  G is block diagonal, so its eigenvalues are those of its
+    two n x n blocks."""
+    expected = _expected_signature(ls)
+    eigs = np.linalg.eigvalsh(_adapted_blocks(ls, pt, "G"))
+    if expected is None:
+        return np.zeros(eigs.shape[1:-1])
+    pos = np.sum(eigs > _EIGENVALUE_TOL, axis=(0, -1))
+    neg = np.sum(eigs < -_EIGENVALUE_TOL, axis=(0, -1))
+    return ((pos != expected[0]) | (neg != expected[1])).astype(float)
+
+
+def _signature_extras(ls):
+    """The expected counts as details, and a note if there are none."""
+    expected = _expected_signature(ls)
     notes = () if expected else ("no expected signature for a non-positive "
                                  "eps = +1 spec; check is vacuous",)
-    details = {"expected_positive": expected[0] if expected else None,
-               "expected_negative": expected[1] if expected else None}
-    return _check("metric_signature", ls.m, sample, tol, residual,
-                  lambda r: (r, details, notes))
+    pos, neg = expected or (None, None)
+    return {"expected_positive": pos, "expected_negative": neg}, notes
 
 
-def check_closure(ls, sample, tol=None):
-    """max over the sample of |d Omega|_inf by complex-step differentiation."""
-    _require_para_hermitian(ls)
-    return _check("closure", ls.m, sample, tol,
-                  lambda _, lanes: _closure_max(ls, lanes))
+def _nijenhuis_max(ls, _, lanes):
+    """|N_P|_inf per point in coordinate components, from P on the stepped
+    point."""
+    return _step_max(_stepped_nijenhuis(_p_coordinate(ls, lanes)))
 
 
-def check_closure_agreement(ls, sample, tol=None):
-    """max over the sample of |d Omega (complex step) - d Omega (closed form)|,
-    one cyclic sum of h d_a Omega_bc - h theta_a J_bc on the stepped output."""
-    _require_para_hermitian(ls)
-    return _check("closure_agreement", ls.m, sample, tol,
-                  lambda pt, lanes: _step_max(_d2form(_minus_theta_j(
-                      _omega_coordinate(ls, lanes).imag,
-                      ad.STEP * _theta(ls, pt)))))
+def _n2_extras(ls):
+    """No details; at n = 2, the note that the theorem does not cover it."""
+    return None, (("base dimension 2 is outside the guaranteed range (n > 2) "
+                   "of the constant-curvature characterization; residuals "
+                   "are informational",) if ls.m.n == 2 else ())
 
 
-def check_para_kahler(ls, sample, tol=None):
-    """Composite check: compatibility, integrability and closure at one tol.
+def _closure_max(ls, _, lanes):
+    """|d Omega|_inf per point by complex-step differentiation, from Omega on
+    the stepped point."""
+    return _step_max(_d2form(_omega_coordinate(ls, lanes).imag))
 
-    Passes iff all three parts pass.  The details record each part's max
-    residual; the residuals, witnesses and notes are those of the worst
-    part, a non-finite one ranking worst.  Each block of the stepped point
-    gives the three parts' residuals per point, each bitwise its check's.
+
+def _closure_agreement(ls, pt, lanes):
+    """|d Omega (complex step) - d Omega (closed form)|_inf per point, one
+    cyclic sum of h d_a Omega_bc - h theta_a J_bc on the stepped output."""
+    return _step_max(_d2form(_minus_theta_j(
+        _omega_coordinate(ls, lanes).imag, ad.STEP * _theta(ls, pt))))
+
+
+@dataclass(frozen=True)
+class Check:
+    """One check: its default ``tolerance``; what it needs of the
+    structure's spec, ``spec`` None, "metric" (the metric part) or
+    "para_hermitian" (also eps = -1, for Omega); whether its residual reads
+    the sample's ``stepped`` point; its ``residual`` (see above); its
+    report's details and notes as ``extras`` of the structure; and the rows
+    its ``witnesses`` name, of the sample on the structure's chart.
+
+    A composite lists its ``parts`` instead of a residual: it passes iff
+    every part passes at its tolerance, and reports the worst part's
+    residuals, witnesses and notes, a non-finite one ranking worst, with
+    each part's max residual as a "<part>_residual" detail.
     """
-    _require_para_hermitian(ls)
 
-    def block(pt, lanes):
-        return np.stack([_compatibility(ls, pt), _nijenhuis_max(ls, lanes),
-                         _closure_max(ls, lanes)], axis=-1)
-
-    def worst(residuals):
-        parts = residuals.T
-        top = [float(r.max()) for r in parts]
-        i = max(range(3), key=lambda i: _sort_key(top[i]))  # nan ranks worst
-        notes = _N2_NOTES if i == 1 and ls.m.n == 2 else ()
-        names = ("compatibility", "integrability", "closure")
-        return parts[i], {f"{a}_residual": r for a, r in zip(names, top)}, notes
-
-    return _check("para_kahler", ls.m, sample, tol, block, worst)
+    tolerance: float
+    residual: Callable | None = None
+    spec: str | None = None
+    stepped: bool = False
+    extras: Callable = lambda ls: (None, ())
+    witnesses: Callable = attrgetter("points")
+    parts: tuple = ()
 
 
-_CHECKS = {
-    "space_form": lambda ls, sample, tol: check_space_form(ls.m, sample, tol),
-    "almost_product": check_almost_product,
-    "integrability": check_integrability,
-    "compatibility": check_compatibility,
-    "metric_signature": check_metric_signature,
-    "closure": check_closure,
-    "closure_agreement": check_closure_agreement,
-    "para_kahler": check_para_kahler,
+CHECKS = {
+    # witnesses name q alone
+    "space_form": Check(1e-9, _space_form, stepped=True,
+                        witnesses=lambda sample: sample.batch.q),
+    "almost_product": Check(1e-10, _almost_product),
+    "compatibility": Check(1e-10, _compatibility, "metric"),
+    "metric_signature": Check(0.0, _signature, "metric",
+                              extras=_signature_extras),
+    "integrability": Check(1e-8, _nijenhuis_max, stepped=True,
+                           extras=_n2_extras),
+    "closure": Check(1e-8, _closure_max, "para_hermitian", stepped=True),
+    "closure_agreement": Check(1e-8, _closure_agreement, "para_hermitian",
+                               stepped=True),
+    "para_kahler": Check(1e-8, spec="para_hermitian", parts=(
+        "compatibility", "integrability", "closure")),
 }
+DEFAULT_TOLERANCES = {name: check.tolerance for name, check in CHECKS.items()}
+CHECK_NAMES = tuple(CHECKS)
+_REQUIRE = {"metric": _require_metric,
+            "para_hermitian": _require_para_hermitian}
 
 
 def run_check(name, ls, sample, tol=None):
-    """Dispatch one named check; see :data:`CHECK_NAMES` for valid names."""
-    if name not in _CHECKS:
-        raise KeyError(f"unknown check {name!r}; valid: {sorted(_CHECKS)}")
-    return _CHECKS[name](ls, sample, tol)
+    """Report of check ``name`` of ``ls`` on the PhaseSample ``sample``; tol
+    None takes the check's default.  A sample whose batch was built on a
+    chart other than ``ls.m``, or on mixed charts, is rebuilt here once on
+    ``ls.m``; see :data:`CHECK_NAMES` for valid names."""
+    check = CHECKS.get(name)
+    if check is None:
+        raise KeyError(f"unknown check {name!r}; valid: {sorted(CHECKS)}")
+    if check.spec:
+        _REQUIRE[check.spec](ls)
+    if not sample.points:  # a check over no points proves nothing
+        raise ValueError("sample must be nonempty")
+    batch = on_chart(ls.m, sample.batch)
+    if batch is not sample.batch:
+        sample = PhaseSample(sample.points, sample.seed, batch)
+    values, details, notes = _outcome(check, ls, sample)
+    return make_report(name, values, check.witnesses(sample),
+                       check.tolerance if tol is None else tol,
+                       seed=sample.seed, details=details, notes=notes)
+
+
+def _outcome(check, ls, sample):
+    """(residuals, details, notes) of ``check`` on a sample of ``ls.m``; a
+    composite's parts each run in blocks of their own size."""
+    if not check.parts:
+        return (_blocks(partial(check.residual, ls), sample, check.stepped,
+                        ls.m.n), *check.extras(ls))
+    outcomes = [_outcome(CHECKS[part], ls, sample) for part in check.parts]
+    top = [float(values.max()) for values, _, _ in outcomes]
+    worst = max(range(len(top)), key=lambda i: _sort_key(top[i]))  # nan first
+    values, _, notes = outcomes[worst]
+    return values, {f"{part}_residual": r
+                    for part, r in zip(check.parts, top)}, notes

@@ -16,11 +16,6 @@ from paralift import (
     ad,
     affine,
     analytic_dOmega,
-    check_closure,
-    check_closure_agreement,
-    check_compatibility,
-    check_integrability,
-    check_para_kahler,
     conformal_ball,
     constant,
     fd_oracle,
@@ -29,6 +24,7 @@ from paralift import (
     perturbed_conformal,
     polynomial,
     rational_spec,
+    run_check,
     sample_points,
     with_metric,
 )
@@ -82,7 +78,7 @@ def test_criterion_2_integrability():
         spec = integrable_spec(constant(1.0), curvature=c, t_max=t_max)
         ls = LiftedStructure(m=m, spec=spec)
         sample = sample_points(m, 30, 202, t_max=t_max)
-        rep = check_integrability(ls, sample, 1e-8)
+        rep = run_check("integrability", ls, sample, 1e-8)
         worst = max(worst, rep.max_residual)
     ok = worst <= 1e-8
 
@@ -91,17 +87,18 @@ def test_criterion_2_integrability():
     sample = sample_points(m, 10, 202)
 
     perturbed = LiftedStructure(m=m, spec=replace(spec, b1=spec.b1 * 1.1))
-    r_perturbed = check_integrability(perturbed, sample, 1e-6).max_residual
+    r_perturbed = run_check("integrability", perturbed, sample,
+                            1e-6).max_residual
 
     m_neg = conformal_ball(3, -1.0)
     mismatched = LiftedStructure(m=m_neg, spec=spec)
-    r_mismatch = check_integrability(
-        mismatched, sample_points(m_neg, 10, 202), 1e-6).max_residual
+    r_mismatch = run_check("integrability", mismatched,
+                           sample_points(m_neg, 10, 202), 1e-6).max_residual
 
     m_pert = perturbed_conformal(3, 1.0, 0.1)
     bad_base = LiftedStructure(m=m_pert, spec=spec)
-    r_base = check_integrability(
-        bad_base, sample_points(m_pert, 10, 202), 1e-6).max_residual
+    r_base = run_check("integrability", bad_base,
+                       sample_points(m_pert, 10, 202), 1e-6).max_residual
 
     ok = ok and min(r_perturbed, r_mismatch, r_base) > 1e-6
     _verdict(2, ok, f"N_P residual {worst:.2e} <= 1e-8; necessity residuals "
@@ -131,13 +128,13 @@ def test_criterion_4_compatibility():
                                          curvature=1.0),
                            constant(1.0), constant(0.0))
     ls_neg = LiftedStructure(m=m, spec=spec_neg)
-    r_neg = check_compatibility(ls_neg, sample, 1e-11).max_residual
+    r_neg = run_check("compatibility", ls_neg, sample, 1e-11).max_residual
 
     spec_pos = with_metric(integrable_spec(constant(1.0), curvature=1.0,
                                            epsilon=1),
                            constant(1.0), constant(0.0))
     ls_pos = LiftedStructure(m=m, spec=spec_pos)
-    r_pos = check_compatibility(ls_pos, sample, 1e-11).max_residual
+    r_pos = run_check("compatibility", ls_pos, sample, 1e-11).max_residual
 
     signature_ok = all(
         (int(np.sum(np.linalg.eigvalsh(G_adapted(ls_neg, pt)) > 0)),
@@ -146,7 +143,7 @@ def test_criterion_4_compatibility():
 
     broken = LiftedStructure(
         m=m, spec=replace(spec_neg, c1=spec_neg.c1 * 1.1))
-    r_broken = check_compatibility(broken, sample, 1e-6).max_residual
+    r_broken = run_check("compatibility", broken, sample, 1e-6).max_residual
 
     ok = (max(r_neg, r_pos) <= 1e-11 and signature_ok and r_broken > 1e-6)
     _verdict(4, ok, f"P^T G P = eps G residual {max(r_neg, r_pos):.2e} <= "
@@ -174,18 +171,18 @@ def test_criterion_5_d_omega():
                 closed_worst,
                 float(np.max(np.abs(exterior_derivative_2form(omega, pt)))),
                 float(np.max(np.abs(analytic_dOmega(ls_closed, pt)))))
-        agree_worst = max(agree_worst, check_closure_agreement(
-            ls_closed, sample, 1e-8).max_residual)
+        agree_worst = max(agree_worst, run_check(
+            "closure_agreement", ls_closed, sample, 1e-8).max_residual)
 
         # mu = 0 with lambda = 1 + t: nonzero and still in agreement
         spec_open = with_metric(
             rational_spec(1.0, 2.0, polynomial([0.0, 1.0]), curvature=c),
             affine(1.0, 1.0), constant(0.0))
         ls_open = LiftedStructure(m=m, spec=spec_open)
-        agree_worst = max(agree_worst, check_closure_agreement(
-            ls_open, sample, 1e-8).max_residual)
-        open_floor = min(open_floor,
-                         check_closure(ls_open, sample, 1e-8).max_residual)
+        agree_worst = max(agree_worst, run_check(
+            "closure_agreement", ls_open, sample, 1e-8).max_residual)
+        open_floor = min(open_floor, run_check("closure", ls_open, sample,
+                                               1e-8).max_residual)
 
     ok = agree_worst <= 1e-8 and closed_worst <= 1e-8 and open_floor > 1e-8
     _verdict(5, ok, f"d Omega by complex step vs closed form agree to "
@@ -200,13 +197,13 @@ def test_criterion_6_para_kahler_composite():
 
     spec_a = with_metric(integrable_spec(constant(1.0), curvature=1.0),
                          affine(1.0, 1.0))  # mu derived = 1 = lambda'
-    rep_a = check_para_kahler(LiftedStructure(m=m, spec=spec_a),
-                              sample, 1e-8)
+    rep_a = run_check("para_kahler", LiftedStructure(m=m, spec=spec_a),
+                      sample, 1e-8)
 
     spec_b = with_metric(rational_spec(1.0, 2.0, constant(4.0), curvature=1.0),
                          constant(1.0), constant(0.0))  # u = c alpha beta^2
-    rep_b = check_para_kahler(LiftedStructure(m=m, spec=spec_b),
-                              sample, 1e-8)
+    rep_b = run_check("para_kahler", LiftedStructure(m=m, spec=spec_b),
+                      sample, 1e-8)
 
     ok = rep_a.passed and rep_b.passed
     _verdict(6, ok, f"composite check residuals {rep_a.max_residual:.2e} and "

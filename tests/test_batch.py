@@ -49,9 +49,8 @@ from paralift.spaceform import (
 )
 from paralift.verify import (
     CHECK_NAMES,
-    STEPPED_CHECKS,
+    CHECKS,
     PhaseSample,
-    check_space_form,
     exterior_derivative_2form,
     nijenhuis_at,
     run_check,
@@ -187,8 +186,10 @@ def test_the_stepped_point_is_the_stepped_chart_bitwise(model, n):
         h, dh = ad.split(lanes.h[..., :n, :], 1)
         assert _same(space_form_deviation(m, curvature_of(m, h, dh), pt.phi),
                      space_form_residual(m, pt.q))
-    rows = check_space_form(m, [pt.q for pt in sample.points])
-    assert check_space_form(m, sample) == replace(rows, seed=sample.seed)
+    rows = PhaseSample(tuple(make_point(m, pt.q, np.zeros(n))
+                             for pt in sample.points))
+    assert run_check("space_form", ls, sample) == replace(
+        run_check("space_form", ls, rows), seed=sample.seed)
 
 
 def test_a_sample_carries_a_read_only_stepped_point():
@@ -273,7 +274,8 @@ def test_block_budget_does_not_change_reports(monkeypatch, n):
 ])
 def test_block_budget_fits_whole_samples(monkeypatch, n, count, stepped, plain):
     """Points per residual call of each check: a CLI sample at n = 3 is one
-    block, and a check that reads the stepped point splits at n = 8 and 16."""
+    block, and a check that reads the stepped point splits at n = 8 and 16.
+    para_kahler runs its parts in turn, each in blocks of its own size."""
     ls = _structure("ball+1", n)
     sample = sample_points(ls.m, count, seed=100 + n)
     blocks, sizes = verify._blocks, []
@@ -283,10 +285,13 @@ def test_block_budget_fits_whole_samples(monkeypatch, n, count, stepped, plain):
                       sample, lanes, n)
 
     monkeypatch.setattr(verify, "_blocks", counting)
+    want = {name: stepped if CHECKS[name].stepped else plain
+            for name in CHECK_NAMES}
+    want["para_kahler"] = plain + stepped + stepped
     for name in CHECK_NAMES:
         sizes.clear()
         run_check(name, ls, sample)
-        assert sizes == (stepped if name in STEPPED_CHECKS else plain), name
+        assert sizes == want[name], name
 
 
 @pytest.mark.parametrize("kind", ["cruceanu_p", "cruceanu_q"])
@@ -302,7 +307,8 @@ def test_cruceanu_structures_batch(kind):
                  _stacked(lambda pt: P_adapted(ls, pt), sample.points))
     for name in ("almost_product", "integrability"):
         full = run_check(name, ls, sample)
-        singles = [run_check(name, ls, [pt]) for pt in sample.points]
+        singles = [run_check(name, ls, PhaseSample((pt,)))
+                   for pt in sample.points]
         assert _same(full.max_residual, max(r.max_residual for r in singles))
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from paralift.cli import emit_report, main, run
-from paralift.config import build_structure, parse_config
+from paralift.config import build_structure, parse_config, sampling_overrides
 from paralift.errors import ConfigError, DegenerateCoefficient
 
 MINIMAL = {
@@ -539,6 +539,22 @@ def test_manifold_dimension_is_bounded(tmp_path, capsys):
     assert not out.exists()
     doc["manifold"]["n"] = 32
     assert parse_config(doc).manifold["n"] == 32
+
+
+def test_sample_count_is_bounded():
+    # a huge count used to reach the sampler, which drew until memory ran
+    # out; the file and the --samples flag are refused as they are parsed
+    doc = small()
+    doc["sampling"]["count"] = 10 ** 30
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    assert exc.value.problems == ["sampling.count: must be at most 10000"]
+    problems = []
+    assert sampling_overrides(None, 10 ** 30, problems) == {"count": 100}
+    assert problems == ["--samples: must be at most 10000"]
+    doc["sampling"]["count"] = 10_000
+    assert parse_config(doc).sampling["count"] == 10_000
+    assert sampling_overrides(None, 10_000, problems) == {"count": 10_000}
 
 
 def _drop_manifold_defaults(doc):

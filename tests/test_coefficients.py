@@ -468,18 +468,19 @@ def _theta_specs():
 def test_theta_factor_is_mu_less_lambda_prime_bitwise(label, spec):
     # _theta's factor, from one "form" pass with derivatives, has the bits
     # of mu and lambda' evaluated as families of their own, at one point, at
-    # two and on a CLI-sized sample; a spec with no metric is refused
+    # two and on a CLI-sized sample; analytic_dOmega, its public reader,
+    # refuses a spec with no metric
     from paralift import ContractError, LiftedStructure, sample_points
     from paralift.phase import stack_points
     from paralift.spaceform import conformal_ball
-    from paralift.verify import _theta
+    from paralift.verify import _theta, analytic_dOmega
 
     ls = LiftedStructure(m=conformal_ball(3, 1.0), spec=spec)
     sample = sample_points(ls.m, 100, 5)
     for pt in (sample.points[7], stack_points(sample.points[:2]), sample.batch):
         if spec.c1 is None:
             with pytest.raises(ContractError):
-                _theta(ls, pt)
+                analytic_dOmega(ls, pt)
             continue
         factor = np.asarray(spec.mu(pt.t)) - spec.lam.derivative()(pt.t)
         want = factor[..., None] * np.concatenate(

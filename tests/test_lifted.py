@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,6 @@ from paralift import (
     affine,
     almost_product_spec,
     analytic_dOmega,
-    check_compatibility,
-    check_metric_signature,
     conformal_ball,
     constant,
     flat_space,
@@ -35,17 +34,12 @@ from paralift.lifted import G_adapted, Omega_coordinate, P_coordinate_function
 from paralift.lifted import _adapted_blocks, _omega_coordinate, _p_coordinate
 from paralift.phase import stack_points, stepped_point
 from paralift.verify import (
-    STEPPED_CHECKS,
+    CHECKS,
     PhaseSample,
     _almost_product,
     _closure_max,
     _compatibility,
     _nijenhuis_max,
-    check_almost_product,
-    check_closure,
-    check_integrability,
-    check_para_kahler,
-    check_space_form,
     fd_oracle,
     nijenhuis_at,
     run_check,
@@ -328,10 +322,9 @@ def test_contract_errors():
             Omega_adapted(no_metric, pt)
         with pytest.raises(ContractError):
             analytic_dOmega(no_metric, pt)
-        with pytest.raises(ContractError):
-            check_compatibility(no_metric, [pt])
-        with pytest.raises(ContractError):
-            check_metric_signature(no_metric, [pt])
+        for name in ("compatibility", "metric_signature"):
+            with pytest.raises(ContractError):
+                run_check(name, no_metric, PhaseSample((pt,)))
     spec_plus = with_metric(
         almost_product_spec(constant(1.0), constant(0.0), curvature=0.0,
                             epsilon=1),
@@ -393,8 +386,8 @@ def test_one_conformal_factor_evaluation_per_call(factor_calls, batch):
         "PhaseSample": (lambda: PhaseSample(points=points), 0),
         "PhaseSample.stepped": (lambda: PhaseSample(points=points).stepped, 1),
         "nijenhuis_at": (lambda: nijenhuis_at(ls, pt), 1),
-        "integrability blocks": (lambda: _nijenhuis_max(ls, lanes), 0),
-        "closure blocks": (lambda: _closure_max(ls, lanes), 0),
+        "integrability blocks": (lambda: _nijenhuis_max(ls, None, lanes), 0),
+        "closure blocks": (lambda: _closure_max(ls, None, lanes), 0),
     }
     for name, (call, count) in evaluators.items():
         factor_calls.clear()
@@ -410,7 +403,7 @@ def test_compatibility_reads_one_chart_point_per_block(factor_calls, monkeypatch
     sample = sample_points(m, 6, 11)
     monkeypatch.setattr(ad, "BLOCK_ELEMENTS", 2 * 16 ** 2)  # 2 points of 16 x 16
     factor_calls.clear()
-    assert check_compatibility(ls, sample).passed
+    assert run_check("compatibility", ls, sample).passed
     assert len(factor_calls) == 0
 
 
@@ -432,7 +425,7 @@ def test_para_kahler_reads_one_chart_point_per_block(factor_calls):
     for own, count in ((sample, 1), (sample, 0), (chunk, 1), (chunk, 0),
                        (other, 2), (other, 2)):
         factor_calls.clear()
-        check_para_kahler(ls, own)
+        run_check("para_kahler", ls, own)
         assert len(factor_calls) == count
     assert "stepped" not in vars(other)
 
@@ -457,44 +450,20 @@ def test_a_point_of_an_equal_chart_is_read_and_of_another_rebuilt(
     for points, rebuilt in ((own, False), (other, True)):
         pt = stack_points(points) if batch else points[1]
         sample = PhaseSample(points=points if batch else points[1:2])
-        for name, call in (("P_adapted", lambda: P_adapted(ls, pt)),
-                           ("G_adapted", lambda: G_adapted(ls, pt)),
-                           ("check_compatibility",
-                            lambda: check_compatibility(ls, sample)),
-                           ("check_integrability",
-                            lambda: check_integrability(ls, sample)),
-                           ("check_closure", lambda: check_closure(ls, sample)),
-                           ("check_space_form",
-                            lambda: check_space_form(ls.m, sample))):
+        for name, call in (
+                ("P_adapted", lambda: P_adapted(ls, pt)),
+                ("G_adapted", lambda: G_adapted(ls, pt)),
+                *((check, partial(run_check, check, ls, sample)) for check in
+                  ("compatibility", "integrability", "closure",
+                   "space_form"))):
             factor_calls.clear()
             call()
-            steps = name.removeprefix("check_") in STEPPED_CHECKS
-            first = name == "check_integrability"  # the first to step
+            steps = name in CHECKS and CHECKS[name].stepped
+            first = name == "integrability"  # the first to step
             want = (1 + steps) if rebuilt else int(first)
             assert len(factor_calls) == want, (name, rebuilt)
     for evaluate in (P_adapted, G_adapted):
         assert np.array_equal(evaluate(ls, other[1]), evaluate(ls, own[1]))
-
-
-def test_a_check_on_a_list_steps_the_chart_once(factor_calls):
-    """A list of points is stacked onto the structure's chart before it is
-    stepped: points of another chart cost one rebuild and one step, as a
-    prebuilt sample of them does, and points of its own chart one step.
-    A check that differentiates nothing steps nothing: compatibility costs
-    the rebuild alone, and nothing on points of its own chart."""
-    m = conformal_ball(3, 1.0)
-    ls = rational_structure(m)
-    wide = conformal_ball(3, 1.0, chart_radius=2.0)
-    sample = sample_points(m, 3, 11)
-    other = [make_point(wide, pt.q, pt.p) for pt in sample.points]
-    prebuilt = PhaseSample(tuple(other))
-    for check, step in ((check_compatibility, 0), (check_integrability, 1)):
-        for points, count in ((other, 1 + step), (prebuilt, 1 + step),
-                              (list(sample.points), step)):
-            factor_calls.clear()
-            report = check(ls, points)
-            assert len(factor_calls) == count, (check.__name__, count)
-            assert report.max_residual == check(ls, sample).max_residual
 
 
 def test_a_run_that_reads_no_stepped_point_builds_none(factor_calls):
@@ -542,7 +511,8 @@ def test_the_derivative_checks_of_a_sample_share_one_stepped_point(
     assert not factor_calls and "stepped" not in vars(sample)
     for name in ("space_form", "integrability", "closure",
                  "closure_agreement", "para_kahler"):
-        assert name in STEPPED_CHECKS
+        assert any(CHECKS[part].stepped
+                   for part in CHECKS[name].parts or (name,)), name
         run_check(name, ls, sample)
     assert len(factor_calls) == 1
     assert vars(sample)["stepped"].m is m
@@ -584,11 +554,11 @@ def test_block_readings_equal_the_dense_assembly_bitwise(model, n, epsilon):
         square = np.abs(pmat @ pmat - eye).max((-2, -1))
         compatible = np.abs(np.swapaxes(pmat, -1, -2) @ gmat @ pmat
                             - float(epsilon) * gmat).max((-2, -1))
-        assert _bits(_almost_product(ls, pt)) == _bits(square)
-        assert _bits(_compatibility(ls, pt)) == _bits(compatible)
+        assert _bits(_almost_product(ls, pt, None)) == _bits(square)
+        assert _bits(_compatibility(ls, pt, None)) == _bits(compatible)
         cruceanu = LiftedStructure(m=m)
         pmat = P_adapted(cruceanu, pt)
-        assert _bits(_almost_product(cruceanu, pt)) == _bits(
+        assert _bits(_almost_product(cruceanu, pt, None)) == _bits(
             np.abs(pmat @ pmat - eye).max((-2, -1)))
         for at in (pt, stepped_point(m, pt)):
             assert _bits(_p_coordinate(ls, at)) == _bits(
@@ -596,10 +566,10 @@ def test_block_readings_equal_the_dense_assembly_bitwise(model, n, epsilon):
             if epsilon == -1:
                 assert _bits(_omega_coordinate(ls, at)) == _bits(
                     omega_coordinate_dense(ls, at))
-    for check, residual in ((check_almost_product, _almost_product),
-                            (check_compatibility, _compatibility)):
-        assert check(ls, sample).max_residual == float(
-            residual(ls, sample.batch).max())
+    for name, residual in (("almost_product", _almost_product),
+                           ("compatibility", _compatibility)):
+        assert run_check(name, ls, sample).max_residual == float(
+            residual(ls, sample.batch, None).max())
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 16, 17, 18, 19, 20, 21, 32])
@@ -619,4 +589,4 @@ def test_one_almost_product_block_has_the_max_of_both(n):
                       for b in _adapted_blocks(ls, pt, "P"))
             both = np.maximum(np.abs(p2 @ p1 - eye).max((-2, -1)),
                               np.abs(p1 @ p2 - eye).max((-2, -1)))
-            assert _bits(_almost_product(ls, pt)) == _bits(both), model
+            assert _bits(_almost_product(ls, pt, None)) == _bits(both), model

@@ -7,13 +7,15 @@ from paralift import (
     ad,
     ChartModel,
     ChartDomainError,
+    LiftedStructure,
+    PhaseSample,
     SpaceForm,
-    check_space_form,
     conformal_ball,
     curvature_at,
     flat_space,
     make_point,
     perturbed_conformal,
+    run_check,
 )
 from paralift.spaceform import christoffel_at, conformal_factor, conformal_fields
 from paralift.verify import fd_oracle
@@ -180,51 +182,55 @@ def test_perturbed_model_breaks_space_form_shape(rng):
     assert space_form_residual(m, x) > 1e-3
 
 
+def space_form_report(m, rows, tol=None):
+    """The space_form report on the points (q, 0) of ``m``, q in ``rows``."""
+    points = tuple(make_point(m, q, np.zeros(m.n)) for q in rows)
+    return run_check("space_form", LiftedStructure(m=m), PhaseSample(points),
+                     tol)
+
+
 @pytest.mark.parametrize("c", [-1.0, 1.0])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_check_space_form_passes_for_conformal_ball(rng, c, n):
     m = conformal_ball(n, c)
     pts = random_chart_points(rng, m, 20 if n == 3 else 8)
-    rep = check_space_form(m, pts, 1e-9)
+    rep = space_form_report(m, pts, 1e-9)
     assert rep.passed, rep.max_residual
 
 
 def test_check_space_form_flat_tight(rng):
     m = flat_space(3)
-    rep = check_space_form(m, random_chart_points(rng, m, 10), 1e-13)
+    rep = space_form_report(m, random_chart_points(rng, m, 10), 1e-13)
     assert rep.passed
 
 
 def test_check_space_form_fails_for_perturbed(rng):
     for strength in (0.05, 0.1):
         m = perturbed_conformal(3, 1.0, strength)
-        rep = check_space_form(m, random_chart_points(rng, m, 20), 1e-6)
+        rep = space_form_report(m, random_chart_points(rng, m, 20), 1e-6)
         assert not rep.passed
         assert rep.max_residual > 1e-6
 
 
 def test_check_space_form_reads_q_of_a_phase_sample():
-    # a PhaseSample, directly or through run_check, or its q rows: the same
-    # report, at the default tolerance, with witnesses naming q alone; only
-    # the PhaseSample carries a seed
+    # a drawn sample and the points (q, 0) of its q: the same report, at the
+    # default tolerance, with witnesses naming q alone; only the drawn
+    # sample carries a seed
     from dataclasses import replace
 
-    from paralift import LiftedStructure
-    from paralift.verify import DEFAULT_TOLERANCES, run_check, sample_points
+    from paralift.verify import DEFAULT_TOLERANCES, sample_points
     m = conformal_ball(3, 1.0)
     sample = sample_points(m, 5, 3)
-    rep = check_space_form(m, sample)
+    rep = run_check("space_form", LiftedStructure(m=m), sample)
     assert rep.tolerance == DEFAULT_TOLERANCES["space_form"] and rep.seed == 3
     assert all(set(w["point"]) == {"q"} for w in rep.witnesses)
-    ls = LiftedStructure(m=m)
-    assert run_check("space_form", ls, sample) == rep
-    rows = check_space_form(m, [pt.q for pt in sample.points])
+    rows = space_form_report(m, [pt.q for pt in sample.points])
     assert rows == replace(rep, seed=None)
 
 
 def test_check_space_form_rejects_empty():
     with pytest.raises(ValueError):
-        check_space_form(flat_space(2), [], 1e-9)
+        space_form_report(flat_space(2), [], 1e-9)
 
 
 def _models(n):

@@ -13,13 +13,6 @@ from paralift import (
     affine,
     almost_product_spec,
     analytic_dOmega,
-    check_almost_product,
-    check_closure,
-    check_closure_agreement,
-    check_compatibility,
-    check_integrability,
-    check_metric_signature,
-    check_para_kahler,
     conformal_ball,
     constant,
     curvature_at,
@@ -47,8 +40,7 @@ from paralift.report import make_report
 from paralift.spaceform import christoffel_at
 from paralift.verify import (
     CHECK_NAMES,
-    METRIC_CHECKS,
-    PARA_HERMITIAN_CHECKS,
+    CHECKS,
     PhaseSample,
     _closure_max,
     _nijenhuis_max,
@@ -104,7 +96,7 @@ def test_sampler_starvation_reported():
 def test_almost_product_passes_for_rational_spec():
     m = conformal_ball(3, 1.0)
     ls = rational_ls(m, with_g=False)
-    rep = check_almost_product(ls, sample_points(m, 100, 1), 1e-11)
+    rep = run_check("almost_product", ls, sample_points(m, 100, 1), 1e-11)
     assert rep.passed and rep.points_sampled == 100
     assert rep.seed == 1 and len(rep.witnesses) == 3
 
@@ -113,8 +105,8 @@ def test_almost_product_detects_perturbed_b2():
     m = conformal_ball(3, 1.0)
     ls = rational_ls(m, with_g=False)
     bad = replace(ls.spec, b2=ls.spec.b2 * 1.1)  # bypasses validation
-    rep = check_almost_product(LiftedStructure(m=m, spec=bad),
-                               sample_points(m, 100, 1), 1e-6)
+    rep = run_check("almost_product", LiftedStructure(m=m, spec=bad),
+                    sample_points(m, 100, 1), 1e-6)
     assert not rep.passed
     assert rep.max_residual > 1e-6
 
@@ -122,7 +114,7 @@ def test_almost_product_detects_perturbed_b2():
 def test_almost_product_cruceanu_p_exact():
     m = conformal_ball(3, 1.0)
     ls = LiftedStructure(m=m)
-    rep = check_almost_product(ls, sample_points(m, 10, 1), 0.0)
+    rep = run_check("almost_product", ls, sample_points(m, 10, 1), 0.0)
     assert rep.passed and rep.max_residual == 0.0
 
 
@@ -189,19 +181,21 @@ def test_integrability_sufficiency_and_necessity():
     m = conformal_ball(3, 1.0)
     ls = para_kahler_ls(m)
     sample = sample_points(m, 30, 7)
-    rep = check_integrability(ls, sample, 1e-8)
+    rep = run_check("integrability", ls, sample, 1e-8)
     assert rep.passed
 
     # same coefficients over a non-space-form base
     mp = perturbed_conformal(3, 1.0, 0.1)
     ls_bad_base = LiftedStructure(m=mp, spec=ls.spec)
-    rep = check_integrability(ls_bad_base, sample_points(mp, 10, 7), 1e-6)
+    rep = run_check("integrability", ls_bad_base, sample_points(mp, 10, 7),
+                    1e-6)
     assert not rep.passed and rep.max_residual > 1e-6
 
     # coefficients derived for the wrong curvature
     m_neg = conformal_ball(3, -1.0)
     ls_mismatch = LiftedStructure(m=m_neg, spec=ls.spec)
-    rep = check_integrability(ls_mismatch, sample_points(m_neg, 10, 7), 1e-6)
+    rep = run_check("integrability", ls_mismatch,
+                    sample_points(m_neg, 10, 7), 1e-6)
     assert not rep.passed and rep.max_residual > 1e-6
 
 
@@ -209,7 +203,7 @@ def test_integrability_n2_note():
     m = conformal_ball(2, 1.0)
     spec = integrable_spec(constant(1.0), curvature=1.0)
     ls = LiftedStructure(m=m, spec=spec)
-    rep = check_integrability(ls, sample_points(m, 3, 1), 1e-8)
+    rep = run_check("integrability", ls, sample_points(m, 3, 1), 1e-8)
     assert any("dimension 2" in note for note in rep.notes)
 
 
@@ -219,7 +213,7 @@ def test_integrability_n2_note():
 def test_compatibility_negative_epsilon():
     m = conformal_ball(3, 1.0)
     ls = rational_ls(m)
-    rep = check_compatibility(ls, sample_points(m, 100, 11), 1e-11)
+    rep = run_check("compatibility", ls, sample_points(m, 100, 11), 1e-11)
     assert rep.passed
 
 
@@ -228,7 +222,7 @@ def test_compatibility_positive_epsilon():
     spec = integrable_spec(constant(1.0), curvature=1.0, epsilon=1)
     spec = with_metric(spec, constant(1.0), constant(0.0))
     ls = LiftedStructure(m=m, spec=spec)
-    rep = check_compatibility(ls, sample_points(m, 100, 11), 1e-11)
+    rep = run_check("compatibility", ls, sample_points(m, 100, 11), 1e-11)
     assert rep.passed
 
 
@@ -236,20 +230,21 @@ def test_compatibility_detects_broken_chain():
     m = conformal_ball(3, 1.0)
     ls = rational_ls(m)
     bad = replace(ls.spec, c1=ls.spec.c1 * 1.1)  # breaks the first chain only
-    rep = check_compatibility(LiftedStructure(m=m, spec=bad),
-                              sample_points(m, 50, 11), 1e-6)
+    rep = run_check("compatibility", LiftedStructure(m=m, spec=bad),
+                    sample_points(m, 50, 11), 1e-6)
     assert not rep.passed and rep.max_residual > 1e-6
 
 
 def test_metric_signature_neutral_and_positive():
     m = conformal_ball(3, 1.0)
-    rep = check_metric_signature(rational_ls(m), sample_points(m, 20, 13))
+    rep = run_check("metric_signature", rational_ls(m),
+                    sample_points(m, 20, 13))
     assert rep.passed and rep.details["expected_positive"] == 3
 
     spec = with_metric(integrable_spec(constant(1.0), curvature=1.0, epsilon=1),
                        constant(1.0), constant(0.0))
     ls = LiftedStructure(m=m, spec=spec)
-    rep = check_metric_signature(ls, sample_points(m, 20, 13))
+    rep = run_check("metric_signature", ls, sample_points(m, 20, 13))
     assert rep.passed and rep.details["expected_positive"] == 6
 
 
@@ -342,7 +337,7 @@ def test_derived_mu_closes_omega():
         sample = sample_points(m, 10, 23)
         for pt in sample.points:
             assert np.max(np.abs(analytic_dOmega(ls, pt))) < 1e-14
-        rep = check_closure(ls, sample, 1e-8)
+        rep = run_check("closure", ls, sample, 1e-8)
         assert rep.passed
 
 
@@ -354,10 +349,10 @@ def test_numeric_and_analytic_d_omega_agree():
                            affine(1.0, 1.0), constant(0.0))
         ls = LiftedStructure(m=m, spec=spec)
         sample = sample_points(m, 20, 29)
-        rep = check_closure_agreement(ls, sample, 1e-8)
+        rep = run_check("closure_agreement", ls, sample, 1e-8)
         assert rep.passed
         # and the form is genuinely non-closed here (mu != lambda')
-        rep = check_closure(ls, sample, 1e-8)
+        rep = run_check("closure", ls, sample, 1e-8)
         assert not rep.passed
 
 
@@ -375,7 +370,8 @@ def test_closure_agreement_is_the_difference_of_the_two_sides(n):
                 affine(1.0, 1.0), mu))
             omega = Omega_coordinate(ls)
             for pt in sample_points(m, 4, 67).points:
-                one = check_closure_agreement(ls, [pt]).max_residual
+                one = run_check("closure_agreement", ls,
+                                PhaseSample((pt,))).max_residual
                 numeric = exterior_derivative_2form(omega, pt)
                 analytic = analytic_dOmega(ls, pt)
                 two = np.max(np.abs(numeric - analytic))
@@ -391,18 +387,21 @@ def test_closure_agreement_reads_a_foreign_point_on_its_own_chart():
         integrable_spec(constant(1.0), curvature=1.0), affine(1.0, 1.0),
         constant(0.5)))
     q, p = [0.1, 0.2, -0.1], [0.3, -0.2, 0.5]
-    own = check_closure_agreement(ls, [make_point(m, q, p)]).max_residual
+    own = run_check("closure_agreement", ls,
+                    PhaseSample((make_point(m, q, p),))).max_residual
     assert own < 1e-15
     for other in (conformal_ball(3, -1.0), flat_space(3),
                   perturbed_conformal(3, 1.0, 0.1)):
         pt = make_point(other, q, p)
-        assert check_closure_agreement(ls, [pt]).max_residual == own, other
+        assert run_check("closure_agreement", ls,
+                         PhaseSample((pt,))).max_residual == own, other
         assert np.array_equal(analytic_dOmega(ls, pt),
                               analytic_dOmega(ls, make_point(m, q, p)))
     sample = sample_points(conformal_ball(3, -1.0), 20, 3, p_max=1.0)
-    own = check_closure_agreement(ls, [make_point(m, pt.q, pt.p)
-                                       for pt in sample.points])
-    assert check_closure_agreement(ls, sample).max_residual == own.max_residual
+    own = run_check("closure_agreement", ls, PhaseSample(tuple(
+        make_point(m, pt.q, pt.p) for pt in sample.points)))
+    assert run_check("closure_agreement", ls,
+                     sample).max_residual == own.max_residual
     assert own.passed
 
 
@@ -475,7 +474,7 @@ def test_analytic_d_omega_matches_wedge_loop(m):
 def test_para_kahler_composite_passes():
     m = conformal_ball(3, 1.0)
     ls = para_kahler_ls(m)
-    rep = check_para_kahler(ls, sample_points(m, 30, 31), 1e-8)
+    rep = run_check("para_kahler", ls, sample_points(m, 30, 31), 1e-8)
     assert rep.passed
     assert set(rep.details) == {"compatibility_residual",
                                 "integrability_residual", "closure_residual"}
@@ -487,7 +486,7 @@ def test_para_kahler_fails_only_through_closure_when_mu_is_off():
     spec = with_metric(spec, affine(1.0, 1.0), constant(0.0))  # mu != lambda'
     ls = LiftedStructure(m=m, spec=spec)
     sample = sample_points(m, 20, 31)
-    rep = check_para_kahler(ls, sample, 1e-8)
+    rep = run_check("para_kahler", ls, sample, 1e-8)
     assert not rep.passed
     assert rep.details["closure_residual"] > 1e-8
     assert rep.details["compatibility_residual"] <= 1e-8
@@ -507,11 +506,9 @@ def test_para_kahler_sub_residuals_equal_the_standalone_checks(case):
         ls = para_kahler_ls(m, curvature=1.0)
     sample = sample_points(m, 12, 41)
     tol = 1e-9
-    rep = check_para_kahler(ls, sample, tol)
-    subs = {"compatibility": check_compatibility,
-            "integrability": check_integrability, "closure": check_closure}
-    for name, check in subs.items():
-        alone = check(ls, sample, tol)
+    rep = run_check("para_kahler", ls, sample, tol)
+    for name in ("compatibility", "integrability", "closure"):
+        alone = run_check(name, ls, sample, tol)
         assert rep.details[f"{name}_residual"] == alone.max_residual, name
         if alone.max_residual == rep.max_residual:
             assert rep.witnesses == alone.witnesses
@@ -519,10 +516,10 @@ def test_para_kahler_sub_residuals_equal_the_standalone_checks(case):
     # bitwise those of the public evaluators
     batch = stack_points(sample.points)
     omega = Omega_coordinate(ls)
-    assert np.array_equal(_nijenhuis_max(ls, sample.stepped), np.max(
+    assert np.array_equal(_nijenhuis_max(ls, None, sample.stepped), np.max(
         np.abs(nijenhuis_at(ls, batch)), axis=(-3, -2, -1)))
-    assert np.array_equal(_closure_max(ls, sample.stepped), np.max(np.abs(
-        exterior_derivative_2form(omega, batch)), axis=(-3, -2, -1)))
+    assert np.array_equal(_closure_max(ls, None, sample.stepped), np.max(
+        np.abs(exterior_derivative_2form(omega, batch)), axis=(-3, -2, -1)))
 
 
 def test_para_kahler_reports_a_non_finite_part():
@@ -532,14 +529,14 @@ def test_para_kahler_reports_a_non_finite_part():
     spec = replace(para_kahler_ls(m).spec, mu=constant(math.nan))
     ls = LiftedStructure(m=m, spec=spec)
     sample = sample_points(m, 6, 0)
-    rep = check_para_kahler(ls, sample)
+    rep = run_check("para_kahler", ls, sample)
     d = rep.to_dict()
     assert d["verdict"] == "fail" and d["max_residual"] is None
     assert any("non-finite" in note for note in rep.notes)
     assert d["details"]["closure_residual"] is None
     assert d["details"]["compatibility_residual"] <= 1e-8
     assert [w["residual"] for w in d["witnesses"]] == [None] * 3
-    alone = check_closure(ls, sample).to_dict()
+    alone = run_check("closure", ls, sample).to_dict()
     assert d["witnesses"] == alone["witnesses"]
 
 
@@ -550,25 +547,29 @@ def test_para_kahler_needs_a_para_hermitian_spec():
                                            curvature=1.0, epsilon=1),
                        constant(1.0), constant(0.0))
     ls = LiftedStructure(m=m, spec=spec)
-    assert check_compatibility(ls, sample_points(m, 4, 1)).passed
+    assert run_check("compatibility", ls, sample_points(m, 4, 1)).passed
     with pytest.raises(ContractError, match="epsilon = -1"):
-        check_para_kahler(ls, sample_points(m, 4, 1))
+        run_check("para_kahler", ls, sample_points(m, 4, 1))
 
 
 def test_the_metric_check_sets_name_the_checks_that_refuse():
-    """METRIC_CHECKS are the checks that refuse a structure without a metric
-    part, Cruceanu's included, and PARA_HERMITIAN_CHECKS those that refuse
-    an eps = +1 one: the sets the config parser reads."""
+    """The checks whose row needs a "metric" or "para_hermitian" spec are
+    those that refuse a structure without a metric part, Cruceanu's
+    included, and those that need "para_hermitian" the ones that refuse an
+    eps = +1 one: the column the config parser reads."""
+    metric = {name for name in CHECK_NAMES if CHECKS[name].spec}
+    para = {name for name in CHECK_NAMES
+            if CHECKS[name].spec == "para_hermitian"}
     m = conformal_ball(3, 1.0)
     plus = with_metric(almost_product_spec(constant(1.0), constant(0.0),
                                            curvature=1.0, epsilon=1),
                        constant(1.0), constant(0.0))
     sample = sample_points(m, 4, 1)
     for ls, refused in (
-            (LiftedStructure(m=m), METRIC_CHECKS),
+            (LiftedStructure(m=m), metric),
             (LiftedStructure(m=m, spec=integrable_spec(
-                constant(1.0), curvature=1.0)), METRIC_CHECKS),
-            (LiftedStructure(m=m, spec=plus), PARA_HERMITIAN_CHECKS)):
+                constant(1.0), curvature=1.0)), metric),
+            (LiftedStructure(m=m, spec=plus), para)):
         raised = set()
         for name in CHECK_NAMES:
             try:
@@ -576,7 +577,8 @@ def test_the_metric_check_sets_name_the_checks_that_refuse():
             except ContractError:
                 raised.add(name)
         assert raised == refused
-    assert PARA_HERMITIAN_CHECKS < METRIC_CHECKS
+    assert para == {"closure", "closure_agreement", "para_kahler"}
+    assert metric == para | {"compatibility", "metric_signature"}
 
 
 ORBIT_MODELS = {
@@ -634,9 +636,8 @@ def test_residual_norms_are_invariant_under_rotations(model, n, rng):
 @pytest.mark.parametrize("name", CHECK_NAMES)
 def test_every_check_refuses_an_empty_sample(name):
     ls = para_kahler_ls(conformal_ball(3, 1.0))
-    for sample in (PhaseSample(points=(), seed=1), []):
-        with pytest.raises(ValueError, match="sample must be nonempty"):
-            run_check(name, ls, sample)
+    with pytest.raises(ValueError, match="sample must be nonempty"):
+        run_check(name, ls, PhaseSample(points=(), seed=1))
 
 
 def test_para_kahler_constant_lambda_rational_spec():
@@ -646,7 +647,7 @@ def test_para_kahler_constant_lambda_rational_spec():
     spec = with_metric(rational_spec(1.0, 2.0, constant(4.0), curvature=1.0),
                        constant(1.0), constant(0.0))
     ls = LiftedStructure(m=m, spec=spec)
-    rep = check_para_kahler(ls, sample_points(m, 30, 37), 1e-8)
+    rep = run_check("para_kahler", ls, sample_points(m, 30, 37), 1e-8)
     assert rep.passed
 
 
@@ -753,13 +754,13 @@ def test_evaluators_return_float_jacobians():
 # ---------------------------------------------------- biconditional battery
 
 
-@pytest.mark.parametrize("field,checker", [
-    ("b2", check_almost_product),
-    ("b1", check_integrability),
-    ("c1", check_compatibility),
-    ("mu", check_closure),
+@pytest.mark.parametrize("field,name", [
+    ("b2", "almost_product"),
+    ("b1", "integrability"),
+    ("c1", "compatibility"),
+    ("mu", "closure"),
 ])
-def test_biconditional_battery(field, checker):
+def test_biconditional_battery(field, name):
     # each identity passes tight for derived coefficients and fails loose when
     # exactly one coefficient family is scaled by 1.1, on the same sample
     m = conformal_ball(3, 1.0)
@@ -767,11 +768,11 @@ def test_biconditional_battery(field, checker):
                        affine(1.0, 1.0))  # mu derived, so closure holds too
     ls = LiftedStructure(m=m, spec=spec)
     sample = sample_points(m, 15, 47)
-    assert checker(ls, sample).passed
+    assert run_check(name, ls, sample).passed
 
     perturbed = replace(spec, **{field: getattr(spec, field) * 1.1})
     bad = LiftedStructure(m=m, spec=perturbed)
-    rep = checker(bad, sample, 1e-6)
+    rep = run_check(name, bad, sample, 1e-6)
     assert not rep.passed and rep.max_residual > 1e-6
 
 
@@ -784,8 +785,8 @@ def test_verdicts_stable_across_seeds():
     bad = LiftedStructure(m=m, spec=replace(good.spec, b1=good.spec.b1 * 1.1))
     for seed in (1, 2, 3, 4, 5):
         sample = sample_points(m, 10, seed)
-        assert check_integrability(good, sample, 1e-8).passed
-        assert not check_integrability(bad, sample, 1e-6).passed
+        assert run_check("integrability", good, sample, 1e-8).passed
+        assert not run_check("integrability", bad, sample, 1e-6).passed
 
 
 # ----------------------------------------------------------- report plumbing
