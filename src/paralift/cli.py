@@ -45,9 +45,6 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 
-_DOMAIN_ERRORS = (ChartDomainError, ContractError, DegenerateCoefficient,
-                  RangeError)
-
 
 def execute_checks(config):
     """Run every requested check; returns (reports, all_passed).  The
@@ -103,10 +100,8 @@ def run(config):
     out_path = config.output or "report.json"
     emit_report(document, out_path)
     for r in reports:
-        residual = "nan" if r.max_residual != r.max_residual \
-            else f"{r.max_residual:.3e}"
         print(f"{r.check_name}: {r.verdict.upper()}  "
-              f"max_residual={residual}  tolerance={r.tolerance:.1e}")
+              f"max_residual={r.max_residual:.3e}  tolerance={r.tolerance:.1e}")
     print(f"overall: {'PASS' if all_passed else 'FAIL'}")
     print(f"report: {out_path}")
     return EXIT_PASS if all_passed else EXIT_CHECK_FAILED
@@ -158,11 +153,10 @@ def _verify(args):
 
     try:
         return run(config)
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ChartDomainError, ContractError, DegenerateCoefficient,
+            RangeError, OSError) as exc:
+        kind = "" if isinstance(exc, OSError) else f"{type(exc).__name__}: "
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
 

@@ -18,7 +18,7 @@ from sys import float_info
 from . import coefficients as co
 from .errors import ConfigError
 from .lifted import LiftedStructure
-from .spaceform import ChartModel, SpaceForm
+from .spaceform import CHART_RULES, ChartModel, SpaceForm, chart_problems
 from .verify import CHECK_NAMES, CHECKS
 
 
@@ -130,9 +130,7 @@ PARSER_ONLY = dict(
     finite="{}: must be finite",
     integral="{}: expected an integer",
     strength="manifold.strength: only valid for the perturbed_conformal model",
-    flat="manifold.c: the flat model requires c = 0",
-    radius="manifold.chart_radius: reaches the conformal-factor singularity "
-           "for this negative curvature",
+    **{key: f"manifold.{line}" for key, line in CHART_RULES.items()},
     family="coefficients.{}: not allowed together with a coefficient family",
     cruceanu="coefficients.{}: a Cruceanu structure builds from none of "
              "family, a1, b1 or the integrability and metric derivations",
@@ -277,15 +275,13 @@ def _unknown(section, path, names, problems):
 
 
 def _manifold_rule(section, out, problems):
-    """strength, then the rules that read the whole manifold section."""
+    """strength, then the chart rules of :mod:`paralift.spaceform`."""
     if out["model"] == "perturbed_conformal":
         out["strength"] = _field(section, "manifold", "strength", problems)
     elif "strength" in section:
         problems.append(PARSER_ONLY["strength"])
-    if out["model"] == "flat" and out["c"] != 0.0:
-        problems.append(PARSER_ONLY["flat"])
-    if out["c"] < 0 and out["chart_radius"] ** 2 >= -4.0 / out["c"]:
-        problems.append(PARSER_ONLY["radius"])
+    problems.extend(f"manifold.{line}" for line in chart_problems(
+        **{**out, "model": ChartModel(out["model"])}))
 
 
 def _family_rule(section, out, problems):
@@ -484,9 +480,7 @@ def build_structure(config):
     """The :class:`LiftedStructure` described by a validated config, on the
     space form of its ``manifold`` section."""
     mf, cf = config.manifold, config.coefficients
-    m = SpaceForm(n=mf["n"], c=mf["c"], model=ChartModel(mf["model"]),
-                  chart_radius=mf["chart_radius"],
-                  strength=mf.get("strength", 0.0))
+    m = SpaceForm(**{**mf, "model": ChartModel(mf["model"])})
     if cf["kind"] == "cruceanu_p":
         return LiftedStructure(m=m)
     shared = {key: cf[key] for key in ("curvature", "epsilon", "t_max")}

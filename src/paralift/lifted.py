@@ -15,8 +15,9 @@ maps vertical to horizontal and sits in the upper-right block.  The blocks
 read one chart point (:mod:`paralift.phase`), with g = phi I.  The public
 adapted evaluators first bring their point onto the structure's chart
 (:func:`paralift.phase.on_chart`); the private evaluators the checks call
-read theirs as it is.  A structure without a spec is Cruceanu's
-P = diag(-I, I), which has no G or Omega.
+read theirs as it is.  Each refuses a t past t_max but the functions that
+fd_oracle differences, whose stencils step up to ``_T_SLACK`` past it.  A
+structure without a spec is Cruceanu's P = diag(-I, I), with no G or Omega.
 
 The checks read the n x n blocks, never a zero block, and hold the blocks
 of one coefficient pass as one stack.  A pass of a spec's program is one
@@ -113,10 +114,7 @@ __all__ = [
     "Omega_coordinate",
 ]
 
-# Coordinate-frame evaluators tolerate a small overshoot of t past t_max for
-# fd_oracle's central differences at sample points with t near or at t_max,
-# perfbench's digits check included.
-_T_SLACK = 1e-3
+_T_SLACK = 1e-3  # the overshoot of t past t_max fd_oracle's functions admit
 
 
 @dataclass(frozen=True)
@@ -139,26 +137,21 @@ class LiftedStructure:
                 "build it through the derivation rules")
 
 
-def _check_range(ls, t, *, slack):
-    bound = ls.spec.t_max + (_T_SLACK if slack else 0.0)
-    tv = np.asarray(t).real
-    over = tv > bound
-    if np.count_nonzero(over):
-        first = tv[np.unravel_index(np.argmax(over), over.shape)]
-        raise RangeError(
-            f"energy density t = {first:.6g} exceeds validated t_max = "
-            f"{ls.spec.t_max:g}")
-
-
 def _scalar(c):
     """A coefficient value per point, broadcast against n x n blocks."""
     return np.asarray(c)[..., None, None]
 
 
-def _coefficients(ls, pt, name, *, slack):
+def _coefficients(ls, pt, name, slack=0.0):
     """The pass of the spec's program ``name`` at pt.t, one row per family,
-    range-checked first."""
-    _check_range(ls, pt.t, slack=slack)
+    after a :class:`RangeError` at the first t past t_max + ``slack``."""
+    tv = np.asarray(pt.t).real
+    over = tv > ls.spec.t_max + slack
+    if np.count_nonzero(over):
+        first = tv[np.unravel_index(np.argmax(over), over.shape)]
+        raise RangeError(
+            f"energy density t = {first:.6g} exceeds validated t_max = "
+            f"{ls.spec.t_max:g}")
     return ls.spec.program(name)(pt.t)
 
 
@@ -200,7 +193,7 @@ def _adapted_blocks(ls, pt, name):
     """The stack of n x n blocks at the plain chart point ``pt`` from one
     pass of the spec's program ``name``: (P1, P2) for "P", (G1, G2) for "G"
     and (P1, P2, G1, G2) for "PG"."""
-    return _blocks(pt, _coefficients(ls, pt, name, slack=False))
+    return _blocks(pt, _coefficients(ls, pt, name))
 
 
 def _p_matrix(ls, pt):
@@ -229,14 +222,14 @@ def _slots(pt):
                  out[..., n:, :n], out[..., n:, n:])
 
 
-def _p_coordinate(ls, pt):
+def _p_coordinate(ls, pt, slack=0.0):
     """Coordinate-frame P at the real or complex chart point ``pt``, blockwise:
     each block is built, then written into its slot (module doc)."""
     n, gamma0 = ls.m.n, pt.Gamma0
     if ls.spec is None:  # Cruceanu's P: A = -I, D = I, B2 = C = 0
         eye, zero = ad.constant(np.eye, n), ad.constant(np.zeros, (n, n))
         return ad.block([[-eye, zero], [-gamma0 - gamma0, eye]])
-    coeffs = _coefficients(ls, pt, "P", slack=True)
+    coeffs = _coefficients(ls, pt, "P", slack)
     c = _block(coeffs[0] * pt.phi, coeffs[1], pt.p)
     b2 = _block(coeffs[2] * (1.0 / pt.phi), coeffs[3], pt.g0)
     out, (qq, qp, pq, pp) = _slots(pt)
@@ -252,9 +245,11 @@ def _p_coordinate(ls, pt):
 
 
 def P_coordinate_function(ls):
-    """P in the coordinate frame as a function of z = (q, p), real or complex."""
+    """P in the coordinate frame as a function of z = (q, p), real or complex,
+    for fd_oracle: t may pass t_max by ``_T_SLACK``."""
     n = ls.m.n
-    return lambda z: _p_coordinate(ls, chart_point(ls.m, z[..., :n], z[..., n:]))
+    return lambda z: _p_coordinate(
+        ls, chart_point(ls.m, z[..., :n], z[..., n:]), _T_SLACK)
 
 
 def G_adapted(ls, pt):
@@ -266,10 +261,10 @@ def G_adapted(ls, pt):
     return ad.block([[g1, zero], [zero, g2]])
 
 
-def _omega_coordinate(ls, pt):
+def _omega_coordinate(ls, pt, slack=0.0):
     """Coordinate-frame Omega at the real or complex chart point ``pt``: each
     block is built, then written into its slot (module doc)."""
-    lam, mu = _coefficients(ls, pt, "form", slack=True)
+    lam, mu = _coefficients(ls, pt, "form", slack)
     mixed = (_scalar(lam) * ad.constant(np.eye, pt.n)
              + _scalar(mu) * ad.outer(pt.p, pt.g0))
     s = ad.outer(np.asarray((2.0 * pt.t) * mu)[..., None] * pt.h, pt.p)
@@ -285,9 +280,10 @@ def Omega_coordinate(ls):
 
     Obtained by substituting Dp_j = dp_j - Gamma0_jh dq^h into the adapted
     expression Omega = (lambda delta_i^j + mu p_i g^{0j}) dq^i ^ Dp_j, which
-    yields the blocks [[Gamma0 M^T - M Gamma0, M], [-M^T, 0]].
+    yields the blocks [[Gamma0 M^T - M Gamma0, M], [-M^T, 0]].  For
+    fd_oracle, t may pass t_max by ``_T_SLACK``.
     """
     _require_para_hermitian(ls)
     n = ls.m.n
-    return lambda z: _omega_coordinate(ls, chart_point(ls.m, z[..., :n],
-                                                       z[..., n:]))
+    return lambda z: _omega_coordinate(
+        ls, chart_point(ls.m, z[..., :n], z[..., n:]), _T_SLACK)

@@ -17,11 +17,15 @@ The space-form residual goes fields -> R -> residual: :func:`curvature_of`
 and :func:`space_form_deviation` take h, its jacobian and phi from any
 caller, :func:`curvature_at` and :func:`space_form_residual` from x, and a
 check reads them off a sample's stepped chart point instead.
-Finite differences appear only in the independent test oracles.
+Finite differences appear only in the independent test oracles.  A chart's
+domain is fixed when it is built (:func:`chart_problems`): on its closed
+ball 1 + (c/4)|x|^2 and the perturbed model's 1 + eps x_0 stay positive,
+so a point is tested against the radius alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,6 +37,8 @@ from .errors import ChartDomainError
 __all__ = [
     "ChartModel",
     "SpaceForm",
+    "CHART_RULES",
+    "chart_problems",
     "flat_space",
     "conformal_ball",
     "perturbed_conformal",
@@ -46,6 +52,14 @@ __all__ = [
 ]
 
 _DOMAIN_SLACK = 1e-12
+
+# The problem line of each chart rule, naming the field it reads.
+CHART_RULES = dict(
+    flat="c: the flat model requires c = 0",
+    overflow="chart_radius: its square overflows a float",
+    radius="chart_radius: the chart ball reaches the conformal singularity",
+    perturbed="strength: the chart ball reaches a zero of 1 + strength x_0",
+)
 
 
 class ChartModel(Enum):
@@ -70,17 +84,32 @@ class SpaceForm:
     strength: float = 0.0
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("dimension must be at least 2")
-        if self.chart_radius <= 0:
-            raise ValueError("chart_radius must be positive")
-        if self.model is ChartModel.FLAT and self.c != 0.0:
-            raise ValueError("the flat model requires zero curvature")
-        if self.c < 0 and self.chart_radius ** 2 >= -4.0 / self.c:
-            raise ValueError(
-                "chart_radius reaches the conformal-factor singularity "
-                f"(need chart_radius^2 < {-4.0 / self.c})"
-            )
+        if problems := chart_problems(**vars(self)):
+            raise ValueError("; ".join(problems))
+
+
+def chart_problems(n, c, model, chart_radius, strength=0.0):
+    """The problem lines of a chart's fields: one if a field is out of its
+    range, else those of :data:`CHART_RULES` it breaks.  On the closed ball
+    |x|^2 <= edge that :func:`_require_in_chart` admits, 1 + (c/4)|x|^2 for
+    c < 0 is least at |x|^2 = edge (rounding is monotone) and x_0 is at most
+    the float after sqrt(edge); each is tested as it is evaluated."""
+    if not (n >= 2 and 0.0 < chart_radius < math.inf
+            and math.isfinite(c) and math.isfinite(strength)):
+        return ["needs n >= 2, finite c and strength, and a finite positive "
+                "chart_radius"]
+    if model is ChartModel.FLAT and c != 0.0:
+        return [CHART_RULES["flat"]]
+    if chart_radius * chart_radius * (1.0 + _DOMAIN_SLACK) == math.inf:
+        return [CHART_RULES["overflow"]]  # so ** 2 below cannot overflow
+    edge, problems = chart_radius ** 2 * (1.0 + _DOMAIN_SLACK), []
+    if not 1.0 + 0.25 * c * edge > 0.0:
+        problems.append(CHART_RULES["radius"])
+    x0 = math.nextafter(math.sqrt(edge), math.inf)
+    if (model is ChartModel.PERTURBED_CONFORMAL
+            and not 1.0 - abs(strength) * x0 > 0.0):
+        problems.append(CHART_RULES["perturbed"])
+    return problems
 
 
 def flat_space(n, chart_radius=1.0):
@@ -97,33 +126,20 @@ def perturbed_conformal(n, c, strength=0.1, chart_radius=1.0):
 
 
 def conformal_factor(m, x):
-    """Scalar ``phi`` with ``g = phi * I`` at the chart points ``x`` (..., n).
-
-    The first field of :func:`conformal_fields`, computed without h.
-    """
+    """Scalar ``phi`` with ``g = phi * I`` at the chart points ``x`` (..., n):
+    the first field of :func:`conformal_fields`, computed without h."""
     return _factor(m, x)[1]
 
 
-def _require_in_chart(m, x, r2):
-    r2v = r2.real
+def _require_in_chart(m, r2):
+    """:class:`ChartDomainError` at the first point whose |x|^2 = Re ``r2``
+    is off the closed chart ball; an accepted chart is regular on it."""
     bound = m.chart_radius ** 2
-    outside = r2v > bound * (1.0 + _DOMAIN_SLACK)
-    singular = 1.0 + 0.25 * m.c * r2v <= 0.0
-    bad = outside | singular
-    if m.model is ChartModel.PERTURBED_CONFORMAL:
-        bad = bad | (1.0 + m.strength * x.real[..., 0] <= 0.0)
-    if not np.count_nonzero(bad):
-        return
-    i = np.unravel_index(np.argmax(bad), bad.shape)  # the first bad point
-    if outside[i]:
+    outside = r2.real > bound * (1.0 + _DOMAIN_SLACK)
+    if np.count_nonzero(outside):
+        i = np.unravel_index(np.argmax(outside), outside.shape)
         raise ChartDomainError(
-            f"|x|^2 = {r2v[i]:.6g} exceeds chart bound {bound:.6g}"
-        )
-    if singular[i]:
-        raise ChartDomainError(
-            f"conformal denominator not positive at |x|^2 = {r2v[i]:.6g}"
-        )
-    raise ChartDomainError("perturbation factor not positive")
+            f"|x|^2 = {r2.real[i]:.6g} exceeds chart bound {bound:.6g}")
 
 
 def conformal_fields(m, x):
@@ -132,9 +148,8 @@ def conformal_fields(m, x):
     With s = 1 / (1 + (c/4)|x|^2), the ball's phi = s^2 has h = -(c/2) s x;
     the perturbed model's extra factor 1 + eps x_0 adds (eps/2) / (1 + eps
     x_0) to h_0; the flat model has phi = 1 and h = 0.  ``x`` may be
-    complex; domain guards compare its real part.  Raises
-    :class:`ChartDomainError` off the chart or where the conformal
-    denominator fails to be positive, naming the first such point.
+    complex; the domain guard compares its real part.  Raises
+    :class:`ChartDomainError` off the chart, naming the first such point.
     """
     x, phi, s, w = _factor(m, x)
     if m.model is ChartModel.FLAT:
@@ -154,7 +169,7 @@ def _factor(m, x):
     r2 = (x * x).sum(-1)
     if m.model is ChartModel.FLAT:
         return x, np.ones(np.shape(r2)), None, None
-    _require_in_chart(m, x, r2)
+    _require_in_chart(m, r2)
     s = 1.0 / (1.0 + 0.25 * m.c * r2)
     if m.model is ChartModel.CONFORMAL_BALL:
         return x, s * s, s, None

@@ -13,7 +13,7 @@ evaluators are compared with them bit for bit.
 
 import numpy as np
 
-from paralift import ad
+from paralift import ad, lifted
 from paralift.lifted import (
     _adapted_blocks,
     _blocks,
@@ -49,7 +49,7 @@ def p_coordinate_dense(ls, pt):
     chart point ``pt``: its blocks built one by one, then copied by
     ``ad.block``."""
     gamma0 = pt.Gamma0
-    coeffs = _coefficients(ls, pt, "P", slack=True)
+    coeffs = _coefficients(ls, pt, "P", lifted._T_SLACK)
     c, b2 = _blocks(pt, coeffs)
     gb2 = (_scalar(coeffs[2] * (1.0 / pt.phi)) * gamma0
            + _scalar((2.0 * pt.t) * coeffs[3]) * ad.outer(pt.h, pt.g0))
@@ -61,7 +61,7 @@ def omega_coordinate_dense(ls, pt):
     """Coordinate-frame Omega at the real or complex chart point ``pt``: its
     blocks built one by one, then copied by ``ad.block``."""
     n = pt.n
-    lam, mu = _coefficients(ls, pt, "form", slack=True)
+    lam, mu = _coefficients(ls, pt, "form", lifted._T_SLACK)
     mixed = (_scalar(lam) * ad.constant(np.eye, n)
              + _scalar(mu) * ad.outer(pt.p, pt.g0))
     s = ad.outer(np.asarray((2.0 * pt.t) * mu)[..., None] * pt.h, pt.p)

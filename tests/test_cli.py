@@ -8,7 +8,12 @@ from pathlib import Path
 import pytest
 
 from paralift.cli import emit_report, main, run
-from paralift.config import build_structure, parse_config, sampling_overrides
+from paralift.config import (
+    PARSER_ONLY,
+    build_structure,
+    parse_config,
+    sampling_overrides,
+)
 from paralift.errors import ConfigError, DegenerateCoefficient
 
 MINIMAL = {
@@ -443,6 +448,31 @@ def test_tolerance_rule_is_shared_by_file_and_override(tmp_path, capsys, text,
     assert capsys.readouterr().err == (
         f"config error: tolerances.almost_product: {problem}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("manifold,rule", [
+    ({"c": 1.0, "chart_radius": 1e200}, "overflow"),
+    ({"c": -1.0, "chart_radius": 1e200}, "overflow"),
+    ({"model": "perturbed_conformal", "c": 1.0, "strength": -2.0},
+     "perturbed"),
+], ids=["sphere_radius_1e200", "hyperbolic_radius_1e200",
+        "perturbed_factor_vanishes"])
+def test_singular_or_overflowing_chart_exit_2(tmp_path, capsys, manifold,
+                                              rule):
+    # refused when the config is read, whatever the seed: a radius whose
+    # square overflows once raised OverflowError (exit 1), and a factor
+    # 1 + strength x_0 vanishing at x_0 = 0.5 failed only the seeds whose
+    # sample reached it
+    doc = small(count=5, checks=["almost_product"])
+    doc["manifold"].update(manifold)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    for seed in range(1, 11):
+        assert main(["verify", str(path), "--seed", str(seed),
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {PARSER_ONLY[rule]}\n")
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_boolean_epsilon_exit_2(tmp_path, capsys):

@@ -98,7 +98,9 @@ RULE_EDITS = {
     "integral": _edit("manifold", n=3.0),
     "strength": _edit("manifold", strength=0.2),
     "flat": _edit("manifold", model="flat"),
+    "overflow": _edit("manifold", chart_radius=1e200),
     "radius": _edit("manifold", c=-5.0),
+    "perturbed": _edit("manifold", model="perturbed_conformal", strength=-2.0),
     "family": lambda doc: doc["coefficients"].update(family=FAMILY),
     "cruceanu": _edit("coefficients", kind="cruceanu_q"),  # a1 is not read
     "family_b1": _family(integrability=True),

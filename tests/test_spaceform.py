@@ -1,5 +1,7 @@
 """Chart models: metric, Christoffel, curvature, and the space-form shape test."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,13 @@ from paralift import (
     perturbed_conformal,
     run_check,
 )
-from paralift.spaceform import christoffel_at, conformal_factor, conformal_fields
+from paralift.phase import stepped_point
+from paralift.spaceform import (
+    _DOMAIN_SLACK,
+    christoffel_at,
+    conformal_factor,
+    conformal_fields,
+)
 from paralift.verify import fd_oracle
 from chart_sampling import random_chart_points
 from curvature_reference import generic_curvature
@@ -80,6 +88,81 @@ def test_invalid_space_forms_rejected():
         SpaceForm(3, 1.0, ChartModel.FLAT)
     with pytest.raises(ValueError):
         conformal_ball(3, -1.0, chart_radius=2.0)
+
+
+def _edge(radius):
+    """The largest |x|^2 a chart of this radius admits, as it rounds there."""
+    return radius ** 2 * (1.0 + _DOMAIN_SLACK)
+
+
+def _first_radius_reaching(edge):
+    """The least radius whose closed chart ball reaches |x|^2 = ``edge``."""
+    r = math.sqrt(edge / (1.0 + _DOMAIN_SLACK))
+    while _edge(r) >= edge:
+        r = math.nextafter(r, 0.0)
+    while _edge(r) < edge:
+        r = math.nextafter(r, math.inf)
+    return r
+
+
+def _boundary_charts():
+    """(accepted, refused) charts on either side of the rules that keep the
+    conformal denominator and the perturbation factor positive."""
+    at = _first_radius_reaching(4.0)  # c = -1: -4/c = 4, exact in floats
+    third = math.sqrt(4.0 / 3.0 * (1.0 - 1e-14) / (1.0 + _DOMAIN_SLACK))
+    x0 = math.sqrt(1.0 + _DOMAIN_SLACK)  # the closed ball's reach at R = 1
+    pairs = [
+        (conformal_ball(3, -1.0, math.nextafter(at, 0.0)),
+         lambda: conformal_ball(3, -1.0, at)),
+        (conformal_ball(3, -3.0, third),
+         lambda: conformal_ball(3, -3.0, _first_radius_reaching(4.0 / 3.0))),
+    ]
+    for sign in (1.0, -1.0):
+        pairs += [
+            (perturbed_conformal(3, 1.0, sign * (1.0 - 1e-12) / x0),
+             lambda sign=sign: perturbed_conformal(3, 1.0, sign)),
+            (perturbed_conformal(3, 1.0, sign * (1.0 - 1e-12) / x0 / 2.0,
+                                 chart_radius=2.0),
+             lambda sign=sign: perturbed_conformal(3, 1.0, sign * 0.5,
+                                                   chart_radius=2.0)),
+        ]
+    return pairs
+
+
+def test_chart_domain_is_refused_on_the_far_side_of_each_rule():
+    for _, refused in _boundary_charts():
+        with pytest.raises(ValueError):
+            refused()
+    # the closed ball reaches -4/c though R^2 alone falls short of it
+    assert _first_radius_reaching(4.0) ** 2 < 4.0
+    conformal_ball(3, 1.0, 1.3e154)  # R^2 (1 + slack) is a float
+    for radius in (math.nan, math.inf, 1.5e154):
+        for make in (flat_space, lambda n, r: conformal_ball(n, -1.0, r)):
+            with pytest.raises(ValueError):
+                make(3, radius)
+    for c, strength in ((math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            perturbed_conformal(3, c, strength)
+
+
+def test_points_on_the_closed_ball_of_an_edge_chart_are_regular():
+    # what lets a point be tested against the radius alone: on a chart just
+    # inside each rule, the points at the radius and at the far edge of the
+    # closed ball, on both sides of 0 along x_0, have a finite positive phi
+    # (so a positive denominator and perturbation factor) and a finite h,
+    # on their stepped lanes too
+    for m, _ in _boundary_charts():
+        reach = math.sqrt(_edge(m.chart_radius))
+        while reach * reach > _edge(m.chart_radius):
+            reach = math.nextafter(reach, 0.0)
+        for r in (m.chart_radius, reach):
+            for x0 in (r, -r):
+                q = np.array([x0, 0.0, 0.0])
+                pt = make_point(m, q, np.array([0.1, 0.2, -0.3]))
+                lanes = stepped_point(m, pt)
+                for phi, h in ((pt.phi, pt.h), (lanes.phi.real, lanes.h)):
+                    assert np.all(np.isfinite(phi)) and np.all(phi > 0.0)
+                    assert np.all(np.isfinite(h))
 
 
 def test_perturbed_with_zero_strength_matches_conformal(rng):

@@ -692,8 +692,8 @@ def test_omega_entries_ad_vs_fd(rng):
 
 def test_fd_oracle_steps_past_t_max_at_a_boundary_point(monkeypatch):
     # central differences at a point with t = t_max step t past t_max, which
-    # the coordinate evaluators admit by lifted._T_SLACK; without it the
-    # oracle raises where perfbench's digits check calls it
+    # the functions fd_oracle differences admit by lifted._T_SLACK; without
+    # it the oracle raises where perfbench's digits check calls it
     m = conformal_ball(3, 1.0)
     q, p = np.array([0.3, -0.2, 0.1]), np.array([0.5, 0.4, -0.6])
     p = p * math.sqrt(2.0 / energy_density(m, q, p))
@@ -709,6 +709,24 @@ def test_fd_oracle_steps_past_t_max_at_a_boundary_point(monkeypatch):
             patch.setattr(lifted, "_T_SLACK", 0.0)
             with pytest.raises(RangeError, match="exceeds validated t_max"):
                 fd_oracle(fn, pt.z())
+
+
+def test_every_coefficient_check_refuses_t_past_t_max_alike():
+    # _T_SLACK is the oracle's alone: at t = t_max + 5e-4, inside it, the
+    # checks that differentiate refuse the point as the algebraic ones do
+    ls = para_kahler_ls(conformal_ball(3, 1.0))
+    q, p = np.array([0.3, -0.2, 0.1]), np.array([0.5, 0.4, -0.6])
+    p = p * math.sqrt(2.0005 / energy_density(ls.m, q, p))
+    sample = PhaseSample((make_point(ls.m, q, p),))
+    assert ls.spec.t_max == 2.0 and abs(sample.points[0].t - 2.0005) < 1e-12
+    readers = [name for name in CHECK_NAMES if name != "space_form"]
+    assert len(readers) == 7
+    lines = set()
+    for name in readers:
+        with pytest.raises(RangeError) as exc:
+            run_check(name, ls, sample)
+        lines.add(str(exc.value))
+    assert lines == {"energy density t = 2.0005 exceeds validated t_max = 2"}
 
 
 def test_kernels_ad_vs_fd_at_n8():

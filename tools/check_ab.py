@@ -18,17 +18,25 @@ noise between rounds.  Both processes keep their BLAS pools at one
 thread, as the benchmark does: a pool left to spin in the waiting side
 would take the CPU from the timed one.
 
+Every round also starts a third process on OLD's checkout, OLD', timed in
+the same interleaved order: an A/A control.  Two processes of one tree
+still differ by a few percent (negative_controls once read 0.981 between
+equal trees), and one NEW/OLD ratio cannot tell that from a gain.  So
+beside each NEW/OLD ratio and its rounds won, both tables and the build
+and sample lines print OLD'/OLD and the rounds OLD' won: a NEW/OLD ratio
+means something only where it lies outside what OLD' reads.
+
 On WORKLOAD's cases at benchmark seed 1 (NEW's ``perfbench``), or on the
 one run config in the file CONFIG.json at its own ``sampling.seed``, each
 side times ``run_check`` on each 2-point chunk.  In each round every chunk
-is timed on both sides back to back, the first side alternating from chunk
-to chunk and from round to round.  A side's time for a chunk in a round is
+is timed on the three sides back to back, their order stepping through the
+six orders of three from chunk to chunk and from round to round.  A side's time for a chunk in a round is
 the least of ``REPEATS`` back-to-back calls, which drops the calls a shared
 host slowed, so a per-check median resolves a band of a few percent.
 Prints median ms per chunk of each check, and points/s as
-``check_points_per_s`` counts them.  Each round is one pair of runs, so for
-each check and overall it also prints in how many rounds NEW took less time
-than OLD over the same chunks: a gain holds when NEW wins nearly every
+``check_points_per_s`` counts them.  Each round holds one pair of runs, so
+for each check and overall it also prints in how many rounds NEW took less
+time than OLD over the same chunks: a gain holds when NEW wins nearly every
 pair, not only in the median.  Cases either side refuses are skipped.
 
 The same processes then time ``run_check`` on each case's whole sample, as
@@ -59,6 +67,7 @@ the largest relative change of their ``max_residual``.  The exit status is
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing
 import os
@@ -72,7 +81,8 @@ ROUNDS = 15
 REPEATS = 3  # calls per side, chunk and round; the least one counts
 BUILD_REPEATS = 3 * REPEATS  # calls per side, case and round
 CHUNK_POINTS = 2  # as perfbench/measure.py
-SIDES = ("old", "new")
+SIDES = ("old", "new", "old'")  # old' runs OLD's checkout again: an A/A
+ORDERS = list(itertools.permutations(SIDES))
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 REFUSALS = ("ConfigError", "ChartDomainError", "ContractError",
             "DegenerateCoefficient", "RangeError")
@@ -157,7 +167,7 @@ def serve(root, documents, conn):
 def main(old_root, new_root, workload):
     named = cases(new_root, workload)
     documents = [document for _, document in named]
-    roots = dict(zip(SIDES, (old_root, new_root)))
+    roots = dict(zip(SIDES, (old_root, new_root, old_root)))
     os.environ.update(dict.fromkeys(THREAD_VARS, "1"))  # the sides inherit it
     spawn = multiprocessing.get_context("spawn")
     times = defaultdict(list)  # (job index, side) -> seconds
@@ -166,7 +176,7 @@ def main(old_root, new_root, workload):
     answers = {}  # (job index, side) -> (passed, max_residual), first round
     for r in range(ROUNDS):
         conns, procs = {}, []
-        for side in SIDES if r % 2 == 0 else SIDES[::-1]:
+        for side in ORDERS[r % len(ORDERS)]:
             conns[side], child = spawn.Pipe()
             procs.append(spawn.Process(target=serve, daemon=True,
                                        args=(roots[side], documents, child)))
@@ -177,12 +187,12 @@ def main(old_root, new_root, workload):
         for side in SIDES:
             conns[side].send(jobs)
         for c, k in enumerate(kept):
-            for side in SIDES if (r + c) % 2 == 0 else SIDES[::-1]:
+            for side in ORDERS[(r + c) % len(ORDERS)]:
                 build_s, sample_s = ask(conns[side], ("case", k))
                 builds[(c, side)].append(build_s)
                 samples[(c, side)].append(sample_s)
         for j in range(len(jobs)):
-            for side in SIDES if (r + j) % 2 == 0 else SIDES[::-1]:
+            for side in ORDERS[(r + j) % len(ORDERS)]:
                 best, answer = ask(conns[side], ("job", j))
                 times[(j, side)].append(best)
                 answers.setdefault((j, side), answer)
@@ -227,8 +237,9 @@ def compare(jobs, points, cases, times, builds, samples, answers):
         part = [j for j, job in enumerate(jobs) if (job[2] is None) == whole]
         for check in sorted({jobs[j][1] for j in part}):
             mine = [j for j in part if jobs[j][1] == check]
-            old, new = (1e3 * statistics.mean(median[(j, side)] for j in mine)
-                        for side in SIDES)
+            old, new, again = (1e3 * statistics.mean(median[(j, side)]
+                                                     for j in mine)
+                               for side in SIDES)
             differ = sum(answers[(j, "old")][0] != answers[(j, "new")][0]
                          for j in mine)
             mismatches += differ
@@ -237,18 +248,19 @@ def compare(jobs, points, cases, times, builds, samples, answers):
             verdicts = (f"{differ} VERDICTS DIFFER" if differ
                         else "verdicts agree")
             print(f"{check:18s} ms/{unit:6s} old {old:8.3f}  new {new:8.3f}  "
-                  f"new/old {new / old:.3f}  new won {wins(times, mine)}  "
+                  f"{ratios(old, new, again, times, mine)}  "
                   f"{verdicts}  max_residual moved {moved:.2g}")
-        old, new = (sum(points[j] for j in part)
-                    / sum(median[(j, side)] for j in part) for side in SIDES)
-        print(f"points/s old {old:.0f}  new {new:.0f}  new/old "
-              f"{new / old:.3f}  new won {wins(times, part)}")
+        old, new, again = (sum(points[j] for j in part)
+                           / sum(median[(j, side)] for j in part)
+                           for side in SIDES)
+        print(f"points/s old {old:.0f}  new {new:.0f}  "
+              f"{ratios(old, new, again, times, part)}")
     for name, spent in (("build", builds), ("sample", samples)):
-        old, new = (1e3 * statistics.mean(statistics.median(spent[(c, side)])
-                                          for c in range(cases))
-                    for side in SIDES)
-        print(f"{name} ms/case old {old:.3f}  new {new:.3f}  new/old "
-              f"{new / old:.3f}  new won {wins(spent, range(cases))}")
+        old, new, again = (1e3 * statistics.mean(
+            statistics.median(spent[(c, side)]) for c in range(cases))
+            for side in SIDES)
+        print(f"{name} ms/case old {old:.3f}  new {new:.3f}  "
+              f"{ratios(old, new, again, spent, range(cases))}")
     return 1 if mismatches else 0
 
 
@@ -269,10 +281,18 @@ def relative_change(old, new):
     return abs(new - old) / abs(old) if old else float("inf")
 
 
-def wins(times, jobs):
-    """"k of ROUNDS": the rounds in which NEW's summed time over ``jobs``
-    was below OLD's."""
-    won = sum(sum(times[(j, "new")][r] for j in jobs)
+def ratios(old, new, again, times, jobs):
+    """NEW/OLD and the rounds NEW won, then the A/A control's OLD'/OLD and
+    the rounds OLD' won, of one line's figures (ms or points/s) and jobs."""
+    return (f"new/old {new / old:.3f}  new won {wins(times, jobs, 'new')}  "
+            f"old'/old {again / old:.3f}  old' won "
+            f"{wins(times, jobs, SIDES[2])}")
+
+
+def wins(times, jobs, side):
+    """"k of ROUNDS": the rounds in which ``side``'s summed time over
+    ``jobs`` was below OLD's."""
+    won = sum(sum(times[(j, side)][r] for j in jobs)
               < sum(times[(j, "old")][r] for j in jobs) for r in range(ROUNDS))
     return f"{won} of {ROUNDS}"
 

@@ -2,8 +2,8 @@
 
     python3 tools/config_schema.py
 
-The schema is generated, never edited by hand; tests/test_cli.py fails when
-the committed file differs from this output.
+The schema is generated, never edited by hand; tests/test_config_schema.py
+fails when the committed file differs from this output.
 """
 
 import json
