@@ -41,7 +41,6 @@ __all__ = [
     "vecdot",
     "outer",
     "transpose",
-    "block",
     "constant",
     "BLOCK_ELEMENTS",
 ]
@@ -119,29 +118,6 @@ def _last_axes(ndim, axes):
     """The axis order of :func:`transpose` on ``ndim`` axes."""
     lead = ndim - len(axes)
     return tuple(range(lead)) + tuple(lead + a for a in axes)
-
-
-def block(rows):
-    """``np.block`` of a nested list of array blocks on the last two axes.
-
-    The blocks' leading batch axes broadcast, and the result takes their
-    common dtype, complex if any block is.  Blocks are written into one
-    preallocated array.
-    """
-    parts = [x for row in rows for x in row]
-    leads = {x.shape[:-2] for x in parts} - {()}
-    lead = leads.pop() if len(leads) == 1 else np.broadcast_shapes(*leads)
-    heights = [row[0].shape[-2] for row in rows]
-    widths = [x.shape[-1] for x in rows[0]]
-    out = np.empty(lead + (sum(heights), sum(widths)), np.result_type(*parts))
-    top = 0
-    for row, h in zip(rows, heights):
-        left = 0
-        for x, w in zip(row, widths):
-            out[..., top:top + h, left:left + w] = x
-            left += w
-        top += h
-    return out
 
 
 @cache

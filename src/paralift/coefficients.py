@@ -18,7 +18,10 @@ A :class:`Program` compiles a tuple of families once into a flat list of
 their unique nodes, children first, so a subtree that several families share
 (b1 inside d1 and d2) is computed once per pass, and a pass returns one
 array with a row per family.  At its first call the steps become one
-straight-line Python function of t, which evaluates values on a real t.  A
+straight-line Python function of t, which evaluates values on a real t:
+every step, constant ones included, is one statement on arrays of t's
+shape, so one arithmetic computes every number and an array type that
+implements numpy's ufuncs runs each step.  A
 complex-stepped t (see :mod:`paralift.ad`) takes one chain-rule step,
 c(t) -> c(Re t) + i c'(Re t) Im t, with f and f' from one pass of a second
 program over the families and their derivative trees (Griewank & Walther,
@@ -57,15 +60,14 @@ VANISHING_TOL = 1e-8
 # Halvings of a grid cell that bracket a minimum of |f|: 2/63 / 2**40 ~ 3e-14.
 _BISECTIONS = 40
 
-# The inner nodes: print format over the children's formulas, Python
-# expression over their step names (bare names, which parse fastest), and the
-# same operation on floats, for steps folded at compile time.
+# The inner nodes: print format over the children's formulas, and Python
+# expression over their step names (bare names, which parse fastest).
 _INNER = {
-    "+": ("({} + {})", "{} + {}", float.__add__),
-    "-": ("({} - {})", "{} - {}", float.__sub__),
-    "*": ("({})*({})", "{} * {}", float.__mul__),
-    "/": ("({})/({})", "{} / {}", float.__truediv__),
-    "neg": ("-({})", "-{}", float.__neg__),
+    "+": ("({} + {})", "{} + {}"),
+    "-": ("({} - {})", "{} - {}"),
+    "*": ("({})*({})", "{} * {}"),
+    "/": ("({})/({})", "{} / {}"),
+    "neg": ("-({})", "-{}"),
 }
 
 
@@ -207,55 +209,16 @@ class Program:
         return np.array(self._function(t))
 
     @cached_property
-    def _constants(self):
-        """Step index -> float, for each step whose inputs are all constant:
-        the value every entry of its array takes at any finite t.  A "const"
-        leaf c is c + 0 t = c + 0.0, an inner step the same float operation
-        on its children's values (IEEE arithmetic, as numpy's).  Left out, so
-        computed at run time: a -0.0 leaf (-0.0 + 0 t takes the sign of 0 t),
-        a division by zero and a value that is not finite."""
-        folded = {}
-        for i, (op, a) in enumerate(self.steps):
-            if op == "const" and (a[0] != 0.0 or math.copysign(1.0, a[0]) > 0):
-                value = a[0] + 0.0
-            elif (op in _INNER and all(j in folded for j in a)
-                  and not (op == "/" and folded[a[1]] == 0.0)):
-                value = _INNER[op][2](*(folded[j] for j in a))
-            else:
-                continue
-            if math.isfinite(value):
-                folded[i] = value
-        return folded
-
-    @cached_property
     def _function(self):
         """The steps as one straight-line function of a plain t, compiled at
-        first use: step i assigns s{i}; "const" and "poly" run Horner's rule
-        from 0 t.  The :attr:`_constants` steps are folded: later steps read
-        them as numbers, and an output, or both inputs of a step left to run
-        time, as an array of t's shape with those entries.  Numbers print by
-        ``repr``, which round-trips a float."""
-        folded = self._constants
-
-        def ref(j, array):
-            if j not in folded:
-                return f"s{j}"
-            v = folded[j]
-            if not array:
-                return repr(v)
-            # v + 0 t is v at every finite t but for v = -0.0, which is
-            # -(0.0 + 0 t) there
-            return ("-(0.0 + zero)" if v == 0.0 and math.copysign(1.0, v) < 0
-                    else f"({v!r} + zero)")
-
+        first use: step i is one statement, assigning s{i} an array of t's
+        shape; "const" and "poly" run Horner's rule from 0 t.  Numbers print
+        by ``repr``, which round-trips a float."""
         lines = ["zero = 0.0 * t"]
         for i, (op, a) in enumerate(self.steps):
-            if i in folded:
-                continue
             if op in _INNER:
-                array = all(j in folded for j in a)
                 lines.append(f"s{i} = " + _INNER[op][1].format(
-                    *(ref(j, array) for j in a)))
+                    *(f"s{j}" for j in a)))
             elif op == "exp":
                 lines.append(f"s{i} = {a[0]!r} * exp({a[1]!r} * t)")
             elif op == "t":
@@ -264,7 +227,7 @@ class Program:
                 lines.append(f"s{i} = {a[-1]!r} + zero")
                 lines.extend(f"s{i} = s{i} * t + {c!r}"
                              for c in reversed(a[:-1]))
-        outputs = "".join(ref(i, True) + ", " for i in self.outputs)
+        outputs = "".join(f"s{i}, " for i in self.outputs)
         lines.append(f"return ({outputs})")
         source = "def program(t):" + "".join(f"\n    {x}" for x in lines)
         scope = {"exp": np.exp, "inf": math.inf, "nan": math.nan}

@@ -62,17 +62,17 @@ that reads no lanes.
 The coordinate P and Omega build each n x n block as a contiguous array and
 copy it into its slot of one 2n x 2n output: a ufunc writing straight into
 a slot (``out=``) costs more than the contiguous operation and the copy
-together, since a slot's rows are apart.  Only P_adapted and G_adapted,
-which no check calls, and Cruceanu's P assemble whole matrices with
-:func:`paralift.ad.block`.  On a stepped point the output takes 16 (2n)^3
-bytes a point.  P builds P1 and P2 one at a time (:func:`_block`, the
-formula :func:`_blocks` applies to a whole stack), takes the output once
-both exist and drops them as they are copied, and -gb2^T and -M^T negate
-their blocks in place; in that order glibc's malloc keeps its heap from
-one derivative check to the next at n = 16, where it otherwise hands it
-back and faults it in again on every call (ROADMAP item 8).  The (P1, P2)
-stack in their place, one array of twice a block, brought those faults
-back: about 500 a call of integrability at n = 16.
+together, since a slot's rows are apart.  P_adapted and G_adapted, which
+no check calls, and Cruceanu's coordinate P write their blocks into the
+slots too, zero blocks included (:func:`_matrix`).  On a stepped point the
+output takes 16 (2n)^3 bytes a point.  P builds P1 and P2 one at a time
+(:func:`_block`, the formula :func:`_blocks` applies to a whole stack),
+takes the output once both exist and drops them as they are copied, and
+-gb2^T and -M^T negate their blocks in place; in that order glibc's malloc
+keeps its heap from one derivative check to the next at n = 16, where it
+otherwise hands it back and faults it in again on every call (ROADMAP
+item 8).  The (P1, P2) stack in their place, one array of twice a block,
+brought those faults back: about 500 a call of integrability at n = 16.
 
 Coordinate components substitute delta_i = d/dq^i + Gamma0_ih d/dp_h once,
 on the n x n blocks.  For adapted P = [[A, B2], [C, D]] (A = D = 0 but for
@@ -203,8 +203,7 @@ def _p_matrix(ls, pt):
         return np.broadcast_to(np.diag([-1.0] * n + [1.0] * n),
                                np.shape(pt.q)[:-1] + (2 * n, 2 * n))
     p1, p2 = _adapted_blocks(ls, pt, "P")
-    zero = ad.constant(np.zeros, (n, n))
-    return ad.block([[zero, p2], [p1, zero]])
+    return _matrix(pt, 0.0, p2, p1, 0.0)
 
 
 def P_adapted(ls, pt):
@@ -222,13 +221,22 @@ def _slots(pt):
                  out[..., n:, :n], out[..., n:, n:])
 
 
+def _matrix(pt, *blocks):
+    """The 2n x 2n matrix at ``pt`` of its (qq, qp, pq, pp) ``blocks``, each
+    written into its slot of :func:`_slots`."""
+    out, slots = _slots(pt)
+    for slot, block in zip(slots, blocks):
+        slot[...] = block
+    return out
+
+
 def _p_coordinate(ls, pt, slack=0.0):
     """Coordinate-frame P at the real or complex chart point ``pt``, blockwise:
     each block is built, then written into its slot (module doc)."""
     n, gamma0 = ls.m.n, pt.Gamma0
     if ls.spec is None:  # Cruceanu's P: A = -I, D = I, B2 = C = 0
-        eye, zero = ad.constant(np.eye, n), ad.constant(np.zeros, (n, n))
-        return ad.block([[-eye, zero], [-gamma0 - gamma0, eye]])
+        eye = ad.constant(np.eye, n)
+        return _matrix(pt, -eye, 0.0, -gamma0 - gamma0, eye)
     coeffs = _coefficients(ls, pt, "P", slack)
     c = _block(coeffs[0] * pt.phi, coeffs[1], pt.p)
     b2 = _block(coeffs[2] * (1.0 / pt.phi), coeffs[3], pt.g0)
@@ -256,9 +264,9 @@ def G_adapted(ls, pt):
     """Adapted-frame matrix of G at ``pt``, read on ``ls.m``; symmetric block
     diagonal."""
     _require_metric(ls)
-    g1, g2 = _adapted_blocks(ls, on_chart(ls.m, pt), "G")
-    zero = ad.constant(np.zeros, (ls.m.n, ls.m.n))
-    return ad.block([[g1, zero], [zero, g2]])
+    pt = on_chart(ls.m, pt)
+    g1, g2 = _adapted_blocks(ls, pt, "G")
+    return _matrix(pt, g1, 0.0, 0.0, g2)
 
 
 def _omega_coordinate(ls, pt, slack=0.0):

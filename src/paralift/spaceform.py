@@ -19,8 +19,8 @@ caller, :func:`curvature_at` and :func:`space_form_residual` from x, and a
 check reads them off a sample's stepped chart point instead.
 Finite differences appear only in the independent test oracles.  A chart's
 domain is fixed when it is built (:func:`chart_problems`): on its closed
-ball 1 + (c/4)|x|^2 and the perturbed model's 1 + eps x_0 stay positive,
-so a point is tested against the radius alone.
+ball 1 + (c/4)|x|^2 and the perturbed model's 1 + eps x_0 stay positive
+and 1/phi stays finite, so a point is tested against the radius alone.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ CHART_RULES = dict(
     overflow="chart_radius: its square overflows a float",
     radius="chart_radius: the chart ball reaches the conformal singularity",
     perturbed="strength: the chart ball reaches a zero of 1 + strength x_0",
+    factor="chart_radius: 1/phi overflows a float on the chart ball",
 )
 
 
@@ -93,7 +94,10 @@ def chart_problems(n, c, model, chart_radius, strength=0.0):
     range, else those of :data:`CHART_RULES` it breaks.  On the closed ball
     |x|^2 <= edge that :func:`_require_in_chart` admits, 1 + (c/4)|x|^2 for
     c < 0 is least at |x|^2 = edge (rounding is monotone) and x_0 is at most
-    the float after sqrt(edge); each is tested as it is evaluated."""
+    the float after sqrt(edge); each is tested as it is evaluated.  phi is
+    least where s = 1 / (1 + (c/4)|x|^2) is, at |x|^2 = edge for c > 0 and
+    at 0 otherwise, and where 1 + eps x_0 is: 1/phi there bounds it on the
+    ball, in :func:`_factor`'s arithmetic."""
     if not (n >= 2 and 0.0 < chart_radius < math.inf
             and math.isfinite(c) and math.isfinite(strength)):
         return ["needs n >= 2, finite c and strength, and a finite positive "
@@ -109,6 +113,12 @@ def chart_problems(n, c, model, chart_radius, strength=0.0):
     if (model is ChartModel.PERTURBED_CONFORMAL
             and not 1.0 - abs(strength) * x0 > 0.0):
         problems.append(CHART_RULES["perturbed"])
+    if not problems:
+        s = 1.0 / (1.0 + 0.25 * c * (edge if c > 0.0 else 0.0))
+        phi = s * s * (1.0 - abs(strength) * x0
+                       if model is ChartModel.PERTURBED_CONFORMAL else 1.0)
+        if not (phi > 0.0 and 1.0 / phi < math.inf):
+            problems.append(CHART_RULES["factor"])
     return problems
 
 

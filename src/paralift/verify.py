@@ -111,8 +111,9 @@ def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0):
     """Deterministic sample of phase points for the checkers.
 
     q is uniform in the ball |q| <= CHART_FRACTION * chart_radius, p uniform
-    in |p| <= p_max; draws with energy density above t_max are rejected and
-    redrawn, and a :class:`RangeError` ends a search that draws too many.
+    in |p| <= p_max; draws whose energy density is not at most t_max (above
+    it, overflowing or NaN) are rejected and redrawn, and a
+    :class:`RangeError` ends a search that draws too many.
     The first point always carries p = 0, since several coefficient
     formulas have removable behavior at t = 0 that deserves coverage.  Each
     draw is tested in float arithmetic; the accepted ones are built as one
@@ -123,18 +124,18 @@ def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0):
     qs, ps = [], []
     attempts = 0
     limit = max(1000, 400 * count)
-    while len(qs) < count:
-        attempts += 1
-        if attempts > limit:
-            raise RangeError(
-                f"sampler starved: {len(qs)} of {count} points after "
-                f"{attempts} draws (t_max = {t_max:g} too tight?)")
-        q = _ball(rng, m.n, radius)
-        p = np.zeros(m.n) if not qs else _ball(rng, m.n, p_max)
-        if energy_density(m, q, p) > t_max:
-            continue
-        qs.append(q)
-        ps.append(p)
+    with np.errstate(over="ignore"):  # an overflowing t is past t_max
+        while len(qs) < count:
+            attempts += 1
+            if attempts > limit:
+                raise RangeError(
+                    f"sampler starved: {len(qs)} of {count} points after "
+                    f"{attempts} draws (t_max = {t_max:g} too tight?)")
+            q = _ball(rng, m.n, radius)
+            p = np.zeros(m.n) if not qs else _ball(rng, m.n, p_max)
+            if energy_density(m, q, p) <= t_max:  # a NaN t is not
+                qs.append(q)
+                ps.append(p)
     batch = make_point(m, qs, ps) if qs else stack_points(())
     points = tuple(take_points(batch, i) for i in range(len(qs)))
     return PhaseSample(points, seed, batch)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -473,6 +474,46 @@ def test_singular_or_overflowing_chart_exit_2(tmp_path, capsys, manifold,
         assert capsys.readouterr().err == (
             f"config error: {PARSER_ONLY[rule]}\n")
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("radius", [1e100, 1e80])
+def test_chart_where_inverse_phi_overflows_exit_2(tmp_path, capsys, radius):
+    # at c = +1, phi = 1/(1 + |x|^2/4)^2 underflows far out on such a ball:
+    # the p = 0 draw once had t = 0 inf = NaN, which the sampler's test
+    # t > t_max let through, and every check failed at nan (exit 1) after
+    # numpy's divide warnings
+    doc = small(checks=["almost_product", "compatibility", "integrability"])
+    doc["manifold"]["chart_radius"] = radius
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for count in (1, 5):
+            for seed in range(1, 6):
+                assert main(["verify", str(path), "--seed", str(seed),
+                             "--samples", str(count),
+                             "--out", str(tmp_path / "r.json")]) == 2
+                assert capsys.readouterr().err == (
+                    f"config error: {PARSER_ONLY['factor']}\n")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_overflowing_energy_density_is_rejected_quietly(tmp_path, capsys):
+    # with p_max = 1e200 every draw past the first (p = 0) has a t that
+    # overflows: past t_max, with no numpy overflow warning
+    doc = small(count=5, checks=["almost_product"])
+    doc["sampling"]["p_max"] = 1e200
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", str(path), "--out",
+                     str(tmp_path / "r.json")]) == 2
+        assert "sampler starved: 1 of 5 points" in capsys.readouterr().err
+        assert main(["verify", str(path), "--samples", "1", "--out",
+                     str(tmp_path / "r.json")]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_boolean_epsilon_exit_2(tmp_path, capsys):

@@ -545,9 +545,9 @@ def test_program_numbers_round_trip_bitwise():
             assert _same_bits(value, reference_walk(fam, t)), fam.description
 
 
-def test_constant_subtrees_fold_bitwise_at_every_finite_t():
-    # folded steps, the ones left to run time (a -0.0 leaf, a division by
-    # zero, an overflow) and constant outputs evaluate as the tree does, at
+def test_constant_subtrees_evaluate_bitwise_at_every_finite_t():
+    # all-constant steps (a -0.0 leaf, a division by zero and an overflow
+    # among them) and constant outputs evaluate as the tree does, at
     # negative, signed-zero and positive t
     from paralift.coefficients import Program, _t
 
@@ -560,7 +560,6 @@ def test_constant_subtrees_fold_bitwise_at_every_finite_t():
                 exponential(0.5, third.args[0]) / (1.0 + third)]
     t = np.array([-3.5, -1e-300, -0.0, 0.0, 1e-300, 0.3, 2.0, 7.5e200])
     program = Program(families)
-    assert len(program._constants) < len(program.steps)
     with np.errstate(all="ignore"):
         for point in (t, *t):
             for fam, value in zip(families, program(point)):
@@ -569,14 +568,52 @@ def test_constant_subtrees_fold_bitwise_at_every_finite_t():
                     fam.description, point)
 
 
-def test_a_specs_constant_steps_are_folded():
-    # high_dim_para_kahler's spec: a1 = 1 on the c = 1 ball, lambda = 1 + t
+def test_a_specs_programs_keep_their_step_counts():
+    # high_dim_para_kahler's spec: a1 = 1 on the c = 1 ball, lambda = 1 + t;
+    # shared subtrees and equal leaves are one step each
     spec = with_metric(integrable_spec(constant(1.0), curvature=1.0),
                        affine(1.0, 1.0))
-    for program, folded, steps in ((spec.program("P"), 9, 17),
-                                   (spec.program("PG"), 12, 31),
-                                   (spec.program("P").with_derivatives, 13, 23)):
-        assert (len(program._constants), len(program.steps)) == (folded, steps)
+    for program, steps in ((spec.program("P"), 17), (spec.program("PG"), 31),
+                           (spec.program("P").with_derivatives, 23)):
+        assert len(program.steps) == steps
+
+
+class _Recording(np.ndarray):
+    """An ndarray that logs each ufunc applied to it, as an array type of
+    its own arithmetic would see them, and computes as a plain array."""
+
+    log = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _Recording.log.append(ufunc)
+        plain = [x.view(np.ndarray) if isinstance(x, _Recording) else x
+                 for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs).view(_Recording)
+
+
+_STEP_UFUNCS = {"+": [np.add], "-": [np.subtract], "*": [np.multiply],
+                "/": [np.divide], "neg": [np.negative], "t": [],
+                "exp": [np.multiply, np.exp, np.multiply]}
+
+
+def test_every_step_runs_on_t_s_array_type(monkeypatch):
+    # each step of a program, constant ones included, is one statement on
+    # t's arrays, in step order: a "const" or "poly" leaf is Horner's rule
+    # from 0 t, the rest one ufunc each; an array type that implements the
+    # ufuncs sees them all, and its rows are the float run's bitwise
+    spec = with_metric(integrable_spec(constant(1.0), curvature=1.0),
+                       affine(1.0, 1.0))
+    t = np.array([0.0, 0.3, 1.9])
+    for program in (spec.program("PG"), spec.program("P").with_derivatives):
+        want = [np.multiply]  # 0 t
+        for op, args in program.steps:
+            horner = [np.add] + [np.multiply, np.add] * (len(args) - 1)
+            want += _STEP_UFUNCS.get(op, horner)
+        monkeypatch.setattr(_Recording, "log", [])
+        rows = program._function(t.view(_Recording))
+        assert _Recording.log == want
+        assert all(type(row) is _Recording for row in rows)
+        assert _same_bits(np.array(rows), program(t))
 
 
 def test_guards_sample_all_families_as_each_alone():

@@ -101,6 +101,7 @@ RULE_EDITS = {
     "overflow": _edit("manifold", chart_radius=1e200),
     "radius": _edit("manifold", c=-5.0),
     "perturbed": _edit("manifold", model="perturbed_conformal", strength=-2.0),
+    "factor": _edit("manifold", chart_radius=1e100),
     "family": lambda doc: doc["coefficients"].update(family=FAMILY),
     "cruceanu": _edit("coefficients", kind="cruceanu_q"),  # a1 is not read
     "family_b1": _family(integrability=True),

@@ -46,6 +46,7 @@ from paralift.verify import (
 )
 from frame_reference import (
     Omega_adapted,
+    block,
     frame_matrices,
     liouville,
     omega_coordinate_dense,
@@ -531,6 +532,20 @@ def _bits(a):
     """dtype, shape and bytes of an array or scalar: bitwise identity."""
     a = np.asarray(a)
     return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
+
+
+def test_reference_block_matches_np_block_bitwise(rng):
+    # the dense assembly the block readings are compared with: batch axes
+    # broadcast and the result takes the blocks' common dtype
+    a = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    c = rng.standard_normal((3, 3))  # broadcasts against a's batch
+    got = block([[np.eye(3), a], [-c, np.zeros((3, 3))]])
+    want = np.block([[np.broadcast_to(np.eye(3), a.shape), a],
+                     [np.broadcast_to(-c, a.shape), np.zeros(a.shape)]])
+    assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
+    plain = [[np.eye(2), np.ones((2, 3))], [np.zeros((1, 2)), np.ones((1, 3))]]
+    got = block(plain)
+    assert got.dtype == np.float64 and np.array_equal(got, np.block(plain))
 
 
 @pytest.mark.parametrize("epsilon", [-1, 1])

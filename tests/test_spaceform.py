@@ -105,10 +105,29 @@ def _first_radius_reaching(edge):
     return r
 
 
+def _least_edge_of_overflowing_inverse_phi():
+    """The least |x|^2 at which 1/phi of the c = +1 ball overflows, in
+    numpy's arithmetic: a bisection over the bits of positive floats, which
+    order as their values do."""
+    def overflows(bits):
+        r2 = np.int64(bits).view(np.float64)
+        with np.errstate(over="ignore", divide="ignore"):
+            s = 1.0 / (1.0 + 0.25 * r2)
+            return 1.0 / (s * s) == np.inf
+
+    lo, hi = (int(np.float64(x).view(np.int64)) for x in (1.0, 1e300))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if overflows(mid) else (mid, hi)
+    return float(np.int64(hi).view(np.float64))
+
+
 def _boundary_charts():
     """(accepted, refused) charts on either side of the rules that keep the
-    conformal denominator and the perturbation factor positive."""
+    conformal denominator and the perturbation factor positive and 1/phi
+    finite."""
     at = _first_radius_reaching(4.0)  # c = -1: -4/c = 4, exact in floats
+    huge = _first_radius_reaching(_least_edge_of_overflowing_inverse_phi())
     third = math.sqrt(4.0 / 3.0 * (1.0 - 1e-14) / (1.0 + _DOMAIN_SLACK))
     x0 = math.sqrt(1.0 + _DOMAIN_SLACK)  # the closed ball's reach at R = 1
     pairs = [
@@ -116,6 +135,12 @@ def _boundary_charts():
          lambda: conformal_ball(3, -1.0, at)),
         (conformal_ball(3, -3.0, third),
          lambda: conformal_ball(3, -3.0, _first_radius_reaching(4.0 / 3.0))),
+        (conformal_ball(3, 1.0, math.nextafter(huge, 0.0)),
+         lambda: conformal_ball(3, 1.0, huge)),
+        # the perturbation factor near 0 takes 1/phi past the float range
+        (perturbed_conformal(3, 1.0, 0.5e-77, chart_radius=1e77),
+         lambda: perturbed_conformal(3, 1.0, (1.0 - 1e-12) / 1e77 / x0,
+                                     chart_radius=1e77)),
     ]
     for sign in (1.0, -1.0):
         pairs += [
@@ -135,7 +160,8 @@ def test_chart_domain_is_refused_on_the_far_side_of_each_rule():
             refused()
     # the closed ball reaches -4/c though R^2 alone falls short of it
     assert _first_radius_reaching(4.0) ** 2 < 4.0
-    conformal_ball(3, 1.0, 1.3e154)  # R^2 (1 + slack) is a float
+    flat_space(3, 1.3e154)  # R^2 (1 + slack) is a float
+    assert 2.3e77 < _boundary_charts()[2][0].chart_radius < 2.4e77
     for radius in (math.nan, math.inf, 1.5e154):
         for make in (flat_space, lambda n, r: conformal_ball(n, -1.0, r)):
             with pytest.raises(ValueError):

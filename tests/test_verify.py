@@ -581,6 +581,22 @@ def test_the_metric_check_sets_name_the_checks_that_refuse():
     assert metric == para | {"compatibility", "metric_signature"}
 
 
+def test_the_benchmark_skips_the_checks_the_table_marks(monkeypatch):
+    """The benchmark's probes keep their own tuples of the checks that need
+    a metric and an eps = -1 spec; they name the checks of each ``spec``
+    column value, so a benchmark case skips what the CLI refuses."""
+    import importlib
+    from pathlib import Path
+
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    probes = importlib.import_module("probes")
+    for names, spec in ((probes._METRIC_CHECKS, "metric"),
+                        (probes._FORM_CHECKS, "para_hermitian")):
+        assert sorted(names) == sorted(
+            name for name in CHECK_NAMES if CHECKS[name].spec == spec)
+
+
 ORBIT_MODELS = {
     "ball+1": lambda n: conformal_ball(n, 1.0),
     "ball-1": lambda n: conformal_ball(n, -1.0),
