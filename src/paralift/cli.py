@@ -25,6 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import (
+    FIELDS,
     PARSER_ONLY,
     build_structure,
     parse_config,
@@ -201,8 +202,8 @@ def _parse_tol_overrides(entries, problems):
 
 def _presets():
     print("scalar presets (usable for a1, b1, lambda, mu, family.u):")
-    for name, (_, params) in sorted(SCALAR_PRESETS.items()):
-        print(f"  {name}: params {list(params)}")
+    for name in sorted(SCALAR_PRESETS):
+        print(f"  {name}: params {[f.name for f in FIELDS[name]]}")
     print()
     print("coefficient families:")
     print("  rational: params ['alpha', 'beta', 'u'];"

@@ -259,12 +259,9 @@ def polynomial(coeffs):
 _t = ScalarFamily("t")
 _ZERO = constant(0.0)
 
-SCALAR_PRESETS = {
-    "constant": (constant, ("value",)),
-    "affine": (affine, ("intercept", "slope")),
-    "exponential": (exponential, ("amplitude", "rate")),
-    "polynomial": (polynomial, ("coeffs",)),
-}
+# The config's scalar presets by name; config.FIELDS holds their parameters.
+SCALAR_PRESETS = {"constant": constant, "affine": affine,
+                  "exponential": exponential, "polynomial": polynomial}
 
 
 _PROGRAMS = {"P": "a1 b1 a2 b2", "G": "c1 d1 c2 d2",
@@ -372,7 +369,7 @@ def _nonvanishing(ts, values, what, t_max):
         raise DegenerateCoefficient(
             f"{what} vanishes near t = {ts[small[0]]:.6g} on [0, {t_max:g}]")
     grid = values[:GRID_SIZE]
-    flips = np.flatnonzero(grid[:-1] * grid[1:] < 0.0)
+    flips = np.flatnonzero(np.sign(grid[:-1]) != np.sign(grid[1:]))
     if flips.size:
         i = flips[0]
         raise DegenerateCoefficient(
@@ -441,6 +438,9 @@ def rational_spec(alpha, beta, u, *, curvature=0.0, epsilon=-1, t_max=2.0):
     alpha, beta = float(alpha), float(beta)
     if alpha == 0.0 or beta == 0.0:
         raise ValueError("alpha and beta must be nonzero")
+    if alpha * beta == 0.0:
+        raise DegenerateCoefficient(f"alpha beta = {alpha:g} * {beta:g} "
+                                    "underflows to 0")
     a1 = constant(1.0 / beta)
     b1 = u * (1.0 / (alpha * beta))
     a2 = constant(beta)

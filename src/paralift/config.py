@@ -1,16 +1,16 @@
 """Run configuration: one table of field rules, its parser and its schema.
 
-``FIELDS`` declares each config field once.  ``parse_config`` walks it, adds
-the cross-field rules whose problem lines ``PARSER_ONLY`` holds, and lists
-every problem, not just the first.  ``schemas/config.schema.json`` is the
-output of :func:`config_schema`, never edited by hand: regenerate it with
-``python3 tools/config_schema.py``.  The builders make the geometric objects.
+``FIELDS`` declares each config field once, scalar-preset parameters
+included.  ``parse_config`` walks it, adds the cross-field rules whose
+problem lines ``PARSER_ONLY`` holds, and lists every problem, not just the
+first.  ``schemas/config.schema.json`` is the output of
+:func:`config_schema`, never edited by hand: regenerate it with ``python3
+tools/config_schema.py``.  The builders make the geometric objects.
 """
 
 from __future__ import annotations
 
 import copy
-import inspect
 from dataclasses import dataclass, replace
 from functools import partial
 from sys import float_info
@@ -26,10 +26,11 @@ from .verify import CHECK_NAMES, CHECKS
 class Field:
     """One config field, as the parser and the schema both read it: ``type``
     is a JSON type, "enum" (of ``values``), "scalar" (a preset or one of
-    ``values``), "list" (of ``values``) or "object" (the section at its path).
-    A bad value is noted as "expected <type>", for an enum "unknown <name>
-    ...", or ``problem``, and ``default`` is kept.  Absent, the field is the
-    problem ``required`` if set; ``nullable`` reads null as absent."""
+    ``values``), "list" (nonempty, each item read by the row ``item``) or
+    "object" (the section at its path).  A bad value is noted as "expected
+    <type>", for an enum "unknown <name> ...", or ``problem``, and
+    ``default`` is kept.  Absent, the field is the problem ``required`` if
+    set; ``nullable`` reads null as absent."""
 
     name: str
     type: str
@@ -41,6 +42,7 @@ class Field:
     problem: str | None = None
     required: str | None = None
     nullable: bool = False
+    item: Field | None = None
 
 
 # The Python types of the JSON types a row may hold.
@@ -54,19 +56,23 @@ _SIGNS = {
                     {"minimum": 0}),
 }
 _MISSING = "required section missing"
+_CHECKS = "required nonempty list of check names"
 _ONLY_RATIONAL = "the only built-in family is 'rational'"
 _NUMBER = Field("number", "number")
 _TOLERANCE = Field("tolerance", "number", sign="nonnegative")
 _CHECK = Field("check", "enum", values=tuple(sorted(CHECK_NAMES)))
+_PRESET = Field("preset", "enum", values=tuple(sorted(co.SCALAR_PRESETS)))
+_PARAMETER = "required parameter"
 
-# Every config field, by the path of its section ("" is the document).
+# Every config field, by the path of its section ("" is the document), and
+# every parameter of a scalar preset, by the preset's name.
 FIELDS = {
     "": (
         Field("manifold", "object", required=_MISSING, nullable=True),
         Field("coefficients", "object", required=_MISSING, nullable=True),
         Field("sampling", "object", nullable=True),
-        Field("checks", "list", values=_CHECK.values,
-              required="required nonempty list of check names"),
+        Field("checks", "list", (), item=_CHECK, problem=_CHECKS,
+              required=_CHECKS),
         Field("tolerances", "object", nullable=True,
               problem="expected an object of check -> number"),
         Field("output", "string", nullable=True,
@@ -117,12 +123,23 @@ FIELDS = {
         Field("p_max", "number", 2.0, sign="positive"),
     ),
     "tolerances": tuple(replace(_TOLERANCE, name=n) for n in CHECK_NAMES),
+    # The factories' arguments, with their defaults.
+    "constant": (Field("value", "number", required=_PARAMETER),),
+    "affine": tuple(Field(name, "number", required=_PARAMETER)
+                    for name in ("intercept", "slope")),
+    "exponential": (Field("amplitude", "number", 1.0),
+                    Field("rate", "number", 1.0)),
+    "polynomial": (Field("coeffs", "list", item=_NUMBER, required=_PARAMETER,
+                         problem="expected a nonempty list of numbers"),),
 }
 _ROWS = {(path, f.name): f for path, rows in FIELDS.items() for f in rows}
 # Sections read in document order, noting an unknown key with this problem.
 _IN_PLACE = {"coefficients.derive": "unknown flag; valid: "
              f"{sorted(f.name for f in FIELDS['coefficients.derive'])}",
              "tolerances": "unknown check name"}
+# Presets note an unknown parameter with this problem.
+_UNKNOWN = {name: f"unknown parameter for preset {name!r} (takes "
+            f"{[f.name for f in FIELDS[name]]})" for name in co.SCALAR_PRESETS}
 
 # The problem lines of the rules the parser alone enforces, "{}" standing
 # for a path or value; the schema's $comment lists them.
@@ -183,7 +200,8 @@ def parse_config(document):
         "lambda": partial(_metric_rule, key="lambda"),
         "mu": partial(_metric_rule, key="mu")})
     sampling = _field(document, "", "sampling", problems)
-    checks = _parse_checks(document.get("checks"), coefficients, problems)
+    checks = _parse_checks(_field(document, "", "checks", problems),
+                           coefficients, problems)
     tolerances = _field(document, "", "tolerances", problems)
     output = _field(document, "", "output", problems)
     if output == "":
@@ -194,10 +212,12 @@ def parse_config(document):
                      output)
 
 
-def _field(section, path, name, problems, rules=None, missing=None):
-    """Field ``name`` of the section at ``path`` by its row; when absent, the
-    row's default, after the problem ``missing`` or the row's ``required``."""
-    f, where = _ROWS[path, name], f"{path}.{name}".lstrip(".")
+def _field(section, path, name, problems, rules=None, missing=None,
+           table=None):
+    """Field ``name`` of the section at ``path`` by its row in ``FIELDS[table
+    or path]``; when absent, the row's default, after the problem ``missing``
+    or the row's ``required``."""
+    f, where = _ROWS[table or path, name], f"{path}.{name}".lstrip(".")
     if section.get(name) is not None or (name in section and not f.nullable):
         return _value(f, section[name], where, problems, rules)
     if missing or f.required:
@@ -211,12 +231,15 @@ def _value(f, value, path, problems, rules=None):
     if f.type == "scalar":
         if value in f.values:
             return value
-        parsed = _parse_scalar(value, path, problems)
-        _unknown(value if isinstance(value, dict) else {}, path,
-                 ("preset", "params"), problems)
-        return parsed
+        return _parse_scalar(value, path, problems)
     problem = None
-    if f.type == "enum":
+    if f.type == "list":
+        if not (isinstance(value, list) and value):
+            problem = f.problem
+        else:  # an item that fails its row is left out
+            return [item for i, v in enumerate(value) if (item := _value(
+                f.item, v, f"{path}[{i}]", problems)) is not None]
+    elif f.type == "enum":
         if isinstance(value, bool) or value not in f.values:
             problem = f.problem or (f"unknown {f.name} {value!r}; valid: "
                                     f"{list(f.values)}")
@@ -243,22 +266,24 @@ def _value(f, value, path, problems, rules=None):
     return float(value) if f.type == "number" else value
 
 
-def _walk(section, path, problems, rules):
-    """The section at ``path`` read row by row in table order, then unknown
-    keys sorted (an in-place section: by its keys).  A row named in ``rules``
-    is read by that rule, called with (section, fields so far, problems), or
-    by an earlier one if None."""
-    unknown = _IN_PLACE.get(path)
-    out = _defaults(path) if unknown else {}
-    for name in section if unknown else [f.name for f in FIELDS[path]]:
-        if (path, name) not in _ROWS:
+def _walk(section, path, problems, rules, table=None):
+    """The section at ``path`` read by the rows of ``FIELDS[table or path]``
+    in table order, then unknown keys sorted (an in-place section: by its
+    keys).  A row named in ``rules`` is read by that rule, called with
+    (section, fields so far, problems), or by an earlier one if None."""
+    table = table or path
+    unknown = _IN_PLACE.get(table)
+    out = _defaults(table) if unknown else {}
+    for name in section if unknown else [f.name for f in FIELDS[table]]:
+        if (table, name) not in _ROWS:
             problems.append(f"{path}.{name}: {unknown}")
         elif name not in rules:
-            out[name] = _field(section, path, name, problems)
+            out[name] = _field(section, path, name, problems, table=table)
         elif rules[name]:
             rules[name](section, out, problems)
     if not unknown:
-        _unknown(section, path, [f.name for f in FIELDS[path]], problems)
+        _unknown(section, path, [f.name for f in FIELDS[table]], problems,
+                 _UNKNOWN.get(table))
     return out
 
 
@@ -269,9 +294,9 @@ def _defaults(path):
             if f.default is not None or path not in _IN_PLACE}
 
 
-def _unknown(section, path, names, problems):
+def _unknown(section, path, names, problems, problem=None):
     for key in sorted(set(section) - set(names)):
-        problems.append(f"{path}.{key}: unknown field")
+        problems.append(f"{path}.{key}: {problem or 'unknown field'}")
 
 
 def _manifold_rule(section, out, problems):
@@ -344,52 +369,24 @@ def _metric_rule(section, out, problems, key):
 
 
 def _parse_scalar(raw, path, problems):
-    fallback = {"preset": "constant", "params": {"value": 1.0}}
+    """A scalar preset as given: its name, then its params by the preset's
+    rows, which fill in no default."""
     if not isinstance(raw, dict):
         problems.append(f"{path}: expected an object with 'preset' and "
                         "'params'")
-        return fallback
-    preset, params = raw.get("preset"), raw.get("params", {})
-    if preset not in tuple(co.SCALAR_PRESETS):  # a list is not hashable
-        problems.append(f"{path}.preset: unknown preset {preset!r}; valid: "
-                        f"{sorted(co.SCALAR_PRESETS)}")
-        return fallback
-    if not isinstance(params, dict):
+        return None
+    preset = _value(_PRESET, raw.get("preset"), f"{path}.preset", problems)
+    params = raw.get("params", {})
+    if preset and isinstance(params, dict):
+        _walk(params, f"{path}.params", problems, {}, table=preset)
+    elif preset:
         problems.append(f"{path}.params: expected an object")
-        return fallback
-    names, known = co.SCALAR_PRESETS[preset][1], len(problems)
-    for key, value in params.items():
-        where = f"{path}.params.{key}"
-        if key not in names:
-            problems.append(f"{where}: unknown parameter for preset "
-                            f"{preset!r} (takes {list(names)})")
-        elif key != "coeffs":
-            _value(_NUMBER, value, where, problems)
-        elif not isinstance(value, list):
-            problems.append(f"{where}: expected a list of numbers")
-        else:
-            for i, c in enumerate(value):
-                _value(_NUMBER, c, f"{where}[{i}]", problems)
-    valid = len(problems) == known
-    if not (valid or set(params) <= set(names)):
-        return fallback  # an unknown name's own line says enough
-    # valid stand-ins for invalid numbers: a missing parameter shows too
-    given = params if valid else {key: [0.0] if key == "coeffs" else 0.0
-                                  for key in params}
-    try:
-        make_scalar({"preset": preset, "params": given})
-    except (TypeError, ValueError) as exc:
-        problems.append(f"{path}.params: {exc}")
-        return fallback
-    return {"preset": preset, "params": dict(params)} if valid else fallback
+    _unknown(raw, path, ("preset", "params"), problems)
+    return {"preset": preset, "params": copy.deepcopy(params)}
 
 
-def _parse_checks(raw, coefficients, problems):
-    if not isinstance(raw, list) or not raw:
-        problems.append(f"checks: {_ROWS['', 'checks'].required}")
-        return ()
-    checks = [check for i, name in enumerate(raw)
-              if (check := _value(_CHECK, name, f"checks[{i}]", problems))]
+def _parse_checks(checks, coefficients, problems):
+    """Each check's spec requirement; the checks without repeats."""
     for name in checks:
         needs = CHECKS[name].spec  # None, "metric" or "para_hermitian"
         if needs:
@@ -408,22 +405,13 @@ def parse_tolerance(value, path, problems):
 
 
 def config_schema():
-    """The JSON Schema of a run config: the rows of ``FIELDS``, the scalar
-    presets' factory signatures, and ``PARSER_ONLY`` as its ``$comment``."""
-    presets = []
-    for name, (factory, params) in co.SCALAR_PRESETS.items():
-        signature = inspect.signature(factory).parameters
-        rows = {key: {"type": "number"} if key != "coeffs" else {
-            "type": "array", "minItems": 1, "items": {"type": "number"}}
-            for key in params}
-        required = [key for key in params
-                    if signature[key].default is inspect.Parameter.empty]
-        for key in set(params) - set(required):
-            rows[key]["default"] = signature[key].default
-        presets.append({"required": ["params"] if required else [],
-                        "properties": {"preset": {"const": name}, "params": {
-                            "required": required, "properties": rows,
-                            "additionalProperties": False}}})
+    """The JSON Schema of a run config: the rows of ``FIELDS``, with the
+    scalar presets' as ``$defs``, and ``PARSER_ONLY`` as its ``$comment``."""
+    presets = [{"required": ["params"] if any(
+        f.required for f in FIELDS[name]) else [], "properties": {
+            "preset": {"const": name},
+            "params": _row_schema(Field("params", "object"), name)}}
+        for name in co.SCALAR_PRESETS]
     return {
         "$schema": "https://json-schema.org/draft/2020-12/schema",
         "$id": "paralift/config.schema.json",
@@ -455,7 +443,7 @@ def _row_schema(f, where):
         out = {"enum": list(f.values)}
     elif f.type == "list":
         out = {"type": "array", "minItems": 1,
-               "items": {"enum": list(f.values)}}
+               "items": _row_schema(f.item, where)}
     else:
         out = {"type": f.type, **(_SIGNS[f.sign][2] if f.sign else {})}
     if f.nullable and not f.required:
@@ -472,8 +460,7 @@ def _row_schema(f, where):
 
 def make_scalar(desc):
     """Build a :class:`ScalarFamily` from a normalized preset description."""
-    factory, _ = co.SCALAR_PRESETS[desc["preset"]]
-    return factory(**desc["params"])
+    return co.SCALAR_PRESETS[desc["preset"]](**desc["params"])
 
 
 def build_structure(config):

@@ -390,6 +390,42 @@ def test_infinite_coefficient_exit_2(tmp_path, capsys):
         "error: DegenerateCoefficient: a1 is not finite at t = 1.77778\n")
 
 
+def test_underflowing_alpha_beta_exit_2(tmp_path, capsys):
+    # alpha beta = -1e-600 rounds to -0.0, so b1 = u/(alpha beta) used to
+    # end the run in a ZeroDivisionError traceback with exit 1
+    doc = small(checks=["almost_product"])
+    doc["coefficients"] = {"family": {
+        "name": "rational", "alpha": -1e-300, "beta": 1e-300,
+        "u": {"preset": "constant", "params": {"value": 4.0}}}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["verify", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: DegenerateCoefficient: alpha beta = -1e-300 * 1e-300 "
+        "underflows to 0\n")
+    assert not out.exists()
+
+
+def test_huge_coefficient_passes_quietly(tmp_path, capsys):
+    # a1 = 1e300 on the flat model: the guard's sign test multiplied
+    # neighbouring grid values, which overflowed and warned on a correct
+    # PASS (tier-1 turns that RuntimeWarning into an error)
+    doc = small(checks=["space_form", "almost_product", "integrability",
+                        "compatibility", "para_kahler"])
+    doc["manifold"] = {"model": "flat", "n": 3, "c": 0.0}
+    doc["coefficients"]["a1"]["params"]["value"] = 1e300
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", str(path), "--out", str(out)]) == 0
+    assert not caught and capsys.readouterr().err == ""
+    assert {c["max_residual"] for c in json.loads(out.read_text())["checks"]
+            } == {0.0}
+
+
 def test_main_missing_file_exit_2(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "nope.json")]) == 2
     assert main(["verify", __file__]) == 2  # not JSON
@@ -534,7 +570,7 @@ def test_boolean_epsilon_exit_2(tmp_path, capsys):
     ({"preset": "constant", "params": {"value": 10 ** 400}},
      "params.value: must be finite"),
     ({"preset": "polynomial", "params": {"coeffs": "12"}},
-     "params.coeffs: expected a list of numbers"),
+     "params.coeffs: expected a nonempty list of numbers"),
     ({"preset": "constant", "params": {"value": 1.0, "valu": 2}},
      "params.valu: unknown parameter for preset 'constant' (takes ['value'])"),
 ], ids=["string", "boolean", "huge_integer", "coeffs_string", "unknown"])
@@ -579,22 +615,79 @@ def test_unhashable_preset_name_is_a_config_error():
         "['affine', 'constant', 'exponential', 'polynomial']"]
 
 
-@pytest.mark.parametrize("preset,params,problems", [
-    ("polynomial", {"coeffs": [1.0, "x", math.inf]},
-     ["params.coeffs[1]: expected a number",
-      "params.coeffs[2]: must be finite"]),
-    ("polynomial", {"coeffs": []},
-     ["params: polynomial needs at least one coefficient"]),
-    ("affine", {"slope": 1.0},
-     ["params: affine() missing 1 required positional argument: "
-      "'intercept'"]),
-], ids=["coeffs_items", "coeffs_empty", "missing"])
-def test_preset_parameter_problems(preset, params, problems):
+# A scalar preset given as a1, and the problems that follow "coefficients.a1":
+# the parameters are read by their FIELDS rows in table order, then unknown
+# names sorted.
+SCALAR_PROBLEMS = {
+    "coeffs_items": ({"preset": "polynomial",
+                      "params": {"coeffs": [1.0, "x", math.inf]}},
+                     [".params.coeffs[1]: expected a number",
+                      ".params.coeffs[2]: must be finite"]),
+    "coeffs_empty": ({"preset": "polynomial", "params": {"coeffs": []}},
+                     [".params.coeffs: expected a nonempty list of numbers"]),
+    "missing": ({"preset": "affine", "params": {"slope": 1.0}},
+                [".params.intercept: required parameter"]),
+    "missing_and_unknown": ({"preset": "constant", "params": {"valu": 1.0}},
+                            [".params.value: required parameter",
+                             ".params.valu: unknown parameter for preset "
+                             "'constant' (takes ['value'])"]),
+    "table_order": ({"preset": "affine", "params": {
+        "z": 1, "slope": "x", "intercept": None, "b": 2}},
+        [".params.intercept: expected a number",
+         ".params.slope: expected a number",
+         ".params.b: unknown parameter for preset 'affine' (takes "
+         "['intercept', 'slope'])",
+         ".params.z: unknown parameter for preset 'affine' (takes "
+         "['intercept', 'slope'])"]),
+    "exponential_defaults_unfilled": ({"preset": "exponential",
+                                       "params": {"rate": True}},
+                                      [".params.rate: expected a number"]),
+    "not_an_object": (5.0, [": expected an object with 'preset' and "
+                            "'params'"]),
+    "params_null": ({"preset": "constant", "params": None},
+                    [".params: expected an object"]),
+    "preset_unknown": ({"preset": "gauss", "params": {"value": 1.0}, "x": 1},
+                       [".preset: unknown preset 'gauss'; valid: ['affine', "
+                        "'constant', 'exponential', 'polynomial']",
+                        ".x: unknown field"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_PROBLEMS))
+def test_preset_parameter_problems(name):
+    scalar, problems = SCALAR_PROBLEMS[name]
     doc = small()
-    doc["coefficients"]["a1"] = {"preset": preset, "params": params}
+    doc["coefficients"]["a1"] = scalar
     with pytest.raises(ConfigError) as exc:
         parse_config(doc)
-    assert exc.value.problems == [f"coefficients.a1.{p}" for p in problems]
+    assert exc.value.problems == [f"coefficients.a1{p}" for p in problems]
+
+
+def test_parsing_builds_no_scalar_family(monkeypatch):
+    """The parser reads a preset's parameters by its FIELDS rows alone: with
+    every factory refusing to run, each shipped preset still parses, echoing
+    its params as given, and each scalar problem reads the same lines."""
+    from paralift import coefficients
+
+    def refuse(**params):
+        raise AssertionError("the parser built a scalar family")
+
+    for name in coefficients.SCALAR_PRESETS:
+        monkeypatch.setitem(coefficients.SCALAR_PRESETS, name, refuse)
+    base = Path(__file__).resolve().parent.parent / "src" / "paralift"
+    for path in sorted((base / "presets").glob("*.json")):
+        doc = json.loads(path.read_text())
+        echo = parse_config(doc).echo()["coefficients"]
+        for key in ("a1", "lambda", "mu"):
+            assert echo[key] == doc["coefficients"].get(key, echo[key])
+    doc = small()
+    doc["coefficients"]["a1"] = {"preset": "exponential", "params": {}}
+    assert parse_config(doc).coefficients["a1"]["params"] == {}
+    for scalar, problems in SCALAR_PROBLEMS.values():
+        doc["coefficients"]["a1"] = scalar
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert exc.value.problems == [f"coefficients.a1{p}" for p in problems]
 
 
 def test_manifold_dimension_is_bounded(tmp_path, capsys):
@@ -717,7 +810,13 @@ def test_schemas_are_valid_draft_2020_12(name):
 def test_presets_subcommand(capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out
-    assert "rational" in out and "polynomial" in out
+    assert out.splitlines()[:5] == [
+        "scalar presets (usable for a1, b1, lambda, mu, family.u):",
+        "  affine: params ['intercept', 'slope']",
+        "  constant: params ['value']",
+        "  exponential: params ['amplitude', 'rate']",
+        "  polynomial: params ['coeffs']"]
+    assert "rational" in out
     assert out.count(".json") >= 4
 
 
@@ -831,7 +930,8 @@ def test_empty_report_path_exit_2(tmp_path, monkeypatch, capsys, output,
 
 
 def test_missing_parameter_is_reported_beside_an_invalid_one(tmp_path, capsys):
-    # the missing intercept used to go unreported while slope was invalid
+    # the missing intercept used to go unreported while slope was invalid;
+    # each parameter is named by its path, in the preset's table order
     doc = small(checks=["almost_product"])
     doc["coefficients"]["a1"] = {"preset": "affine", "params": {"slope": "x"}}
     path = tmp_path / "cfg.json"
@@ -839,9 +939,8 @@ def test_missing_parameter_is_reported_beside_an_invalid_one(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["verify", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "config error: coefficients.a1.params.slope: expected a number\n"
-        "config error: coefficients.a1.params: affine() missing 1 required "
-        "positional argument: 'intercept'\n")
+        "config error: coefficients.a1.params.intercept: required parameter\n"
+        "config error: coefficients.a1.params.slope: expected a number\n")
     assert not out.exists()
 
 

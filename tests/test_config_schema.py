@@ -2,6 +2,7 @@
 exactly what ``parse_config`` accepts apart from the rules in PARSER_ONLY."""
 
 import copy
+import inspect
 import json
 import re
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from paralift.coefficients import SCALAR_PRESETS
 from paralift.config import FIELDS, PARSER_ONLY, config_schema, parse_config
 from paralift.errors import ConfigError
 
@@ -56,6 +58,17 @@ def test_committed_schema_is_the_generated_one():
     # regenerate with: python3 tools/config_schema.py
     generated = json.dumps(config_schema(), indent=2) + "\n"
     assert SCHEMA_FILE.read_text() == generated
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_PRESETS))
+def test_preset_rows_are_the_factory_arguments(name):
+    """A preset's FIELDS rows follow its factory's signature: the names in
+    order, required exactly when there is no default, and equal defaults."""
+    arguments = inspect.signature(SCALAR_PRESETS[name]).parameters.values()
+    assert [f.name for f in FIELDS[name]] == [a.name for a in arguments]
+    for f, a in zip(FIELDS[name], arguments):
+        assert bool(f.required) is (a.default is inspect.Parameter.empty)
+        assert f.default == (None if f.required else a.default)
 
 
 def _edit(section, **fields):
@@ -165,6 +178,9 @@ SCALARS = [{"preset": "constant", "params": {"value": 2.0}},
            {"preset": "constant", "params": {"value": 1.0}, "x": 1}]
 ANY = [st.sampled_from(ODD), st.integers(-40, 40), st.floats(),
        st.text(max_size=2), st.sampled_from(SCALARS)]
+# Valid parameters of each preset, which a mutation then changes.
+PARAMS = {"constant": {"value": 0.5}, "affine": {"intercept": 1.0, "slope": 2},
+          "exponential": {}, "polynomial": {"coeffs": [1.0, 0.25]}}
 
 
 def values(row):
@@ -172,24 +188,43 @@ def values(row):
     for bound in (row.low, row.high):
         if bound is not None:
             special += [bound - 1, bound, bound + 1, float(bound)]
-    return st.one_of(ANY + [st.sampled_from(special)])
+    lists = [st.lists(values(row.item), max_size=3)] if row.item else []
+    return st.one_of(ANY + lists + [st.sampled_from(special)])
 
 
 ROWS = [(path, row, values(row))
         for path, rows in FIELDS.items() for row in rows]
 
 
+def scalars(section, path=""):
+    """The paths of the scalar presets in ``section``."""
+    return [p for key, value in section.items() if isinstance(value, dict)
+            for p in ([f"{path}{key}"] if "preset" in value
+                      else scalars(value, f"{path}{key}."))]
+
+
+def section_at(doc, path):
+    for key in filter(None, path.split(".")):
+        if not isinstance(doc.get(key), dict):
+            doc[key] = {}
+        doc = doc[key]
+    return doc
+
+
 @st.composite
 def mutated(draw):
     """A base document with one field of the table set, removed, or given an
-    unknown neighbour key."""
-    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+    unknown neighbour key.  A preset's parameter is changed at one of the
+    base's scalars, set to that preset first."""
     path, row, value = draw(st.sampled_from(ROWS))
-    section = doc
-    for key in filter(None, path.split(".")):
-        if not isinstance(section.get(key), dict):
-            section[key] = {}
-        section = section[key]
+    doc = copy.deepcopy(draw(st.sampled_from(
+        PRESETS if path in PARAMS else BASES)))
+    if path in PARAMS:
+        scalar = draw(st.sampled_from(scalars(doc)))
+        section_at(doc, scalar).update(preset=path,
+                                       params=copy.deepcopy(PARAMS[path]))
+        path = f"{scalar}.params"
+    section = section_at(doc, path)
     change = draw(st.sampled_from(["set", "set", "set", "drop", "unknown"]))
     if change == "set":
         section[row.name] = draw(value)

@@ -556,9 +556,9 @@ def test_block_readings_equal_the_dense_assembly_bitwise(model, n, epsilon):
     of P^2 - I and P^T G P - eps G; per point their residuals are the max
     over the whole 2n x 2n products of P_adapted and G_adapted, bit for bit,
     on a batch and on single points, and so for Cruceanu's P.  The
-    coordinate P and Omega, written into their slots, are the ad.block
-    assembly of the same blocks, on real points and on the stepped point,
-    dtype included."""
+    coordinate P and Omega, written into their slots, are the
+    frame_reference.block assembly of the same blocks, on real points and
+    on the stepped point, dtype included."""
     m, c, a1 = BLOCK_MODELS[model](n)
     ls = LiftedStructure(m=m, spec=with_metric(
         integrable_spec(a1, curvature=c, epsilon=epsilon), affine(1.0, 1.0)))
