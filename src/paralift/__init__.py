@@ -5,8 +5,10 @@ fundamental 2-form Omega on T*M over constant-curvature bases, and verifies
 their defining identities (P^2 = I, vanishing Nijenhuis tensor, metric
 compatibility, closure of Omega) numerically at sampled phase points, with
 derivatives exact to rounding by complex step.  The evaluators and oracles
-that no check reaches, such as ``G_adapted`` or ``nijenhuis_at``, are
-imported from their own modules.
+that no check reaches are imported from their own modules: ``P_adapted``
+and ``G_adapted`` from :mod:`paralift.lifted`, ``curvature_at`` from
+:mod:`paralift.spaceform`, ``nijenhuis_at`` and ``analytic_dOmega`` from
+:mod:`paralift.verify`.
 """
 
 __version__ = "0.1.0"
@@ -30,7 +32,7 @@ from .errors import (
     DegenerateCoefficient,
     RangeError,
 )
-from .lifted import LiftedStructure, P_adapted
+from .lifted import LiftedStructure
 from .phase import (
     CotangentPoint,
     energy_density,
@@ -41,27 +43,24 @@ from .spaceform import (
     ChartModel,
     SpaceForm,
     conformal_ball,
-    curvature_at,
     flat_space,
     perturbed_conformal,
 )
 from .verify import (
     DEFAULT_TOLERANCES,
     PhaseSample,
-    analytic_dOmega,
     fd_oracle,
     run_check,
     sample_points,
 )
 
 __all__ = [
-    "affine", "almost_product_spec", "analytic_dOmega", "ChartDomainError",
-    "ChartModel", "CheckReport", "ConfigError", "conformal_ball",
-    "constant", "ContractError", "CotangentPoint", "curvature_at",
-    "DEFAULT_TOLERANCES", "DegenerateCoefficient", "energy_density",
-    "exponential", "fd_oracle", "flat_space", "integrable_spec",
-    "LiftedStructure", "make_point", "P_adapted", "perturbed_conformal",
-    "PhaseSample", "polynomial", "RangeError", "rational_spec",
-    "run_check", "sample_points", "ScalarFamily", "SpaceForm",
-    "StructureSpec", "with_metric",
+    "affine", "almost_product_spec", "ChartDomainError", "ChartModel",
+    "CheckReport", "ConfigError", "conformal_ball", "constant",
+    "ContractError", "CotangentPoint", "DEFAULT_TOLERANCES",
+    "DegenerateCoefficient", "energy_density", "exponential", "fd_oracle",
+    "flat_space", "integrable_spec", "LiftedStructure", "make_point",
+    "perturbed_conformal", "PhaseSample", "polynomial", "RangeError",
+    "rational_spec", "run_check", "sample_points", "ScalarFamily",
+    "SpaceForm", "StructureSpec", "with_metric",
 ]

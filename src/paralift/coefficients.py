@@ -272,6 +272,10 @@ _PROGRAMS = {"P": "a1 b1 a2 b2", "G": "c1 d1 c2 d2",
 class StructureSpec:
     """Coefficient bundle for one lifted structure.
 
+    Fields: a1, b1, a2, b2, ``epsilon``, the validated range [0, ``t_max``],
+    the metric part c1, d1, c2, d2, lam, mu (None without one) and ``flags``;
+    not the base curvature c, which only :func:`integrable_spec` reads.
+
     ``flags`` records which derivation rules produced (and validated) which
     coefficients: "almost_product" when (a2, b2) satisfy the product
     completion, "integrable" when (b1, b2) come from the integrability rule,
@@ -287,7 +291,6 @@ class StructureSpec:
     a2: ScalarFamily
     b2: ScalarFamily
     epsilon: int = -1
-    curvature: float = 0.0
     t_max: float = 2.0
     c1: ScalarFamily | None = None
     d1: ScalarFamily | None = None
@@ -385,7 +388,7 @@ def _positive(ts, values, what, t_max):
             f"{what} must stay positive; value {values[i]:.6g} at t = {ts[i]:.6g}")
 
 
-def almost_product_spec(a1, b1=None, *, curvature=0.0, epsilon=-1, t_max=2.0):
+def almost_product_spec(a1, b1=None, *, epsilon=-1, t_max=2.0):
     """Spec with (a2, b2) from the product completion; b1 defaults to zero.
 
     a2 = 1/a1 and b2 = -b1 / (a1 (a1 + 2t b1)), which is the unique solution
@@ -399,8 +402,7 @@ def almost_product_spec(a1, b1=None, *, curvature=0.0, epsilon=-1, t_max=2.0):
     a2 = 1.0 / a1
     b2 = -b1 / (a1 * trace1)
     return StructureSpec(a1=a1, b1=b1, a2=a2, b2=b2, epsilon=epsilon,
-                         curvature=float(curvature), t_max=float(t_max),
-                         flags=frozenset({"almost_product"}))
+                         t_max=float(t_max), flags=frozenset({"almost_product"}))
 
 
 def integrable_spec(a1, *, curvature, epsilon=-1, t_max=2.0):
@@ -423,11 +425,11 @@ def integrable_spec(a1, *, curvature, epsilon=-1, t_max=2.0):
     b1 = (a1 * a1p + c) / den1
     b2 = (a1 * a2p - c * a2 * a2) / den2
     return StructureSpec(a1=a1, b1=b1, a2=a2, b2=b2, epsilon=epsilon,
-                         curvature=c, t_max=float(t_max),
+                         t_max=float(t_max),
                          flags=frozenset({"almost_product", "integrable"}))
 
 
-def rational_spec(alpha, beta, u, *, curvature=0.0, epsilon=-1, t_max=2.0):
+def rational_spec(alpha, beta, u, *, epsilon=-1, t_max=2.0):
     """Spec of the two-constant family built around a free function u:
 
         a1 = 1/beta,  b1 = u/(alpha beta),
@@ -448,8 +450,7 @@ def rational_spec(alpha, beta, u, *, curvature=0.0, epsilon=-1, t_max=2.0):
     _guard(t_max, (_nonvanishing, a1 + 2.0 * _t * b1, "a1 + 2t b1"),
            (_nonvanishing, a2 + 2.0 * _t * b2, "a2 + 2t b2"))
     return StructureSpec(a1=a1, b1=b1, a2=a2, b2=b2, epsilon=epsilon,
-                         curvature=float(curvature), t_max=float(t_max),
-                         flags=frozenset({"almost_product"}))
+                         t_max=float(t_max), flags=frozenset({"almost_product"}))
 
 
 def with_metric(spec, lam, mu=None, *, require_positive=True):

@@ -470,14 +470,15 @@ def build_structure(config):
     m = SpaceForm(**{**mf, "model": ChartModel(mf["model"])})
     if cf["kind"] == "cruceanu_p":
         return LiftedStructure(m=m)
-    shared = {key: cf[key] for key in ("curvature", "epsilon", "t_max")}
+    shared = {key: cf[key] for key in ("epsilon", "t_max")}
     if cf["kind"] == "cruceanu_q":  # Cruceanu's Q: P1 = g, P2 = g^-1
         spec = co.almost_product_spec(co.constant(1.0), **shared)
     elif (fam := cf["family"]) is not None:
         spec = co.rational_spec(fam["alpha"], fam["beta"],
                                 make_scalar(fam["u"]), **shared)
     elif cf["derive"]["integrability"]:
-        spec = co.integrable_spec(make_scalar(cf["a1"]), **shared)
+        spec = co.integrable_spec(make_scalar(cf["a1"]),
+                                  curvature=cf["curvature"], **shared)
     else:
         spec = co.almost_product_spec(make_scalar(cf["a1"]),
                                       make_scalar(cf["b1"]), **shared)

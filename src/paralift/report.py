@@ -47,13 +47,15 @@ class CheckReport:
         }
 
 
-def make_report(check_name, residuals, points, tolerance, *, seed=None,
+def make_report(check_name, residuals, rows, tolerance, *, seed=None,
                 details=None, notes=()):
     """Assemble a :class:`CheckReport` from per-point residuals.
 
-    Non-finite residuals can never pass and are called out in the notes, so
-    NaN or Inf anywhere turns into an explicit failure rather than leaking
-    into downstream comparisons.
+    ``rows`` names the arrays whose i-th row belongs to point i, such as
+    ``{"q": batch.q, "p": batch.p}``; a witness's "point" maps each name to
+    that row of its point as a list.  Non-finite residuals can never pass
+    and are called out in the notes, so NaN or Inf anywhere turns into an
+    explicit failure rather than leaking into downstream comparisons.
     """
     residuals = np.asarray(residuals, dtype=float).tolist()
     notes = list(notes)
@@ -66,7 +68,8 @@ def make_report(check_name, residuals, points, tolerance, *, seed=None,
         passed = False
     order = sorted(range(len(residuals)),
                    key=lambda i: -_sort_key(residuals[i]))
-    witnesses = tuple({"point": _point_dict(points[i]),
+    witnesses = tuple({"point": {name: np.asarray(row[i], dtype=float).tolist()
+                                 for name, row in rows.items()},
                        "residual": residuals[i]} for i in order[:3])
     return CheckReport(
         check_name=check_name,
@@ -85,13 +88,6 @@ def _sort_key(r):
     if math.isnan(r):
         return math.inf  # non-finite residuals float to the top of witnesses
     return r
-
-
-def _point_dict(point):
-    if hasattr(point, "q") and hasattr(point, "p"):
-        return {"q": np.asarray(point.q, dtype=float).tolist(),
-                "p": np.asarray(point.p, dtype=float).tolist()}
-    return {"q": np.asarray(point, dtype=float).tolist()}
 
 
 def _finite_or_none(x):

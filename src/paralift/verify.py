@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -57,11 +56,10 @@ from .phase import (
     stepped_point,
     take_points,
 )
-from .report import CheckReport, _sort_key, make_report
+from .report import _sort_key, make_report
 from .spaceform import curvature_of, space_form_deviation
 
 __all__ = [
-    "CheckReport",
     "PhaseSample",
     "sample_points",
     "fd_oracle",
@@ -330,13 +328,17 @@ def _signature(ls, pt, _):
     """1 at each point where the eigenvalue-sign census of G_adapted misses
     the expected signature, else 0; so any miss fails at the default
     tolerance 0.  G is block diagonal, so its eigenvalues are those of its
-    two n x n blocks."""
+    two n x n blocks.  An eigenvalue has a sign where its |.| exceeds
+    _EIGENVALUE_TOL times the largest |eigenvalue| of its block at that
+    point, so the census, like the signature (Sylvester's law of inertia),
+    does not change when a block is scaled by a positive factor."""
     expected = _expected_signature(ls)
     eigs = np.linalg.eigvalsh(_adapted_blocks(ls, pt, "G"))
     if expected is None:
         return np.zeros(eigs.shape[1:-1])
-    pos = np.sum(eigs > _EIGENVALUE_TOL, axis=(0, -1))
-    neg = np.sum(eigs < -_EIGENVALUE_TOL, axis=(0, -1))
+    tol = _EIGENVALUE_TOL * np.abs(eigs).max(-1, keepdims=True)
+    pos = np.sum(eigs > tol, axis=(0, -1))
+    neg = np.sum(eigs < -tol, axis=(0, -1))
     return ((pos != expected[0]) | (neg != expected[1])).astype(float)
 
 
@@ -381,8 +383,9 @@ class Check:
     structure's spec, ``spec`` None, "metric" (the metric part) or
     "para_hermitian" (also eps = -1, for Omega); whether its residual reads
     the sample's ``stepped`` point; its ``residual`` (see above); its
-    report's details and notes as ``extras`` of the structure; and the rows
-    its ``witnesses`` name, of the sample on the structure's chart.
+    report's details and notes as ``extras`` of the structure; and the names
+    of the batch arrays, on the structure's chart, whose rows its
+    ``witnesses`` report.
 
     A composite lists its ``parts`` instead of a residual: it passes iff
     every part passes at its tolerance, and reports the worst part's
@@ -395,14 +398,12 @@ class Check:
     spec: str | None = None
     stepped: bool = False
     extras: Callable = lambda ls: (None, ())
-    witnesses: Callable = attrgetter("points")
+    witnesses: tuple = ("q", "p")
     parts: tuple = ()
 
 
 CHECKS = {
-    # witnesses name q alone
-    "space_form": Check(1e-9, _space_form, stepped=True,
-                        witnesses=lambda sample: sample.batch.q),
+    "space_form": Check(1e-9, _space_form, stepped=True, witnesses=("q",)),
     "almost_product": Check(1e-10, _almost_product),
     "compatibility": Check(1e-10, _compatibility, "metric"),
     "metric_signature": Check(0.0, _signature, "metric",
@@ -437,7 +438,8 @@ def run_check(name, ls, sample, tol=None):
     if batch is not sample.batch:
         sample = PhaseSample(sample.points, sample.seed, batch)
     values, details, notes = _outcome(check, ls, sample)
-    return make_report(name, values, check.witnesses(sample),
+    return make_report(name, values,
+                       {row: getattr(batch, row) for row in check.witnesses},
                        check.tolerance if tol is None else tol,
                        seed=sample.seed, details=details, notes=notes)
 

@@ -12,10 +12,8 @@ import numpy as np
 
 from paralift import (
     LiftedStructure,
-    P_adapted,
     ad,
     affine,
-    analytic_dOmega,
     conformal_ball,
     constant,
     fd_oracle,
@@ -30,8 +28,17 @@ from paralift import (
 )
 from paralift.cli import execute_checks, run
 from paralift.config import parse_config
-from paralift.lifted import G_adapted, Omega_coordinate, P_coordinate_function
-from paralift.verify import exterior_derivative_2form, nijenhuis_at
+from paralift.lifted import (
+    G_adapted,
+    Omega_coordinate,
+    P_adapted,
+    P_coordinate_function,
+)
+from paralift.verify import (
+    analytic_dOmega,
+    exterior_derivative_2form,
+    nijenhuis_at,
+)
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-6
@@ -57,13 +64,13 @@ def test_criterion_1_almost_product():
     worst = 0.0
     for c in (-1.0, 0.0, 1.0):
         m = conformal_ball(3, c) if c != 0.0 else conformal_ball(3, 0.0)
-        spec = rational_spec(1.0, 2.0, polynomial([0.0, 1.0]), curvature=c)
+        spec = rational_spec(1.0, 2.0, polynomial([0.0, 1.0]))
         ls = LiftedStructure(m=m, spec=spec)
         worst = max(worst, _max_p_square_residual(ls, sample_points(m, 100, 101)))
     ok = worst <= 1e-11
 
     m = conformal_ball(3, 1.0)
-    spec = rational_spec(1.0, 2.0, polynomial([0.0, 1.0]), curvature=1.0)
+    spec = rational_spec(1.0, 2.0, polynomial([0.0, 1.0]))
     bad = LiftedStructure(m=m, spec=replace(spec, b2=spec.b2 * 1.1))
     neg = _max_p_square_residual(bad, sample_points(m, 100, 101))
     ok = ok and neg > 1e-6
@@ -124,8 +131,7 @@ def test_criterion_4_compatibility():
     m = conformal_ball(3, 1.0)
     sample = sample_points(m, 100, 404)
 
-    spec_neg = with_metric(rational_spec(1.0, 2.0, polynomial([0.0, 1.0]),
-                                         curvature=1.0),
+    spec_neg = with_metric(rational_spec(1.0, 2.0, polynomial([0.0, 1.0])),
                            constant(1.0), constant(0.0))
     ls_neg = LiftedStructure(m=m, spec=spec_neg)
     r_neg = run_check("compatibility", ls_neg, sample, 1e-11).max_residual
@@ -162,7 +168,7 @@ def test_criterion_5_d_omega():
 
         # mu = lambda': both routes must vanish
         spec_closed = with_metric(
-            rational_spec(1.0, 2.0, polynomial([0.0, 1.0]), curvature=c),
+            rational_spec(1.0, 2.0, polynomial([0.0, 1.0])),
             affine(1.0, 1.0))
         ls_closed = LiftedStructure(m=m, spec=spec_closed)
         omega = Omega_coordinate(ls_closed)
@@ -176,7 +182,7 @@ def test_criterion_5_d_omega():
 
         # mu = 0 with lambda = 1 + t: nonzero and still in agreement
         spec_open = with_metric(
-            rational_spec(1.0, 2.0, polynomial([0.0, 1.0]), curvature=c),
+            rational_spec(1.0, 2.0, polynomial([0.0, 1.0])),
             affine(1.0, 1.0), constant(0.0))
         ls_open = LiftedStructure(m=m, spec=spec_open)
         agree_worst = max(agree_worst, run_check(
@@ -200,7 +206,7 @@ def test_criterion_6_para_kahler_composite():
     rep_a = run_check("para_kahler", LiftedStructure(m=m, spec=spec_a),
                       sample, 1e-8)
 
-    spec_b = with_metric(rational_spec(1.0, 2.0, constant(4.0), curvature=1.0),
+    spec_b = with_metric(rational_spec(1.0, 2.0, constant(4.0)),
                          constant(1.0), constant(0.0))  # u = c alpha beta^2
     rep_b = run_check("para_kahler", LiftedStructure(m=m, spec=spec_b),
                       sample, 1e-8)

@@ -14,13 +14,12 @@ from paralift import (
     affine,
     conformal_ball,
     constant,
-    curvature_at,
     integrable_spec,
     make_point,
     with_metric,
 )
 from paralift.lifted import Omega_coordinate, P_coordinate_function
-from paralift.spaceform import conformal_factor
+from paralift.spaceform import conformal_factor, curvature_at
 from paralift.verify import fd_oracle
 
 

@@ -18,10 +18,8 @@ from paralift import (
     RangeError,
     affine,
     almost_product_spec,
-    analytic_dOmega,
     conformal_ball,
     constant,
-    curvature_at,
     energy_density,
     flat_space,
     integrable_spec,
@@ -43,6 +41,7 @@ from paralift.phase import stack_points, stepped_point
 from paralift.spaceform import (
     christoffel_at,
     conformal_factor,
+    curvature_at,
     curvature_of,
     space_form_deviation,
     space_form_residual,
@@ -51,6 +50,7 @@ from paralift.verify import (
     CHECK_NAMES,
     CHECKS,
     PhaseSample,
+    analytic_dOmega,
     exterior_derivative_2form,
     nijenhuis_at,
     run_check,

@@ -426,6 +426,29 @@ def test_huge_coefficient_passes_quietly(tmp_path, capsys):
             } == {0.0}
 
 
+def test_huge_coefficient_has_its_signature(tmp_path, capsys):
+    # a1 = 1e300 scales G's second block by 1e-300; the census compared its
+    # eigenvalues with an absolute 1e-10, found no sign and failed
+    # metric_signature at every point of this neutral metric
+    checks = ["space_form", "almost_product", "integrability",
+              "compatibility", "metric_signature", "para_kahler"]
+    doc = small(seed=1, checks=checks)
+    doc["manifold"] = {"model": "flat", "n": 3, "c": 0.0}
+    doc["coefficients"]["a1"]["params"]["value"] = 1e300
+    doc["coefficients"]["lambda"] = {"preset": "constant",
+                                     "params": {"value": 1.0}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", str(path), "--out", str(out)]) == 0
+    assert not caught and capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    assert [(c["check_name"], c["verdict"]) for c in report["checks"]] == [
+        (name, "pass") for name in checks]
+
+
 def test_main_missing_file_exit_2(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "nope.json")]) == 2
     assert main(["verify", __file__]) == 2  # not JSON

@@ -1,14 +1,16 @@
 """Coefficient families and the four derivation rules, on validation grids."""
 
+import inspect
 import operator
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from paralift import (
     DegenerateCoefficient,
+    StructureSpec,
     affine,
     almost_product_spec,
     constant,
@@ -169,7 +171,7 @@ def test_positivity_sees_a_minimum_between_grid_points():
 
 def test_compatible_unit_proportionality_negative_epsilon():
     # lambda = 1, mu = 0, eps = -1 flips the sign of the vertical coefficients
-    spec = rational_spec(1.0, 2.0, polynomial([0.0, 1.0]), curvature=1.0)
+    spec = rational_spec(1.0, 2.0, polynomial([0.0, 1.0]))
     metric = with_metric(spec, constant(1.0), constant(0.0))
     c1, d1, c2, d2 = metric.c1, metric.d1, metric.c2, metric.d2
     for t in validation_grid(2.0):
@@ -282,11 +284,16 @@ def test_with_metric_guards_keep_their_messages(lam, mu, require_positive,
         with_metric(spec, lam, mu, require_positive=require_positive)
 
 
-def test_spec_builders_record_curvature_and_range():
+def test_spec_builders_record_range_not_curvature():
+    # c enters only the integrability rule, b1(0) = (a1 a1' + c) / a1 here;
+    # the spec keeps no curvature and the other builders take none
     spec = integrable_spec(affine(1.0, 0.5), curvature=-1.0, t_max=0.4)
-    assert spec.curvature == -1.0
+    assert spec.b1(0.0) == -0.5
     assert spec.t_max == 0.4
     assert "integrable" in spec.flags
+    assert "curvature" not in {f.name for f in fields(StructureSpec)}
+    for builder in (almost_product_spec, rational_spec):
+        assert "curvature" not in inspect.signature(builder).parameters
 
 
 def test_scalar_family_description_strings():

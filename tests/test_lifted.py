@@ -11,11 +11,9 @@ import pytest
 from paralift import (
     ContractError,
     LiftedStructure,
-    P_adapted,
     RangeError,
     affine,
     almost_product_spec,
-    analytic_dOmega,
     conformal_ball,
     constant,
     flat_space,
@@ -30,7 +28,8 @@ from paralift import (
 from paralift import ad
 from paralift.cli import execute_checks
 from paralift.config import build_structure, parse_config
-from paralift.lifted import G_adapted, Omega_coordinate, P_coordinate_function
+from paralift.lifted import G_adapted, Omega_coordinate, P_adapted
+from paralift.lifted import P_coordinate_function
 from paralift.lifted import _adapted_blocks, _omega_coordinate, _p_coordinate
 from paralift.phase import stack_points, stepped_point
 from paralift.verify import (
@@ -40,6 +39,7 @@ from paralift.verify import (
     _closure_max,
     _compatibility,
     _nijenhuis_max,
+    analytic_dOmega,
     fd_oracle,
     nijenhuis_at,
     run_check,
@@ -57,7 +57,7 @@ from frame_reference import (
 
 
 def rational_structure(m, with_g=True, lam=None, mu=None):
-    spec = rational_spec(1.0, 2.0, polynomial([0.0, 1.0]), curvature=m.c)
+    spec = rational_spec(1.0, 2.0, polynomial([0.0, 1.0]))
     if with_g:
         spec = with_metric(spec, lam or constant(1.0), mu or constant(0.0))
     return LiftedStructure(m=m, spec=spec)
@@ -105,7 +105,7 @@ def test_p_eigenvalues_split_evenly(rng):
 
 def test_p_coordinate_equals_adapted_where_connection_vanishes():
     m = flat_space(2)
-    spec = almost_product_spec(constant(1.0), constant(0.5), curvature=0.0)
+    spec = almost_product_spec(constant(1.0), constant(0.5))
     ls = LiftedStructure(m=m, spec=spec)
     pt = make_point(m, [0.4, -0.2], [0.5, 0.5])
     assert np.allclose(P_coordinate_function(ls)(pt.z()), P_adapted(ls, pt),
@@ -135,7 +135,7 @@ def test_coordinate_p_from_blocks_is_the_conjugation(kind):
 
 def test_p_coordinate_is_the_conjugation():
     m = conformal_ball(2, 1.0)
-    spec = rational_spec(1.0, 2.0, polynomial([0.0, 1.0]), curvature=m.c,
+    spec = rational_spec(1.0, 2.0, polynomial([0.0, 1.0]),
                          t_max=4.0)  # the sample point sits at t ~ 2.6
     ls = LiftedStructure(m=m, spec=spec)
     pt = make_point(m, [0.3, 0.1], [1.0, 2.0])
@@ -149,8 +149,7 @@ def test_p_coordinate_is_the_conjugation():
 def test_g_identity_case():
     m = flat_space(3)
     spec = with_metric(
-        almost_product_spec(constant(1.0), constant(0.0), curvature=0.0,
-                            epsilon=1),
+        almost_product_spec(constant(1.0), constant(0.0), epsilon=1),
         constant(1.0), constant(0.0))
     ls = LiftedStructure(m=m, spec=spec)
     pt = make_point(m, [0.1, 0.2, 0.3], [1.0, 0.0, -1.0])
@@ -199,7 +198,7 @@ def test_omega_mixed_block_identity_case(rng):
 def test_omega_mixed_block_general_coefficients():
     m = flat_space(2)
     spec = with_metric(
-        almost_product_spec(constant(1.0), constant(0.0), curvature=0.0),
+        almost_product_spec(constant(1.0), constant(0.0)),
         affine(1.0, 1.0), constant(1.0))
     ls = LiftedStructure(m=m, spec=spec)
     pt = make_point(m, [0.0, 0.0], [1.0, 0.0])  # t = 1/2, g0 = p
@@ -222,7 +221,7 @@ def test_omega_antisymmetric(rng):
 def test_omega_coordinate_matches_adapted_where_connection_vanishes():
     m = flat_space(2)
     spec = with_metric(
-        almost_product_spec(constant(1.0), constant(0.0), curvature=0.0),
+        almost_product_spec(constant(1.0), constant(0.0)),
         affine(1.0, 1.0))
     ls = LiftedStructure(m=m, spec=spec)
     pt = make_point(m, [0.2, -0.1], [0.5, 1.0])
@@ -302,8 +301,7 @@ def test_p_maps_spray_onto_scaled_liouville(rng):
 
 def test_range_error_beyond_t_max():
     m = flat_space(2)
-    spec = almost_product_spec(constant(1.0), constant(0.0), curvature=0.0,
-                               t_max=1.0)
+    spec = almost_product_spec(constant(1.0), constant(0.0), t_max=1.0)
     ls = LiftedStructure(m=m, spec=spec)
     pt = make_point(m, [0.0, 0.0], [2.0, 1.0])  # t = 2.5 > 1
     with pytest.raises(RangeError):
@@ -314,7 +312,7 @@ def test_contract_errors():
     m = flat_space(2)
     pt = make_point(m, [0.0, 0.0], [1.0, 0.0])
     bare = LiftedStructure(m=m)
-    spec = almost_product_spec(constant(1.0), constant(0.0), curvature=0.0)
+    spec = almost_product_spec(constant(1.0), constant(0.0))
     ls_p_only = LiftedStructure(m=m, spec=spec)
     for no_metric in (bare, ls_p_only):
         with pytest.raises(ContractError):
@@ -327,8 +325,7 @@ def test_contract_errors():
             with pytest.raises(ContractError):
                 run_check(name, no_metric, PhaseSample((pt,)))
     spec_plus = with_metric(
-        almost_product_spec(constant(1.0), constant(0.0), curvature=0.0,
-                            epsilon=1),
+        almost_product_spec(constant(1.0), constant(0.0), epsilon=1),
         constant(1.0), constant(0.0))
     ls_plus = LiftedStructure(m=m, spec=spec_plus)
     with pytest.raises(ContractError):

@@ -13,7 +13,6 @@ from paralift import (
     PhaseSample,
     SpaceForm,
     conformal_ball,
-    curvature_at,
     flat_space,
     make_point,
     perturbed_conformal,
@@ -25,6 +24,7 @@ from paralift.spaceform import (
     christoffel_at,
     conformal_factor,
     conformal_fields,
+    curvature_at,
 )
 from paralift.verify import fd_oracle
 from chart_sampling import random_chart_points

@@ -10,12 +10,11 @@ from paralift import (
     ContractError,
     LiftedStructure,
     RangeError,
+    StructureSpec,
     affine,
     almost_product_spec,
-    analytic_dOmega,
     conformal_ball,
     constant,
-    curvature_at,
     energy_density,
     exponential,
     fd_oracle,
@@ -37,13 +36,14 @@ from paralift.lifted import (
 )
 from paralift.phase import chart_point, stack_points
 from paralift.report import make_report
-from paralift.spaceform import christoffel_at
+from paralift.spaceform import christoffel_at, curvature_at
 from paralift.verify import (
     CHECK_NAMES,
     CHECKS,
     PhaseSample,
     _closure_max,
     _nijenhuis_max,
+    analytic_dOmega,
     exterior_derivative_2form,
     nijenhuis_at,
     run_check,
@@ -53,7 +53,7 @@ from curvature_reference import generic_curvature
 
 
 def rational_ls(m, lam=None, mu=None, with_g=True):
-    spec = rational_spec(1.0, 2.0, polynomial([0.0, 1.0]), curvature=m.c)
+    spec = rational_spec(1.0, 2.0, polynomial([0.0, 1.0]))
     if with_g:
         spec = with_metric(spec, lam or constant(1.0),
                            mu if mu is not None else constant(0.0))
@@ -248,6 +248,26 @@ def test_metric_signature_neutral_and_positive():
     assert rep.passed and rep.details["expected_positive"] == 6
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+def test_metric_signature_census_is_relative_to_each_block(scale):
+    # on the flat model at p = e1 (t = 1/2), G1 = scale (I + d p(x)p) has
+    # the eigenvalues scale and scale (1 + d): a ratio 1e-12 to the block's
+    # largest has no sign, so the neutral (3, 3) is missed, while 1e-8 has
+    # one at every scale; a spec built directly skips the positivity guard
+    m = flat_space(3)
+    sample = PhaseSample((make_point(m, [0.1, 0.0, 0.0], [1.0, 0.0, 0.0]),))
+    for ratio, passed in ((1e-12, False), (1e-8, True)):
+        spec = StructureSpec(
+            constant(1.0), constant(0.0), constant(1.0), constant(0.0),
+            c1=constant(scale), d1=constant(scale * (ratio - 1.0)),
+            c2=constant(-1.0), d2=constant(0.0),
+            lam=constant(1.0), mu=constant(0.0),
+            flags=frozenset({"almost_product"}))
+        rep = run_check("metric_signature", LiftedStructure(m=m, spec=spec),
+                        sample)
+        assert rep.passed is passed, (scale, ratio)
+
+
 # ------------------------------------------------------------ d Omega checks
 
 
@@ -255,7 +275,7 @@ def test_metric_signature_neutral_and_positive():
 def test_block_eigenvalue_census_equals_the_full_matrix(epsilon):
     m = conformal_ball(3, 1.0)
     spec = with_metric(rational_spec(1.0, 2.0, polynomial([0.0, 1.0]),
-                                     curvature=1.0, epsilon=epsilon),
+                                     epsilon=epsilon),
                        affine(1.0, 0.5), constant(0.0))
     ls = LiftedStructure(m=m, spec=spec)
     batch = stack_points(sample_points(m, 40, 13).points)
@@ -330,8 +350,7 @@ def test_analytic_d_omega_flat_frozen_pattern():
 def test_derived_mu_closes_omega():
     for c in (1.0, -1.0):
         m = conformal_ball(3, c)
-        spec = with_metric(rational_spec(1.0, 2.0, polynomial([0.0, 1.0]),
-                                         curvature=c),
+        spec = with_metric(rational_spec(1.0, 2.0, polynomial([0.0, 1.0])),
                            affine(1.0, 1.0))  # mu derived as lambda' = 1
         ls = LiftedStructure(m=m, spec=spec)
         sample = sample_points(m, 10, 23)
@@ -344,8 +363,7 @@ def test_derived_mu_closes_omega():
 def test_numeric_and_analytic_d_omega_agree():
     for c in (1.0, -1.0):
         m = conformal_ball(3, c)
-        spec = with_metric(rational_spec(1.0, 2.0, polynomial([0.0, 1.0]),
-                                         curvature=c),
+        spec = with_metric(rational_spec(1.0, 2.0, polynomial([0.0, 1.0])),
                            affine(1.0, 1.0), constant(0.0))
         ls = LiftedStructure(m=m, spec=spec)
         sample = sample_points(m, 20, 29)
@@ -544,7 +562,7 @@ def test_para_kahler_needs_a_para_hermitian_spec():
     # compatibility runs for eps = +1; closure, the 2-form's part, does not
     m = conformal_ball(3, 1.0)
     spec = with_metric(almost_product_spec(constant(1.0), constant(0.0),
-                                           curvature=1.0, epsilon=1),
+                                           epsilon=1),
                        constant(1.0), constant(0.0))
     ls = LiftedStructure(m=m, spec=spec)
     assert run_check("compatibility", ls, sample_points(m, 4, 1)).passed
@@ -562,7 +580,7 @@ def test_the_metric_check_sets_name_the_checks_that_refuse():
             if CHECKS[name].spec == "para_hermitian"}
     m = conformal_ball(3, 1.0)
     plus = with_metric(almost_product_spec(constant(1.0), constant(0.0),
-                                           curvature=1.0, epsilon=1),
+                                           epsilon=1),
                        constant(1.0), constant(0.0))
     sample = sample_points(m, 4, 1)
     for ls, refused in (
@@ -633,7 +651,7 @@ def test_residual_norms_are_invariant_under_rotations(model, n, rng):
     m = (perturbed_conformal(n, 1.0, 0.1) if model == "perturbed"
          else ORBIT_MODELS[model](n))
     spec = with_metric(almost_product_spec(exponential(1.5, 0.1),
-                                           constant(0.3), curvature=c),
+                                           constant(0.3)),
                        affine(1.0, 1.0), constant(0.5))
     ls = LiftedStructure(m=m, spec=spec)
     # t_max leaves room for the perturbed base, where a rotation moves t
@@ -649,6 +667,58 @@ def test_residual_norms_are_invariant_under_rotations(model, n, rng):
         assert gap.max() < 1e-13
 
 
+CENTRE_DIMS = (2, 3, 4, 8, 16, 32)
+CENTRE_TS = np.array([0.05, 0.6, 0.95])
+
+
+def _centre_sweep(m, spec):
+    """The structure of ``spec`` on ``m`` and the batch q = 0, p = sqrt(2t)
+    e1 at each t of CENTRE_TS; at the chart centre phi = 1 and h = 0, so the
+    coordinate frame is g^S-orthonormal there."""
+    p = np.zeros((len(CENTRE_TS), m.n))
+    p[:, 0] = np.sqrt(2.0 * CENTRE_TS)
+    return LiftedStructure(m=m, spec=spec), make_point(m, np.zeros_like(p), p)
+
+
+def _squared_norms(x):
+    return (x * x).reshape(len(CENTRE_TS), -1).sum(-1)
+
+
+# a1 = 1.5 exp(0.1 t) on [0, 1], where the c = -1 rule still builds
+@pytest.mark.parametrize("model", ORBIT_MODELS)
+def test_d_omega_closed_form_at_the_chart_centre(model):
+    """|d Omega|_F^2 = 12 (n - 1) t (mu - lambda')^2 at the chart centre of
+    each space form, from the complex step and from the closed form."""
+    for n in CENTRE_DIMS:
+        m = ORBIT_MODELS[model](n)
+        rule = integrable_spec(exponential(1.5, 0.1), curvature=m.c,
+                               t_max=1.0)
+        ls, pt = _centre_sweep(m, with_metric(rule, affine(1.0, 1.0),
+                                              constant(0.5)))
+        want = 12.0 * (n - 1) * pt.t * (0.5 - 1.0) ** 2
+        for d_omega in (analytic_dOmega(ls, pt), exterior_derivative_2form(
+                Omega_coordinate(ls), pt)):
+            assert np.allclose(_squared_norms(d_omega), want, rtol=1e-14,
+                               atol=0.0), n
+
+
+@pytest.mark.parametrize("model", ORBIT_MODELS)
+def test_nijenhuis_norm_grows_as_n_minus_one_at_the_chart_centre(model):
+    """Off the integrability rule (b1 = rule + 0.3), |N|_F^2 / (n - 1) at
+    the chart centre of each space form is the same at every n."""
+    per_dim = []
+    for n in CENTRE_DIMS:
+        m = ORBIT_MODELS[model](n)
+        a1 = exponential(1.5, 0.1)
+        rule = integrable_spec(a1, curvature=m.c, t_max=1.0)
+        ls, pt = _centre_sweep(m, almost_product_spec(
+            a1, rule.b1 + constant(0.3), t_max=1.0))
+        per_dim.append(_squared_norms(nijenhuis_at(ls, pt)) / (n - 1))
+    per_dim = np.array(per_dim)
+    assert np.all(per_dim > 1e-3)  # off the rule
+    assert np.abs(per_dim / per_dim[1] - 1.0).max() <= 1e-14
+
+
 @pytest.mark.parametrize("name", CHECK_NAMES)
 def test_every_check_refuses_an_empty_sample(name):
     ls = para_kahler_ls(conformal_ball(3, 1.0))
@@ -660,7 +730,7 @@ def test_para_kahler_constant_lambda_rational_spec():
     # u = c alpha beta^2 makes the rational family integrable; lambda = 1,
     # mu = 0 = lambda' then closes the 2-form
     m = conformal_ball(3, 1.0)
-    spec = with_metric(rational_spec(1.0, 2.0, constant(4.0), curvature=1.0),
+    spec = with_metric(rational_spec(1.0, 2.0, constant(4.0)),
                        constant(1.0), constant(0.0))
     ls = LiftedStructure(m=m, spec=spec)
     rep = run_check("para_kahler", ls, sample_points(m, 30, 37), 1e-8)
@@ -694,8 +764,8 @@ def test_p_coordinate_entries_ad_vs_fd(rng):
 
 def test_omega_entries_ad_vs_fd(rng):
     m = conformal_ball(3, -1.0)
-    spec = with_metric(rational_spec(1.0, 2.0, polynomial([0.0, 1.0]),
-                                     curvature=-1.0), affine(1.0, 0.5))
+    spec = with_metric(rational_spec(1.0, 2.0, polynomial([0.0, 1.0])),
+                       affine(1.0, 0.5))
     ls = LiftedStructure(m=m, spec=spec)
     fn = Omega_coordinate(ls)
     for pt in sample_points(m, 5, 43).points:
@@ -827,8 +897,8 @@ def test_verdicts_stable_across_seeds():
 
 
 def test_make_report_handles_nan():
-    pts = [[0.0], [1.0]]
-    rep = make_report("demo", [0.5, math.nan], pts, 1e3)
+    rows = {"q": np.array([[0.0], [1.0]])}
+    rep = make_report("demo", [0.5, math.nan], rows, 1e3)
     assert not rep.passed
     assert any("non-finite" in n for n in rep.notes)
     d = rep.to_dict()
@@ -837,10 +907,12 @@ def test_make_report_handles_nan():
 
 
 def test_make_report_witness_order():
-    pts = [[float(i)] for i in range(5)]
-    rep = make_report("demo", [0.1, 0.5, 0.3, 0.2, 0.4], pts, 1.0)
+    rows = {"q": np.arange(5.0)[:, None], "p": -np.arange(10.0).reshape(5, 2)}
+    rep = make_report("demo", [0.1, 0.5, 0.3, 0.2, 0.4], rows, 1.0)
     assert rep.passed
     resids = [w["residual"] for w in rep.witnesses]
     assert resids == sorted(resids, reverse=True)
     assert len(rep.witnesses) == 3
-    assert rep.witnesses[0]["point"] == {"q": [1.0]}
+    # each witness names the rows in the order given, as lists of floats
+    assert rep.witnesses[0]["point"] == {"q": [1.0], "p": [-2.0, -3.0]}
+    assert list(rep.witnesses[0]["point"]) == ["q", "p"]

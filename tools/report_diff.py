@@ -10,9 +10,12 @@ the order of its problem lines is compared; on every config of
 NEW_CHECKOUT's ``perfbench/workloads.py`` at benchmark seeds 1-3; and on the
 structures neither builds (``STRUCTURE_JOBS``): ``cruceanu_p`` and
 ``cruceanu_q`` on each chart model at n = 3 and on the c = +1 ball at n = 8,
-with the space_form, almost_product and integrability checks, and one
+with the space_form, almost_product and integrability checks; one
 epsilon = +1 natural diagonal spec with almost_product, integrability,
-compatibility and metric_signature.  Prints each report entry that differs
+compatibility and metric_signature; and the unit natural diagonal spec with
+a1 = 1e300 on the flat model, whose G blocks are 1e300 and 1e-300 apart in
+scale, with space_form, almost_product, integrability, compatibility,
+metric_signature and para_kahler.  Prints each report entry that differs
 outside ``timing`` as ``old -> new``, and any differing exit status or
 stderr.  The witness entries of a check that passes on both sides are the
 top points of rounding noise, so they are only counted, one line per run.
@@ -51,6 +54,16 @@ EPSILON_PLUS = {
     "checks": ["almost_product", "integrability", "compatibility",
                "metric_signature"],
 }
+# lambda = 1, mu derived, eps = -1: G's second block has scale 1e-300
+HUGE_A1 = {
+    "manifold": {**MODELS["flat"], "n": 3},
+    "coefficients": {
+        "a1": {"preset": "constant", "params": {"value": 1e300}},
+        "lambda": {"preset": "constant", "params": {"value": 1.0}}},
+    "sampling": SAMPLING,
+    "checks": ["space_form", "almost_product", "integrability",
+               "compatibility", "metric_signature", "para_kahler"],
+}
 STRUCTURE_JOBS = [
     (f"{kind} {model} n={n}", {
         "manifold": {**MODELS[model], "n": n}, "coefficients": {"kind": kind},
@@ -58,7 +71,8 @@ STRUCTURE_JOBS = [
         "checks": ["space_form", "almost_product", "integrability"]}, [])
     for kind in ("cruceanu_p", "cruceanu_q")
     for model, n in [*((model, 3) for model in MODELS), ("ball+1", 8)]
-] + [("natural_diagonal epsilon=+1 n=3", EPSILON_PLUS, [])]
+] + [("natural_diagonal epsilon=+1 n=3", EPSILON_PLUS, []),
+       ("natural_diagonal a1=1e300 flat n=3", HUGE_A1, [])]
 
 
 def jobs(new_root):
