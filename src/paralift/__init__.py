@@ -40,7 +40,6 @@ from .phase import (
 )
 from .report import CheckReport
 from .spaceform import (
-    ChartModel,
     SpaceForm,
     conformal_ball,
     flat_space,
@@ -55,11 +54,11 @@ from .verify import (
 )
 
 __all__ = [
-    "affine", "almost_product_spec", "ChartDomainError", "ChartModel",
-    "CheckReport", "ConfigError", "conformal_ball", "constant",
-    "ContractError", "CotangentPoint", "DEFAULT_TOLERANCES",
-    "DegenerateCoefficient", "energy_density", "exponential", "fd_oracle",
-    "flat_space", "integrable_spec", "LiftedStructure", "make_point",
+    "affine", "almost_product_spec", "ChartDomainError", "CheckReport",
+    "ConfigError", "conformal_ball", "constant", "ContractError",
+    "CotangentPoint", "DEFAULT_TOLERANCES", "DegenerateCoefficient",
+    "energy_density", "exponential", "fd_oracle", "flat_space",
+    "integrable_spec", "LiftedStructure", "make_point",
     "perturbed_conformal", "PhaseSample", "polynomial", "RangeError",
     "rational_spec", "run_check", "sample_points", "ScalarFamily",
     "SpaceForm", "StructureSpec", "with_metric",

@@ -18,7 +18,7 @@ from sys import float_info
 from . import coefficients as co
 from .errors import ConfigError
 from .lifted import LiftedStructure
-from .spaceform import CHART_RULES, ChartModel, SpaceForm, chart_problems
+from .spaceform import CHART_RULES, SpaceForm, chart_problems
 from .verify import CHECK_NAMES, CHECKS
 
 
@@ -80,7 +80,7 @@ FIELDS = {
     ),
     "manifold": (
         Field("model", "enum", "conformal_ball",
-              values=tuple(m.value for m in ChartModel)),
+              values=("flat", "conformal_ball", "perturbed_conformal")),
         # At n = 32 the eight checks take about 0.5 s on 4 points, 77 MB peak.
         Field("n", "integer", 3, low=2, high=32),
         Field("c", "number", 1.0),
@@ -147,6 +147,7 @@ PARSER_ONLY = dict(
     finite="{}: must be finite",
     integral="{}: expected an integer",
     strength="manifold.strength: only valid for the perturbed_conformal model",
+    flat="manifold.c: the flat model requires c = 0",
     **{key: f"manifold.{line}" for key, line in CHART_RULES.items()},
     family="coefficients.{}: not allowed together with a coefficient family",
     cruceanu="coefficients.{}: a Cruceanu structure builds from none of "
@@ -300,13 +301,22 @@ def _unknown(section, path, names, problems, problem=None):
 
 
 def _manifold_rule(section, out, problems):
-    """strength, then the chart rules of :mod:`paralift.spaceform`."""
+    """strength, then the flat model's c alone or else the chart rules of
+    :mod:`paralift.spaceform` on the numbers the chart reads."""
     if out["model"] == "perturbed_conformal":
         out["strength"] = _field(section, "manifold", "strength", problems)
     elif "strength" in section:
         problems.append(PARSER_ONLY["strength"])
-    problems.extend(f"manifold.{line}" for line in chart_problems(
-        **{**out, "model": ChartModel(out["model"])}))
+    if out["model"] == "flat" and out["c"] != 0.0:
+        problems.append(PARSER_ONLY["flat"])
+    else:
+        problems.extend(f"manifold.{line}"
+                        for line in chart_problems(**_chart(out)))
+
+
+def _chart(manifold):
+    """The fields of the chart a manifold section names: all but its model."""
+    return {key: v for key, v in manifold.items() if key != "model"}
 
 
 def _family_rule(section, out, problems):
@@ -467,7 +477,7 @@ def build_structure(config):
     """The :class:`LiftedStructure` described by a validated config, on the
     space form of its ``manifold`` section."""
     mf, cf = config.manifold, config.coefficients
-    m = SpaceForm(**{**mf, "model": ChartModel(mf["model"])})
+    m = SpaceForm(**_chart(mf))
     if cf["kind"] == "cruceanu_p":
         return LiftedStructure(m=m)
     shared = {key: cf[key] for key in ("epsilon", "t_max")}

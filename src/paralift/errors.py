@@ -2,7 +2,7 @@
 
 
 class ChartDomainError(ValueError):
-    """A chart point lies outside the model's valid domain."""
+    """A chart point lies outside its chart's closed ball."""
 
 
 class DegenerateCoefficient(ArithmeticError):

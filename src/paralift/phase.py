@@ -21,9 +21,11 @@ and from the first derivative check on :func:`stepped_point` of that
 batch: the same fields on the 2n complex-stepped lanes z + i h e_a that
 every derivative check reads.
 Since g = phi I, a point carries phi and its log-gradient h, not matrices,
-and its chart ``m``.  :func:`on_chart` is where a point meets a structure's
-chart: a point of an equal chart is read as it is, any other is rebuilt
-there.  Gamma0 is formed from p and h where it is read.
+and its chart ``m``; every field of a point, and :func:`energy_density`,
+comes from one evaluation of :func:`paralift.spaceform.conformal_fields`.
+:func:`on_chart` is where a point meets a structure's chart: a point of an
+equal chart is read as it is, any other is rebuilt there.  Gamma0 is formed
+from p and h where it is read.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ad
-from .spaceform import SpaceForm, conformal_factor, conformal_fields
+from .spaceform import SpaceForm, conformal_fields
 
 __all__ = [
     "CotangentPoint",
@@ -157,6 +159,6 @@ def take_points(batch, index):
 
 def energy_density(m, q, p):
     """(1/2) g^{ik}(q) p_i p_k, evaluable on complex steps in all 2n
-    variables; on real coordinates it rounds exactly as the t of
-    :func:`make_point`."""
-    return _point(q, p, conformal_factor(m, q), None).t
+    variables: the t of :func:`chart_point`, so on real coordinates it
+    rounds exactly as the t of :func:`make_point`."""
+    return chart_point(m, q, p).t

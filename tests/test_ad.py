@@ -19,8 +19,9 @@ from paralift import (
     with_metric,
 )
 from paralift.lifted import Omega_coordinate, P_coordinate_function
-from paralift.spaceform import conformal_factor, curvature_at
+from paralift.spaceform import curvature_at
 from paralift.verify import fd_oracle
+from dense_metric import phi_at
 
 
 def f_scalar(x):
@@ -216,7 +217,7 @@ def test_chart_error_through_jacobian_is_the_plain_one():
     for fn in (P_coordinate_function(ls), Omega_coordinate(ls)):
         plain = _message(ChartDomainError, fn, z)
         assert _message(ChartDomainError, ad.jacobian, fn, z) == plain
-    plain = _message(ChartDomainError, conformal_factor, ls.m, q)
+    plain = _message(ChartDomainError, phi_at, ls.m, q)
     assert _message(ChartDomainError, curvature_at, ls.m, q) == plain
 
 

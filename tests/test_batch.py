@@ -40,7 +40,6 @@ from paralift.lifted import (
 from paralift.phase import stack_points, stepped_point
 from paralift.spaceform import (
     christoffel_at,
-    conformal_factor,
     curvature_at,
     curvature_of,
     space_form_deviation,
@@ -55,7 +54,7 @@ from paralift.verify import (
     nijenhuis_at,
     run_check,
 )
-from dense_metric import metric_at
+from dense_metric import metric_at, phi_at
 from frame_reference import Omega_adapted, frame_matrices
 
 DIMS = (2, 3, 4, 8)
@@ -114,7 +113,7 @@ def test_batched_kernels_equal_stacked_points(model, n):
         assert _same(pt.Gamma0, (s + np.swapaxes(s, -1, -2))
                      - dot[..., None] * np.eye(n))
 
-    for kernel in (conformal_factor, metric_at, christoffel_at, curvature_at,
+    for kernel in (phi_at, metric_at, christoffel_at, curvature_at,
                    space_form_residual):
         assert _same(kernel(m, qs), _stacked(lambda q: kernel(m, q), batch.q)), \
             kernel.__name__

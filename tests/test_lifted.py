@@ -337,11 +337,8 @@ def test_contract_errors():
 
 @pytest.fixture
 def factor_calls(monkeypatch):
-    """The arguments of every evaluation of phi from here on.
-
-    phi comes from conformal_fields (phi and h) or from its phi-only path
-    conformal_factor; both are counted.
-    """
+    """The arguments of every evaluation of phi from here on: each call of
+    conformal_fields, the one evaluation of phi and h."""
     from paralift import phase, spaceform
 
     calls = []
@@ -352,10 +349,9 @@ def factor_calls(monkeypatch):
             return evaluate(*args)
         return call
 
-    for name in ("conformal_fields", "conformal_factor"):
-        call = counting(getattr(spaceform, name))
-        for module in (spaceform, phase):  # phase holds its own imported names
-            monkeypatch.setattr(module, name, call)
+    call = counting(spaceform.conformal_fields)
+    for module in (spaceform, phase):  # phase holds its own imported name
+        monkeypatch.setattr(module, "conformal_fields", call)
     return calls
 
 

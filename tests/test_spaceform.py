@@ -1,4 +1,5 @@
-"""Chart models: metric, Christoffel, curvature, and the space-form shape test."""
+"""Charts: the one chart formula, metric, Christoffel, curvature, and the
+space-form shape test."""
 
 import math
 
@@ -7,7 +8,6 @@ import pytest
 
 from paralift import (
     ad,
-    ChartModel,
     ChartDomainError,
     LiftedStructure,
     PhaseSample,
@@ -22,14 +22,13 @@ from paralift.phase import stepped_point
 from paralift.spaceform import (
     _DOMAIN_SLACK,
     christoffel_at,
-    conformal_factor,
     conformal_fields,
     curvature_at,
 )
 from paralift.verify import fd_oracle
 from chart_sampling import random_chart_points
 from curvature_reference import generic_curvature
-from dense_metric import metric_at
+from dense_metric import metric_at, phi_at
 
 ALL_MODELS = [
     flat_space(3),
@@ -56,9 +55,14 @@ def conformal_christoffel(m, x):
     return out
 
 
-def test_flat_metric_is_identity_anywhere():
-    m = flat_space(3)
-    assert np.array_equal(metric_at(m, np.array([0.2, -1.0, 5.0])), np.eye(3))
+def test_flat_metric_is_identity_on_its_chart():
+    # the flat chart is tested against its radius like every other chart
+    for radius in (1.0, 6.0):
+        m = flat_space(3, radius)
+        for x in ([0.0, 0.0, 0.0], [0.2, -0.5, 0.6], [0.0, 0.0, radius]):
+            assert np.array_equal(metric_at(m, np.array(x)), np.eye(3))
+    with pytest.raises(ChartDomainError):
+        metric_at(flat_space(3), np.array([0.2, -1.0, 5.0]))
 
 
 def test_conformal_ball_identity_at_origin():
@@ -83,9 +87,7 @@ def test_chart_radius_bound_enforced():
 
 def test_invalid_space_forms_rejected():
     with pytest.raises(ValueError):
-        SpaceForm(1, 0.0, ChartModel.FLAT)
-    with pytest.raises(ValueError):
-        SpaceForm(3, 1.0, ChartModel.FLAT)
+        SpaceForm(1, 0.0)
     with pytest.raises(ValueError):
         conformal_ball(3, -1.0, chart_radius=2.0)
 
@@ -350,8 +352,8 @@ def _models(n):
 def _half_log_gradient(m, x):
     """(1/2) d log phi by central differences, on a chart 1% wider than
     ``m``'s so that the stencil may step past the edge of ``m``'s chart."""
-    wide = SpaceForm(m.n, m.c, m.model, 1.01 * m.chart_radius, m.strength)
-    return 0.5 * fd_oracle(lambda y: np.log(conformal_factor(wide, y)), x)
+    wide = SpaceForm(m.n, m.c, 1.01 * m.chart_radius, m.strength)
+    return 0.5 * fd_oracle(lambda y: np.log(phi_at(wide, y)), x)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
@@ -362,12 +364,12 @@ def test_log_gradient_matches_fd_of_log_phi(rng, n):
         xs = np.concatenate([xs, [edge, -edge]])
         phi, h = conformal_fields(m, xs)  # one batch
         assert h.shape == xs.shape
-        assert np.array_equal(phi, conformal_factor(m, xs))
+        assert np.array_equal(phi, phi_at(m, xs))
         for x, hb in zip(xs, h):
             fd = _half_log_gradient(m, x)
             single = conformal_fields(m, x)[1]
             assert np.array_equal(single, hb)
-            if m.model is ChartModel.FLAT:
+            if m == flat_space(n):
                 assert np.array_equal(single, np.zeros(n)) and not fd.any()
             else:
                 assert np.max(np.abs(single - fd)) <= 1e-8 * np.max(np.abs(fd))
@@ -388,17 +390,58 @@ def test_closed_form_curvature_matches_the_generic_route(rng, n):
         assert np.max(np.abs(want[0] - fd)) <= 1e-6 * scale, m
 
 
-def test_phi_alone_where_h_is_dropped(monkeypatch):
-    # energy_density reads phi through the phi-only path
-    from paralift import phase, spaceform
+def test_energy_density_is_the_chart_point_t():
+    from paralift import phase
     from paralift.phase import energy_density
 
     xs = np.array([[0.1, -0.2, 0.3], [0.4, 0.0, -0.5]])
     ps = np.array([[1.0, 0.5, -0.25], [0.0, 0.0, 0.0]])
     for m in ALL_MODELS:
-        want = phase.chart_point(m, xs, ps)
-        for module in (phase, spaceform):  # h is out of reach
-            monkeypatch.setattr(module, "conformal_fields", None)
-        assert np.array_equal(energy_density(m, xs, ps), want.t)
-        assert np.array_equal(conformal_factor(m, xs), want.phi)
-        monkeypatch.undo()
+        want = phase.chart_point(m, xs, ps).t
+        assert np.array_equal(energy_density(m, xs, ps), want)
+        assert np.array_equal(make_point(m, xs, ps).t, want)
+
+
+def _former_model_fields(m, x):
+    """phi and h by the three formulas of the former chart models: the
+    flat model's phi = 1 and h = 0, the ball's phi = s^2 and the perturbed
+    model's phi = s^2 w, with s = 1 / (1 + (c/4)|x|^2) and w = 1 + eps x_0."""
+    x = np.asarray(x)
+    r2 = (x * x).sum(-1)
+    if m == flat_space(m.n, m.chart_radius):
+        return np.ones(np.shape(r2)), np.zeros(np.shape(x))
+    s = 1.0 / (1.0 + 0.25 * m.c * r2)
+    h = (-0.5 * m.c * s)[..., None] * x
+    if m.strength == 0.0:
+        return s * s, h
+    w = 1.0 + m.strength * x[..., 0]
+    return (s * s) * w, h + (0.5 * m.strength / w)[..., None] * np.eye(m.n)[0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_one_formula_is_each_former_model_bitwise(rng, n):
+    # on real points and on their complex-stepped lanes; only the sign of a
+    # zero may differ, which np.array_equal does not see
+    for m in _models(n):
+        xs = np.array(random_chart_points(rng, m, 5))
+        edge = m.chart_radius * xs[1] / np.linalg.norm(xs[1])
+        xs = np.concatenate([xs, [edge, -edge]])
+        for got, want in (
+                (conformal_fields(m, xs), _former_model_fields(m, xs)),
+                (ad.stepped(lambda z: conformal_fields(m, z), xs),
+                 ad.stepped(lambda z: _former_model_fields(m, z), xs))):
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), m
+
+
+def test_the_constructors_are_points_of_one_family():
+    for n in (2, 3, 8):
+        assert conformal_ball(n, 0.0) == flat_space(n)
+        assert conformal_ball(n, 0.0, 2.5) == flat_space(n, 2.5)
+        for c in (1.0, -1.0, 0.0):
+            assert perturbed_conformal(n, c, 0.0) == conformal_ball(n, c)
+    m = flat_space(2, 0.5)
+    for x in ([0.6, 0.0], [0.4, -0.4]):
+        with pytest.raises(ChartDomainError):
+            conformal_fields(m, np.array(x))
+    conformal_fields(m, np.array([0.5, 0.0]))

@@ -48,7 +48,9 @@ from paralift.verify import (
     nijenhuis_at,
     run_check,
 )
+from chart_sampling import random_chart_points
 from curvature_reference import generic_curvature
+from frame_reference import frame_matrices
 
 
 
@@ -717,6 +719,59 @@ def test_nijenhuis_norm_grows_as_n_minus_one_at_the_chart_centre(model):
     per_dim = np.array(per_dim)
     assert np.all(per_dim > 1e-3)  # off the rule
     assert np.abs(per_dim / per_dim[1] - 1.0).max() <= 1e-14
+
+
+FRAME_TS = (0.05, 0.6, 0.95)
+# (base, c of the integrability rule the spec is built on)
+FRAME_CASES = {
+    "ball+1": (conformal_ball(3, 1.0), 1.0),
+    "ball-1": (conformal_ball(3, -1.0), -1.0),
+    "flat": (flat_space(3), 0.0),
+    "c+1 spec on ball-1": (conformal_ball(3, -1.0), 1.0),
+    "perturbed": (perturbed_conformal(3, 1.0, 0.1), 1.0),
+}
+
+
+def _frame_nijenhuis_norms(ls, rng, count=6):
+    """|N|_F in the g^S-orthonormal adapted frame F = B D, D = diag(phi^-1/2
+    I, phi^1/2 I), that is (F^-1)^c_d N^d_ef F^e_a F^f_b, at ``count``
+    points of each t of FRAME_TS (one row per t): |q| <= 0.8 R, and p of a
+    random direction scaled to that t."""
+    m, rows = ls.m, []
+    for t in FRAME_TS:
+        q = np.array(random_chart_points(rng, m, count))
+        p = rng.standard_normal(q.shape)
+        p *= np.sqrt(t / make_point(m, q, p).t)[:, None]
+        pt = make_point(m, q, p)
+        b, binv = frame_matrices(pt.Gamma0)
+        root = np.sqrt(pt.phi)[:, None] * np.ones(m.n)
+        d = np.concatenate([1.0 / root, root], axis=-1)  # the diagonal of D
+        f, finv = b * d[:, None, :], binv / d[:, :, None]
+        frame = np.einsum("...cd,...def,...ea,...fb->...cab", finv,
+                          nijenhuis_at(ls, pt), f, f)
+        rows.append(np.sqrt((frame * frame).sum(axis=(-3, -2, -1))))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("case", FRAME_CASES)
+def test_nijenhuis_frame_norm_is_a_function_of_t(case, rng):
+    """The isometries of a space form act transitively on each level set of
+    t in T*M, and their cotangent lifts preserve N and the frame F; so off
+    the integrability rule (b1 = rule + 0.3) |N|_F in F agrees at points of
+    equal t, whatever their q and the direction of p.  The perturbed base
+    has no such symmetry and spreads."""
+    m, c = FRAME_CASES[case]
+    a1 = exponential(1.5, 0.1)
+    rule = integrable_spec(a1, curvature=c, t_max=1.0)
+    ls = LiftedStructure(m=m, spec=almost_product_spec(
+        a1, rule.b1 + constant(0.3), t_max=1.0))
+    norms = _frame_nijenhuis_norms(ls, rng)
+    assert np.all(norms > 1e-3)  # off the rule
+    spread = (norms.max(axis=1) - norms.min(axis=1)) / norms.min(axis=1)
+    if case == "perturbed":
+        assert np.all(spread > 1e-2)
+    else:
+        assert spread.max() <= 1e-13
 
 
 @pytest.mark.parametrize("name", CHECK_NAMES)

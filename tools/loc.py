@@ -21,9 +21,13 @@ def code_lines(text):
 
 if __name__ == "__main__":
     root = Path(sys.argv[1] if len(sys.argv) > 1 else ".")
+    paths = sorted((root / "src" / "paralift").glob("*.py"))
+    if not paths:
+        print(f"loc.py: {root} has no src/paralift/*.py; give a checkout",
+              file=sys.stderr)
+        sys.exit(2)
     rows = [(path.name, len(text.splitlines()), code_lines(text))
-            for path in sorted((root / "src" / "paralift").glob("*.py"))
-            for text in [path.read_text()]]
+            for path in paths for text in [path.read_text()]]
     rows.append(("total", *(sum(col) for col in list(zip(*rows))[1:])))
     for name, full, code in rows:
         print(f"{name:16} {full:6} {code:6}")
