@@ -24,14 +24,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .config import (
-    FIELDS,
-    PARSER_ONLY,
-    build_structure,
-    parse_config,
-    parse_tolerance,
-    sampling_overrides,
-)
+from .config import FIELDS, build_structure, parse_config, read_flag
 from .coefficients import SCALAR_PRESETS
 from .errors import (
     ChartDomainError,
@@ -173,9 +166,12 @@ def _load_config(document, args):
         config = parse_config(document)
     except ConfigError as exc:
         problems.extend(exc.problems)
-    sampling = sampling_overrides(args.seed, args.samples, problems)
-    if args.out == "":
-        problems.append(PARSER_ONLY["output"].format("--out"))
+    sampling = {name: read_flag("sampling", name, value, flag, problems)
+                for name, flag, value in (("seed", "--seed", args.seed),
+                                          ("count", "--samples", args.samples))
+                if value is not None}
+    if args.out is not None:
+        read_flag("", "output", args.out, "--out", problems)
     if problems:
         raise ConfigError(problems)
     return replace(config, sampling={**config.sampling, **sampling},
@@ -196,7 +192,8 @@ def _parse_tol_overrides(entries, problems):
                 value = float(value)
             except ValueError:
                 pass  # the tolerance rule reports it as not a number
-            out[name] = parse_tolerance(value, f"--tol-override {name}", problems)
+            out[name] = read_flag("tolerances", name, value,
+                                  f"--tol-override {name}", problems)
     return out
 
 

@@ -48,12 +48,15 @@ class Field:
 # The Python types of the JSON types a row may hold.
 _TYPES = {"integer": int, "number": (int, float), "boolean": bool,
           "string": str, "object": dict}
-# A number's sign rule: its problem, its test and its schema keywords.
+# A row's sign rule (a number's sign, a path's length): its problem, its
+# test and its schema keywords.
 _SIGNS = {
     "positive": ("must be positive", lambda v: v > 0, {"exclusiveMinimum": 0}),
     "nonzero": ("must be nonzero", lambda v: v != 0, {"not": {"const": 0}}),
     "nonnegative": ("expected a nonnegative number", lambda v: v >= 0,
                     {"minimum": 0}),
+    "nonempty": ("expected a nonempty path", lambda v: v != "",
+                 {"minLength": 1}),
 }
 _MISSING = "required section missing"
 _CHECKS = "required nonempty list of check names"
@@ -75,7 +78,7 @@ FIELDS = {
               required=_CHECKS),
         Field("tolerances", "object", nullable=True,
               problem="expected an object of check -> number"),
-        Field("output", "string", nullable=True,
+        Field("output", "string", nullable=True, sign="nonempty",
               problem="expected a string path"),
     ),
     "manifold": (
@@ -133,13 +136,13 @@ FIELDS = {
                          problem="expected a nonempty list of numbers"),),
 }
 _ROWS = {(path, f.name): f for path, rows in FIELDS.items() for f in rows}
-# Sections read in document order, noting an unknown key with this problem.
-_IN_PLACE = {"coefficients.derive": "unknown flag; valid: "
-             f"{sorted(f.name for f in FIELDS['coefficients.derive'])}",
-             "tolerances": "unknown check name"}
-# Presets note an unknown parameter with this problem.
-_UNKNOWN = {name: f"unknown parameter for preset {name!r} (takes "
-            f"{[f.name for f in FIELDS[name]]})" for name in co.SCALAR_PRESETS}
+# The problem of an unknown key, by section where it is not "unknown field".
+_UNKNOWN = {"coefficients.derive": "unknown flag; valid: "
+            f"{sorted(f.name for f in FIELDS['coefficients.derive'])}",
+            "tolerances": "unknown check name",
+            **{name: f"unknown parameter for preset {name!r} (takes "
+               f"{[f.name for f in FIELDS[name]]})"
+               for name in co.SCALAR_PRESETS}}
 
 # The problem lines of the rules the parser alone enforces, "{}" standing
 # for a path or value; the schema's $comment lists them.
@@ -167,7 +170,6 @@ PARSER_ONLY = dict(
     kind="checks: {!r} needs the natural_diagonal structure (metric part)",
     proportional="checks: {!r} needs derive.metric_proportionality",
     neutral="checks: {!r} needs epsilon = -1",
-    output="{}: expected a nonempty path",
 )
 
 
@@ -205,8 +207,6 @@ def parse_config(document):
                            coefficients, problems)
     tolerances = _field(document, "", "tolerances", problems)
     output = _field(document, "", "output", problems)
-    if output == "":
-        problems.append(PARSER_ONLY["output"].format("output"))
     if problems:
         raise ConfigError(problems)
     return RunConfig(manifold, coefficients, sampling, checks, tolerances,
@@ -269,30 +269,28 @@ def _value(f, value, path, problems, rules=None):
 
 def _walk(section, path, problems, rules, table=None):
     """The section at ``path`` read by the rows of ``FIELDS[table or path]``
-    in table order, then unknown keys sorted (an in-place section: by its
-    keys).  A row named in ``rules`` is read by that rule, called with
-    (section, fields so far, problems), or by an earlier one if None."""
-    table = table or path
-    unknown = _IN_PLACE.get(table)
-    out = _defaults(table) if unknown else {}
-    for name in section if unknown else [f.name for f in FIELDS[table]]:
-        if (table, name) not in _ROWS:
-            problems.append(f"{path}.{name}: {unknown}")
-        elif name not in rules:
-            out[name] = _field(section, path, name, problems, table=table)
-        elif rules[name]:
-            rules[name](section, out, problems)
-    if not unknown:
-        _unknown(section, path, [f.name for f in FIELDS[table]], problems,
-                 _UNKNOWN.get(table))
+    in table order, then unknown keys sorted.  A row with no value to give,
+    absent or refused and without a default, is left out.  A row named in
+    ``rules`` is read by that rule, called with (section, fields so far,
+    problems), or by an earlier one if None."""
+    table, out = table or path, {}
+    for f in FIELDS[table]:
+        if f.name in rules:
+            if rules[f.name]:
+                rules[f.name](section, out, problems)
+        elif (value := _field(section, path, f.name, problems,
+                              table=table)) is not None:
+            out[f.name] = value
+    _unknown(section, path, [f.name for f in FIELDS[table]], problems,
+             _UNKNOWN.get(table))
     return out
 
 
 def _defaults(path):
-    """An absent section: its rows' defaults (of an in-place one: the set)."""
+    """An absent section: the defaults of its rows that have one."""
     return {f.name: (_defaults(f"{path}.{f.name}") if f.type == "object"
                      else copy.deepcopy(f.default)) for f in FIELDS[path]
-            if f.default is not None or path not in _IN_PLACE}
+            if f.default is not None or f.type == "object"}
 
 
 def _unknown(section, path, names, problems, problem=None):
@@ -362,8 +360,7 @@ def _curvature_rule(section, out, problems, c):
     """allow_mismatched_c, then curvature against the base's ``c``."""
     allow = _field(section, "coefficients", "allow_mismatched_c", problems)
     out["allow_mismatched_c"] = allow
-    if out["curvature"] is None:
-        out["curvature"] = c
+    out["curvature"] = out.get("curvature", c)
     if (out["derive"]["integrability"] and out["kind"] == "natural_diagonal"
             and out["family"] is None and out["curvature"] != c and not allow):
         problems.append(PARSER_ONLY["curvature"].format(out["curvature"], c))
@@ -409,9 +406,10 @@ def _parse_checks(checks, coefficients, problems):
     return tuple(dict.fromkeys(checks))
 
 
-def parse_tolerance(value, path, problems):
-    """A check tolerance, a finite number >= 0; else None, noted in ``problems``."""
-    return _value(_TOLERANCE, value, path, problems)
+def read_flag(path, name, value, flag, problems):
+    """The command line's ``value`` for field ``name`` of the section at
+    ``path``, checked by its row; problems are noted under ``flag``."""
+    return _value(_ROWS[path, name], value, flag, problems)
 
 
 def config_schema():
@@ -497,12 +495,3 @@ def build_structure(config):
         spec = co.with_metric(spec, make_scalar(cf["lambda"]), mu,
                               require_positive=cf["require_positive"])
     return LiftedStructure(m=m, spec=spec)
-
-
-def sampling_overrides(seed, samples, problems):
-    """The ``--seed`` and ``--samples`` values given, as sampling fields,
-    checked by the file's rules for those fields into ``problems``."""
-    given = {"seed": ("--seed", seed), "count": ("--samples", samples)}
-    return {key: _value(_ROWS["sampling", key], value, flag, problems)
-            for key, (flag, value) in given.items() if value is not None}
-

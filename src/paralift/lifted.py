@@ -146,7 +146,7 @@ def _coefficients(ls, pt, name, slack=0.0):
     """The pass of the spec's program ``name`` at pt.t, one row per family,
     after a :class:`RangeError` at the first t past t_max + ``slack``."""
     tv = np.asarray(pt.t).real
-    over = tv > ls.spec.t_max + slack
+    over = ~(tv <= ls.spec.t_max + slack)  # NaN too
     if np.count_nonzero(over):
         first = tv[np.unravel_index(np.argmax(over), over.shape)]
         raise RangeError(

@@ -126,7 +126,7 @@ def _require_in_chart(m, r2):
     """:class:`ChartDomainError` at the first point whose |x|^2 = Re ``r2``
     is off the closed chart ball; an accepted chart is regular on it."""
     bound = m.chart_radius ** 2
-    outside = r2.real > bound * (1.0 + _DOMAIN_SLACK)
+    outside = ~(r2.real <= bound * (1.0 + _DOMAIN_SLACK))  # NaN too
     if np.count_nonzero(outside):
         i = np.unravel_index(np.argmax(outside), outside.shape)
         raise ChartDomainError(

@@ -287,19 +287,15 @@ def _space_form(ls, pt, lanes):
 def _almost_product(ls, pt, _):
     """|P^2 - I|_inf per point in the adapted frame.
 
-    For P = [[0, P2], [P1, 0]], P^2 - I = diag(P2 P1 - I, P1 P2 - I).  The
-    residual reads P2 P1 - I alone and assembles no zero block: P1 and P2
-    are exactly symmetric, so each entry of P1 P2 - I sums the same
-    products as the mirrored entry of P2 P1 - I, and P1 P2 - I is
-    (P2 P1 - I)^T bit for bit, max |.| included.  (OpenBLAS 0.3.31 is the
-    one exception seen: at n = 17 to 20 it rounds the off-diagonal entries
-    of the last row and column, of order 1e-17, apart by an ulp; the max
-    never moved.)  Cruceanu's P = diag(-I, I) is squared whole."""
+    For P = [[0, P2], [P1, 0]], P^2 - I = diag(P2 P1 - I, P1 P2 - I): the
+    residual reads both blocks, one stacked product of (P2, P1) by
+    (P1, P2) from one coefficient pass, and assembles no zero block.
+    Cruceanu's P = diag(-I, I) is squared whole."""
     if ls.spec is None:
         pmat = _p_matrix(ls, pt)
         return _max_abs(pmat @ pmat - ad.constant(np.eye, 2 * ls.m.n), 2)
-    p1, p2 = _adapted_blocks(ls, pt, "P")
-    return _max_abs(p2 @ p1 - ad.constant(np.eye, ls.m.n), 2)
+    b = _adapted_blocks(ls, pt, "P")  # P1, P2
+    return np.abs(b[::-1] @ b - ad.constant(np.eye, ls.m.n)).max((0, -2, -1))
 
 
 def _compatibility(ls, pt, _):

@@ -13,7 +13,7 @@ from paralift.config import (
     PARSER_ONLY,
     build_structure,
     parse_config,
-    sampling_overrides,
+    read_flag,
 )
 from paralift.errors import ConfigError, DegenerateCoefficient
 
@@ -737,11 +737,13 @@ def test_sample_count_is_bounded():
         parse_config(doc)
     assert exc.value.problems == ["sampling.count: must be at most 10000"]
     problems = []
-    assert sampling_overrides(None, 10 ** 30, problems) == {"count": 100}
+    assert read_flag("sampling", "count", 10 ** 30, "--samples",
+                     problems) == 100
     assert problems == ["--samples: must be at most 10000"]
     doc["sampling"]["count"] = 10_000
     assert parse_config(doc).sampling["count"] == 10_000
-    assert sampling_overrides(None, 10_000, problems) == {"count": 10_000}
+    assert read_flag("sampling", "count", 10_000, "--samples",
+                     problems) == 10_000
 
 
 def _drop_manifold_defaults(doc):
@@ -932,6 +934,30 @@ def test_config_problems_of_every_stage_are_reported_together(tmp_path, capsys):
         "config error: --samples: must be at least 1",
     ]
     assert not out.exists()
+
+
+def test_section_problems_follow_the_table_then_unknown_keys_sorted():
+    # every section reads its rows in table order, then its unknown keys
+    # sorted, whatever the document's order
+    doc = small()
+    doc["coefficients"]["derive"] = {"zzz": True, "metric_proportionality": 1,
+                                     "bogus": True, "integrability": 3}
+    doc["tolerances"] = {"zzz": 1, "para_kahler": -1, "closure": "x",
+                         "aaa": 0}
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    flag = ("unknown flag; valid: ['integrability', 'metric_proportionality',"
+            " 'product_completion']")
+    assert exc.value.problems == [
+        "coefficients.derive.integrability: expected a boolean",
+        "coefficients.derive.metric_proportionality: expected a boolean",
+        f"coefficients.derive.bogus: {flag}",
+        f"coefficients.derive.zzz: {flag}",
+        "tolerances.closure: expected a number",
+        "tolerances.para_kahler: expected a nonnegative number",
+        "tolerances.aaa: unknown check name",
+        "tolerances.zzz: unknown check name",
+    ]
 
 
 @pytest.mark.parametrize("output,flags,err", [

@@ -130,7 +130,6 @@ RULE_EDITS = {
                                  doc.update(checks=["compatibility"])),
     "neutral": lambda doc: (doc["coefficients"].update(epsilon=1),
                             doc.update(checks=["closure"])),
-    "output": lambda doc: doc.update(output=""),
 }
 
 
@@ -146,6 +145,17 @@ def test_parser_only_rule_is_beyond_the_schema(rule):
     RULE_EDITS[rule](doc)
     assert VALIDATOR.is_valid(doc)
     assert [parser_only(p) for p in problems_of(doc)] == [[rule]]
+
+
+def test_schema_refuses_an_empty_output_path():
+    """The nonempty rule of ``output`` is its row's, so the schema holds it
+    (minLength) and the parser notes it by the row, null read as absent."""
+    doc = copy.deepcopy(BASE)
+    for output, problems in ((None, []), ("r.json", []), ("", [
+            "output: expected a nonempty path"])):
+        doc["output"] = output
+        assert problems_of(doc) == problems
+        assert VALIDATOR.is_valid(doc) == (not problems)
 
 
 @pytest.mark.parametrize("coefficients", [

@@ -582,11 +582,11 @@ def test_block_readings_equal_the_dense_assembly_bitwise(model, n, epsilon):
 
 @pytest.mark.parametrize("n", [2, 3, 8, 16, 17, 18, 19, 20, 21, 32])
 def test_one_almost_product_block_has_the_max_of_both(n):
-    """almost_product reads P2 P1 - I alone: per point its max equals the
-    max over both blocks, P1 P2 - I included, bit for bit, at every n the
-    configs allow it tried, on a batch and on single points.  At n = 17 to
-    20 OpenBLAS may round off-diagonal entries of the last row and column
-    of the two products apart; the max is what the residual reads."""
+    """almost_product's one stacked product reads the max over both blocks,
+    P2 P1 - I and P1 P2 - I, each computed on its own, bit for bit, at
+    every n the configs allow it tried (OpenBLAS 0.3.31 rounds the two
+    products apart by an ulp at n = 17 to 20), on a batch and on single
+    points."""
     eye = np.eye(n)
     for model in sorted(BLOCK_MODELS):
         m, c, a1 = BLOCK_MODELS[model](n)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from paralift import (
+    ChartDomainError,
     ContractError,
     LiftedStructure,
     RangeError,
@@ -868,6 +869,24 @@ def test_every_coefficient_check_refuses_t_past_t_max_alike():
             run_check(name, ls, sample)
         lines.add(str(exc.value))
     assert lines == {"energy density t = 2.0005 exceeds validated t_max = 2"}
+
+
+def test_a_nan_point_is_off_the_domain():
+    # NaN fails every comparison, so the chart and t_max guards refuse what
+    # is not within bound; space_form reads q alone and passes
+    ls = para_kahler_ls(conformal_ball(3, 1.0))
+    with pytest.raises(ChartDomainError, match="nan exceeds chart bound 1$"):
+        make_point(ls.m, [math.nan, 0.0, 0.0], [0.5, 0.4, -0.6])
+    sample = PhaseSample((make_point(ls.m, [0.3, -0.2, 0.1],
+                                     [math.nan, 0.4, -0.6]),))
+    for name in CHECK_NAMES:
+        if name == "space_form":
+            assert run_check(name, ls, sample).passed
+            continue
+        with pytest.raises(RangeError) as exc:
+            run_check(name, ls, sample)
+        assert str(exc.value) == (
+            "energy density t = nan exceeds validated t_max = 2")
 
 
 def test_kernels_ad_vs_fd_at_n8():

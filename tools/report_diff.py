@@ -4,9 +4,11 @@
 
 Runs ``paralift verify`` from each checkout's ``src/`` on the four shipped
 presets, as they are, with ``--seed 7`` and with ``--samples 5
---tol-override para_kahler=1e-5``; on one preset with an unknown field and
-``--seed -1 --tol-override almost_product=nan``, which the CLI refuses, so
-the order of its problem lines is compared; on every config of
+--tol-override para_kahler=1e-5``; on refused runs of one preset, so the
+order of their problem lines is compared: with an unknown field and
+``--seed -1 --tol-override almost_product=nan``, with an unknown and a
+negative tolerance beside an unknown and a non-boolean derive flag, with
+``output: ""``, and with ``--out "" --samples 0``; on every config of
 NEW_CHECKOUT's ``perfbench/workloads.py`` at benchmark seeds 1-3; and on the
 structures neither builds (``STRUCTURE_JOBS``): ``cruceanu_p`` and
 ``cruceanu_q`` on each chart model at n = 3 and on the c = +1 ball at n = 8,
@@ -86,9 +88,17 @@ def jobs(new_root):
            for name in PRESET_NAMES for flags in flag_sets]
     first = PRESET_NAMES[0]
     preset = new_root / "src" / "paralift" / "presets" / f"{first}.json"
+    doc = json.loads(preset.read_text())
     refused = ["--seed", "-1", "--tol-override", "almost_product=nan"]
-    out.append((" ".join([f"{first}+extra", *refused]),
-                {**json.loads(preset.read_text()), "extra": 1}, refused))
+    out += [(" ".join([f"{first}+extra", *refused]), {**doc, "extra": 1},
+             refused),
+            (f"{first}+bad tolerances and derive", {
+                **doc, "tolerances": {"zzz": 1, "closure": -1},
+                "coefficients": {**doc["coefficients"], "derive": {
+                    "bogus": True, "integrability": 3}}}, []),
+            (f'{first}+output ""', {**doc, "output": ""}, []),
+            (f'{first} --out "" --samples 0', first,
+             ["--out", "", "--samples", "0"])]
     return out + [(f"{workload}/{case.name} bench-seed={seed}",
                    case.document, [])
                   for workload in WORKLOADS for seed in (1, 2, 3)
