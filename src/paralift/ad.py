@@ -55,8 +55,16 @@ __all__ = [
 BLOCK_ELEMENTS = 1 << 15
 
 # The complex step h: a power of two, so Im / h is an exact rescale, and
-# h * h == 0.0, so products of two steps vanish from the real parts.
-STEP = 2.0 ** -600
+# h * h == 0.0, so products of two steps vanish from the real parts.  A
+# larger h keeps the imaginary parts normal on more charts: at 2^-600,
+# Im s = -(c/2) s^2 x_a h turned subnormal near c R^2 = 1e128, and
+# space_form read 2.3e3 on the c = 1e150 ball at n = 2 with p_max = 1e-300
+# (4.5e-11 here).  A smaller h keeps h^2 a' b', which complex products
+# form from two imaginary parts, below the subnormal range, whose
+# arithmetic is slow, for |a' b'| up to 2^13: at 2^-538 it is subnormal
+# from 2 on, and the benchmark configs' derivative checks took 15-46%
+# longer (x86, one process, steps interleaved).
+STEP = 2.0 ** -544
 
 
 def _steps(m):

@@ -203,7 +203,9 @@ def _presets():
         print(f"  {name}: params {[f.name for f in FIELDS[name]]}")
     print()
     print("coefficient families:")
-    print("  rational: params ['alpha', 'beta', 'u'];"
+    params = [f.name for f in FIELDS["coefficients.family"]
+              if f.name != "name"]
+    print(f"  rational: params {params};"
           " a1 = 1/beta, b1 = u/(alpha beta), a2 = beta,"
           " b2 = -u beta/(alpha + 2 t u)")
     print()

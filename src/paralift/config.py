@@ -1,9 +1,14 @@
 """Run configuration: one table of field rules, its parser and its schema.
 
 ``FIELDS`` declares each config field once, scalar-preset parameters
-included.  ``parse_config`` walks it, adds the cross-field rules whose
-problem lines ``PARSER_ONLY`` holds, and lists every problem, not just the
-first.  ``schemas/config.schema.json`` is the output of
+included.  ``parse_config`` reads a document in two stages and lists every
+problem of the first stage that finds any, not just the first problem.
+First every present value of every section is read by its row, in table
+order, and the section's unknown keys after; a refused value is left out.
+Only if no row noted a problem do the cross-field rules run, whose problem
+lines ``PARSER_ONLY`` holds.  They read the typed values and which keys the
+document gave, so no rule judges a value the document did not give.
+``schemas/config.schema.json`` is the output of
 :func:`config_schema`, never edited by hand: regenerate it with ``python3
 tools/config_schema.py``.  The builders make the geometric objects.
 """
@@ -12,7 +17,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
-from functools import partial
 from sys import float_info
 
 from . import coefficients as co
@@ -28,9 +32,9 @@ class Field:
     is a JSON type, "enum" (of ``values``), "scalar" (a preset or one of
     ``values``), "list" (nonempty, each item read by the row ``item``) or
     "object" (the section at its path).  A bad value is noted as "expected
-    <type>", for an enum "unknown <name> ...", or ``problem``, and
-    ``default`` is kept.  Absent, the field is the problem ``required`` if
-    set; ``nullable`` reads null as absent."""
+    <type>", for an enum "unknown <name> ...", or ``problem``, and left
+    out.  Absent, the field is ``default``, after the problem ``required``
+    if set; ``nullable`` reads null as absent."""
 
     name: str
     type: str
@@ -190,45 +194,36 @@ class RunConfig:
 
 
 def parse_config(document):
-    """Validate a config document; raise :class:`ConfigError` with all problems."""
+    """Validate a config document; raise :class:`ConfigError` with every
+    problem of its rows or, if they have none, of the cross-field rules."""
     if not isinstance(document, dict):
         raise ConfigError(["config: expected a JSON object"])
     problems = [f"{key}: unknown top-level field" for key in document
                 if ("", key) not in _ROWS]
-    manifold = _field(document, "", "manifold", problems,
-                      {"strength": _manifold_rule})
-    coefficients = _field(document, "", "coefficients", problems, {
-        "family": _family_rule, "a1": None, "b1": None,
-        "allow_mismatched_c": partial(_curvature_rule, c=manifold["c"]),
-        "lambda": partial(_metric_rule, key="lambda"),
-        "mu": partial(_metric_rule, key="mu")})
-    sampling = _field(document, "", "sampling", problems)
-    checks = _parse_checks(_field(document, "", "checks", problems),
-                           coefficients, problems)
-    tolerances = _field(document, "", "tolerances", problems)
-    output = _field(document, "", "output", problems)
+    config = {f.name: _field(document, "", f.name, problems)
+              for f in FIELDS[""]}
+    if not problems:
+        _rules(config, document, problems)
     if problems:
         raise ConfigError(problems)
-    return RunConfig(manifold, coefficients, sampling, checks, tolerances,
-                     output)
+    return RunConfig(**config)
 
 
-def _field(section, path, name, problems, rules=None, missing=None,
-           table=None):
+def _field(section, path, name, problems, table=None):
     """Field ``name`` of the section at ``path`` by its row in ``FIELDS[table
-    or path]``; when absent, the row's default, after the problem ``missing``
-    or the row's ``required``."""
+    or path]``; when absent, the row's default, after its ``required``
+    problem if it has one."""
     f, where = _ROWS[table or path, name], f"{path}.{name}".lstrip(".")
     if section.get(name) is not None or (name in section and not f.nullable):
-        return _value(f, section[name], where, problems, rules)
-    if missing or f.required:
-        problems.append(missing or f"{where}: {f.required}")
+        return _value(f, section[name], where, problems)
+    if f.required:
+        problems.append(f"{where}: {f.required}")
     return _defaults(where) if f.type == "object" else copy.deepcopy(f.default)
 
 
-def _value(f, value, path, problems, rules=None):
+def _value(f, value, path, problems):
     """``value`` checked by row ``f``; on a problem, noted in ``problems``,
-    the row's default.  A section is walked with ``rules``."""
+    None.  A section is walked by its rows."""
     if f.type == "scalar":
         if value in f.values:
             return value
@@ -258,29 +253,22 @@ def _value(f, value, path, problems, rules=None):
     elif f.sign and not _SIGNS[f.sign][1](value):
         problem = _SIGNS[f.sign][0]
     elif f.type == "object":
-        return _walk(value, path, problems, rules or {})
+        return _walk(value, path, problems)
     if problem:
         problems.append(f"{path}: {problem}")
-        return _defaults(path) if f.type == "object" else f.default
+        return None
     if f.type == "enum":
         return f.values[f.values.index(value)]  # the number 1.0 is 1
     return float(value) if f.type == "number" else value
 
 
-def _walk(section, path, problems, rules, table=None):
+def _walk(section, path, problems, table=None):
     """The section at ``path`` read by the rows of ``FIELDS[table or path]``
     in table order, then unknown keys sorted.  A row with no value to give,
-    absent or refused and without a default, is left out.  A row named in
-    ``rules`` is read by that rule, called with (section, fields so far,
-    problems), or by an earlier one if None."""
-    table, out = table or path, {}
-    for f in FIELDS[table]:
-        if f.name in rules:
-            if rules[f.name]:
-                rules[f.name](section, out, problems)
-        elif (value := _field(section, path, f.name, problems,
-                              table=table)) is not None:
-            out[f.name] = value
+    refused or absent without a default, is left out."""
+    table = table or path
+    out = {f.name: value for f in FIELDS[table] if (value := _field(
+        section, path, f.name, problems, table)) is not None}
     _unknown(section, path, [f.name for f in FIELDS[table]], problems,
              _UNKNOWN.get(table))
     return out
@@ -298,81 +286,89 @@ def _unknown(section, path, names, problems, problem=None):
         problems.append(f"{path}.{key}: {problem or 'unknown field'}")
 
 
-def _manifold_rule(section, out, problems):
-    """strength, then the flat model's c alone or else the chart rules of
-    :mod:`paralift.spaceform` on the numbers the chart reads."""
-    if out["model"] == "perturbed_conformal":
-        out["strength"] = _field(section, "manifold", "strength", problems)
-    elif "strength" in section:
+def _rules(config, document, problems):
+    """The cross-field rules, in order: the manifold's, then family, a1 and
+    b1, the curvature, lambda and mu, then the checks.  They judge a config
+    whose every row accepted its value, and read from ``document`` which
+    keys were given.  They drop what the structure does not read: strength
+    off the perturbed model; of family, a1 and b1, all but the source of
+    a1 and b1 (a Cruceanu structure reads none of them, nor the
+    integrability and metric derivations); lambda and mu without the metric
+    derivation.  Every path needs the product completion."""
+    mf, cf = config["manifold"], config["coefficients"]
+    given = document["coefficients"]
+    strength = mf.pop("strength")
+    if mf["model"] == "perturbed_conformal":
+        mf["strength"] = strength
+    elif "strength" in document["manifold"]:
         problems.append(PARSER_ONLY["strength"])
-    if out["model"] == "flat" and out["c"] != 0.0:
+    if mf["model"] == "flat" and mf["c"] != 0.0:
         problems.append(PARSER_ONLY["flat"])
-    else:
+    else:  # the chart rules of paralift.spaceform
         problems.extend(f"manifold.{line}"
-                        for line in chart_problems(**_chart(out)))
+                        for line in chart_problems(**_chart(mf)))
+    derive, read = cf["derive"], ()
+    if cf["kind"] != "natural_diagonal":
+        problems.extend(PARSER_ONLY["cruceanu"].format(key) for key in (
+            "family", "a1", "b1") if given.get(key) is not None)
+        _derive_off(derive, given, ("integrability", "metric_proportionality"),
+                    PARSER_ONLY["cruceanu"], problems)
+    elif given.get("family") is not None:
+        read = ("family",)
+        _derive_off(derive, given, ("integrability",),
+                    PARSER_ONLY["family_b1"], problems)
+        problems.extend(PARSER_ONLY["family"].format(key)
+                        for key in ("b1", "a1") if key in given)
+    else:
+        if "a1" not in given:
+            problems.append(PARSER_ONLY["a1"])
+        if derive["integrability"]:
+            read = ("a1",)
+            if "b1" in given:
+                problems.append(PARSER_ONLY["b1_on"])
+        else:
+            read = ("a1", "b1")
+            if "b1" not in given:
+                problems.append(PARSER_ONLY["b1_off"])
+    cf.update((key, cf.get(key) if key in read else None)
+              for key in ("family", "a1", "b1"))
+    if not derive["product_completion"]:
+        problems.append(PARSER_ONLY["completion"])
+    c = mf["c"]
+    cf["curvature"] = cf.get("curvature", c)
+    if (derive["integrability"] and cf["kind"] == "natural_diagonal"
+            and cf["family"] is None and cf["curvature"] != c
+            and not cf["allow_mismatched_c"]):
+        problems.append(PARSER_ONLY["curvature"].format(cf["curvature"], c))
+    if not derive["metric_proportionality"]:
+        for key in ("lambda", "mu"):
+            cf[key] = None
+            if key in given:
+                problems.append(PARSER_ONLY["metric"].format(key))
+    for name in config["checks"]:
+        needs = CHECKS[name].spec  # None, "metric" or "para_hermitian"
+        if needs:
+            if cf["kind"] != "natural_diagonal":
+                problems.append(PARSER_ONLY["kind"].format(name))
+            elif not derive["metric_proportionality"]:
+                problems.append(PARSER_ONLY["proportional"].format(name))
+        if needs == "para_hermitian" and cf["epsilon"] != -1:
+            problems.append(PARSER_ONLY["neutral"].format(name))
+    config["checks"] = tuple(dict.fromkeys(config["checks"]))
+
+
+def _derive_off(derive, given, flags, problem, problems):
+    """Each derive flag of ``flags`` off unless given; on, the ``problem``."""
+    for flag in flags:
+        if flag not in given.get("derive", {}):
+            derive[flag] = False
+        elif derive[flag]:
+            problems.append(problem.format(f"derive.{flag}"))
 
 
 def _chart(manifold):
     """The fields of the chart a manifold section names: all but its model."""
     return {key: v for key, v in manifold.items() if key != "model"}
-
-
-def _family_rule(section, out, problems):
-    """family, a1 and b1: which of them a structure reads.  A Cruceanu
-    structure builds from none of them, nor from the integrability and
-    metric derivations.  Every path needs the product completion."""
-    out["family"] = out["a1"] = out["b1"] = None
-    if out["kind"] != "natural_diagonal":
-        problems.extend(PARSER_ONLY["cruceanu"].format(key)
-                        for key in ("family", "a1", "b1") if key in section
-                        and (key != "family" or section[key] is not None))
-        _derive_off(section, out, ("integrability", "metric_proportionality"),
-                    PARSER_ONLY["cruceanu"], problems)
-    elif section.get("family") is not None:
-        out["family"] = _field(section, "coefficients", "family", problems)
-        _derive_off(section, out, ("integrability",), PARSER_ONLY["family_b1"],
-                    problems)
-        problems.extend(PARSER_ONLY["family"].format(key)
-                        for key in ("b1", "a1") if key in section)
-    else:
-        out["a1"] = _field(section, "coefficients", "a1", problems,
-                           missing=PARSER_ONLY["a1"])
-        if not out["derive"]["integrability"]:
-            out["b1"] = _field(section, "coefficients", "b1", problems,
-                               missing=PARSER_ONLY["b1_off"])
-        elif "b1" in section:
-            problems.append(PARSER_ONLY["b1_on"])
-    if not out["derive"]["product_completion"]:
-        problems.append(PARSER_ONLY["completion"])
-
-
-def _derive_off(section, out, flags, problem, problems):
-    """Each derive flag of ``flags`` off unless given; on, the ``problem``."""
-    derive = section.get("derive")
-    for flag in flags:
-        if flag not in (derive if isinstance(derive, dict) else {}):
-            out["derive"][flag] = False
-        elif out["derive"][flag]:
-            problems.append(problem.format(f"derive.{flag}"))
-
-
-def _curvature_rule(section, out, problems, c):
-    """allow_mismatched_c, then curvature against the base's ``c``."""
-    allow = _field(section, "coefficients", "allow_mismatched_c", problems)
-    out["allow_mismatched_c"] = allow
-    out["curvature"] = out.get("curvature", c)
-    if (out["derive"]["integrability"] and out["kind"] == "natural_diagonal"
-            and out["family"] is None and out["curvature"] != c and not allow):
-        problems.append(PARSER_ONLY["curvature"].format(out["curvature"], c))
-
-
-def _metric_rule(section, out, problems, key):
-    """lambda or mu, read only for the metric proportionality derivation."""
-    out[key] = None
-    if out["derive"]["metric_proportionality"]:
-        out[key] = _field(section, "coefficients", key, problems)
-    elif key in section:
-        problems.append(PARSER_ONLY["metric"].format(key))
 
 
 def _parse_scalar(raw, path, problems):
@@ -385,30 +381,17 @@ def _parse_scalar(raw, path, problems):
     preset = _value(_PRESET, raw.get("preset"), f"{path}.preset", problems)
     params = raw.get("params", {})
     if preset and isinstance(params, dict):
-        _walk(params, f"{path}.params", problems, {}, table=preset)
+        _walk(params, f"{path}.params", problems, preset)
     elif preset:
         problems.append(f"{path}.params: expected an object")
     _unknown(raw, path, ("preset", "params"), problems)
     return {"preset": preset, "params": copy.deepcopy(params)}
 
 
-def _parse_checks(checks, coefficients, problems):
-    """Each check's spec requirement; the checks without repeats."""
-    for name in checks:
-        needs = CHECKS[name].spec  # None, "metric" or "para_hermitian"
-        if needs:
-            if coefficients["kind"] != "natural_diagonal":
-                problems.append(PARSER_ONLY["kind"].format(name))
-            elif not coefficients["derive"]["metric_proportionality"]:
-                problems.append(PARSER_ONLY["proportional"].format(name))
-        if needs == "para_hermitian" and coefficients["epsilon"] != -1:
-            problems.append(PARSER_ONLY["neutral"].format(name))
-    return tuple(dict.fromkeys(checks))
-
-
 def read_flag(path, name, value, flag, problems):
     """The command line's ``value`` for field ``name`` of the section at
-    ``path``, checked by its row; problems are noted under ``flag``."""
+    ``path``, checked by its row, or None if refused; problems are noted
+    under ``flag``."""
     return _value(_ROWS[path, name], value, flag, problems)
 
 

@@ -95,6 +95,15 @@ def test_nonvanishing_guard_rejects_nan():
         almost_product_spec((t + 1.0) * t / t)
 
 
+def test_nonvanishing_guard_rejects_a_sign_change_at_a_pole():
+    # 1/(t - 0.51234) stays far from 0 on the grid, and the bisection
+    # toward the least |f| brackets no pole: the grid's sign test refuses it
+    t = polynomial([0.0, 1.0])
+    with pytest.raises(DegenerateCoefficient, match=re.escape(
+            "a1 changes sign between t = 0.507937 and t = 0.539683")):
+        almost_product_spec(1.0 / (t - 0.51234))
+
+
 def test_positivity_guard_rejects_nan():
     t = polynomial([0.0, 1.0])
     spec = almost_product_spec(constant(1.0))

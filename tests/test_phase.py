@@ -113,6 +113,33 @@ def test_gamma0_carries_g0_to_2t_h(n, model):
             assert np.all(err <= 4 * eps * size), (model, n)
 
 
+@pytest.mark.parametrize("c", [1.0, 1e50, 1e100, 1e150])
+def test_stepped_lanes_carry_the_plain_fields_bitwise(c):
+    """The real parts of a sample's stepped point are its plain fields, bit
+    for bit, on balls of huge curvature: a product of two stepped factors
+    adds STEP^2 a' b' to its real part, which must round away even where
+    the partials dwarf the values.  t alone keeps a term of its own on the
+    lanes that step p: (p_a + i STEP)^2 / phi has the real part p_a^2 / phi
+    - STEP^2 / phi, at most 4e-30 on these balls, so it moves t only where
+    t is as small (here every t is, p being at most 1e-300), and rounds
+    away at c = 1."""
+    m = conformal_ball(2, c)
+    sample = sample_points(m, 20, 0, p_max=1e-300)
+    eps = np.finfo(float).eps
+    for name in ("q", "p", "phi", "h", "g0", "t"):
+        real = getattr(sample.stepped, name).real
+        plain = np.broadcast_to(
+            np.expand_dims(getattr(sample.batch, name), 1), real.shape)
+        if name == "t":  # lanes 0, 1 step q and 2, 3 step p
+            shift = 0.5 * ad.STEP * (ad.STEP / sample.batch.phi[:, None])
+            assert np.all(np.abs(real[:, 2:] - (plain[:, 2:] - shift))
+                          <= 4 * eps * (plain[:, 2:] + shift))
+            assert (c > 1.0) is bool(np.any(shift > 0.0))
+            real, plain = real[:, :2], plain[:, :2]
+        assert real.tobytes() == np.ascontiguousarray(plain).tobytes(), (
+            name, c)
+
+
 def test_basis_identity_on_flat_and_at_origin():
     m = flat_space(2)
     pt = make_point(m, [0.5, 0.5], [1.0, 2.0])

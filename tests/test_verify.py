@@ -271,6 +271,22 @@ def test_metric_signature_census_is_relative_to_each_block(scale):
         assert rep.passed is passed, (scale, ratio)
 
 
+def test_metric_signature_without_an_expected_signature_is_vacuous():
+    # a1 = -1 with eps = +1 is no positive spec: no count is expected, so
+    # the check passes at 0 on every point and says it checked nothing
+    m = conformal_ball(3, 1.0)
+    spec = with_metric(almost_product_spec(constant(-1.0), epsilon=1),
+                       constant(1.0))
+    rep = run_check("metric_signature", LiftedStructure(m=m, spec=spec),
+                    sample_points(m, 20, 13))
+    assert rep.passed and rep.max_residual == 0.0
+    out = rep.to_dict()
+    assert out["details"]["expected_positive"] is None
+    assert out["details"]["expected_negative"] is None
+    assert out["notes"] == ["no expected signature for a non-positive "
+                            "eps = +1 spec; check is vacuous"]
+
+
 # ------------------------------------------------------------ d Omega checks
 
 

@@ -8,7 +8,11 @@ presets, as they are, with ``--seed 7`` and with ``--samples 5
 order of their problem lines is compared: with an unknown field and
 ``--seed -1 --tol-override almost_product=nan``, with an unknown and a
 negative tolerance beside an unknown and a non-boolean derive flag, with
-``output: ""``, and with ``--out "" --samples 0``; on every config of
+``output: ""``, and with ``--out "" --samples 0``; on four refused
+documents of one mistake each, so that no cross-field rule judges a value
+its row refused: the model "perturbed" beside a strength, the kind
+"cruceanu-p", derive.integrability 3 beside the family, and c "x" beside
+a curvature of 2 with a1 = 1 in place of the family; on every config of
 NEW_CHECKOUT's ``perfbench/workloads.py`` at benchmark seeds 1-3; and on the
 structures neither builds (``STRUCTURE_JOBS``): ``cruceanu_p`` and
 ``cruceanu_q`` on each chart model at n = 3 and on the c = +1 ball at n = 8,
@@ -99,6 +103,17 @@ def jobs(new_root):
             (f'{first}+output ""', {**doc, "output": ""}, []),
             (f'{first} --out "" --samples 0', first,
              ["--out", "", "--samples", "0"])]
+    manifold, one = doc["manifold"], {"preset": "constant",
+                                      "params": {"value": 1.0}}
+    out += [(f"{first}+{label}", {**doc, **edit}, []) for label, edit in (
+        ('model "perturbed" with strength', {"manifold": {
+            **manifold, "model": "perturbed", "strength": 0.2}}),
+        ('kind "cruceanu-p"', {"coefficients": {"kind": "cruceanu-p"}}),
+        ("family with derive.integrability 3", {"coefficients": {
+            **doc["coefficients"], "derive": {"integrability": 3}}}),
+        ('c "x" with curvature 2', {"manifold": {**manifold, "c": "x"},
+                                    "coefficients": {"a1": one,
+                                                     "curvature": 2.0}}))]
     return out + [(f"{workload}/{case.name} bench-seed={seed}",
                    case.document, [])
                   for workload in WORKLOADS for seed in (1, 2, 3)
