@@ -33,11 +33,7 @@ from .errors import (
     RangeError,
 )
 from .lifted import LiftedStructure
-from .phase import (
-    CotangentPoint,
-    energy_density,
-    make_point,
-)
+from .phase import CotangentPoint, make_point
 from .report import CheckReport
 from .spaceform import (
     SpaceForm,
@@ -57,9 +53,9 @@ __all__ = [
     "affine", "almost_product_spec", "ChartDomainError", "CheckReport",
     "ConfigError", "conformal_ball", "constant", "ContractError",
     "CotangentPoint", "DEFAULT_TOLERANCES", "DegenerateCoefficient",
-    "energy_density", "exponential", "fd_oracle", "flat_space",
-    "integrable_spec", "LiftedStructure", "make_point",
-    "perturbed_conformal", "PhaseSample", "polynomial", "RangeError",
-    "rational_spec", "run_check", "sample_points", "ScalarFamily",
-    "SpaceForm", "StructureSpec", "with_metric",
+    "exponential", "fd_oracle", "flat_space", "integrable_spec",
+    "LiftedStructure", "make_point", "perturbed_conformal", "PhaseSample",
+    "polynomial", "RangeError", "rational_spec", "run_check",
+    "sample_points", "ScalarFamily", "SpaceForm", "StructureSpec",
+    "with_metric",
 ]

@@ -21,8 +21,9 @@ and from the first derivative check on :func:`stepped_point` of that
 batch: the same fields on the 2n complex-stepped lanes z + i h e_a that
 every derivative check reads.
 Since g = phi I, a point carries phi and its log-gradient h, not matrices,
-and its chart ``m``; every field of a point, and :func:`energy_density`,
-comes from one evaluation of :func:`paralift.spaceform.conformal_fields`.
+and its chart ``m``; every field of a point, its energy density t among
+them, comes from one evaluation of
+:func:`paralift.spaceform.conformal_fields`.
 :func:`on_chart` is where a point meets a structure's chart: a point of an
 equal chart is read as it is, any other is rebuilt there.  Gamma0 is formed
 from p and h where it is read.
@@ -45,7 +46,6 @@ __all__ = [
     "stepped_point",
     "stack_points",
     "take_points",
-    "energy_density",
 ]
 
 
@@ -156,9 +156,3 @@ def take_points(batch, index):
     """Point ``index`` of a batched point, or a batch for a slice."""
     return _frozen(batch.m, *(getattr(batch, name)[index] for name in _ARRAYS))
 
-
-def energy_density(m, q, p):
-    """(1/2) g^{ik}(q) p_i p_k, evaluable on complex steps in all 2n
-    variables: the t of :func:`chart_point`, so on real coordinates it
-    rounds exactly as the t of :func:`make_point`."""
-    return chart_point(m, q, p).t

@@ -31,6 +31,7 @@ for comparisons against central finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable
@@ -38,7 +39,6 @@ from typing import Callable
 import numpy as np
 
 from . import ad
-from .errors import RangeError
 from .lifted import (
     _adapted_blocks,
     _omega_coordinate,
@@ -49,7 +49,6 @@ from .lifted import (
 )
 from .phase import (
     CotangentPoint,
-    energy_density,
     make_point,
     on_chart,
     stack_points,
@@ -57,7 +56,7 @@ from .phase import (
     take_points,
 )
 from .report import _sort_key, make_report
-from .spaceform import curvature_of, space_form_deviation
+from .spaceform import conformal_fields, curvature_of, space_form_deviation
 
 __all__ = [
     "PhaseSample",
@@ -106,48 +105,66 @@ class PhaseSample:
 
 
 def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0):
-    """Deterministic sample of phase points for the checkers.
+    """Deterministic sample of phase points in the validated region
+    t <= t_max, for the checkers.
 
-    q is uniform in the ball |q| <= CHART_FRACTION * chart_radius, p uniform
-    in |p| <= p_max; draws whose energy density is not at most t_max (above
-    it, overflowing or NaN) are rejected and redrawn, and a
-    :class:`RangeError` ends a search that draws too many.
-    The first point always carries p = 0, since several coefficient
-    formulas have removable behavior at t = 0 that deserves coverage.  Each
-    draw is tested in float arithmetic; the accepted ones are built as one
-    batch, whose stepped point the first check that differentiates builds.
+    q is uniform in the ball |q| <= CHART_FRACTION * chart_radius and p,
+    given q, uniform in the ball |p| <= min(p_max, sqrt(2 phi(q) t_max)),
+    where t = |p|^2 / (2 phi) is at most t_max too; so no draw is refused
+    (:func:`_region_points`).  The first point always carries p = 0, since
+    several coefficient formulas have removable behavior at t = 0 that
+    deserves coverage.  Each point draws q's direction and radius, then
+    p's, but the first draws no p.  The points are built as one batch,
+    whose stepped point the first check that differentiates builds.
     """
     rng = np.random.default_rng(seed)
-    radius = CHART_FRACTION * m.chart_radius
-    qs, ps = [], []
-    attempts = 0
-    limit = max(1000, 400 * count)
-    with np.errstate(over="ignore"):  # an overflowing t is past t_max
-        while len(qs) < count:
-            attempts += 1
-            if attempts > limit:
-                raise RangeError(
-                    f"sampler starved: {len(qs)} of {count} points after "
-                    f"{attempts} draws (t_max = {t_max:g} too tight?)")
-            q = _ball(rng, m.n, radius)
-            p = np.zeros(m.n) if not qs else _ball(rng, m.n, p_max)
-            if energy_density(m, q, p) <= t_max:  # a NaN t is not
-                qs.append(q)
-                ps.append(p)
-    batch = make_point(m, qs, ps) if qs else stack_points(())
-    points = tuple(take_points(batch, i) for i in range(len(qs)))
+    v = np.zeros((2 * count, m.n))  # row 2i draws point i's q, 2i + 1 its p
+    norm, fraction = np.ones(2 * count), np.zeros(2 * count)
+    for i in range(2 * count):
+        if i != 1:  # the first point's p stays (0 / 1) 0 = 0
+            v[i], norm[i], fraction[i] = _draw(rng, m.n)
+    batch = _region_points(m, v, norm, fraction, p_max, t_max)
+    points = tuple(take_points(batch, i) for i in range(count))
     return PhaseSample(points, seed, batch)
 
 
-def _ball(rng, n, radius):
+def _draw(rng, n):
+    """A direction v, its norm and a radius fraction u^(1/n), u uniform in
+    [0, 1): the point (fraction / norm) v of the unit ball, uniform in it."""
     v = rng.standard_normal(n)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         v = np.zeros(n)
         v[0] = 1.0
         norm = 1.0
-    r = radius * rng.random() ** (1.0 / n)
-    return (r / norm) * v
+    return v, norm, rng.random() ** (1.0 / n)
+
+
+def _region_points(m, v, norm, fraction, p_max, t_max):
+    """The batch of points with q and p from the even and odd rows of the
+    ball draws (v, norm, fraction): each (r / norm) v at r = radius *
+    fraction, the radius CHART_FRACTION * chart_radius for q and, from one
+    pass of phi over the q's, min(p_max, sqrt(2 phi t_max)) for p.
+
+    A point at the edge of that ball may round to t a few ulps past t_max;
+    its p is scaled once onto t = t_max, less (n + 8) ulps of 1, which
+    covers the rounding of t before and after the scaling, so every t of
+    the batch is at most t_max.
+    """
+    def ball(radius, rows):
+        return (radius * fraction[rows] / norm[rows])[:, None] * v[rows]
+
+    q = ball(CHART_FRACTION * m.chart_radius, slice(0, None, 2))
+    p = ball(np.array([min(p_max, math.sqrt(2.0 * t_max * phi))
+                       for phi in conformal_fields(m, q)[0].tolist()]),
+             slice(1, None, 2))
+    batch = make_point(m, q, p)
+    over = batch.t > t_max
+    if np.any(over):
+        p[over] *= (np.sqrt(t_max / batch.t[over])
+                    * (1.0 - (m.n + 8) * np.finfo(float).eps))[:, None]
+        batch = make_point(m, q, p)
+    return batch
 
 
 def _blocks(fn, sample, lanes, n):
@@ -383,10 +400,12 @@ class Check:
     of the batch arrays, on the structure's chart, whose rows its
     ``witnesses`` report.
 
-    A composite lists its ``parts`` instead of a residual: it passes iff
-    every part passes at its tolerance, and reports the worst part's
-    residuals, witnesses and notes, a non-finite one ranking worst, with
-    each part's max residual as a "<part>_residual" detail.
+    A composite lists its ``parts`` instead of a residual.  It reports the
+    worst part's residuals, witnesses and notes, a non-finite one ranking
+    worst, with each part's max residual as a "<part>_residual" detail,
+    and judges that part's residuals against its own tolerance, not the
+    part's: a part whose residual passes the composite's tolerance but not
+    its own fails its own check and passes the composite.
     """
 
     tolerance: float

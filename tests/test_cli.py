@@ -391,19 +391,30 @@ def test_main_domain_error_exit_2(tmp_path, capsys):
     assert "DegenerateCoefficient" in capsys.readouterr().err
 
 
-def test_starved_sampler_exit_2(tmp_path, capsys):
-    # no draw but the first, at p = 0, has t <= 1e-9; this used to end in a
-    # RuntimeError traceback and exit status 1, which means a failed check
-    doc = small(count=5, checks=["almost_product"])
-    doc["coefficients"]["t_max"] = 1e-9
+REGION_CHECKS = ["space_form", "almost_product", "compatibility",
+                 "metric_signature", "integrability"]
+
+
+def _runs_quietly(tmp_path, doc):
+    """Exit status 0 of a run of ``doc``, with a report, no stderr and no
+    RuntimeWarning."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
-    out = tmp_path / "r.json"
-    assert main(["verify", str(path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: RangeError: sampler starved: 1 of 5 points")
-    assert err.count("\n") == 1
-    assert not out.exists()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = main(["verify", str(path), "--out", str(tmp_path / "r.json")])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert (tmp_path / "r.json").exists()
+    return status
+
+
+def test_tiny_t_max_samples_the_region(tmp_path, capsys):
+    # p is drawn in |p| <= sqrt(2 phi t_max); the rejection sampler found
+    # no draw but the first, at p = 0, with t <= 1e-9 and exited 2
+    doc = small(count=5, checks=REGION_CHECKS)
+    doc["coefficients"]["t_max"] = 1e-9
+    assert _runs_quietly(tmp_path, doc) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_double_root_coefficient_exit_2(tmp_path, capsys):
@@ -499,6 +510,21 @@ def test_huge_coefficient_has_its_signature(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert [(c["check_name"], c["verdict"]) for c in report["checks"]] == [
         (name, "pass") for name in checks]
+
+
+def test_composite_judges_the_worst_part_at_its_own_tolerance(tmp_path,
+                                                               capsys):
+    # para_kahler judges its worst part's residual against its own 1e-8,
+    # not the part's 1e-10: a change of that rule changes these verdicts
+    doc = small(count=100, seed=0, checks=["compatibility", "para_kahler"])
+    doc["coefficients"]["lambda"] = {
+        "preset": "affine", "params": {"intercept": 1e5, "slope": 1e5}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "compatibility: FAIL  max_residual=2.794e-09  tolerance=1.0e-10",
+        "para_kahler: PASS  max_residual=2.794e-09  tolerance=1.0e-08"]
 
 
 def test_huge_curvature_space_form_passes(tmp_path, capsys):
@@ -626,21 +652,13 @@ def test_chart_where_inverse_phi_overflows_exit_2(tmp_path, capsys, radius):
     assert not (tmp_path / "r.json").exists()
 
 
-def test_overflowing_energy_density_is_rejected_quietly(tmp_path, capsys):
-    # with p_max = 1e200 every draw past the first (p = 0) has a t that
-    # overflows: past t_max, with no numpy overflow warning
-    doc = small(count=5, checks=["almost_product"])
+def test_huge_p_max_samples_the_region_quietly(tmp_path, capsys):
+    # with p_max = 1e200, t bounds |p|: no t overflows, where the rejection
+    # sampler refused every draw past the first and exited 2
+    doc = small(count=5, checks=REGION_CHECKS)
     doc["sampling"]["p_max"] = 1e200
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["verify", str(path), "--out",
-                     str(tmp_path / "r.json")]) == 2
-        assert "sampler starved: 1 of 5 points" in capsys.readouterr().err
-        assert main(["verify", str(path), "--samples", "1", "--out",
-                     str(tmp_path / "r.json")]) == 0
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert _runs_quietly(tmp_path, doc) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_boolean_epsilon_exit_2(tmp_path, capsys):

@@ -34,12 +34,12 @@ def test_the_package_exports_what_the_checks_reach():
         "ChartDomainError", "ConfigError", "ContractError",
         "DegenerateCoefficient", "RangeError",
         "LiftedStructure",
-        "CotangentPoint", "energy_density", "make_point",
+        "CotangentPoint", "make_point",
         "CheckReport",
         "SpaceForm", "conformal_ball", "flat_space",
         "perturbed_conformal",
         "DEFAULT_TOLERANCES", "PhaseSample", "fd_oracle", "run_check",
         "sample_points",
     }
-    assert len(paralift.__all__) == 29
+    assert len(paralift.__all__) == 28
     assert "CheckReport" not in paralift.verify.__all__

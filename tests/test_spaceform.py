@@ -390,15 +390,13 @@ def test_closed_form_curvature_matches_the_generic_route(rng, n):
         assert np.max(np.abs(want[0] - fd)) <= 1e-6 * scale, m
 
 
-def test_energy_density_is_the_chart_point_t():
+def test_make_point_t_is_the_chart_point_t():
     from paralift import phase
-    from paralift.phase import energy_density
 
     xs = np.array([[0.1, -0.2, 0.3], [0.4, 0.0, -0.5]])
     ps = np.array([[1.0, 0.5, -0.25], [0.0, 0.0, 0.0]])
     for m in ALL_MODELS:
         want = phase.chart_point(m, xs, ps).t
-        assert np.array_equal(energy_density(m, xs, ps), want)
         assert np.array_equal(make_point(m, xs, ps).t, want)
 
 

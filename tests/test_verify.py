@@ -1,6 +1,7 @@
 """Theorem checkers: positive and negative directions, oracles, determinism."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,6 @@ from paralift import (
     almost_product_spec,
     conformal_ball,
     constant,
-    energy_density,
     exponential,
     fd_oracle,
     flat_space,
@@ -39,17 +39,19 @@ from paralift.phase import chart_point, stack_points
 from paralift.report import make_report
 from paralift.spaceform import christoffel_at, curvature_at
 from paralift.verify import (
+    CHART_FRACTION,
     CHECK_NAMES,
     CHECKS,
     PhaseSample,
     _closure_max,
     _nijenhuis_max,
+    _region_points,
     analytic_dOmega,
     exterior_derivative_2form,
     nijenhuis_at,
     run_check,
 )
-from chart_sampling import random_chart_points
+from chart_sampling import random_chart_points, rejection_sample
 from curvature_reference import generic_curvature
 from frame_reference import frame_matrices
 
@@ -87,10 +89,72 @@ def test_sampler_is_deterministic_and_in_bounds():
         assert pt.t <= 2.0
 
 
-def test_sampler_starvation_reported():
+def test_tight_t_max_samples_inside_the_region():
+    # p is drawn in |p| <= sqrt(2 phi t_max), so no draw is refused
     m = flat_space(3)
-    with pytest.raises(RangeError, match="sampler starved"):
-        sample_points(m, 10, 1, p_max=2.0, t_max=1e-12)
+    sample = sample_points(m, 10, 1, p_max=2.0, t_max=1e-12)
+    assert len(sample.points) == 10
+    assert np.all(sample.batch.t <= 1e-12) and np.any(sample.batch.t > 0.0)
+    assert np.linalg.norm(sample.batch.p, axis=-1).max() <= math.sqrt(2e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("chart", ["flat", "ball-1"])
+def test_sampler_matches_the_rejection_oracle(chart, n):
+    """On charts where phi >= 1, sqrt(2 phi t_max) >= p_max at the default
+    p_max and t_max: the sample is the former rejection sampler's, bitwise."""
+    m = flat_space(n) if chart == "flat" else conformal_ball(n, -1.0)
+    for seed in range(5):
+        batch = sample_points(m, 40, seed).batch
+        q, p = rejection_sample(m, 40, seed)
+        assert batch.q.tobytes() == q.tobytes()
+        assert batch.p.tobytes() == p.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_sampled_q_is_uniform_in_the_ball(n):
+    """No draw is refused, so on the c = +1 ball, where the former sampler
+    refused more draws near the edge, the share of q beyond 0.9 of the
+    sampling radius is the uniform 1 - 0.9^n, within 3 sigma."""
+    m = conformal_ball(n, 1.0)
+    count = 5000
+    q = sample_points(m, count, 1).batch.q
+    share = np.mean(np.linalg.norm(q, axis=-1) > 0.9 * CHART_FRACTION)
+    want = 1.0 - 0.9 ** n
+    assert abs(share - want) <= 3.0 * math.sqrt(want * (1.0 - want) / count)
+
+
+# the four chart models at base dimension n
+SHIPPED_CHARTS = {
+    "flat": flat_space,
+    "ball+1": lambda n: conformal_ball(n, 1.0),
+    "ball-1": lambda n: conformal_ball(n, -1.0),
+    "perturbed": lambda n: perturbed_conformal(n, 1.0, 0.2),
+}
+
+
+@pytest.mark.parametrize("t_max,p_max", [(2.0, 2.0), (1e-9, 2.0),
+                                         (2.0, 1e200), (2.0, 1e-300)])
+@pytest.mark.parametrize("n", [2, 3, 8, 32])
+@pytest.mark.parametrize("chart", SHIPPED_CHARTS)
+def test_points_drawn_at_the_edge_keep_t_within_t_max(chart, n, t_max, p_max):
+    """At radius fraction 1.0, the edge of both balls, t rounds past t_max
+    on many points; each is pulled onto the region in one step, so every t
+    that make_point computes is at most t_max, with no RuntimeWarning."""
+    m = SHIPPED_CHARTS[chart](n)
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal((400, n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = _region_points(m, v, np.linalg.norm(v, axis=-1),
+                               np.ones(len(v)), p_max, t_max)
+    assert np.all(batch.t <= t_max)
+    q = np.linalg.norm(batch.q, axis=-1)
+    assert np.allclose(q, CHART_FRACTION * m.chart_radius, rtol=1e-15)
+    # each point is on the edge, |p| = p_max or t = t_max, to rounding
+    p = np.linalg.norm(batch.p / p_max, axis=-1)  # |p|^2 underflows at 1e-300
+    assert np.allclose(np.maximum(p, batch.t / t_max), 1.0, rtol=1e-13,
+                       atol=0.0)
 
 
 # ------------------------------------------------- almost product (squares)
@@ -749,25 +813,33 @@ FRAME_CASES = {
 }
 
 
+def _points_at(m, t, rng, count):
+    """``count`` points of ``m`` at energy density t: |q| <= 0.8 R, and p
+    of a random direction scaled to t."""
+    q = np.array(random_chart_points(rng, m, count))
+    p = rng.standard_normal(q.shape)
+    p *= np.sqrt(t / make_point(m, q, p).t)[:, None]
+    return make_point(m, q, p)
+
+
+def _frame_nijenhuis(ls, pt):
+    """N in the g^S-orthonormal adapted frame F = B D, D = diag(phi^-1/2 I,
+    phi^1/2 I), that is (F^-1)^c_d N^d_ef F^e_a F^f_b at [..., c, a, b]."""
+    b, binv = frame_matrices(pt.Gamma0)
+    root = np.sqrt(pt.phi)[:, None] * np.ones(ls.m.n)
+    d = np.concatenate([1.0 / root, root], axis=-1)  # the diagonal of D
+    f, finv = b * d[:, None, :], binv / d[:, :, None]
+    return np.einsum("...cd,...def,...ea,...fb->...cab", finv,
+                     nijenhuis_at(ls, pt), f, f, optimize=True)
+
+
 def _frame_nijenhuis_norms(ls, rng, count=6):
-    """|N|_F in the g^S-orthonormal adapted frame F = B D, D = diag(phi^-1/2
-    I, phi^1/2 I), that is (F^-1)^c_d N^d_ef F^e_a F^f_b, at ``count``
-    points of each t of FRAME_TS (one row per t): |q| <= 0.8 R, and p of a
-    random direction scaled to that t."""
-    m, rows = ls.m, []
-    for t in FRAME_TS:
-        q = np.array(random_chart_points(rng, m, count))
-        p = rng.standard_normal(q.shape)
-        p *= np.sqrt(t / make_point(m, q, p).t)[:, None]
-        pt = make_point(m, q, p)
-        b, binv = frame_matrices(pt.Gamma0)
-        root = np.sqrt(pt.phi)[:, None] * np.ones(m.n)
-        d = np.concatenate([1.0 / root, root], axis=-1)  # the diagonal of D
-        f, finv = b * d[:, None, :], binv / d[:, :, None]
-        frame = np.einsum("...cd,...def,...ea,...fb->...cab", finv,
-                          nijenhuis_at(ls, pt), f, f)
-        rows.append(np.sqrt((frame * frame).sum(axis=(-3, -2, -1))))
-    return np.array(rows)
+    """|N|_F in F at ``count`` points (:func:`_points_at`) of each t of
+    FRAME_TS, one row per t."""
+    return np.array([np.sqrt((frame * frame).sum(axis=(-3, -2, -1)))
+                     for t in FRAME_TS
+                     for frame in [_frame_nijenhuis(
+                         ls, _points_at(ls.m, t, rng, count))]])
 
 
 @pytest.mark.parametrize("case", FRAME_CASES)
@@ -789,6 +861,52 @@ def test_nijenhuis_frame_norm_is_a_function_of_t(case, rng):
         assert np.all(spread > 1e-2)
     else:
         assert spread.max() <= 1e-13
+
+
+# b1 = the rule's b1 + delta; at c = -1, delta = -0.7 is refused, since
+# a1 + 2t b1 vanishes near t = 0.65
+CURVATURE_CASES = [(chart, delta) for chart in SHIPPED_CHARTS
+                   for delta in (0.0, 0.3, -0.7)
+                   if (chart, delta) != ("ball-1", -0.7)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("chart,delta", CURVATURE_CASES)
+def test_nijenhuis_curvature_block_is_the_curvature_deviation(chart, delta,
+                                                              n, rng):
+    """In F, N's block with vertical output and two horizontal inputs is
+
+        N[n + k, i, j] = (R^h_kij - c_eff(t) phi (d^h_i d_kj - d^h_j d_ki))
+                         p_h phi^(-3/2),
+
+    with c_eff(t) = b1 (a1 - 2t a1') - a1 a1', the integrability rule
+    b1 = (a1 a1' + c) / (a1 - 2t a1') solved for c.  So N = 0 forces
+    R = c_eff(t) g ^ g at every t, constant curvature: the theorem's "only
+    if" half.  It holds off the rule and on it (N at rounding level on a
+    space form), and on the perturbed chart, which is no space form; the
+    two sides come from code paths that share nothing but h."""
+    m = SHIPPED_CHARTS[chart](n)
+    a1 = exponential(1.5, 0.1)
+    b1 = integrable_spec(a1, curvature=m.c, t_max=1.0).b1 + constant(delta)
+    ls = LiftedStructure(m=m, spec=almost_product_spec(a1, b1, t_max=1.0))
+    eye = np.eye(n)
+    wedge = np.einsum("hi,kj->hkij", eye, eye) - np.einsum("hj,ki->hkij",
+                                                           eye, eye)
+    for t in FRAME_TS:
+        pt = _points_at(m, t, rng, 6)
+        a, da = a1(pt.t), a1.derivative()(pt.t)
+        c_eff = b1(pt.t) * (a - 2.0 * pt.t * da) - a * da
+        deviation = curvature_at(m, pt.q) - (c_eff * pt.phi)[
+            :, None, None, None, None] * wedge
+        want = np.einsum("xhkij,xh->xkij", deviation, pt.p) * (
+            pt.phi ** -1.5)[:, None, None, None]
+        got = _frame_nijenhuis(ls, pt)[:, n:, :n, :n]
+        if delta == 0.0:
+            assert np.abs(got - want).max() <= 1e-13
+        else:
+            scale = np.abs(want).max()
+            assert scale > 1e-2  # off the rule
+            assert np.abs(got - want).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("name", CHECK_NAMES)
@@ -854,7 +972,7 @@ def test_fd_oracle_steps_past_t_max_at_a_boundary_point(monkeypatch):
     # it the oracle raises where perfbench's digits check calls it
     m = conformal_ball(3, 1.0)
     q, p = np.array([0.3, -0.2, 0.1]), np.array([0.5, 0.4, -0.6])
-    p = p * math.sqrt(2.0 / energy_density(m, q, p))
+    p = p * math.sqrt(2.0 / chart_point(m, q, p).t)
     pt = make_point(m, q, p)
     spec = integrable_spec(constant(1.0), curvature=1.0, t_max=float(pt.t))
     ls = LiftedStructure(m=m, spec=with_metric(spec, affine(1.0, 1.0)))
@@ -874,7 +992,7 @@ def test_every_coefficient_check_refuses_t_past_t_max_alike():
     # checks that differentiate refuse the point as the algebraic ones do
     ls = para_kahler_ls(conformal_ball(3, 1.0))
     q, p = np.array([0.3, -0.2, 0.1]), np.array([0.5, 0.4, -0.6])
-    p = p * math.sqrt(2.0005 / energy_density(ls.m, q, p))
+    p = p * math.sqrt(2.0005 / chart_point(ls.m, q, p).t)
     sample = PhaseSample((make_point(ls.m, q, p),))
     assert ls.spec.t_max == 2.0 and abs(sample.points[0].t - 2.0005) < 1e-12
     readers = [name for name in CHECK_NAMES if name != "space_form"]
@@ -933,7 +1051,7 @@ def test_evaluators_return_float_jacobians():
     evaluators = [
         (pt.q, [lambda y: christoffel_at(m, y),
                 lambda y: chart_point(m, y, pt.p).Gamma0,
-                lambda y: energy_density(m, y, pt.p)]),
+                lambda y: chart_point(m, y, pt.p).t]),
         (pt.z(), [lambda z: chart_point(m, z[..., :n], z[..., n:]).Gamma0,
                   P_coordinate_function(ls), Omega_coordinate(ls)]),
     ]

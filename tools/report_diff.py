@@ -21,7 +21,13 @@ epsilon = +1 natural diagonal spec with almost_product, integrability,
 compatibility and metric_signature; and the unit natural diagonal spec with
 a1 = 1e300 on the flat model, whose G blocks are 1e300 and 1e-300 apart in
 scale, with space_form, almost_product, integrability, compatibility,
-metric_signature and para_kahler.  Prints each report entry that differs
+metric_signature and para_kahler; and (``REGION_JOBS``) the unit
+integrable spec, a1 = 1 with every rule derived, on five configs a sampler
+that rejected draws past t_max could not fill: the c = 1e4 unit ball, the
+c = +1 ball of radius 1e20, and on the c = +1 unit ball ``t_max: 1e-9``,
+``p_max: 1e200`` and n = 32, each with the space_form, almost_product,
+compatibility, metric_signature and integrability checks.  Prints each
+report entry that differs
 outside ``timing`` as ``old -> new``, and any differing exit status or
 stderr.  The witness entries of a check that passes on both sides are the
 top points of rounding noise, so they are only counted, one line per run.
@@ -79,6 +85,23 @@ STRUCTURE_JOBS = [
     for model, n in [*((model, 3) for model in MODELS), ("ball+1", 8)]
 ] + [("natural_diagonal epsilon=+1 n=3", EPSILON_PLUS, []),
        ("natural_diagonal a1=1e300 flat n=3", HUGE_A1, [])]
+UNIT_INTEGRABLE = {
+    "a1": {"preset": "constant", "params": {"value": 1.0}},
+    "derive": {"product_completion": True, "integrability": True,
+               "metric_proportionality": True}}
+REGION_JOBS = [
+    (f"unit integrable {label}", {
+        "manifold": {**MODELS["ball+1"], "n": 3, **manifold},
+        "coefficients": {**UNIT_INTEGRABLE, **coefficients},
+        "sampling": {**SAMPLING, **sampling},
+        "checks": ["space_form", "almost_product", "compatibility",
+                   "metric_signature", "integrability"]}, [])
+    for label, manifold, coefficients, sampling in (
+        ("c=1e4", {"c": 1e4}, {}, {}),
+        ("ball+1 radius=1e20", {"chart_radius": 1e20}, {}, {}),
+        ("ball+1 t_max=1e-9", {}, {"t_max": 1e-9}, {}),
+        ("ball+1 p_max=1e200", {}, {}, {"p_max": 1e200}),
+        ("ball+1 n=32", {"n": 32}, {}, {}))]
 
 
 def jobs(new_root):
@@ -118,7 +141,7 @@ def jobs(new_root):
                    case.document, [])
                   for workload in WORKLOADS for seed in (1, 2, 3)
                   for case in build_workload(workload, seed, new_root)
-                  ] + STRUCTURE_JOBS
+                  ] + STRUCTURE_JOBS + REGION_JOBS
 
 
 def run(root, config, flags):
