@@ -16,10 +16,11 @@ slots 0..n-1 are horizontal (q-directions), slots n..2n-1 vertical
 
 Every function here also takes leading batch axes (see :mod:`paralift.ad`):
 a :class:`CotangentPoint` whose arrays carry one leading axis stands for a
-whole sample, and a ``PhaseSample`` holds its points as one, built once,
-and from the first derivative check on :func:`stepped_point` of that
-batch: the same fields on the 2n complex-stepped lanes z + i h e_a that
-every derivative check reads.
+whole sample and indexes like a sequence of its points, and a
+``PhaseSample`` holds its points as one such batch, built once, and from
+the first derivative check on :func:`stepped_point` of that batch: the
+same fields on the 2n complex-stepped lanes z + i h e_a that every
+derivative check reads.
 Since g = phi I, a point carries phi and its log-gradient h, not matrices,
 and its chart ``m``; every field of a point, its energy density t among
 them, comes from one evaluation of
@@ -45,7 +46,6 @@ __all__ = [
     "make_point",
     "stepped_point",
     "stack_points",
-    "take_points",
 ]
 
 
@@ -56,9 +56,11 @@ class CotangentPoint:
     phi is the conformal factor of g = phi I at q, t the energy density
     (1/2) g^{ik} p_i p_k, g0 the raised covector g^{0i} = p_h g^{hi}, and h
     the log-gradient d phi / (2 phi) at q.  With a leading batch axis on
-    every array (phi and t then arrays) it holds a sample.  ``m`` is the
-    chart the fields were built on, None when unknown or mixed.  Points
-    compare and hash by identity.
+    every array (phi and t then arrays) it holds a sample: a batch, whose
+    ``len`` is its point count, whose item i is its frozen single point i
+    and whose slice is a frozen sub-batch of views.  A single point has no
+    ``len``.  ``m`` is the chart the fields were built on, None when
+    unknown or mixed.  Points compare and hash by identity.
     """
 
     q: np.ndarray
@@ -72,6 +74,13 @@ class CotangentPoint:
     @property
     def n(self):
         return self.q.shape[-1]
+
+    def __len__(self):  # a single point's phi is a float: TypeError
+        return len(self.phi)
+
+    def __getitem__(self, index):
+        return _frozen(self.m, *(getattr(self, name)[index]
+                                 for name in _ARRAYS))
 
     @property
     def Gamma0(self):
@@ -150,9 +159,3 @@ def stack_points(points):
     return CotangentPoint(*(np.array([getattr(pt, name) for pt in points])
                             for name in _ARRAYS),
                           m=charts.pop() if len(charts) == 1 else None)
-
-
-def take_points(batch, index):
-    """Point ``index`` of a batched point, or a batch for a slice."""
-    return _frozen(batch.m, *(getattr(batch, name)[index] for name in _ARRAYS))
-

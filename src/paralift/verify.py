@@ -9,13 +9,14 @@ and the config parser's rules read it.  :func:`run_check` is the one way to
 run a check: it enforces the spec requirement, brings the sample onto the
 structure's chart, rebuilding it once there if it was built on another
 chart or on mixed charts (:func:`paralift.phase.on_chart`); the residual
-then reads the sample's one batch, or its slices in blocks of
-:data:`paralift.ad.BLOCK_ELEMENTS` (bit for bit the residuals of the points
-one by one), as it is; then one :func:`paralift.report.make_report`.  A
-composite check runs each of its parts so, at the part's own block size,
-and reports the worst part.  A sample also carries its batch's
-complex-stepped chart point (:func:`paralift.phase.stepped_point`), built
-when a check first reads it, kept, and sliced with the batch, so the checks
+then reads the sample's points, one batched CotangentPoint, or its slices
+in blocks of :data:`paralift.ad.BLOCK_ELEMENTS` (bit for bit the residuals
+of the points one by one), as they are; then one
+:func:`paralift.report.make_report`.  A composite check runs each of its
+parts so, at the part's own block size, and reports the worst part.  A
+sample also carries its points' complex-stepped chart point
+(:func:`paralift.phase.stepped_point`), built when a check first reads it,
+kept, and sliced with the points, so the checks
 that differentiate the chart (Nijenhuis tensor, exterior derivative,
 curvature) share one step of it: they evaluate the coordinate-frame P and
 Omega on it and read the stepped output in place; space_form reads h and
@@ -32,7 +33,7 @@ for comparisons against central finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable
 
@@ -53,7 +54,6 @@ from .phase import (
     on_chart,
     stack_points,
     stepped_point,
-    take_points,
 )
 from .report import _sort_key, make_report
 from .spaceform import conformal_fields, curvature_of, space_form_deviation
@@ -77,9 +77,10 @@ CHART_FRACTION = 0.8  # of the chart radius, the ball of sampled q
 
 @dataclass(frozen=True, eq=False)
 class PhaseSample:
-    """Sampled phase points, the seed that produced them, and the points as
-    one batched CotangentPoint that checks read, stacked here if not given.
-    Samples compare and hash by identity.
+    """Sampled phase points, as one batched CotangentPoint, and the seed that
+    produced them.  A sequence of single points given as ``points`` is
+    stacked here once (:func:`paralift.phase.stack_points`).  Samples
+    compare and hash by identity.
 
     ``stepped`` is derived on its first read and kept: the batch's
     :func:`paralift.phase.stepped_point` on its own chart, which every check
@@ -89,19 +90,18 @@ class PhaseSample:
     points.  It takes 16 (8n^2 + 4n) bytes per point, 133 KB at n = 32.
     """
 
-    points: tuple
+    points: CotangentPoint
     seed: int | None = None
-    batch: CotangentPoint = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.batch is None:
-            object.__setattr__(self, "batch", stack_points(self.points))
+        if not isinstance(self.points, CotangentPoint):
+            object.__setattr__(self, "points", stack_points(self.points))
 
     @cached_property
     def stepped(self):
-        batch = self.batch
-        return (stepped_point(batch.m, batch)
-                if batch.m is not None and len(self.points) else None)
+        points = self.points
+        return (stepped_point(points.m, points)
+                if points.m is not None and len(points) else None)
 
 
 def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0):
@@ -114,8 +114,9 @@ def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0):
     (:func:`_region_points`).  The first point always carries p = 0, since
     several coefficient formulas have removable behavior at t = 0 that
     deserves coverage.  Each point draws q's direction and radius, then
-    p's, but the first draws no p.  The points are built as one batch,
-    whose stepped point the first check that differentiates builds.
+    p's, but the first draws no p.  The points are built as one batch, the
+    sample's ``points``, whose stepped point the first check that
+    differentiates builds.
     """
     rng = np.random.default_rng(seed)
     v = np.zeros((2 * count, m.n))  # row 2i draws point i's q, 2i + 1 its p
@@ -123,9 +124,8 @@ def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0):
     for i in range(2 * count):
         if i != 1:  # the first point's p stays (0 / 1) 0 = 0
             v[i], norm[i], fraction[i] = _draw(rng, m.n)
-    batch = _region_points(m, v, norm, fraction, p_max, t_max)
-    points = tuple(take_points(batch, i) for i in range(count))
-    return PhaseSample(points, seed, batch)
+    return PhaseSample(_region_points(m, v, norm, fraction, p_max, t_max),
+                       seed)
 
 
 def _draw(rng, n):
@@ -168,16 +168,16 @@ def _region_points(m, v, norm, fraction, p_max, t_max):
 
 
 def _blocks(fn, sample, lanes, n):
-    """``fn`` of the sample's batch and, if ``lanes``, its stepped point (else
-    None), or of the same consecutive slices of both, each of at least one
-    point and :data:`paralift.ad.BLOCK_ELEMENTS` elements at most: (2n)^3
-    per point with the stepped point, (2n)^2 without."""
-    parts = (sample.batch, sample.stepped if lanes else None)
+    """``fn`` of the sample's points and, if ``lanes``, its stepped point
+    (else None), or of the same consecutive slices of both, each of at least
+    one point and :data:`paralift.ad.BLOCK_ELEMENTS` elements at most:
+    (2n)^3 per point with the stepped point, (2n)^2 without."""
+    parts = (sample.points, sample.stepped if lanes else None)
     count = len(sample.points)
     size = max(1, ad.BLOCK_ELEMENTS // (2 * n) ** (3 if lanes else 2))
     if count <= size:
         return fn(*parts)
-    return np.concatenate([fn(*(x and take_points(x, slice(i, i + size))
+    return np.concatenate([fn(*(None if x is None else x[i:i + size]
                                 for x in parts))
                            for i in range(0, count, size)])
 
@@ -439,22 +439,22 @@ _REQUIRE = {"metric": _require_metric,
 
 def run_check(name, ls, sample, tol=None):
     """Report of check ``name`` of ``ls`` on the PhaseSample ``sample``; tol
-    None takes the check's default.  A sample whose batch was built on a
+    None takes the check's default.  A sample whose points were built on a
     chart other than ``ls.m``, or on mixed charts, is rebuilt here once on
-    ``ls.m``; see :data:`CHECK_NAMES` for valid names."""
+    ``ls.m``, seed kept; see :data:`CHECK_NAMES` for valid names."""
     check = CHECKS.get(name)
     if check is None:
         raise KeyError(f"unknown check {name!r}; valid: {sorted(CHECKS)}")
     if check.spec:
         _REQUIRE[check.spec](ls)
-    if not sample.points:  # a check over no points proves nothing
+    if not len(sample.points):  # a check over no points proves nothing
         raise ValueError("sample must be nonempty")
-    batch = on_chart(ls.m, sample.batch)
-    if batch is not sample.batch:
-        sample = PhaseSample(sample.points, sample.seed, batch)
+    points = on_chart(ls.m, sample.points)
+    if points is not sample.points:
+        sample = PhaseSample(points, sample.seed)
     values, details, notes = _outcome(check, ls, sample)
     return make_report(name, values,
-                       {row: getattr(batch, row) for row in check.witnesses},
+                       {row: getattr(points, row) for row in check.witnesses},
                        check.tolerance if tol is None else tol,
                        seed=sample.seed, details=details, notes=notes)
 

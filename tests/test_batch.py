@@ -27,7 +27,7 @@ from paralift import (
     sample_points,
     with_metric,
 )
-from paralift import ChartDomainError, ad, verify
+from paralift import ChartDomainError, ad, phase, verify
 from paralift.lifted import (
     G_adapted,
     Omega_coordinate,
@@ -142,17 +142,57 @@ def test_batched_kernels_equal_stacked_points(model, n):
 @pytest.mark.parametrize("model", MODELS)
 def test_a_sample_is_one_batch_of_its_points(model):
     """sample_points keeps make_point's batch, bitwise the stack of its
-    points; both record the sampled chart, as does a chunk's batch."""
+    points; both record the sampled chart, as does a chunk's batch.  The
+    batch is a sequence of its points: its len is the count, item i is row
+    i, a slice is a view and a chunk of it reports as the chunk stacked
+    from single points; a single point has no len."""
     ls = _structure(model, 3)
     sample = _sample(ls, 3)
+    fields = ("q", "p", "phi", "t", "g0", "h")
     stacked = stack_points(sample.points)
-    for field in ("q", "p", "phi", "t", "g0", "h"):
-        assert _same(getattr(sample.batch, field), getattr(stacked, field))
+    for field in fields:
+        assert _same(getattr(sample.points, field), getattr(stacked, field))
     chunk = PhaseSample(points=sample.points[2:4], seed=sample.seed)
-    assert sample.batch.m is stacked.m is chunk.batch.m is ls.m
-    assert _same(chunk.batch.q, sample.batch.q[2:4])
+    assert sample.points.m is stacked.m is chunk.points.m is ls.m
+    assert _same(chunk.points.q, sample.points.q[2:4])
     assert stack_points([sample.points[0], replace(sample.points[1],
                                                    m=None)]).m is None
+
+    assert len(sample.points) == 7
+    singles = list(sample.points)
+    assert len(singles) == 7
+    for i, pt in enumerate(singles):
+        item = sample.points[i]
+        assert isinstance(item.t, float) and isinstance(pt.t, float)
+        assert item.m is pt.m is ls.m
+        for field in fields:
+            row = getattr(sample.points, field)[i]
+            assert _same(getattr(item, field), row), (i, field)
+            assert _same(getattr(pt, field), row), (i, field)
+    for field in fields:
+        assert np.shares_memory(getattr(sample.points[2:4], field),
+                                getattr(sample.points, field)), field
+    with pytest.raises(TypeError):
+        len(sample.points[1])
+    tupled = PhaseSample(points=(sample.points[2], sample.points[3]),
+                         seed=sample.seed)
+    for name in CHECK_NAMES:
+        assert repr(run_check(name, ls, chunk)) == repr(
+            run_check(name, ls, tupled)), name
+
+
+def test_a_sample_builds_at_most_two_points(monkeypatch):
+    """sample_points builds its points as one batch, once more if an edge
+    point is scaled onto t_max, and no point per row, whatever the count."""
+    built = []
+    frozen = phase._frozen
+    monkeypatch.setattr(phase, "_frozen",
+                        lambda *args: built.append(args) or frozen(*args))
+    for model in MODELS:
+        built.clear()
+        sample = sample_points(_structure(model, 3).m, 100, seed=7)
+        assert len(sample.points) == 100
+        assert 1 <= len(built) <= 2, model
 
 
 def _same_lanes(a, b):
@@ -173,9 +213,9 @@ def test_the_stepped_point_is_the_stepped_chart_bitwise(model, n):
     sample = _sample(ls, n)
     one = PhaseSample(points=sample.points[1:2])
     single = sample.points[1]
-    for pt, lanes in ((sample.batch, sample.stepped),
+    for pt, lanes in ((sample.points, sample.stepped),
                       (single, stepped_point(m, single)),
-                      (one.batch, one.stepped)):
+                      (one.points, one.stepped)):
         z = pt.z()
         assert _same_lanes(_p_coordinate(ls, lanes),
                            ad.stepped(P_coordinate_function(ls), z))
@@ -217,7 +257,7 @@ def test_points_and_samples_compare_and_hash_by_identity():
     ls = _structure("ball+1", 3)
     one, two = _sample(ls, 3), _sample(ls, 3)
     for a, b in ((one, two), (one.points[1], two.points[1]),
-                 (one.batch, two.batch)):
+                 (one.points, two.points)):
         assert a == a and a != b
         assert len({a, b, a}) == 2
 

@@ -493,7 +493,7 @@ def test_theta_factor_is_mu_less_lambda_prime_bitwise(label, spec):
 
     ls = LiftedStructure(m=conformal_ball(3, 1.0), spec=spec)
     sample = sample_points(ls.m, 100, 5)
-    for pt in (sample.points[7], stack_points(sample.points[:2]), sample.batch):
+    for pt in (sample.points[7], stack_points(sample.points[:2]), sample.points):
         if spec.c1 is None:
             with pytest.raises(ContractError):
                 analytic_dOmega(ls, pt)

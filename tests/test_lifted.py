@@ -125,7 +125,7 @@ def test_coordinate_p_from_blocks_is_the_conjugation(kind):
           "cruceanu_p": lambda: LiftedStructure(m=m),
           "cruceanu_q": lambda: cruceanu_q(m)}[kind]()
     points = sample_points(m, 8, 19).points
-    for pt in points + (stack_points(points),):
+    for pt in tuple(points) + (stack_points(points),):
         b, binv = frame_matrices(pt.Gamma0)
         expected = b @ P_adapted(ls, pt) @ binv
         got = P_coordinate_function(ls)(pt.z())
@@ -271,7 +271,7 @@ def test_coordinate_p_and_omega_match_the_frame_and_fd_oracles(n, model):
                                                affine(1.0, 1.0)))
     points = sample_points(m, 4, 61).points
     p_fn, omega_fn = P_coordinate_function(ls), Omega_coordinate(ls)
-    for pt in points + (stack_points(points),):
+    for pt in tuple(points) + (stack_points(points),):
         b, binv = frame_matrices(pt.Gamma0)
         for got, want in ((p_fn(pt.z()), b @ P_adapted(ls, pt) @ binv),
                           (omega_fn(pt.z()),
@@ -557,7 +557,7 @@ def test_block_readings_equal_the_dense_assembly_bitwise(model, n, epsilon):
         integrable_spec(a1, curvature=c, epsilon=epsilon), affine(1.0, 1.0)))
     sample = sample_points(m, 5, 70 + n)
     eye = np.eye(2 * n)
-    for pt in sample.points + (sample.batch,):
+    for pt in tuple(sample.points) + (sample.points,):
         pmat, gmat = P_adapted(ls, pt), G_adapted(ls, pt)
         square = np.abs(pmat @ pmat - eye).max((-2, -1))
         compatible = np.abs(np.swapaxes(pmat, -1, -2) @ gmat @ pmat
@@ -577,7 +577,7 @@ def test_block_readings_equal_the_dense_assembly_bitwise(model, n, epsilon):
     for name, residual in (("almost_product", _almost_product),
                            ("compatibility", _compatibility)):
         assert run_check(name, ls, sample).max_residual == float(
-            residual(ls, sample.batch, None).max())
+            residual(ls, sample.points, None).max())
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 16, 17, 18, 19, 20, 21, 32])
@@ -592,7 +592,7 @@ def test_one_almost_product_block_has_the_max_of_both(n):
         m, c, a1 = BLOCK_MODELS[model](n)
         ls = LiftedStructure(m=m, spec=integrable_spec(a1, curvature=c))
         sample = sample_points(m, 40, 90 + n, p_max=0.7)
-        for pt in sample.points[:3] + (sample.batch,):
+        for pt in tuple(sample.points[:3]) + (sample.points,):
             p1, p2 = (np.ascontiguousarray(b)
                       for b in _adapted_blocks(ls, pt, "P"))
             both = np.maximum(np.abs(p2 @ p1 - eye).max((-2, -1)),

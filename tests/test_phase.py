@@ -92,7 +92,7 @@ def test_gamma0_carries_g0_to_2t_h(n, model):
     m = {"flat": flat_space(n), "ball+1": conformal_ball(n, 1.0),
          "ball-1": conformal_ball(n, -1.0),
          "perturbed": perturbed_conformal(n, 1.0, 0.1)}[model]
-    z = sample_points(m, 20, 5).batch.z()
+    z = sample_points(m, 20, 5).points.z()
     eps = np.finfo(float).eps
 
     def parts(x):
@@ -128,9 +128,9 @@ def test_stepped_lanes_carry_the_plain_fields_bitwise(c):
     for name in ("q", "p", "phi", "h", "g0", "t"):
         real = getattr(sample.stepped, name).real
         plain = np.broadcast_to(
-            np.expand_dims(getattr(sample.batch, name), 1), real.shape)
+            np.expand_dims(getattr(sample.points, name), 1), real.shape)
         if name == "t":  # lanes 0, 1 step q and 2, 3 step p
-            shift = 0.5 * ad.STEP * (ad.STEP / sample.batch.phi[:, None])
+            shift = 0.5 * ad.STEP * (ad.STEP / sample.points.phi[:, None])
             assert np.all(np.abs(real[:, 2:] - (plain[:, 2:] - shift))
                           <= 4 * eps * (plain[:, 2:] + shift))
             assert (c > 1.0) is bool(np.any(shift > 0.0))

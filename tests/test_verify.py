@@ -94,8 +94,8 @@ def test_tight_t_max_samples_inside_the_region():
     m = flat_space(3)
     sample = sample_points(m, 10, 1, p_max=2.0, t_max=1e-12)
     assert len(sample.points) == 10
-    assert np.all(sample.batch.t <= 1e-12) and np.any(sample.batch.t > 0.0)
-    assert np.linalg.norm(sample.batch.p, axis=-1).max() <= math.sqrt(2e-12)
+    assert np.all(sample.points.t <= 1e-12) and np.any(sample.points.t > 0.0)
+    assert np.linalg.norm(sample.points.p, axis=-1).max() <= math.sqrt(2e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
@@ -105,7 +105,7 @@ def test_sampler_matches_the_rejection_oracle(chart, n):
     p_max and t_max: the sample is the former rejection sampler's, bitwise."""
     m = flat_space(n) if chart == "flat" else conformal_ball(n, -1.0)
     for seed in range(5):
-        batch = sample_points(m, 40, seed).batch
+        batch = sample_points(m, 40, seed).points
         q, p = rejection_sample(m, 40, seed)
         assert batch.q.tobytes() == q.tobytes()
         assert batch.p.tobytes() == p.tobytes()
@@ -118,7 +118,7 @@ def test_sampled_q_is_uniform_in_the_ball(n):
     sampling radius is the uniform 1 - 0.9^n, within 3 sigma."""
     m = conformal_ball(n, 1.0)
     count = 5000
-    q = sample_points(m, count, 1).batch.q
+    q = sample_points(m, count, 1).points.q
     share = np.mean(np.linalg.norm(q, axis=-1) > 0.9 * CHART_FRACTION)
     want = 1.0 - 0.9 ** n
     assert abs(share - want) <= 3.0 * math.sqrt(want * (1.0 - want) / count)
@@ -208,7 +208,7 @@ def test_nijenhuis_antisymmetry_is_exact():
     assert np.array_equal(nij, -np.transpose(nij, (0, 2, 1)))
     # and on a batch at n = 8, in the [c, a, b] layout
     ls = para_kahler_ls(conformal_ball(8, -1.0), curvature=1.0)
-    nij = nijenhuis_at(ls, sample_points(ls.m, 3, 5).batch)
+    nij = nijenhuis_at(ls, sample_points(ls.m, 3, 5).points)
     assert nij.shape == (3, 16, 16, 16) and np.max(np.abs(nij)) > 1e-3
     assert np.array_equal(nij, -np.swapaxes(nij, -1, -2))
 
@@ -238,7 +238,7 @@ def test_nijenhuis_equals_the_four_contractions(case):
             m=ball, spec=almost_product_spec(constant(1.0))),
     }[case]()
     points = sample_points(ls.m, 6, 23).points
-    for pt in points + (stack_points(points),):
+    for pt in tuple(points) + (stack_points(points),):
         ref = four_contraction_nijenhuis(ls, pt)
         got = nijenhuis_at(ls, pt)
         assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
@@ -523,7 +523,7 @@ def test_a_sample_of_another_chart_reports_as_one_of_the_structures(other):
         sample = PhaseSample(points=tuple(
             make_point(flat_space(3), pt.q, pt.p) if i % 2 else pt
             for i, pt in enumerate(sample.points)), seed=sample.seed)
-        assert sample.batch.m is None and sample.stepped is None
+        assert sample.points.m is None and sample.stepped is None
     else:
         assert sample.stepped.m is chart
     own = PhaseSample(points=tuple(make_point(m, pt.q, pt.p)
@@ -738,7 +738,7 @@ def test_residual_norms_are_invariant_under_rotations(model, n, rng):
                        affine(1.0, 1.0), constant(0.5))
     ls = LiftedStructure(m=m, spec=spec)
     # t_max leaves room for the perturbed base, where a rotation moves t
-    batch = sample_points(m, 6, 90 + n, t_max=1.5).batch
+    batch = sample_points(m, 6, 90 + n, t_max=1.5).points
     rotation, _ = np.linalg.qr(rng.standard_normal((n, n)))
     before = _residual_norms(ls, batch.q, batch.p)[:, 1:]  # p != 0
     after = _residual_norms(ls, batch.q @ rotation.T, batch.p @ rotation.T)
@@ -800,6 +800,42 @@ def test_nijenhuis_norm_grows_as_n_minus_one_at_the_chart_centre(model):
     per_dim = np.array(per_dim)
     assert np.all(per_dim > 1e-3)  # off the rule
     assert np.abs(per_dim / per_dim[1] - 1.0).max() <= 1e-14
+
+
+# n of the affine-law sweep; on the perturbed chart e0 lies in the (x, p)
+# plane below, so its law holds from the smallest n too
+AFFINE_DIMS = {"perturbed": (2, 3, 4, 5, 6, 8, 12)}
+
+
+@pytest.mark.parametrize("model", [*ORBIT_MODELS, "perturbed"])
+def test_squared_residual_norms_are_affine_in_n(model):
+    """The isometries that fix the chart centre and a point (x, p) with x and
+    p in the first two coordinates act as O(n - 2) on the remaining ones; a
+    tensor they fix has its components there multiples of delta, so off the
+    rules |N|_F^2 and |d Omega|_F^2 at (x, p) are S0 + n S2, fitted at the
+    two smallest n and read at the others.  On the perturbed chart only the
+    rotations fixing e0 are isometries, and e0 is in the plane of x and p."""
+    dims = AFFINE_DIMS.get(model, (3, 4, 5, 8, 16))
+    norms = []
+    for n in dims:
+        m = (perturbed_conformal(n, 1.0, 0.1) if model == "perturbed"
+             else ORBIT_MODELS[model](n))
+        a1 = exponential(1.5, 0.1)
+        rule = integrable_spec(a1, curvature=m.c, t_max=1.0)
+        ls = LiftedStructure(m=m, spec=with_metric(almost_product_spec(
+            a1, rule.b1 + constant(0.3), t_max=1.0), affine(1.0, 1.0),
+            constant(0.5)))
+        q, p = np.zeros(n), np.zeros(n)
+        q[:2], p[:2] = (0.31, -0.22), (0.4, 0.55)
+        pt = make_point(m, q, p)
+        norms.append([np.sum(x * x) for x in (
+            nijenhuis_at(ls, pt),
+            exterior_derivative_2form(Omega_coordinate(ls), pt))])
+    norms, dims = np.array(norms), np.array(dims, dtype=float)[:, None]
+    assert np.all(norms > 1e-3)  # off the rules
+    s2 = (norms[1] - norms[0]) / (dims[1] - dims[0])
+    fit = norms[0] + (dims - dims[0]) * s2
+    assert np.abs(norms / fit - 1.0).max() <= 1e-14
 
 
 FRAME_TS = (0.05, 0.6, 0.95)
@@ -884,7 +920,9 @@ def test_nijenhuis_curvature_block_is_the_curvature_deviation(chart, delta,
     R = c_eff(t) g ^ g at every t, constant curvature: the theorem's "only
     if" half.  It holds off the rule and on it (N at rounding level on a
     space form), and on the perturbed chart, which is no space form; the
-    two sides come from code paths that share nothing but h."""
+    two sides come from code paths that share nothing but h.  On the rule
+    the whole of N vanishes on a space form also at n = 2, which the
+    theorem leaves out, and not on the perturbed chart."""
     m = SHIPPED_CHARTS[chart](n)
     a1 = exponential(1.5, 0.1)
     b1 = integrable_spec(a1, curvature=m.c, t_max=1.0).b1 + constant(delta)
@@ -900,9 +938,12 @@ def test_nijenhuis_curvature_block_is_the_curvature_deviation(chart, delta,
             :, None, None, None, None] * wedge
         want = np.einsum("xhkij,xh->xkij", deviation, pt.p) * (
             pt.phi ** -1.5)[:, None, None, None]
-        got = _frame_nijenhuis(ls, pt)[:, n:, :n, :n]
+        frame = _frame_nijenhuis(ls, pt)
+        got = frame[:, n:, :n, :n]
         if delta == 0.0:
             assert np.abs(got - want).max() <= 1e-13
+            whole = np.abs(frame).max()
+            assert whole > 1e-2 if chart == "perturbed" else whole <= 1e-13
         else:
             scale = np.abs(want).max()
             assert scale > 1e-2  # off the rule
