@@ -16,7 +16,8 @@ slots 0..n-1 are horizontal (q-directions), slots n..2n-1 vertical
 
 Every function here also takes leading batch axes (see :mod:`paralift.ad`):
 a :class:`CotangentPoint` whose arrays carry one leading axis stands for a
-whole sample and indexes like a sequence of its points, and a
+whole sample, is built from rows of q and p or sliced from a batch, and
+indexes like a sequence of its points, and a
 ``PhaseSample`` holds its points as one such batch, built once, and from
 the first derivative check on :func:`stepped_point` of that batch: the
 same fields on the 2n complex-stepped lanes z + i h e_a that every
@@ -45,7 +46,6 @@ __all__ = [
     "on_chart",
     "make_point",
     "stepped_point",
-    "stack_points",
 ]
 
 
@@ -56,11 +56,13 @@ class CotangentPoint:
     phi is the conformal factor of g = phi I at q, t the energy density
     (1/2) g^{ik} p_i p_k, g0 the raised covector g^{0i} = p_h g^{hi}, and h
     the log-gradient d phi / (2 phi) at q.  With a leading batch axis on
-    every array (phi and t then arrays) it holds a sample: a batch, whose
-    ``len`` is its point count, whose item i is its frozen single point i
-    and whose slice is a frozen sub-batch of views.  A single point has no
-    ``len``.  ``m`` is the chart the fields were built on, None when
-    unknown or mixed.  Points compare and hash by identity.
+    every array (phi and t then arrays) it holds a sample: a batch, built
+    by :func:`make_point` from rows of q and p or sliced from another,
+    whose ``len`` is its point count, whose item i is its frozen single
+    point i, whose slice is a frozen sub-batch of views and whose iteration
+    yields its single points.  A single point has no ``len`` and does not
+    iterate.  ``m`` is the chart the fields were built on.  Points compare
+    and hash by identity.
     """
 
     q: np.ndarray
@@ -69,7 +71,7 @@ class CotangentPoint:
     t: float
     g0: np.ndarray
     h: np.ndarray
-    m: SpaceForm | None = None
+    m: SpaceForm
 
     @property
     def n(self):
@@ -81,6 +83,9 @@ class CotangentPoint:
     def __getitem__(self, index):
         return _frozen(self.m, *(getattr(self, name)[index]
                                  for name in _ARRAYS))
+
+    def __iter__(self):  # a single point raises TypeError, as len does
+        return map(self.__getitem__, range(len(self)))
 
     @property
     def Gamma0(self):
@@ -100,9 +105,9 @@ _ARRAYS = ("q", "p", "phi", "t", "g0", "h")
 
 
 def chart_point(m, q, p):
-    """Unvalidated, unfrozen point at real or complex (q, p), from phi and
-    its log-gradient h."""
-    return _point(q, p, *conformal_fields(m, q))
+    """Unvalidated, unfrozen point of ``m`` at real or complex (q, p), from
+    phi and its log-gradient h."""
+    return _point(m, q, p, *conformal_fields(m, q))
 
 
 def on_chart(m, pt):
@@ -111,9 +116,9 @@ def on_chart(m, pt):
     return pt if pt.m is m or pt.m == m else make_point(m, pt.q, pt.p)
 
 
-def _point(q, p, phi, h):
+def _point(m, q, p, phi, h):
     g0 = (1.0 / phi)[..., None] * p
-    return CotangentPoint(q, p, phi, 0.5 * ad.vecdot(p, g0), g0, h)
+    return CotangentPoint(q, p, phi, 0.5 * ad.vecdot(p, g0), g0, h, m)
 
 
 def make_point(m, q, p):
@@ -151,11 +156,3 @@ def _frozen(m, *values):
         if isinstance(v, np.ndarray):
             v.setflags(write=False)
     return CotangentPoint(*values, m=m)
-
-
-def stack_points(points):
-    """One point with a leading batch axis holding ``points`` in order."""
-    charts = {pt.m for pt in points}
-    return CotangentPoint(*(np.array([getattr(pt, name) for pt in points])
-                            for name in _ARRAYS),
-                          m=charts.pop() if len(charts) == 1 else None)

@@ -8,8 +8,8 @@ report fields only it emits; :data:`DEFAULT_TOLERANCES`, :data:`CHECK_NAMES`
 and the config parser's rules read it.  :func:`run_check` is the one way to
 run a check: it enforces the spec requirement, brings the sample onto the
 structure's chart, rebuilding it once there if it was built on another
-chart or on mixed charts (:func:`paralift.phase.on_chart`); the residual
-then reads the sample's points, one batched CotangentPoint, or its slices
+chart (:func:`paralift.phase.on_chart`); the residual then reads the
+sample's points, one batched CotangentPoint, or its slices
 in blocks of :data:`paralift.ad.BLOCK_ELEMENTS` (bit for bit the residuals
 of the points one by one), as they are; then one
 :func:`paralift.report.make_report`.  A composite check runs each of its
@@ -52,7 +52,6 @@ from .phase import (
     CotangentPoint,
     make_point,
     on_chart,
-    stack_points,
     stepped_point,
 )
 from .report import _sort_key, make_report
@@ -77,31 +76,24 @@ CHART_FRACTION = 0.8  # of the chart radius, the ball of sampled q
 
 @dataclass(frozen=True, eq=False)
 class PhaseSample:
-    """Sampled phase points, as one batched CotangentPoint, and the seed that
-    produced them.  A sequence of single points given as ``points`` is
-    stacked here once (:func:`paralift.phase.stack_points`).  Samples
-    compare and hash by identity.
+    """Sampled phase points, as one batched CotangentPoint built from rows
+    of q and p (:func:`paralift.phase.make_point`) or sliced from another,
+    and the seed that produced them.  Samples compare and hash by identity.
 
     ``stepped`` is derived on its first read and kept: the batch's
     :func:`paralift.phase.stepped_point` on its own chart, which every check
     that differentiates the chart reads (its :class:`Check` row, or a part's,
     is ``stepped``), so a run steps a sample once if any of them runs and
-    never otherwise.  It is None for points with no common chart or for no
-    points.  It takes 16 (8n^2 + 4n) bytes per point, 133 KB at n = 32.
+    never otherwise; no points step to empty lanes.  It takes
+    16 (8n^2 + 4n) bytes per point, 133 KB at n = 32.
     """
 
     points: CotangentPoint
     seed: int | None = None
 
-    def __post_init__(self):
-        if not isinstance(self.points, CotangentPoint):
-            object.__setattr__(self, "points", stack_points(self.points))
-
     @cached_property
     def stepped(self):
-        points = self.points
-        return (stepped_point(points.m, points)
-                if points.m is not None and len(points) else None)
+        return stepped_point(self.points.m, self.points)
 
 
 def sample_points(m, count, seed, *, p_max=2.0, t_max=2.0):
@@ -440,8 +432,8 @@ _REQUIRE = {"metric": _require_metric,
 def run_check(name, ls, sample, tol=None):
     """Report of check ``name`` of ``ls`` on the PhaseSample ``sample``; tol
     None takes the check's default.  A sample whose points were built on a
-    chart other than ``ls.m``, or on mixed charts, is rebuilt here once on
-    ``ls.m``, seed kept; see :data:`CHECK_NAMES` for valid names."""
+    chart other than ``ls.m`` is rebuilt here once on ``ls.m``, seed kept;
+    see :data:`CHECK_NAMES` for valid names."""
     check = CHECKS.get(name)
     if check is None:
         raise KeyError(f"unknown check {name!r}; valid: {sorted(CHECKS)}")

@@ -1,8 +1,8 @@
-"""Batch evaluation: a stacked sample equals its points evaluated one by one.
+"""Batch evaluation: a batched sample equals its points evaluated one by one.
 
-Every kernel takes leading batch axes; a check stacks its sample and
-evaluates it block by block.  These tests pin that batching is invisible:
-kernels on a stacked input are bitwise the stack of their per-point values,
+Every kernel takes leading batch axes; a check evaluates its sample's batch
+block by block.  These tests pin that batching is invisible: kernels on a
+batch are bitwise the stack of their per-point values,
 a check over a whole sample reports exactly what the merge of its chunk
 reports gives, and a failing check names the first offending point in sample
 order.
@@ -36,7 +36,7 @@ from paralift.lifted import (
     _omega_coordinate,
     _p_coordinate,
 )
-from paralift.phase import chart_point, stack_points, stepped_point
+from paralift.phase import chart_point, stepped_point
 from paralift.spaceform import (
     christoffel_at,
     curvature_at,
@@ -94,8 +94,7 @@ def _stacked(fn, items):
 def test_batched_kernels_equal_stacked_points(model, n):
     ls = _structure(model, n)
     m = ls.m
-    points = _sample(ls, n).points
-    batch = stack_points(points)
+    batch = points = _sample(ls, n).points
     qs, zs = batch.q, batch.z()
 
     rebuilt = make_point(m, batch.q, batch.p)
@@ -126,9 +125,9 @@ def test_batched_kernels_equal_stacked_points(model, n):
                    analytic_dOmega):
         assert _same(kernel(ls, batch), _stacked(lambda pt: kernel(ls, pt), points)), \
             kernel.__name__
-    unknown = replace(batch, m=None)  # fields rebuilt on ls.m, not read
-    for kernel in (P_adapted, G_adapted, Omega_adapted):
-        assert _same(kernel(ls, unknown), kernel(ls, batch)), kernel.__name__
+    foreign = make_point(conformal_ball(n, 2.0), batch.q, batch.p)
+    for kernel in (P_adapted, G_adapted, Omega_adapted):  # rebuilt on ls.m
+        assert _same(kernel(ls, foreign), kernel(ls, batch)), kernel.__name__
     omega = Omega_coordinate(ls)
     assert _same(exterior_derivative_2form(omega, batch),
                  _stacked(lambda pt: exterior_derivative_2form(omega, pt), points))
@@ -141,22 +140,22 @@ def test_batched_kernels_equal_stacked_points(model, n):
 
 @pytest.mark.parametrize("model", MODELS)
 def test_a_sample_is_one_batch_of_its_points(model):
-    """sample_points keeps make_point's batch, bitwise the stack of its
-    points; both record the sampled chart, as does a chunk's batch.  The
-    batch is a sequence of its points: its len is the count, item i is row
-    i, a slice is a view and a chunk of it reports as the chunk stacked
-    from single points; a single point has no len."""
+    """sample_points keeps make_point's batch, bitwise the batch built from
+    the rows of its points; both record the sampled chart, as does a
+    chunk's batch.  The batch is a sequence of its points: its len is the
+    count, item i is row i, a slice is a view and a chunk of it reports as
+    the chunk built from the rows of two single points; a single point has
+    no len."""
     ls = _structure(model, 3)
     sample = _sample(ls, 3)
     fields = ("q", "p", "phi", "t", "g0", "h")
-    stacked = stack_points(sample.points)
+    rows = make_point(ls.m, [pt.q for pt in sample.points],
+                      [pt.p for pt in sample.points])
     for field in fields:
-        assert _same(getattr(sample.points, field), getattr(stacked, field))
+        assert _same(getattr(sample.points, field), getattr(rows, field))
     chunk = PhaseSample(points=sample.points[2:4], seed=sample.seed)
-    assert sample.points.m is stacked.m is chunk.points.m is ls.m
+    assert sample.points.m is rows.m is chunk.points.m is ls.m
     assert _same(chunk.points.q, sample.points.q[2:4])
-    assert stack_points([sample.points[0], replace(sample.points[1],
-                                                   m=None)]).m is None
 
     assert len(sample.points) == 7
     singles = list(sample.points)
@@ -174,11 +173,12 @@ def test_a_sample_is_one_batch_of_its_points(model):
                                 getattr(sample.points, field)), field
     with pytest.raises(TypeError):
         len(sample.points[1])
-    tupled = PhaseSample(points=(sample.points[2], sample.points[3]),
-                         seed=sample.seed)
+    two = (sample.points[2], sample.points[3])
+    built = PhaseSample(make_point(ls.m, [pt.q for pt in two],
+                                   [pt.p for pt in two]), seed=sample.seed)
     for name in CHECK_NAMES:
         assert repr(run_check(name, ls, chunk)) == repr(
-            run_check(name, ls, tupled)), name
+            run_check(name, ls, built)), name
 
 
 def test_a_sample_builds_at_most_two_points(monkeypatch):
@@ -224,16 +224,16 @@ def test_the_stepped_point_is_the_stepped_chart_bitwise(model, n):
         h, dh = ad.split(lanes.h[..., :n, :], 1)
         assert _same(space_form_deviation(m, curvature_of(m, h, dh), pt.phi),
                      space_form_residual(m, pt.q))
-    rows = PhaseSample(tuple(make_point(m, pt.q, np.zeros(n))
-                             for pt in sample.points))
+    rows = PhaseSample(make_point(m, sample.points.q,
+                                  np.zeros_like(sample.points.q)))
     assert run_check("space_form", ls, sample) == replace(
         run_check("space_form", ls, rows), seed=sample.seed)
 
 
 def test_a_sample_carries_a_read_only_stepped_point():
     """The stepped point of a sample is read-only, on the sample's chart,
-    with the step lanes after the batch axis; a sample of points with no
-    common chart or of no points carries none."""
+    with the step lanes after the batch axis; a sample of no points steps
+    to no lanes."""
     ls = _structure("ball+1", 3)
     sample = _sample(ls, 3)
     lanes = sample.stepped
@@ -246,9 +246,8 @@ def test_a_sample_carries_a_read_only_stepped_point():
             value[...] = 0
     chunk = PhaseSample(points=sample.points[2:4])
     assert _same_lanes(chunk.stepped.h, lanes.h[2:4])
-    mixed = (sample.points[0], replace(sample.points[1], m=None))
-    for none in (PhaseSample(points=mixed), PhaseSample(points=())):
-        assert none.stepped is None
+    empty = PhaseSample(make_point(ls.m, np.zeros((0, 3)), np.zeros((0, 3))))
+    assert empty.stepped.m is ls.m and empty.stepped.q.shape == (0, 6, 3)
 
 
 def test_points_and_samples_compare_and_hash_by_identity():
@@ -340,27 +339,20 @@ def test_cruceanu_structures_batch(kind):
     else:  # Cruceanu's Q: the natural diagonal spec a1 = 1, b1 = 0
         ls = LiftedStructure(m=m, spec=almost_product_spec(constant(1.0)))
     sample = sample_points(m, 6, seed=5)
-    batch = stack_points(sample.points)
+    batch = sample.points
     assert _same(P_adapted(ls, batch),
-                 _stacked(lambda pt: P_adapted(ls, pt), sample.points))
+                 _stacked(lambda pt: P_adapted(ls, pt), batch))
     for name in ("almost_product", "integrability"):
         full = run_check(name, ls, sample)
-        singles = [run_check(name, ls, PhaseSample((pt,)))
-                   for pt in sample.points]
+        singles = [run_check(name, ls, PhaseSample(batch[i:i + 1]))
+                   for i in range(len(batch))]
         assert _same(full.max_residual, max(r.max_residual for r in singles))
 
 
 def _message(exc_type, name, ls, points):
     with pytest.raises(exc_type) as info:
-        run_check(name, ls, PhaseSample(points=tuple(points)))
+        run_check(name, ls, PhaseSample(points))
     return str(info.value)
-
-
-def _with_outliers(points, replace):
-    points = list(points)
-    for i, pt in replace.items():
-        points[i] = pt
-    return points
 
 
 def test_range_error_names_the_first_point_out_of_range():
@@ -368,15 +360,16 @@ def test_range_error_names_the_first_point_out_of_range():
     ls = _structure("ball+1", 3)
     base = sample_points(m, 9, seed=11, p_max=1.0).points
     # t scales with |p|^2: points 3 and 7 get t = 3 and t = 5 > t_max = 2
-    far = {i: make_point(m, base[i].q, base[i].p * np.sqrt(t / base[i].t))
-           for i, t in ((3, 3.0), (7, 5.0))}
-    points = _with_outliers(base, far)
+    p = base.p.copy()
+    for i, t in ((3, 3.0), (7, 5.0)):
+        p[i] *= np.sqrt(t / base[i].t)
+    points = make_point(m, base.q, p)
     for name in CHECK_NAMES:
         if name == "space_form":
             continue
-        first = _message(RangeError, name, ls, [points[3]])
+        first = _message(RangeError, name, ls, points[3:4])
         assert _message(RangeError, name, ls, points) == first, name
-        assert first != _message(RangeError, name, ls, [points[7]])
+        assert first != _message(RangeError, name, ls, points[7:8])
 
 
 def test_chart_error_names_the_first_point_off_the_chart():
@@ -384,11 +377,11 @@ def test_chart_error_names_the_first_point_off_the_chart():
     wide = conformal_ball(3, 1.0, chart_radius=2.0)
     # the unit chart's sample lies within radius 0.8 of the wider chart's
     base = sample_points(conformal_ball(3, 1.0), 9, seed=12, p_max=0.5).points
-    off = {i: make_point(wide, base[i].q * (r / np.linalg.norm(base[i].q)),
-                         base[i].p)
-           for i, r in ((3, 1.5), (7, 1.8))}
-    points = _with_outliers(base, off)
+    q = base.q.copy()
+    for i, r in ((3, 1.5), (7, 1.8)):
+        q[i] *= r / np.linalg.norm(q[i])
+    points = make_point(wide, q, base.p)
     for name in CHECK_NAMES:
-        first = _message(ChartDomainError, name, ls, [points[3]])
+        first = _message(ChartDomainError, name, ls, points[3:4])
         assert _message(ChartDomainError, name, ls, points) == first, name
-        assert first != _message(ChartDomainError, name, ls, [points[7]])
+        assert first != _message(ChartDomainError, name, ls, points[7:8])

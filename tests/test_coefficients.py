@@ -487,13 +487,12 @@ def test_theta_factor_is_mu_less_lambda_prime_bitwise(label, spec):
     # two and on a CLI-sized sample; analytic_dOmega, its public reader,
     # refuses a spec with no metric
     from paralift import ContractError, LiftedStructure, sample_points
-    from paralift.phase import stack_points
     from paralift.spaceform import conformal_ball
     from paralift.verify import _theta, analytic_dOmega
 
     ls = LiftedStructure(m=conformal_ball(3, 1.0), spec=spec)
     sample = sample_points(ls.m, 100, 5)
-    for pt in (sample.points[7], stack_points(sample.points[:2]), sample.points):
+    for pt in (sample.points[7], sample.points[:2], sample.points):
         if spec.c1 is None:
             with pytest.raises(ContractError):
                 analytic_dOmega(ls, pt)

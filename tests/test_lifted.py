@@ -31,7 +31,7 @@ from paralift.config import build_structure, parse_config
 from paralift.lifted import G_adapted, Omega_coordinate, P_adapted
 from paralift.lifted import P_coordinate_function
 from paralift.lifted import _adapted_blocks, _omega_coordinate, _p_coordinate
-from paralift.phase import stack_points, stepped_point
+from paralift.phase import stepped_point
 from paralift.verify import (
     CHECKS,
     PhaseSample,
@@ -125,7 +125,7 @@ def test_coordinate_p_from_blocks_is_the_conjugation(kind):
           "cruceanu_p": lambda: LiftedStructure(m=m),
           "cruceanu_q": lambda: cruceanu_q(m)}[kind]()
     points = sample_points(m, 8, 19).points
-    for pt in tuple(points) + (stack_points(points),):
+    for pt in (*points, points):
         b, binv = frame_matrices(pt.Gamma0)
         expected = b @ P_adapted(ls, pt) @ binv
         got = P_coordinate_function(ls)(pt.z())
@@ -271,7 +271,7 @@ def test_coordinate_p_and_omega_match_the_frame_and_fd_oracles(n, model):
                                                affine(1.0, 1.0)))
     points = sample_points(m, 4, 61).points
     p_fn, omega_fn = P_coordinate_function(ls), Omega_coordinate(ls)
-    for pt in tuple(points) + (stack_points(points),):
+    for pt in (*points, points):
         b, binv = frame_matrices(pt.Gamma0)
         for got, want in ((p_fn(pt.z()), b @ P_adapted(ls, pt) @ binv),
                           (omega_fn(pt.z()),
@@ -323,7 +323,8 @@ def test_contract_errors():
             analytic_dOmega(no_metric, pt)
         for name in ("compatibility", "metric_signature"):
             with pytest.raises(ContractError):
-                run_check(name, no_metric, PhaseSample((pt,)))
+                run_check(name, no_metric,
+                          PhaseSample(make_point(m, [pt.q], [pt.p])))
     spec_plus = with_metric(
         almost_product_spec(constant(1.0), constant(0.0), epsilon=1),
         constant(1.0), constant(0.0))
@@ -360,12 +361,12 @@ def test_one_conformal_factor_evaluation_per_call(factor_calls, batch):
     """Each evaluator derives its chart fields from at most one evaluation of
     phi; the adapted ones read them from a point built on their chart, and
     the derivative residuals from a stepped point built before.  A sample
-    of given points is stacked, not stepped: its stepped point costs one
+    of a given batch is not stepped: its stepped point costs one
     evaluation on its first read."""
     m = conformal_ball(3, 1.0)
     ls = rational_structure(m)
     points = sample_points(m, 3, 11).points
-    pt = stack_points(points) if batch else points[1]
+    pt = points if batch else points[1]
     lanes = stepped_point(m, pt)
     evaluators = {
         "make_point": (lambda: make_point(m, pt.q, pt.p), 1),
@@ -414,8 +415,7 @@ def test_para_kahler_reads_one_chart_point_per_block(factor_calls):
     chunk = PhaseSample(points=sample.points)
     assert len(factor_calls) == 0
     wide = conformal_ball(8, 1.0, chart_radius=2.0)
-    other = PhaseSample(points=tuple(make_point(wide, pt.q, pt.p)
-                                     for pt in sample.points))
+    other = PhaseSample(make_point(wide, sample.points.q, sample.points.p))
     for own, count in ((sample, 1), (sample, 0), (chunk, 1), (chunk, 0),
                        (other, 2), (other, 2)):
         factor_calls.clear()
@@ -440,9 +440,9 @@ def test_a_point_of_an_equal_chart_is_read_and_of_another_rebuilt(
     assert ls.m == m and ls.m is not m
     wide = conformal_ball(3, 1.0, chart_radius=2.0)
     own = sample_points(m, 3, 11).points
-    other = tuple(make_point(wide, pt.q, pt.p) for pt in own)
+    other = make_point(wide, own.q, own.p)
     for points, rebuilt in ((own, False), (other, True)):
-        pt = stack_points(points) if batch else points[1]
+        pt = points if batch else points[1]
         sample = PhaseSample(points=points if batch else points[1:2])
         for name, call in (
                 ("P_adapted", lambda: P_adapted(ls, pt)),

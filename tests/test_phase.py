@@ -177,3 +177,22 @@ def test_make_point_validates_shapes():
     m = flat_space(3)
     with pytest.raises(ValueError):
         make_point(m, [0.0, 0.0], [1.0, 0.0, 0.0])
+
+
+def test_a_single_point_does_not_iterate_and_a_batch_iterates_its_points():
+    """Every single point raises TypeError on iteration, as on len, whether
+    chart_point (numpy-scalar phi), make_point or an index built it; every
+    point, chart_point's too, carries the chart it was built on."""
+    m = conformal_ball(3, 1.0)
+    q, p = np.array([0.1, 0.2, -0.3]), np.array([0.5, 0.0, 1.0])
+    batch = make_point(m, [q, -q], [p, 2.0 * p])
+    for single in (chart_point(m, q, p), make_point(m, q, p), batch[1]):
+        with pytest.raises(TypeError):
+            len(single)
+        with pytest.raises(TypeError):
+            iter(single)
+        assert single.m is m
+    points = list(batch)
+    assert len(points) == 2 and chart_point(m, batch.q, batch.p).m is m
+    for i, pt in enumerate(points):
+        assert np.array_equal(pt.q, batch.q[i]) and pt.t == batch.t[i]

@@ -295,7 +295,8 @@ def test_perturbed_model_breaks_space_form_shape(rng):
 
 def space_form_report(m, rows, tol=None):
     """The space_form report on the points (q, 0) of ``m``, q in ``rows``."""
-    points = tuple(make_point(m, q, np.zeros(m.n)) for q in rows)
+    q = np.reshape(rows, (len(rows), m.n))
+    points = make_point(m, q, np.zeros_like(q))
     return run_check("space_form", LiftedStructure(m=m), PhaseSample(points),
                      tol)
 

@@ -35,7 +35,7 @@ from paralift.lifted import (
     P_coordinate_function,
     _adapted_blocks,
 )
-from paralift.phase import chart_point, stack_points
+from paralift.phase import chart_point
 from paralift.report import make_report
 from paralift.spaceform import christoffel_at, curvature_at
 from paralift.verify import (
@@ -238,7 +238,7 @@ def test_nijenhuis_equals_the_four_contractions(case):
             m=ball, spec=almost_product_spec(constant(1.0))),
     }[case]()
     points = sample_points(ls.m, 6, 23).points
-    for pt in tuple(points) + (stack_points(points),):
+    for pt in (*points, points):
         ref = four_contraction_nijenhuis(ls, pt)
         got = nijenhuis_at(ls, pt)
         assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
@@ -322,7 +322,7 @@ def test_metric_signature_census_is_relative_to_each_block(scale):
     # largest has no sign, so the neutral (3, 3) is missed, while 1e-8 has
     # one at every scale; a spec built directly skips the positivity guard
     m = flat_space(3)
-    sample = PhaseSample((make_point(m, [0.1, 0.0, 0.0], [1.0, 0.0, 0.0]),))
+    sample = PhaseSample(make_point(m, [[0.1, 0.0, 0.0]], [[1.0, 0.0, 0.0]]))
     for ratio, passed in ((1e-12, False), (1e-8, True)):
         spec = StructureSpec(
             constant(1.0), constant(0.0), constant(1.0), constant(0.0),
@@ -361,7 +361,7 @@ def test_block_eigenvalue_census_equals_the_full_matrix(epsilon):
                                      epsilon=epsilon),
                        affine(1.0, 0.5), constant(0.0))
     ls = LiftedStructure(m=m, spec=spec)
-    batch = stack_points(sample_points(m, 40, 13).points)
+    batch = sample_points(m, 40, 13).points
     full = np.linalg.eigvalsh(G_adapted(ls, batch))
     blocks = np.concatenate([np.linalg.eigvalsh(g)
                              for g in _adapted_blocks(ls, batch, "G")], axis=-1)
@@ -471,8 +471,8 @@ def test_closure_agreement_is_the_difference_of_the_two_sides(n):
                 affine(1.0, 1.0), mu))
             omega = Omega_coordinate(ls)
             for pt in sample_points(m, 4, 67).points:
-                one = run_check("closure_agreement", ls,
-                                PhaseSample((pt,))).max_residual
+                one = run_check("closure_agreement", ls, PhaseSample(
+                    make_point(m, [pt.q], [pt.p]))).max_residual
                 numeric = exterior_derivative_2form(omega, pt)
                 analytic = analytic_dOmega(ls, pt)
                 two = np.max(np.abs(numeric - analytic))
@@ -489,45 +489,37 @@ def test_closure_agreement_reads_a_foreign_point_on_its_own_chart():
         constant(0.5)))
     q, p = [0.1, 0.2, -0.1], [0.3, -0.2, 0.5]
     own = run_check("closure_agreement", ls,
-                    PhaseSample((make_point(m, q, p),))).max_residual
+                    PhaseSample(make_point(m, [q], [p]))).max_residual
     assert own < 1e-15
     for other in (conformal_ball(3, -1.0), flat_space(3),
                   perturbed_conformal(3, 1.0, 0.1)):
         pt = make_point(other, q, p)
-        assert run_check("closure_agreement", ls,
-                         PhaseSample((pt,))).max_residual == own, other
+        assert run_check("closure_agreement", ls, PhaseSample(
+            make_point(other, [q], [p]))).max_residual == own, other
         assert np.array_equal(analytic_dOmega(ls, pt),
                               analytic_dOmega(ls, make_point(m, q, p)))
     sample = sample_points(conformal_ball(3, -1.0), 20, 3, p_max=1.0)
-    own = run_check("closure_agreement", ls, PhaseSample(tuple(
-        make_point(m, pt.q, pt.p) for pt in sample.points)))
+    own = run_check("closure_agreement", ls, PhaseSample(
+        make_point(m, sample.points.q, sample.points.p)))
     assert run_check("closure_agreement", ls,
                      sample).max_residual == own.max_residual
     assert own.passed
 
 
-@pytest.mark.parametrize("other",
-                         ["ball-1", "flat", "perturbed", "wide", "mixed"])
+@pytest.mark.parametrize("other", ["ball-1", "flat", "perturbed", "wide"])
 def test_a_sample_of_another_chart_reports_as_one_of_the_structures(other):
-    """A sample built on another chart model, or on two (its batch then has
-    no chart), gives for every check the report of the same (q, p) built on
-    the structure's chart, bit for bit: the check rebuilds it on ls.m."""
+    """A sample built on another chart model gives for every check the
+    report of the same (q, p) built on the structure's chart, bit for bit:
+    the check rebuilds it on ls.m."""
     m = conformal_ball(3, 1.0)
     ls = para_kahler_ls(m)
     chart = {"ball-1": conformal_ball(3, -1.0), "flat": flat_space(3),
              "perturbed": perturbed_conformal(3, 1.0, 0.1),
-             "wide": conformal_ball(3, 1.0, chart_radius=1.2),
-             "mixed": conformal_ball(3, -1.0)}[other]
+             "wide": conformal_ball(3, 1.0, chart_radius=1.2)}[other]
     sample = sample_points(chart, 20, 3, p_max=1.0)
-    if other == "mixed":
-        sample = PhaseSample(points=tuple(
-            make_point(flat_space(3), pt.q, pt.p) if i % 2 else pt
-            for i, pt in enumerate(sample.points)), seed=sample.seed)
-        assert sample.points.m is None and sample.stepped is None
-    else:
-        assert sample.stepped.m is chart
-    own = PhaseSample(points=tuple(make_point(m, pt.q, pt.p)
-                                   for pt in sample.points), seed=sample.seed)
+    assert sample.stepped.m is chart
+    own = PhaseSample(make_point(m, sample.points.q, sample.points.p),
+                      seed=sample.seed)
     for name in CHECK_NAMES:
         assert run_check(name, ls, sample) == run_check(name, ls, own), name
 
@@ -615,7 +607,7 @@ def test_para_kahler_sub_residuals_equal_the_standalone_checks(case):
             assert rep.witnesses == alone.witnesses
     # per point, the derivative residuals on the sample's stepped point are
     # bitwise those of the public evaluators
-    batch = stack_points(sample.points)
+    batch = sample.points
     omega = Omega_coordinate(ls)
     assert np.array_equal(_nijenhuis_max(ls, None, sample.stepped), np.max(
         np.abs(nijenhuis_at(ls, batch)), axis=(-3, -2, -1)))
@@ -804,7 +796,7 @@ def test_nijenhuis_norm_grows_as_n_minus_one_at_the_chart_centre(model):
 
 # n of the affine-law sweep; on the perturbed chart e0 lies in the (x, p)
 # plane below, so its law holds from the smallest n too
-AFFINE_DIMS = {"perturbed": (2, 3, 4, 5, 6, 8, 12)}
+AFFINE_DIMS = {"perturbed": (2, 3, 4, 5, 6, 8, 12, 32)}
 
 
 @pytest.mark.parametrize("model", [*ORBIT_MODELS, "perturbed"])
@@ -813,9 +805,14 @@ def test_squared_residual_norms_are_affine_in_n(model):
     p in the first two coordinates act as O(n - 2) on the remaining ones; a
     tensor they fix has its components there multiples of delta, so off the
     rules |N|_F^2 and |d Omega|_F^2 at (x, p) are S0 + n S2, fitted at the
-    two smallest n and read at the others.  On the perturbed chart only the
-    rotations fixing e0 are isometries, and e0 is in the plane of x and p."""
-    dims = AFFINE_DIMS.get(model, (3, 4, 5, 8, 16))
+    two smallest n and read at the others, up to n = 32.  The law holds at
+    one fixed point and at three drawn in the plane, x in [-0.35, 0.35]^2
+    and p in [-0.5, 0.5]^2.  On the perturbed chart only the rotations
+    fixing e0 are isometries, and e0 is in the plane of x and p."""
+    dims = AFFINE_DIMS.get(model, (3, 4, 5, 8, 16, 32))
+    rng = np.random.default_rng(7)
+    plane_q = np.vstack([(0.31, -0.22), rng.uniform(-0.35, 0.35, (3, 2))])
+    plane_p = np.vstack([(0.4, 0.55), rng.uniform(-0.5, 0.5, (3, 2))])
     norms = []
     for n in dims:
         m = (perturbed_conformal(n, 1.0, 0.1) if model == "perturbed"
@@ -825,17 +822,38 @@ def test_squared_residual_norms_are_affine_in_n(model):
         ls = LiftedStructure(m=m, spec=with_metric(almost_product_spec(
             a1, rule.b1 + constant(0.3), t_max=1.0), affine(1.0, 1.0),
             constant(0.5)))
-        q, p = np.zeros(n), np.zeros(n)
-        q[:2], p[:2] = (0.31, -0.22), (0.4, 0.55)
+        q, p = np.zeros((4, n)), np.zeros((4, n))
+        q[:, :2], p[:, :2] = plane_q, plane_p
         pt = make_point(m, q, p)
-        norms.append([np.sum(x * x) for x in (
+        norms.append([np.sum(x * x, axis=(-3, -2, -1)) for x in (
             nijenhuis_at(ls, pt),
             exterior_derivative_2form(Omega_coordinate(ls), pt))])
-    norms, dims = np.array(norms), np.array(dims, dtype=float)[:, None]
+    norms, dims = np.array(norms), np.array(dims, dtype=float)[:, None, None]
     assert np.all(norms > 1e-3)  # off the rules
     s2 = (norms[1] - norms[0]) / (dims[1] - dims[0])
     fit = norms[0] + (dims - dims[0]) * s2
     assert np.abs(norms / fit - 1.0).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_a_t_sweep_catches_the_planted_b1(n):
+    """b1 = the rule's b1 + 2.41e-186 t^600 reads an integrability residual
+    of 2e-5 at t = 2 but under the 1e-8 tolerance below t = 1.97, so a
+    random 100-point sample can miss it; one sample built from the rows q = 0,
+    p = sqrt(2t) e1 at 64 values of t on [0, 2], both ends included, FAILs
+    it with its top witness at t = 2 and PASSes the rule itself."""
+    m = conformal_ball(n, 1.0)
+    p = np.zeros((64, n))
+    p[:, 0] = np.sqrt(2.0 * np.linspace(0.0, 2.0, 64))
+    sweep = PhaseSample(make_point(m, np.zeros_like(p), p))
+    rule = integrable_spec(constant(1.0), curvature=1.0)
+    planted = almost_product_spec(constant(1.0), rule.b1 + polynomial(
+        [0.0] * 600 + [2.41e-186]))
+    rep = run_check("integrability", LiftedStructure(m=m, spec=planted), sweep)
+    assert not rep.passed and rep.max_residual > 1e-6
+    assert rep.witnesses[0]["point"]["p"] == [2.0] + [0.0] * (n - 1)
+    rep = run_check("integrability", LiftedStructure(m=m, spec=rule), sweep)
+    assert rep.passed and rep.max_residual < 1e-14
 
 
 FRAME_TS = (0.05, 0.6, 0.95)
@@ -954,7 +972,8 @@ def test_nijenhuis_curvature_block_is_the_curvature_deviation(chart, delta,
 def test_every_check_refuses_an_empty_sample(name):
     ls = para_kahler_ls(conformal_ball(3, 1.0))
     with pytest.raises(ValueError, match="sample must be nonempty"):
-        run_check(name, ls, PhaseSample(points=(), seed=1))
+        run_check(name, ls, PhaseSample(
+            make_point(ls.m, np.zeros((0, 3)), np.zeros((0, 3))), seed=1))
 
 
 def test_para_kahler_constant_lambda_rational_spec():
@@ -1034,7 +1053,7 @@ def test_every_coefficient_check_refuses_t_past_t_max_alike():
     ls = para_kahler_ls(conformal_ball(3, 1.0))
     q, p = np.array([0.3, -0.2, 0.1]), np.array([0.5, 0.4, -0.6])
     p = p * math.sqrt(2.0005 / chart_point(ls.m, q, p).t)
-    sample = PhaseSample((make_point(ls.m, q, p),))
+    sample = PhaseSample(make_point(ls.m, [q], [p]))
     assert ls.spec.t_max == 2.0 and abs(sample.points[0].t - 2.0005) < 1e-12
     readers = [name for name in CHECK_NAMES if name != "space_form"]
     assert len(readers) == 7
@@ -1052,8 +1071,8 @@ def test_a_nan_point_is_off_the_domain():
     ls = para_kahler_ls(conformal_ball(3, 1.0))
     with pytest.raises(ChartDomainError, match="nan exceeds chart bound 1$"):
         make_point(ls.m, [math.nan, 0.0, 0.0], [0.5, 0.4, -0.6])
-    sample = PhaseSample((make_point(ls.m, [0.3, -0.2, 0.1],
-                                     [math.nan, 0.4, -0.6]),))
+    sample = PhaseSample(make_point(ls.m, [[0.3, -0.2, 0.1]],
+                                    [[math.nan, 0.4, -0.6]]))
     for name in CHECK_NAMES:
         if name == "space_form":
             assert run_check(name, ls, sample).passed
